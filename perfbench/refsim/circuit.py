@@ -1,0 +1,455 @@
+"""Gate-level synthesis of the probabilistic imaginary-time step circuits.
+
+A step circuit for one Hamiltonian term acts on n work qubits plus one
+ancilla (always the highest index). Its shape is
+
+    U_k  -->  controlled-Ry(theta_k) onto the ancilla  -->  [measure]  -->  U_k^dag
+
+where U_k is a basis change folding the term onto a single "pivot" qubit,
+and theta_k = 2 arccos(e^{-2 |c_k| dt}). Post-selecting the ancilla on 0
+makes the work-qubit action proportional to e^{-c_k h_k dt}.
+
+Grouped steps generalize this: the basis change diagonalizes a whole
+Hermitian block and the ancilla rotation angle depends on which eigenvalue
+branch the work register is in.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Union
+
+import numpy as np
+
+from .hamiltonian import PauliAxis, PauliTerm
+
+if TYPE_CHECKING:
+    from .grouping import GroupedBlock
+
+__all__ = [
+    "Hadamard",
+    "PhaseS",
+    "PhaseSdg",
+    "PauliX",
+    "CNOT",
+    "Ry",
+    "ControlledRy",
+    "ConditionalRy",
+    "DenseBlock",
+    "Gate",
+    "Circuit",
+    "UkSynthesis",
+    "adjoint",
+    "adjoint_sequence",
+    "synthesize_uk",
+    "theta_for_coeff",
+    "build_pauli_step",
+    "build_grouped_step",
+    "build_ising_block_gates",
+    "ising_block_angles",
+    "gate_count",
+]
+
+
+@dataclass(frozen=True)
+class Hadamard:
+    qubit: int
+
+
+@dataclass(frozen=True)
+class PhaseS:
+    """S = diag(1, i), the pi/4 phase gate."""
+
+    qubit: int
+
+
+@dataclass(frozen=True)
+class PhaseSdg:
+    qubit: int
+
+
+@dataclass(frozen=True)
+class PauliX:
+    qubit: int
+
+
+@dataclass(frozen=True)
+class CNOT:
+    control: int
+    target: int
+
+    def __post_init__(self) -> None:
+        if self.control == self.target:
+            raise ValueError("CNOT control and target must differ")
+
+
+@dataclass(frozen=True)
+class Ry:
+    """Ry(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
+
+    angle: float
+    qubit: int
+
+
+@dataclass(frozen=True)
+class ControlledRy:
+    angle: float
+    control: int
+    target: int
+
+    def __post_init__(self) -> None:
+        if self.control == self.target:
+            raise ValueError("controlled-Ry control and target must differ")
+
+
+@dataclass(frozen=True)
+class ConditionalRy:
+    """sum_x |x><x| (x) Ry(angle[x]) over a multi-qubit control register.
+
+    ``angles`` maps a basis index of the register (first listed qubit is
+    the most significant bit) to a rotation angle on the target; register
+    states absent from the map get the identity. Only nonzero angles are
+    kept.
+    """
+
+    register: tuple[int, ...]
+    angles: tuple[tuple[int, float], ...]
+    target: int
+
+    def __post_init__(self) -> None:
+        qubits = (*self.register, self.target)
+        if len(set(qubits)) != len(qubits):
+            raise ValueError("conditional-Ry register/target indices must be distinct")
+        dim = 2 ** len(self.register)
+        kept = []
+        for x, angle in self.angles:
+            if not 0 <= x < dim:
+                raise ValueError(f"register basis index {x} out of range for {dim} states")
+            if angle != 0.0:
+                kept.append((int(x), float(angle)))
+        if len({x for x, _ in kept}) != len(kept):
+            raise ValueError("duplicate register basis index in angle map")
+        object.__setattr__(self, "angles", tuple(kept))
+
+    @staticmethod
+    def from_map(register: tuple[int, ...], angles: dict[int, float], target: int) -> "ConditionalRy":
+        return ConditionalRy(register, tuple(sorted(angles.items())), target)
+
+    def angle_map(self) -> dict[int, float]:
+        return dict(self.angles)
+
+
+class DenseBlock:
+    """An explicit unitary on a small ordered list of qubits.
+
+    The matrix basis follows the listed qubit order with the first qubit as
+    the most significant bit. The simulator applies it directly; no
+    elementary-gate synthesis is attempted.
+    """
+
+    __slots__ = ("qubits", "matrix")
+
+    def __init__(self, qubits: tuple[int, ...], matrix: np.ndarray):
+        qubits = tuple(qubits)
+        matrix = np.asarray(matrix)
+        if len(set(qubits)) != len(qubits):
+            raise ValueError("dense block qubits must be distinct")
+        dim = 2 ** len(qubits)
+        if matrix.shape != (dim, dim):
+            raise ValueError(f"matrix shape {matrix.shape} does not match {len(qubits)} qubits")
+        err = np.abs(matrix.conj().T @ matrix - np.eye(dim)).max()
+        if err > 1e-10:
+            raise ValueError(f"dense block is not unitary (deviation {err:.3e})")
+        if np.iscomplexobj(matrix) and np.abs(matrix.imag).max() == 0.0:
+            matrix = matrix.real  # keep real-valued states on the real path
+        self.qubits = qubits
+        self.matrix = matrix.astype(np.float64 if np.isrealobj(matrix) else np.complex128)
+
+    def __repr__(self) -> str:
+        return f"DenseBlock(qubits={self.qubits}, dim={self.matrix.shape[0]})"
+
+
+Gate = Union[
+    Hadamard, PhaseS, PhaseSdg, PauliX, CNOT, Ry, ControlledRy, ConditionalRy, DenseBlock
+]
+
+
+def qubits_of(gate: Gate) -> tuple[int, ...]:
+    if isinstance(gate, (Hadamard, PhaseS, PhaseSdg, PauliX, Ry)):
+        return (gate.qubit,)
+    if isinstance(gate, CNOT):
+        return (gate.control, gate.target)
+    if isinstance(gate, ControlledRy):
+        return (gate.control, gate.target)
+    if isinstance(gate, ConditionalRy):
+        return (*gate.register, gate.target)
+    if isinstance(gate, DenseBlock):
+        return gate.qubits
+    raise TypeError(f"unknown gate {gate!r}")
+
+
+def adjoint(gate: Gate) -> Gate:
+    if isinstance(gate, (Hadamard, PauliX, CNOT)):
+        return gate
+    if isinstance(gate, PhaseS):
+        return PhaseSdg(gate.qubit)
+    if isinstance(gate, PhaseSdg):
+        return PhaseS(gate.qubit)
+    if isinstance(gate, Ry):
+        return Ry(-gate.angle, gate.qubit)
+    if isinstance(gate, ControlledRy):
+        return ControlledRy(-gate.angle, gate.control, gate.target)
+    if isinstance(gate, ConditionalRy):
+        return ConditionalRy(gate.register, tuple((x, -a) for x, a in gate.angles), gate.target)
+    if isinstance(gate, DenseBlock):
+        return DenseBlock(gate.qubits, gate.matrix.conj().T)
+    raise TypeError(f"unknown gate {gate!r}")
+
+
+def adjoint_sequence(gates: tuple[Gate, ...]) -> tuple[Gate, ...]:
+    return tuple(adjoint(g) for g in reversed(gates))
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """Ordered gate list over ``n_work`` qubits plus an optional ancilla.
+
+    The ancilla, when present, is qubit index ``n_work``. ``measure_point``
+    splits the gate list at the single ancilla measurement: gates at or
+    after it must not touch the ancilla. Pure unitary circuits (no
+    ancilla/measurement) use ``measure_point=None``.
+    """
+
+    n_work: int
+    has_ancilla: bool
+    gates: tuple[Gate, ...]
+    measure_point: int | None = None
+
+    def __post_init__(self) -> None:
+        n_total = self.n_work + (1 if self.has_ancilla else 0)
+        for g in self.gates:
+            for q in qubits_of(g):
+                if not 0 <= q < n_total:
+                    raise ValueError(f"gate {g!r} touches qubit {q}, register has {n_total}")
+        if self.has_ancilla:
+            if self.measure_point is None:
+                raise ValueError("ancilla circuits must declare a measure_point")
+            if not 0 <= self.measure_point <= len(self.gates):
+                raise ValueError("measure_point out of range")
+            for g in self.gates[self.measure_point :]:
+                if self.ancilla in qubits_of(g):
+                    raise ValueError("gates after the measurement must not touch the ancilla")
+        elif self.measure_point is not None:
+            raise ValueError("measure_point requires an ancilla")
+
+    @property
+    def ancilla(self) -> int:
+        if not self.has_ancilla:
+            raise ValueError("circuit has no ancilla")
+        return self.n_work
+
+    @property
+    def n_qubits(self) -> int:
+        return self.n_work + (1 if self.has_ancilla else 0)
+
+    @property
+    def pre_measure(self) -> tuple[Gate, ...]:
+        return self.gates if self.measure_point is None else self.gates[: self.measure_point]
+
+    @property
+    def post_measure(self) -> tuple[Gate, ...]:
+        return () if self.measure_point is None else self.gates[self.measure_point :]
+
+    def dump(self) -> str:
+        """Debug listing: one gate per line, ``<kind> <qubits> [<angle>]``."""
+        lines = []
+        for i, g in enumerate(self.gates):
+            if self.measure_point is not None and i == self.measure_point:
+                lines.append(f"measure ({self.ancilla},)")
+            name = type(g).__name__.lower()
+            if isinstance(g, DenseBlock):
+                lines.append(f"{name} {g.qubits} dim={g.matrix.shape[0]}")
+            elif isinstance(g, ConditionalRy):
+                angles = ";".join(f"{x}:{a:.12g}" for x, a in g.angles)
+                lines.append(f"{name} {qubits_of(g)} {angles}")
+            elif isinstance(g, (Ry, ControlledRy)):
+                lines.append(f"{name} {qubits_of(g)} {g.angle:.12g}")
+            else:
+                lines.append(f"{name} {qubits_of(g)}")
+        if self.measure_point is not None and self.measure_point == len(self.gates):
+            lines.append(f"measure ({self.ancilla},)")
+        return "\n".join(lines)
+
+
+@dataclass(frozen=True)
+class UkSynthesis:
+    """Basis-change circuit for one Pauli term and its pivot qubit."""
+
+    circuit: Circuit
+    pivot: int
+    gate_count: int
+
+
+def synthesize_uk(term: PauliTerm) -> UkSynthesis:
+    """Unitary U with U (c h) U^dag = -|c| Z_pivot, from elementary gates.
+
+    Construction: map X axes to Z with H and Y axes to Z with S^dag then H;
+    fold all resulting Z factors onto the pivot (the lowest non-identity
+    qubit) with CNOTs; flip the sign with X on the pivot when c > 0. Uses
+    at most 3n single/two-qubit gates.
+    """
+    support = term.support
+    if not support:
+        raise ValueError("cannot synthesize a basis change for an identity term")
+    pivot = support[0]
+    gates: list[Gate] = []
+    for q in support:
+        axis = term.axes[q]
+        if axis is PauliAxis.X:
+            gates.append(Hadamard(q))
+        elif axis is PauliAxis.Y:
+            gates.append(PhaseSdg(q))
+            gates.append(Hadamard(q))
+    for q in support:
+        if q != pivot:
+            gates.append(CNOT(q, pivot))
+    if term.coeff > 0:
+        gates.append(PauliX(pivot))
+    circuit = Circuit(n_work=term.n_qubits, has_ancilla=False, gates=tuple(gates))
+    return UkSynthesis(circuit=circuit, pivot=pivot, gate_count=len(gates))
+
+
+def theta_for_coeff(c: float, dt: float) -> float:
+    """Ancilla rotation angle 2 arccos(e^{-2 |c| dt}), in [0, pi)."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    return 2.0 * math.acos(math.exp(-2.0 * abs(c) * dt))
+
+
+def build_pauli_step(term: PauliTerm, dt: float) -> Circuit:
+    """Full step circuit for one Pauli term: U_k, controlled-Ry onto the
+    ancilla from the pivot, measurement, then U_k^dag."""
+    syn = synthesize_uk(term)
+    theta = theta_for_coeff(term.coeff, dt)
+    ancilla = term.n_qubits
+    uk = syn.circuit.gates
+    gates = (*uk, ControlledRy(theta, syn.pivot, ancilla), *adjoint_sequence(uk))
+    return Circuit(
+        n_work=term.n_qubits,
+        has_ancilla=True,
+        gates=gates,
+        measure_point=len(uk) + 1,
+    )
+
+
+def build_grouped_step(block: "GroupedBlock", dt: float) -> Circuit:
+    """Step circuit for a grouped Hermitian block.
+
+    The dense basis change maps eigenvector i (eigenvalues ascending) to
+    the register basis state i; the conditional rotation applies
+    theta_i = 2 arccos(e^{-omega_i dt}) with omega_i = lambda_i - lambda_0,
+    so post-selection realizes e^{-(H_block - lambda_0) dt} on the block.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    support = block.support
+    ancilla = block.n_qubits
+    basis_change = DenseBlock(support, block.eigenvectors.conj().T)
+    angles = {
+        i: 2.0 * math.acos(math.exp(-omega * dt))
+        for i, omega in enumerate(block.omegas)
+        if omega > 0.0
+    }
+    rotation = ConditionalRy.from_map(support, angles, ancilla)
+    gates = (basis_change, rotation, DenseBlock(support, block.eigenvectors))
+    return Circuit(
+        n_work=block.n_qubits,
+        has_ancilla=True,
+        gates=gates,
+        measure_point=2,
+    )
+
+
+def ising_block_angles(g: float, h: float) -> tuple[float, float]:
+    """Closed-form rotation angles of the two-site Ising block:
+
+        phi1 = arccos((1-h) / sqrt(g^2 + (h-1)^2))
+        phi2 = arccos((-1-h) / sqrt(g^2 + (h+1)^2))
+    """
+    r_minus = math.hypot(g, h - 1.0)
+    r_plus = math.hypot(g, h + 1.0)
+    if r_minus == 0.0 or r_plus == 0.0:
+        raise ValueError("block angles undefined at the degenerate point g=0, h=-+1")
+    phi1 = math.acos((1.0 - h) / r_minus)
+    phi2 = math.acos((-1.0 - h) / r_plus)
+    return phi1, phi2
+
+
+def build_ising_block_gates(g: float, h: float, dt: float) -> Circuit:
+    """Elementary-gate step circuit for the two-site Ising block
+
+        B = -(Z0 Z1 + g X0 + h Z0)
+
+    on work qubits (0, 1) plus the ancilla (J = 1 form). The eigenbasis
+    change needs one Ry, one controlled-Ry and one CNOT; the ancilla
+    rotation splits into two controlled-Ry gates plus a two-qubit
+    conditional branch. Dense-equivalent to ``build_grouped_step`` on the
+    same block up to a global phase on the post-selected branch.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    # B is block-diagonal in qubit 1: on the qubit-1=0 (resp. 1) subspace it
+    # is -r_a (cos a_a Z + sin a_a X) on qubit 0, with the angles below.
+    alpha_a = math.atan2(g, 1.0 + h)
+    alpha_b = math.atan2(g, h - 1.0)
+    r_a = math.hypot(g, 1.0 + h)
+    r_b = math.hypot(g, h - 1.0)
+    # eigenvalues hosted by register states 00, 01, 11, 10 after the basis
+    # change; anchor the rotation angles at the global minimum
+    by_state = {0b00: -r_a, 0b01: -r_b, 0b11: r_a, 0b10: r_b}
+    lam0 = min(by_state.values())
+    theta = {x: 2.0 * math.acos(math.exp(-(lam - lam0) * dt)) for x, lam in by_state.items()}
+
+    basis_change = (
+        Ry(-alpha_a, 0),
+        ControlledRy(alpha_a - alpha_b, 1, 0),
+        CNOT(0, 1),
+    )
+    ancilla = 2
+    rotation: list[Gate] = []
+    if theta[0b00] != 0.0:
+        rotation.append(Ry(theta[0b00], ancilla))
+    t10 = theta[0b10] - theta[0b00]
+    t01 = theta[0b01] - theta[0b00]
+    if t10 != 0.0:
+        rotation.append(ControlledRy(t10, 0, ancilla))
+    if t01 != 0.0:
+        rotation.append(ControlledRy(t01, 1, ancilla))
+    t11 = theta[0b11] - theta[0b00] - t10 - t01
+    if t11 != 0.0:
+        rotation.append(ConditionalRy.from_map((0, 1), {0b11: t11}, ancilla))
+    gates = (*basis_change, *rotation, *adjoint_sequence(basis_change))
+    return Circuit(
+        n_work=2,
+        has_ancilla=True,
+        gates=gates,
+        measure_point=len(basis_change) + len(rotation),
+    )
+
+
+def gate_count(circuit: Circuit) -> dict[str, int]:
+    """Tally of gates by kind (measurement not included)."""
+    counts: dict[str, int] = {
+        "hadamard": 0,
+        "phases": 0,
+        "phasesdg": 0,
+        "paulix": 0,
+        "cnot": 0,
+        "ry": 0,
+        "controlledry": 0,
+        "conditionalry": 0,
+        "denseblock": 0,
+    }
+    for g in circuit.gates:
+        counts[type(g).__name__.lower()] += 1
+    return counts

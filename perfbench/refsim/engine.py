@@ -1,0 +1,684 @@
+"""State evolution engines: statevector (noiseless) and density matrix (noisy).
+
+Conventions shared with the rest of the package: qubit 0 is the most
+significant bit of a basis index; the measurement ancilla, when present,
+is always the highest qubit index (least significant bit). Gates are
+applied in place through reshaped views of the flat state buffer; a
+density matrix gets every unitary applied from both sides.
+
+The simulator measures only the single ancilla. Post-selection projects
+onto outcome 0 and renormalizes, keeping the ancilla in place so the next
+step circuit can reuse it; sampling draws the outcome instead and leaves
+the restart policy to the caller.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
+
+try:  # compiled kernel for the noise-channel jump passes; numpy fallback below
+    from numba import njit as _njit
+
+    _HAVE_NUMBA = True
+except ImportError:  # pragma: no cover - exercised via the fallback test
+    _HAVE_NUMBA = False
+
+from .circuit import (
+    CNOT,
+    Circuit,
+    ConditionalRy,
+    ControlledRy,
+    DenseBlock,
+    Gate,
+    Hadamard,
+    PauliX,
+    PhaseS,
+    PhaseSdg,
+    Ry,
+)
+from .hamiltonian import PauliAxis, PauliHamiltonian, PauliTerm
+
+__all__ = [
+    "StateVector",
+    "DensityMatrix",
+    "NoiseModel",
+    "MeasureResult",
+    "EvolutionAnnihilatedError",
+    "make_rng",
+    "dense_step_oracle",
+    "gates_unitary",
+    "circuit_unitary",
+    "postselected_operator",
+    "run_step_circuit",
+]
+
+ANNIHILATION_THRESHOLD = 1e-15
+
+_SQRT1_2 = 1.0 / math.sqrt(2.0)
+_H_MATRIX = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]])
+
+
+class EvolutionAnnihilatedError(RuntimeError):
+    """Post-selection hit numerically zero probability; the evolution died."""
+
+
+def make_rng(seed: int) -> np.random.Generator:
+    """Counter-based generator (Philox) so sampled runs replay exactly."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
+def _ry_matrix(angle: float) -> np.ndarray:
+    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+    return np.array([[c, -s], [s, c]])
+
+
+def _pinned_views(
+    flat: np.ndarray, total_axes: int, fixed: dict[int, int], target: int | None
+) -> tuple[np.ndarray, ...]:
+    """Low-ndim views of a flat buffer with some qubit axes pinned to bits.
+
+    The buffer is reshaped with one explicit axis per involved qubit only
+    (regular strides keep numpy's elementwise loops fast, unlike a full
+    (2,)*total reshape). With ``target`` given, returns the (bit=0, bit=1)
+    view pair of the target axis; otherwise the single pinned view. Any
+    trailing buffer extent beyond 2^total_axes (e.g. matrix columns) is
+    absorbed into the last axis.
+    """
+    involved = sorted(fixed) if target is None else sorted((*fixed, target))
+    shape: list[int] = []
+    prev = -1
+    for ax in involved:
+        shape.append(1 << (ax - prev - 1))
+        shape.append(2)
+        prev = ax
+    lead = 1
+    for s in shape:
+        lead *= s
+    shape.append(flat.size // lead)
+    view = flat.reshape(shape)
+    idx: list = [slice(None)] * len(shape)
+    target_pos = None
+    for i, ax in enumerate(involved):
+        pos = 2 * i + 1
+        if ax == target:
+            target_pos = pos
+        else:
+            idx[pos] = fixed[ax]
+    if target is None:
+        return (view[tuple(idx)],)
+    idx[target_pos] = 0
+    v0 = view[tuple(idx)]
+    idx[target_pos] = 1
+    v1 = view[tuple(idx)]
+    return v0, v1
+
+
+def _rotate_pair(v0: np.ndarray, v1: np.ndarray, m: np.ndarray) -> None:
+    """In place: (v0, v1) <- (m00 v0 + m01 v1, m10 v0 + m11 v1)."""
+    x0 = v0.copy()
+    v0 *= m[0, 0]
+    v0 += m[0, 1] * v1
+    v1 *= m[1, 1]
+    v1 += m[1, 0] * x0
+
+
+def _swap_pair(v0: np.ndarray, v1: np.ndarray) -> None:
+    tmp = v0.copy()
+    v0[...] = v1
+    v1[...] = tmp
+
+
+def _rotate_matmul(
+    flat: np.ndarray,
+    total_axes: int,
+    pinned: dict[int, int],
+    target: int,
+    m: np.ndarray,
+    scratch: np.ndarray,
+) -> bool:
+    """Allocation-free 2x2 rotation via matmul into a persistent scratch
+    buffer. Handles pinned axes strictly before the target; the
+    target-is-last-axis case goes through one flat (N, 2) gemm with a
+    masked copy-back. Returns False when the layout is unsupported."""
+    if any(ax > target for ax in pinned):
+        return False
+    if m.dtype.kind == "c" and flat.dtype.kind != "c":
+        return False
+    last_axis = target == total_axes - 1 and flat.size == 1 << total_axes
+    if last_axis:
+        vin = flat.reshape(-1, 2)
+        vout = scratch.reshape(-1, 2)
+        np.matmul(vin, m.T, out=vout)
+        if pinned:
+            sel_in = _pinned_views(flat, total_axes, pinned, None)[0]
+            sel_out = _pinned_views(scratch, total_axes, pinned, None)[0]
+            sel_in[...] = sel_out
+        else:
+            vin[...] = vout
+        return True
+    involved = sorted((*pinned, target))
+    shape: list[int] = []
+    prev = -1
+    for ax in involved:
+        shape.append(1 << (ax - prev - 1))
+        shape.append(2)
+        prev = ax
+    lead = 1
+    for s in shape:
+        lead *= s
+    shape.append(flat.size // lead)
+    idx: list = [slice(None)] * len(shape)
+    for i, ax in enumerate(involved):
+        if ax != target:
+            idx[2 * i + 1] = pinned[ax]
+    sel = tuple(idx)
+    vin = flat.reshape(shape)[sel]
+    vout = scratch.reshape(shape)[sel]
+    np.matmul(m, vin, out=vout)
+    vin[...] = vout
+    return True
+
+
+def _apply_dense(flat: np.ndarray, total_axes: int, m: np.ndarray, axes: tuple[int, ...]) -> None:
+    """In-place k-qubit unitary on the given axes (first axis = MSB)."""
+    k = len(axes)
+    view = flat.reshape((2,) * total_axes + (flat.size >> total_axes,))
+    moved = np.moveaxis(view, axes, range(k))
+    work = np.ascontiguousarray(moved).reshape(2**k, -1)
+    moved[...] = (m @ work).reshape(moved.shape)
+
+
+def _gate_needs_complex(gate: Gate) -> bool:
+    if isinstance(gate, (PhaseS, PhaseSdg)):
+        return True
+    if isinstance(gate, DenseBlock):
+        return bool(np.iscomplexobj(gate.matrix) and np.abs(gate.matrix.imag).max() > 0.0)
+    return False
+
+
+def _apply_gate_flat(
+    flat: np.ndarray,
+    total_axes: int,
+    gate: Gate,
+    offset: int,
+    conjugate: bool,
+    scratch: np.ndarray | None = None,
+) -> None:
+    """Apply one gate to a flat buffer holding (2,)*total_axes[, extra].
+
+    ``offset`` shifts qubit indices to axes (density matrices pass the
+    column-side offset); ``conjugate`` applies the complex conjugate gate,
+    which is what right-multiplication by the adjoint amounts to. With a
+    ``scratch`` buffer, rotations route through allocation-free matmuls.
+    """
+
+    def rotate(pinned: dict[int, int], target: int, m: np.ndarray) -> None:
+        if scratch is not None and _rotate_matmul(flat, total_axes, pinned, target, m, scratch):
+            return
+        v0, v1 = _pinned_views(flat, total_axes, pinned, target)
+        _rotate_pair(v0, v1, m)
+
+    if isinstance(gate, Hadamard):
+        rotate({}, offset + gate.qubit, _H_MATRIX)
+    elif isinstance(gate, (PhaseS, PhaseSdg)):
+        forward = isinstance(gate, PhaseS) != conjugate
+        (v1,) = _pinned_views(flat, total_axes, {offset + gate.qubit: 1}, None)
+        v1 *= 1j if forward else -1j
+    elif isinstance(gate, PauliX):
+        v0, v1 = _pinned_views(flat, total_axes, {}, offset + gate.qubit)
+        _swap_pair(v0, v1)
+    elif isinstance(gate, Ry):
+        rotate({}, offset + gate.qubit, _ry_matrix(gate.angle))
+    elif isinstance(gate, CNOT):
+        v0, v1 = _pinned_views(
+            flat, total_axes, {offset + gate.control: 1}, offset + gate.target
+        )
+        _swap_pair(v0, v1)
+    elif isinstance(gate, ControlledRy):
+        rotate({offset + gate.control: 1}, offset + gate.target, _ry_matrix(gate.angle))
+    elif isinstance(gate, ConditionalRy):
+        register = gate.register
+        for x, angle in gate.angles:
+            fixed = {
+                offset + q: (x >> (len(register) - 1 - i)) & 1
+                for i, q in enumerate(register)
+            }
+            rotate(fixed, offset + gate.target, _ry_matrix(angle))
+    elif isinstance(gate, DenseBlock):
+        m = gate.matrix.conj() if conjugate else gate.matrix
+        _apply_dense(flat, total_axes, m, tuple(offset + q for q in gate.qubits))
+    else:
+        raise TypeError(f"unknown gate {gate!r}")
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """Single-qubit relaxation/dephasing channel from three Kraus operators:
+
+        E1 = [[1, 0], [0, sqrt(1 - eps_r - eps_d)]]
+        E2 = [[0, sqrt(eps_d)], [0, 0]]
+        E3 = [[0, 0], [0, sqrt(eps_r)]]
+
+    applied independently to every qubit (ancilla included) right before
+    each ancilla measurement.
+    """
+
+    eps_r: float
+    eps_d: float
+
+    def __post_init__(self) -> None:
+        if not (0.0 <= self.eps_r <= 1.0 and 0.0 <= self.eps_d <= 1.0):
+            raise ValueError("noise parameters must lie in [0, 1]")
+        if self.eps_r + self.eps_d > 1.0:
+            raise ValueError("eps_r + eps_d must not exceed 1")
+        total = sum(e.conj().T @ e for e in self.kraus_operators())
+        if np.abs(total - np.eye(2)).max() > 1e-12:
+            raise AssertionError("Kraus completeness violated")
+
+    def kraus_operators(self) -> list[np.ndarray]:
+        e1 = np.array([[1.0, 0.0], [0.0, math.sqrt(1.0 - self.eps_r - self.eps_d)]])
+        e2 = np.array([[0.0, math.sqrt(self.eps_d)], [0.0, 0.0]])
+        e3 = np.array([[0.0, 0.0], [0.0, math.sqrt(self.eps_r)]])
+        return [e1.astype(complex), e2.astype(complex), e3.astype(complex)]
+
+    @property
+    def is_identity(self) -> bool:
+        return self.eps_r == 0.0 and self.eps_d == 0.0
+
+
+@dataclass(frozen=True)
+class MeasureResult:
+    prob0: float
+    outcome: str  # "postselected", "sampled-0" or "sampled-1"
+    state: "StateVector | DensityMatrix"
+
+
+def _as_state_array(data: np.ndarray) -> np.ndarray:
+    """Copy to float64 when exactly real, else complex128 (real-valued
+    models then evolve entirely in real arithmetic, which is ~2x faster)."""
+    arr = np.asarray(data)
+    if np.iscomplexobj(arr):
+        if np.abs(arr.imag).max(initial=0.0) == 0.0:
+            return arr.real.astype(np.float64)
+        return arr.astype(np.complex128)
+    return arr.astype(np.float64)
+
+
+class StateVector:
+    """Flat statevector over ``n_qubits``, kept unit-norm.
+
+    Stored as float64 while all applied gates are real, upcast to
+    complex128 on the first genuinely complex operation.
+    """
+
+    def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None):
+        self.n_qubits = n_qubits
+        if amplitudes is None:
+            self.data = np.zeros(2**n_qubits)
+            self.data[0] = 1.0
+        else:
+            amplitudes = np.ravel(amplitudes)
+            if amplitudes.shape[0] != 2**n_qubits:
+                raise ValueError("amplitude count does not match qubit count")
+            self.data = _as_state_array(amplitudes)
+
+    @staticmethod
+    def from_work_register(work: np.ndarray) -> "StateVector":
+        """Work-register vector tensored with a fresh ancilla |0>."""
+        work = _as_state_array(np.ravel(work))
+        n_work = int(round(math.log2(work.shape[0])))
+        if 2**n_work != work.shape[0]:
+            raise ValueError("work vector length is not a power of two")
+        full = np.zeros(2 * work.shape[0], dtype=work.dtype)
+        full[0::2] = work  # ancilla is the least significant bit
+        return StateVector(n_work + 1, full)
+
+    def copy(self) -> "StateVector":
+        return StateVector(self.n_qubits, self.data)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.data))
+
+    def _ensure_complex(self) -> None:
+        if not np.iscomplexobj(self.data):
+            self.data = self.data.astype(np.complex128)
+
+    def apply_gate(self, gate: Gate) -> None:
+        if _gate_needs_complex(gate):
+            self._ensure_complex()
+        _apply_gate_flat(self.data, self.n_qubits, gate, offset=0, conjugate=False)
+
+    def apply_gates(self, gates: tuple[Gate, ...]) -> None:
+        for g in gates:
+            self.apply_gate(g)
+
+    def measure_ancilla(
+        self, mode: str = "postselect", rng: np.random.Generator | None = None
+    ) -> MeasureResult:
+        """Measure the last qubit; see module docstring for semantics."""
+        pairs = self.data.reshape(-1, 2)
+        prob0 = float(np.real(np.vdot(pairs[:, 0], pairs[:, 0])))
+        prob0 = min(prob0, 1.0)
+        if mode == "postselect":
+            if prob0 < ANNIHILATION_THRESHOLD:
+                raise EvolutionAnnihilatedError(
+                    f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
+                )
+            pairs[:, 1] = 0.0
+            self.data /= math.sqrt(prob0)
+            return MeasureResult(prob0, "postselected", self)
+        if mode == "sample":
+            if rng is None:
+                raise ValueError("sample mode needs an rng")
+            if rng.random() < prob0:
+                pairs[:, 1] = 0.0
+                self.data /= math.sqrt(prob0)
+                return MeasureResult(prob0, "sampled-0", self)
+            pairs[:, 0] = 0.0
+            self.data /= math.sqrt(1.0 - prob0)
+            return MeasureResult(prob0, "sampled-1", self)
+        raise ValueError(f"unknown measurement mode {mode!r}")
+
+    def drop_ancilla(self) -> np.ndarray:
+        """Work-register vector, assuming the ancilla is in |0>."""
+        pairs = self.data.reshape(-1, 2)
+        residual = np.linalg.norm(pairs[:, 1])
+        if residual > 1e-9:
+            raise ValueError(f"ancilla not in |0> (residual {residual:.3e})")
+        return pairs[:, 0].copy()
+
+    def apply_pauli_string(self, axes: tuple[PauliAxis, ...]) -> np.ndarray:
+        """P |psi> for a Pauli string, without touching this state."""
+        out = self.data.astype(np.complex128)
+        n = self.n_qubits
+        y_matrix = np.array([[0.0, -1j], [1j, 0.0]])
+        for q, axis in enumerate(axes):
+            if axis is PauliAxis.X:
+                v0, v1 = _pinned_views(out, n, {}, q)
+                _swap_pair(v0, v1)
+            elif axis is PauliAxis.Y:
+                v0, v1 = _pinned_views(out, n, {}, q)
+                _rotate_pair(v0, v1, y_matrix)
+            elif axis is PauliAxis.Z:
+                (v1,) = _pinned_views(out, n, {q: 1}, None)
+                v1 *= -1.0
+        return out
+
+    def expectation(self, h: PauliHamiltonian) -> float:
+        """<psi|H|psi> including the identity offset."""
+        if 2**h.n_qubits != self.data.shape[0]:
+            raise ValueError("Hamiltonian dimension does not match the state")
+        total = h.identity_offset
+        for term in h.terms:
+            pv = self.apply_pauli_string(term.axes)
+            total += term.coeff * float(np.real(np.vdot(self.data, pv)))
+        return float(total)
+
+    def sample_kraus(self, model: NoiseModel, rng: np.random.Generator) -> None:
+        """Trajectory-mode noise: draw one Kraus branch per qubit."""
+        if model.is_identity:
+            return
+        keep = 1.0 - model.eps_r - model.eps_d
+        n = self.n_qubits
+        for q in range(n):
+            v0, v1 = _pinned_views(self.data, n, {}, q)
+            p_one = float(np.real(np.vdot(v1, v1)))
+            p2 = model.eps_d * p_one
+            p3 = model.eps_r * p_one
+            p1 = max(0.0, 1.0 - p2 - p3)
+            r = rng.random()
+            if r < p1:  # E1: damp the |1> amplitude
+                v1 *= math.sqrt(keep)
+            elif r < p1 + p2:  # E2: jump |1> -> |0>
+                v0[...] = v1
+                v1[...] = 0.0
+            else:  # E3: project onto |1>
+                v0[...] = 0.0
+            self.data /= np.linalg.norm(self.data)
+
+
+class DensityMatrix:
+    """Dense 2^n x 2^n density matrix; gates act as U rho U^dag.
+
+    Like :class:`StateVector`, entries stay float64 until a genuinely
+    complex gate arrives.
+    """
+
+    def __init__(self, n_qubits: int, entries: np.ndarray | None = None):
+        self.n_qubits = n_qubits
+        dim = 2**n_qubits
+        if entries is None:
+            self.data = np.zeros((dim, dim))
+            self.data[0, 0] = 1.0
+        else:
+            entries = np.asarray(entries)
+            if entries.shape != (dim, dim):
+                raise ValueError("entry matrix does not match qubit count")
+            self.data = _as_state_array(entries)
+        self._scratch: np.ndarray | None = None
+
+    @staticmethod
+    def from_statevector(state: StateVector) -> "DensityMatrix":
+        return DensityMatrix(state.n_qubits, np.outer(state.data, state.data.conj()))
+
+    @staticmethod
+    def from_work_register(work: np.ndarray) -> "DensityMatrix":
+        return DensityMatrix.from_statevector(StateVector.from_work_register(work))
+
+    def copy(self) -> "DensityMatrix":
+        return DensityMatrix(self.n_qubits, self.data)
+
+    def trace(self) -> float:
+        return float(np.real(np.trace(self.data)))
+
+    def _ensure_complex(self) -> None:
+        if not np.iscomplexobj(self.data):
+            self.data = self.data.astype(np.complex128)
+            self._scratch = None
+
+    def _scratch_buf(self) -> np.ndarray:
+        if self._scratch is None or self._scratch.dtype != self.data.dtype:
+            self._scratch = np.empty_like(self.data)
+        return self._scratch
+
+    def apply_gate(self, gate: Gate) -> None:
+        if _gate_needs_complex(gate):
+            self._ensure_complex()
+        total = 2 * self.n_qubits
+        scratch = self._scratch_buf()
+        _apply_gate_flat(self.data, total, gate, 0, False, scratch)
+        _apply_gate_flat(self.data, total, gate, self.n_qubits, True, scratch)
+
+    def apply_gates(self, gates: tuple[Gate, ...]) -> None:
+        for g in gates:
+            self.apply_gate(g)
+
+    def apply_noise(self, model: NoiseModel) -> None:
+        """Kraus channel on every qubit.
+
+        Per qubit the three operators reduce to block updates split by
+        that qubit's row/column bit:
+
+            rho_00 += eps_d * rho_11     (E2 jump)
+            rho_01 *= sqrt(1 - eps_r - eps_d)
+            rho_10 *= sqrt(1 - eps_r - eps_d)
+            rho_11 *= 1 - eps_d          (E1 damping + E3)
+
+        Channels on distinct qubits commute and each factors exactly into
+        (scaling) o (1 + jump), so all jumps are applied first and the
+        scalings collapse into one precomputed elementwise multiply.
+        """
+        if model.is_identity:
+            return
+        _noise_jumps(self.data, self.n_qubits, model.eps_d, self._scratch_buf())
+        self.data *= _noise_scale_matrix(model.eps_r, model.eps_d, self.n_qubits)
+
+    def measure_ancilla(
+        self, mode: str = "postselect", rng: np.random.Generator | None = None
+    ) -> MeasureResult:
+        half = 2 ** (self.n_qubits - 1)
+        blocks = self.data.reshape(half, 2, half, 2)
+        prob0 = float(np.real(np.einsum("iaia->a", blocks)[0]))
+        prob0 = min(prob0, 1.0)
+
+        def project(bit: int, prob: float) -> None:
+            blocks[:, 1 - bit, :, :] = 0.0
+            blocks[:, :, :, 1 - bit] = 0.0
+            self.data /= prob
+
+        if mode == "postselect":
+            if prob0 < ANNIHILATION_THRESHOLD:
+                raise EvolutionAnnihilatedError(
+                    f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
+                )
+            project(0, prob0)
+            return MeasureResult(prob0, "postselected", self)
+        if mode == "sample":
+            if rng is None:
+                raise ValueError("sample mode needs an rng")
+            if rng.random() < prob0:
+                project(0, prob0)
+                return MeasureResult(prob0, "sampled-0", self)
+            project(1, 1.0 - prob0)
+            return MeasureResult(prob0, "sampled-1", self)
+        raise ValueError(f"unknown measurement mode {mode!r}")
+
+    def drop_ancilla(self) -> np.ndarray:
+        """Partial trace over the ancilla (last qubit)."""
+        half = 2 ** (self.n_qubits - 1)
+        blocks = self.data.reshape(half, 2, half, 2)
+        return np.ascontiguousarray(blocks[:, 0, :, 0] + blocks[:, 1, :, 1])
+
+    def expectation(self, h: PauliHamiltonian) -> float:
+        """tr(H rho) including the identity offset."""
+        if 2**h.n_qubits != self.data.shape[0]:
+            raise ValueError("Hamiltonian dimension does not match the state")
+        hmat = _dense_of(h)
+        return float(
+            np.real(np.einsum("ij,ji->", hmat, self.data)) + h.identity_offset * self.trace()
+        )
+
+
+@lru_cache(maxsize=4)
+def _dense_of(h: PauliHamiltonian) -> np.ndarray:
+    return h.dense_matrix(include_offset=False)
+
+
+@lru_cache(maxsize=4)
+def _noise_scale_matrix(eps_r: float, eps_d: float, n_qubits: int) -> np.ndarray:
+    """Elementwise factor of the non-jump channel part: the tensor power of
+    [[1, damp], [damp, 1-eps_d]] over (row bit, column bit) pairs."""
+    damp = math.sqrt(1.0 - eps_r - eps_d)
+    g = np.array([[1.0, damp], [damp, 1.0 - eps_d]])
+    f = np.array([[1.0]])
+    for _ in range(n_qubits):
+        f = np.kron(f, g)
+    return f
+
+
+def _jump_pass_numpy(rho: np.ndarray, n_qubits: int, q: int, eps_d: float, scratch) -> None:
+    total = 2 * n_qubits
+    (b00,) = _pinned_views(rho, total, {q: 0, n_qubits + q: 0}, None)
+    (b11,) = _pinned_views(rho, total, {q: 1, n_qubits + q: 1}, None)
+    (tmp,) = _pinned_views(scratch, total, {q: 1, n_qubits + q: 1}, None)
+    np.multiply(b11, eps_d, out=tmp)
+    np.add(b00, tmp, out=b00)
+
+
+if _HAVE_NUMBA:
+
+    @_njit(cache=True)
+    def _jump_pass_compiled(rho, mask, eps_d):  # pragma: no cover - compiled
+        dim = rho.shape[0]
+        step = 2 * mask
+        for i0 in range(0, dim, step):
+            for i in range(i0, i0 + mask):
+                src = i + mask
+                for j0 in range(0, dim, step):
+                    rho[i, j0 : j0 + mask] += eps_d * rho[src, j0 + mask : j0 + step]
+
+
+def _noise_jumps(rho: np.ndarray, n_qubits: int, eps_d: float, scratch) -> None:
+    """The |1><1| -> |0><0| transfer of E2, qubit by qubit (exact; the
+    per-qubit jump superoperators commute)."""
+    if eps_d == 0.0:
+        return
+    for q in range(n_qubits):
+        if _HAVE_NUMBA:
+            _jump_pass_compiled(rho, 1 << (n_qubits - 1 - q), eps_d)
+        else:
+            _jump_pass_numpy(rho, n_qubits, q, eps_d, scratch)
+
+
+def dense_step_oracle(term: PauliTerm, dt: float, state: np.ndarray) -> np.ndarray:
+    """Closed-form normalized action of e^{-c h dt} on a statevector.
+
+    Uses the two-eigenvalue structure of a Pauli string:
+    e^{-c h dt} = cosh(|c| dt) I - sinh(|c| dt) (c h / |c|). Test oracle;
+    independent of the circuit path.
+    """
+    if dt < 0:
+        raise ValueError("dt must be nonnegative")
+    vec = StateVector(term.n_qubits, state)
+    hv = vec.apply_pauli_string(term.axes)
+    x = abs(term.coeff) * dt
+    sign = 1.0 if term.coeff > 0 else -1.0
+    out = math.cosh(x) * vec.data - math.sinh(x) * sign * hv
+    return out / np.linalg.norm(out)
+
+
+def gates_unitary(gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
+    """Dense unitary of a gate sequence (testing/verification helper)."""
+    dim = 2**n_qubits
+    if n_qubits > 12:
+        raise ValueError("dense unitary limited to 12 qubits")
+    mat = np.eye(dim, dtype=complex)
+    for g in gates:
+        _apply_gate_flat(mat, n_qubits, g, offset=0, conjugate=False)
+    return mat
+
+
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    if circuit.has_ancilla:
+        raise ValueError("circuit has a measurement; use postselected_operator")
+    return gates_unitary(circuit.gates, circuit.n_work)
+
+
+def postselected_operator(circuit: Circuit) -> np.ndarray:
+    """Unnormalized work-register operator of the ancilla-0 branch.
+
+    Valid because gates after the measurement never touch the ancilla, so
+    projecting the ancilla commutes with them; the result is the top-left
+    ancilla block of the full-circuit unitary.
+    """
+    full = gates_unitary(circuit.gates, circuit.n_qubits)
+    return full[0::2, 0::2].copy()  # ancilla is the least significant bit
+
+
+def run_step_circuit(
+    state: StateVector | DensityMatrix,
+    circuit: Circuit,
+    mode: str = "postselect",
+    rng: np.random.Generator | None = None,
+    noise: NoiseModel | None = None,
+    trajectory: bool = False,
+) -> MeasureResult:
+    """One step circuit: pre-measure gates, noise channel, ancilla
+    measurement, post-measure gates (skipped on a sampled 1)."""
+    state.apply_gates(circuit.pre_measure)
+    if noise is not None and not noise.is_identity:
+        if isinstance(state, DensityMatrix):
+            state.apply_noise(noise)
+        elif trajectory:
+            if rng is None:
+                raise ValueError("trajectory noise needs an rng")
+            state.sample_kraus(noise, rng)
+        else:
+            raise ValueError("statevector runs support noise only in trajectory mode")
+    result = state.measure_ancilla(mode=mode, rng=rng)
+    if result.outcome != "sampled-1":
+        state.apply_gates(circuit.post_measure)
+    return result

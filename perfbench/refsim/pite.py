@@ -1,0 +1,334 @@
+"""Evolution driver: Trotter scheduling, per-term step execution with
+success-probability accounting, sampled-mode restarts and trace records.
+
+A run applies one step circuit per Hamiltonian term (or per grouped block)
+for each Trotter step, measuring the ancilla after every term. The product
+of all ancilla-0 probabilities is the run's cumulative success
+probability; it is recorded next to the rigorous and approximate lower
+bounds so traces can be checked against them row by row.
+
+The identity offset of the Hamiltonian never enters the circuits; it is
+added back when energies are reported.
+"""
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from . import analysis
+from .analysis import SpectrumInfo
+from .circuit import Circuit, build_grouped_step, build_pauli_step
+from .engine import (
+    DensityMatrix,
+    NoiseModel,
+    StateVector,
+    make_rng,
+    run_step_circuit,
+)
+from .grouping import GroupedBlock, sum_block_minima
+from .hamiltonian import PauliHamiltonian
+
+__all__ = [
+    "Schedule",
+    "RunConfig",
+    "TraceRecord",
+    "RunResult",
+    "run_pite",
+    "run_generalized",
+    "restart_loop",
+]
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Imaginary-time grid: ``n_steps`` Trotter steps of size ``dt``."""
+
+    dt: float
+    n_steps: int
+    order: int = 1
+
+    def __post_init__(self) -> None:
+        if self.dt <= 0:
+            raise ValueError("dt must be positive")
+        if self.n_steps < 1:
+            raise ValueError("need at least one step")
+        if self.order not in (1, 2):
+            raise ValueError("order must be 1 or 2")
+
+    @property
+    def beta(self) -> float:
+        return self.dt * self.n_steps
+
+    @staticmethod
+    def from_beta(beta: float, dt: float, order: int = 1) -> "Schedule":
+        n_steps = max(1, round(beta / dt))
+        return Schedule(dt=dt, n_steps=n_steps, order=order)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    mode: str = "postselect"  # or "sample"
+    noise: NoiseModel | None = None
+    seed: int | None = None
+    record_every: int = 1
+    restart_budget: int = 1000
+    trajectories: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("postselect", "sample"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "sample" and self.seed is None:
+            raise ValueError("sample mode needs a seed")
+        if self.trajectories is not None:
+            if self.trajectories < 1:
+                raise ValueError("trajectory count must be positive")
+            if self.seed is None:
+                raise ValueError("trajectory mode needs a seed")
+            if self.mode == "sample":
+                raise ValueError("trajectory mode supports postselect only")
+        if self.record_every < 1:
+            raise ValueError("record_every must be positive")
+
+
+@dataclass(frozen=True)
+class TraceRecord:
+    step: int
+    beta: float
+    energy: float
+    fidelity: float
+    p_cum: float
+    rlb: float
+    alb: float
+    restarts: int
+
+
+@dataclass
+class RunResult:
+    records: list[TraceRecord]
+    restarts: int
+    completed: bool
+
+    @property
+    def final(self) -> TraceRecord:
+        return self.records[-1]
+
+
+def _step_circuits(h: PauliHamiltonian, schedule: Schedule) -> list[Circuit]:
+    """Circuits of one Trotter step, in execution order.
+
+    Order 1 walks the terms once with dt; order 2 walks them with dt/2 and
+    then again in reverse (the palindromic product)."""
+    if schedule.order == 1:
+        return [build_pauli_step(t, schedule.dt) for t in h.terms]
+    half = [build_pauli_step(t, schedule.dt / 2.0) for t in h.terms]
+    return half + half[::-1]
+
+
+def _grouped_step_circuits(blocks: list[GroupedBlock], schedule: Schedule) -> list[Circuit]:
+    if schedule.order == 1:
+        return [build_grouped_step(b, schedule.dt) for b in blocks]
+    half = [build_grouped_step(b, schedule.dt / 2.0) for b in blocks]
+    return half + half[::-1]
+
+
+def _work_energy(state: StateVector | DensityMatrix, h: PauliHamiltonian) -> float:
+    if isinstance(state, DensityMatrix):
+        return DensityMatrix(h.n_qubits, state.drop_ancilla()).expectation(h)
+    return StateVector(h.n_qubits, state.drop_ancilla()).expectation(h)
+
+
+def _work_fidelity(state: StateVector | DensityMatrix, spectrum: SpectrumInfo) -> float:
+    basis = spectrum.ground_basis
+    if isinstance(state, DensityMatrix):
+        rho = state.drop_ancilla()
+        amps = rho @ basis
+        return float(sum(np.real(np.vdot(basis[:, d], amps[:, d])) for d in range(basis.shape[1])))
+    return spectrum.fidelity_to_ground(state.drop_ancilla())
+
+
+def restart_loop(
+    attempt: Callable[[np.random.Generator], tuple[list[TraceRecord], bool]],
+    budget: int,
+    rng: np.random.Generator,
+) -> RunResult:
+    """Run ``attempt`` until it completes, restarting the whole evolution
+    from scratch on each failed ancilla measurement, at most ``budget``
+    restarts. Returns the trace of the successful attempt, or the partial
+    trace of the last attempt with ``completed=False``."""
+    restarts = 0
+    while True:
+        records, completed = attempt(rng)
+        if completed:
+            return RunResult(records=records, restarts=restarts, completed=True)
+        restarts += 1
+        if restarts > budget:
+            return RunResult(records=records, restarts=restarts - 1, completed=False)
+
+
+def _alb_column(alb_at: Callable[[float], float], spectrum: SpectrumInfo):
+    """The trace's ALB column; vacuous 0 when the init has no ground overlap
+    (the bound formula itself is undefined there)."""
+    if spectrum.s0 <= 0.0:
+        return lambda beta: 0.0
+    return alb_at
+
+
+def _check_capacity(h: PauliHamiltonian, config: RunConfig) -> None:
+    noise = config.noise is not None and not config.noise.is_identity
+    if noise and config.trajectories is None and h.n_qubits + 1 > 12:
+        raise ValueError(
+            "density-matrix noise limited to 12 qubits total; use trajectory mode"
+        )
+
+
+def _execute(
+    h: PauliHamiltonian,
+    step_circuits: list[Circuit],
+    init: np.ndarray,
+    schedule: Schedule,
+    config: RunConfig,
+    spectrum: SpectrumInfo,
+    alb_at: Callable[[float], float],
+) -> RunResult:
+    noise = config.noise if config.noise is not None and not config.noise.is_identity else None
+    trajectory = config.trajectories is not None
+    use_density = noise is not None and not trajectory
+
+    def fresh_state() -> StateVector | DensityMatrix:
+        if use_density:
+            return DensityMatrix.from_work_register(init)
+        return StateVector.from_work_register(init)
+
+    def record(step: int, state, p_cum: float, restarts: int) -> TraceRecord:
+        beta = step * schedule.dt
+        return TraceRecord(
+            step=step,
+            beta=beta,
+            energy=_work_energy(state, h),
+            fidelity=_work_fidelity(state, spectrum),
+            p_cum=p_cum,
+            rlb=analysis.rlb(h, beta),
+            alb=alb_at(beta),
+            restarts=restarts,
+        )
+
+    def attempt(rng: np.random.Generator | None) -> tuple[list[TraceRecord], bool]:
+        state = fresh_state()
+        p_cum = 1.0
+        records = [record(0, state, p_cum, 0)]
+        for step in range(1, schedule.n_steps + 1):
+            for circ in step_circuits:
+                res = run_step_circuit(
+                    state, circ, mode=config.mode, rng=rng, noise=noise, trajectory=trajectory
+                )
+                p_cum *= res.prob0
+                if res.outcome == "sampled-1":
+                    return records, False
+            if step % config.record_every == 0 or step == schedule.n_steps:
+                records.append(record(step, state, p_cum, 0))
+        return records, True
+
+    if config.mode == "sample":
+        rng = make_rng(config.seed)
+        result = restart_loop(attempt, config.restart_budget, rng)
+        result.records = [
+            dataclasses.replace(r, restarts=result.restarts) for r in result.records
+        ]
+        return result
+
+    if trajectory:
+        return _trajectory_average(attempt, config)
+
+    records, completed = attempt(None)
+    return RunResult(records=records, restarts=0, completed=completed)
+
+
+def _trajectory_average(attempt, config: RunConfig) -> RunResult:
+    """Average postselected statevector trajectories of the noise channel.
+
+    Each trajectory samples one Kraus branch per qubit per measurement;
+    observables are combined weighted by each trajectory's cumulative
+    success probability, the likelihood of its post-selected path.
+    """
+    all_records: list[list[TraceRecord]] = []
+    for k in range(config.trajectories):
+        rng = make_rng(config.seed + k)
+        records, completed = attempt(rng)
+        if not completed:
+            raise RuntimeError("trajectory attempt cannot fail in postselect mode")
+        all_records.append(records)
+    merged: list[TraceRecord] = []
+    for rows in zip(*all_records):
+        weights = np.array([r.p_cum for r in rows])
+        wsum = float(weights.sum())
+        merged.append(
+            TraceRecord(
+                step=rows[0].step,
+                beta=rows[0].beta,
+                energy=float(np.dot(weights, [r.energy for r in rows]) / wsum),
+                fidelity=float(np.dot(weights, [r.fidelity for r in rows]) / wsum),
+                p_cum=float(weights.mean()),
+                rlb=rows[0].rlb,
+                alb=rows[0].alb,
+                restarts=0,
+            )
+        )
+    return RunResult(records=merged, restarts=0, completed=True)
+
+
+def run_pite(
+    h: PauliHamiltonian,
+    init: np.ndarray,
+    schedule: Schedule,
+    config: RunConfig = RunConfig(),
+    spectrum: SpectrumInfo | None = None,
+) -> RunResult:
+    """Per-Pauli-term probabilistic imaginary-time evolution.
+
+    Parameters
+    ----------
+    h : PauliHamiltonian
+        The target; its identity offset enters reported energies only.
+    init : np.ndarray
+        Unit-norm work-register initial state.
+    schedule : Schedule
+        Step size, step count and Trotter order.
+    config : RunConfig
+        Measurement mode, noise, seeding, cadence.
+    spectrum : SpectrumInfo, optional
+        Precomputed exact spectrum (avoids re-diagonalizing in sweeps).
+    """
+    _check_capacity(h, config)
+    if spectrum is None:
+        spectrum = analysis.diagonalize(h, init)
+    circuits = _step_circuits(h, schedule)
+    return _execute(
+        h, circuits, init, schedule, config, spectrum,
+        alb_at=_alb_column(lambda beta: analysis.alb(h, spectrum, beta), spectrum),
+    )
+
+
+def run_generalized(
+    h: PauliHamiltonian,
+    blocks: list[GroupedBlock],
+    init: np.ndarray,
+    schedule: Schedule,
+    config: RunConfig = RunConfig(),
+    spectrum: SpectrumInfo | None = None,
+) -> RunResult:
+    """Generalized evolution over grouped Hermitian blocks; the recorded
+    ALB column uses the grouped formula with sum_k lambda[k]_0."""
+    _check_capacity(h, config)
+    if spectrum is None:
+        spectrum = analysis.diagonalize(h, init)
+    minima = sum_block_minima(blocks)
+    circuits = _grouped_step_circuits(blocks, schedule)
+    return _execute(
+        h, circuits, init, schedule, config, spectrum,
+        alb_at=_alb_column(
+            lambda beta: analysis.alb_generalized(h, minima, spectrum, beta), spectrum
+        ),
+    )
