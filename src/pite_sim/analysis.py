@@ -1,10 +1,9 @@
 """Exact-diagonalization oracle and closed-form convergence/probability bounds.
 
-The eigensolver is a self-contained cyclic Jacobi method for Hermitian
-matrices (rotations scheduled in round-robin rounds of disjoint pairs so a
-whole round is applied as one vectorized update). Everything downstream of
-it -- spectra, fidelity bounds, success-probability bounds, exact
-imaginary-time traces -- is a pure function of the dense matrix.
+The oracle is LAPACK's dense Hermitian eigensolver (``numpy.linalg.eigh``)
+applied to the Hamiltonian's dense matrix. Everything downstream of it --
+spectra, fidelity bounds, success-probability bounds, exact imaginary-time
+traces -- is a pure function of that matrix.
 
 Bound conventions: the identity offset of a Hamiltonian is excluded from
 the ground energy and from sum |c_k| wherever they appear inside bound
@@ -21,7 +20,7 @@ import numpy as np
 from .hamiltonian import PauliHamiltonian
 
 __all__ = [
-    "jacobi_eigh",
+    "eigensystem",
     "SpectrumInfo",
     "diagonalize",
     "exact_ite_state",
@@ -36,147 +35,6 @@ __all__ = [
 
 _DEGENERACY_TOL = 1e-10
 _MAX_ORACLE_QUBITS = 12
-
-
-def _round_robin_rounds(d: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Round-robin schedule: rounds of disjoint (p, q) pairs covering every
-    unordered pair exactly once per sweep."""
-    m = d + (d % 2)
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < d and b < d:  # index d is the bye when padded
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.asarray(ps), np.asarray(qs)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # computed on a diagonal-zeroed copy: the subtraction-based form
-    # sqrt(||A||^2 - ||diag||^2) cancels catastrophically near convergence
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
-
-
-_SCALAR_LIMIT = 160  # above this, rotate 64-wide index blocks instead of scalars
-_BLOCK = 64
-
-
-def jacobi_eigh(
-    matrix: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a Hermitian matrix by cyclic Jacobi.
-
-    Rotations are scheduled in round-robin rounds of disjoint pairs and
-    applied as one vectorized update per round. Large matrices switch to
-    the block-cyclic variant: pairs of 64-wide index blocks are
-    diagonalized exactly (by the scalar path) and applied via matrix
-    products, which is the same iteration at much lower traffic per round.
-
-    Stops when the off-diagonal Frobenius norm falls below ``tol`` relative
-    to the matrix norm. Returns (eigenvalues ascending, eigenvectors as
-    columns); real input yields real eigenvectors.
-    """
-    a = np.array(matrix)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    d = a.shape[0]
-    herm_err = np.abs(a - a.conj().T).max(initial=0.0)
-    if herm_err > 1e-10 * max(1.0, np.abs(a).max()):
-        raise ValueError(f"matrix is not Hermitian (asymmetry {herm_err:.3e})")
-    real_input = np.isrealobj(a) or np.abs(a.imag).max(initial=0.0) == 0.0
-    dtype = np.float64 if real_input else np.complex128
-    a = a.real.astype(dtype) if real_input else a.astype(dtype)
-    v = np.eye(d, dtype=dtype)
-    if d == 1 or np.linalg.norm(a) == 0.0:
-        return np.real(np.diagonal(a)).copy(), v
-
-    if d <= _SCALAR_LIMIT:
-        _scalar_sweeps(a, v, tol, max_sweeps)
-    else:
-        _block_sweeps(a, v, tol, max_sweeps)
-
-    eigvals = np.real(np.diagonal(a)).copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], np.ascontiguousarray(v[:, order])
-
-
-def _scalar_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int) -> None:
-    d = a.shape[0]
-    fro = np.linalg.norm(a)
-    stop_off = tol * fro
-    # Skipping pairs with |a_pq| <= stop_off/d leaves off(A) <= stop_off.
-    skip = stop_off / d
-    rounds = _round_robin_rounds(d)
-    complex_path = np.iscomplexobj(a)
-
-    sweeps = 0
-    while _off_norm(a) > stop_off and sweeps < max_sweeps:
-        sweeps += 1
-        for p_all, q_all in rounds:
-            apq = a[p_all, q_all]
-            mag = np.abs(apq)
-            active = mag > skip
-            if not active.any():
-                continue
-            p, q, apq, mag = p_all[active], q_all[active], apq[active], mag[active]
-            diag = np.real(np.diagonal(a))
-            tau = (diag[q] - diag[p]) / (2.0 * mag)
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(tau == 0.0, 1.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            u = apq / mag  # phase of the pivot entry; +-1 for real input
-            su_c = s * np.conj(u) if complex_path else s * u
-            cu_c = c * np.conj(u) if complex_path else c * u
-            # A <- A R (columns), then A <- R^H A (rows); disjoint pairs
-            # within a round make the gathered updates alias-free.
-            cp, cq = a[:, p], a[:, q]
-            a[:, p] = cp * c - cq * su_c
-            a[:, q] = cp * s + cq * cu_c
-            rp, rq = a[p, :], a[q, :]
-            a[p, :] = c[:, None] * rp - (s * u)[:, None] * rq
-            a[q, :] = s[:, None] * rp + (c * u)[:, None] * rq
-            vp, vq = v[:, p], v[:, q]
-            v[:, p] = vp * c - vq * su_c
-            v[:, q] = vp * s + vq * cu_c
-
-
-def _block_sweeps(a: np.ndarray, v: np.ndarray, tol: float, max_sweeps: int) -> None:
-    d = a.shape[0]
-    fro = np.linalg.norm(a)
-    stop_off = tol * fro
-    blocks = [np.arange(s, min(s + _BLOCK, d)) for s in range(0, d, _BLOCK)]
-    nb = len(blocks)
-    rounds = _round_robin_rounds(nb)
-    skip = stop_off / nb  # sub-block off-norm below this cannot break the stop
-
-    sweeps = 0
-    off = _off_norm(a)
-    while off > stop_off and sweeps < max_sweeps:
-        sweeps += 1
-        # Early sweeps solve the pivot subproblems loosely; the tolerance
-        # tightens quadratically with the remaining off-diagonal mass.
-        rel = off / fro
-        sub_tol = max(tol, min(1e-4, rel * rel))
-        for p_blocks, q_blocks in rounds:
-            for bi, bj in zip(p_blocks, q_blocks):
-                ij = np.concatenate([blocks[bi], blocks[bj]])
-                sub = a[np.ix_(ij, ij)]
-                if _off_norm(sub) <= skip:
-                    continue
-                _, rot = jacobi_eigh(sub, tol=sub_tol, max_sweeps=max_sweeps)
-                rot = rot.astype(a.dtype, copy=False)
-                a[ij, :] = rot.conj().T @ a[ij, :]
-                a[:, ij] = a[:, ij] @ rot
-                v[:, ij] = v[:, ij] @ rot
-        off = _off_norm(a)
 
 
 @dataclass(frozen=True)
@@ -218,16 +76,20 @@ class SpectrumInfo:
 
 @lru_cache(maxsize=8)
 def eigensystem(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    """Dense eigendecomposition (Jacobi) of a Hamiltonian, offset included.
+    """Dense eigendecomposition of a Hamiltonian, offset included.
 
-    Cached per Hamiltonian (they are hashable value objects); callers must
-    treat the returned arrays as read-only.
+    Returns (eigenvalues ascending, eigenvectors as columns), both float64
+    for the real matrices of the built-in models. Cached per Hamiltonian
+    (they are hashable value objects), so both arrays are read-only.
     """
     if h.n_qubits > _MAX_ORACLE_QUBITS:
         raise ValueError(
             f"dense diagonalization limited to {_MAX_ORACLE_QUBITS} qubits, got {h.n_qubits}"
         )
-    return jacobi_eigh(h.dense_matrix(include_offset=True))
+    energies, vectors = np.linalg.eigh(h.dense_matrix(include_offset=True))
+    energies.setflags(write=False)
+    vectors.setflags(write=False)
+    return energies, vectors
 
 
 def diagonalize(h: PauliHamiltonian, init: np.ndarray) -> SpectrumInfo:

@@ -39,7 +39,14 @@ from .hamiltonian import (
     parse_hamiltonian,
     prepare_initial,
 )
-from .pite import RunConfig, RunResult, Schedule, run_generalized, run_pite
+from .pite import (
+    RunConfig,
+    RunResult,
+    Schedule,
+    check_capacity,
+    run_generalized,
+    run_pite,
+)
 
 TRACE_HEADER = "step,beta,energy,fidelity,p_cum,rlb,alb,restarts"
 
@@ -202,7 +209,7 @@ def _build_grouping(args: argparse.Namespace, h: PauliHamiltonian):
     return group_hamiltonian(h, spec), {"grouping": str(path)}
 
 
-def _build_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
+def _build_config(args: argparse.Namespace, h: PauliHamiltonian) -> tuple[RunConfig, dict]:
     noise = None
     meta: dict = {}
     if args.noise:
@@ -212,10 +219,6 @@ def _build_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
         except ValueError as exc:
             raise UsageError(f"bad --noise value: {exc}") from None
         meta["noise"] = {"eps_r": noise.eps_r, "eps_d": noise.eps_d}
-    if args.mode == "sample" and args.seed is None:
-        raise UsageError("--mode sample needs --seed")
-    if args.trajectories is not None and args.seed is None:
-        raise UsageError("--trajectories needs --seed")
     meta.update(mode=args.mode, seed=args.seed)
     try:
         config = RunConfig(
@@ -226,18 +229,10 @@ def _build_config(args: argparse.Namespace) -> tuple[RunConfig, dict]:
             restart_budget=args.restart_budget,
             trajectories=args.trajectories,
         )
+        check_capacity(h, config)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     return config, meta
-
-
-def _check_noise_capacity(args, h: PauliHamiltonian, config: RunConfig) -> None:
-    if config.noise is None or config.noise.is_identity:
-        return
-    if h.n_qubits + 1 > 12 and config.trajectories is None:
-        raise UsageError(
-            f"{h.n_qubits}+1 qubits exceed the density-matrix limit (12); pass --trajectories N"
-        )
 
 
 def _write_trace(out: Path, result: RunResult, manifest: dict) -> None:
@@ -325,8 +320,7 @@ def _execute_run(args: argparse.Namespace) -> tuple[RunResult, dict]:
     h, model_meta = _build_model(args)
     init, init_meta = _build_init(args, h)
     blocks, group_meta = _build_grouping(args, h)
-    config, config_meta = _build_config(args)
-    _check_noise_capacity(args, h, config)
+    config, config_meta = _build_config(args, h)
     schedule = Schedule.from_beta(args.beta, args.dt, args.order)
     if blocks is None:
         result = run_pite(h, init, schedule, config)

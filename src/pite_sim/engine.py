@@ -19,13 +19,6 @@ from functools import lru_cache
 
 import numpy as np
 
-try:  # compiled kernel for the noise-channel jump passes; numpy fallback below
-    from numba import njit as _njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the fallback test
-    _HAVE_NUMBA = False
-
 from .circuit import (
     CNOT,
     Circuit,
@@ -564,7 +557,9 @@ class DensityMatrix:
 
 @lru_cache(maxsize=4)
 def _dense_of(h: PauliHamiltonian) -> np.ndarray:
-    return h.dense_matrix(include_offset=False)
+    hmat = h.dense_matrix(include_offset=False)
+    hmat.setflags(write=False)
+    return hmat
 
 
 @lru_cache(maxsize=4)
@@ -576,10 +571,11 @@ def _noise_scale_matrix(eps_r: float, eps_d: float, n_qubits: int) -> np.ndarray
     f = np.array([[1.0]])
     for _ in range(n_qubits):
         f = np.kron(f, g)
+    f.setflags(write=False)
     return f
 
 
-def _jump_pass_numpy(rho: np.ndarray, n_qubits: int, q: int, eps_d: float, scratch) -> None:
+def _jump_pass(rho: np.ndarray, n_qubits: int, q: int, eps_d: float, scratch) -> None:
     total = 2 * n_qubits
     (b00,) = _pinned_views(rho, total, {q: 0, n_qubits + q: 0}, None)
     (b11,) = _pinned_views(rho, total, {q: 1, n_qubits + q: 1}, None)
@@ -588,29 +584,13 @@ def _jump_pass_numpy(rho: np.ndarray, n_qubits: int, q: int, eps_d: float, scrat
     np.add(b00, tmp, out=b00)
 
 
-if _HAVE_NUMBA:
-
-    @_njit(cache=True)
-    def _jump_pass_compiled(rho, mask, eps_d):  # pragma: no cover - compiled
-        dim = rho.shape[0]
-        step = 2 * mask
-        for i0 in range(0, dim, step):
-            for i in range(i0, i0 + mask):
-                src = i + mask
-                for j0 in range(0, dim, step):
-                    rho[i, j0 : j0 + mask] += eps_d * rho[src, j0 + mask : j0 + step]
-
-
 def _noise_jumps(rho: np.ndarray, n_qubits: int, eps_d: float, scratch) -> None:
     """The |1><1| -> |0><0| transfer of E2, qubit by qubit (exact; the
     per-qubit jump superoperators commute)."""
     if eps_d == 0.0:
         return
     for q in range(n_qubits):
-        if _HAVE_NUMBA:
-            _jump_pass_compiled(rho, 1 << (n_qubits - 1 - q), eps_d)
-        else:
-            _jump_pass_numpy(rho, n_qubits, q, eps_d, scratch)
+        _jump_pass(rho, n_qubits, q, eps_d, scratch)
 
 
 def dense_step_oracle(term: PauliTerm, dt: float, state: np.ndarray) -> np.ndarray:

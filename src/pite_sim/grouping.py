@@ -2,7 +2,7 @@
 
 A group spec partitions the Hamiltonian's term list; each group is summed
 into a dense Hermitian block on the union support of its members,
-eigendecomposed with the Jacobi solver, and handed to circuit synthesis
+eigendecomposed with ``numpy.linalg.eigh``, and handed to circuit synthesis
 (basis change + conditional ancilla rotation) and to the generalized
 success-probability estimate via ``sum_block_minima``.
 """
@@ -13,7 +13,6 @@ from importlib import resources
 
 import numpy as np
 
-from .analysis import jacobi_eigh
 from .hamiltonian import PAULI_MATRICES, PauliHamiltonian, PauliTerm
 
 __all__ = [
@@ -98,7 +97,8 @@ class GroupedBlock:
         self.matrix = matrix
         # real blocks keep real eigenvectors so circuits stay on the
         # float64 fast path
-        self.eigenvalues, self.eigenvectors = jacobi_eigh(matrix)
+        real = not matrix.imag.any()
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix.real if real else matrix)
 
     @property
     def lambda0(self) -> float:

@@ -39,6 +39,7 @@ __all__ = [
     "run_pite",
     "run_generalized",
     "restart_loop",
+    "check_capacity",
 ]
 
 
@@ -176,11 +177,13 @@ def _alb_column(alb_at: Callable[[float], float], spectrum: SpectrumInfo):
     return alb_at
 
 
-def _check_capacity(h: PauliHamiltonian, config: RunConfig) -> None:
+def check_capacity(h: PauliHamiltonian, config: RunConfig) -> None:
+    """Reject a noisy density-matrix run above 12 qubits, ancilla included."""
     noise = config.noise is not None and not config.noise.is_identity
     if noise and config.trajectories is None and h.n_qubits + 1 > 12:
         raise ValueError(
-            "density-matrix noise limited to 12 qubits total; use trajectory mode"
+            f"density-matrix noise limited to 12 qubits total, got {h.n_qubits}+1; "
+            "use trajectory mode (trajectories=N)"
         )
 
 
@@ -301,7 +304,7 @@ def run_pite(
     spectrum : SpectrumInfo, optional
         Precomputed exact spectrum (avoids re-diagonalizing in sweeps).
     """
-    _check_capacity(h, config)
+    check_capacity(h, config)
     if spectrum is None:
         spectrum = analysis.diagonalize(h, init)
     circuits = _step_circuits(h, schedule)
@@ -321,7 +324,7 @@ def run_generalized(
 ) -> RunResult:
     """Generalized evolution over grouped Hermitian blocks; the recorded
     ALB column uses the grouped formula with sum_k lambda[k]_0."""
-    _check_capacity(h, config)
+    check_capacity(h, config)
     if spectrum is None:
         spectrum = analysis.diagonalize(h, init)
     minima = sum_block_minima(blocks)

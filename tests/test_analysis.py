@@ -1,4 +1,4 @@
-"""Tests for the Jacobi eigensolver, spectra and the bound formulas."""
+"""Tests for the exact eigensystem, spectra and the bound formulas."""
 import math
 
 import numpy as np
@@ -13,7 +13,6 @@ from pite_sim.analysis import (
     exact_ite_state,
     exact_ite_trace,
     fidelity_bound,
-    jacobi_eigh,
     kappa_exponents,
     rlb,
 )
@@ -27,47 +26,20 @@ from pite_sim.hamiltonian import (
     prepare_initial,
 )
 
-rng = np.random.default_rng(20240817)
 
-
-def random_hermitian(d: int, complex_valued: bool = True) -> np.ndarray:
-    m = rng.standard_normal((d, d))
-    if complex_valued:
-        m = m + 1j * rng.standard_normal((d, d))
-    return (m + m.conj().T) / 2
-
-
-@pytest.mark.parametrize("d", [1, 2, 3, 7, 16, 40, 64])
-@pytest.mark.parametrize("complex_valued", [True, False])
-def test_jacobi_small(d, complex_valued):
-    m = random_hermitian(d, complex_valued)
-    w, v = jacobi_eigh(m)
-    assert np.all(np.diff(w) >= -1e-12)
-    assert np.abs(v.conj().T @ v - np.eye(d)).max() < 1e-12
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_h2(0.75), build_lih, lambda: build_ising(4, 1.0, 1.2, 0.3)],
+    ids=["h2", "lih", "ising4"],
+)
+def test_eigensystem_contract(build):
+    h = build()
+    m = h.dense_matrix(include_offset=True)
+    w, v = eigensystem(h)
+    assert w.dtype == np.float64 and v.dtype == np.float64
+    assert np.all(np.diff(w) >= 0.0)
+    assert np.abs(v.T @ v - np.eye(m.shape[0])).max() < 1e-12
     assert np.linalg.norm(m @ v - v * w[None, :], axis=0).max() < 1e-10
-    # independent cross-check against LAPACK
-    assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-9
-    if not complex_valued:
-        assert v.dtype == np.float64
-
-
-def test_jacobi_block_path():
-    d = 200  # above the scalar-path limit
-    m = random_hermitian(d, complex_valued=False)
-    w, v = jacobi_eigh(m)
-    assert np.linalg.norm(m @ v - v * w[None, :], axis=0).max() < 1e-10
-    assert np.abs(w - np.linalg.eigvalsh(m)).max() < 1e-9
-
-
-def test_jacobi_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_jacobi_diagonal_input():
-    w, v = jacobi_eigh(np.diag([3.0, -1.0, 2.0]))
-    assert np.allclose(w, [-1.0, 2.0, 3.0])
-    assert np.abs(np.abs(v) - np.eye(3)[:, [1, 2, 0]]).max() < 1e-12
 
 
 def test_diagonalize_h2():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pite_sim.engine as engine
+from pite_sim.analysis import eigensystem
 from pite_sim.circuit import (
     CNOT,
     ConditionalRy,
@@ -249,15 +250,14 @@ def test_noise_matches_dense_superoperator(eps_r, eps_d):
         assert np.abs(d.data - d.data.conj().T).max() < 1e-12
 
 
-def test_noise_numpy_fallback_matches(monkeypatch):
-    model = NoiseModel(0.2, 0.3)
-    psi = random_state(3)
-    fast = DensityMatrix(3, np.outer(psi, psi.conj()))
-    fast.apply_noise(model)
-    monkeypatch.setattr(engine, "_HAVE_NUMBA", False)
-    slow = DensityMatrix(3, np.outer(psi, psi.conj()))
-    slow.apply_noise(model)
-    assert np.abs(fast.data - slow.data).max() < 1e-15
+def test_cached_arrays_are_read_only():
+    h = build_h2(0.75)
+    energies, vectors = eigensystem(h)
+    cached = [energies, vectors, engine._dense_of(h), engine._noise_scale_matrix(0.2, 0.3, 2)]
+    for arr in cached:
+        # writes the same value back, so a writable array stays intact
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0].copy()
 
 
 def test_expectation_h2_reference_values():

@@ -87,6 +87,8 @@ def test_ising_block_eigenvalues_closed_form():
 
 @pytest.mark.parametrize("trial", range(50))
 def test_ising_block_jacobi_vs_closed_form_random(trial):
+    """GroupedBlock's eigenvalues against the closed form. The name is from
+    the Jacobi solver the blocks once used; it stays so the 50 test ids do."""
     g = float(rng.uniform(-2.0, 2.0))
     h = float(rng.uniform(-2.0, 2.0))
     reference = -np.array(
@@ -100,6 +102,19 @@ def test_ising_block_jacobi_vs_closed_form_random(trial):
     block = GroupedBlock(2, (0, 1), reference)
     expected = np.sort(ising_block_eigenvalues(g, h))
     assert np.abs(block.eigenvalues - expected).max() < 1e-10
+
+
+def test_grouped_block_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="Hermitian"):
+        GroupedBlock(1, (0,), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_grouped_block_real_matrix_gives_float64_eigenvectors():
+    block = GroupedBlock(2, (0, 1), np.diag([3.0, -1.0, 2.0, 0.5]).astype(complex))
+    assert block.eigenvectors.dtype == np.float64
+    assert np.allclose(block.eigenvalues, [-1.0, 0.5, 2.0, 3.0])
+    complex_block = GroupedBlock(1, (0,), np.array([[0.0, -1j], [1j, 0.0]]))
+    assert complex_block.eigenvectors.dtype == np.complex128
 
 
 def test_ising_block_degenerate_cases():
