@@ -70,9 +70,6 @@ class SpectrumInfo:
         amps = self.ground_basis.conj().T @ vec
         return float(np.real(np.vdot(amps, amps)))
 
-    def ground_projector(self) -> np.ndarray:
-        return self.ground_basis @ self.ground_basis.conj().T
-
 
 @lru_cache(maxsize=8)
 def eigensystem(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:

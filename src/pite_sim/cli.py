@@ -404,7 +404,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     workers = int(os.environ.get("PITE_SIM_THREADS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point_star, payloads))
+            rows = list(pool.map(_sweep_point, payloads))
     else:
         rows = [_sweep_point(p) for p in payloads]
     out = args.out.with_suffix(".csv")
@@ -412,10 +412,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out.write_text("\n".join([SWEEP_HEADER] + [",".join(r) for r in rows]) + "\n")
     print(f"sweep: {len(rows)} points -> {out}")
     return 0
-
-
-def _sweep_point_star(payload):
-    return _sweep_point(payload)
 
 
 ANALYZE_HEADER = "beta,rlb,alb,alb_generalized,fidelity_bound"

@@ -1,4 +1,9 @@
-"""State evolution engines: statevector (noiseless) and density matrix (noisy).
+"""State evolution engines: statevector and density matrix.
+
+The state type selects how the noise channel is applied: a density
+matrix takes the exact Kraus channel, a statevector samples one Kraus
+branch per qubit, so that averaging many such trajectories reproduces
+the channel.
 
 Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; the measurement ancilla, when present,
@@ -68,17 +73,17 @@ def _ry_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _pinned_views(
-    flat: np.ndarray, total_axes: int, fixed: dict[int, int], target: int | None
-) -> tuple[np.ndarray, ...]:
-    """Low-ndim views of a flat buffer with some qubit axes pinned to bits.
+def _pinned_layout(
+    fixed: dict[int, int], target: int | None, size: int
+) -> tuple[list[int], list, int | None]:
+    """Reshape and index of a flat buffer with some qubit axes pinned to bits.
 
-    The buffer is reshaped with one explicit axis per involved qubit only
-    (regular strides keep numpy's elementwise loops fast, unlike a full
-    (2,)*total reshape). With ``target`` given, returns the (bit=0, bit=1)
-    view pair of the target axis; otherwise the single pinned view. Any
-    trailing buffer extent beyond 2^total_axes (e.g. matrix columns) is
-    absorbed into the last axis.
+    The shape has one explicit axis per involved qubit only (regular
+    strides keep numpy's elementwise loops fast, unlike a full (2,)*total
+    reshape); any trailing buffer extent beyond the last involved qubit
+    (e.g. matrix columns) is absorbed into the last axis. The index pins
+    each ``fixed`` axis to its bit and leaves the ``target`` axis, at the
+    returned position, a full slice.
     """
     involved = sorted(fixed) if target is None else sorted((*fixed, target))
     shape: list[int] = []
@@ -87,11 +92,7 @@ def _pinned_views(
         shape.append(1 << (ax - prev - 1))
         shape.append(2)
         prev = ax
-    lead = 1
-    for s in shape:
-        lead *= s
-    shape.append(flat.size // lead)
-    view = flat.reshape(shape)
+    shape.append(size >> (prev + 1))
     idx: list = [slice(None)] * len(shape)
     target_pos = None
     for i, ax in enumerate(involved):
@@ -100,6 +101,16 @@ def _pinned_views(
             target_pos = pos
         else:
             idx[pos] = fixed[ax]
+    return shape, idx, target_pos
+
+
+def _pinned_views(
+    flat: np.ndarray, fixed: dict[int, int], target: int | None
+) -> tuple[np.ndarray, ...]:
+    """With ``target`` given, the (bit=0, bit=1) view pair of the target
+    axis; otherwise the single pinned view (see :func:`_pinned_layout`)."""
+    shape, idx, target_pos = _pinned_layout(fixed, target, flat.size)
+    view = flat.reshape(shape)
     if target is None:
         return (view[tuple(idx)],)
     idx[target_pos] = 0
@@ -146,27 +157,13 @@ def _rotate_matmul(
         vout = scratch.reshape(-1, 2)
         np.matmul(vin, m.T, out=vout)
         if pinned:
-            sel_in = _pinned_views(flat, total_axes, pinned, None)[0]
-            sel_out = _pinned_views(scratch, total_axes, pinned, None)[0]
+            sel_in = _pinned_views(flat, pinned, None)[0]
+            sel_out = _pinned_views(scratch, pinned, None)[0]
             sel_in[...] = sel_out
         else:
             vin[...] = vout
         return True
-    involved = sorted((*pinned, target))
-    shape: list[int] = []
-    prev = -1
-    for ax in involved:
-        shape.append(1 << (ax - prev - 1))
-        shape.append(2)
-        prev = ax
-    lead = 1
-    for s in shape:
-        lead *= s
-    shape.append(flat.size // lead)
-    idx: list = [slice(None)] * len(shape)
-    for i, ax in enumerate(involved):
-        if ax != target:
-            idx[2 * i + 1] = pinned[ax]
+    shape, idx, _ = _pinned_layout(pinned, target, flat.size)
     sel = tuple(idx)
     vin = flat.reshape(shape)[sel]
     vout = scratch.reshape(shape)[sel]
@@ -185,11 +182,10 @@ def _apply_dense(flat: np.ndarray, total_axes: int, m: np.ndarray, axes: tuple[i
 
 
 def _gate_needs_complex(gate: Gate) -> bool:
-    if isinstance(gate, (PhaseS, PhaseSdg)):
-        return True
-    if isinstance(gate, DenseBlock):
-        return bool(np.iscomplexobj(gate.matrix) and np.abs(gate.matrix.imag).max() > 0.0)
-    return False
+    # DenseBlock stores an exactly real matrix as float64
+    return isinstance(gate, (PhaseS, PhaseSdg)) or (
+        isinstance(gate, DenseBlock) and np.iscomplexobj(gate.matrix)
+    )
 
 
 def _apply_gate_flat(
@@ -211,24 +207,22 @@ def _apply_gate_flat(
     def rotate(pinned: dict[int, int], target: int, m: np.ndarray) -> None:
         if scratch is not None and _rotate_matmul(flat, total_axes, pinned, target, m, scratch):
             return
-        v0, v1 = _pinned_views(flat, total_axes, pinned, target)
+        v0, v1 = _pinned_views(flat, pinned, target)
         _rotate_pair(v0, v1, m)
 
     if isinstance(gate, Hadamard):
         rotate({}, offset + gate.qubit, _H_MATRIX)
     elif isinstance(gate, (PhaseS, PhaseSdg)):
         forward = isinstance(gate, PhaseS) != conjugate
-        (v1,) = _pinned_views(flat, total_axes, {offset + gate.qubit: 1}, None)
+        (v1,) = _pinned_views(flat, {offset + gate.qubit: 1}, None)
         v1 *= 1j if forward else -1j
     elif isinstance(gate, PauliX):
-        v0, v1 = _pinned_views(flat, total_axes, {}, offset + gate.qubit)
+        v0, v1 = _pinned_views(flat, {}, offset + gate.qubit)
         _swap_pair(v0, v1)
     elif isinstance(gate, Ry):
         rotate({}, offset + gate.qubit, _ry_matrix(gate.angle))
     elif isinstance(gate, CNOT):
-        v0, v1 = _pinned_views(
-            flat, total_axes, {offset + gate.control: 1}, offset + gate.target
-        )
+        v0, v1 = _pinned_views(flat, {offset + gate.control: 1}, offset + gate.target)
         _swap_pair(v0, v1)
     elif isinstance(gate, ControlledRy):
         rotate({offset + gate.control: 1}, offset + gate.target, _ry_matrix(gate.angle))
@@ -300,7 +294,56 @@ def _as_state_array(data: np.ndarray) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-class StateVector:
+class _State:
+    """Plumbing shared by the two state types: dtype promotion, gate
+    sequencing and the ancilla measurement. A subclass supplies
+    ``apply_gate``, ``_ancilla_prob0``, ``_project`` and ``_expectation``.
+    """
+
+    n_qubits: int
+    data: np.ndarray
+
+    def copy(self):
+        return type(self)(self.n_qubits, self.data)
+
+    def _ensure_complex(self) -> None:
+        if not np.iscomplexobj(self.data):
+            self.data = self.data.astype(np.complex128)
+
+    def apply_gates(self, gates: tuple[Gate, ...]) -> None:
+        for g in gates:
+            self.apply_gate(g)
+
+    def expectation(self, h: PauliHamiltonian) -> float:
+        """Energy of the state under ``h``, identity offset included."""
+        if 2**h.n_qubits != self.data.shape[0]:
+            raise ValueError("Hamiltonian dimension does not match the state")
+        return self._expectation(h)
+
+    def measure_ancilla(
+        self, mode: str = "postselect", rng: np.random.Generator | None = None
+    ) -> MeasureResult:
+        """Measure the last qubit; see module docstring for semantics."""
+        prob0 = min(self._ancilla_prob0(), 1.0)
+        if mode == "postselect":
+            if prob0 < ANNIHILATION_THRESHOLD:
+                raise EvolutionAnnihilatedError(
+                    f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
+                )
+            self._project(0, prob0)
+            return MeasureResult(prob0, "postselected", self)
+        if mode == "sample":
+            if rng is None:
+                raise ValueError("sample mode needs an rng")
+            if rng.random() < prob0:
+                self._project(0, prob0)
+                return MeasureResult(prob0, "sampled-0", self)
+            self._project(1, 1.0 - prob0)
+            return MeasureResult(prob0, "sampled-1", self)
+        raise ValueError(f"unknown measurement mode {mode!r}")
+
+
+class StateVector(_State):
     """Flat statevector over ``n_qubits``, kept unit-norm.
 
     Stored as float64 while all applied gates are real, upcast to
@@ -329,51 +372,21 @@ class StateVector:
         full[0::2] = work  # ancilla is the least significant bit
         return StateVector(n_work + 1, full)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.data)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
-
-    def _ensure_complex(self) -> None:
-        if not np.iscomplexobj(self.data):
-            self.data = self.data.astype(np.complex128)
 
     def apply_gate(self, gate: Gate) -> None:
         if _gate_needs_complex(gate):
             self._ensure_complex()
         _apply_gate_flat(self.data, self.n_qubits, gate, offset=0, conjugate=False)
 
-    def apply_gates(self, gates: tuple[Gate, ...]) -> None:
-        for g in gates:
-            self.apply_gate(g)
-
-    def measure_ancilla(
-        self, mode: str = "postselect", rng: np.random.Generator | None = None
-    ) -> MeasureResult:
-        """Measure the last qubit; see module docstring for semantics."""
+    def _ancilla_prob0(self) -> float:
         pairs = self.data.reshape(-1, 2)
-        prob0 = float(np.real(np.vdot(pairs[:, 0], pairs[:, 0])))
-        prob0 = min(prob0, 1.0)
-        if mode == "postselect":
-            if prob0 < ANNIHILATION_THRESHOLD:
-                raise EvolutionAnnihilatedError(
-                    f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
-                )
-            pairs[:, 1] = 0.0
-            self.data /= math.sqrt(prob0)
-            return MeasureResult(prob0, "postselected", self)
-        if mode == "sample":
-            if rng is None:
-                raise ValueError("sample mode needs an rng")
-            if rng.random() < prob0:
-                pairs[:, 1] = 0.0
-                self.data /= math.sqrt(prob0)
-                return MeasureResult(prob0, "sampled-0", self)
-            pairs[:, 0] = 0.0
-            self.data /= math.sqrt(1.0 - prob0)
-            return MeasureResult(prob0, "sampled-1", self)
-        raise ValueError(f"unknown measurement mode {mode!r}")
+        return float(np.real(np.vdot(pairs[:, 0], pairs[:, 0])))
+
+    def _project(self, bit: int, prob: float) -> None:
+        self.data.reshape(-1, 2)[:, 1 - bit] = 0.0
+        self.data /= math.sqrt(prob)
 
     def drop_ancilla(self) -> np.ndarray:
         """Work-register vector, assuming the ancilla is in |0>."""
@@ -386,24 +399,20 @@ class StateVector:
     def apply_pauli_string(self, axes: tuple[PauliAxis, ...]) -> np.ndarray:
         """P |psi> for a Pauli string, without touching this state."""
         out = self.data.astype(np.complex128)
-        n = self.n_qubits
         y_matrix = np.array([[0.0, -1j], [1j, 0.0]])
         for q, axis in enumerate(axes):
             if axis is PauliAxis.X:
-                v0, v1 = _pinned_views(out, n, {}, q)
+                v0, v1 = _pinned_views(out, {}, q)
                 _swap_pair(v0, v1)
             elif axis is PauliAxis.Y:
-                v0, v1 = _pinned_views(out, n, {}, q)
+                v0, v1 = _pinned_views(out, {}, q)
                 _rotate_pair(v0, v1, y_matrix)
             elif axis is PauliAxis.Z:
-                (v1,) = _pinned_views(out, n, {q: 1}, None)
+                (v1,) = _pinned_views(out, {q: 1}, None)
                 v1 *= -1.0
         return out
 
-    def expectation(self, h: PauliHamiltonian) -> float:
-        """<psi|H|psi> including the identity offset."""
-        if 2**h.n_qubits != self.data.shape[0]:
-            raise ValueError("Hamiltonian dimension does not match the state")
+    def _expectation(self, h: PauliHamiltonian) -> float:
         total = h.identity_offset
         for term in h.terms:
             pv = self.apply_pauli_string(term.axes)
@@ -415,9 +424,8 @@ class StateVector:
         if model.is_identity:
             return
         keep = 1.0 - model.eps_r - model.eps_d
-        n = self.n_qubits
-        for q in range(n):
-            v0, v1 = _pinned_views(self.data, n, {}, q)
+        for q in range(self.n_qubits):
+            v0, v1 = _pinned_views(self.data, {}, q)
             p_one = float(np.real(np.vdot(v1, v1)))
             p2 = model.eps_d * p_one
             p3 = model.eps_r * p_one
@@ -433,7 +441,7 @@ class StateVector:
             self.data /= np.linalg.norm(self.data)
 
 
-class DensityMatrix:
+class DensityMatrix(_State):
     """Dense 2^n x 2^n density matrix; gates act as U rho U^dag.
 
     Like :class:`StateVector`, entries stay float64 until a genuinely
@@ -461,16 +469,8 @@ class DensityMatrix:
     def from_work_register(work: np.ndarray) -> "DensityMatrix":
         return DensityMatrix.from_statevector(StateVector.from_work_register(work))
 
-    def copy(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, self.data)
-
     def trace(self) -> float:
         return float(np.real(np.trace(self.data)))
-
-    def _ensure_complex(self) -> None:
-        if not np.iscomplexobj(self.data):
-            self.data = self.data.astype(np.complex128)
-            self._scratch = None
 
     def _scratch_buf(self) -> np.ndarray:
         if self._scratch is None or self._scratch.dtype != self.data.dtype:
@@ -484,10 +484,6 @@ class DensityMatrix:
         scratch = self._scratch_buf()
         _apply_gate_flat(self.data, total, gate, 0, False, scratch)
         _apply_gate_flat(self.data, total, gate, self.n_qubits, True, scratch)
-
-    def apply_gates(self, gates: tuple[Gate, ...]) -> None:
-        for g in gates:
-            self.apply_gate(g)
 
     def apply_noise(self, model: NoiseModel) -> None:
         """Kraus channel on every qubit.
@@ -509,46 +505,25 @@ class DensityMatrix:
         _noise_jumps(self.data, self.n_qubits, model.eps_d, self._scratch_buf())
         self.data *= _noise_scale_matrix(model.eps_r, model.eps_d, self.n_qubits)
 
-    def measure_ancilla(
-        self, mode: str = "postselect", rng: np.random.Generator | None = None
-    ) -> MeasureResult:
+    def _ancilla_blocks(self) -> np.ndarray:
         half = 2 ** (self.n_qubits - 1)
-        blocks = self.data.reshape(half, 2, half, 2)
-        prob0 = float(np.real(np.einsum("iaia->a", blocks)[0]))
-        prob0 = min(prob0, 1.0)
+        return self.data.reshape(half, 2, half, 2)
 
-        def project(bit: int, prob: float) -> None:
-            blocks[:, 1 - bit, :, :] = 0.0
-            blocks[:, :, :, 1 - bit] = 0.0
-            self.data /= prob
+    def _ancilla_prob0(self) -> float:
+        return float(np.real(np.einsum("iaia->a", self._ancilla_blocks())[0]))
 
-        if mode == "postselect":
-            if prob0 < ANNIHILATION_THRESHOLD:
-                raise EvolutionAnnihilatedError(
-                    f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
-                )
-            project(0, prob0)
-            return MeasureResult(prob0, "postselected", self)
-        if mode == "sample":
-            if rng is None:
-                raise ValueError("sample mode needs an rng")
-            if rng.random() < prob0:
-                project(0, prob0)
-                return MeasureResult(prob0, "sampled-0", self)
-            project(1, 1.0 - prob0)
-            return MeasureResult(prob0, "sampled-1", self)
-        raise ValueError(f"unknown measurement mode {mode!r}")
+    def _project(self, bit: int, prob: float) -> None:
+        blocks = self._ancilla_blocks()
+        blocks[:, 1 - bit, :, :] = 0.0
+        blocks[:, :, :, 1 - bit] = 0.0
+        self.data /= prob
 
     def drop_ancilla(self) -> np.ndarray:
         """Partial trace over the ancilla (last qubit)."""
-        half = 2 ** (self.n_qubits - 1)
-        blocks = self.data.reshape(half, 2, half, 2)
+        blocks = self._ancilla_blocks()
         return np.ascontiguousarray(blocks[:, 0, :, 0] + blocks[:, 1, :, 1])
 
-    def expectation(self, h: PauliHamiltonian) -> float:
-        """tr(H rho) including the identity offset."""
-        if 2**h.n_qubits != self.data.shape[0]:
-            raise ValueError("Hamiltonian dimension does not match the state")
+    def _expectation(self, h: PauliHamiltonian) -> float:
         hmat = _dense_of(h)
         return float(
             np.real(np.einsum("ij,ji->", hmat, self.data)) + h.identity_offset * self.trace()
@@ -576,10 +551,9 @@ def _noise_scale_matrix(eps_r: float, eps_d: float, n_qubits: int) -> np.ndarray
 
 
 def _jump_pass(rho: np.ndarray, n_qubits: int, q: int, eps_d: float, scratch) -> None:
-    total = 2 * n_qubits
-    (b00,) = _pinned_views(rho, total, {q: 0, n_qubits + q: 0}, None)
-    (b11,) = _pinned_views(rho, total, {q: 1, n_qubits + q: 1}, None)
-    (tmp,) = _pinned_views(scratch, total, {q: 1, n_qubits + q: 1}, None)
+    (b00,) = _pinned_views(rho, {q: 0, n_qubits + q: 0}, None)
+    (b11,) = _pinned_views(rho, {q: 1, n_qubits + q: 1}, None)
+    (tmp,) = _pinned_views(scratch, {q: 1, n_qubits + q: 1}, None)
     np.multiply(b11, eps_d, out=tmp)
     np.add(b00, tmp, out=b00)
 
@@ -610,14 +584,65 @@ def dense_step_oracle(term: PauliTerm, dt: float, state: np.ndarray) -> np.ndarr
     return out / np.linalg.norm(out)
 
 
+def _gate_matrix(gate: Gate) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A gate's matrix built from its definition, and the qubits it acts
+    on (first listed qubit = most significant bit of the matrix index).
+    Written out from the gate definitions rather than taken from the
+    kernels' helpers, so that :func:`gates_unitary` stays independent."""
+
+    def ry(angle: float) -> np.ndarray:
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        return np.array([[c, -s], [s, c]])
+
+    def controlled(n_control: int, branches: dict[int, np.ndarray]) -> np.ndarray:
+        """sum_x |x><x| (x) branches[x] over the control register, with
+        the identity on the target for control states not listed."""
+        out = np.eye(2 ** (n_control + 1), dtype=complex)
+        for x, block in branches.items():
+            out[2 * x : 2 * x + 2, 2 * x : 2 * x + 2] = block
+        return out
+
+    if isinstance(gate, Hadamard):
+        return np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), (gate.qubit,)
+    if isinstance(gate, PhaseS):
+        return np.diag([1.0, 1j]), (gate.qubit,)
+    if isinstance(gate, PhaseSdg):
+        return np.diag([1.0, -1j]), (gate.qubit,)
+    if isinstance(gate, PauliX):
+        return np.array([[0.0, 1.0], [1.0, 0.0]]), (gate.qubit,)
+    if isinstance(gate, Ry):
+        return ry(gate.angle), (gate.qubit,)
+    if isinstance(gate, CNOT):
+        x = np.array([[0.0, 1.0], [1.0, 0.0]])
+        return controlled(1, {1: x}), (gate.control, gate.target)
+    if isinstance(gate, ControlledRy):
+        return controlled(1, {1: ry(gate.angle)}), (gate.control, gate.target)
+    if isinstance(gate, ConditionalRy):
+        branches = {x: ry(angle) for x, angle in gate.angles}
+        return controlled(len(gate.register), branches), (*gate.register, gate.target)
+    if isinstance(gate, DenseBlock):
+        return gate.matrix, gate.qubits
+    raise TypeError(f"unknown gate {gate!r}")
+
+
 def gates_unitary(gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
-    """Dense unitary of a gate sequence (testing/verification helper)."""
+    """Dense unitary of a gate sequence (testing/verification helper).
+
+    Each gate's matrix comes from its definition (:func:`_gate_matrix`)
+    and is contracted into the running unitary with ``np.tensordot``; none
+    of the in-place kernels that evolve states is involved, so this is an
+    independent oracle for them.
+    """
     dim = 2**n_qubits
     if n_qubits > 12:
         raise ValueError("dense unitary limited to 12 qubits")
     mat = np.eye(dim, dtype=complex)
     for g in gates:
-        _apply_gate_flat(mat, n_qubits, g, offset=0, conjugate=False)
+        m, qubits = _gate_matrix(g)
+        k = len(qubits)
+        rows = mat.reshape((2,) * n_qubits + (dim,))
+        out = np.tensordot(m.reshape((2,) * (2 * k)), rows, axes=(range(k, 2 * k), qubits))
+        mat = np.moveaxis(out, range(k), qubits).reshape(dim, dim)
     return mat
 
 
@@ -644,20 +669,22 @@ def run_step_circuit(
     mode: str = "postselect",
     rng: np.random.Generator | None = None,
     noise: NoiseModel | None = None,
-    trajectory: bool = False,
 ) -> MeasureResult:
     """One step circuit: pre-measure gates, noise channel, ancilla
-    measurement, post-measure gates (skipped on a sampled 1)."""
+    measurement, post-measure gates (skipped on a sampled 1).
+
+    The state type selects the noise channel: a :class:`DensityMatrix`
+    gets the exact channel, a :class:`StateVector` one sampled Kraus
+    branch per qubit (a trajectory of the channel), which needs ``rng``.
+    """
     state.apply_gates(circuit.pre_measure)
     if noise is not None and not noise.is_identity:
         if isinstance(state, DensityMatrix):
             state.apply_noise(noise)
-        elif trajectory:
-            if rng is None:
-                raise ValueError("trajectory noise needs an rng")
-            state.sample_kraus(noise, rng)
+        elif rng is None:
+            raise ValueError("statevector noise is sampled and needs an rng")
         else:
-            raise ValueError("statevector runs support noise only in trajectory mode")
+            state.sample_kraus(noise, rng)
     result = state.measure_ancilla(mode=mode, rng=rng)
     if result.outcome != "sampled-1":
         state.apply_gates(circuit.post_measure)

@@ -23,6 +23,7 @@ from .analysis import SpectrumInfo
 from .circuit import Circuit, build_grouped_step, build_pauli_step
 from .engine import (
     DensityMatrix,
+    EvolutionAnnihilatedError,
     NoiseModel,
     StateVector,
     make_rng,
@@ -136,9 +137,7 @@ def _grouped_step_circuits(blocks: list[GroupedBlock], schedule: Schedule) -> li
 
 
 def _work_energy(state: StateVector | DensityMatrix, h: PauliHamiltonian) -> float:
-    if isinstance(state, DensityMatrix):
-        return DensityMatrix(h.n_qubits, state.drop_ancilla()).expectation(h)
-    return StateVector(h.n_qubits, state.drop_ancilla()).expectation(h)
+    return type(state)(h.n_qubits, state.drop_ancilla()).expectation(h)
 
 
 def _work_fidelity(state: StateVector | DensityMatrix, spectrum: SpectrumInfo) -> float:
@@ -198,12 +197,8 @@ def _execute(
 ) -> RunResult:
     noise = config.noise if config.noise is not None and not config.noise.is_identity else None
     trajectory = config.trajectories is not None
-    use_density = noise is not None and not trajectory
-
-    def fresh_state() -> StateVector | DensityMatrix:
-        if use_density:
-            return DensityMatrix.from_work_register(init)
-        return StateVector.from_work_register(init)
+    # the state type selects exact (density matrix) or sampled noise
+    state_type = DensityMatrix if noise is not None and not trajectory else StateVector
 
     def record(step: int, state, p_cum: float, restarts: int) -> TraceRecord:
         beta = step * schedule.dt
@@ -219,14 +214,17 @@ def _execute(
         )
 
     def attempt(rng: np.random.Generator | None) -> tuple[list[TraceRecord], bool]:
-        state = fresh_state()
+        state = state_type.from_work_register(init)
         p_cum = 1.0
         records = [record(0, state, p_cum, 0)]
         for step in range(1, schedule.n_steps + 1):
             for circ in step_circuits:
-                res = run_step_circuit(
-                    state, circ, mode=config.mode, rng=rng, noise=noise, trajectory=trajectory
-                )
+                try:
+                    res = run_step_circuit(state, circ, mode=config.mode, rng=rng, noise=noise)
+                except EvolutionAnnihilatedError:
+                    if not trajectory:
+                        raise
+                    return records, False  # weight 0 from here on
                 p_cum *= res.prob0
                 if res.outcome == "sampled-1":
                     return records, False
@@ -254,26 +252,32 @@ def _trajectory_average(attempt, config: RunConfig) -> RunResult:
 
     Each trajectory samples one Kraus branch per qubit per measurement;
     observables are combined weighted by each trajectory's cumulative
-    success probability, the likelihood of its post-selected path.
+    success probability, the likelihood of its post-selected path. A
+    trajectory whose ancilla-0 probability hits 0 (a sampled E3 on the
+    ancilla can do that) returns incomplete and has weight 0 from there
+    on: it counts as 0 in the ``p_cum`` mean and is left out of the
+    energy and fidelity averages.
     """
-    all_records: list[list[TraceRecord]] = []
-    for k in range(config.trajectories):
-        rng = make_rng(config.seed + k)
-        records, completed = attempt(rng)
-        if not completed:
-            raise RuntimeError("trajectory attempt cannot fail in postselect mode")
-        all_records.append(records)
+    runs = [attempt(make_rng(config.seed + k)) for k in range(config.trajectories)]
+    full = next((records for records, completed in runs if completed), None)
+    if full is None:
+        raise EvolutionAnnihilatedError("every trajectory annihilated")
     merged: list[TraceRecord] = []
-    for rows in zip(*all_records):
+    for i in range(len(full)):
+        rows = [records[i] for records, _ in runs if i < len(records)]
         weights = np.array([r.p_cum for r in rows])
         wsum = float(weights.sum())
+        if wsum == 0.0:
+            raise EvolutionAnnihilatedError(
+                f"every trajectory has weight 0 at step {full[i].step}"
+            )
         merged.append(
             TraceRecord(
                 step=rows[0].step,
                 beta=rows[0].beta,
                 energy=float(np.dot(weights, [r.energy for r in rows]) / wsum),
                 fidelity=float(np.dot(weights, [r.fidelity for r in rows]) / wsum),
-                p_cum=float(weights.mean()),
+                p_cum=wsum / len(runs),
                 rlb=rows[0].rlb,
                 alb=rows[0].alb,
                 restarts=0,

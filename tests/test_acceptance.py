@@ -63,6 +63,13 @@ def kraus_sum_oracle(
     qubit as the Kraus sum rho -> sum_e E_q rho E_q^dag, written as the 4x4
     matrix sum_e e (x) conj(e) acting on qubit q's (row bit, column bit)
     pair; a self-check against the dense kron'd operators guards that form.
+
+    ``gates_unitary`` builds each gate's matrix from its definition and
+    contracts it into the identity with ``np.tensordot``, so the oracle
+    shares no code with the engine's state kernels (``_apply_gate_flat``,
+    ``_rotate_matmul``, ``apply_noise``, ``measure_ancilla``). It shares
+    the step circuits (``_step_circuits``), the gate definitions and
+    ``NoiseModel.kraus_operators``.
     """
     n = h.n_qubits + 1
     dim = 2**n

@@ -158,6 +158,16 @@ def test_sweep_seed_axis_success_fraction(tmp_path):
     assert all(r["completed"] in ("0", "1") for r in rows)
 
 
+def test_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
+    # PITE_SIM_THREADS > 1 sends each sweep point to a worker process
+    args = ["sweep", "--model", "h2", "--R", "0.75", "--axis", "dt",
+            "--values", "0.2,0.1", "--beta", "1", "--out"]
+    assert main(args + [str(tmp_path / "serial")]) == 0
+    monkeypatch.setenv("PITE_SIM_THREADS", "2")
+    assert main(args + [str(tmp_path / "pool")]) == 0
+    assert (tmp_path / "pool.csv").read_text() == (tmp_path / "serial.csv").read_text()
+
+
 def test_sweep_empty_values(tmp_path, capsys):
     code = main(
         ["sweep", "--model", "h2", "--R", "0.75", "--axis", "dt", "--out", str(tmp_path / "e")]

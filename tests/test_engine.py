@@ -115,6 +115,40 @@ def test_gate_unitary_consistency(gate):
     assert np.abs(s.data - u @ psi).max() < 1e-12
 
 
+def test_gates_unitary_matches_kron():
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    i2 = np.eye(2)
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+
+    def ry(angle):
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        return np.array([[c, -s], [s, c]])
+
+    assert np.abs(gates_unitary((Hadamard(0),), 2) - np.kron(h, i2)).max() < 1e-15
+    # control on qubit 1 (the low bit), target qubit 0
+    cnot = np.kron(i2, p0) + np.kron(x, p1)
+    assert np.abs(gates_unitary((CNOT(1, 0),), 2) - cnot).max() == 0.0
+    # register (2, 0), target 1: branch x = 2 * bit2 + bit0
+    angles = {1: 0.4, 2: 1.9}
+    gate = ConditionalRy((2, 0), tuple(angles.items()), 1)
+    proj = (p0, p1)
+    want = sum(
+        np.kron(np.kron(proj[b0], ry(angles.get(2 * b2 + b0, 0.0))), proj[b2])
+        for b0 in (0, 1)
+        for b2 in (0, 1)
+    )
+    assert np.abs(gates_unitary((gate,), 3) - want).max() < 1e-15
+    # a block on reversed qubits (1, 0) is the swapped matrix on (0, 1)
+    u = random_unitary(4)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    got = gates_unitary((DenseBlock((1, 0), u),), 2)
+    assert np.abs(got - swap @ u @ swap).max() < 1e-15
+    # sequence order: later gates multiply from the left
+    seq = gates_unitary((Hadamard(0), CNOT(0, 1)), 2)
+    assert np.abs(seq - (np.kron(p0, i2) + np.kron(p1, x)) @ np.kron(h, i2)).max() < 1e-15
+
+
 @pytest.mark.parametrize("gate", ALL_GATE_SAMPLES)
 def test_density_matches_statevector(gate):
     psi = random_state(3)
@@ -188,6 +222,26 @@ def test_annihilation_raises():
     circ = build_pauli_step(PauliTerm.from_string(10.0, "Z"), 1.0)
     with pytest.raises(EvolutionAnnihilatedError):
         run_step_circuit(state, circ)
+
+
+def test_noisy_statevector_step_samples_the_channel():
+    # a noisy statevector step is one sampled trajectory: the same draws as
+    # sample_kraus followed by the ancilla measurement done by hand
+    noise = NoiseModel(0.2, 0.3)
+    work = random_state(2)
+    circ = build_pauli_step(random_term(2), 0.3)
+    state = StateVector.from_work_register(work)
+    res = run_step_circuit(state, circ, rng=make_rng(5), noise=noise)
+    by_hand = StateVector.from_work_register(work)
+    rng_hand = make_rng(5)
+    by_hand.apply_gates(circ.pre_measure)
+    by_hand.sample_kraus(noise, rng_hand)
+    want = by_hand.measure_ancilla(rng=rng_hand)
+    by_hand.apply_gates(circ.post_measure)
+    assert (res.prob0, res.outcome) == (want.prob0, want.outcome)
+    assert np.array_equal(state.data, by_hand.data)
+    with pytest.raises(ValueError, match="needs an rng"):
+        run_step_circuit(StateVector.from_work_register(work), circ, noise=noise)
 
 
 def test_measure_density_agrees_with_statevector():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pite_sim.analysis import diagonalize, exact_ite_state, rlb
-from pite_sim.engine import NoiseModel, StateVector, run_step_circuit
+from pite_sim.engine import EvolutionAnnihilatedError, NoiseModel, StateVector, run_step_circuit
 from pite_sim.grouping import group_hamiltonian, ising_local_grouping, singleton_groupspec
 from pite_sim.hamiltonian import (
     InitialState,
@@ -19,7 +19,9 @@ from pite_sim.hamiltonian import (
 from pite_sim.pite import (
     RunConfig,
     Schedule,
+    TraceRecord,
     _step_circuits,
+    _trajectory_average,
     restart_loop,
     run_generalized,
     run_pite,
@@ -329,6 +331,54 @@ def test_trajectory_mode_close_to_density():
     )
     assert traj.final.energy == pytest.approx(dens.final.energy, abs=0.02)
     assert traj.final.p_cum == pytest.approx(dens.final.p_cum, abs=0.05)
+
+
+def test_trajectory_survives_annihilated_trajectories():
+    # eps_r = 0.1 makes E3 on the ancilla likely enough that some of the
+    # 200 trajectories reach ancilla-0 probability exactly 0; they drop to
+    # weight 0 instead of ending the run
+    h = build_h2(0.75)
+    init = prepare_initial(InitialState.basis("00"), 2)
+    spec = diagonalize(h, init)
+    sched = Schedule.from_beta(1.0, 0.1)
+    noise = NoiseModel(0.1, 1e-5)
+    dens = run_pite(h, init, sched, RunConfig(noise=noise), spectrum=spec)
+    traj = run_pite(
+        h, init, sched,
+        RunConfig(noise=noise, seed=21, trajectories=200),
+        spectrum=spec,
+    )
+    assert traj.completed
+    assert [r.step for r in traj.records] == [r.step for r in dens.records]
+    assert traj.final.p_cum == pytest.approx(dens.final.p_cum, abs=0.05)
+    assert traj.final.energy == pytest.approx(dens.final.energy, abs=0.05)
+
+
+def test_trajectory_average_weights():
+    def row(step: int, p_cum: float, energy: float) -> TraceRecord:
+        return TraceRecord(step, 0.1 * step, energy, 0.5, p_cum, 0.0, 0.0, 0)
+
+    def stub(*runs):
+        queue = list(runs)
+        return lambda rng: queue.pop(0)
+
+    config = RunConfig(noise=NoiseModel(0.1, 0.0), seed=0, trajectories=2)
+    # the second trajectory annihilates after step 0: weight 0 from step 1
+    result = _trajectory_average(
+        stub(([row(0, 1.0, -1.0), row(1, 0.5, -2.0)], True), ([row(0, 1.0, -3.0)], False)),
+        config,
+    )
+    assert [r.energy for r in result.records] == [-2.0, -2.0]
+    assert [r.p_cum for r in result.records] == [1.0, 0.25]
+    with pytest.raises(EvolutionAnnihilatedError, match="every trajectory annihilated"):
+        _trajectory_average(
+            stub(([row(0, 1.0, -1.0)], False), ([row(0, 1.0, -3.0)], False)), config
+        )
+    with pytest.raises(EvolutionAnnihilatedError, match="weight 0 at step 1"):
+        _trajectory_average(
+            stub(([row(0, 1.0, -1.0), row(1, 0.0, -2.0)], True), ([row(0, 1.0, -3.0)], False)),
+            config,
+        )
 
 
 def test_record_cadence():
