@@ -133,12 +133,11 @@ def _build_model(args: argparse.Namespace) -> tuple[PauliHamiltonian, dict]:
     meta: dict = {"model": args.model}
     if args.model == "h2":
         _require(args.R is not None, "--model h2 needs --R")
-        if args.R not in H2_DISTANCES:
-            raise UsageError(
-                f"R={args.R} not tabulated; available: {', '.join(str(r) for r in H2_DISTANCES)}"
-            )
         meta["R"] = args.R
-        return build_h2(args.R), meta
+        try:
+            return build_h2(args.R), meta
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
     if args.model == "lih":
         return build_lih(), meta
     if args.model == "ising":
@@ -198,7 +197,7 @@ def _build_grouping(args: argparse.Namespace, h: PauliHamiltonian):
         _require(args.model == "ising", "--grouping ising-local is defined for ising")
         _, blocks = ising_local_grouping(args.n, args.J, args.g, args.h)
         return blocks, {"grouping": "ising-local"}
-    if choice == "lih-22" or (args.model == "lih" and choice == "table"):
+    if choice == "lih-22":
         blocks = group_hamiltonian(h, lih_groupspec())
         return blocks, {"grouping": "lih-22"}
     path = Path(choice)
@@ -296,23 +295,32 @@ def _manifest_from_args(args: argparse.Namespace, extra: dict) -> dict:
 
 
 def _args_from_manifest(path: Path, args: argparse.Namespace) -> argparse.Namespace:
-    saved = json.loads(path.read_text())
-    model = saved.get("model", {})
-    for key in ("model", "R", "n", "J", "g", "h"):
-        if key in model:
-            setattr(args, key, model[key])
-    args.file = Path(saved["file"]) if saved.get("file") else None
-    args.init = saved.get("init")
-    args.grouping = saved.get("grouping")
-    sched = saved["schedule"]
-    args.dt, args.beta, args.order = sched["dt"], sched["beta"], sched["order"]
-    cfg = saved["config"]
-    args.mode = cfg["mode"]
-    args.noise = cfg["noise"]
-    args.seed = cfg["seed"]
-    args.trajectories = cfg["trajectories"]
-    args.restart_budget = cfg["restart_budget"]
-    args.record_every = cfg["record_every"]
+    def optional(convert, value):
+        return None if value is None else convert(value)
+
+    try:
+        saved = json.loads(path.read_text())
+        model = saved.get("model", {})
+        for key, convert in (("model", str), ("R", float), ("n", int), ("J", float),
+                             ("g", float), ("h", float)):
+            if key in model:
+                setattr(args, key, convert(model[key]))
+        args.file = Path(saved["file"]) if saved.get("file") else None
+        args.init = optional(str, saved.get("init"))
+        args.grouping = optional(str, saved.get("grouping"))
+        sched = saved["schedule"]
+        args.dt, args.beta = float(sched["dt"]), float(sched["beta"])
+        args.order = int(sched["order"])
+        cfg = saved["config"]
+        args.mode = cfg["mode"]
+        args.noise = optional(str, cfg["noise"])
+        args.seed = optional(int, cfg["seed"])
+        args.trajectories = optional(int, cfg["trajectories"])
+        args.restart_budget = int(cfg["restart_budget"])
+        args.record_every = int(cfg["record_every"])
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        # ValueError covers malformed JSON; the others a missing or ill-typed entry
+        raise UsageError(f"cannot load manifest {path}: {type(exc).__name__}: {exc}") from None
     return args
 
 
@@ -401,7 +409,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not values:
         raise UsageError("empty sweep")
     payloads = [(args, args.axis, v) for v in values]
-    workers = int(os.environ.get("PITE_SIM_THREADS", "1"))
+    threads = os.environ.get("PITE_SIM_THREADS", "1")
+    try:
+        workers = int(threads)
+    except ValueError:
+        raise UsageError(f"PITE_SIM_THREADS must be an integer, got {threads!r}") from None
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_point, payloads))

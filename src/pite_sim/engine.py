@@ -1,20 +1,28 @@
 """State evolution engines: statevector and density matrix.
 
+States hold the n work qubits only. A step circuit's ancilla starts in
+|0>, is turned by y-rotations controlled on the work register and is
+measured at once, so its whole effect is diagonal on the work register:
+with c and s the cos and sin of half its total rotation angle on each
+work basis state, outcome 0 keeps C rho C (C = diag(c)), plus
+eps_d S rho S (S = diag(s)) when the ancilla is noisy. A step runs as
+the work gates before the rotation, the measurement folded into (c, s),
+the work-qubit noise, then the work gates after the measurement.
+
 The state type selects how the noise channel is applied: a density
-matrix takes the exact Kraus channel, a statevector samples one Kraus
-branch per qubit, so that averaging many such trajectories reproduces
-the channel.
+matrix takes the exact Kraus channel, a statevector samples one branch
+(the ancilla's, then one per work qubit), so that averaging many such
+trajectories, weighted by their ancilla-0 probabilities, reproduces the
+channel.
 
 Conventions shared with the rest of the package: qubit 0 is the most
-significant bit of a basis index; the measurement ancilla, when present,
-is always the highest qubit index (least significant bit). Gates are
-applied in place through reshaped views of the flat state buffer; a
-density matrix gets every unitary applied from both sides.
+significant bit of a basis index; in a circuit the ancilla is the
+highest qubit index (least significant bit). Gates are applied in place
+through reshaped views of the flat state buffer; a density matrix gets
+every unitary applied from both sides.
 
-The simulator measures only the single ancilla. Post-selection projects
-onto outcome 0 and renormalizes, keeping the ancilla in place so the next
-step circuit can reuse it; sampling draws the outcome instead and leaves
-the restart policy to the caller.
+Post-selection keeps outcome 0 and renormalizes; sampling draws the
+outcome instead and leaves the restart policy to the caller.
 """
 from __future__ import annotations
 
@@ -36,6 +44,7 @@ from .circuit import (
     PhaseS,
     PhaseSdg,
     Ry,
+    qubits_of,
 )
 from .hamiltonian import PauliAxis, PauliHamiltonian, PauliTerm
 
@@ -63,7 +72,7 @@ class EvolutionAnnihilatedError(RuntimeError):
     """Post-selection hit numerically zero probability; the evolution died."""
 
 
-def make_rng(seed: int) -> np.random.Generator:
+def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """Counter-based generator (Philox) so sampled runs replay exactly."""
     return np.random.Generator(np.random.Philox(seed))
 
@@ -73,17 +82,17 @@ def _ry_matrix(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _pinned_layout(
-    fixed: dict[int, int], target: int | None, size: int
-) -> tuple[list[int], list, int | None]:
-    """Reshape and index of a flat buffer with some qubit axes pinned to bits.
+def _pinned_views(
+    flat: np.ndarray, fixed: dict[int, int], target: int | None
+) -> tuple[np.ndarray, ...]:
+    """Views of a flat buffer with some qubit axes pinned to bits: with
+    ``target`` given, the (bit=0, bit=1) view pair of the target axis;
+    otherwise the single pinned view.
 
     The shape has one explicit axis per involved qubit only (regular
     strides keep numpy's elementwise loops fast, unlike a full (2,)*total
     reshape); any trailing buffer extent beyond the last involved qubit
-    (e.g. matrix columns) is absorbed into the last axis. The index pins
-    each ``fixed`` axis to its bit and leaves the ``target`` axis, at the
-    returned position, a full slice.
+    (e.g. matrix columns) is absorbed into the last axis.
     """
     involved = sorted(fixed) if target is None else sorted((*fixed, target))
     shape: list[int] = []
@@ -92,24 +101,14 @@ def _pinned_layout(
         shape.append(1 << (ax - prev - 1))
         shape.append(2)
         prev = ax
-    shape.append(size >> (prev + 1))
+    shape.append(flat.size >> (prev + 1))
     idx: list = [slice(None)] * len(shape)
     target_pos = None
     for i, ax in enumerate(involved):
-        pos = 2 * i + 1
         if ax == target:
-            target_pos = pos
+            target_pos = 2 * i + 1
         else:
-            idx[pos] = fixed[ax]
-    return shape, idx, target_pos
-
-
-def _pinned_views(
-    flat: np.ndarray, fixed: dict[int, int], target: int | None
-) -> tuple[np.ndarray, ...]:
-    """With ``target`` given, the (bit=0, bit=1) view pair of the target
-    axis; otherwise the single pinned view (see :func:`_pinned_layout`)."""
-    shape, idx, target_pos = _pinned_layout(fixed, target, flat.size)
+            idx[2 * i + 1] = fixed[ax]
     view = flat.reshape(shape)
     if target is None:
         return (view[tuple(idx)],)
@@ -135,43 +134,6 @@ def _swap_pair(v0: np.ndarray, v1: np.ndarray) -> None:
     v1[...] = tmp
 
 
-def _rotate_matmul(
-    flat: np.ndarray,
-    total_axes: int,
-    pinned: dict[int, int],
-    target: int,
-    m: np.ndarray,
-    scratch: np.ndarray,
-) -> bool:
-    """Allocation-free 2x2 rotation via matmul into a persistent scratch
-    buffer. Handles pinned axes strictly before the target; the
-    target-is-last-axis case goes through one flat (N, 2) gemm with a
-    masked copy-back. Returns False when the layout is unsupported."""
-    if any(ax > target for ax in pinned):
-        return False
-    if m.dtype.kind == "c" and flat.dtype.kind != "c":
-        return False
-    last_axis = target == total_axes - 1 and flat.size == 1 << total_axes
-    if last_axis:
-        vin = flat.reshape(-1, 2)
-        vout = scratch.reshape(-1, 2)
-        np.matmul(vin, m.T, out=vout)
-        if pinned:
-            sel_in = _pinned_views(flat, pinned, None)[0]
-            sel_out = _pinned_views(scratch, pinned, None)[0]
-            sel_in[...] = sel_out
-        else:
-            vin[...] = vout
-        return True
-    shape, idx, _ = _pinned_layout(pinned, target, flat.size)
-    sel = tuple(idx)
-    vin = flat.reshape(shape)[sel]
-    vout = scratch.reshape(shape)[sel]
-    np.matmul(m, vin, out=vout)
-    vin[...] = vout
-    return True
-
-
 def _apply_dense(flat: np.ndarray, total_axes: int, m: np.ndarray, axes: tuple[int, ...]) -> None:
     """In-place k-qubit unitary on the given axes (first axis = MSB)."""
     k = len(axes)
@@ -189,24 +151,16 @@ def _gate_needs_complex(gate: Gate) -> bool:
 
 
 def _apply_gate_flat(
-    flat: np.ndarray,
-    total_axes: int,
-    gate: Gate,
-    offset: int,
-    conjugate: bool,
-    scratch: np.ndarray | None = None,
+    flat: np.ndarray, total_axes: int, gate: Gate, offset: int, conjugate: bool
 ) -> None:
     """Apply one gate to a flat buffer holding (2,)*total_axes[, extra].
 
     ``offset`` shifts qubit indices to axes (density matrices pass the
     column-side offset); ``conjugate`` applies the complex conjugate gate,
-    which is what right-multiplication by the adjoint amounts to. With a
-    ``scratch`` buffer, rotations route through allocation-free matmuls.
+    which is what right-multiplication by the adjoint amounts to.
     """
 
     def rotate(pinned: dict[int, int], target: int, m: np.ndarray) -> None:
-        if scratch is not None and _rotate_matmul(flat, total_axes, pinned, target, m, scratch):
-            return
         v0, v1 = _pinned_views(flat, pinned, target)
         _rotate_pair(v0, v1, m)
 
@@ -250,7 +204,10 @@ class NoiseModel:
         E3 = [[0, 0], [0, sqrt(eps_r)]]
 
     applied independently to every qubit (ancilla included) right before
-    each ancilla measurement.
+    each ancilla measurement. On the ancilla, only what reaches outcome 0
+    matters: E1 leaves it as it is, E2 adds the eps_d * S rho S branch and
+    E3 contributes nothing. The work-qubit channels commute with the
+    ancilla measurement, so the engine applies them after outcome 0.
     """
 
     eps_r: float
@@ -280,7 +237,6 @@ class NoiseModel:
 class MeasureResult:
     prob0: float
     outcome: str  # "postselected", "sampled-0" or "sampled-1"
-    state: "StateVector | DensityMatrix"
 
 
 def _as_state_array(data: np.ndarray) -> np.ndarray:
@@ -297,7 +253,7 @@ def _as_state_array(data: np.ndarray) -> np.ndarray:
 class _State:
     """Plumbing shared by the two state types: dtype promotion, gate
     sequencing and the ancilla measurement. A subclass supplies
-    ``apply_gate``, ``_ancilla_prob0``, ``_project`` and ``_expectation``.
+    ``apply_gate``, ``_weights``, ``_keep0`` and ``_expectation``.
     """
 
     n_qubits: int
@@ -321,26 +277,41 @@ class _State:
         return self._expectation(h)
 
     def measure_ancilla(
-        self, mode: str = "postselect", rng: np.random.Generator | None = None
+        self,
+        c: np.ndarray,
+        s: np.ndarray,
+        eps_d: float = 0.0,
+        mode: str = "postselect",
+        rng: np.random.Generator | None = None,
     ) -> MeasureResult:
-        """Measure the last qubit; see module docstring for semantics."""
-        prob0 = min(self._ancilla_prob0(), 1.0)
+        """Measure a step's ancilla, given as its per-basis-state factors.
+
+        ``c`` and ``s`` are the cos and sin of half the ancilla's rotation
+        angle on each work basis state, and ``eps_d`` weights the branch
+        that the ancilla's E2 jump brings to outcome 0. So prob0 is
+        sum_x (c_x^2 + eps_d s_x^2) w_x, with w the basis-state weights.
+        Outcome 0 keeps (C rho C + eps_d S rho S) / prob0; a sampled 1
+        leaves the state as it is, since the caller restarts the run.
+        """
+        w = self._weights()
+        kept = float(np.dot(c * c, w))
+        prob0 = min(kept + eps_d * float(np.dot(s * s, w)), 1.0)
         if mode == "postselect":
             if prob0 < ANNIHILATION_THRESHOLD:
                 raise EvolutionAnnihilatedError(
                     f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
                 )
-            self._project(0, prob0)
-            return MeasureResult(prob0, "postselected", self)
-        if mode == "sample":
+            outcome = "postselected"
+        elif mode == "sample":
             if rng is None:
                 raise ValueError("sample mode needs an rng")
-            if rng.random() < prob0:
-                self._project(0, prob0)
-                return MeasureResult(prob0, "sampled-0", self)
-            self._project(1, 1.0 - prob0)
-            return MeasureResult(prob0, "sampled-1", self)
-        raise ValueError(f"unknown measurement mode {mode!r}")
+            if rng.random() >= prob0:
+                return MeasureResult(prob0, "sampled-1")
+            outcome = "sampled-0"
+        else:
+            raise ValueError(f"unknown measurement mode {mode!r}")
+        self._keep0(c, s, eps_d, kept, prob0, rng)
+        return MeasureResult(prob0, outcome)
 
 
 class StateVector(_State):
@@ -361,17 +332,6 @@ class StateVector(_State):
                 raise ValueError("amplitude count does not match qubit count")
             self.data = _as_state_array(amplitudes)
 
-    @staticmethod
-    def from_work_register(work: np.ndarray) -> "StateVector":
-        """Work-register vector tensored with a fresh ancilla |0>."""
-        work = _as_state_array(np.ravel(work))
-        n_work = int(round(math.log2(work.shape[0])))
-        if 2**n_work != work.shape[0]:
-            raise ValueError("work vector length is not a power of two")
-        full = np.zeros(2 * work.shape[0], dtype=work.dtype)
-        full[0::2] = work  # ancilla is the least significant bit
-        return StateVector(n_work + 1, full)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
@@ -380,21 +340,17 @@ class StateVector(_State):
             self._ensure_complex()
         _apply_gate_flat(self.data, self.n_qubits, gate, offset=0, conjugate=False)
 
-    def _ancilla_prob0(self) -> float:
-        pairs = self.data.reshape(-1, 2)
-        return float(np.real(np.vdot(pairs[:, 0], pairs[:, 0])))
+    def _weights(self) -> np.ndarray:
+        return np.abs(self.data) ** 2
 
-    def _project(self, bit: int, prob: float) -> None:
-        self.data.reshape(-1, 2)[:, 1 - bit] = 0.0
-        self.data /= math.sqrt(prob)
-
-    def drop_ancilla(self) -> np.ndarray:
-        """Work-register vector, assuming the ancilla is in |0>."""
-        pairs = self.data.reshape(-1, 2)
-        residual = np.linalg.norm(pairs[:, 1])
-        if residual > 1e-9:
-            raise ValueError(f"ancilla not in |0> (residual {residual:.3e})")
-        return pairs[:, 0].copy()
+    def _keep0(self, c, s, eps_d, kept, prob0, rng) -> None:
+        # one sampled branch: s psi (the ancilla's E2 jump) with probability
+        # eps_d sum s^2 |psi|^2 / prob0, else c psi
+        if eps_d and rng.random() * prob0 >= kept:
+            self.data *= s
+        else:
+            self.data *= c
+        self.data /= np.linalg.norm(self.data)
 
     def apply_pauli_string(self, axes: tuple[PauliAxis, ...]) -> np.ndarray:
         """P |psi> for a Pauli string, without touching this state."""
@@ -459,31 +415,16 @@ class DensityMatrix(_State):
             if entries.shape != (dim, dim):
                 raise ValueError("entry matrix does not match qubit count")
             self.data = _as_state_array(entries)
-        self._scratch: np.ndarray | None = None
-
-    @staticmethod
-    def from_statevector(state: StateVector) -> "DensityMatrix":
-        return DensityMatrix(state.n_qubits, np.outer(state.data, state.data.conj()))
-
-    @staticmethod
-    def from_work_register(work: np.ndarray) -> "DensityMatrix":
-        return DensityMatrix.from_statevector(StateVector.from_work_register(work))
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.data)))
-
-    def _scratch_buf(self) -> np.ndarray:
-        if self._scratch is None or self._scratch.dtype != self.data.dtype:
-            self._scratch = np.empty_like(self.data)
-        return self._scratch
 
     def apply_gate(self, gate: Gate) -> None:
         if _gate_needs_complex(gate):
             self._ensure_complex()
         total = 2 * self.n_qubits
-        scratch = self._scratch_buf()
-        _apply_gate_flat(self.data, total, gate, 0, False, scratch)
-        _apply_gate_flat(self.data, total, gate, self.n_qubits, True, scratch)
+        _apply_gate_flat(self.data, total, gate, 0, False)
+        _apply_gate_flat(self.data, total, gate, self.n_qubits, True)
 
     def apply_noise(self, model: NoiseModel) -> None:
         """Kraus channel on every qubit.
@@ -502,26 +443,19 @@ class DensityMatrix(_State):
         """
         if model.is_identity:
             return
-        _noise_jumps(self.data, self.n_qubits, model.eps_d, self._scratch_buf())
+        if model.eps_d != 0.0:
+            # the per-qubit jump superoperators commute
+            for q in range(self.n_qubits):
+                (b00,) = _pinned_views(self.data, {q: 0, self.n_qubits + q: 0}, None)
+                (b11,) = _pinned_views(self.data, {q: 1, self.n_qubits + q: 1}, None)
+                b00 += model.eps_d * b11
         self.data *= _noise_scale_matrix(model.eps_r, model.eps_d, self.n_qubits)
 
-    def _ancilla_blocks(self) -> np.ndarray:
-        half = 2 ** (self.n_qubits - 1)
-        return self.data.reshape(half, 2, half, 2)
+    def _weights(self) -> np.ndarray:
+        return self.data.diagonal().real
 
-    def _ancilla_prob0(self) -> float:
-        return float(np.real(np.einsum("iaia->a", self._ancilla_blocks())[0]))
-
-    def _project(self, bit: int, prob: float) -> None:
-        blocks = self._ancilla_blocks()
-        blocks[:, 1 - bit, :, :] = 0.0
-        blocks[:, :, :, 1 - bit] = 0.0
-        self.data /= prob
-
-    def drop_ancilla(self) -> np.ndarray:
-        """Partial trace over the ancilla (last qubit)."""
-        blocks = self._ancilla_blocks()
-        return np.ascontiguousarray(blocks[:, 0, :, 0] + blocks[:, 1, :, 1])
+    def _keep0(self, c, s, eps_d, kept, prob0, rng) -> None:
+        self.data *= (np.outer(c, c) + eps_d * np.outer(s, s)) / prob0
 
     def _expectation(self, h: PauliHamiltonian) -> float:
         hmat = _dense_of(h)
@@ -548,23 +482,6 @@ def _noise_scale_matrix(eps_r: float, eps_d: float, n_qubits: int) -> np.ndarray
         f = np.kron(f, g)
     f.setflags(write=False)
     return f
-
-
-def _jump_pass(rho: np.ndarray, n_qubits: int, q: int, eps_d: float, scratch) -> None:
-    (b00,) = _pinned_views(rho, {q: 0, n_qubits + q: 0}, None)
-    (b11,) = _pinned_views(rho, {q: 1, n_qubits + q: 1}, None)
-    (tmp,) = _pinned_views(scratch, {q: 1, n_qubits + q: 1}, None)
-    np.multiply(b11, eps_d, out=tmp)
-    np.add(b00, tmp, out=b00)
-
-
-def _noise_jumps(rho: np.ndarray, n_qubits: int, eps_d: float, scratch) -> None:
-    """The |1><1| -> |0><0| transfer of E2, qubit by qubit (exact; the
-    per-qubit jump superoperators commute)."""
-    if eps_d == 0.0:
-        return
-    for q in range(n_qubits):
-        _jump_pass(rho, n_qubits, q, eps_d, scratch)
 
 
 def dense_step_oracle(term: PauliTerm, dt: float, state: np.ndarray) -> np.ndarray:
@@ -663,6 +580,38 @@ def postselected_operator(circuit: Circuit) -> np.ndarray:
     return full[0::2, 0::2].copy()  # ancilla is the least significant bit
 
 
+@lru_cache(maxsize=256)
+def _lowered(circuit: Circuit) -> tuple[tuple[Gate, ...], np.ndarray, np.ndarray]:
+    """A step circuit's work gates before its ancilla rotation, and that
+    rotation folded into the per-basis-state factors (c, s): the cos and
+    sin of half the ancilla's total rotation angle.
+
+    The rotation runs from the first gate that touches the ancilla to the
+    measurement; each of its gates must be a y-rotation targeting the
+    ancilla. Applied to the probe sum_x |x>|0>, it leaves c_x in the
+    even entries and s_x in the odd ones (the ancilla is the least
+    significant bit).
+    """
+    ancilla = circuit.ancilla
+    pre = circuit.pre_measure
+    split = next((i for i, g in enumerate(pre) if ancilla in qubits_of(g)), len(pre))
+    rotation = pre[split:]
+    for g in rotation:
+        if not isinstance(g, (Ry, ControlledRy, ConditionalRy)) or qubits_of(g)[-1] != ancilla:
+            raise ValueError(
+                f"step circuit has {g!r} between its ancilla rotation and the measurement; "
+                "only y-rotations targeting the ancilla may sit there"
+            )
+    probe = np.zeros(2**circuit.n_qubits)
+    probe[0::2] = 1.0
+    for g in rotation:
+        _apply_gate_flat(probe, circuit.n_qubits, g, 0, False)
+    c, s = probe[0::2].copy(), probe[1::2].copy()
+    c.setflags(write=False)
+    s.setflags(write=False)
+    return pre[:split], c, s
+
+
 def run_step_circuit(
     state: StateVector | DensityMatrix,
     circuit: Circuit,
@@ -670,22 +619,29 @@ def run_step_circuit(
     rng: np.random.Generator | None = None,
     noise: NoiseModel | None = None,
 ) -> MeasureResult:
-    """One step circuit: pre-measure gates, noise channel, ancilla
-    measurement, post-measure gates (skipped on a sampled 1).
+    """One step circuit on the work register, in four stages: the work
+    gates before the ancilla rotation; the ancilla measurement, with the
+    ancilla folded into the factors (c, s) of :func:`_lowered` and, when
+    noisy, its E2 branch; the noise channel on the work qubits; the
+    post-measure gates. A sampled 1 skips the last two.
 
     The state type selects the noise channel: a :class:`DensityMatrix`
-    gets the exact channel, a :class:`StateVector` one sampled Kraus
-    branch per qubit (a trajectory of the channel), which needs ``rng``.
+    gets the exact channel, a :class:`StateVector` one sampled branch (the
+    ancilla's, then one Kraus branch per work qubit: a trajectory of the
+    channel), which needs ``rng``.
     """
-    state.apply_gates(circuit.pre_measure)
-    if noise is not None and not noise.is_identity:
+    work_gates, c, s = _lowered(circuit)
+    noisy = noise is not None and not noise.is_identity
+    if noisy and isinstance(state, StateVector) and rng is None:
+        raise ValueError("statevector noise is sampled and needs an rng")
+    state.apply_gates(work_gates)
+    result = state.measure_ancilla(c, s, noise.eps_d if noisy else 0.0, mode=mode, rng=rng)
+    if result.outcome == "sampled-1":
+        return result
+    if noisy:
         if isinstance(state, DensityMatrix):
             state.apply_noise(noise)
-        elif rng is None:
-            raise ValueError("statevector noise is sampled and needs an rng")
         else:
             state.sample_kraus(noise, rng)
-    result = state.measure_ancilla(mode=mode, rng=rng)
-    if result.outcome != "sampled-1":
-        state.apply_gates(circuit.post_measure)
+    state.apply_gates(circuit.post_measure)
     return result

@@ -231,7 +231,7 @@ def build_h2(R: float) -> PauliHamiltonian:
     """
     if R not in _H2_TABLE:
         raise ValueError(
-            f"no H2 coefficients tabulated at R={R}; available: {list(H2_DISTANCES)}"
+            f"R={R} not tabulated; available: {', '.join(str(r) for r in H2_DISTANCES)}"
         )
     c0, c1, c2, c3 = (float(c) for c in _H2_TABLE[R])
     terms = (

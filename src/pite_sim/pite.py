@@ -136,17 +136,12 @@ def _grouped_step_circuits(blocks: list[GroupedBlock], schedule: Schedule) -> li
     return half + half[::-1]
 
 
-def _work_energy(state: StateVector | DensityMatrix, h: PauliHamiltonian) -> float:
-    return type(state)(h.n_qubits, state.drop_ancilla()).expectation(h)
-
-
 def _work_fidelity(state: StateVector | DensityMatrix, spectrum: SpectrumInfo) -> float:
     basis = spectrum.ground_basis
     if isinstance(state, DensityMatrix):
-        rho = state.drop_ancilla()
-        amps = rho @ basis
+        amps = state.data @ basis
         return float(sum(np.real(np.vdot(basis[:, d], amps[:, d])) for d in range(basis.shape[1])))
-    return spectrum.fidelity_to_ground(state.drop_ancilla())
+    return spectrum.fidelity_to_ground(state.data)
 
 
 def restart_loop(
@@ -198,14 +193,17 @@ def _execute(
     noise = config.noise if config.noise is not None and not config.noise.is_identity else None
     trajectory = config.trajectories is not None
     # the state type selects exact (density matrix) or sampled noise
-    state_type = DensityMatrix if noise is not None and not trajectory else StateVector
+    if noise is not None and not trajectory:
+        start = DensityMatrix(h.n_qubits, np.outer(init, init.conj()))
+    else:
+        start = StateVector(h.n_qubits, init)
 
     def record(step: int, state, p_cum: float, restarts: int) -> TraceRecord:
         beta = step * schedule.dt
         return TraceRecord(
             step=step,
             beta=beta,
-            energy=_work_energy(state, h),
+            energy=state.expectation(h),
             fidelity=_work_fidelity(state, spectrum),
             p_cum=p_cum,
             rlb=analysis.rlb(h, beta),
@@ -214,7 +212,7 @@ def _execute(
         )
 
     def attempt(rng: np.random.Generator | None) -> tuple[list[TraceRecord], bool]:
-        state = state_type.from_work_register(init)
+        state = start.copy()
         p_cum = 1.0
         records = [record(0, state, p_cum, 0)]
         for step in range(1, schedule.n_steps + 1):
@@ -250,15 +248,17 @@ def _execute(
 def _trajectory_average(attempt, config: RunConfig) -> RunResult:
     """Average postselected statevector trajectories of the noise channel.
 
-    Each trajectory samples one Kraus branch per qubit per measurement;
-    observables are combined weighted by each trajectory's cumulative
-    success probability, the likelihood of its post-selected path. A
-    trajectory whose ancilla-0 probability hits 0 (a sampled E3 on the
-    ancilla can do that) returns incomplete and has weight 0 from there
-    on: it counts as 0 in the ``p_cum`` mean and is left out of the
-    energy and fidelity averages.
+    Each trajectory samples one branch per measurement (the ancilla's,
+    then one Kraus branch per work qubit) from its own random stream,
+    spawned from ``config.seed``; observables are combined weighted by
+    each trajectory's cumulative success probability, the likelihood of
+    its post-selected path. A trajectory whose ancilla-0 probability
+    falls below the annihilation threshold returns incomplete and has
+    weight 0 from there on: it counts as 0 in the ``p_cum`` mean and is
+    left out of the energy and fidelity averages.
     """
-    runs = [attempt(make_rng(config.seed + k)) for k in range(config.trajectories)]
+    streams = np.random.SeedSequence(config.seed).spawn(config.trajectories)
+    runs = [attempt(make_rng(stream)) for stream in streams]
     full = next((records for records, completed in runs if completed), None)
     if full is None:
         raise EvolutionAnnihilatedError("every trajectory annihilated")

@@ -64,12 +64,14 @@ def kraus_sum_oracle(
     matrix sum_e e (x) conj(e) acting on qubit q's (row bit, column bit)
     pair; a self-check against the dense kron'd operators guards that form.
 
-    ``gates_unitary`` builds each gate's matrix from its definition and
-    contracts it into the identity with ``np.tensordot``, so the oracle
-    shares no code with the engine's state kernels (``_apply_gate_flat``,
-    ``_rotate_matmul``, ``apply_noise``, ``measure_ancilla``). It shares
-    the step circuits (``_step_circuits``), the gate definitions and
-    ``NoiseModel.kraus_operators``.
+    The oracle carries the ancilla in every state and applies the channel
+    to it like any other qubit. ``gates_unitary`` builds each gate's
+    matrix from its definition and contracts it into the identity with
+    ``np.tensordot``, so the oracle shares no code with the engine's
+    work-register path (``_apply_gate_flat``, the step lowering
+    ``_lowered``, ``apply_noise``, ``measure_ancilla``, ``_keep0``). It
+    shares the step circuits (``_step_circuits``), the gate definitions
+    and ``NoiseModel.kraus_operators``.
     """
     n = h.n_qubits + 1
     dim = 2**n
@@ -425,13 +427,13 @@ def test_criterion_09_trotter_order_scaling(h2_setup):
     exact = exact_ite_state(h, init, 1.0)
 
     def deviation(dt: float, order: int) -> float:
-        state = StateVector.from_work_register(init)
+        state = StateVector(h.n_qubits, init)
         sched = Schedule.from_beta(1.0, dt, order=order)
         circuits = _step_circuits(h, sched)
         for _ in range(sched.n_steps):
             for c in circuits:
                 run_step_circuit(state, c)
-        vec = state.drop_ancilla()
+        vec = state.data
         vec = vec * np.exp(-1j * np.angle(np.vdot(exact, vec)))
         return float(np.linalg.norm(vec - exact))
 

@@ -132,10 +132,10 @@ def test_step_fixed_point_probability_one():
     # ground subspace of +0.7 ZZ has eigenvalue -0.7: odd-parity states
     work = np.zeros(4, dtype=complex)
     work[0b01] = 1.0
-    state = StateVector.from_work_register(work)
+    state = StateVector(2, work)
     res = run_step_circuit(state, build_pauli_step(term, 0.3))
     assert res.prob0 == pytest.approx(1.0, abs=1e-12)
-    assert np.abs(state.drop_ancilla() - work).max() < 1e-12
+    assert np.abs(state.data - work).max() < 1e-12
 
 
 def test_circuit_validation():

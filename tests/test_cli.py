@@ -48,6 +48,37 @@ def test_run_manifest_replay_is_byte_identical(tmp_path):
     assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes()
 
 
+def test_run_manifest_missing_file_usage_error(tmp_path, capsys):
+    code = main(["run", "--model", "h2", "--manifest", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "cannot load manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda m: m["schedule"].pop("dt"),  # missing key
+        lambda m: m.update(schedule=[0.05, 1.0, 1]),  # ill-typed section
+        lambda m: m["schedule"].update(dt="fast"),  # ill-typed value
+        lambda m: m["config"].update(noise=1e-5),  # ill-typed noise spec
+    ],
+    ids=["missing-dt", "schedule-list", "dt-string", "noise-number"],
+)
+def test_run_manifest_malformed_usage_error(tmp_path, capsys, corrupt):
+    out = tmp_path / "first"
+    assert main(["run", "--model", "h2", "--R", "0.75", "--beta", "0.2", "--out", str(out)]) == 0
+    manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+    corrupt(manifest)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(manifest))
+    code = main(["run", "--model", "h2", "--manifest", str(bad), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    bad.write_text("{not json")
+    assert main(["run", "--model", "h2", "--manifest", str(bad), "--out", str(tmp_path / "y")]) == 1
+
+
 def test_run_untabulated_distance_usage_error(tmp_path, capsys):
     code = main(["run", "--model", "h2", "--R", "0.80", "--out", str(tmp_path / "x")])
     assert code == 1
@@ -166,6 +197,14 @@ def test_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("PITE_SIM_THREADS", "2")
     assert main(args + [str(tmp_path / "pool")]) == 0
     assert (tmp_path / "pool.csv").read_text() == (tmp_path / "serial.csv").read_text()
+
+
+def test_sweep_non_integer_thread_count_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PITE_SIM_THREADS", "two")
+    code = main(["sweep", "--model", "h2", "--axis", "R", "--values", "0.75",
+                 "--out", str(tmp_path / "t")])
+    assert code == 1
+    assert "PITE_SIM_THREADS" in capsys.readouterr().err
 
 
 def test_sweep_empty_values(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pite_sim.engine as engine
 from pite_sim.analysis import eigensystem
 from pite_sim.circuit import (
     CNOT,
+    Circuit,
     ConditionalRy,
     ControlledRy,
     DenseBlock,
@@ -16,6 +17,8 @@ from pite_sim.circuit import (
     PhaseS,
     PhaseSdg,
     Ry,
+    build_grouped_step,
+    build_ising_block_gates,
     build_pauli_step,
 )
 from pite_sim.engine import (
@@ -29,6 +32,7 @@ from pite_sim.engine import (
     postselected_operator,
     run_step_circuit,
 )
+from pite_sim.grouping import GroupedBlock
 from pite_sim.hamiltonian import (
     InitialState,
     PauliAxis,
@@ -173,27 +177,29 @@ def test_real_dtype_fast_path():
 
 
 def test_measure_plus_ancilla():
+    # Ry(pi/2) puts the ancilla into |+> on every work basis state
     work = random_state(2)
-    s = StateVector.from_work_register(work)
-    s.apply_gate(Hadamard(2))  # ancilla into |+>
-    res = s.measure_ancilla()
+    s = StateVector(2, work)
+    circ = Circuit(n_work=2, has_ancilla=True, gates=(Ry(math.pi / 2, 2),), measure_point=1)
+    res = run_step_circuit(s, circ)
     assert res.prob0 == pytest.approx(0.5, abs=1e-12)
     assert res.outcome == "postselected"
     assert abs(s.norm() - 1.0) < 1e-12
+    assert np.abs(s.data - work).max() < 1e-12
 
 
 def test_measure_trivial_state_unchanged():
     work = random_state(2)
-    s = StateVector.from_work_register(work)
-    res = s.measure_ancilla()
+    s = StateVector(2, work)
+    res = run_step_circuit(s, Circuit(n_work=2, has_ancilla=True, gates=(), measure_point=0))
     assert res.prob0 == pytest.approx(1.0)
-    assert np.abs(s.drop_ancilla() - work).max() < 1e-12
+    assert np.abs(s.data - work).max() < 1e-12
 
 
 def test_measure_prob_half_overlap():
     # |a0|^2 = |a1|^2 = 1/2 with |c| dt = 0.1: prob0 = (1 + e^{-0.4})/2
     term = PauliTerm.from_string(-1.0, "Z")
-    state = StateVector.from_work_register(np.array([1.0, 1.0]) / math.sqrt(2))
+    state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
     res = run_step_circuit(state, build_pauli_step(term, 0.1))
     expected = 0.5 * (1.0 + math.exp(-0.4))
     assert res.prob0 == pytest.approx(expected, rel=1e-12)
@@ -204,7 +210,7 @@ def test_measure_sampling_replays():
     term = PauliTerm.from_string(1.0, "X")
     outcomes = []
     for _ in range(2):
-        state = StateVector.from_work_register(np.array([1.0, 0.0]))
+        state = StateVector(1, np.array([1.0, 0.0]))
         rng_local = make_rng(1234)
         results = [
             run_step_circuit(state.copy(), build_pauli_step(term, 0.5), mode="sample", rng=rng_local).outcome
@@ -218,7 +224,7 @@ def test_measure_sampling_replays():
 
 def test_annihilation_raises():
     # |0> is the excited eigenvector of +10 Z: prob0 = e^{-40} < 1e-15
-    state = StateVector.from_work_register(np.array([1.0, 0.0]))
+    state = StateVector(1, np.array([1.0, 0.0]))
     circ = build_pauli_step(PauliTerm.from_string(10.0, "Z"), 1.0)
     with pytest.raises(EvolutionAnnihilatedError):
         run_step_circuit(state, circ)
@@ -226,34 +232,156 @@ def test_annihilation_raises():
 
 def test_noisy_statevector_step_samples_the_channel():
     # a noisy statevector step is one sampled trajectory: the same draws as
-    # sample_kraus followed by the ancilla measurement done by hand
+    # the ancilla measurement (with its E2 branch) and then sample_kraus on
+    # the work qubits, done by hand from the circuit's controlled rotation
     noise = NoiseModel(0.2, 0.3)
     work = random_state(2)
     circ = build_pauli_step(random_term(2), 0.3)
-    state = StateVector.from_work_register(work)
-    res = run_step_circuit(state, circ, rng=make_rng(5), noise=noise)
-    by_hand = StateVector.from_work_register(work)
-    rng_hand = make_rng(5)
-    by_hand.apply_gates(circ.pre_measure)
-    by_hand.sample_kraus(noise, rng_hand)
-    want = by_hand.measure_ancilla(rng=rng_hand)
-    by_hand.apply_gates(circ.post_measure)
-    assert (res.prob0, res.outcome) == (want.prob0, want.outcome)
-    assert np.array_equal(state.data, by_hand.data)
+    rotation = circ.gates[circ.measure_point - 1]
+    pivot_bit = (np.arange(4) >> (1 - rotation.control)) & 1
+    c = np.where(pivot_bit, math.cos(rotation.angle / 2), 1.0)
+    s = np.where(pivot_bit, math.sin(rotation.angle / 2), 0.0)
+    for seed in range(5, 25):
+        state = StateVector(2, work)
+        res = run_step_circuit(state, circ, rng=make_rng(seed), noise=noise)
+        by_hand = StateVector(2, work)
+        rng_hand = make_rng(seed)
+        by_hand.apply_gates(circ.gates[: circ.measure_point - 1])
+        want = by_hand.measure_ancilla(c, s, noise.eps_d, rng=rng_hand)
+        by_hand.sample_kraus(noise, rng_hand)
+        by_hand.apply_gates(circ.post_measure)
+        assert (res.prob0, res.outcome) == (want.prob0, want.outcome)
+        assert np.abs(state.data - by_hand.data).max() < 1e-15
     with pytest.raises(ValueError, match="needs an rng"):
-        run_step_circuit(StateVector.from_work_register(work), circ, noise=noise)
+        run_step_circuit(StateVector(2, work), circ, noise=noise)
 
 
 def test_measure_density_agrees_with_statevector():
     work = random_state(3)
-    s = StateVector.from_work_register(work)
-    d = DensityMatrix.from_work_register(work)
+    s = StateVector(3, work)
+    d = DensityMatrix(3, np.outer(work, work.conj()))
     circ = build_pauli_step(random_term(3), 0.2)
     rs = run_step_circuit(s, circ)
     rd = run_step_circuit(d, circ)
     assert rs.prob0 == pytest.approx(rd.prob0, abs=1e-10)
     fid = np.real(np.vdot(s.data, d.data @ s.data))
     assert fid == pytest.approx(1.0, abs=1e-10)
+
+
+def random_density(n: int) -> np.ndarray:
+    """Mixed state of rank 3 (rank 2 on one qubit)."""
+    vecs = [random_state(n) for _ in range(min(3, 2**n))]
+    weights = rng.dirichlet(np.ones(len(vecs)))
+    return sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
+
+
+def random_grouped_block(n: int, size: int) -> GroupedBlock:
+    support = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+    dim = 2**size
+    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return GroupedBlock(n, support, (m + m.conj().T) / 2)
+
+
+def lowering_cases():
+    cases = []
+    for n in (1, 2, 3, 4):
+        for _ in range(3):
+            cases.append((f"pauli-n{n}", build_pauli_step(random_term(n), float(rng.uniform(0.05, 0.5)))))
+    for size in (1, 2, 3):
+        for n in sorted({size, 3}):
+            block = random_grouped_block(n, size)
+            cases.append((f"grouped-n{n}-k{size}", build_grouped_step(block, float(rng.uniform(0.05, 0.5)))))
+    for g, h in ((1.2, 0.3), (0.5, -0.8), (2.0, 1.5)):
+        cases.append((f"ising-block-{g}-{h}", build_ising_block_gates(g, h, 0.2)))
+    return cases
+
+
+LOWERING_CASES = lowering_cases()
+
+
+@pytest.mark.parametrize("circ", [c for _, c in LOWERING_CASES], ids=[i for i, _ in LOWERING_CASES])
+def test_step_matches_postselected_operator(circ):
+    """The work-register step equals the normalized ancilla-0 block of the
+    full-circuit unitary, and prob0 its squared norm."""
+    n = circ.n_work
+    k = postselected_operator(circ)
+    psi = random_state(n)
+    s = StateVector(n, psi)
+    res = run_step_circuit(s, circ)
+    out = k @ psi
+    assert res.prob0 == pytest.approx(float(np.vdot(out, out).real), rel=1e-12)
+    assert np.abs(s.data - out / np.linalg.norm(out)).max() < 1e-12
+    rho = random_density(n)
+    d = DensityMatrix(n, rho)
+    res = run_step_circuit(d, circ)
+    branch = k @ rho @ k.conj().T
+    p0 = float(np.trace(branch).real)
+    assert res.prob0 == pytest.approx(p0, rel=1e-12)
+    assert np.abs(d.data - branch / p0).max() < 1e-12
+
+
+@pytest.mark.parametrize("eps_r,eps_d", [(0.3, 0.2), (0.0, 0.9), (1e-5, 1e-5)])
+def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d):
+    """A noisy density-matrix step equals the (n+1)-qubit circuit with the
+    channel on every qubit, ancilla included, projected on ancilla 0."""
+    model = NoiseModel(eps_r, eps_d)
+    circuits = [build_pauli_step(random_term(n), 0.3) for n in (1, 2, 3)]
+    circuits += [
+        build_grouped_step(random_grouped_block(3, 2), 0.3),
+        build_ising_block_gates(1.2, 0.3, 0.3),
+    ]
+    for circ in circuits:
+        n = circ.n_qubits
+        rho_work = random_density(circ.n_work)
+        full = np.kron(rho_work, np.diag([1.0, 0.0]))  # ancilla is the last qubit
+        pre = gates_unitary(circ.pre_measure, n)
+        rho = pre @ full @ pre.conj().T
+        for q in range(n):
+            ops = [np.kron(np.kron(np.eye(2**q), e), np.eye(2 ** (n - 1 - q)))
+                   for e in model.kraus_operators()]
+            rho = sum(op @ rho @ op.conj().T for op in ops)
+        branch = rho[0::2, 0::2]
+        p0 = float(np.trace(branch).real)
+        post = gates_unitary(circ.post_measure, n)[0::2, 0::2]
+        want = post @ branch @ post.conj().T / p0
+        d = DensityMatrix(circ.n_work, rho_work)
+        res = run_step_circuit(d, circ, noise=model)
+        assert res.prob0 == pytest.approx(p0, rel=1e-12)
+        assert np.abs(d.data - want).max() < 1e-12
+
+
+def test_trajectories_unravel_the_noisy_step():
+    """prob0 * psi psi^dag over single-step trajectories averages to the
+    density matrix's unnormalized ancilla-0 branch."""
+    noise = NoiseModel(0.2, 0.3)
+    circ = build_pauli_step(PauliTerm.from_string(-0.9, "XY"), 0.4)
+    psi = np.array([0.3 + 0.4j, -0.5, 0.2j, 0.6])
+    psi /= np.linalg.norm(psi)
+    d = DensityMatrix(2, np.outer(psi, psi.conj()))
+    exact = run_step_circuit(d, circ, noise=noise).prob0 * d.data
+    n_traj = 20_000
+    samples = np.empty((n_traj, 4, 4), dtype=complex)
+    rng_local = make_rng(11)
+    for i in range(n_traj):
+        s = StateVector(2, psi)
+        res = run_step_circuit(s, circ, rng=rng_local, noise=noise)
+        samples[i] = res.prob0 * np.outer(s.data, s.data.conj())
+    parts = np.concatenate([samples.real, samples.imag], axis=1)
+    want = np.concatenate([exact.real, exact.imag], axis=0)
+    se = parts.std(axis=0) / math.sqrt(n_traj)
+    z = np.abs(parts.mean(axis=0) - want) / np.maximum(se, 1e-12)
+    assert z.max() < 5.0
+
+
+def test_step_lowering_rejects_other_gates_at_the_ancilla():
+    work_gate_after_rotation = Circuit(
+        n_work=2, has_ancilla=True,
+        gates=(ControlledRy(0.4, 0, 2), Hadamard(1)), measure_point=2,
+    )
+    hadamard_on_ancilla = Circuit(n_work=1, has_ancilla=True, gates=(Hadamard(1),), measure_point=1)
+    for circ in (work_gate_after_rotation, hadamard_on_ancilla):
+        with pytest.raises(ValueError, match="ancilla"):
+            run_step_circuit(StateVector(circ.n_work), circ)
 
 
 def test_noise_identity_and_full_decay():
@@ -437,12 +565,3 @@ def test_trajectory_kraus_statistics():
         acc += np.outer(s.data, s.data.conj())
     acc /= total_traj
     assert np.abs(acc - exact.data).max() < 0.05
-
-
-def test_work_register_embedding():
-    work = random_state(2)
-    s = StateVector.from_work_register(work)
-    assert s.n_qubits == 3
-    assert np.abs(s.drop_ancilla() - work).max() < 1e-15
-    d = DensityMatrix.from_work_register(work)
-    assert np.abs(d.drop_ancilla() - np.outer(work, work.conj())).max() < 1e-15

@@ -149,13 +149,11 @@ def test_order2_beats_order1():
     for order in (1, 2):
         res = run_pite(h, init, Schedule.from_beta(1.0, 0.2, order=order), RunConfig())
         # state-level deviation via the energy trace is too indirect; replay
-        from pite_sim.engine import StateVector as SV
-
-        state = SV.from_work_register(init)
+        state = StateVector(2, init)
         for _ in range(5):
             for c in _step_circuits(h, Schedule.from_beta(1.0, 0.2, order=order)):
                 run_step_circuit(state, c)
-        vec = state.drop_ancilla()
+        vec = state.data
         phase = np.vdot(exact, vec)
         vec = vec * np.exp(-1j * np.angle(phase))
         devs[order] = np.linalg.norm(vec - exact)
@@ -169,13 +167,13 @@ def test_trotter_error_scaling(order, expected):
     exact = exact_ite_state(h, init, 1.0)
 
     def deviation(dt: float) -> float:
-        state = StateVector.from_work_register(init)
+        state = StateVector(2, init)
         sched = Schedule.from_beta(1.0, dt, order=order)
         circuits = _step_circuits(h, sched)
         for _ in range(sched.n_steps):
             for c in circuits:
                 run_step_circuit(state, c)
-        vec = state.drop_ancilla()
+        vec = state.data
         phase = np.vdot(exact, vec)
         vec = vec * np.exp(-1j * np.angle(phase))
         return float(np.linalg.norm(vec - exact))
@@ -334,9 +332,9 @@ def test_trajectory_mode_close_to_density():
 
 
 def test_trajectory_survives_annihilated_trajectories():
-    # eps_r = 0.1 makes E3 on the ancilla likely enough that some of the
-    # 200 trajectories reach ancilla-0 probability exactly 0; they drop to
-    # weight 0 instead of ending the run
+    # strong relaxation (eps_r = 0.1) on all 200 trajectories; any whose
+    # ancilla-0 probability falls below the annihilation threshold drops
+    # to weight 0 instead of ending the run
     h = build_h2(0.75)
     init = prepare_initial(InitialState.basis("00"), 2)
     spec = diagonalize(h, init)
@@ -379,6 +377,24 @@ def test_trajectory_average_weights():
             stub(([row(0, 1.0, -1.0), row(1, 0.0, -2.0)], True), ([row(0, 1.0, -3.0)], False)),
             config,
         )
+
+
+def test_trajectory_streams_are_independent():
+    def first_draws(seed: int) -> list[float]:
+        draws = []
+
+        def attempt(rng):
+            draws.append(rng.random())
+            return [TraceRecord(0, 0.0, -1.0, 0.5, 1.0, 0.0, 0.0, 0)], True
+
+        config = RunConfig(noise=NoiseModel(0.1, 0.0), seed=seed, trajectories=20)
+        _trajectory_average(attempt, config)
+        return draws
+
+    draws = first_draws(3)
+    assert len(set(draws)) == 20
+    assert not set(draws) & set(first_draws(4))
+    assert first_draws(3) == draws
 
 
 def test_record_cadence():
