@@ -5,9 +5,16 @@ States hold the n work qubits only. A step circuit's ancilla starts in
 measured at once, so its whole effect is diagonal on the work register:
 with c and s the cos and sin of half its total rotation angle on each
 work basis state, outcome 0 keeps C rho C (C = diag(c)), plus
-eps_d S rho S (S = diag(s)) when the ancilla is noisy. A step runs as
-the work gates before the rotation, the measurement folded into (c, s),
-the work-qubit noise, then the work gates after the measurement.
+eps_d S rho S (S = diag(s)) when the ancilla is noisy.
+
+Each step circuit is lowered once per run (:func:`lower_step`) onto its
+support S, the work qubits its gates touch: A0 = diag(c_S) Pre_S,
+A1 = diag(s_S) Pre_S and Post_S, 2^|S| x 2^|S| matrices built by running
+the gate kernels on the identity columns. A noiseless statevector step
+is one fused K0 = Post_S A0; a noisy step runs A0 (and A1), the
+work-qubit noise, then Post_S. Density matrices above
+``FUSED_DENSITY_MAX_QUBITS`` keep the per-gate elementwise kernels, which
+are faster there than moving the whole matrix onto S and back.
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
@@ -26,6 +33,7 @@ outcome instead and leaves the restart policy to the caller.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -59,10 +67,15 @@ __all__ = [
     "gates_unitary",
     "circuit_unitary",
     "postselected_operator",
+    "BoundStep",
+    "lower_step",
     "run_step_circuit",
 ]
 
 ANNIHILATION_THRESHOLD = 1e-15
+# Largest work register whose density matrix runs fused steps; above it the
+# per-gate kernels are faster (measured on LiH, n=6, and Ising, n=7 and 8).
+FUSED_DENSITY_MAX_QUBITS = 7
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]])
@@ -250,14 +263,48 @@ def _as_state_array(data: np.ndarray) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def _outcome(
+    kept: float, jumped: float, mode: str, rng: np.random.Generator | None, branch: bool
+) -> tuple[MeasureResult, bool]:
+    """The ancilla measurement rule, shared by every step path.
+
+    ``kept`` and ``jumped`` are the weights that reach outcome 0 without
+    and with the ancilla's E2 jump, so prob0 is their sum, clamped to 1.
+    Postselection raises below the annihilation threshold; sampling takes
+    exactly one ``rng.random()`` and reads 1 when it is >= prob0. With
+    ``branch`` (a statevector trajectory of a noisy ancilla), outcome 0
+    takes one more draw r and keeps the jump branch when r prob0 >= kept.
+    Returns the result and whether the jump branch is kept.
+    """
+    if rng is None and (mode == "sample" or branch):
+        raise ValueError("a sampled measurement or noise branch needs an rng")
+    prob0 = min(kept + jumped, 1.0)
+    if mode == "postselect":
+        if prob0 < ANNIHILATION_THRESHOLD:
+            raise EvolutionAnnihilatedError(
+                f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
+            )
+        outcome = "postselected"
+    elif mode == "sample":
+        if rng.random() >= prob0:
+            return MeasureResult(prob0, "sampled-1"), False
+        outcome = "sampled-0"
+    else:
+        raise ValueError(f"unknown measurement mode {mode!r}")
+    jump = branch and rng.random() * prob0 >= kept
+    return MeasureResult(prob0, outcome), jump
+
+
 class _State:
     """Plumbing shared by the two state types: dtype promotion, gate
     sequencing and the ancilla measurement. A subclass supplies
-    ``apply_gate``, ``_weights``, ``_keep0`` and ``_expectation``.
+    ``apply_gate``, ``_weights``, ``_keep0``, ``_expectation`` and
+    ``_run_fused``, and says whether it samples noise branches.
     """
 
     n_qubits: int
     data: np.ndarray
+    _samples_noise: bool
 
     def copy(self):
         return type(self)(self.n_qubits, self.data)
@@ -290,28 +337,17 @@ class _State:
         angle on each work basis state, and ``eps_d`` weights the branch
         that the ancilla's E2 jump brings to outcome 0. So prob0 is
         sum_x (c_x^2 + eps_d s_x^2) w_x, with w the basis-state weights.
-        Outcome 0 keeps (C rho C + eps_d S rho S) / prob0; a sampled 1
+        Outcome 0 keeps (C rho C + eps_d S rho S) / prob0 (a statevector
+        samples one of the two branches, which needs ``rng``); a sampled 1
         leaves the state as it is, since the caller restarts the run.
         """
         w = self._weights()
         kept = float(np.dot(c * c, w))
-        prob0 = min(kept + eps_d * float(np.dot(s * s, w)), 1.0)
-        if mode == "postselect":
-            if prob0 < ANNIHILATION_THRESHOLD:
-                raise EvolutionAnnihilatedError(
-                    f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
-                )
-            outcome = "postselected"
-        elif mode == "sample":
-            if rng is None:
-                raise ValueError("sample mode needs an rng")
-            if rng.random() >= prob0:
-                return MeasureResult(prob0, "sampled-1")
-            outcome = "sampled-0"
-        else:
-            raise ValueError(f"unknown measurement mode {mode!r}")
-        self._keep0(c, s, eps_d, kept, prob0, rng)
-        return MeasureResult(prob0, outcome)
+        jumped = eps_d * float(np.dot(s * s, w))
+        result, jump = _outcome(kept, jumped, mode, rng, self._samples_noise and eps_d > 0.0)
+        if result.outcome != "sampled-1":
+            self._keep0(c, s, eps_d, result.prob0, jump)
+        return result
 
 
 class StateVector(_State):
@@ -320,6 +356,8 @@ class StateVector(_State):
     Stored as float64 while all applied gates are real, upcast to
     complex128 on the first genuinely complex operation.
     """
+
+    _samples_noise = True
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None):
         self.n_qubits = n_qubits
@@ -343,14 +381,40 @@ class StateVector(_State):
     def _weights(self) -> np.ndarray:
         return np.abs(self.data) ** 2
 
-    def _keep0(self, c, s, eps_d, kept, prob0, rng) -> None:
-        # one sampled branch: s psi (the ancilla's E2 jump) with probability
-        # eps_d sum s^2 |psi|^2 / prob0, else c psi
-        if eps_d and rng.random() * prob0 >= kept:
-            self.data *= s
-        else:
-            self.data *= c
+    def _keep0(self, c, s, eps_d, prob0, jump) -> None:
+        # the sampled branch: s psi (the ancilla's E2 jump) or c psi
+        self.data *= s if jump else c
         self.data /= np.linalg.norm(self.data)
+
+    def _run_fused(self, step: BoundStep, mode: str, rng) -> MeasureResult:
+        layout = step.layout
+        x = layout.gather(self.data)
+        if step.noise is None:
+            (k0,) = step.ops
+            out = k0 @ x
+            kept = float(np.vdot(out, out).real)
+            result, _ = _outcome(kept, 0.0, mode, rng, False)
+            if result.outcome != "sampled-1":
+                self.data = layout.scatter(out / math.sqrt(kept))
+            return result
+        # a trajectory: one sampled ancilla branch, the sampled work-qubit
+        # noise (qubit 0 first, in the state's own order), then Post
+        a0, a1, post = step.ops
+        out = a0 @ x
+        kept = float(np.vdot(out, out).real)
+        jumped = 0.0
+        if a1 is not None:
+            out1 = a1 @ x
+            jumped = step.noise.eps_d * float(np.vdot(out1, out1).real)
+        result, jump = _outcome(kept, jumped, mode, rng, a1 is not None)
+        if result.outcome == "sampled-1":
+            return result
+        if jump:
+            out = out1
+        self.data = layout.scatter(out / np.linalg.norm(out))
+        self.sample_kraus(step.noise, rng)
+        self.data = layout.scatter(post @ layout.gather(self.data))
+        return result
 
     def apply_pauli_string(self, axes: tuple[PauliAxis, ...]) -> np.ndarray:
         """P |psi> for a Pauli string, without touching this state."""
@@ -369,10 +433,11 @@ class StateVector(_State):
         return out
 
     def _expectation(self, h: PauliHamiltonian) -> float:
+        psi = self.data
+        basis = np.arange(psi.shape[0])
         total = h.identity_offset
-        for term in h.terms:
-            pv = self.apply_pauli_string(term.axes)
-            total += term.coeff * float(np.real(np.vdot(self.data, pv)))
+        for x_mask, diagonal in _pauli_diagonals(h):
+            total += float(np.vdot(psi[basis ^ x_mask], psi * diagonal).real)
         return float(total)
 
     def sample_kraus(self, model: NoiseModel, rng: np.random.Generator) -> None:
@@ -403,6 +468,8 @@ class DensityMatrix(_State):
     Like :class:`StateVector`, entries stay float64 until a genuinely
     complex gate arrives.
     """
+
+    _samples_noise = False
 
     def __init__(self, n_qubits: int, entries: np.ndarray | None = None):
         self.n_qubits = n_qubits
@@ -454,8 +521,40 @@ class DensityMatrix(_State):
     def _weights(self) -> np.ndarray:
         return self.data.diagonal().real
 
-    def _keep0(self, c, s, eps_d, kept, prob0, rng) -> None:
+    def _keep0(self, c, s, eps_d, prob0, jump) -> None:
         self.data *= (np.outer(c, c) + eps_d * np.outer(s, s)) / prob0
+
+    def _run_fused(self, step: BoundStep, mode: str, rng) -> MeasureResult:
+        # The step runs on P rho P^T, which has the support's qubits first.
+        # The noise channel acts alike on every qubit, so it commutes with
+        # P and runs there too; traces do not change under P.
+        dim = self.data.shape[0]
+
+        def sandwich(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+            """a rho a^dag for a Hermitian rho, as a (2^k, rest) array:
+            rho a^dag = (a rho)^dag."""
+            left = (a @ rho).reshape(dim, dim).conj().T
+            return a @ left.reshape(len(a), -1)
+
+        a0, a1, post = step.ops
+        x = step.layout.gather(self.data)
+        rho = sandwich(a0, x)
+        kept = float(rho.reshape(dim, dim).trace().real)
+        jumped = 0.0
+        if a1 is not None:
+            jump = step.noise.eps_d * sandwich(a1, x)
+            jumped = float(jump.reshape(dim, dim).trace().real)
+        result, _ = _outcome(kept, jumped, mode, rng, False)
+        if result.outcome == "sampled-1":
+            return result
+        if a1 is not None:
+            rho += jump
+        rho /= result.prob0
+        self.data = rho.reshape(dim, dim)
+        if step.noise is not None:
+            self.apply_noise(step.noise)
+        self.data = step.layout.scatter(sandwich(post, self.data.reshape(len(post), -1)))
+        return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
         hmat = _dense_of(h)
@@ -469,6 +568,45 @@ def _dense_of(h: PauliHamiltonian) -> np.ndarray:
     hmat = h.dense_matrix(include_offset=False)
     hmat.setflags(write=False)
     return hmat
+
+
+@lru_cache(maxsize=4)
+def _pauli_diagonals(h: PauliHamiltonian) -> tuple[tuple[int, np.ndarray], ...]:
+    """``h`` without its offset as (x_mask, d_x) pairs, one per distinct X mask.
+
+    A Pauli string with X mask x (its X and Y factors), Z mask z (its Z
+    and Y factors) and y Y factors maps |b> to i^y (-1)^popcount(b & z)
+    |b ^ x>, since Y = iXZ. So <psi|h|psi> is the sum over x of
+    sum_b conj(psi[b ^ x]) psi[b] d_x[b], where d_x[b] sums
+    coeff i^y (-1)^popcount(b & z) over the terms with that x: one gather
+    per distinct X mask (8 for LiH's 61 terms).
+    """
+    n = h.n_qubits
+    basis = np.arange(2**n)
+    diagonals: dict[int, np.ndarray] = {}
+    for term in h.terms:
+        x_mask = z_mask = y_count = 0
+        for q, axis in enumerate(term.axes):
+            bit = 1 << (n - 1 - q)
+            if axis in (PauliAxis.X, PauliAxis.Y):
+                x_mask |= bit
+            if axis in (PauliAxis.Z, PauliAxis.Y):
+                z_mask |= bit
+            y_count += axis is PauliAxis.Y
+        parity = basis & z_mask
+        shift = 1
+        while shift < n:
+            parity ^= parity >> shift
+            shift *= 2
+        sign = 1.0 - 2.0 * (parity & 1)
+        phase = (1, 1j, -1, -1j)[y_count % 4]
+        diagonals[x_mask] = diagonals.get(x_mask, 0.0) + term.coeff * phase * sign
+    out = []
+    for x_mask, d in diagonals.items():
+        d = _as_state_array(d)
+        d.setflags(write=False)
+        out.append((x_mask, d))
+    return tuple(out)
 
 
 @lru_cache(maxsize=4)
@@ -580,17 +718,134 @@ def postselected_operator(circuit: Circuit) -> np.ndarray:
     return full[0::2, 0::2].copy()  # ancilla is the least significant bit
 
 
-@lru_cache(maxsize=256)
-def _lowered(circuit: Circuit) -> tuple[tuple[Gate, ...], np.ndarray, np.ndarray]:
-    """A step circuit's work gates before its ancilla rotation, and that
-    rotation folded into the per-basis-state factors (c, s): the cos and
-    sin of half the ancilla's total rotation angle.
+@dataclass(frozen=True)
+class _Layout:
+    """A relabelling P of a state's qubits that puts a step's support S
+    first, keeping the order within S and within the rest.
+
+    ``gather`` copies a statevector into P psi, or a density matrix into
+    P rho P^T, viewed as (2^k, rest) with the basis index of S as row;
+    ``scatter`` copies such an array back into the state's own order.
+    Consecutive qubits on the same side of the split share one axis of
+    the transpose, so the copies run long inner loops.
+    """
+
+    shape: tuple[int, ...]
+    order: tuple[int, ...]
+    moved: tuple[int, ...]
+    back: tuple[int, ...]
+    rows: int
+    dims: tuple[int, ...]
+
+    @staticmethod
+    def of(n: int, support: tuple[int, ...], density: bool) -> "_Layout":
+        runs: list[list] = []  # [size, in support] per run of qubits
+        for q in range(n):
+            inside = q in support
+            if runs and runs[-1][1] == inside:
+                runs[-1][0] *= 2
+            else:
+                runs.append([2, inside])
+        shape = [size for size, _ in runs]
+        order = [i for i, (_, inside) in enumerate(runs) if inside]
+        order += [i for i, (_, inside) in enumerate(runs) if not inside]
+        if density:  # the same relabelling on the column index
+            order += [len(runs) + i for i in order]
+            shape *= 2
+        return _Layout(
+            shape=tuple(shape),
+            order=tuple(order),
+            moved=tuple(shape[i] for i in order),
+            back=tuple(int(i) for i in np.argsort(order)),
+            rows=2 ** len(support),
+            dims=(2**n,) * (2 if density else 1),
+        )
+
+    def gather(self, buffer: np.ndarray) -> np.ndarray:
+        return buffer.reshape(self.shape).transpose(self.order).reshape(self.rows, -1)
+
+    def scatter(self, x: np.ndarray) -> np.ndarray:
+        return x.reshape(self.moved).transpose(self.back).reshape(self.dims)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundStep:
+    """A step circuit lowered once for the state type and noise of a run.
+
+    A fused step holds ``ops``, matrices on the circuit's support S
+    (``layout`` places S in the state): (K0,) for a noiseless
+    statevector, else (A0, A1, Post_S), with A1 None when the ancilla
+    cannot jump. A per-gate step (density matrices above
+    ``FUSED_DENSITY_MAX_QUBITS``) holds ``gates``: the work gates before
+    the ancilla rotation, the full-register factors (c, s) and the
+    post-measure gates.
+    """
+
+    state_type: type
+    noise: NoiseModel | None
+    layout: _Layout | None = None
+    ops: tuple | None = None
+    gates: tuple | None = None
+
+
+def _relabel(gate: Gate, position: dict[int, int]) -> Gate:
+    """``gate`` with qubit q renumbered to ``position[q]``."""
+    outside = [q for q in qubits_of(gate) if q not in position]
+    if outside:
+        raise ValueError(f"{gate!r} acts on qubit(s) {outside} outside the step's support")
+    if isinstance(gate, DenseBlock):
+        return DenseBlock(tuple(position[q] for q in gate.qubits), gate.matrix)
+    if isinstance(gate, ConditionalRy):
+        register = tuple(position[q] for q in gate.register)
+        return dataclasses.replace(gate, register=register, target=position[gate.target])
+    fields = ("qubit", "control", "target")
+    return dataclasses.replace(
+        gate, **{f: position[getattr(gate, f)] for f in fields if hasattr(gate, f)}
+    )
+
+
+def _on_support(gates: tuple[Gate, ...], support: tuple[int, ...]) -> np.ndarray:
+    """The 2^k x 2^k matrix of work gates on their support (k qubits),
+    built by running the state kernels on the identity columns."""
+    position = {q: i for i, q in enumerate(support)}
+    k = len(support)
+    m = np.eye(2**k, dtype=complex if any(map(_gate_needs_complex, gates)) else float)
+    for g in gates:
+        _apply_gate_flat(m.reshape(-1), k, _relabel(g, position), 0, False)
+    return _as_state_array(m)
+
+
+def _fold_rotation(
+    rotation: tuple[Gate, ...], support: tuple[int, ...], ancilla: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ancilla rotation folded into the factors (c, s) on the support:
+    the cos and sin of half the ancilla's total rotation angle per basis
+    state of the support. Applied to the probe sum_x |x>|0>, the rotation
+    leaves c_x in the even entries and s_x in the odd ones (the ancilla is
+    the least significant bit). Raises ``ValueError`` when the rotation
+    reads a qubit outside the support, as (c, s) would then not factor
+    through it."""
+    position = {q: i for i, q in enumerate(support)}
+    position[ancilla] = len(support)
+    probe = np.zeros(2 ** (len(support) + 1))
+    probe[0::2] = 1.0
+    for g in rotation:
+        _apply_gate_flat(probe, len(support) + 1, _relabel(g, position), 0, False)
+    return probe[0::2].copy(), probe[1::2].copy()
+
+
+def lower_step(
+    circuit: Circuit, state: StateVector | DensityMatrix, noise: NoiseModel | None = None
+) -> BoundStep:
+    """Lower a step circuit once for ``state``'s type and ``noise``.
 
     The rotation runs from the first gate that touches the ancilla to the
     measurement; each of its gates must be a y-rotation targeting the
-    ancilla. Applied to the probe sum_x |x>|0>, it leaves c_x in the
-    even entries and s_x in the odd ones (the ancilla is the least
-    significant bit).
+    ancilla. S is the set of work qubits any gate touches (k = |S|). A
+    fused step gets A0 = diag(c_S) Pre_S, A1 = diag(s_S) Pre_S (only when
+    the ancilla can jump) and Post_S, or for a noiseless statevector the
+    single K0 = Post_S A0; a density matrix above
+    ``FUSED_DENSITY_MAX_QUBITS`` work qubits gets the per-gate form.
     """
     ancilla = circuit.ancilla
     pre = circuit.pre_measure
@@ -602,46 +857,61 @@ def _lowered(circuit: Circuit) -> tuple[tuple[Gate, ...], np.ndarray, np.ndarray
                 f"step circuit has {g!r} between its ancilla rotation and the measurement; "
                 "only y-rotations targeting the ancilla may sit there"
             )
-    probe = np.zeros(2**circuit.n_qubits)
-    probe[0::2] = 1.0
-    for g in rotation:
-        _apply_gate_flat(probe, circuit.n_qubits, g, 0, False)
-    c, s = probe[0::2].copy(), probe[1::2].copy()
-    c.setflags(write=False)
-    s.setflags(write=False)
-    return pre[:split], c, s
+    support = tuple(sorted({q for g in circuit.gates for q in qubits_of(g)} - {ancilla}))
+    c, s = _fold_rotation(rotation, support, ancilla)
+    if noise is not None and noise.is_identity:
+        noise = None
+    n = circuit.n_work
+    density = isinstance(state, DensityMatrix)
+    if density and n > FUSED_DENSITY_MAX_QUBITS:
+        # (c, s) on the whole register, constant along the qubits off S
+        layout, rest = _Layout.of(n, support, False), 2**n // len(c)
+        c, s = (layout.scatter(np.repeat(f, rest)) for f in (c, s))
+        return BoundStep(type(state), noise, gates=(pre[:split], c, s, circuit.post_measure))
+    pre_s = _on_support(pre[:split], support)
+    post_s = _on_support(circuit.post_measure, support)
+    a0 = c[:, None] * pre_s
+    if not density and noise is None:
+        ops = (_as_state_array(post_s @ a0),)
+    else:
+        a1 = s[:, None] * pre_s if noise is not None and noise.eps_d > 0.0 else None
+        ops = (a0, a1, post_s)
+    return BoundStep(type(state), noise, layout=_Layout.of(n, support, density), ops=ops)
 
 
 def run_step_circuit(
     state: StateVector | DensityMatrix,
-    circuit: Circuit,
+    step: BoundStep,
     mode: str = "postselect",
     rng: np.random.Generator | None = None,
-    noise: NoiseModel | None = None,
 ) -> MeasureResult:
-    """One step circuit on the work register, in four stages: the work
-    gates before the ancilla rotation; the ancilla measurement, with the
-    ancilla folded into the factors (c, s) of :func:`_lowered` and, when
-    noisy, its E2 branch; the noise channel on the work qubits; the
-    post-measure gates. A sampled 1 skips the last two.
+    """One measured step circuit, lowered by :func:`lower_step` for this
+    state's type, on the work register.
 
-    The state type selects the noise channel: a :class:`DensityMatrix`
-    gets the exact channel, a :class:`StateVector` one sampled branch (the
-    ancilla's, then one Kraus branch per work qubit: a trajectory of the
-    channel), which needs ``rng``.
+    A noiseless statevector step applies K0 = Post_S diag(c_S) Pre_S
+    once, with prob0 = |K0 psi|^2. A noisy statevector step is one
+    trajectory: A0 psi or (ancilla jump) A1 psi, one sampled Kraus branch
+    per work qubit, then Post_S; it needs ``rng``. A density matrix gets
+    A0 rho A0^dag + eps_d A1 rho A1^dag, the exact work-qubit channel,
+    then Post_S, or above ``FUSED_DENSITY_MAX_QUBITS`` work qubits the same
+    in four per-gate stages: the work gates before the rotation, the
+    measurement folded into (c, s), the channel, the post-measure gates.
+    Every path shares the outcome rule of :func:`_outcome`; a sampled 1
+    leaves the state as it is.
     """
-    work_gates, c, s = _lowered(circuit)
-    noisy = noise is not None and not noise.is_identity
-    if noisy and isinstance(state, StateVector) and rng is None:
+    if not isinstance(state, step.state_type):
+        raise TypeError(f"step lowered for {step.state_type.__name__}, got {type(state).__name__}")
+    noise = step.noise
+    if noise is not None and state._samples_noise and rng is None:
         raise ValueError("statevector noise is sampled and needs an rng")
-    state.apply_gates(work_gates)
-    result = state.measure_ancilla(c, s, noise.eps_d if noisy else 0.0, mode=mode, rng=rng)
+    if step.gates is None:
+        return state._run_fused(step, mode, rng)
+    pre, c, s, post = step.gates
+    state.apply_gates(pre)
+    result = state.measure_ancilla(c, s, 0.0 if noise is None else noise.eps_d, mode, rng)
     if result.outcome == "sampled-1":
         return result
-    if noisy:
-        if isinstance(state, DensityMatrix):
-            state.apply_noise(noise)
-        else:
-            state.sample_kraus(noise, rng)
-    state.apply_gates(circuit.post_measure)
+    if noise is not None:
+        state.apply_noise(noise)
+    state.apply_gates(post)
     return result

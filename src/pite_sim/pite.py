@@ -26,6 +26,7 @@ from .engine import (
     EvolutionAnnihilatedError,
     NoiseModel,
     StateVector,
+    lower_step,
     make_rng,
     run_step_circuit,
 )
@@ -197,6 +198,10 @@ def _execute(
         start = DensityMatrix(h.n_qubits, np.outer(init, init.conj()))
     else:
         start = StateVector(h.n_qubits, init)
+    # lowered once per run; order 2 repeats each circuit object
+    lowered = {id(c): c for c in step_circuits}
+    lowered = {key: lower_step(c, start, noise) for key, c in lowered.items()}
+    steps = [lowered[id(c)] for c in step_circuits]
 
     def record(step: int, state, p_cum: float, restarts: int) -> TraceRecord:
         beta = step * schedule.dt
@@ -216,9 +221,9 @@ def _execute(
         p_cum = 1.0
         records = [record(0, state, p_cum, 0)]
         for step in range(1, schedule.n_steps + 1):
-            for circ in step_circuits:
+            for bound in steps:
                 try:
-                    res = run_step_circuit(state, circ, mode=config.mode, rng=rng, noise=noise)
+                    res = run_step_circuit(state, bound, mode=config.mode, rng=rng)
                 except EvolutionAnnihilatedError:
                     if not trajectory:
                         raise

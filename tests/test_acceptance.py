@@ -25,6 +25,7 @@ from pite_sim.engine import (
     circuit_unitary,
     dense_step_oracle,
     gates_unitary,
+    lower_step,
     postselected_operator,
     run_step_circuit,
 )
@@ -69,7 +70,7 @@ def kraus_sum_oracle(
     matrix from its definition and contracts it into the identity with
     ``np.tensordot``, so the oracle shares no code with the engine's
     work-register path (``_apply_gate_flat``, the step lowering
-    ``_lowered``, ``apply_noise``, ``measure_ancilla``, ``_keep0``). It
+    ``lower_step``, ``apply_noise``, ``measure_ancilla``, ``_keep0``). It
     shares the step circuits (``_step_circuits``), the gate definitions
     and ``NoiseModel.kraus_operators``.
     """
@@ -429,10 +430,10 @@ def test_criterion_09_trotter_order_scaling(h2_setup):
     def deviation(dt: float, order: int) -> float:
         state = StateVector(h.n_qubits, init)
         sched = Schedule.from_beta(1.0, dt, order=order)
-        circuits = _step_circuits(h, sched)
+        steps = [lower_step(c, state) for c in _step_circuits(h, sched)]
         for _ in range(sched.n_steps):
-            for c in circuits:
-                run_step_circuit(state, c)
+            for step in steps:
+                run_step_circuit(state, step)
         vec = state.data
         vec = vec * np.exp(-1j * np.angle(np.vdot(exact, vec)))
         return float(np.linalg.norm(vec - exact))

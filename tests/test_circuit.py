@@ -126,14 +126,14 @@ def test_build_pauli_step_shapes():
 
 def test_step_fixed_point_probability_one():
     # eigenvector of c h with eigenvalue -|c| is untouched, prob0 = 1
-    from pite_sim.engine import StateVector, run_step_circuit
+    from pite_sim.engine import StateVector, lower_step, run_step_circuit
 
     term = PauliTerm.from_string(0.7, "ZZ")
     # ground subspace of +0.7 ZZ has eigenvalue -0.7: odd-parity states
     work = np.zeros(4, dtype=complex)
     work[0b01] = 1.0
     state = StateVector(2, work)
-    res = run_step_circuit(state, build_pauli_step(term, 0.3))
+    res = run_step_circuit(state, lower_step(build_pauli_step(term, 0.3), state))
     assert res.prob0 == pytest.approx(1.0, abs=1e-12)
     assert np.abs(state.data - work).max() < 1e-12
 

@@ -28,6 +28,7 @@ from pite_sim.engine import (
     StateVector,
     dense_step_oracle,
     gates_unitary,
+    lower_step,
     make_rng,
     postselected_operator,
     run_step_circuit,
@@ -36,6 +37,7 @@ from pite_sim.grouping import GroupedBlock
 from pite_sim.hamiltonian import (
     InitialState,
     PauliAxis,
+    PauliHamiltonian,
     PauliTerm,
     build_h2,
     build_ising,
@@ -66,6 +68,11 @@ def random_unitary(dim: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def run_circuit(state, circ, mode="postselect", rng=None, noise=None):
+    """Lower ``circ`` for ``state`` and run it once."""
+    return run_step_circuit(state, lower_step(circ, state, noise), mode=mode, rng=rng)
 
 
 ALL_GATE_SAMPLES = [
@@ -181,7 +188,7 @@ def test_measure_plus_ancilla():
     work = random_state(2)
     s = StateVector(2, work)
     circ = Circuit(n_work=2, has_ancilla=True, gates=(Ry(math.pi / 2, 2),), measure_point=1)
-    res = run_step_circuit(s, circ)
+    res = run_circuit(s, circ)
     assert res.prob0 == pytest.approx(0.5, abs=1e-12)
     assert res.outcome == "postselected"
     assert abs(s.norm() - 1.0) < 1e-12
@@ -191,7 +198,7 @@ def test_measure_plus_ancilla():
 def test_measure_trivial_state_unchanged():
     work = random_state(2)
     s = StateVector(2, work)
-    res = run_step_circuit(s, Circuit(n_work=2, has_ancilla=True, gates=(), measure_point=0))
+    res = run_circuit(s, Circuit(n_work=2, has_ancilla=True, gates=(), measure_point=0))
     assert res.prob0 == pytest.approx(1.0)
     assert np.abs(s.data - work).max() < 1e-12
 
@@ -200,7 +207,7 @@ def test_measure_prob_half_overlap():
     # |a0|^2 = |a1|^2 = 1/2 with |c| dt = 0.1: prob0 = (1 + e^{-0.4})/2
     term = PauliTerm.from_string(-1.0, "Z")
     state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
-    res = run_step_circuit(state, build_pauli_step(term, 0.1))
+    res = run_circuit(state, build_pauli_step(term, 0.1))
     expected = 0.5 * (1.0 + math.exp(-0.4))
     assert res.prob0 == pytest.approx(expected, rel=1e-12)
     assert res.prob0 == pytest.approx(0.83516, abs=1e-5)
@@ -213,7 +220,7 @@ def test_measure_sampling_replays():
         state = StateVector(1, np.array([1.0, 0.0]))
         rng_local = make_rng(1234)
         results = [
-            run_step_circuit(state.copy(), build_pauli_step(term, 0.5), mode="sample", rng=rng_local).outcome
+            run_circuit(state.copy(), build_pauli_step(term, 0.5), mode="sample", rng=rng_local).outcome
             for _ in range(20)
         ]
         outcomes.append(results)
@@ -227,13 +234,14 @@ def test_annihilation_raises():
     state = StateVector(1, np.array([1.0, 0.0]))
     circ = build_pauli_step(PauliTerm.from_string(10.0, "Z"), 1.0)
     with pytest.raises(EvolutionAnnihilatedError):
-        run_step_circuit(state, circ)
+        run_circuit(state, circ)
 
 
 def test_noisy_statevector_step_samples_the_channel():
     # a noisy statevector step is one sampled trajectory: the same draws as
     # the ancilla measurement (with its E2 branch) and then sample_kraus on
     # the work qubits, done by hand from the circuit's controlled rotation
+    # with the per-gate kernels (the fused step rounds differently)
     noise = NoiseModel(0.2, 0.3)
     work = random_state(2)
     circ = build_pauli_step(random_term(2), 0.3)
@@ -243,17 +251,18 @@ def test_noisy_statevector_step_samples_the_channel():
     s = np.where(pivot_bit, math.sin(rotation.angle / 2), 0.0)
     for seed in range(5, 25):
         state = StateVector(2, work)
-        res = run_step_circuit(state, circ, rng=make_rng(seed), noise=noise)
+        res = run_circuit(state, circ, rng=make_rng(seed), noise=noise)
         by_hand = StateVector(2, work)
         rng_hand = make_rng(seed)
         by_hand.apply_gates(circ.gates[: circ.measure_point - 1])
         want = by_hand.measure_ancilla(c, s, noise.eps_d, rng=rng_hand)
         by_hand.sample_kraus(noise, rng_hand)
         by_hand.apply_gates(circ.post_measure)
-        assert (res.prob0, res.outcome) == (want.prob0, want.outcome)
-        assert np.abs(state.data - by_hand.data).max() < 1e-15
+        assert res.outcome == want.outcome
+        assert res.prob0 == pytest.approx(want.prob0, rel=1e-12)
+        assert np.abs(state.data - by_hand.data).max() < 1e-12
     with pytest.raises(ValueError, match="needs an rng"):
-        run_step_circuit(StateVector(2, work), circ, noise=noise)
+        run_circuit(StateVector(2, work), circ, noise=noise)
 
 
 def test_measure_density_agrees_with_statevector():
@@ -261,8 +270,8 @@ def test_measure_density_agrees_with_statevector():
     s = StateVector(3, work)
     d = DensityMatrix(3, np.outer(work, work.conj()))
     circ = build_pauli_step(random_term(3), 0.2)
-    rs = run_step_circuit(s, circ)
-    rd = run_step_circuit(d, circ)
+    rs = run_circuit(s, circ)
+    rd = run_circuit(d, circ)
     assert rs.prob0 == pytest.approx(rd.prob0, abs=1e-10)
     fid = np.real(np.vdot(s.data, d.data @ s.data))
     assert fid == pytest.approx(1.0, abs=1e-10)
@@ -299,31 +308,49 @@ def lowering_cases():
 LOWERING_CASES = lowering_cases()
 
 
+# FUSED_DENSITY_MAX_QUBITS values that force each density-matrix path
+DENSITY_PATHS = {"fused": 99, "per-gate": 0}
+
+
+def density_step(monkeypatch, path, circ, rho, noise=None):
+    """Run ``circ`` once on a density matrix down the given path."""
+    monkeypatch.setattr(engine, "FUSED_DENSITY_MAX_QUBITS", DENSITY_PATHS[path])
+    d = DensityMatrix(circ.n_work, rho)
+    step = lower_step(circ, d, noise)
+    assert (step.gates is None) == (path == "fused")
+    return d, run_step_circuit(d, step)
+
+
 @pytest.mark.parametrize("circ", [c for _, c in LOWERING_CASES], ids=[i for i, _ in LOWERING_CASES])
-def test_step_matches_postselected_operator(circ):
-    """The work-register step equals the normalized ancilla-0 block of the
-    full-circuit unitary, and prob0 its squared norm."""
+def test_step_matches_postselected_operator(circ, monkeypatch):
+    """Every noiseless step path (the fused statevector, the fused and
+    the per-gate density matrix) equals the normalized ancilla-0 block of
+    the full-circuit unitary, and prob0 its squared norm."""
     n = circ.n_work
     k = postselected_operator(circ)
     psi = random_state(n)
     s = StateVector(n, psi)
-    res = run_step_circuit(s, circ)
+    res = run_circuit(s, circ)
     out = k @ psi
     assert res.prob0 == pytest.approx(float(np.vdot(out, out).real), rel=1e-12)
     assert np.abs(s.data - out / np.linalg.norm(out)).max() < 1e-12
     rho = random_density(n)
-    d = DensityMatrix(n, rho)
-    res = run_step_circuit(d, circ)
     branch = k @ rho @ k.conj().T
     p0 = float(np.trace(branch).real)
-    assert res.prob0 == pytest.approx(p0, rel=1e-12)
-    assert np.abs(d.data - branch / p0).max() < 1e-12
+    for path in DENSITY_PATHS:
+        d, res = density_step(monkeypatch, path, circ, rho)
+        assert res.prob0 == pytest.approx(p0, rel=1e-12), path
+        assert np.abs(d.data - branch / p0).max() < 1e-12, path
 
 
 @pytest.mark.parametrize("eps_r,eps_d", [(0.3, 0.2), (0.0, 0.9), (1e-5, 1e-5)])
-def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d):
-    """A noisy density-matrix step equals the (n+1)-qubit circuit with the
-    channel on every qubit, ancilla included, projected on ancilla 0."""
+def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
+    """A noisy density-matrix step, down either path, equals the
+    (n+1)-qubit circuit with the channel on every qubit, ancilla included,
+    projected on ancilla 0. A statevector trajectory step equals, with the
+    same draws, that circuit's ancilla-0 branch A0 psi or (an E2 jump on
+    the ancilla) its ancilla-1 branch A1 psi, then the sampled work-qubit
+    channel, then the post-measure block."""
     model = NoiseModel(eps_r, eps_d)
     circuits = [build_pauli_step(random_term(n), 0.3) for n in (1, 2, 3)]
     circuits += [
@@ -344,10 +371,98 @@ def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d):
         p0 = float(np.trace(branch).real)
         post = gates_unitary(circ.post_measure, n)[0::2, 0::2]
         want = post @ branch @ post.conj().T / p0
-        d = DensityMatrix(circ.n_work, rho_work)
-        res = run_step_circuit(d, circ, noise=model)
-        assert res.prob0 == pytest.approx(p0, rel=1e-12)
-        assert np.abs(d.data - want).max() < 1e-12
+        for path in DENSITY_PATHS:
+            d, res = density_step(monkeypatch, path, circ, rho_work, noise=model)
+            assert res.prob0 == pytest.approx(p0, rel=1e-12), path
+            assert np.abs(d.data - want).max() < 1e-12, path
+
+        a0, a1 = pre[0::2, 0::2], pre[1::2, 0::2]
+        psi = random_state(circ.n_work)
+        for seed in range(6):
+            s = StateVector(circ.n_work, psi)
+            res = run_circuit(s, circ, rng=make_rng(seed), noise=model)
+            rng_hand = make_rng(seed)
+            kept = np.linalg.norm(a0 @ psi) ** 2
+            prob0 = min(kept + eps_d * np.linalg.norm(a1 @ psi) ** 2, 1.0)
+            out = a1 @ psi if rng_hand.random() * prob0 >= kept else a0 @ psi
+            by_hand = StateVector(circ.n_work, out / np.linalg.norm(out))
+            by_hand.sample_kraus(model, rng_hand)
+            assert res.prob0 == pytest.approx(prob0, rel=1e-12)
+            assert np.abs(s.data - post @ by_hand.data).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", ["postselect", "sample"])
+def test_density_paths_agree(mode, monkeypatch):
+    """Both density-matrix paths give the same noisy LiH evolution, per
+    term and grouped, postselected and sampled."""
+    from pite_sim.grouping import group_hamiltonian, lih_groupspec
+    from pite_sim.hamiltonian import build_lih
+    from pite_sim.pite import RunConfig, Schedule, run_generalized, run_pite
+
+    h = build_lih()
+    init = prepare_initial(InitialState.superposition([(0.8, "110000"), (0.6, "000011")]), 6)
+    blocks = group_hamiltonian(h, lih_groupspec())
+    config = RunConfig(mode=mode, noise=NoiseModel(1e-3, 2e-3), seed=3 if mode == "sample" else None)
+    schedule = Schedule(dt=0.1, n_steps=2)
+    runs = {}
+    for path, limit in DENSITY_PATHS.items():
+        monkeypatch.setattr(engine, "FUSED_DENSITY_MAX_QUBITS", limit)
+        runs[path] = [
+            run_pite(h, init, schedule, config),
+            run_generalized(h, blocks, init, schedule, config),
+        ]
+    for fused, per_gate in zip(runs["fused"], runs["per-gate"]):
+        assert fused.restarts == per_gate.restarts
+        assert len(fused.records) == len(per_gate.records) == 3
+        for a, b in zip(fused.records, per_gate.records):
+            for field in ("energy", "fidelity", "p_cum"):
+                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12), field
+
+
+def test_rotation_reading_outside_the_support_is_rejected():
+    # (c, s) of a rotation controlled on qubit 1 do not factor through S = (0,)
+    with pytest.raises(ValueError, match="outside the step's support"):
+        engine._fold_rotation((ControlledRy(0.4, 1, 2),), (0,), 2)
+
+
+def test_step_lowered_for_another_state_type_is_rejected():
+    circ = build_pauli_step(PauliTerm.from_string(0.5, "XZ"), 0.1)
+    step = lower_step(circ, StateVector(2))
+    with pytest.raises(TypeError, match="lowered for StateVector"):
+        run_step_circuit(DensityMatrix(2), step)
+
+
+def test_outcome_rule_clamps_thresholds_and_draws_once():
+    class FixedRng:
+        def __init__(self, r):
+            self.r, self.draws = r, 0
+
+        def random(self):
+            self.draws += 1
+            return self.r
+
+    res, jump = engine._outcome(1.0, 1e-9, "postselect", None, False)
+    assert (res.prob0, res.outcome, jump) == (1.0, "postselected", False)
+    with pytest.raises(EvolutionAnnihilatedError):
+        engine._outcome(6e-16, 3e-16, "postselect", None, False)
+    for r, outcome in ((0.7, "sampled-1"), (0.5, "sampled-0")):
+        rng_fixed = FixedRng(r)
+        res, _ = engine._outcome(0.6, 0.0, "sample", rng_fixed, False)
+        assert (res.outcome, rng_fixed.draws) == (outcome, 1)
+    # a trajectory's branch takes one more draw: r prob0 >= kept picks the jump
+    rng_fixed = FixedRng(0.9)
+    res, jump = engine._outcome(0.5, 0.25, "postselect", rng_fixed, True)
+    assert (res.prob0, jump, rng_fixed.draws) == (0.75, True, 1)
+
+
+def test_measure_ancilla_jump_branch_needs_rng():
+    # a noisy ancilla on a statevector samples its branch: no rng is a
+    # ValueError, raised before the state changes
+    psi = random_state(2)
+    s = StateVector(2, psi)
+    with pytest.raises(ValueError, match="needs an rng"):
+        s.measure_ancilla(np.full(4, 0.8), np.full(4, 0.6), eps_d=0.1)
+    assert np.array_equal(s.data, psi)
 
 
 def test_trajectories_unravel_the_noisy_step():
@@ -358,13 +473,13 @@ def test_trajectories_unravel_the_noisy_step():
     psi = np.array([0.3 + 0.4j, -0.5, 0.2j, 0.6])
     psi /= np.linalg.norm(psi)
     d = DensityMatrix(2, np.outer(psi, psi.conj()))
-    exact = run_step_circuit(d, circ, noise=noise).prob0 * d.data
+    exact = run_circuit(d, circ, noise=noise).prob0 * d.data
     n_traj = 20_000
     samples = np.empty((n_traj, 4, 4), dtype=complex)
     rng_local = make_rng(11)
     for i in range(n_traj):
         s = StateVector(2, psi)
-        res = run_step_circuit(s, circ, rng=rng_local, noise=noise)
+        res = run_circuit(s, circ, rng=rng_local, noise=noise)
         samples[i] = res.prob0 * np.outer(s.data, s.data.conj())
     parts = np.concatenate([samples.real, samples.imag], axis=1)
     want = np.concatenate([exact.real, exact.imag], axis=0)
@@ -381,7 +496,7 @@ def test_step_lowering_rejects_other_gates_at_the_ancilla():
     hadamard_on_ancilla = Circuit(n_work=1, has_ancilla=True, gates=(Hadamard(1),), measure_point=1)
     for circ in (work_gate_after_rotation, hadamard_on_ancilla):
         with pytest.raises(ValueError, match="ancilla"):
-            run_step_circuit(StateVector(circ.n_work), circ)
+            lower_step(circ, StateVector(circ.n_work))
 
 
 def test_noise_identity_and_full_decay():
@@ -435,7 +550,13 @@ def test_noise_matches_dense_superoperator(eps_r, eps_d):
 def test_cached_arrays_are_read_only():
     h = build_h2(0.75)
     energies, vectors = eigensystem(h)
-    cached = [energies, vectors, engine._dense_of(h), engine._noise_scale_matrix(0.2, 0.3, 2)]
+    cached = [
+        energies,
+        vectors,
+        engine._dense_of(h),
+        engine._noise_scale_matrix(0.2, 0.3, 2),
+        *(d for _, d in engine._pauli_diagonals(h)),
+    ]
     for arr in cached:
         # writes the same value back, so a writable array stays intact
         with pytest.raises(ValueError, match="read-only"):
@@ -471,6 +592,46 @@ def test_density_expectation_matches_statevector():
     s = StateVector(2, psi)
     d = DensityMatrix(2, np.outer(psi, psi.conj()))
     assert d.expectation(h) == pytest.approx(s.expectation(h), abs=1e-12)
+
+
+def y_heavy_hamiltonian(n: int, n_terms: int) -> PauliHamiltonian:
+    """Random terms with Y on about half of the qubits, so that odd Y
+    counts (an imaginary phase per term) are common."""
+    pool = [PauliAxis.I, PauliAxis.X, PauliAxis.Y, PauliAxis.Y, PauliAxis.Z, PauliAxis.Y]
+    terms = []
+    while len(terms) < n_terms:
+        axes = tuple(pool[i] for i in rng.integers(0, len(pool), size=n))
+        if any(a is not PauliAxis.I for a in axes):
+            terms.append(PauliTerm(float(rng.uniform(-1.0, 1.0)), axes))
+    return PauliHamiltonian(n, tuple(terms), identity_offset=0.37)
+
+
+@pytest.mark.parametrize("name", ["h2", "lih", "ising5", "y-heavy3", "y-heavy5"])
+def test_bitmask_expectation_matches_pauli_strings_and_dense(name):
+    from pite_sim.hamiltonian import build_lih
+
+    h = {
+        "h2": lambda: build_h2(0.75),
+        "lih": build_lih,
+        "ising5": lambda: build_ising(5, 1.0, 1.2, 0.3),
+        "y-heavy3": lambda: y_heavy_hamiltonian(3, 12),
+        "y-heavy5": lambda: y_heavy_hamiltonian(5, 30),
+    }[name]()
+    for _ in range(3):
+        psi = random_state(h.n_qubits)
+        s = StateVector(h.n_qubits, psi)
+        by_strings = h.identity_offset + sum(
+            t.coeff * np.vdot(psi, s.apply_pauli_string(t.axes)).real for t in h.terms
+        )
+        dense = np.vdot(psi, h.dense_matrix() @ psi).real
+        got = s.expectation(h)
+        assert got == pytest.approx(by_strings, abs=1e-12)
+        assert got == pytest.approx(dense, abs=1e-12)
+    # real states stay on the real path
+    real = StateVector(h.n_qubits, np.abs(random_state(h.n_qubits)))
+    assert real.expectation(h) == pytest.approx(
+        np.vdot(real.data, h.dense_matrix() @ real.data).real, abs=1e-12
+    )
 
 
 def test_dense_step_oracle_basics():

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from pite_sim.analysis import diagonalize, exact_ite_state, rlb
-from pite_sim.engine import EvolutionAnnihilatedError, NoiseModel, StateVector, run_step_circuit
+from pite_sim.engine import (
+    EvolutionAnnihilatedError,
+    NoiseModel,
+    StateVector,
+    lower_step,
+    run_step_circuit,
+)
 from pite_sim.grouping import group_hamiltonian, ising_local_grouping, singleton_groupspec
 from pite_sim.hamiltonian import (
     InitialState,
@@ -150,9 +156,11 @@ def test_order2_beats_order1():
         res = run_pite(h, init, Schedule.from_beta(1.0, 0.2, order=order), RunConfig())
         # state-level deviation via the energy trace is too indirect; replay
         state = StateVector(2, init)
+        circuits = _step_circuits(h, Schedule.from_beta(1.0, 0.2, order=order))
+        steps = [lower_step(c, state) for c in circuits]
         for _ in range(5):
-            for c in _step_circuits(h, Schedule.from_beta(1.0, 0.2, order=order)):
-                run_step_circuit(state, c)
+            for step in steps:
+                run_step_circuit(state, step)
         vec = state.data
         phase = np.vdot(exact, vec)
         vec = vec * np.exp(-1j * np.angle(phase))
@@ -169,10 +177,10 @@ def test_trotter_error_scaling(order, expected):
     def deviation(dt: float) -> float:
         state = StateVector(2, init)
         sched = Schedule.from_beta(1.0, dt, order=order)
-        circuits = _step_circuits(h, sched)
+        steps = [lower_step(c, state) for c in _step_circuits(h, sched)]
         for _ in range(sched.n_steps):
-            for c in circuits:
-                run_step_circuit(state, c)
+            for step in steps:
+                run_step_circuit(state, step)
         vec = state.data
         phase = np.vdot(exact, vec)
         vec = vec * np.exp(-1j * np.angle(phase))
@@ -412,3 +420,25 @@ def test_density_limit_enforced():
             h, init, Schedule(dt=0.1, n_steps=1),
             RunConfig(noise=NoiseModel(1e-5, 1e-5)),
         )
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_step_circuits_are_lowered_once_per_run(order, monkeypatch):
+    """Lowering happens once per run, not once per measurement: a LiH run
+    of three Trotter steps (183 or 366 measurements) hashes each step
+    circuit at most once."""
+    from pite_sim.circuit import Circuit
+
+    calls = []
+    hash_circuit = Circuit.__hash__
+
+    def counting_hash(self):
+        calls.append(self)
+        return hash_circuit(self)
+
+    monkeypatch.setattr(Circuit, "__hash__", counting_hash)
+    h = build_lih()
+    init = prepare_initial(InitialState.basis("110000"), 6)
+    result = run_pite(h, init, Schedule(dt=0.05, n_steps=3, order=order), RunConfig())
+    assert result.completed
+    assert len(calls) <= len(h.terms)
