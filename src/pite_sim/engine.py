@@ -8,13 +8,16 @@ work basis state, outcome 0 keeps C rho C (C = diag(c)), plus
 eps_d S rho S (S = diag(s)) when the ancilla is noisy.
 
 Each step circuit is lowered once per run (:func:`lower_step`) onto its
-support S, the work qubits its gates touch: A0 = diag(c_S) Pre_S,
-A1 = diag(s_S) Pre_S and Post_S, 2^|S| x 2^|S| matrices built by running
-the gate kernels on the identity columns. A noiseless statevector step
-is one fused K0 = Post_S A0; a noisy step runs A0 (and A1), the
-work-qubit noise, then Post_S. Density matrices above
-``FUSED_DENSITY_MAX_QUBITS`` keep the per-gate elementwise kernels, which
-are faster there than moving the whole matrix onto S and back.
+support S, the work qubits its gates touch, into 2^|S| x 2^|S| matrices
+built by running the gate kernels on the identity columns. A noiseless
+statevector step is one fused K0 = Post_S diag(c_S) Pre_S; a statevector
+trajectory runs diag(c_S) Pre_S (or diag(s_S) Pre_S), the sampled
+work-qubit noise, then Post_S; a density matrix gets Pre_S on both sides,
+the measurement as one elementwise weight on S, the channel, then Post_S.
+A step whose support is wider than ``FUSED_MAX_SUPPORT`` qubits keeps the
+per-gate kernels on either state type: its operators would grow as
+4^|S| in memory and 8^|S| in set-up time, and each step would cost 2^|S|
+operations per state entry instead of a few passes per gate.
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
@@ -73,9 +76,12 @@ __all__ = [
 ]
 
 ANNIHILATION_THRESHOLD = 1e-15
-# Largest work register whose density matrix runs fused steps; above it the
-# per-gate kernels are faster (measured on LiH, n=6, and Ising, n=7 and 8).
-FUSED_DENSITY_MAX_QUBITS = 7
+# Widest step support (in qubits) that runs as fused operators. Up to it
+# fused steps ran faster than the per-gate kernels on both state types
+# (single-qubit terms on large density matrices about even), and each
+# matrix stays within 64 KB; beyond it the matrices grow as 4^|S| and
+# their set-up as 8^|S|, so wider steps run gate by gate.
+FUSED_MAX_SUPPORT = 6
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]])
@@ -298,8 +304,9 @@ def _outcome(
 class _State:
     """Plumbing shared by the two state types: dtype promotion, gate
     sequencing and the ancilla measurement. A subclass supplies
-    ``apply_gate``, ``_weights``, ``_keep0``, ``_expectation`` and
-    ``_run_fused``, and says whether it samples noise branches.
+    ``apply_gate``, ``_weights``, ``_keep0``, ``_expectation``,
+    ``_run_fused`` and ``_apply_channel`` (the noise channel of a per-gate
+    step), and says whether it samples noise branches.
     """
 
     n_qubits: int
@@ -433,12 +440,16 @@ class StateVector(_State):
         return out
 
     def _expectation(self, h: PauliHamiltonian) -> float:
+        # one gather per distinct X mask, see PauliHamiltonian.x_mask_diagonals
         psi = self.data
         basis = np.arange(psi.shape[0])
         total = h.identity_offset
-        for x_mask, diagonal in _pauli_diagonals(h):
+        for x_mask, diagonal in h.x_mask_diagonals:
             total += float(np.vdot(psi[basis ^ x_mask], psi * diagonal).real)
         return float(total)
+
+    def _apply_channel(self, model: NoiseModel, rng: np.random.Generator) -> None:
+        self.sample_kraus(model, rng)
 
     def sample_kraus(self, model: NoiseModel, rng: np.random.Generator) -> None:
         """Trajectory-mode noise: draw one Kraus branch per qubit."""
@@ -518,6 +529,9 @@ class DensityMatrix(_State):
                 b00 += model.eps_d * b11
         self.data *= _noise_scale_matrix(model.eps_r, model.eps_d, self.n_qubits)
 
+    def _apply_channel(self, model: NoiseModel, rng: np.random.Generator | None) -> None:
+        self.apply_noise(model)
+
     def _weights(self) -> np.ndarray:
         return self.data.diagonal().real
 
@@ -528,85 +542,41 @@ class DensityMatrix(_State):
         # The step runs on P rho P^T, which has the support's qubits first.
         # The noise channel acts alike on every qubit, so it commutes with
         # P and runs there too; traces do not change under P.
-        dim = self.data.shape[0]
+        pre, weights, post = step.ops
+        dim, rows = self.data.shape[0], len(weights)
 
         def sandwich(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-            """a rho a^dag for a Hermitian rho, as a (2^k, rest) array:
-            rho a^dag = (a rho)^dag."""
-            left = (a @ rho).reshape(dim, dim).conj().T
-            return a @ left.reshape(len(a), -1)
+            """a rho a^dag, with rho as a (2^k, rest) array: a acts on the
+            row index of S, then conj(a) on the column index of S."""
+            left = (a @ rho).reshape(-1, rows, dim // rows)
+            return (a.conj() @ left).reshape(rows, -1)
 
-        a0, a1, post = step.ops
-        x = step.layout.gather(self.data)
-        rho = sandwich(a0, x)
-        kept = float(rho.reshape(dim, dim).trace().real)
-        jumped = 0.0
-        if a1 is not None:
-            jump = step.noise.eps_d * sandwich(a1, x)
-            jumped = float(jump.reshape(dim, dim).trace().real)
-        result, _ = _outcome(kept, jumped, mode, rng, False)
+        rho = step.layout.gather(self.data)
+        if pre is not None:
+            rho = sandwich(pre, rho)
+        # outcome 0 weights entry (x, y) of every block on S by
+        # c_x c_y + eps_d s_x s_y
+        blocks = (rows, dim // rows, rows, dim // rows)
+        rho = (rho.reshape(blocks) * weights[:, None, :, None]).reshape(dim, dim)
+        # both ancilla branches are kept, so only their summed weight counts
+        result, _ = _outcome(float(rho.trace().real), 0.0, mode, rng, False)
         if result.outcome == "sampled-1":
             return result
-        if a1 is not None:
-            rho += jump
         rho /= result.prob0
-        self.data = rho.reshape(dim, dim)
+        self.data = rho
         if step.noise is not None:
             self.apply_noise(step.noise)
-        self.data = step.layout.scatter(sandwich(post, self.data.reshape(len(post), -1)))
+        rho = self.data.reshape(rows, -1)
+        if post is not None:
+            rho = sandwich(post, rho)
+        self.data = step.layout.scatter(rho)
         return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
-        hmat = _dense_of(h)
+        hmat = h.offset_free_matrix
         return float(
             np.real(np.einsum("ij,ji->", hmat, self.data)) + h.identity_offset * self.trace()
         )
-
-
-@lru_cache(maxsize=4)
-def _dense_of(h: PauliHamiltonian) -> np.ndarray:
-    hmat = h.dense_matrix(include_offset=False)
-    hmat.setflags(write=False)
-    return hmat
-
-
-@lru_cache(maxsize=4)
-def _pauli_diagonals(h: PauliHamiltonian) -> tuple[tuple[int, np.ndarray], ...]:
-    """``h`` without its offset as (x_mask, d_x) pairs, one per distinct X mask.
-
-    A Pauli string with X mask x (its X and Y factors), Z mask z (its Z
-    and Y factors) and y Y factors maps |b> to i^y (-1)^popcount(b & z)
-    |b ^ x>, since Y = iXZ. So <psi|h|psi> is the sum over x of
-    sum_b conj(psi[b ^ x]) psi[b] d_x[b], where d_x[b] sums
-    coeff i^y (-1)^popcount(b & z) over the terms with that x: one gather
-    per distinct X mask (8 for LiH's 61 terms).
-    """
-    n = h.n_qubits
-    basis = np.arange(2**n)
-    diagonals: dict[int, np.ndarray] = {}
-    for term in h.terms:
-        x_mask = z_mask = y_count = 0
-        for q, axis in enumerate(term.axes):
-            bit = 1 << (n - 1 - q)
-            if axis in (PauliAxis.X, PauliAxis.Y):
-                x_mask |= bit
-            if axis in (PauliAxis.Z, PauliAxis.Y):
-                z_mask |= bit
-            y_count += axis is PauliAxis.Y
-        parity = basis & z_mask
-        shift = 1
-        while shift < n:
-            parity ^= parity >> shift
-            shift *= 2
-        sign = 1.0 - 2.0 * (parity & 1)
-        phase = (1, 1j, -1, -1j)[y_count % 4]
-        diagonals[x_mask] = diagonals.get(x_mask, 0.0) + term.coeff * phase * sign
-    out = []
-    for x_mask, d in diagonals.items():
-        d = _as_state_array(d)
-        d.setflags(write=False)
-        out.append((x_mask, d))
-    return tuple(out)
 
 
 @lru_cache(maxsize=4)
@@ -772,13 +742,14 @@ class _Layout:
 class BoundStep:
     """A step circuit lowered once for the state type and noise of a run.
 
-    A fused step holds ``ops``, matrices on the circuit's support S
+    A fused step holds ``ops``, arrays on the circuit's support S
     (``layout`` places S in the state): (K0,) for a noiseless
-    statevector, else (A0, A1, Post_S), with A1 None when the ancilla
-    cannot jump. A per-gate step (density matrices above
-    ``FUSED_DENSITY_MAX_QUBITS``) holds ``gates``: the work gates before
-    the ancilla rotation, the full-register factors (c, s) and the
-    post-measure gates.
+    statevector; (A0, A1, Post_S) for a statevector trajectory, with A1
+    None when the ancilla cannot jump; (Pre_S, W, Post_S) for a density
+    matrix, with W[x, y] = c_x c_y + eps_d s_x s_y and None for an empty
+    gate list. A per-gate step (support wider than ``FUSED_MAX_SUPPORT``)
+    holds ``gates``: the work gates before the ancilla rotation, the
+    full-register factors (c, s) and the post-measure gates.
     """
 
     state_type: type
@@ -841,11 +812,13 @@ def lower_step(
 
     The rotation runs from the first gate that touches the ancilla to the
     measurement; each of its gates must be a y-rotation targeting the
-    ancilla. S is the set of work qubits any gate touches (k = |S|). A
-    fused step gets A0 = diag(c_S) Pre_S, A1 = diag(s_S) Pre_S (only when
-    the ancilla can jump) and Post_S, or for a noiseless statevector the
-    single K0 = Post_S A0; a density matrix above
-    ``FUSED_DENSITY_MAX_QUBITS`` work qubits gets the per-gate form.
+    ancilla. S is the set of work qubits any gate touches (k = |S|). Up
+    to ``FUSED_MAX_SUPPORT`` qubits the step is fused: a noiseless
+    statevector gets the single K0 = Post_S A0, a trajectory A0 =
+    diag(c_S) Pre_S, A1 = diag(s_S) Pre_S (only when the ancilla can
+    jump) and Post_S, a density matrix Pre_S, the outcome-0 weight W and
+    Post_S. A wider step gets the per-gate form, whose set-up and memory
+    grow as 2^n rather than 4^k.
     """
     ancilla = circuit.ancilla
     pre = circuit.pre_measure
@@ -863,19 +836,26 @@ def lower_step(
         noise = None
     n = circuit.n_work
     density = isinstance(state, DensityMatrix)
-    if density and n > FUSED_DENSITY_MAX_QUBITS:
+    if len(support) > FUSED_MAX_SUPPORT:
         # (c, s) on the whole register, constant along the qubits off S
         layout, rest = _Layout.of(n, support, False), 2**n // len(c)
         c, s = (layout.scatter(np.repeat(f, rest)) for f in (c, s))
         return BoundStep(type(state), noise, gates=(pre[:split], c, s, circuit.post_measure))
     pre_s = _on_support(pre[:split], support)
     post_s = _on_support(circuit.post_measure, support)
-    a0 = c[:, None] * pre_s
-    if not density and noise is None:
-        ops = (_as_state_array(post_s @ a0),)
+    eps_d = 0.0 if noise is None else noise.eps_d
+    if density:
+        # an empty gate list leaves its sandwich out
+        ops = (
+            pre_s if pre[:split] else None,
+            np.outer(c, c) + eps_d * np.outer(s, s),
+            post_s if circuit.post_measure else None,
+        )
+    elif noise is None:
+        ops = (_as_state_array(post_s @ (c[:, None] * pre_s)),)
     else:
-        a1 = s[:, None] * pre_s if noise is not None and noise.eps_d > 0.0 else None
-        ops = (a0, a1, post_s)
+        a1 = s[:, None] * pre_s if eps_d > 0.0 else None
+        ops = (c[:, None] * pre_s, a1, post_s)
     return BoundStep(type(state), noise, layout=_Layout.of(n, support, density), ops=ops)
 
 
@@ -892,12 +872,14 @@ def run_step_circuit(
     once, with prob0 = |K0 psi|^2. A noisy statevector step is one
     trajectory: A0 psi or (ancilla jump) A1 psi, one sampled Kraus branch
     per work qubit, then Post_S; it needs ``rng``. A density matrix gets
-    A0 rho A0^dag + eps_d A1 rho A1^dag, the exact work-qubit channel,
-    then Post_S, or above ``FUSED_DENSITY_MAX_QUBITS`` work qubits the same
-    in four per-gate stages: the work gates before the rotation, the
-    measurement folded into (c, s), the channel, the post-measure gates.
-    Every path shares the outcome rule of :func:`_outcome`; a sampled 1
-    leaves the state as it is.
+    sigma = Pre_S rho Pre_S^dag weighted entrywise on S by W (which is
+    C sigma C + eps_d S sigma S), the exact work-qubit channel, then
+    Post_S. A step lowered per gate (support wider than
+    ``FUSED_MAX_SUPPORT``) runs the same in four stages on either state
+    type: the work gates before the rotation, the measurement folded into
+    (c, s), the channel (exact or sampled), the post-measure gates. Every
+    path shares the outcome rule of :func:`_outcome`; a sampled 1 leaves
+    the state as it is.
     """
     if not isinstance(state, step.state_type):
         raise TypeError(f"step lowered for {step.state_type.__name__}, got {type(state).__name__}")
@@ -912,6 +894,6 @@ def run_step_circuit(
     if result.outcome == "sampled-1":
         return result
     if noise is not None:
-        state.apply_noise(noise)
+        state._apply_channel(noise, rng)
     state.apply_gates(post)
     return result

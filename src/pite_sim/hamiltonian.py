@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,59 @@ class PauliHamiltonian:
         if np.abs(m.imag).max(initial=0.0) < 1e-14:
             return np.ascontiguousarray(m.real)
         return m
+
+    # Computed on first use and kept in the instance __dict__ (the
+    # dataclass fields, hash and equality do not see them), so an energy
+    # evaluation reads them without hashing the Hamiltonian.
+
+    @cached_property
+    def offset_free_matrix(self) -> np.ndarray:
+        """``dense_matrix(include_offset=False)``, built once, read-only."""
+        m = self.dense_matrix(include_offset=False)
+        m.setflags(write=False)
+        return m
+
+    @cached_property
+    def x_mask_diagonals(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """The Hamiltonian without its offset as (x_mask, d_x) pairs, one
+        per distinct X mask, with read-only d_x.
+
+        A Pauli string with X mask x (its X and Y factors), Z mask z (its Z
+        and Y factors) and y Y factors maps |b> to i^y (-1)^popcount(b & z)
+        |b ^ x>, since Y = iXZ. So <psi|H|psi> is the sum over x of
+        sum_b conj(psi[b ^ x]) psi[b] d_x[b], where d_x[b] sums
+        coeff i^y (-1)^popcount(b & z) over the terms with that x: one
+        gather per distinct X mask (8 for LiH's 61 terms). d_x is float64
+        when every phase is real.
+        """
+        n = self.n_qubits
+        basis = np.arange(2**n)
+        diagonals: dict[int, np.ndarray] = {}
+        for term in self.terms:
+            x_mask = z_mask = y_count = 0
+            for q, axis in enumerate(term.axes):
+                bit = 1 << (n - 1 - q)
+                if axis in (PauliAxis.X, PauliAxis.Y):
+                    x_mask |= bit
+                if axis in (PauliAxis.Z, PauliAxis.Y):
+                    z_mask |= bit
+                y_count += axis is PauliAxis.Y
+            parity = basis & z_mask
+            shift = 1
+            while shift < n:
+                parity ^= parity >> shift
+                shift *= 2
+            sign = 1.0 - 2.0 * (parity & 1)
+            phase = (1, 1j, -1, -1j)[y_count % 4]
+            diagonals[x_mask] = diagonals.get(x_mask, 0.0) + term.coeff * phase * sign
+        out = []
+        for x_mask, d in diagonals.items():
+            d = np.asarray(d)
+            if np.iscomplexobj(d) and np.abs(d.imag).max(initial=0.0) == 0.0:
+                d = d.real.copy()
+            d.setflags(write=False)
+            out.append((x_mask, d))
+        return tuple(out)
 
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:

@@ -251,7 +251,8 @@ def test_noisy_statevector_step_samples_the_channel():
     s = np.where(pivot_bit, math.sin(rotation.angle / 2), 0.0)
     for seed in range(5, 25):
         state = StateVector(2, work)
-        res = run_circuit(state, circ, rng=make_rng(seed), noise=noise)
+        rng_run = make_rng(seed)
+        res = run_circuit(state, circ, rng=rng_run, noise=noise)
         by_hand = StateVector(2, work)
         rng_hand = make_rng(seed)
         by_hand.apply_gates(circ.gates[: circ.measure_point - 1])
@@ -261,6 +262,8 @@ def test_noisy_statevector_step_samples_the_channel():
         assert res.outcome == want.outcome
         assert res.prob0 == pytest.approx(want.prob0, rel=1e-12)
         assert np.abs(state.data - by_hand.data).max() < 1e-12
+        # both took the same number of draws, so the streams still agree
+        assert rng_run.random() == rng_hand.random()
     with pytest.raises(ValueError, match="needs an rng"):
         run_circuit(StateVector(2, work), circ, noise=noise)
 
@@ -308,37 +311,37 @@ def lowering_cases():
 LOWERING_CASES = lowering_cases()
 
 
-# FUSED_DENSITY_MAX_QUBITS values that force each density-matrix path
-DENSITY_PATHS = {"fused": 99, "per-gate": 0}
+# FUSED_MAX_SUPPORT values that force each step path
+STEP_PATHS = {"fused": 99, "per-gate": 0}
 
 
-def density_step(monkeypatch, path, circ, rho, noise=None):
-    """Run ``circ`` once on a density matrix down the given path."""
-    monkeypatch.setattr(engine, "FUSED_DENSITY_MAX_QUBITS", DENSITY_PATHS[path])
-    d = DensityMatrix(circ.n_work, rho)
-    step = lower_step(circ, d, noise)
+def path_step(monkeypatch, path, circ, state, rng=None, noise=None):
+    """Run ``circ`` once on ``state`` down the given path."""
+    monkeypatch.setattr(engine, "FUSED_MAX_SUPPORT", STEP_PATHS[path])
+    step = lower_step(circ, state, noise)
     assert (step.gates is None) == (path == "fused")
-    return d, run_step_circuit(d, step)
+    return run_step_circuit(state, step, rng=rng)
 
 
 @pytest.mark.parametrize("circ", [c for _, c in LOWERING_CASES], ids=[i for i, _ in LOWERING_CASES])
 def test_step_matches_postselected_operator(circ, monkeypatch):
-    """Every noiseless step path (the fused statevector, the fused and
-    the per-gate density matrix) equals the normalized ancilla-0 block of
-    the full-circuit unitary, and prob0 its squared norm."""
+    """Every noiseless step path (fused and per-gate, on a statevector
+    and on a density matrix) equals the normalized ancilla-0 block of the
+    full-circuit unitary, and prob0 its squared norm."""
     n = circ.n_work
     k = postselected_operator(circ)
     psi = random_state(n)
-    s = StateVector(n, psi)
-    res = run_circuit(s, circ)
     out = k @ psi
-    assert res.prob0 == pytest.approx(float(np.vdot(out, out).real), rel=1e-12)
-    assert np.abs(s.data - out / np.linalg.norm(out)).max() < 1e-12
     rho = random_density(n)
     branch = k @ rho @ k.conj().T
     p0 = float(np.trace(branch).real)
-    for path in DENSITY_PATHS:
-        d, res = density_step(monkeypatch, path, circ, rho)
+    for path in STEP_PATHS:
+        s = StateVector(n, psi)
+        res = path_step(monkeypatch, path, circ, s)
+        assert res.prob0 == pytest.approx(float(np.vdot(out, out).real), rel=1e-12), path
+        assert np.abs(s.data - out / np.linalg.norm(out)).max() < 1e-12, path
+        d = DensityMatrix(n, rho)
+        res = path_step(monkeypatch, path, circ, d)
         assert res.prob0 == pytest.approx(p0, rel=1e-12), path
         assert np.abs(d.data - branch / p0).max() < 1e-12, path
 
@@ -347,10 +350,10 @@ def test_step_matches_postselected_operator(circ, monkeypatch):
 def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
     """A noisy density-matrix step, down either path, equals the
     (n+1)-qubit circuit with the channel on every qubit, ancilla included,
-    projected on ancilla 0. A statevector trajectory step equals, with the
-    same draws, that circuit's ancilla-0 branch A0 psi or (an E2 jump on
-    the ancilla) its ancilla-1 branch A1 psi, then the sampled work-qubit
-    channel, then the post-measure block."""
+    projected on ancilla 0. A statevector trajectory step, down either
+    path, equals with the same draws that circuit's ancilla-0 branch
+    A0 psi or (an E2 jump on the ancilla) its ancilla-1 branch A1 psi,
+    then the sampled work-qubit channel, then the post-measure block."""
     model = NoiseModel(eps_r, eps_d)
     circuits = [build_pauli_step(random_term(n), 0.3) for n in (1, 2, 3)]
     circuits += [
@@ -371,30 +374,42 @@ def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
         p0 = float(np.trace(branch).real)
         post = gates_unitary(circ.post_measure, n)[0::2, 0::2]
         want = post @ branch @ post.conj().T / p0
-        for path in DENSITY_PATHS:
-            d, res = density_step(monkeypatch, path, circ, rho_work, noise=model)
+        for path in STEP_PATHS:
+            d = DensityMatrix(circ.n_work, rho_work)
+            res = path_step(monkeypatch, path, circ, d, noise=model)
             assert res.prob0 == pytest.approx(p0, rel=1e-12), path
             assert np.abs(d.data - want).max() < 1e-12, path
 
         a0, a1 = pre[0::2, 0::2], pre[1::2, 0::2]
         psi = random_state(circ.n_work)
         for seed in range(6):
-            s = StateVector(circ.n_work, psi)
-            res = run_circuit(s, circ, rng=make_rng(seed), noise=model)
             rng_hand = make_rng(seed)
             kept = np.linalg.norm(a0 @ psi) ** 2
             prob0 = min(kept + eps_d * np.linalg.norm(a1 @ psi) ** 2, 1.0)
             out = a1 @ psi if rng_hand.random() * prob0 >= kept else a0 @ psi
             by_hand = StateVector(circ.n_work, out / np.linalg.norm(out))
             by_hand.sample_kraus(model, rng_hand)
-            assert res.prob0 == pytest.approx(prob0, rel=1e-12)
-            assert np.abs(s.data - post @ by_hand.data).max() < 1e-12
+            for path in STEP_PATHS:
+                s = StateVector(circ.n_work, psi)
+                res = path_step(monkeypatch, path, circ, s, rng=make_rng(seed), noise=model)
+                assert res.prob0 == pytest.approx(prob0, rel=1e-12), path
+                assert np.abs(s.data - post @ by_hand.data).max() < 1e-12, path
 
 
-@pytest.mark.parametrize("mode", ["postselect", "sample"])
-def test_density_paths_agree(mode, monkeypatch):
-    """Both density-matrix paths give the same noisy LiH evolution, per
-    term and grouped, postselected and sampled."""
+@pytest.mark.parametrize(
+    "mode,noise,trajectories",
+    [
+        ("postselect", None, None),
+        ("sample", None, None),
+        ("postselect", NoiseModel(1e-3, 2e-3), None),
+        ("sample", NoiseModel(1e-3, 2e-3), None),
+        ("postselect", NoiseModel(1e-2, 2e-2), 3),
+    ],
+    ids=["sv-postselect", "sv-sample", "dm-postselect", "dm-sample", "sv-trajectories"],
+)
+def test_step_paths_agree(mode, noise, trajectories, monkeypatch):
+    """The fused and the per-gate steps give the same LiH evolution, per
+    term and grouped, on every state type and measurement mode."""
     from pite_sim.grouping import group_hamiltonian, lih_groupspec
     from pite_sim.hamiltonian import build_lih
     from pite_sim.pite import RunConfig, Schedule, run_generalized, run_pite
@@ -402,11 +417,14 @@ def test_density_paths_agree(mode, monkeypatch):
     h = build_lih()
     init = prepare_initial(InitialState.superposition([(0.8, "110000"), (0.6, "000011")]), 6)
     blocks = group_hamiltonian(h, lih_groupspec())
-    config = RunConfig(mode=mode, noise=NoiseModel(1e-3, 2e-3), seed=3 if mode == "sample" else None)
+    config = RunConfig(
+        mode=mode, noise=noise, trajectories=trajectories,
+        seed=None if mode == "postselect" and trajectories is None else 3,
+    )
     schedule = Schedule(dt=0.1, n_steps=2)
     runs = {}
-    for path, limit in DENSITY_PATHS.items():
-        monkeypatch.setattr(engine, "FUSED_DENSITY_MAX_QUBITS", limit)
+    for path, limit in STEP_PATHS.items():
+        monkeypatch.setattr(engine, "FUSED_MAX_SUPPORT", limit)
         runs[path] = [
             run_pite(h, init, schedule, config),
             run_generalized(h, blocks, init, schedule, config),
@@ -417,6 +435,30 @@ def test_density_paths_agree(mode, monkeypatch):
         for a, b in zip(fused.records, per_gate.records):
             for field in ("energy", "fidelity", "p_cum"):
                 assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12), field
+
+
+def test_wide_support_runs_per_gate():
+    """A step wider than FUSED_MAX_SUPPORT keeps the per-gate kernels on
+    every state type (its fused operators would grow as 4^|S|); a
+    weight-10 Z string on 10 qubits then still equals the closed form."""
+    cut = engine.FUSED_MAX_SUPPORT
+    noise = NoiseModel(1e-3, 1e-3)
+    for width in (cut, cut + 1):
+        circ = build_pauli_step(PauliTerm.from_string(-0.6, "Z" * width), 0.2)
+        for state, model in (
+            (StateVector(width), None),
+            (StateVector(width), noise),
+            (DensityMatrix(width), noise),
+        ):
+            step = lower_step(circ, state, model)
+            assert (step.gates is None, step.ops is None) == (width <= cut, width > cut)
+    term = PauliTerm.from_string(-0.6, "Z" * 10)
+    psi = random_state(10)
+    s = StateVector(10, psi)
+    step = lower_step(build_pauli_step(term, 0.2), s)
+    assert step.ops is None
+    run_step_circuit(s, step)
+    assert np.abs(s.data - dense_step_oracle(term, 0.2, psi)).max() < 1e-12
 
 
 def test_rotation_reading_outside_the_support_is_rejected():
@@ -553,9 +595,9 @@ def test_cached_arrays_are_read_only():
     cached = [
         energies,
         vectors,
-        engine._dense_of(h),
+        h.offset_free_matrix,
         engine._noise_scale_matrix(0.2, 0.3, 2),
-        *(d for _, d in engine._pauli_diagonals(h)),
+        *(d for _, d in h.x_mask_diagonals),
     ]
     for arr in cached:
         # writes the same value back, so a writable array stays intact
