@@ -165,6 +165,24 @@ class DenseBlock:
         self.qubits = qubits
         self.matrix = matrix.astype(np.float64 if np.isrealobj(matrix) else np.complex128)
 
+    def on_qubits(self, qubits: tuple[int, ...]) -> "DenseBlock":
+        """The same, already validated, matrix on other distinct qubits."""
+        qubits = tuple(qubits)
+        if len(set(qubits)) != len(self.qubits) or len(qubits) != len(self.qubits):
+            raise ValueError("dense block qubits must be distinct and as many as before")
+        return DenseBlock._unchecked(qubits, self.matrix)
+
+    def adjoint(self) -> "DenseBlock":
+        """The inverse block; the adjoint of a unitary needs no check."""
+        return DenseBlock._unchecked(self.qubits, self.matrix.conj().T.astype(self.matrix.dtype))
+
+    @staticmethod
+    def _unchecked(qubits: tuple[int, ...], matrix: np.ndarray) -> "DenseBlock":
+        block = object.__new__(DenseBlock)
+        block.qubits = qubits
+        block.matrix = matrix
+        return block
+
     def __repr__(self) -> str:
         return f"DenseBlock(qubits={self.qubits}, dim={self.matrix.shape[0]})"
 
@@ -202,7 +220,7 @@ def adjoint(gate: Gate) -> Gate:
     if isinstance(gate, ConditionalRy):
         return ConditionalRy(gate.register, tuple((x, -a) for x, a in gate.angles), gate.target)
     if isinstance(gate, DenseBlock):
-        return DenseBlock(gate.qubits, gate.matrix.conj().T)
+        return gate.adjoint()
     raise TypeError(f"unknown gate {gate!r}")
 
 
@@ -361,7 +379,7 @@ def build_grouped_step(block: "GroupedBlock", dt: float) -> Circuit:
         if omega > 0.0
     }
     rotation = ConditionalRy.from_map(support, angles, ancilla)
-    gates = (basis_change, rotation, DenseBlock(support, block.eigenvectors))
+    gates = (basis_change, rotation, basis_change.adjoint())
     return Circuit(
         n_work=block.n_qubits,
         has_ancilla=True,

@@ -726,7 +726,7 @@ class _Layout:
             shape=tuple(shape),
             order=tuple(order),
             moved=tuple(shape[i] for i in order),
-            back=tuple(int(i) for i in np.argsort(order)),
+            back=tuple(sorted(range(len(order)), key=order.__getitem__)),
             rows=2 ** len(support),
             dims=(2**n,) * (2 if density else 1),
         )
@@ -759,16 +759,22 @@ class BoundStep:
     gates: tuple | None = None
 
 
-def _relabel(gate: Gate, position: dict[int, int]) -> Gate:
-    """``gate`` with qubit q renumbered to ``position[q]``."""
-    outside = [q for q in qubits_of(gate) if q not in position]
+def _positions(gate: Gate, position: dict[int, int]) -> tuple[int, ...]:
+    """``position[q]`` for each qubit q of ``gate``, in ``qubits_of`` order."""
+    qubits = qubits_of(gate)
+    outside = [q for q in qubits if q not in position]
     if outside:
         raise ValueError(f"{gate!r} acts on qubit(s) {outside} outside the step's support")
+    return tuple(position[q] for q in qubits)
+
+
+def _relabel(gate: Gate, position: dict[int, int]) -> Gate:
+    """``gate`` with qubit q renumbered to ``position[q]``."""
+    moved = _positions(gate, position)
     if isinstance(gate, DenseBlock):
-        return DenseBlock(tuple(position[q] for q in gate.qubits), gate.matrix)
+        return gate.on_qubits(moved)
     if isinstance(gate, ConditionalRy):
-        register = tuple(position[q] for q in gate.register)
-        return dataclasses.replace(gate, register=register, target=position[gate.target])
+        return dataclasses.replace(gate, register=moved[:-1], target=moved[-1])
     fields = ("qubit", "control", "target")
     return dataclasses.replace(
         gate, **{f: position[getattr(gate, f)] for f in fields if hasattr(gate, f)}
@@ -777,12 +783,18 @@ def _relabel(gate: Gate, position: dict[int, int]) -> Gate:
 
 def _on_support(gates: tuple[Gate, ...], support: tuple[int, ...]) -> np.ndarray:
     """The 2^k x 2^k matrix of work gates on their support (k qubits),
-    built by running the state kernels on the identity columns."""
+    built by running the state kernels on the identity columns. A leading
+    dense block on the whole support in order is its own matrix there."""
     position = {q: i for i, q in enumerate(support)}
     k = len(support)
-    m = np.eye(2**k, dtype=complex if any(map(_gate_needs_complex, gates)) else float)
+    gates = tuple(_relabel(g, position) for g in gates)
+    dtype = complex if any(map(_gate_needs_complex, gates)) else float
+    if gates and isinstance(gates[0], DenseBlock) and gates[0].qubits == tuple(range(k)):
+        m, gates = gates[0].matrix.astype(dtype, order="C"), gates[1:]
+    else:
+        m = np.eye(2**k, dtype=dtype)
     for g in gates:
-        _apply_gate_flat(m.reshape(-1), k, _relabel(g, position), 0, False)
+        _apply_gate_flat(m.reshape(-1), k, g, 0, False)
     return _as_state_array(m)
 
 
@@ -791,18 +803,35 @@ def _fold_rotation(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ancilla rotation folded into the factors (c, s) on the support:
     the cos and sin of half the ancilla's total rotation angle per basis
-    state of the support. Applied to the probe sum_x |x>|0>, the rotation
-    leaves c_x in the even entries and s_x in the odd ones (the ancilla is
-    the least significant bit). Raises ``ValueError`` when the rotation
-    reads a qubit outside the support, as (c, s) would then not factor
-    through it."""
+    state of the support. The rotation's gates are y-rotations of the
+    ancilla controlled on work qubits, so they commute and the total angle
+    at a basis state is the sum of the angles each gate turns there.
+    Raises ``ValueError`` when the rotation reads a qubit outside the
+    support, as (c, s) would then not factor through it."""
     position = {q: i for i, q in enumerate(support)}
-    position[ancilla] = len(support)
-    probe = np.zeros(2 ** (len(support) + 1))
-    probe[0::2] = 1.0
+    position[ancilla] = k = len(support)
+    basis = np.arange(2**k)
+    theta = np.zeros(2**k)
     for g in rotation:
-        _apply_gate_flat(probe, len(support) + 1, _relabel(g, position), 0, False)
-    return probe[0::2].copy(), probe[1::2].copy()
+        controls = _positions(g, position)[:-1]
+        if isinstance(g, Ry):
+            theta += g.angle
+        elif isinstance(g, ControlledRy):
+            theta += g.angle * ((basis >> (k - 1 - controls[0])) & 1)
+        else:  # ConditionalRy: look the angle up by the register's bits
+            width = len(controls)
+            if controls == tuple(range(k)):  # the whole support, in order
+                register = basis
+            else:
+                register = np.zeros(2**k, dtype=np.int64)
+                for i, q in enumerate(controls):
+                    register |= ((basis >> (k - 1 - q)) & 1) << (width - 1 - i)
+            table = np.zeros(2**width)
+            if g.angles:
+                xs, angles = zip(*g.angles)
+                table[list(xs)] = angles
+            theta += table[register]
+    return np.cos(theta / 2.0), np.sin(theta / 2.0)
 
 
 def lower_step(

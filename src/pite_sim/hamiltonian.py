@@ -179,8 +179,7 @@ class PauliHamiltonian:
         when every phase is real.
         """
         n = self.n_qubits
-        basis = np.arange(2**n)
-        diagonals: dict[int, np.ndarray] = {}
+        x_masks, z_masks, scales = [], [], []
         for term in self.terms:
             x_mask = z_mask = y_count = 0
             for q, axis in enumerate(term.axes):
@@ -190,14 +189,22 @@ class PauliHamiltonian:
                 if axis in (PauliAxis.Z, PauliAxis.Y):
                     z_mask |= bit
                 y_count += axis is PauliAxis.Y
-            parity = basis & z_mask
+            x_masks.append(x_mask)
+            z_masks.append(z_mask)
+            scales.append(term.coeff * (1, 1j, -1, -1j)[y_count % 4])
+        z_masks, scales = np.array(z_masks), np.array(scales)
+        basis = np.arange(2**n)
+        diagonals: dict[int, np.ndarray] = {}
+        chunk = max(1, 2**16 >> n)  # terms per vectorized pass, bounding its memory
+        for first in range(0, len(self.terms), chunk):
+            parity = basis & z_masks[first : first + chunk, None]  # one row per term
             shift = 1
             while shift < n:
                 parity ^= parity >> shift
                 shift *= 2
-            sign = 1.0 - 2.0 * (parity & 1)
-            phase = (1, 1j, -1, -1j)[y_count % 4]
-            diagonals[x_mask] = diagonals.get(x_mask, 0.0) + term.coeff * phase * sign
+            rows = scales[first : first + chunk, None] * (1.0 - 2.0 * (parity & 1))
+            for x, row in zip(x_masks[first : first + chunk], rows):
+                diagonals[x] = diagonals.get(x, 0.0) + row  # in term order
         out = []
         for x_mask, d in diagonals.items():
             d = np.asarray(d)

@@ -41,6 +41,7 @@ __all__ = [
     "run_pite",
     "run_generalized",
     "restart_loop",
+    "replay_restarts",
     "check_capacity",
 ]
 
@@ -164,6 +165,43 @@ def restart_loop(
             return RunResult(records=records, restarts=restarts - 1, completed=False)
 
 
+def replay_restarts(
+    records: list[TraceRecord],
+    probs: np.ndarray,
+    per_step: int,
+    budget: int,
+    rng: np.random.Generator,
+) -> RunResult:
+    """The restart loop of a sampled run, replayed from one postselected
+    pass: its ``records`` and the ancilla-0 probability ``probs[i]`` of
+    each measurement, ``per_step`` measurements per Trotter step.
+
+    A sampled run measures without sampled noise (a noisy sampled run is
+    a density matrix), so every prob0 is deterministic, a sampled 0
+    leaves the state that postselection leaves, and each measurement
+    takes exactly one ``rng.random()``. An attempt therefore fails at its
+    first measurement i whose draw is >= probs[i], the next attempt draws
+    on from there, and the successful attempt's trace is the pass's. The
+    result equals :func:`restart_loop` over the attempts themselves, which
+    stays as the oracle and as the path for a pass that annihilates.
+    """
+    draws = np.empty(0)
+    restarts = 0
+    while True:
+        if len(draws) < len(probs):
+            draws = np.concatenate([draws, rng.random(len(probs) - len(draws))])
+        failed = np.flatnonzero(draws[: len(probs)] >= probs)
+        if failed.size == 0:
+            return RunResult(records=records, restarts=restarts, completed=True)
+        restarts += 1
+        if restarts > budget:
+            # the last attempt's trace: the steps completed before it failed
+            done = int(failed[0]) // per_step
+            partial = [r for r in records if r.step <= done]
+            return RunResult(records=partial, restarts=restarts - 1, completed=False)
+        draws = draws[failed[0] + 1 :]
+
+
 def _alb_column(alb_at: Callable[[float], float], spectrum: SpectrumInfo):
     """The trace's ALB column; vacuous 0 when the init has no ground overlap
     (the bound formula itself is undefined there)."""
@@ -216,19 +254,23 @@ def _execute(
             restarts=restarts,
         )
 
-    def attempt(rng: np.random.Generator | None) -> tuple[list[TraceRecord], bool]:
+    def attempt(
+        rng: np.random.Generator | None, mode: str = config.mode, probs: list | None = None
+    ) -> tuple[list[TraceRecord], bool]:
         state = start.copy()
         p_cum = 1.0
         records = [record(0, state, p_cum, 0)]
         for step in range(1, schedule.n_steps + 1):
             for bound in steps:
                 try:
-                    res = run_step_circuit(state, bound, mode=config.mode, rng=rng)
+                    res = run_step_circuit(state, bound, mode=mode, rng=rng)
                 except EvolutionAnnihilatedError:
                     if not trajectory:
                         raise
                     return records, False  # weight 0 from here on
                 p_cum *= res.prob0
+                if probs is not None:
+                    probs.append(res.prob0)
                 if res.outcome == "sampled-1":
                     return records, False
             if step % config.record_every == 0 or step == schedule.n_steps:
@@ -236,8 +278,16 @@ def _execute(
         return records, True
 
     if config.mode == "sample":
-        rng = make_rng(config.seed)
-        result = restart_loop(attempt, config.restart_budget, rng)
+        probs: list[float] = []
+        try:
+            records, _ = attempt(None, "postselect", probs)
+        except EvolutionAnnihilatedError:  # draws against prob0 ~ 0: run them
+            result = restart_loop(attempt, config.restart_budget, make_rng(config.seed))
+        else:
+            result = replay_restarts(
+                records, np.array(probs), len(steps), config.restart_budget,
+                make_rng(config.seed),
+            )
         result.records = [
             dataclasses.replace(r, restarts=result.restarts) for r in result.records
         ]

@@ -173,6 +173,21 @@ def test_adjoint_round_trip():
         ).max() < 1e-12
 
 
+def test_dense_block_adjoint_and_relabel_keep_the_validated_matrix():
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    block = DenseBlock((0, 2), q)
+    inverse = block.adjoint()
+    assert inverse.qubits == (0, 2)
+    assert np.array_equal(inverse.matrix, q.conj().T)
+    assert np.array_equal(inverse.adjoint().matrix, block.matrix)
+    moved = block.on_qubits((3, 1))
+    assert moved.qubits == (3, 1) and moved.matrix is block.matrix
+    with pytest.raises(ValueError, match="distinct"):
+        block.on_qubits((1, 1))
+    with pytest.raises(ValueError, match="as many"):
+        block.on_qubits((0, 1, 2))
+
+
 def test_dense_block_validation():
     with pytest.raises(ValueError, match="unitary"):
         DenseBlock((0,), np.array([[1.0, 0.0], [0.0, 2.0]]))

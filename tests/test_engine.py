@@ -467,6 +467,27 @@ def test_rotation_reading_outside_the_support_is_rejected():
         engine._fold_rotation((ControlledRy(0.4, 1, 2),), (0,), 2)
 
 
+def test_fold_rotation_matches_the_rotation_run_gate_by_gate():
+    # (c, s) summed from the gates' angles against the old construction:
+    # the relabelled gates run on the probe sum_x |x>|0> by the kernels
+    support, ancilla = (0, 2, 3), 4
+    rotation = (
+        Ry(0.3, ancilla),
+        ControlledRy(0.7, 2, ancilla),
+        ConditionalRy((3, 0), ((0, 0.2), (2, -1.1), (3, 0.5)), ancilla),
+        ConditionalRy(support, tuple((x, 0.1 * x - 0.3) for x in range(8)), ancilla),
+        ControlledRy(-0.4, 0, ancilla),
+    )
+    c, s = engine._fold_rotation(rotation, support, ancilla)
+    position = {q: i for i, q in enumerate((*support, ancilla))}
+    probe = np.zeros(16)
+    probe[0::2] = 1.0
+    for g in rotation:
+        engine._apply_gate_flat(probe, 4, engine._relabel(g, position), 0, False)
+    assert np.abs(c - probe[0::2]).max() < 1e-15
+    assert np.abs(s - probe[1::2]).max() < 1e-15
+
+
 def test_step_lowered_for_another_state_type_is_rejected():
     circ = build_pauli_step(PauliTerm.from_string(0.5, "XZ"), 0.1)
     step = lower_step(circ, StateVector(2))
@@ -674,6 +695,19 @@ def test_bitmask_expectation_matches_pauli_strings_and_dense(name):
     assert real.expectation(h) == pytest.approx(
         np.vdot(real.data, h.dense_matrix() @ real.data).real, abs=1e-12
     )
+
+
+def test_bitmask_expectation_in_several_parity_passes():
+    # at 13 qubits the diagonals are built 8 terms per pass; the Ising
+    # terms share X masks across passes, the Y-heavy ones bring phases
+    ising, y_heavy = build_ising(13, 1.0, 1.2, 0.3), y_heavy_hamiltonian(13, 12)
+    h = PauliHamiltonian(13, ising.terms + y_heavy.terms, identity_offset=0.37)
+    psi = random_state(13)
+    s = StateVector(13, psi)
+    by_strings = h.identity_offset + sum(
+        t.coeff * np.vdot(psi, s.apply_pauli_string(t.axes)).real for t in h.terms
+    )
+    assert s.expectation(h) == pytest.approx(by_strings, abs=1e-11)
 
 
 def test_dense_step_oracle_basics():

@@ -1,4 +1,5 @@
 """Tests for the evolution driver: schedules, traces, restarts, orders."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,13 +7,20 @@ import pytest
 
 from pite_sim.analysis import diagonalize, exact_ite_state, rlb
 from pite_sim.engine import (
+    DensityMatrix,
     EvolutionAnnihilatedError,
     NoiseModel,
     StateVector,
     lower_step,
+    make_rng,
     run_step_circuit,
 )
-from pite_sim.grouping import group_hamiltonian, ising_local_grouping, singleton_groupspec
+from pite_sim.grouping import (
+    group_hamiltonian,
+    ising_local_grouping,
+    lih_groupspec,
+    singleton_groupspec,
+)
 from pite_sim.hamiltonian import (
     InitialState,
     PauliHamiltonian,
@@ -26,6 +34,7 @@ from pite_sim.pite import (
     RunConfig,
     Schedule,
     TraceRecord,
+    _grouped_step_circuits,
     _step_circuits,
     _trajectory_average,
     restart_loop,
@@ -301,6 +310,94 @@ def test_sampled_budget_exhausted():
     )
     assert not res.completed
     assert res.restarts == 2
+
+
+def direct_sampled_run(start, circuits, noise, n_steps, seed, budget):
+    """The restart loop run attempt by attempt, every measurement sampled
+    on the state itself: (restarts, completed, Trotter steps completed by
+    the returned attempt)."""
+    steps = [lower_step(c, start, noise) for c in circuits]
+    rng = make_rng(seed)
+    restarts = 0
+    while True:
+        state, done = start.copy(), 0
+        while done < n_steps and all(
+            run_step_circuit(state, b, mode="sample", rng=rng).outcome == "sampled-0"
+            for b in steps
+        ):
+            done += 1
+        if done == n_steps:
+            return restarts, True, done
+        restarts += 1
+        if restarts > budget:
+            return restarts - 1, False, done
+
+
+def _sampled_case(case):
+    """(Hamiltonian, initial state, schedule, blocks or None, noise)."""
+    if case == "lih-grouped":
+        h = build_lih()
+        init = prepare_initial(
+            InitialState.superposition([(math.sqrt(0.99), "110000"), (0.1, "000011")]), 6
+        )
+        return h, init, Schedule(dt=0.1, n_steps=4), group_hamiltonian(h, lih_groupspec()), None
+    h = build_h2(0.75)
+    init = prepare_initial(InitialState.superposition([(0.6, "01"), (0.8, "10")]), 2)
+    noise = NoiseModel(0.02, 0.05) if case == "h2-noisy" else None
+    return h, init, Schedule(dt=0.3, n_steps=6), None, noise
+
+
+@pytest.mark.parametrize("case", ["h2", "h2-noisy", "lih-grouped"])
+@pytest.mark.parametrize("budget", [1000, 0])
+def test_replayed_restarts_match_the_attempts(case, budget):
+    # a sampled run replays its restarts from one postselected pass; the
+    # attempts themselves must give the same restarts at every seed
+    h, init, sched, blocks, noise = _sampled_case(case)
+    spec = diagonalize(h, init)
+
+    def run(config):
+        if blocks is not None:
+            return run_generalized(h, blocks, init, sched, config, spectrum=spec)
+        return run_pite(h, init, sched, config, spectrum=spec)
+
+    postselected = run(RunConfig(noise=noise))
+    if blocks is not None:
+        circuits = _grouped_step_circuits(blocks, sched)
+    else:
+        circuits = _step_circuits(h, sched)
+    if noise is None:
+        start = StateVector(h.n_qubits, init)
+    else:
+        start = DensityMatrix(h.n_qubits, np.outer(init, init.conj()))
+    outcomes = set()
+    for seed in range(12):
+        res = run(RunConfig(mode="sample", noise=noise, seed=seed, restart_budget=budget))
+        restarts, completed, done = direct_sampled_run(
+            start, circuits, noise, sched.n_steps, seed, budget
+        )
+        assert (res.restarts, res.completed) == (restarts, completed)
+        assert [r.step for r in res.records] == list(range(done + 1))
+        for got, want in zip(res.records, postselected.records):
+            assert got == dataclasses.replace(want, restarts=restarts)
+        outcomes.add((restarts, completed))
+    if budget:  # some seeds restart
+        assert any(restarts for restarts, _ in outcomes)
+    else:  # and some run out of budget 0
+        assert (0, False) in outcomes
+
+
+def test_sampled_run_whose_pass_annihilates_samples_directly():
+    # prob0 = e^{-40} per step: postselection annihilates, so the run draws
+    # against it attempt by attempt and exhausts its budget
+    h = PauliHamiltonian(1, (PauliTerm.from_string(5.0, "Z"),))
+    init = prepare_initial(InitialState.basis("0"), 1)
+    sched = Schedule(dt=2.0, n_steps=2)
+    with pytest.raises(EvolutionAnnihilatedError):
+        run_pite(h, init, sched, RunConfig())
+    res = run_pite(h, init, sched, RunConfig(mode="sample", seed=4, restart_budget=3))
+    assert not res.completed
+    assert res.restarts == 3
+    assert [r.step for r in res.records] == [0]
 
 
 def test_sampled_success_fraction_matches_postselect():
