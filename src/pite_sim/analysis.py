@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class SpectrumInfo:
     def ground_degeneracy(self) -> int:
         return self.ground_basis.shape[1]
 
-    @property
+    @cached_property
     def s0(self) -> float:
         return float(np.sum(self.overlaps[: self.ground_degeneracy]))
 

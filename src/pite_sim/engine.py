@@ -13,17 +13,23 @@ built by running the gate kernels on the identity columns. A noiseless
 statevector step is one fused K0 = Post_S diag(c_S) Pre_S; a statevector
 trajectory runs diag(c_S) Pre_S (or diag(s_S) Pre_S), the sampled
 work-qubit noise, then Post_S; a density matrix gets Pre_S on both sides,
-the measurement as one elementwise weight on S, the channel, then Post_S.
-A step whose support is wider than ``FUSED_MAX_SUPPORT`` qubits keeps the
-per-gate kernels on either state type: its operators would grow as
-4^|S| in memory and 8^|S| in set-up time, and each step would cost 2^|S|
-operations per state entry instead of a few passes per gate.
+the measurement as one elementwise weight on S, the channel on S, then
+Post_S. A step whose support is wider than ``FUSED_MAX_SUPPORT`` qubits
+keeps the per-gate kernels on either state type: its operators would
+grow as 4^|S| in memory and 8^|S| in set-up time, and each step would
+cost 2^|S| operations per state entry instead of a few passes per gate.
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
 (the ancilla's, then one per work qubit), so that averaging many such
 trajectories, weighted by their ancilla-0 probabilities, reproduces the
-channel.
+channel. On a density matrix a fused step applies the channel on S only
+and leaves it owed on every other qubit. That is exact: the channel on a
+qubit outside S is trace-preserving and acts on that qubit alone, so it
+commutes with the whole step, its weight and its division by prob0
+included. The owed applications run, folded into one channel per qubit,
+when a later step's support takes in the qubit (in the gathered layout,
+where its passes are long) or when the state is read.
 
 Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; in a circuit the ancilla is the
@@ -227,6 +233,13 @@ class NoiseModel:
     matters: E1 leaves it as it is, E2 adds the eps_d * S rho S branch and
     E3 contributes nothing. The work-qubit channels commute with the
     ancilla measurement, so the engine applies them after outcome 0.
+
+    On a density matrix the channel of a work qubit outside a step's
+    support is deferred: it is trace-preserving and acts on that qubit
+    alone, so it commutes with the whole step, the division by prob0
+    included. m deferred applications fold into one exact channel that
+    moves 1 - (1 - eps_d)^m of |1><1| onto |0><0|, keeps (1 - eps_d)^m of
+    it and scales the coherences by sqrt(1 - eps_r - eps_d)^m.
     """
 
     eps_r: float
@@ -478,21 +491,52 @@ class DensityMatrix(_State):
 
     Like :class:`StateVector`, entries stay float64 until a genuinely
     complex gate arrives.
+
+    A fused step leaves the noise channel of the qubits outside its
+    support owed: the state keeps the matrix without it and a per-qubit
+    count of the applications still to come (all of one
+    :class:`NoiseModel`). A later step applies what its own support owes,
+    and ``data`` applies all of it, so every read of the state sees the
+    channel in full.
     """
 
     _samples_noise = False
 
     def __init__(self, n_qubits: int, entries: np.ndarray | None = None):
         self.n_qubits = n_qubits
+        self._noise: NoiseModel | None = None  # the model of the owed counts
         dim = 2**n_qubits
         if entries is None:
             self.data = np.zeros((dim, dim))
-            self.data[0, 0] = 1.0
+            self._rho[0, 0] = 1.0
         else:
             entries = np.asarray(entries)
             if entries.shape != (dim, dim):
                 raise ValueError("entry matrix does not match qubit count")
             self.data = _as_state_array(entries)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The matrix, every owed channel application applied."""
+        self._flush()
+        return self._rho
+
+    @data.setter
+    def data(self, entries: np.ndarray) -> None:
+        self._rho = np.ascontiguousarray(entries)
+        self._owed = [0] * self.n_qubits
+
+    def _flush(self) -> None:
+        if any(self._owed):
+            _channel(self._rho, self._noise, tuple(self._owed))
+            self._owed = [0] * self.n_qubits
+
+    def _adopt(self, model: NoiseModel) -> None:
+        """Owe applications of ``model`` from now on, applying those of
+        another model first."""
+        if model != self._noise:
+            self._flush()
+            self._noise = model
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.data)))
@@ -505,29 +549,13 @@ class DensityMatrix(_State):
         _apply_gate_flat(self.data, total, gate, self.n_qubits, True)
 
     def apply_noise(self, model: NoiseModel) -> None:
-        """Kraus channel on every qubit.
-
-        Per qubit the three operators reduce to block updates split by
-        that qubit's row/column bit:
-
-            rho_00 += eps_d * rho_11     (E2 jump)
-            rho_01 *= sqrt(1 - eps_r - eps_d)
-            rho_10 *= sqrt(1 - eps_r - eps_d)
-            rho_11 *= 1 - eps_d          (E1 damping + E3)
-
-        Channels on distinct qubits commute and each factors exactly into
-        (scaling) o (1 + jump), so all jumps are applied first and the
-        scalings collapse into one precomputed elementwise multiply.
-        """
+        """Kraus channel on every qubit: one more owed application on each,
+        then everything owed is applied (see :func:`_channel`)."""
         if model.is_identity:
             return
-        if model.eps_d != 0.0:
-            # the per-qubit jump superoperators commute
-            for q in range(self.n_qubits):
-                (b00,) = _pinned_views(self.data, {q: 0, self.n_qubits + q: 0}, None)
-                (b11,) = _pinned_views(self.data, {q: 1, self.n_qubits + q: 1}, None)
-                b00 += model.eps_d * b11
-        self.data *= _noise_scale_matrix(model.eps_r, model.eps_d, self.n_qubits)
+        self._adopt(model)
+        self._owed = [m + 1 for m in self._owed]
+        self._flush()
 
     def _apply_channel(self, model: NoiseModel, rng: np.random.Generator | None) -> None:
         self.apply_noise(model)
@@ -536,14 +564,27 @@ class DensityMatrix(_State):
         return self.data.diagonal().real
 
     def _keep0(self, c, s, eps_d, prob0, jump) -> None:
-        self.data *= (np.outer(c, c) + eps_d * np.outer(s, s)) / prob0
+        # (C rho C + eps_d S rho S) / prob0, as row and column broadcasts
+        rho = self.data
+        if eps_d > 0.0:
+            jumped = rho * s[:, None]
+            jumped *= s * (eps_d / prob0)
+        rho *= c[:, None]
+        rho *= c / prob0
+        if eps_d > 0.0:
+            rho += jumped
 
     def _run_fused(self, step: BoundStep, mode: str, rng) -> MeasureResult:
-        # The step runs on P rho P^T, which has the support's qubits first.
-        # The noise channel acts alike on every qubit, so it commutes with
-        # P and runs there too; traces do not change under P.
+        # The step runs on P rho P^T, which has the support's qubits first;
+        # traces do not change under P. The channel on a qubit outside S
+        # commutes with the whole step, so it is only counted as owed. S
+        # gets what it owes before Pre_S, where its passes run long, and
+        # its own channel after the weight W, before Post_S (or owed, when
+        # there is no Post_S).
         pre, weights, post = step.ops
-        dim, rows = self.data.shape[0], len(weights)
+        layout, noise = step.layout, step.noise
+        support = layout.support
+        dim, rows = self._rho.shape[0], len(weights)
 
         def sandwich(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
             """a rho a^dag, with rho as a (2^k, rest) array: a acts on the
@@ -551,25 +592,41 @@ class DensityMatrix(_State):
             left = (a @ rho).reshape(-1, rows, dim // rows)
             return (a.conj() @ left).reshape(rows, -1)
 
-        rho = step.layout.gather(self.data)
+        if noise is not None:
+            self._adopt(noise)
+        rho = layout.gather(self._rho)
+        owed = tuple(self._owed[q] for q in support)
+        if any(owed):
+            _channel(rho, self._noise, owed)
+            if np.may_share_memory(rho, self._rho):
+                # gather returned a view, so the state itself took it
+                for q in support:
+                    self._owed[q] = 0
         if pre is not None:
             rho = sandwich(pre, rho)
         # outcome 0 weights entry (x, y) of every block on S by
-        # c_x c_y + eps_d s_x s_y
-        blocks = (rows, dim // rows, rows, dim // rows)
-        rho = (rho.reshape(blocks) * weights[:, None, :, None]).reshape(dim, dim)
-        # both ancilla branches are kept, so only their summed weight counts
-        result, _ = _outcome(float(rho.trace().real), 0.0, mode, rng, False)
+        # c_x c_y + eps_d s_x s_y; both ancilla branches are kept, so only
+        # their summed weight counts
+        diagonal = rho.reshape(dim, dim).diagonal().real.reshape(rows, -1)
+        result, _ = _outcome(
+            float(np.dot(weights.diagonal(), diagonal.sum(axis=1))), 0.0, mode, rng, False
+        )
         if result.outcome == "sampled-1":
             return result
-        rho /= result.prob0
-        self.data = rho
-        if step.noise is not None:
-            self.apply_noise(step.noise)
-        rho = self.data.reshape(rows, -1)
+        blocks = (rows, dim // rows, rows, dim // rows)
+        if noise is not None and post is not None:
+            rho = rho.reshape(blocks) * weights[:, None, :, None]
+            _channel(rho, noise, (1,) * len(support), 1.0 / result.prob0)
+        else:
+            rho = rho.reshape(blocks) * (weights / result.prob0)[:, None, :, None]
         if post is not None:
-            rho = sandwich(post, rho)
-        self.data = step.layout.scatter(rho)
+            rho = sandwich(post, rho.reshape(rows, -1))
+        self._rho = layout.scatter(rho)
+        counts = [m + 1 for m in self._owed] if noise is not None else self._owed
+        left = int(noise is not None and post is None)
+        for q in support:
+            counts[q] = left
+        self._owed = counts
         return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
@@ -579,17 +636,68 @@ class DensityMatrix(_State):
         )
 
 
-@lru_cache(maxsize=4)
-def _noise_scale_matrix(eps_r: float, eps_d: float, n_qubits: int) -> np.ndarray:
-    """Elementwise factor of the non-jump channel part: the tensor power of
-    [[1, damp], [damp, 1-eps_d]] over (row bit, column bit) pairs."""
-    damp = math.sqrt(1.0 - eps_r - eps_d)
-    g = np.array([[1.0, damp], [damp, 1.0 - eps_d]])
-    f = np.array([[1.0]])
-    for _ in range(n_qubits):
-        f = np.kron(f, g)
-    f.setflags(write=False)
-    return f
+# Qubits per elementwise factor of the channel, so that no factor holds
+# more than 4^6 entries (32 KB)
+_FACTOR_QUBITS = 6
+
+
+@lru_cache(maxsize=128)
+def _channel_factors(
+    model: NoiseModel, counts: tuple[int, ...]
+) -> tuple[tuple[float, ...], np.ndarray]:
+    """``model``'s channel applied counts[i] times to qubit i of a few
+    qubits, folded per qubit into one exact channel: the weight
+    1 - (1 - eps_d)^m that jumps from |1><1| to |0><0|, and the read-only
+    elementwise factor, over (row bits, column bits), of the tensor
+    product of [[1, delta^m], [delta^m, (1 - eps_d)^m]] with
+    delta = sqrt(1 - eps_r - eps_d)."""
+    keep = 1.0 - model.eps_d
+    damp = math.sqrt(1.0 - model.eps_r - model.eps_d)
+    # 1 - keep^m as eps_d (1 + keep + ... + keep^(m-1)): exact for m = 1
+    jumps = tuple(model.eps_d * sum(keep**j for j in range(m)) for m in counts)
+    factor = np.ones((1, 1))
+    for m in counts:
+        factor = np.kron(factor, [[1.0, damp**m], [damp**m, keep**m]])
+    factor.setflags(write=False)
+    return jumps, factor
+
+
+def _channel(
+    rho: np.ndarray, model: NoiseModel, counts: tuple[int, ...], scale: float = 1.0
+) -> None:
+    """In place on a contiguous 2^n x 2^n matrix of any shape: ``model``'s
+    channel applied counts[i] times to qubit i (the i-th most significant
+    bit of the row and of the column index) for i < len(counts), then the
+    factor ``scale``.
+
+    Per qubit the three Kraus operators reduce to block updates split by
+    that qubit's row/column bit:
+
+        rho_00 += (1 - keep) * rho_11     (E2 jump)
+        rho_01 *= delta,  rho_10 *= delta
+        rho_11 *= keep                    (E1 damping + E3)
+
+    with keep = (1 - eps_d)^m and delta = sqrt(1 - eps_r - eps_d)^m.
+    Channels on distinct qubits commute, and each is (scaling) o (jump),
+    so every few qubits take their jumps and then one elementwise
+    multiply. The jump passes run long for the leading qubits, which is
+    where a step's gathered layout puts its support.
+    """
+    flat = rho.reshape(-1)
+    n = (flat.size.bit_length() - 1) // 2
+    for first in range(0, len(counts), _FACTOR_QUBITS):
+        jumps, factor = _channel_factors(model, counts[first : first + _FACTOR_QUBITS])
+        for q, jump in enumerate(jumps, first):
+            if jump:
+                lead, tail = 2**q, 2 ** (n - 1 - q)
+                blocks = flat.reshape(lead, 2, tail, lead, 2, tail)
+                blocks[:, 0, :, :, 0] += jump * blocks[:, 1, :, :, 1]
+        if first == 0 and scale != 1.0:
+            factor = factor * scale
+        end = first + len(jumps)
+        outer, inner = 2**first, 2 ** (n - end)
+        view = flat.reshape(outer, 2 ** len(jumps), inner, outer, -1, inner)
+        view *= factor[None, :, None, None, :, None]
 
 
 def dense_step_oracle(term: PauliTerm, dt: float, state: np.ndarray) -> np.ndarray:
@@ -694,12 +802,14 @@ class _Layout:
     first, keeping the order within S and within the rest.
 
     ``gather`` copies a statevector into P psi, or a density matrix into
-    P rho P^T, viewed as (2^k, rest) with the basis index of S as row;
+    P rho P^T, viewed as (2^k, rest) with the basis index of S as row (a
+    view, not a copy, when S is the leading qubits in order);
     ``scatter`` copies such an array back into the state's own order.
     Consecutive qubits on the same side of the split share one axis of
     the transpose, so the copies run long inner loops.
     """
 
+    support: tuple[int, ...]
     shape: tuple[int, ...]
     order: tuple[int, ...]
     moved: tuple[int, ...]
@@ -723,6 +833,7 @@ class _Layout:
             order += [len(runs) + i for i in order]
             shape *= 2
         return _Layout(
+            support=support,
             shape=tuple(shape),
             order=tuple(order),
             moved=tuple(shape[i] for i in order),
@@ -902,8 +1013,8 @@ def run_step_circuit(
     trajectory: A0 psi or (ancilla jump) A1 psi, one sampled Kraus branch
     per work qubit, then Post_S; it needs ``rng``. A density matrix gets
     sigma = Pre_S rho Pre_S^dag weighted entrywise on S by W (which is
-    C sigma C + eps_d S sigma S), the exact work-qubit channel, then
-    Post_S. A step lowered per gate (support wider than
+    C sigma C + eps_d S sigma S), the exact work-qubit channel (on S at
+    once, owed on the other qubits), then Post_S. A step lowered per gate (support wider than
     ``FUSED_MAX_SUPPORT``) runs the same in four stages on either state
     type: the work gates before the rotation, the measurement folded into
     (c, s), the channel (exact or sampled), the post-measure gates. Every

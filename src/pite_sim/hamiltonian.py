@@ -136,20 +136,20 @@ class PauliHamiltonian:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    @property
-    def abs_coeff_sum(self) -> float:
-        """Sum of |c_k| over the non-identity terms."""
-        return float(sum(abs(t.coeff) for t in self.terms))
-
     def dense_matrix(self, include_offset: bool = True) -> np.ndarray:
         """Dense 2^n x 2^n matrix; real-valued if every term has an even
-        number of Y axes (all built-in models do)."""
+        number of Y axes (all built-in models do).
+
+        Assembled from :attr:`x_mask_diagonals`: entry (b ^ x, b) is
+        d_x[b], summed over the terms in the same order as the sum of
+        their Kronecker products."""
         dim = 2**self.n_qubits
+        basis = np.arange(dim)
         m = np.zeros((dim, dim), dtype=complex)
-        for t in self.terms:
-            m += t.dense_matrix()
+        for x_mask, diagonal in self.x_mask_diagonals:
+            m[basis ^ x_mask, basis] += diagonal
         if include_offset:
-            m += self.identity_offset * np.eye(dim)
+            m[basis, basis] += self.identity_offset
         if np.abs(m.imag).max(initial=0.0) < 1e-14:
             return np.ascontiguousarray(m.real)
         return m
@@ -157,6 +157,11 @@ class PauliHamiltonian:
     # Computed on first use and kept in the instance __dict__ (the
     # dataclass fields, hash and equality do not see them), so an energy
     # evaluation reads them without hashing the Hamiltonian.
+
+    @cached_property
+    def abs_coeff_sum(self) -> float:
+        """Sum of |c_k| over the non-identity terms."""
+        return float(sum(abs(t.coeff) for t in self.terms))
 
     @cached_property
     def offset_free_matrix(self) -> np.ndarray:

@@ -1,4 +1,5 @@
 """Tests for statevector/density-matrix execution, measurement and noise."""
+import copy
 import math
 
 import numpy as np
@@ -346,6 +347,24 @@ def test_step_matches_postselected_operator(circ, monkeypatch):
         assert np.abs(d.data - branch / p0).max() < 1e-12, path
 
 
+def full_kraus_step(circ, rho_work, model):
+    """Oracle of a noisy density-matrix step: the (n+1)-qubit circuit with
+    the channel on every qubit at once, ancilla included, projected on
+    ancilla 0. Returns the normalized work-register state and prob0."""
+    n = circ.n_qubits
+    full = np.kron(rho_work, np.diag([1.0, 0.0]))  # ancilla is the last qubit
+    pre = gates_unitary(circ.pre_measure, n)
+    rho = pre @ full @ pre.conj().T
+    for q in range(n):
+        ops = [np.kron(np.kron(np.eye(2**q), e), np.eye(2 ** (n - 1 - q)))
+               for e in model.kraus_operators()]
+        rho = sum(op @ rho @ op.conj().T for op in ops)
+    branch = rho[0::2, 0::2]
+    p0 = float(np.trace(branch).real)
+    post = gates_unitary(circ.post_measure, n)[0::2, 0::2]
+    return post @ branch @ post.conj().T / p0, p0
+
+
 @pytest.mark.parametrize("eps_r,eps_d", [(0.3, 0.2), (0.0, 0.9), (1e-5, 1e-5)])
 def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
     """A noisy density-matrix step, down either path, equals the
@@ -363,23 +382,15 @@ def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
     for circ in circuits:
         n = circ.n_qubits
         rho_work = random_density(circ.n_work)
-        full = np.kron(rho_work, np.diag([1.0, 0.0]))  # ancilla is the last qubit
-        pre = gates_unitary(circ.pre_measure, n)
-        rho = pre @ full @ pre.conj().T
-        for q in range(n):
-            ops = [np.kron(np.kron(np.eye(2**q), e), np.eye(2 ** (n - 1 - q)))
-                   for e in model.kraus_operators()]
-            rho = sum(op @ rho @ op.conj().T for op in ops)
-        branch = rho[0::2, 0::2]
-        p0 = float(np.trace(branch).real)
-        post = gates_unitary(circ.post_measure, n)[0::2, 0::2]
-        want = post @ branch @ post.conj().T / p0
+        want, p0 = full_kraus_step(circ, rho_work, model)
         for path in STEP_PATHS:
             d = DensityMatrix(circ.n_work, rho_work)
             res = path_step(monkeypatch, path, circ, d, noise=model)
             assert res.prob0 == pytest.approx(p0, rel=1e-12), path
             assert np.abs(d.data - want).max() < 1e-12, path
 
+        pre = gates_unitary(circ.pre_measure, n)
+        post = gates_unitary(circ.post_measure, n)[0::2, 0::2]
         a0, a1 = pre[0::2, 0::2], pre[1::2, 0::2]
         psi = random_state(circ.n_work)
         for seed in range(6):
@@ -610,6 +621,80 @@ def test_noise_matches_dense_superoperator(eps_r, eps_d):
         assert np.abs(d.data - d.data.conj().T).max() < 1e-12
 
 
+@pytest.mark.parametrize("path", STEP_PATHS)
+def test_deferred_channel_matches_the_channel_applied_at_once(path, monkeypatch):
+    """Three noisy Trotter steps of Ising n=5 on a density matrix, down
+    either path, equal after every step the oracle that applies the
+    channel on every qubit at once. The supports have one and two qubits,
+    and the single-Z terms have neither Pre_S nor Post_S, so a fused run
+    owes several applications on most qubits at most steps. The state
+    is read from a deep copy, which leaves the run's owed counts alone."""
+    monkeypatch.setattr(engine, "FUSED_MAX_SUPPORT", STEP_PATHS[path])
+    model = NoiseModel(0.02, 0.03)
+    circuits = [build_pauli_step(t, 0.1) for t in build_ising(5, 1.0, 1.2, 0.3).terms]
+    rho = random_density(5)
+    d = DensityMatrix(5, rho)
+    steps = [lower_step(c, d, model) for c in circuits]
+    for _ in range(3):
+        for circ, step in zip(circuits, steps):
+            res = run_step_circuit(d, step)
+            rho, p0 = full_kraus_step(circ, rho, model)
+            assert res.prob0 == pytest.approx(p0, rel=1e-13)
+            assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-13
+    if path == "fused":
+        assert max(d._owed) > 1  # the run did defer
+    assert np.abs(d.data - rho).max() < 1e-13
+
+
+class _AlwaysOne:
+    """An rng stand-in whose every draw samples ancilla outcome 1."""
+
+    def random(self):
+        return 1.0
+
+
+def test_sampled_one_with_noise_owed_leaves_the_state():
+    """A sampled 1 leaves the state and what it owes as they were, also
+    when the support leads in order and the gather is a view of the
+    state (its in-place flush is committed with its counts)."""
+    model = NoiseModel(0.02, 0.03)
+    terms = build_ising(4, 1.0, 1.2, 0.3).terms
+    d = DensityMatrix(4, random_density(4))
+    for term in terms:
+        run_circuit(d, build_pauli_step(term, 0.1), noise=model)
+    assert min(d._owed) > 0
+    for support in ((0,), (0, 1), (2, 3)):
+        term = PauliTerm(0.7, tuple(PauliAxis.X if q in support else PauliAxis.I for q in range(4)))
+        trial, twin = copy.deepcopy(d), copy.deepcopy(d)
+        res = run_circuit(trial, build_pauli_step(term, 0.1), "sample", _AlwaysOne(), model)
+        assert res.outcome == "sampled-1"
+        assert np.abs(trial.data - twin.data).max() < 1e-15, support
+        # the same later evolution, so nothing is owed twice or lost
+        for state in (trial, twin):
+            run_circuit(state, build_pauli_step(terms[0], 0.1), noise=model)
+        assert np.abs(trial.data - twin.data).max() < 1e-15, support
+
+
+def test_owed_applications_fold_into_one_channel():
+    """m calls of ``apply_noise`` equal one flush of m owed applications
+    on every qubit, and owing another model first applies the old one."""
+    model, other = NoiseModel(0.3, 0.2), NoiseModel(0.1, 0.05)
+    rho = random_density(3)
+    for m in (1, 2, 5):
+        calls = DensityMatrix(3, rho)
+        for _ in range(m):
+            calls.apply_noise(model)
+        folded = DensityMatrix(3, rho)
+        folded._adopt(model)
+        folded._owed = [m] * 3
+        assert np.abs(calls.data - folded.data).max() < 1e-15, m
+        folded._owed = [1] * 3
+        folded.apply_noise(other)
+        calls.apply_noise(model)
+        calls.apply_noise(other)
+        assert np.abs(calls.data - folded.data).max() < 1e-15, m
+
+
 def test_cached_arrays_are_read_only():
     h = build_h2(0.75)
     energies, vectors = eigensystem(h)
@@ -617,7 +702,7 @@ def test_cached_arrays_are_read_only():
         energies,
         vectors,
         h.offset_free_matrix,
-        engine._noise_scale_matrix(0.2, 0.3, 2),
+        engine._channel_factors(NoiseModel(0.2, 0.3), (1, 2))[1],
         *(d for _, d in h.x_mask_diagonals),
     ]
     for arr in cached:

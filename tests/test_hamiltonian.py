@@ -205,3 +205,27 @@ def test_prepare_product_state():
 def test_prepare_product_explicit_phi():
     vec = prepare_initial(InitialState.product(phi=0.0), 3)
     assert vec[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "h",
+    [
+        build_h2(0.75),
+        build_lih(),
+        build_ising(8, 1.0, 1.2, 0.3),
+        build_ising(10, 1.0, 1.2, 0.3),
+        # odd Y counts: a genuinely complex matrix
+        parse_hamiltonian("0.7 YZI\n-0.4 XYY\n0.25 IIY\n0.3 ZXI\n-1.1 III\n"),
+    ],
+    ids=["h2", "lih", "ising8", "ising10", "complex3"],
+)
+def test_dense_matrix_equals_the_kronecker_sum(h):
+    """The matrix scattered from the X-mask diagonals is exactly the sum
+    of the terms' Kronecker products, offset and dtype rule included."""
+    oracle = sum(t.dense_matrix() for t in h.terms)
+    with_offset = oracle + h.identity_offset * np.eye(2**h.n_qubits)
+    for include_offset, want in ((False, oracle), (True, with_offset)):
+        got = h.dense_matrix(include_offset=include_offset)
+        real = np.abs(want.imag).max() < 1e-14
+        assert got.dtype == (np.float64 if real else np.complex128)
+        assert np.array_equal(got, want.real if real else want)
