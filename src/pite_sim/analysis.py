@@ -20,6 +20,7 @@ import numpy as np
 from .hamiltonian import PauliHamiltonian
 
 __all__ = [
+    "OracleCapacityError",
     "eigensystem",
     "SpectrumInfo",
     "diagonalize",
@@ -71,6 +72,10 @@ class SpectrumInfo:
         return float(np.real(np.vdot(amps, amps)))
 
 
+class OracleCapacityError(ValueError):
+    """The Hamiltonian is too large for the dense exact oracle."""
+
+
 @lru_cache(maxsize=8)
 def eigensystem(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     """Dense eigendecomposition of a Hamiltonian, offset included.
@@ -80,7 +85,7 @@ def eigensystem(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
     (they are hashable value objects), so both arrays are read-only.
     """
     if h.n_qubits > _MAX_ORACLE_QUBITS:
-        raise ValueError(
+        raise OracleCapacityError(
             f"dense diagonalization limited to {_MAX_ORACLE_QUBITS} qubits, got {h.n_qubits}"
         )
     energies, vectors = np.linalg.eigh(h.dense_matrix(include_offset=True))

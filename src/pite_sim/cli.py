@@ -475,7 +475,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, analysis.OracleCapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EvolutionAnnihilatedError as exc:

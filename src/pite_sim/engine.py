@@ -12,12 +12,17 @@ support S, the work qubits its gates touch, into 2^|S| x 2^|S| matrices
 built by running the gate kernels on the identity columns. A noiseless
 statevector step is one fused K0 = Post_S diag(c_S) Pre_S; a statevector
 trajectory runs diag(c_S) Pre_S (or diag(s_S) Pre_S), the sampled
-work-qubit noise, then Post_S; a density matrix gets Pre_S on both sides,
-the measurement as one elementwise weight on S, the channel on S, then
-Post_S. A step whose support is wider than ``FUSED_MAX_SUPPORT`` qubits
-keeps the per-gate kernels on either state type: its operators would
-grow as 4^|S| in memory and 8^|S| in set-up time, and each step would
-cost 2^|S| operations per state entry instead of a few passes per gate.
+work-qubit noise, then Post_S. A density-matrix step on at most
+``SUPEROP_MAX_SUPPORT`` = ``FUSED_MAX_SUPPORT`` // 2 qubits is one
+4^|S| x 4^|S| superoperator T_S (Pre_S on both sides, the measurement as
+one elementwise weight on S, the channel on S, then Post_S), applied
+with a single product to the matrix gathered as (vectorized block on S,
+rest); a wider one gets the same four stages in turn, Pre_S and Post_S
+as sandwiches. A step whose support is wider than ``FUSED_MAX_SUPPORT``
+qubits keeps the per-gate kernels on either state type: its operators
+would grow as 4^|S| in memory and 8^|S| in set-up time, and each step
+would cost 2^|S| operations per state entry instead of a few passes per
+gate.
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
@@ -28,8 +33,9 @@ and leaves it owed on every other qubit. That is exact: the channel on a
 qubit outside S is trace-preserving and acts on that qubit alone, so it
 commutes with the whole step, its weight and its division by prob0
 included. The owed applications run, folded into one channel per qubit,
-when a later step's support takes in the qubit (in the gathered layout,
-where its passes are long) or when the state is read.
+when a later step's support takes in the qubit (composed into its
+superoperator, or in the gathered layout, where its passes are long) or
+when the state is read.
 
 Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; in a circuit the ancilla is the
@@ -88,6 +94,10 @@ ANNIHILATION_THRESHOLD = 1e-15
 # matrix stays within 64 KB; beyond it the matrices grow as 4^|S| and
 # their set-up as 8^|S|, so wider steps run gate by gate.
 FUSED_MAX_SUPPORT = 6
+# Widest support (in qubits) whose density-matrix step runs as one
+# 4^|S| x 4^|S| superoperator, which then stays within the same 64 x 64;
+# wider fused density-matrix steps apply Pre_S and Post_S as sandwiches
+SUPEROP_MAX_SUPPORT = FUSED_MAX_SUPPORT // 2
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _H_MATRIX = np.array([[_SQRT1_2, _SQRT1_2], [_SQRT1_2, -_SQRT1_2]])
@@ -495,9 +505,9 @@ class DensityMatrix(_State):
     A fused step leaves the noise channel of the qubits outside its
     support owed: the state keeps the matrix without it and a per-qubit
     count of the applications still to come (all of one
-    :class:`NoiseModel`). A later step applies what its own support owes,
-    and ``data`` applies all of it, so every read of the state sees the
-    channel in full.
+    :class:`NoiseModel`). A later step applies what its own support owes
+    (or composes it into its superoperator), and ``data`` applies all of
+    it, so every read of the state sees the channel in full.
     """
 
     _samples_noise = False
@@ -577,8 +587,45 @@ class DensityMatrix(_State):
     def _run_fused(self, step: BoundStep, mode: str, rng) -> MeasureResult:
         # The step runs on P rho P^T, which has the support's qubits first;
         # traces do not change under P. The channel on a qubit outside S
-        # commutes with the whole step, so it is only counted as owed. S
-        # gets what it owes before Pre_S, where its passes run long, and
+        # commutes with the whole step, so it is only counted as owed.
+        if step.noise is not None:
+            self._adopt(step.noise)
+        if len(step.ops) == 2:
+            result = self._run_superop(step, mode, rng)
+        else:
+            result = self._run_sandwich(step, mode, rng)
+        if result.outcome != "sampled-1" and step.noise is not None:
+            support = set(step.layout.support)
+            self._owed = [
+                m if q in support else m + 1 for q, m in enumerate(self._owed)
+            ]
+        return result
+
+    def _run_superop(self, step: BoundStep, mode: str, rng) -> MeasureResult:
+        # rho gathered as (vec of the block on S, rest): the step is T_S on
+        # every column, and prob0 the functional v on their partial trace
+        # over the rest. What S owes composes into both; S owes nothing
+        # afterwards, since T_S holds its own channel.
+        superop, prob0_row = step.ops
+        layout = step.layout
+        owed = tuple(self._owed[q] for q in layout.support)
+        if any(owed):
+            owed_superop = _channel_superop(self._noise, owed)
+            superop, prob0_row = superop @ owed_superop, prob0_row @ owed_superop
+        rho = layout.gather(self._rho)
+        rest = math.isqrt(rho.shape[1])
+        partial_trace = rho[:, :: rest + 1].sum(axis=1)
+        prob0 = float(np.dot(prob0_row, partial_trace).real)
+        result, _ = _outcome(prob0, 0.0, mode, rng, False)
+        if result.outcome == "sampled-1":
+            return result
+        self._rho = layout.scatter((superop * (1.0 / result.prob0)) @ rho)
+        for q in layout.support:
+            self._owed[q] = 0
+        return result
+
+    def _run_sandwich(self, step: BoundStep, mode: str, rng) -> MeasureResult:
+        # S gets what it owes before Pre_S, where its passes run long, and
         # its own channel after the weight W, before Post_S (or owed, when
         # there is no Post_S).
         pre, weights, post = step.ops
@@ -588,12 +635,12 @@ class DensityMatrix(_State):
 
         def sandwich(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
             """a rho a^dag, with rho as a (2^k, rest) array: a acts on the
-            row index of S, then conj(a) on the column index of S."""
-            left = (a @ rho).reshape(-1, rows, dim // rows)
-            return (a.conj() @ left).reshape(rows, -1)
+            row index of S, then conj(a) on the column index of S, as one
+            product over a copy with the column index of S leading."""
+            left = (a @ rho).reshape(-1, rows, dim // rows).transpose(1, 0, 2)
+            right = a.conj() @ left.reshape(rows, -1)
+            return right.reshape(rows, -1, dim // rows).transpose(1, 0, 2).reshape(rows, -1)
 
-        if noise is not None:
-            self._adopt(noise)
         rho = layout.gather(self._rho)
         owed = tuple(self._owed[q] for q in support)
         if any(owed):
@@ -622,11 +669,8 @@ class DensityMatrix(_State):
         if post is not None:
             rho = sandwich(post, rho.reshape(rows, -1))
         self._rho = layout.scatter(rho)
-        counts = [m + 1 for m in self._owed] if noise is not None else self._owed
-        left = int(noise is not None and post is None)
         for q in support:
-            counts[q] = left
-        self._owed = counts
+            self._owed[q] = int(noise is not None and post is None)
         return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
@@ -698,6 +742,22 @@ def _channel(
         outer, inner = 2**first, 2 ** (n - end)
         view = flat.reshape(outer, 2 ** len(jumps), inner, outer, -1, inner)
         view *= factor[None, :, None, None, :, None]
+
+
+@lru_cache(maxsize=128)
+def _channel_superop(model: NoiseModel, counts: tuple[int, ...]) -> np.ndarray:
+    """Read-only 4^k x 4^k matrix of ``_channel(rho, model, counts)`` on
+    k = len(counts) qubits, acting on rho.reshape(-1) (row bits, then
+    column bits). Built by one ``_channel`` pass over the 4^k basis
+    matrices E_ab, stacked as the 2k-qubit matrix sum_ab E_ab (x) E_ab:
+    the channel on its leading k qubits maps it to sum_ab N(E_ab) (x) E_ab,
+    which holds column (a, b) of the superoperator."""
+    d = 2 ** len(counts)
+    basis = np.eye(d * d).reshape(d, d, d, d).transpose(0, 2, 1, 3).copy()
+    _channel(basis, model, counts)
+    superop = basis.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    superop.setflags(write=False)
+    return superop
 
 
 def dense_step_oracle(term: PauliTerm, dt: float, state: np.ndarray) -> np.ndarray:
@@ -805,8 +865,11 @@ class _Layout:
     P rho P^T, viewed as (2^k, rest) with the basis index of S as row (a
     view, not a copy, when S is the leading qubits in order);
     ``scatter`` copies such an array back into the state's own order.
-    Consecutive qubits on the same side of the split share one axis of
-    the transpose, so the copies run long inner loops.
+    With ``superop`` a density matrix is gathered as (4^k, rest) instead:
+    the row bits of S, then its column bits, form the row index, so each
+    column is one vectorized block on S. Consecutive qubits on the same
+    side of the split share one axis of the transpose, so the copies run
+    long inner loops.
     """
 
     support: tuple[int, ...]
@@ -818,7 +881,7 @@ class _Layout:
     dims: tuple[int, ...]
 
     @staticmethod
-    def of(n: int, support: tuple[int, ...], density: bool) -> "_Layout":
+    def of(n: int, support: tuple[int, ...], density: bool, superop: bool = False) -> "_Layout":
         runs: list[list] = []  # [size, in support] per run of qubits
         for q in range(n):
             inside = q in support
@@ -827,10 +890,15 @@ class _Layout:
             else:
                 runs.append([2, inside])
         shape = [size for size, _ in runs]
-        order = [i for i, (_, inside) in enumerate(runs) if inside]
-        order += [i for i, (_, inside) in enumerate(runs) if not inside]
+        inner = [i for i, (_, inside) in enumerate(runs) if inside]
+        outer = [i for i, (_, inside) in enumerate(runs) if not inside]
+        order = inner + outer
         if density:  # the same relabelling on the column index
-            order += [len(runs) + i for i in order]
+            columns = [len(runs) + i for i in order]
+            if superop:
+                order = inner + columns[: len(inner)] + outer + columns[len(inner) :]
+            else:
+                order += columns
             shape *= 2
         return _Layout(
             support=support,
@@ -838,7 +906,7 @@ class _Layout:
             order=tuple(order),
             moved=tuple(shape[i] for i in order),
             back=tuple(sorted(range(len(order)), key=order.__getitem__)),
-            rows=2 ** len(support),
+            rows=2 ** (len(support) * (2 if superop else 1)),
             dims=(2**n,) * (2 if density else 1),
         )
 
@@ -856,7 +924,10 @@ class BoundStep:
     A fused step holds ``ops``, arrays on the circuit's support S
     (``layout`` places S in the state): (K0,) for a noiseless
     statevector; (A0, A1, Post_S) for a statevector trajectory, with A1
-    None when the ancilla cannot jump; (Pre_S, W, Post_S) for a density
+    None when the ancilla cannot jump; (T_S, v) for a density matrix on
+    at most ``SUPEROP_MAX_SUPPORT`` qubits, the step's superoperator on
+    vec(rho_S) and the row vector whose product with vec of the partial
+    trace over the rest is prob0; (Pre_S, W, Post_S) for a wider density
     matrix, with W[x, y] = c_x c_y + eps_d s_x s_y and None for an empty
     gate list. A per-gate step (support wider than ``FUSED_MAX_SUPPORT``)
     holds ``gates``: the work gates before the ancilla rotation, the
@@ -956,9 +1027,12 @@ def lower_step(
     to ``FUSED_MAX_SUPPORT`` qubits the step is fused: a noiseless
     statevector gets the single K0 = Post_S A0, a trajectory A0 =
     diag(c_S) Pre_S, A1 = diag(s_S) Pre_S (only when the ancilla can
-    jump) and Post_S, a density matrix Pre_S, the outcome-0 weight W and
-    Post_S. A wider step gets the per-gate form, whose set-up and memory
-    grow as 2^n rather than 4^k.
+    jump) and Post_S. A density matrix with 2k <= ``FUSED_MAX_SUPPORT``
+    gets T_S = (Post_S (x) Post_S*) N_S diag(vec W) (Pre_S (x) Pre_S*),
+    with N_S one application of the channel on S, and the prob0 row
+    v = vec(diag W)^T (Pre_S (x) Pre_S*); a wider one Pre_S, the outcome-0
+    weight W and Post_S. A wider step gets the per-gate form, whose set-up
+    and memory grow as 2^n rather than 4^k.
     """
     ancilla = circuit.ancilla
     pre = circuit.pre_measure
@@ -985,10 +1059,22 @@ def lower_step(
     post_s = _on_support(circuit.post_measure, support)
     eps_d = 0.0 if noise is None else noise.eps_d
     if density:
+        weights = np.outer(c, c) + eps_d * np.outer(s, s)
+        if len(support) <= SUPEROP_MAX_SUPPORT:
+            # vec(A rho A^dag) = (A (x) conj(A)) vec(rho), vec row-major
+            pre_t = np.kron(pre_s, pre_s.conj())
+            superop = weights.reshape(-1, 1) * pre_t
+            if noise is not None:
+                superop = _channel_superop(noise, (1,) * len(support)) @ superop
+            superop = np.kron(post_s, post_s.conj()) @ superop
+            # prob0 = sum_x W[x, x] (Pre rho Pre^dag)[x, x]: rows of Pre_t
+            prob0_row = weights.diagonal() @ pre_t[:: len(c) + 1]
+            layout = _Layout.of(n, support, True, superop=True)
+            return BoundStep(type(state), noise, layout=layout, ops=(superop, prob0_row))
         # an empty gate list leaves its sandwich out
         ops = (
             pre_s if pre[:split] else None,
-            np.outer(c, c) + eps_d * np.outer(s, s),
+            weights,
             post_s if circuit.post_measure else None,
         )
     elif noise is None:
@@ -1014,7 +1100,10 @@ def run_step_circuit(
     per work qubit, then Post_S; it needs ``rng``. A density matrix gets
     sigma = Pre_S rho Pre_S^dag weighted entrywise on S by W (which is
     C sigma C + eps_d S sigma S), the exact work-qubit channel (on S at
-    once, owed on the other qubits), then Post_S. A step lowered per gate (support wider than
+    once, owed on the other qubits), then Post_S: on a small support as
+    one product of T_S / prob0 with every vectorized block on S, the
+    channel S still owed composed into T_S and v; on a wider one stage by
+    stage. A step lowered per gate (support wider than
     ``FUSED_MAX_SUPPORT``) runs the same in four stages on either state
     type: the work gates before the rotation, the measurement folded into
     (c, s), the channel (exact or sampled), the post-measure gates. Every

@@ -113,6 +113,16 @@ def test_run_noise_capacity_error(tmp_path, capsys):
     assert "trajectories" in capsys.readouterr().err
 
 
+def test_run_oracle_capacity_error(tmp_path, capsys):
+    # a 13-qubit statevector fits, but the exact oracle's dense H does not
+    code = main(["run", "--model", "ising", "--n", "13", "--beta", "0.1",
+                 "--out", str(tmp_path / "wide")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "limited to 12 qubits, got 13" in err
+    assert "Traceback" not in err
+
+
 def test_run_ising_grouped(tmp_path):
     out = tmp_path / "ising"
     code = main(

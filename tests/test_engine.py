@@ -312,15 +312,34 @@ def lowering_cases():
 LOWERING_CASES = lowering_cases()
 
 
-# FUSED_MAX_SUPPORT values that force each step path
-STEP_PATHS = {"fused": 99, "per-gate": 0}
+# (FUSED_MAX_SUPPORT, SUPEROP_MAX_SUPPORT) values that force each step
+# path on small registers: a density-matrix step runs as one
+# superoperator, as the Pre/W/Post sandwich or gate by gate (a
+# statevector step is fused on the first two)
+STEP_PATHS = {"superop": (99, 99), "sandwich": (99, 0), "per-gate": (0, 0)}
+
+
+def force_path(monkeypatch, path: str) -> None:
+    fused, superop = STEP_PATHS[path]
+    monkeypatch.setattr(engine, "FUSED_MAX_SUPPORT", fused)
+    monkeypatch.setattr(engine, "SUPEROP_MAX_SUPPORT", superop)
+
+
+def step_path(step) -> str:
+    """The path a lowered step runs down, in ``STEP_PATHS``' names."""
+    if step.gates is not None:
+        return "per-gate"
+    if step.state_type is not DensityMatrix:
+        return "fused"
+    return "superop" if len(step.ops) == 2 else "sandwich"
 
 
 def path_step(monkeypatch, path, circ, state, rng=None, noise=None):
     """Run ``circ`` once on ``state`` down the given path."""
-    monkeypatch.setattr(engine, "FUSED_MAX_SUPPORT", STEP_PATHS[path])
+    force_path(monkeypatch, path)
     step = lower_step(circ, state, noise)
-    assert (step.gates is None) == (path == "fused")
+    assert step_path(step) == (path if isinstance(state, DensityMatrix) or path == "per-gate"
+                               else "fused")
     return run_step_circuit(state, step, rng=rng)
 
 
@@ -367,7 +386,7 @@ def full_kraus_step(circ, rho_work, model):
 
 @pytest.mark.parametrize("eps_r,eps_d", [(0.3, 0.2), (0.0, 0.9), (1e-5, 1e-5)])
 def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
-    """A noisy density-matrix step, down either path, equals the
+    """A noisy density-matrix step, down every path, equals the
     (n+1)-qubit circuit with the channel on every qubit, ancilla included,
     projected on ancilla 0. A statevector trajectory step, down either
     path, equals with the same draws that circuit's ancilla-0 branch
@@ -420,7 +439,11 @@ def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
 )
 def test_step_paths_agree(mode, noise, trajectories, monkeypatch):
     """The fused and the per-gate steps give the same LiH evolution, per
-    term and grouped, on every state type and measurement mode."""
+    term and grouped, on every state type and measurement mode. On a
+    density matrix the fused steps run at the default cut, supports of up
+    to 3 qubits as superoperators and wider ones as sandwiches, and also
+    all as sandwiches. (Superoperators on LiH's 6-qubit supports would
+    take 4096 x 4096 entries each.)"""
     from pite_sim.grouping import group_hamiltonian, lih_groupspec
     from pite_sim.hamiltonian import build_lih
     from pite_sim.pite import RunConfig, Schedule, run_generalized, run_pite
@@ -433,19 +456,27 @@ def test_step_paths_agree(mode, noise, trajectories, monkeypatch):
         seed=None if mode == "postselect" and trajectories is None else 3,
     )
     schedule = Schedule(dt=0.1, n_steps=2)
+    cut = engine.SUPEROP_MAX_SUPPORT
+    paths = {"default": (99, cut), "per-gate": (0, 0)}
+    if noise is not None and trajectories is None:
+        paths["sandwich"] = (99, 0)
     runs = {}
-    for path, limit in STEP_PATHS.items():
-        monkeypatch.setattr(engine, "FUSED_MAX_SUPPORT", limit)
+    for path, (fused, superop) in paths.items():
+        monkeypatch.setattr(engine, "FUSED_MAX_SUPPORT", fused)
+        monkeypatch.setattr(engine, "SUPEROP_MAX_SUPPORT", superop)
         runs[path] = [
             run_pite(h, init, schedule, config),
             run_generalized(h, blocks, init, schedule, config),
         ]
-    for fused, per_gate in zip(runs["fused"], runs["per-gate"]):
-        assert fused.restarts == per_gate.restarts
-        assert len(fused.records) == len(per_gate.records) == 3
-        for a, b in zip(fused.records, per_gate.records):
-            for field in ("energy", "fidelity", "p_cum"):
-                assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12), field
+    for path in [p for p in paths if p != "per-gate"]:
+        for fused, per_gate in zip(runs[path], runs["per-gate"]):
+            assert fused.restarts == per_gate.restarts
+            assert len(fused.records) == len(per_gate.records) == 3
+            for a, b in zip(fused.records, per_gate.records):
+                for field in ("energy", "fidelity", "p_cum"):
+                    assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12), (
+                        path, field
+                    )
 
 
 def test_wide_support_runs_per_gate():
@@ -470,6 +501,22 @@ def test_wide_support_runs_per_gate():
     assert step.ops is None
     run_step_circuit(s, step)
     assert np.abs(s.data - dense_step_oracle(term, 0.2, psi)).max() < 1e-12
+
+
+def test_density_steps_pick_their_path_by_support_size():
+    """A density-matrix step on S runs as one 4^|S| x 4^|S| superoperator
+    while 2|S| <= FUSED_MAX_SUPPORT, so that it stays within the fused
+    cap of 64 x 64, as a sandwich up to FUSED_MAX_SUPPORT qubits, and gate
+    by gate beyond."""
+    cut = engine.FUSED_MAX_SUPPORT
+    noise = NoiseModel(1e-3, 1e-3)
+    for width in range(1, cut + 2):
+        circ = build_pauli_step(PauliTerm.from_string(-0.6, "X" * width), 0.2)
+        step = lower_step(circ, DensityMatrix(width), noise)
+        want = "superop" if 2 * width <= cut else "sandwich" if width <= cut else "per-gate"
+        assert step_path(step) == want, width
+        if want == "superop":
+            assert step.ops[0].shape == (4**width, 4**width)
 
 
 def test_rotation_reading_outside_the_support_is_rejected():
@@ -624,12 +671,14 @@ def test_noise_matches_dense_superoperator(eps_r, eps_d):
 @pytest.mark.parametrize("path", STEP_PATHS)
 def test_deferred_channel_matches_the_channel_applied_at_once(path, monkeypatch):
     """Three noisy Trotter steps of Ising n=5 on a density matrix, down
-    either path, equal after every step the oracle that applies the
+    every path, equal after every step the oracle that applies the
     channel on every qubit at once. The supports have one and two qubits,
-    and the single-Z terms have neither Pre_S nor Post_S, so a fused run
-    owes several applications on most qubits at most steps. The state
-    is read from a deep copy, which leaves the run's owed counts alone."""
-    monkeypatch.setattr(engine, "FUSED_MAX_SUPPORT", STEP_PATHS[path])
+    so a fused run owes several applications on most qubits at most steps:
+    a superoperator step takes in what its support owes, and a sandwich
+    step applies it (its single-Z terms, without Pre_S or Post_S, leave
+    their own channel owed too). The state is read from a deep copy,
+    which leaves the run's owed counts alone."""
+    force_path(monkeypatch, path)
     model = NoiseModel(0.02, 0.03)
     circuits = [build_pauli_step(t, 0.1) for t in build_ising(5, 1.0, 1.2, 0.3).terms]
     rho = random_density(5)
@@ -641,7 +690,7 @@ def test_deferred_channel_matches_the_channel_applied_at_once(path, monkeypatch)
             rho, p0 = full_kraus_step(circ, rho, model)
             assert res.prob0 == pytest.approx(p0, rel=1e-13)
             assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-13
-    if path == "fused":
+    if path != "per-gate":
         assert max(d._owed) > 1  # the run did defer
     assert np.abs(d.data - rho).max() < 1e-13
 
@@ -653,26 +702,38 @@ class _AlwaysOne:
         return 1.0
 
 
-def test_sampled_one_with_noise_owed_leaves_the_state():
-    """A sampled 1 leaves the state and what it owes as they were, also
-    when the support leads in order and the gather is a view of the
-    state (its in-place flush is committed with its counts)."""
+def test_sampled_one_with_noise_owed_leaves_the_state(monkeypatch):
+    """A sampled 1 leaves the state and what it owes as they were, on
+    both fused paths. A superoperator step leaves even the stored matrix
+    and its counts alone; a sandwich step may commit its in-place flush
+    with its counts, when the support leads in order and the gather is a
+    view of the state. A superoperator step leaves its own
+    support owing nothing, so the Ising chain has 5 qubits: its last
+    term, Z on qubit 4, lies outside every support tried."""
     model = NoiseModel(0.02, 0.03)
-    terms = build_ising(4, 1.0, 1.2, 0.3).terms
-    d = DensityMatrix(4, random_density(4))
-    for term in terms:
-        run_circuit(d, build_pauli_step(term, 0.1), noise=model)
-    assert min(d._owed) > 0
-    for support in ((0,), (0, 1), (2, 3)):
-        term = PauliTerm(0.7, tuple(PauliAxis.X if q in support else PauliAxis.I for q in range(4)))
-        trial, twin = copy.deepcopy(d), copy.deepcopy(d)
-        res = run_circuit(trial, build_pauli_step(term, 0.1), "sample", _AlwaysOne(), model)
-        assert res.outcome == "sampled-1"
-        assert np.abs(trial.data - twin.data).max() < 1e-15, support
-        # the same later evolution, so nothing is owed twice or lost
-        for state in (trial, twin):
-            run_circuit(state, build_pauli_step(terms[0], 0.1), noise=model)
-        assert np.abs(trial.data - twin.data).max() < 1e-15, support
+    terms = build_ising(5, 1.0, 1.2, 0.3).terms
+    start = random_density(5)
+    for path in ("superop", "sandwich"):
+        force_path(monkeypatch, path)
+        d = DensityMatrix(5, start)
+        for term in terms:
+            run_circuit(d, build_pauli_step(term, 0.1), noise=model)
+        assert min(d._owed[:4]) > 0, path
+        for support in ((0,), (0, 1), (2, 3)):
+            axes = tuple(PauliAxis.X if q in support else PauliAxis.I for q in range(5))
+            trial, twin = copy.deepcopy(d), copy.deepcopy(d)
+            step = lower_step(build_pauli_step(PauliTerm(0.7, axes), 0.1), trial, model)
+            assert step_path(step) == path
+            res = run_step_circuit(trial, step, "sample", _AlwaysOne())
+            assert res.outcome == "sampled-1"
+            if path == "superop":  # the matrix and its counts stay as they were
+                assert trial._owed == twin._owed, support
+                assert np.array_equal(trial._rho, twin._rho), support
+            assert np.abs(trial.data - twin.data).max() < 1e-15, (path, support)
+            # the same later evolution, so nothing is owed twice or lost
+            for state in (trial, twin):
+                run_circuit(state, build_pauli_step(terms[0], 0.1), noise=model)
+            assert np.abs(trial.data - twin.data).max() < 1e-15, (path, support)
 
 
 def test_owed_applications_fold_into_one_channel():
@@ -695,6 +756,20 @@ def test_owed_applications_fold_into_one_channel():
         assert np.abs(calls.data - folded.data).max() < 1e-15, m
 
 
+def test_channel_superoperator_matches_the_channel():
+    """``_channel_superop`` on the vectorized blocks of the leading qubits
+    (a density matrix in the superoperator layout) equals ``_channel`` on
+    the whole matrix, for several owed counts."""
+    model = NoiseModel(0.3, 0.2)
+    rho = random_density(3)
+    for counts in ((1,), (2, 0), (1, 3), (0, 1, 4)):
+        want = rho.copy()
+        engine._channel(want, model, counts)
+        layout = engine._Layout.of(3, tuple(range(len(counts))), True, superop=True)
+        got = engine._channel_superop(model, counts) @ layout.gather(rho)
+        assert np.abs(layout.scatter(got) - want).max() < 1e-14, counts
+
+
 def test_cached_arrays_are_read_only():
     h = build_h2(0.75)
     energies, vectors = eigensystem(h)
@@ -703,6 +778,7 @@ def test_cached_arrays_are_read_only():
         vectors,
         h.offset_free_matrix,
         engine._channel_factors(NoiseModel(0.2, 0.3), (1, 2))[1],
+        engine._channel_superop(NoiseModel(0.2, 0.3), (1, 2)),
         *(d for _, d in h.x_mask_diagonals),
     ]
     for arr in cached:
