@@ -19,10 +19,8 @@ one elementwise weight on S, the channel on S, then Post_S), applied
 with a single product to the matrix gathered as (vectorized block on S,
 rest); a wider one gets the same four stages in turn, Pre_S and Post_S
 as sandwiches. A step whose support is wider than ``FUSED_MAX_SUPPORT``
-qubits keeps the per-gate kernels on either state type: its operators
-would grow as 4^|S| in memory and 8^|S| in set-up time, and each step
-would cost 2^|S| operations per state entry instead of a few passes per
-gate.
+qubits keeps the per-gate kernels on either state type, as its operators
+would grow as 4^|S|.
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
@@ -35,7 +33,9 @@ commutes with the whole step, its weight and its division by prob0
 included. The owed applications run, folded into one channel per qubit,
 when a later step's support takes in the qubit (composed into its
 superoperator, or in the gathered layout, where its passes are long) or
-when the state is read.
+when the state is read. A fused step also moves the matrix, with one
+transpose, into its own order (S first, the other qubits as they were
+stored) and leaves it there; reading the state restores canonical order.
 
 Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; in a circuit the ancilla is the
@@ -242,14 +242,9 @@ class NoiseModel:
     each ancilla measurement. On the ancilla, only what reaches outcome 0
     matters: E1 leaves it as it is, E2 adds the eps_d * S rho S branch and
     E3 contributes nothing. The work-qubit channels commute with the
-    ancilla measurement, so the engine applies them after outcome 0.
-
-    On a density matrix the channel of a work qubit outside a step's
-    support is deferred: it is trace-preserving and acts on that qubit
-    alone, so it commutes with the whole step, the division by prob0
-    included. m deferred applications fold into one exact channel that
-    moves 1 - (1 - eps_d)^m of |1><1| onto |0><0|, keeps (1 - eps_d)^m of
-    it and scales the coherences by sqrt(1 - eps_r - eps_d)^m.
+    ancilla measurement, so the engine applies them after outcome 0. A
+    density matrix defers them off a step's support (see the module
+    docstring and :func:`_channel_factors`).
     """
 
     eps_r: float
@@ -507,7 +502,12 @@ class DensityMatrix(_State):
     count of the applications still to come (all of one
     :class:`NoiseModel`). A later step applies what its own support owes
     (or composes it into its superoperator), and ``data`` applies all of
-    it, so every read of the state sees the channel in full.
+    it, so every read of the state sees the channel in full. A fused step
+    also leaves the matrix in the order it worked in (:func:`_step_order`):
+    the stored bits, most significant first, carry the labels ``_order``
+    (q for the row bit of qubit q, n + q for its column bit; None is
+    canonical). ``data``, and so every per-gate step, energy, trace and
+    copy, first restores the canonical order.
     """
 
     _samples_noise = False
@@ -527,16 +527,22 @@ class DensityMatrix(_State):
 
     @property
     def data(self) -> np.ndarray:
-        """The matrix, every owed channel application applied."""
+        """The matrix in canonical order, all that is owed applied."""
         self._flush()
         return self._rho
 
     @data.setter
     def data(self, entries: np.ndarray) -> None:
         self._rho = np.ascontiguousarray(entries)
+        self._order: tuple[int, ...] | None = None
         self._owed = [0] * self.n_qubits
 
     def _flush(self) -> None:
+        """Put the matrix back in canonical order, then apply what is owed."""
+        if self._order is not None:
+            shape, axes = _transposition(self._order, tuple(range(2 * self.n_qubits)))
+            moved = np.ascontiguousarray(self._rho.reshape(shape).transpose(axes))
+            self._rho, self._order = moved.reshape(2**self.n_qubits, -1), None
         if any(self._owed):
             _channel(self._rho, self._noise, tuple(self._owed))
             self._owed = [0] * self.n_qubits
@@ -547,6 +553,14 @@ class DensityMatrix(_State):
         if model != self._noise:
             self._flush()
             self._noise = model
+
+    def _gather(self, support: tuple[int, ...], superop: bool) -> tuple[np.ndarray, tuple]:
+        """The matrix in the order a step on ``support`` works in, as
+        (2^k, rest), or (4^k, rest) with ``superop``, and that order: a view
+        when stored so, else a contiguous copy that in-place work may use."""
+        order, shape, axes = _step_order(self.n_qubits, self._order, support, superop)
+        moved = np.ascontiguousarray(self._rho.reshape(shape).transpose(axes))
+        return moved.reshape(2 ** (len(support) * (1 + superop)), -1), order
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.data)))
@@ -585,7 +599,7 @@ class DensityMatrix(_State):
             rho += jumped
 
     def _run_fused(self, step: BoundStep, mode: str, rng) -> MeasureResult:
-        # The step runs on P rho P^T, which has the support's qubits first;
+        # The step runs on, and stores, P rho P^T with S's qubits first;
         # traces do not change under P. The channel on a qubit outside S
         # commutes with the whole step, so it is only counted as owed.
         if step.noise is not None:
@@ -595,7 +609,7 @@ class DensityMatrix(_State):
         else:
             result = self._run_sandwich(step, mode, rng)
         if result.outcome != "sampled-1" and step.noise is not None:
-            support = set(step.layout.support)
+            support = set(step.support)
             self._owed = [
                 m if q in support else m + 1 for q, m in enumerate(self._owed)
             ]
@@ -604,23 +618,24 @@ class DensityMatrix(_State):
     def _run_superop(self, step: BoundStep, mode: str, rng) -> MeasureResult:
         # rho gathered as (vec of the block on S, rest): the step is T_S on
         # every column, and prob0 the functional v on their partial trace
-        # over the rest. What S owes composes into both; S owes nothing
-        # afterwards, since T_S holds its own channel.
+        # over the rest (whose row and column bits share one order). What S
+        # owes composes into both; S owes nothing afterwards, since T_S
+        # holds its own channel.
         superop, prob0_row = step.ops
-        layout = step.layout
-        owed = tuple(self._owed[q] for q in layout.support)
+        support = step.support
+        owed = tuple(self._owed[q] for q in support)
         if any(owed):
             owed_superop = _channel_superop(self._noise, owed)
             superop, prob0_row = superop @ owed_superop, prob0_row @ owed_superop
-        rho = layout.gather(self._rho)
+        rho, order = self._gather(support, superop=True)
         rest = math.isqrt(rho.shape[1])
         partial_trace = rho[:, :: rest + 1].sum(axis=1)
         prob0 = float(np.dot(prob0_row, partial_trace).real)
         result, _ = _outcome(prob0, 0.0, mode, rng, False)
         if result.outcome == "sampled-1":
             return result
-        self._rho = layout.scatter((superop * (1.0 / result.prob0)) @ rho)
-        for q in layout.support:
+        self._rho, self._order = (superop * (1.0 / result.prob0)) @ rho, order
+        for q in support:
             self._owed[q] = 0
         return result
 
@@ -629,19 +644,17 @@ class DensityMatrix(_State):
         # its own channel after the weight W, before Post_S (or owed, when
         # there is no Post_S).
         pre, weights, post = step.ops
-        layout, noise = step.layout, step.noise
-        support = layout.support
-        dim, rows = self._rho.shape[0], len(weights)
+        support, noise = step.support, step.noise
+        dim, rows = 2**self.n_qubits, len(weights)
 
         def sandwich(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-            """a rho a^dag, with rho as a (2^k, rest) array: a acts on the
-            row index of S, then conj(a) on the column index of S, as one
-            product over a copy with the column index of S leading."""
+            """a rho a^dag on rho as (2^k, rest): a on S's row index, then
+            conj(a) on its column index, led by it in a transposed copy."""
             left = (a @ rho).reshape(-1, rows, dim // rows).transpose(1, 0, 2)
             right = a.conj() @ left.reshape(rows, -1)
             return right.reshape(rows, -1, dim // rows).transpose(1, 0, 2).reshape(rows, -1)
 
-        rho = layout.gather(self._rho)
+        rho, order = self._gather(support, superop=False)
         owed = tuple(self._owed[q] for q in support)
         if any(owed):
             _channel(rho, self._noise, owed)
@@ -668,7 +681,7 @@ class DensityMatrix(_State):
             rho = rho.reshape(blocks) * (weights / result.prob0)[:, None, :, None]
         if post is not None:
             rho = sandwich(post, rho.reshape(rows, -1))
-        self._rho = layout.scatter(rho)
+        self._rho, self._order = rho, order
         for q in support:
             self._owed[q] = int(noise is not None and post is None)
         return result
@@ -856,86 +869,86 @@ def postselected_operator(circuit: Circuit) -> np.ndarray:
     return full[0::2, 0::2].copy()  # ancilla is the least significant bit
 
 
+def _transposition(order: tuple[int, ...], target: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """How to move a buffer whose bits, most significant first, carry the
+    labels ``order`` into ``target``'s order of the same labels: the shape
+    to view it in and the axis permutation. Labels adjacent in both orders
+    share one axis, so the copy runs long inner loops."""
+    place = [target.index(label) for label in order]
+    starts = [i for i, p in enumerate(place) if i == 0 or p != place[i - 1] + 1]
+    shape = tuple(2 ** (end - i) for i, end in zip(starts, starts[1:] + [len(place)]))
+    return shape, tuple(sorted(range(len(starts)), key=lambda r: place[starts[r]]))
+
+
+@lru_cache(maxsize=4096)
+def _step_order(n: int, order: tuple | None, support: tuple[int, ...], superop: bool) -> tuple:
+    """The order a density-matrix step on ``support`` works in, from a
+    matrix stored in ``order`` (labels as in :class:`DensityMatrix`), and
+    the transposition into it. S's row bits come first (then, with
+    ``superop``, its column bits), then the other qubits' row bits as
+    stored now, then their column bits in that same order, which the
+    partial trace and the diagonal need. Leaving the other qubits as they
+    are, not canonical, keeps them in long runs that the copy moves whole.
+    """
+    current = tuple(range(2 * n)) if order is None else order
+    rest = tuple(q for q in current if q < n and q not in support)
+    columns, k = tuple(n + q for q in support + rest), len(support)
+    if superop:
+        target = support + columns[:k] + rest + columns[k:]
+    else:
+        target = support + rest + columns
+    return (target, *_transposition(current, target))
+
+
 @dataclass(frozen=True)
 class _Layout:
-    """A relabelling P of a state's qubits that puts a step's support S
-    first, keeping the order within S and within the rest.
+    """A relabelling P of a statevector's qubits that puts a step's
+    support S first, keeping the order within S and within the rest:
+    ``gather`` copies psi into P psi, viewed as (2^k, rest) (a view when
+    S is the leading qubits in order), and ``scatter`` copies it back."""
 
-    ``gather`` copies a statevector into P psi, or a density matrix into
-    P rho P^T, viewed as (2^k, rest) with the basis index of S as row (a
-    view, not a copy, when S is the leading qubits in order);
-    ``scatter`` copies such an array back into the state's own order.
-    With ``superop`` a density matrix is gathered as (4^k, rest) instead:
-    the row bits of S, then its column bits, form the row index, so each
-    column is one vectorized block on S. Consecutive qubits on the same
-    side of the split share one axis of the transpose, so the copies run
-    long inner loops.
-    """
-
-    support: tuple[int, ...]
-    shape: tuple[int, ...]
-    order: tuple[int, ...]
-    moved: tuple[int, ...]
-    back: tuple[int, ...]
     rows: int
-    dims: tuple[int, ...]
+    into: tuple[tuple[int, ...], tuple[int, ...]]  # (shape, axes) of each move
+    back: tuple[tuple[int, ...], tuple[int, ...]]
 
     @staticmethod
-    def of(n: int, support: tuple[int, ...], density: bool, superop: bool = False) -> "_Layout":
-        runs: list[list] = []  # [size, in support] per run of qubits
-        for q in range(n):
-            inside = q in support
-            if runs and runs[-1][1] == inside:
-                runs[-1][0] *= 2
-            else:
-                runs.append([2, inside])
-        shape = [size for size, _ in runs]
-        inner = [i for i, (_, inside) in enumerate(runs) if inside]
-        outer = [i for i, (_, inside) in enumerate(runs) if not inside]
-        order = inner + outer
-        if density:  # the same relabelling on the column index
-            columns = [len(runs) + i for i in order]
-            if superop:
-                order = inner + columns[: len(inner)] + outer + columns[len(inner) :]
-            else:
-                order += columns
-            shape *= 2
-        return _Layout(
-            support=support,
-            shape=tuple(shape),
-            order=tuple(order),
-            moved=tuple(shape[i] for i in order),
-            back=tuple(sorted(range(len(order)), key=order.__getitem__)),
-            rows=2 ** (len(support) * (2 if superop else 1)),
-            dims=(2**n,) * (2 if density else 1),
-        )
+    def of(n: int, support: tuple[int, ...]) -> "_Layout":
+        canonical = tuple(range(n))
+        target = support + tuple(q for q in canonical if q not in support)
+        into, back = _transposition(canonical, target), _transposition(target, canonical)
+        return _Layout(2 ** len(support), into, back)
 
-    def gather(self, buffer: np.ndarray) -> np.ndarray:
-        return buffer.reshape(self.shape).transpose(self.order).reshape(self.rows, -1)
+    def gather(self, psi: np.ndarray) -> np.ndarray:
+        shape, axes = self.into
+        return psi.reshape(shape).transpose(axes).reshape(self.rows, -1)
 
     def scatter(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.moved).transpose(self.back).reshape(self.dims)
+        shape, axes = self.back
+        return x.reshape(shape).transpose(axes).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
 class BoundStep:
     """A step circuit lowered once for the state type and noise of a run.
 
-    A fused step holds ``ops``, arrays on the circuit's support S
-    (``layout`` places S in the state): (K0,) for a noiseless
-    statevector; (A0, A1, Post_S) for a statevector trajectory, with A1
-    None when the ancilla cannot jump; (T_S, v) for a density matrix on
-    at most ``SUPEROP_MAX_SUPPORT`` qubits, the step's superoperator on
-    vec(rho_S) and the row vector whose product with vec of the partial
-    trace over the rest is prob0; (Pre_S, W, Post_S) for a wider density
-    matrix, with W[x, y] = c_x c_y + eps_d s_x s_y and None for an empty
-    gate list. A per-gate step (support wider than ``FUSED_MAX_SUPPORT``)
-    holds ``gates``: the work gates before the ancilla rotation, the
-    full-register factors (c, s) and the post-measure gates.
+    A fused step holds ``ops``, arrays on its ``support`` S, the sorted
+    work qubits its gates touch (``layout`` places S in a statevector; a
+    density matrix works out its order at each step): (K0,) =
+    (Post_S diag(c_S) Pre_S,) for a noiseless statevector; (A0, A1,
+    Post_S) for a trajectory, with A0 = diag(c_S) Pre_S and A1 =
+    diag(s_S) Pre_S, None when the ancilla cannot jump; (T_S, v) for a
+    density matrix on at most ``SUPEROP_MAX_SUPPORT`` qubits, the step's
+    superoperator on vec(rho_S) and the row vector whose product with vec
+    of the partial trace over the rest is prob0; (Pre_S, W, Post_S) for a
+    wider density matrix, with W[x, y] = c_x c_y + eps_d s_x s_y and None
+    for an empty gate list. A per-gate step (support wider than
+    ``FUSED_MAX_SUPPORT``) holds ``gates``: the work gates before the
+    ancilla rotation, the full-register (c, s) and the post-measure gates.
     """
 
     state_type: type
     noise: NoiseModel | None
+    support: tuple[int, ...] = ()
     layout: _Layout | None = None
     ops: tuple | None = None
     gates: tuple | None = None
@@ -1019,20 +1032,14 @@ def _fold_rotation(
 def lower_step(
     circuit: Circuit, state: StateVector | DensityMatrix, noise: NoiseModel | None = None
 ) -> BoundStep:
-    """Lower a step circuit once for ``state``'s type and ``noise``.
+    """Lower a step circuit once for ``state``'s type and ``noise`` into
+    the operators a :class:`BoundStep` lists.
 
     The rotation runs from the first gate that touches the ancilla to the
     measurement; each of its gates must be a y-rotation targeting the
-    ancilla. S is the set of work qubits any gate touches (k = |S|). Up
-    to ``FUSED_MAX_SUPPORT`` qubits the step is fused: a noiseless
-    statevector gets the single K0 = Post_S A0, a trajectory A0 =
-    diag(c_S) Pre_S, A1 = diag(s_S) Pre_S (only when the ancilla can
-    jump) and Post_S. A density matrix with 2k <= ``FUSED_MAX_SUPPORT``
-    gets T_S = (Post_S (x) Post_S*) N_S diag(vec W) (Pre_S (x) Pre_S*),
-    with N_S one application of the channel on S, and the prob0 row
-    v = vec(diag W)^T (Pre_S (x) Pre_S*); a wider one Pre_S, the outcome-0
-    weight W and Post_S. A wider step gets the per-gate form, whose set-up
-    and memory grow as 2^n rather than 4^k.
+    ancilla. A density matrix's T_S is (Post_S (x) Post_S*) N_S diag(vec W)
+    (Pre_S (x) Pre_S*), with N_S one application of the channel on S, and
+    its prob0 row v = vec(diag W)^T (Pre_S (x) Pre_S*).
     """
     ancilla = circuit.ancilla
     pre = circuit.pre_measure
@@ -1049,16 +1056,16 @@ def lower_step(
     if noise is not None and noise.is_identity:
         noise = None
     n = circuit.n_work
-    density = isinstance(state, DensityMatrix)
     if len(support) > FUSED_MAX_SUPPORT:
         # (c, s) on the whole register, constant along the qubits off S
-        layout, rest = _Layout.of(n, support, False), 2**n // len(c)
+        layout, rest = _Layout.of(n, support), 2**n // len(c)
         c, s = (layout.scatter(np.repeat(f, rest)) for f in (c, s))
-        return BoundStep(type(state), noise, gates=(pre[:split], c, s, circuit.post_measure))
+        gates = (pre[:split], c, s, circuit.post_measure)
+        return BoundStep(type(state), noise, support, gates=gates)
     pre_s = _on_support(pre[:split], support)
     post_s = _on_support(circuit.post_measure, support)
     eps_d = 0.0 if noise is None else noise.eps_d
-    if density:
+    if isinstance(state, DensityMatrix):
         weights = np.outer(c, c) + eps_d * np.outer(s, s)
         if len(support) <= SUPEROP_MAX_SUPPORT:
             # vec(A rho A^dag) = (A (x) conj(A)) vec(rho), vec row-major
@@ -1069,20 +1076,20 @@ def lower_step(
             superop = np.kron(post_s, post_s.conj()) @ superop
             # prob0 = sum_x W[x, x] (Pre rho Pre^dag)[x, x]: rows of Pre_t
             prob0_row = weights.diagonal() @ pre_t[:: len(c) + 1]
-            layout = _Layout.of(n, support, True, superop=True)
-            return BoundStep(type(state), noise, layout=layout, ops=(superop, prob0_row))
+            return BoundStep(type(state), noise, support, ops=(superop, prob0_row))
         # an empty gate list leaves its sandwich out
         ops = (
             pre_s if pre[:split] else None,
             weights,
             post_s if circuit.post_measure else None,
         )
-    elif noise is None:
+        return BoundStep(type(state), noise, support, ops=ops)
+    if noise is None:
         ops = (_as_state_array(post_s @ (c[:, None] * pre_s)),)
     else:
         a1 = s[:, None] * pre_s if eps_d > 0.0 else None
         ops = (c[:, None] * pre_s, a1, post_s)
-    return BoundStep(type(state), noise, layout=_Layout.of(n, support, density), ops=ops)
+    return BoundStep(type(state), noise, support, _Layout.of(n, support), ops)
 
 
 def run_step_circuit(
@@ -1094,21 +1101,14 @@ def run_step_circuit(
     """One measured step circuit, lowered by :func:`lower_step` for this
     state's type, on the work register.
 
-    A noiseless statevector step applies K0 = Post_S diag(c_S) Pre_S
-    once, with prob0 = |K0 psi|^2. A noisy statevector step is one
-    trajectory: A0 psi or (ancilla jump) A1 psi, one sampled Kraus branch
-    per work qubit, then Post_S; it needs ``rng``. A density matrix gets
-    sigma = Pre_S rho Pre_S^dag weighted entrywise on S by W (which is
-    C sigma C + eps_d S sigma S), the exact work-qubit channel (on S at
-    once, owed on the other qubits), then Post_S: on a small support as
-    one product of T_S / prob0 with every vectorized block on S, the
-    channel S still owed composed into T_S and v; on a wider one stage by
-    stage. A step lowered per gate (support wider than
-    ``FUSED_MAX_SUPPORT``) runs the same in four stages on either state
-    type: the work gates before the rotation, the measurement folded into
-    (c, s), the channel (exact or sampled), the post-measure gates. Every
-    path shares the outcome rule of :func:`_outcome`; a sampled 1 leaves
-    the state as it is.
+    A fused step applies its operators (see :class:`BoundStep`); a
+    density matrix takes the exact work-qubit channel on S at once and
+    owes it on the other qubits, and a noisy statevector step is one
+    trajectory, which needs ``rng``. A per-gate step runs the work gates
+    before the rotation, the measurement folded into (c, s), the channel
+    (exact or sampled) and the post-measure gates. Every path shares the
+    outcome rule of :func:`_outcome`; a sampled 1 leaves the state as it
+    is.
     """
     if not isinstance(state, step.state_type):
         raise TypeError(f"step lowered for {step.state_type.__name__}, got {type(state).__name__}")

@@ -211,11 +211,12 @@ def _alb_column(alb_at: Callable[[float], float], spectrum: SpectrumInfo):
 
 
 def check_capacity(h: PauliHamiltonian, config: RunConfig) -> None:
-    """Reject a noisy density-matrix run above 12 qubits, ancilla included."""
+    """Reject a noisy density-matrix run above 12 work qubits (the state
+    holds no ancilla; at 12 the matrix takes 128 or 256 MiB)."""
     noise = config.noise is not None and not config.noise.is_identity
-    if noise and config.trajectories is None and h.n_qubits + 1 > 12:
+    if noise and config.trajectories is None and h.n_qubits > 12:
         raise ValueError(
-            f"density-matrix noise limited to 12 qubits total, got {h.n_qubits}+1; "
+            f"density-matrix noise limited to 12 qubits, got {h.n_qubits}; "
             "use trajectory mode (trajectories=N)"
         )
 

@@ -106,11 +106,12 @@ def test_run_sample_mode_needs_seed(tmp_path, capsys):
 
 def test_run_noise_capacity_error(tmp_path, capsys):
     code = main(
-        ["run", "--model", "ising", "--n", "12", "--J", "1", "--g", "0.5",
+        ["run", "--model", "ising", "--n", "13", "--J", "1", "--g", "0.5",
          "--noise", "1e-5,1e-5", "--out", str(tmp_path / "big")]
     )
     assert code == 1
-    assert "trajectories" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "trajectories" in err and "noise limited to 12 qubits, got 13" in err
 
 
 def test_run_oracle_capacity_error(tmp_path, capsys):

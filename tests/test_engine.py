@@ -704,12 +704,14 @@ class _AlwaysOne:
 
 def test_sampled_one_with_noise_owed_leaves_the_state(monkeypatch):
     """A sampled 1 leaves the state and what it owes as they were, on
-    both fused paths. A superoperator step leaves even the stored matrix
-    and its counts alone; a sandwich step may commit its in-place flush
-    with its counts, when the support leads in order and the gather is a
-    view of the state. A superoperator step leaves its own
-    support owing nothing, so the Ising chain has 5 qubits: its last
-    term, Z on qubit 4, lies outside every support tried."""
+    both fused paths, with the matrix stored in a non-canonical order.
+    Where the step's gather copies, the stored matrix, its order and its
+    counts stay bitwise as they were. A sandwich step whose support the
+    matrix is already stored for gathers a view of it, so it commits its
+    in-place flush with its counts: here X on qubit 4 right after the
+    single-Z term on it, which leaves its own channel owed. A superoperator
+    step leaves its own support owing nothing, so the Ising chain has 5
+    qubits: its last term, Z on qubit 4, lies outside the other supports."""
     model = NoiseModel(0.02, 0.03)
     terms = build_ising(5, 1.0, 1.2, 0.3).terms
     start = random_density(5)
@@ -718,17 +720,20 @@ def test_sampled_one_with_noise_owed_leaves_the_state(monkeypatch):
         d = DensityMatrix(5, start)
         for term in terms:
             run_circuit(d, build_pauli_step(term, 0.1), noise=model)
-        assert min(d._owed[:4]) > 0, path
-        for support in ((0,), (0, 1), (2, 3)):
+        assert min(d._owed[:4]) > 0 and d._order is not None, path
+        for support in ((0,), (0, 1), (2, 3), (4,)):
             axes = tuple(PauliAxis.X if q in support else PauliAxis.I for q in range(5))
             trial, twin = copy.deepcopy(d), copy.deepcopy(d)
             step = lower_step(build_pauli_step(PauliTerm(0.7, axes), 0.1), trial, model)
             assert step_path(step) == path
             res = run_step_circuit(trial, step, "sample", _AlwaysOne())
             assert res.outcome == "sampled-1"
-            if path == "superop":  # the matrix and its counts stay as they were
-                assert trial._owed == twin._owed, support
-                assert np.array_equal(trial._rho, twin._rho), support
+            if path == "sandwich" and support == (4,):  # a view: the flush is committed
+                assert trial._owed[4] == 0 < twin._owed[4]
+                assert trial._order == twin._order
+            else:
+                assert (trial._order, trial._owed) == (twin._order, twin._owed), support
+                assert np.array_equal(trial._rho, twin._rho), (path, support)
             assert np.abs(trial.data - twin.data).max() < 1e-15, (path, support)
             # the same later evolution, so nothing is owed twice or lost
             for state in (trial, twin):
@@ -758,16 +763,139 @@ def test_owed_applications_fold_into_one_channel():
 
 def test_channel_superoperator_matches_the_channel():
     """``_channel_superop`` on the vectorized blocks of the leading qubits
-    (a density matrix in the superoperator layout) equals ``_channel`` on
-    the whole matrix, for several owed counts."""
+    (a density matrix gathered for a superoperator step) equals
+    ``_channel`` on the whole matrix, for several owed counts."""
     model = NoiseModel(0.3, 0.2)
     rho = random_density(3)
     for counts in ((1,), (2, 0), (1, 3), (0, 1, 4)):
         want = rho.copy()
         engine._channel(want, model, counts)
-        layout = engine._Layout.of(3, tuple(range(len(counts))), True, superop=True)
-        got = engine._channel_superop(model, counts) @ layout.gather(rho)
-        assert np.abs(layout.scatter(got) - want).max() < 1e-14, counts
+        d = DensityMatrix(3, rho)
+        gathered, order = d._gather(tuple(range(len(counts))), superop=True)
+        d._rho, d._order = engine._channel_superop(model, counts) @ gathered, order
+        assert np.abs(d.data - want).max() < 1e-14, counts
+
+
+def in_order(rho: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
+    """The buffer of ``rho`` with its bits in ``order`` (label q is the row
+    bit of qubit q, n + q its column bit), moved one bit per axis, without
+    the engine's merged axes."""
+    n = rho.shape[0].bit_length() - 1
+    return rho.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
+
+
+def step_target(n: int, order: tuple[int, ...], support: tuple[int, ...], superop: bool):
+    """The order a step on ``support`` works in, written out from its
+    definition: the rows of S (then, with ``superop``, its columns), the
+    other qubits' rows as ``order`` stores them, their columns alike."""
+    rest = tuple(q for q in order if q < n and q not in support)
+    columns, rest_columns = tuple(n + q for q in support), tuple(n + q for q in rest)
+    if superop:
+        return support + columns + rest + rest_columns
+    return support + rest + columns + rest_columns
+
+
+@pytest.mark.parametrize("superop", [True, False], ids=["superop", "sandwich"])
+def test_moving_between_stored_orders_equals_a_canonical_round_trip(superop):
+    """Gathering a step's order from a matrix stored in a random order is
+    bitwise the matrix scattered back to canonical order and gathered
+    from there, and reading ``data`` afterwards gives the matrix back."""
+    for n in range(1, 7):
+        for _ in range(5):
+            rho = random_density(n)
+            order = tuple(rng.permutation(2 * n).tolist())
+            size = int(rng.integers(1, n + 1))
+            support = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            d = DensityMatrix(n, rho)
+            d._rho, d._order = in_order(rho, order), order
+            restored = copy.deepcopy(d).data
+            assert np.array_equal(restored, rho) and restored.flags.c_contiguous
+            gathered, target = d._gather(support, superop)
+            assert target == step_target(n, order, support, superop)
+            assert gathered.shape[0] == 2 ** (size * (2 if superop else 1))
+            assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
+            # a copy that in-place work can use (the order moved unless n = 1)
+            assert gathered.flags.c_contiguous and (n == 1 or gathered.base is not d._rho)
+            d._rho, d._order = gathered, target
+            assert np.array_equal(d.data, rho) and d.data.flags.c_contiguous
+
+
+def test_chain_of_mixed_step_paths_matches_the_kraus_oracle(monkeypatch):
+    """Superoperator, sandwich and per-gate steps in turn on one noisy
+    density matrix equal ``full_kraus_step`` after every step. Each step
+    is lowered under its own forced path; the state is read through a deep
+    copy, so the one under test keeps the order its last fused step left
+    it in and is never put back in canonical order between steps."""
+    model = NoiseModel(0.02, 0.03)
+    n = 5
+    circuits = [build_pauli_step(t, 0.1) for t in build_ising(n, 1.0, 1.2, 0.3).terms]
+    circuits += [build_grouped_step(random_grouped_block(n, size), 0.2) for size in (2, 3, 3)]
+    circuits.append(build_pauli_step(PauliTerm.from_string(0.4, "XYZZX"), 0.1))
+    rho = random_density(n)
+    d = DensityMatrix(n, rho)
+    paths = list(STEP_PATHS)
+    steps = []
+    for i, circ in enumerate(circuits):
+        force_path(monkeypatch, paths[i % len(paths)])
+        steps.append(lower_step(circ, d, model))
+    assert {step_path(s) for s in steps} == set(paths)
+    orders = set()
+    for _ in range(2):
+        for circ, step in zip(circuits, steps):
+            res = run_step_circuit(d, step)
+            rho, p0 = full_kraus_step(circ, rho, model)
+            assert res.prob0 == pytest.approx(p0, rel=1e-12), step_path(step)
+            assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, step_path(step)
+            orders.add(d._order)
+    assert len(orders - {None}) > 5  # the state did move between orders
+    assert np.abs(d.data - rho).max() < 1e-12
+
+
+def test_stored_orders_keep_rows_and_columns_alike(monkeypatch):
+    """Every order a fused step stores during noisy Ising n=5 and LiH
+    runs puts the support's row bits first and keeps the row bits and the
+    column bits of the other qubits in one order, which the partial trace
+    rho[:, ::rest+1] and the diagonal rely on."""
+    from pite_sim.hamiltonian import build_lih
+    from pite_sim.pite import RunConfig, Schedule, run_pite
+
+    stored = []
+    run_fused = DensityMatrix._run_fused
+
+    def recording(self, step, mode, rng):
+        result = run_fused(self, step, mode, rng)
+        stored.append((self.n_qubits, step.support, self._order))
+        return result
+
+    monkeypatch.setattr(DensityMatrix, "_run_fused", recording)
+    config = RunConfig(noise=NoiseModel(1e-3, 2e-3))
+    ising = build_ising(5, 1.0, 1.2, 0.3)
+    lih = build_lih()
+    for h, init in (
+        (ising, prepare_initial(InitialState.product(ising_params=(1.0, 1.2, 0.3)), 5)),
+        (lih, prepare_initial(InitialState.basis("110000"), 6)),
+    ):
+        run_pite(h, init, Schedule(dt=0.05, n_steps=2), config)
+    assert {n for n, _, _ in stored} == {5, 6}
+    assert len({order for _, _, order in stored}) > 10
+    for n, support, order in stored:
+        rows = [q for q in order if q < n]
+        assert rows == [q - n for q in order if q >= n], order
+        assert tuple(rows[: len(support)]) == support == order[: len(support)], order
+
+
+def test_reading_data_restores_the_canonical_order():
+    """Reading ``data`` puts a stored matrix back in canonical order: two
+    reads return equal matrices and leave the order canonical."""
+    model = NoiseModel(0.02, 0.03)
+    d = DensityMatrix(4, random_density(4))
+    for term in build_ising(4, 1.0, 1.2, 0.3).terms:
+        run_circuit(d, build_pauli_step(term, 0.1), noise=model)
+    assert d._order is not None
+    first = d.data.copy()
+    assert d._order is None and not any(d._owed)
+    assert np.array_equal(d.data, first)
+    assert d._order is None
 
 
 def test_cached_arrays_are_read_only():

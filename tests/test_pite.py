@@ -37,6 +37,7 @@ from pite_sim.pite import (
     _grouped_step_circuits,
     _step_circuits,
     _trajectory_average,
+    check_capacity,
     restart_loop,
     run_generalized,
     run_pite,
@@ -510,12 +511,14 @@ def test_record_cadence():
 
 
 def test_density_limit_enforced():
-    h = build_ising(12, 1.0, 0.5, 0.0)
-    init = prepare_initial(InitialState.basis("0" * 12), 12)
-    with pytest.raises(ValueError, match="12 qubits"):
+    # 12 work qubits pass the check (nothing is built here); 13 do not
+    config = RunConfig(noise=NoiseModel(1e-5, 1e-5))
+    check_capacity(build_ising(12, 1.0, 0.5, 0.0), config)
+    h = build_ising(13, 1.0, 0.5, 0.0)
+    init = prepare_initial(InitialState.basis("0" * 13), 13)
+    with pytest.raises(ValueError, match="limited to 12 qubits, got 13"):
         run_pite(
-            h, init, Schedule(dt=0.1, n_steps=1),
-            RunConfig(noise=NoiseModel(1e-5, 1e-5)),
+            h, init, Schedule(dt=0.1, n_steps=1), config,
         )
 
 
