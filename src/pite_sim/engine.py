@@ -9,7 +9,8 @@ eps_d S rho S (S = diag(s)) when the ancilla is noisy.
 
 Each step circuit is lowered once per run (:func:`lower_step`) onto its
 support S, the work qubits its gates touch, into 2^|S| x 2^|S| matrices
-built by running the gate kernels on the identity columns. A noiseless
+built by running the gate kernels on the identity columns (Post_S is
+the adjoint of Pre_S when its gates are Pre's inverted). A noiseless
 statevector step is one fused K0 = Post_S diag(c_S) Pre_S; a statevector
 trajectory runs diag(c_S) Pre_S (or diag(s_S) Pre_S), the sampled
 work-qubit noise, then Post_S. A density-matrix step on at most
@@ -18,7 +19,12 @@ work-qubit noise, then Post_S. A density-matrix step on at most
 one elementwise weight on S, the channel on S, then Post_S), applied
 with a single product to the matrix gathered as (vectorized block on S,
 rest); a wider one gets the same four stages in turn, Pre_S and Post_S
-as sandwiches. A step whose support is wider than ``FUSED_MAX_SUPPORT``
+as sandwiches. As rho is Hermitian, a sandwich a rho a^dag runs as
+a (a rho)^dag, two products on S's rows around one conjugate transpose.
+An operator real but for one phase per column or per row is split into
+the real matrix and an elementwise phase factor (:func:`_phased`), and
+a real matrix multiplies a complex one as a real product
+(:func:`_product`). A step whose support is wider than ``FUSED_MAX_SUPPORT``
 qubits keeps the per-gate kernels on either state type, as its operators
 would grow as 4^|S|.
 
@@ -67,6 +73,7 @@ from .circuit import (
     PhaseS,
     PhaseSdg,
     Ry,
+    adjoint_sequence,
     qubits_of,
 )
 from .hamiltonian import PauliAxis, PauliHamiltonian, PauliTerm
@@ -176,6 +183,15 @@ def _apply_dense(flat: np.ndarray, total_axes: int, m: np.ndarray, axes: tuple[i
     moved = np.moveaxis(view, axes, range(k))
     work = np.ascontiguousarray(moved).reshape(2**k, -1)
     moved[...] = (m @ work).reshape(moved.shape)
+
+
+def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for a 2-D ``x`` with contiguous rows. A real ``a`` takes a
+    complex ``x`` as one real product over its interleaved real and
+    imaginary parts, which never meet."""
+    if x.dtype.kind == "c" and a.dtype.kind == "f":
+        return (a @ x.view(np.float64)).view(np.complex128)
+    return a @ x
 
 
 def _gate_needs_complex(gate: Gate) -> bool:
@@ -634,7 +650,7 @@ class DensityMatrix(_State):
         result, _ = _outcome(prob0, 0.0, mode, rng, False)
         if result.outcome == "sampled-1":
             return result
-        self._rho, self._order = (superop * (1.0 / result.prob0)) @ rho, order
+        self._rho, self._order = _product(superop * (1.0 / result.prob0), rho), order
         for q in support:
             self._owed[q] = 0
         return result
@@ -646,13 +662,23 @@ class DensityMatrix(_State):
         pre, weights, post = step.ops
         support, noise = step.support, step.noise
         dim, rows = 2**self.n_qubits, len(weights)
+        blocks = (rows, dim // rows, rows, dim // rows)
 
-        def sandwich(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-            """a rho a^dag on rho as (2^k, rest): a on S's row index, then
-            conj(a) on its column index, led by it in a transposed copy."""
-            left = (a @ rho).reshape(-1, rows, dim // rows).transpose(1, 0, 2)
-            right = a.conj() @ left.reshape(rows, -1)
-            return right.reshape(rows, -1, dim // rows).transpose(1, 0, 2).reshape(rows, -1)
+        def sandwich(op: tuple, rho: np.ndarray) -> np.ndarray:
+            """m rho m^dag for op = (a, phase_in, phase_out) of m (see
+            :func:`_phased`), on rho as (2^k, rest). As rho is Hermitian,
+            a rho a^dag = a (a rho)^dag: a on S's rows, one conjugate
+            transpose, a on S's rows again. The phase factors multiply
+            into new arrays, never into a gathered view of the state."""
+            a, phase_in, phase_out = op
+            if phase_in is not None:
+                rho = rho.reshape(blocks) * phase_in[:, None, :, None]
+            half = _product(a, rho.reshape(rows, -1)).reshape(dim, dim)
+            flipped = np.conjugate(half.T, out=np.empty_like(half))
+            rho = _product(a, flipped.reshape(rows, -1))
+            if phase_out is not None:
+                rho = rho.reshape(blocks) * phase_out[:, None, :, None]
+            return rho.reshape(rows, -1)
 
         rho, order = self._gather(support, superop=False)
         owed = tuple(self._owed[q] for q in support)
@@ -673,7 +699,6 @@ class DensityMatrix(_State):
         )
         if result.outcome == "sampled-1":
             return result
-        blocks = (rows, dim // rows, rows, dim // rows)
         if noise is not None and post is not None:
             rho = rho.reshape(blocks) * weights[:, None, :, None]
             _channel(rho, noise, (1,) * len(support), 1.0 / result.prob0)
@@ -940,8 +965,10 @@ class BoundStep:
     density matrix on at most ``SUPEROP_MAX_SUPPORT`` qubits, the step's
     superoperator on vec(rho_S) and the row vector whose product with vec
     of the partial trace over the rest is prob0; (Pre_S, W, Post_S) for a
-    wider density matrix, with W[x, y] = c_x c_y + eps_d s_x s_y and None
-    for an empty gate list. A per-gate step (support wider than
+    wider density matrix, with W[x, y] = c_x c_y + eps_d s_x s_y, each of
+    Pre_S and Post_S an (a, phase_in, phase_out) triple of
+    :func:`_phased` (a real where it can be) and None for an empty gate
+    list. A per-gate step (support wider than
     ``FUSED_MAX_SUPPORT``) holds ``gates``: the work gates before the
     ancilla rotation, the full-register (c, s) and the post-measure gates.
     """
@@ -991,6 +1018,25 @@ def _on_support(gates: tuple[Gate, ...], support: tuple[int, ...]) -> np.ndarray
     for g in gates:
         _apply_gate_flat(m.reshape(-1), k, g, 0, False)
     return _as_state_array(m)
+
+
+def _phased(m: np.ndarray) -> tuple:
+    """A sandwich operator m as (a, phase_in, phase_out), so that
+    m rho m^dag = (a (rho * phase_in) a^dag) * phase_out elementwise. When
+    m = a diag(d) (each column carries one phase; S^dag acting first does
+    this) or m = diag(d) a (each row does), with a exactly real, the phase
+    factor d_x d_y^* is phase_in or phase_out respectively and the other
+    is None. Otherwise ``(m, None, None)``."""
+    if np.iscomplexobj(m):
+        for axis in (0, 1):
+            lead = np.take_along_axis(m, abs(m).argmax(axis, keepdims=True), axis)
+            d = lead / abs(lead)
+            a = m * d.conj()
+            if not a.imag.any():
+                phases = [None, None]
+                phases[axis] = np.outer(d, d.conj())
+                return a.real.copy(), *phases
+    return m, None, None
 
 
 def _fold_rotation(
@@ -1063,7 +1109,10 @@ def lower_step(
         gates = (pre[:split], c, s, circuit.post_measure)
         return BoundStep(type(state), noise, support, gates=gates)
     pre_s = _on_support(pre[:split], support)
-    post_s = _on_support(circuit.post_measure, support)
+    if circuit.post_measure == adjoint_sequence(pre[:split]):
+        post_s = np.ascontiguousarray(pre_s.conj().T)
+    else:
+        post_s = _on_support(circuit.post_measure, support)
     eps_d = 0.0 if noise is None else noise.eps_d
     if isinstance(state, DensityMatrix):
         weights = np.outer(c, c) + eps_d * np.outer(s, s)
@@ -1079,9 +1128,9 @@ def lower_step(
             return BoundStep(type(state), noise, support, ops=(superop, prob0_row))
         # an empty gate list leaves its sandwich out
         ops = (
-            pre_s if pre[:split] else None,
+            _phased(pre_s) if pre[:split] else None,
             weights,
-            post_s if circuit.post_measure else None,
+            _phased(post_s) if circuit.post_measure else None,
         )
         return BoundStep(type(state), noise, support, ops=ops)
     if noise is None:

@@ -898,6 +898,147 @@ def test_reading_data_restores_the_canonical_order():
     assert d._order is None
 
 
+def sandwich_of(op, rho: np.ndarray) -> np.ndarray:
+    """m rho m^dag from ``_phased(m)`` = (a, phase_in, phase_out)."""
+    a, phase_in, phase_out = op
+    out = a @ (rho * (1 if phase_in is None else phase_in)) @ a.conj().T
+    return out * (1 if phase_out is None else phase_out)
+
+
+@pytest.mark.parametrize("side", ["column", "row"])
+def test_phased_splits_a_real_matrix_from_its_phases(side):
+    """m = a diag(d) (each column carries one phase) comes back as the
+    real a and the factor d d^* before the products, m = diag(d) a as a
+    and d d^* after them, when a comes out exactly real: here the phases
+    are quarter turns, as an S or S^dag gives them. The factor cannot
+    tell a global phase, so m is rebuilt up to one, and the sandwich it
+    gives is m rho m^dag. Other phases leave a rounding-level imaginary
+    part, and m comes back as it is or split, the sandwich the same. A
+    matrix with mixed phases down a column and along a row, or a real
+    one, comes back as it is."""
+    for size in (2, 16, 64):
+        # both a real and an imaginary phase, so that m is not real times
+        # one global phase, which either side would split
+        a, d = rng.standard_normal((size, size)), 1j ** rng.permutation(np.arange(size) % 4)
+        m = a * d if side == "column" else d[:, None] * a
+        op = real, phase_in, phase_out = engine._phased(m)
+        assert real.dtype == np.float64 and real.flags.c_contiguous
+        assert (phase_in is None, phase_out is None) == (side == "row", side == "column")
+        factor = phase_in if side == "column" else phase_out
+        rebuilt = real * factor[0].conj() if side == "column" else factor[:, 0, None] * real
+        lead = np.unravel_index(np.abs(m).argmax(), m.shape)
+        rebuilt *= m[lead] / rebuilt[lead]  # the global phase
+        assert np.abs(rebuilt - m).max() < 1e-15, size
+        rho = random_density(int(math.log2(size)))
+        assert np.abs(sandwich_of(op, rho) - m @ rho @ m.conj().T).max() < 1e-13, size
+        d = np.exp(1j * rng.uniform(-math.pi, math.pi, size))
+        m = a * d if side == "column" else d[:, None] * a
+        assert np.abs(sandwich_of(engine._phased(m), rho) - m @ rho @ m.conj().T).max() < 1e-13
+    mixed = rng.standard_normal((4, 4)) * np.where(rng.random((4, 4)) < 0.5, 1, 1j)
+    mixed[:2, 0], mixed[0, :2] = (1.0, 1j), (1.0, 1j)
+    assert engine._phased(mixed)[0] is mixed and engine._phased(mixed)[1:] == (None, None)
+    real = rng.standard_normal((4, 4))
+    assert engine._phased(real)[0] is real
+
+
+def test_product_runs_a_real_matrix_on_either_dtype():
+    a = rng.standard_normal((16, 16))
+    for x in (rng.standard_normal((16, 40)) + 1j * rng.standard_normal((16, 40)),
+              rng.standard_normal((16, 40))):
+        out = engine._product(a, x)
+        assert out.dtype == x.dtype
+        assert np.abs(out - a @ x).max() < 1e-15 * np.abs(a @ x).max() * 16
+    x = rng.standard_normal((16, 40))
+    assert np.abs(engine._product(a + 0.5j, x) - (a + 0.5j) @ x).max() < 1e-13
+
+
+@pytest.mark.parametrize("start", ["real", "complex"])
+def test_sandwich_chain_of_lih_y_terms_matches_the_kraus_oracle(start, monkeypatch):
+    """LiH's Y terms run as sandwiches, whose operators come out real with
+    a phase factor before (Pre_S) or after (Post_S) the products, and a
+    chain of them equals ``full_kraus_step`` after every step, from a real
+    and from a complex matrix."""
+    force_path(monkeypatch, "sandwich")
+    model = NoiseModel(1e-3, 2e-3)
+    if start == "real":
+        vecs = [v.real / np.linalg.norm(v.real) for v in (random_state(6) for _ in range(3))]
+        rho = sum(w * np.outer(v, v) for w, v in zip((0.5, 0.3, 0.2), vecs))
+    else:
+        rho = random_density(6)
+    d = DensityMatrix(6, rho)
+    assert np.iscomplexobj(d._rho) == (start == "complex")
+    for _ in range(2):
+        for axes in ("IIYYXX", "ZIIYZY", "YXXZZY"):
+            circ = build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2)
+            step = lower_step(circ, d, model)
+            (a, phase_in, _), _, (b, _, phase_out) = step.ops
+            assert a.dtype == b.dtype == np.float64
+            assert phase_in is not None and phase_out is not None, axes
+            res = run_step_circuit(d, step)
+            rho, p0 = full_kraus_step(circ, rho, model)
+            assert res.prob0 == pytest.approx(p0, rel=1e-12), axes
+            assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, axes
+
+
+def test_sampled_one_on_a_phased_pre_leaves_the_state():
+    """A sampled 1 after a Pre_S with a phase factor leaves the stored
+    matrix, its order and its counts bitwise as they were, both where the
+    step gathers a copy and where the matrix is already stored in the
+    step's order, so that the gather is a view of it."""
+    model = NoiseModel(0.02, 0.03)
+    d = DensityMatrix(6, random_density(6))
+    run_circuit(d, build_pauli_step(PauliTerm.from_string(0.4, "XIIIIZ"), 0.1), noise=model)
+    views = []
+    for axes in ("IIYYXX", "IIYYXX", "YXXZZY"):
+        step = lower_step(build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2), d, model)
+        assert step.ops[0][1] is not None
+        views.append(np.may_share_memory(d._gather(step.support, False)[0], d._rho))
+        twin = copy.deepcopy(d)
+        res = run_step_circuit(d, step, "sample", _AlwaysOne())
+        assert res.outcome == "sampled-1"
+        assert (d._order, d._owed) == (twin._order, twin._owed), axes
+        assert np.array_equal(d._rho, twin._rho), (axes, views)
+        run_circuit(d, build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2), noise=model)
+    assert views == [False, True, False]
+
+
+def test_post_from_the_adjoint_of_pre_is_the_kernel_built_post(monkeypatch):
+    """Every H2, LiH and Ising n=4 Pauli step circuit has Post = Pre^dag
+    as gates, so lowering takes Post_S as the conjugate transpose of Pre_S,
+    which equals the one the kernels build bitwise; only Pre_S runs
+    through the kernels. A step whose Post is not the adjoint of its Pre
+    still has its Post_S built by the kernels."""
+    from pite_sim.hamiltonian import build_lih
+
+    built = []
+    on_support = engine._on_support
+    monkeypatch.setattr(engine, "_on_support", lambda g, s: built.append(g) or on_support(g, s))
+    model = NoiseModel(1e-3, 2e-3)
+    for h in (build_h2(0.75), build_lih(), build_ising(4, 1.0, 1.2, 0.3)):
+        n = h.n_qubits
+        for term in h.terms:
+            circ = build_pauli_step(term, 0.1)
+            # the kernels on Pre's and on Post's gates
+            split = len(circ.pre_measure) - 1  # the rotation is one ControlledRy
+            support = tuple(sorted({q for g in circ.gates for q in engine.qubits_of(g)} - {n}))
+            pre_s = on_support(circ.pre_measure[:split], support)
+            post_s = on_support(circ.post_measure, support)
+            assert np.array_equal(pre_s.conj().T, post_s), term
+            built.clear()
+            step = lower_step(circ, StateVector(n), model)
+            assert len(built) == 1 and np.array_equal(step.ops[2], post_s), term
+    ancilla = 2
+    circ = Circuit(2, True, (Hadamard(0), CNOT(0, 1), ControlledRy(0.7, 1, ancilla), PauliX(0)), 3)
+    built.clear()
+    step = lower_step(circ, StateVector(2))
+    assert built == [circ.pre_measure[:2], circ.post_measure]
+    k = postselected_operator(circ)
+    psi = random_state(2)
+    s = StateVector(2, psi)
+    run_step_circuit(s, step)
+    assert np.abs(s.data - k @ psi / np.linalg.norm(k @ psi)).max() < 1e-12
+
+
 def test_cached_arrays_are_read_only():
     h = build_h2(0.75)
     energies, vectors = eigensystem(h)
