@@ -8,46 +8,49 @@ work basis state, outcome 0 keeps C rho C (C = diag(c)), plus
 eps_d S rho S (S = diag(s)) when the ancilla is noisy.
 
 Each step circuit is lowered once per run (:func:`lower_step`) onto its
-support S, the work qubits its gates touch, into 2^|S| x 2^|S| matrices
-built by running the gate kernels on the identity columns (Post_S is
-the adjoint of Pre_S when its gates are Pre's inverted). A noiseless
-statevector step is one fused K0 = Post_S diag(c_S) Pre_S; a statevector
-trajectory runs diag(c_S) Pre_S (or diag(s_S) Pre_S), the sampled
-work-qubit noise, then Post_S. A density-matrix step on at most
-``SUPEROP_MAX_SUPPORT`` = ``FUSED_MAX_SUPPORT`` // 2 qubits is one
-4^|S| x 4^|S| superoperator T_S (Pre_S on both sides, the measurement as
-one elementwise weight on S, the channel on S, then Post_S), applied
-with a single product to the matrix gathered as (vectorized block on S,
-rest); a wider one gets the same four stages in turn, Pre_S and Post_S
-as sandwiches. As rho is Hermitian, a sandwich a rho a^dag runs as
-a (a rho)^dag, two products on S's rows around one conjugate transpose.
-An operator real but for one phase per column or per row is split into
-the real matrix and an elementwise phase factor (:func:`_phased`), and
-a real matrix multiplies a complex one as a real product
-(:func:`_product`). A step whose support is wider than ``FUSED_MAX_SUPPORT``
-qubits keeps the per-gate kernels on either state type, as its operators
-would grow as 4^|S|.
+support S, the work qubits its gates touch. Up to ``FUSED_MAX_SUPPORT``
+qubits its gates become 2^|S| x 2^|S| matrices, built by running the
+gate kernels on the identity columns (Post_S is the adjoint of Pre_S
+when its gates are Pre's inverted). A noiseless statevector step is one
+fused K0 = Post_S diag(c_S) Pre_S; a statevector trajectory runs
+diag(c_S) Pre_S (or diag(s_S) Pre_S), the sampled work-qubit noise, then
+Post_S. A density-matrix step on at most ``SUPEROP_MAX_SUPPORT`` =
+``FUSED_MAX_SUPPORT`` // 2 qubits is one 4^|S| x 4^|S| superoperator T_S
+(Pre_S on both sides, the measurement as one elementwise weight on S,
+the channel on S, then Post_S), applied with a single product to the
+matrix gathered as (vectorized block on S, rest); a wider one gets the
+same four stages in turn, Pre_S and Post_S as sandwiches. As rho is
+Hermitian, a sandwich a rho a^dag runs as a (a rho)^dag, two products on
+S's rows around one conjugate transpose. An operator real but for one
+phase per column or per row is split into the real matrix and an
+elementwise phase factor (:func:`_phased`), and a real matrix multiplies
+a complex one as a real product (:func:`_product`). A step wider than
+``FUSED_MAX_SUPPORT``, whose matrices would grow as 4^|S|, keeps Pre and
+Post as gate lists relabelled onto S, which the kernels run in place on
+a copy of the gathered (2^|S|, rest) block in the matrices' stead; every
+other stage is the one a fused step runs.
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
 (the ancilla's, then one per work qubit), so that averaging many such
 trajectories, weighted by their ancilla-0 probabilities, reproduces the
-channel. On a density matrix a fused step applies the channel on S only
-and leaves it owed on every other qubit. That is exact: the channel on a
+channel. On a density matrix a step applies the channel on S only and
+leaves it owed on every other qubit. That is exact: the channel on a
 qubit outside S is trace-preserving and acts on that qubit alone, so it
 commutes with the whole step, its weight and its division by prob0
 included. The owed applications run, folded into one channel per qubit,
 when a later step's support takes in the qubit (composed into its
 superoperator, or in the gathered layout, where its passes are long) or
-when the state is read. A fused step also moves the matrix, with one
-transpose, into its own order (S first, the other qubits as they were
-stored) and leaves it there; reading the state restores canonical order.
+when the state is read. On either state type a step also moves the
+state, with one transpose, into its own order (S first, the other qubits
+as they were stored) and leaves it there; reading the state restores
+canonical order.
 
 Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; in a circuit the ancilla is the
 highest qubit index (least significant bit). Gates are applied in place
-through reshaped views of the flat state buffer; a density matrix gets
-every unitary applied from both sides.
+through reshaped views of a flat buffer; a density matrix gets every
+unitary applied from both sides.
 
 Post-selection keeps outcome 0 and renormalizes; sampling draws the
 outcome instead and leaves the restart policy to the caller.
@@ -96,10 +99,10 @@ __all__ = [
 
 ANNIHILATION_THRESHOLD = 1e-15
 # Widest step support (in qubits) that runs as fused operators. Up to it
-# fused steps ran faster than the per-gate kernels on both state types
+# fused steps ran faster than the gate kernels on both state types
 # (single-qubit terms on large density matrices about even), and each
 # matrix stays within 64 KB; beyond it the matrices grow as 4^|S| and
-# their set-up as 8^|S|, so wider steps run gate by gate.
+# their set-up as 8^|S|, so wider steps run their gate lists.
 FUSED_MAX_SUPPORT = 6
 # Widest support (in qubits) whose density-matrix step runs as one
 # 4^|S| x 4^|S| superoperator, which then stays within the same 64 x 64;
@@ -185,10 +188,19 @@ def _apply_dense(flat: np.ndarray, total_axes: int, m: np.ndarray, axes: tuple[i
     moved[...] = (m @ work).reshape(moved.shape)
 
 
-def _product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """a @ x for a 2-D ``x`` with contiguous rows. A real ``a`` takes a
-    complex ``x`` as one real product over its interleaved real and
-    imaginary parts, which never meet."""
+def _product(a: np.ndarray | tuple[Gate, ...], x: np.ndarray) -> np.ndarray:
+    """a @ x, as a new array, for a 2-D ``x`` (2^k, rest) with contiguous
+    rows. A real ``a`` takes a complex ``x`` as one real product over its
+    interleaved real and imaginary parts, which never meet. A gate list
+    ``a``, relabelled onto x's k leading qubits, runs through the kernels
+    on a copy of ``x``, upcast to complex when one of its gates is."""
+    if isinstance(a, tuple):
+        upcast = np.iscomplexobj(x) or any(map(_gate_needs_complex, a))
+        out = x.astype(np.complex128 if upcast else np.float64, order="C")
+        k = x.shape[0].bit_length() - 1
+        for g in a:
+            _apply_gate_flat(out.reshape(-1), k, g, 0, False)
+        return out
     if x.dtype.kind == "c" and a.dtype.kind == "f":
         return (a @ x.view(np.float64)).view(np.complex128)
     return a @ x
@@ -309,15 +321,19 @@ def _outcome(
     """The ancilla measurement rule, shared by every step path.
 
     ``kept`` and ``jumped`` are the weights that reach outcome 0 without
-    and with the ancilla's E2 jump, so prob0 is their sum, clamped to 1.
-    Postselection raises below the annihilation threshold; sampling takes
-    exactly one ``rng.random()`` and reads 1 when it is >= prob0. With
-    ``branch`` (a statevector trajectory of a noisy ancilla), outcome 0
-    takes one more draw r and keeps the jump branch when r prob0 >= kept.
-    Returns the result and whether the jump branch is kept.
+    and with the ancilla's E2 jump, so prob0 is their sum. A sum over 1 by
+    more than 1e-9 means a step that is not a measurement and raises;
+    rounding below that clamps it to 1. Postselection raises below the
+    annihilation threshold; sampling takes exactly one ``rng.random()``
+    and reads 1 when it is >= prob0. With ``branch`` (a statevector
+    trajectory of a noisy ancilla), outcome 0 takes one more draw r and
+    keeps the jump branch when r prob0 >= kept. Returns the result and
+    whether the jump branch is kept.
     """
     if rng is None and (mode == "sample" or branch):
         raise ValueError("a sampled measurement or noise branch needs an rng")
+    if kept + jumped > 1.0 + 1e-9:
+        raise ValueError(f"ancilla-0 probability {kept + jumped!r} exceeds 1")
     prob0 = min(kept + jumped, 1.0)
     if mode == "postselect":
         if prob0 < ANNIHILATION_THRESHOLD:
@@ -335,17 +351,67 @@ def _outcome(
     return MeasureResult(prob0, outcome), jump
 
 
+def _measured(
+    out: np.ndarray, out1: np.ndarray | None, eps_d: float, mode: str, rng
+) -> tuple[MeasureResult, np.ndarray | None]:
+    """A statevector's measurement stage, on its ancilla-0 branch ``out``
+    and, when the ancilla can jump, its ancilla-1 branch ``out1``, which
+    reaches outcome 0 with weight ``eps_d``. Returns the result and the
+    branch kept, normalized, or None after a sampled 1."""
+    kept = float(np.vdot(out, out).real)
+    kept1 = 0.0 if out1 is None else float(np.vdot(out1, out1).real)
+    result, jump = _outcome(kept, eps_d * kept1, mode, rng, out1 is not None)
+    if result.outcome == "sampled-1":
+        return result, None
+    return result, out1 / math.sqrt(kept1) if jump else out / math.sqrt(kept)
+
+
 class _State:
-    """Plumbing shared by the two state types: dtype promotion, gate
-    sequencing and the ancilla measurement. A subclass supplies
-    ``apply_gate``, ``_weights``, ``_keep0``, ``_expectation``,
-    ``_run_fused`` and ``_apply_channel`` (the noise channel of a per-gate
-    step), and says whether it samples noise branches.
+    """Plumbing shared by the two state types: dtype promotion, the energy
+    and the stored qubit order.
+
+    The state is kept in ``_stored`` with its bits, most significant
+    first, carrying the labels ``_order``: q for qubit q, and on a density
+    matrix n + q for its column bit (None is canonical). A step moves it
+    into the order it works in (:func:`_step_order`) and leaves it there;
+    ``data``, and so every gate, energy, trace and copy, first restores the
+    canonical order. A subclass says how many ``_sides`` carry labels (1
+    on a vector, 2 on a matrix) and supplies ``apply_gate``,
+    ``measure_ancilla``, ``_expectation`` and ``_run_step``.
     """
 
     n_qubits: int
-    data: np.ndarray
-    _samples_noise: bool
+    _sides: int
+
+    @property
+    def data(self) -> np.ndarray:
+        """The state in canonical order (on a density matrix, all that is
+        owed applied)."""
+        self._flush()
+        return self._stored
+
+    @data.setter
+    def data(self, entries: np.ndarray) -> None:
+        self._stored = np.ascontiguousarray(entries)
+        self._order: tuple[int, ...] | None = None
+
+    def _flush(self) -> None:
+        """Put the stored state back in canonical order."""
+        if self._order is not None:
+            n = self.n_qubits
+            shape, axes = _transposition(self._order, tuple(range(self._sides * n)))
+            moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
+            self._stored, self._order = moved.reshape((2**n,) * self._sides), None
+
+    def _gather(self, support: tuple[int, ...], superop: bool = False) -> tuple[np.ndarray, tuple]:
+        """The state in the order a step on ``support`` works in, as
+        (2^k, rest), or (4^k, rest) with ``superop``, and that order: a view
+        when stored so, else a contiguous copy."""
+        order, shape, axes = _step_order(
+            self.n_qubits, self._sides, self._order, support, superop
+        )
+        moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
+        return moved.reshape(2 ** (len(support) * (1 + superop)), -1), order
 
     def copy(self):
         return type(self)(self.n_qubits, self.data)
@@ -354,51 +420,21 @@ class _State:
         if not np.iscomplexobj(self.data):
             self.data = self.data.astype(np.complex128)
 
-    def apply_gates(self, gates: tuple[Gate, ...]) -> None:
-        for g in gates:
-            self.apply_gate(g)
-
     def expectation(self, h: PauliHamiltonian) -> float:
         """Energy of the state under ``h``, identity offset included."""
         if 2**h.n_qubits != self.data.shape[0]:
             raise ValueError("Hamiltonian dimension does not match the state")
         return self._expectation(h)
 
-    def measure_ancilla(
-        self,
-        c: np.ndarray,
-        s: np.ndarray,
-        eps_d: float = 0.0,
-        mode: str = "postselect",
-        rng: np.random.Generator | None = None,
-    ) -> MeasureResult:
-        """Measure a step's ancilla, given as its per-basis-state factors.
-
-        ``c`` and ``s`` are the cos and sin of half the ancilla's rotation
-        angle on each work basis state, and ``eps_d`` weights the branch
-        that the ancilla's E2 jump brings to outcome 0. So prob0 is
-        sum_x (c_x^2 + eps_d s_x^2) w_x, with w the basis-state weights.
-        Outcome 0 keeps (C rho C + eps_d S rho S) / prob0 (a statevector
-        samples one of the two branches, which needs ``rng``); a sampled 1
-        leaves the state as it is, since the caller restarts the run.
-        """
-        w = self._weights()
-        kept = float(np.dot(c * c, w))
-        jumped = eps_d * float(np.dot(s * s, w))
-        result, jump = _outcome(kept, jumped, mode, rng, self._samples_noise and eps_d > 0.0)
-        if result.outcome != "sampled-1":
-            self._keep0(c, s, eps_d, result.prob0, jump)
-        return result
-
 
 class StateVector(_State):
-    """Flat statevector over ``n_qubits``, kept unit-norm.
+    """Statevector over ``n_qubits``, kept unit-norm.
 
     Stored as float64 while all applied gates are real, upcast to
     complex128 on the first genuinely complex operation.
     """
 
-    _samples_noise = True
+    _sides = 1
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None):
         self.n_qubits = n_qubits
@@ -419,42 +455,52 @@ class StateVector(_State):
             self._ensure_complex()
         _apply_gate_flat(self.data, self.n_qubits, gate, offset=0, conjugate=False)
 
-    def _weights(self) -> np.ndarray:
-        return np.abs(self.data) ** 2
+    def measure_ancilla(
+        self,
+        c: np.ndarray,
+        s: np.ndarray,
+        eps_d: float = 0.0,
+        mode: str = "postselect",
+        rng: np.random.Generator | None = None,
+    ) -> MeasureResult:
+        """Measure an ancilla given as its per-basis-state factors, the
+        measurement stage of a step on the whole register.
 
-    def _keep0(self, c, s, eps_d, prob0, jump) -> None:
-        # the sampled branch: s psi (the ancilla's E2 jump) or c psi
-        self.data *= s if jump else c
-        self.data /= np.linalg.norm(self.data)
+        ``c`` and ``s`` are the cos and sin of half the ancilla's rotation
+        angle on each work basis state, and ``eps_d`` weights the branch
+        that the ancilla's E2 jump brings to outcome 0. So prob0 is
+        sum_x (c_x^2 + eps_d s_x^2) w_x, with w the basis-state weights.
+        Outcome 0 keeps (C rho C + eps_d S rho S) / prob0 (a statevector
+        samples one of the two branches, which needs ``rng``); a sampled 1
+        leaves the state as it is, since the caller restarts the run.
+        """
+        psi = self.data
+        result, kept = _measured(c * psi, s * psi if eps_d > 0.0 else None, eps_d, mode, rng)
+        if kept is not None:
+            self.data = kept
+        return result
 
-    def _run_fused(self, step: BoundStep, mode: str, rng) -> MeasureResult:
-        layout = step.layout
-        x = layout.gather(self.data)
-        if step.noise is None:
-            (k0,) = step.ops
-            out = k0 @ x
-            kept = float(np.vdot(out, out).real)
-            result, _ = _outcome(kept, 0.0, mode, rng, False)
-            if result.outcome != "sampled-1":
-                self.data = layout.scatter(out / math.sqrt(kept))
+    def _run_step(self, step: BoundStep, mode: str, rng) -> MeasureResult:
+        noise = step.noise
+        if noise is not None and rng is None:
+            raise ValueError("statevector noise is sampled and needs an rng")
+        eps_d = 0.0 if noise is None else noise.eps_d
+        x, order = self._gather(step.support)
+        first, second, post = step.ops
+        if isinstance(second, tuple):  # Pre's gate list, then (c_S, s_S)
+            c, s = second
+            x = _product(first, x)
+            out, out1 = c[:, None] * x, s[:, None] * x if eps_d > 0.0 else None
+        else:  # K0 or A0, then A1
+            out, out1 = _product(first, x), None if second is None else _product(second, x)
+        result, kept = _measured(out, out1, eps_d, mode, rng)
+        if kept is None:
             return result
-        # a trajectory: one sampled ancilla branch, the sampled work-qubit
-        # noise (qubit 0 first, in the state's own order), then Post
-        a0, a1, post = step.ops
-        out = a0 @ x
-        kept = float(np.vdot(out, out).real)
-        jumped = 0.0
-        if a1 is not None:
-            out1 = a1 @ x
-            jumped = step.noise.eps_d * float(np.vdot(out1, out1).real)
-        result, jump = _outcome(kept, jumped, mode, rng, a1 is not None)
-        if result.outcome == "sampled-1":
-            return result
-        if jump:
-            out = out1
-        self.data = layout.scatter(out / np.linalg.norm(out))
-        self.sample_kraus(step.noise, rng)
-        self.data = layout.scatter(post @ layout.gather(self.data))
+        self._stored, self._order = kept, order
+        if noise is not None:  # a trajectory: the sampled work-qubit noise, then Post
+            self.sample_kraus(noise, rng)
+        if post is not None:
+            self._stored = _product(post, self._stored)
         return result
 
     def apply_pauli_string(self, axes: tuple[PauliAxis, ...]) -> np.ndarray:
@@ -482,16 +528,16 @@ class StateVector(_State):
             total += float(np.vdot(psi[basis ^ x_mask], psi * diagonal).real)
         return float(total)
 
-    def _apply_channel(self, model: NoiseModel, rng: np.random.Generator) -> None:
-        self.sample_kraus(model, rng)
-
     def sample_kraus(self, model: NoiseModel, rng: np.random.Generator) -> None:
-        """Trajectory-mode noise: draw one Kraus branch per qubit."""
+        """Trajectory-mode noise: draw one Kraus branch per qubit, qubit 0
+        first, on that qubit's bit wherever the stored order puts it."""
         if model.is_identity:
             return
         keep = 1.0 - model.eps_r - model.eps_d
+        flat = self._stored.reshape(-1)
+        order = range(self.n_qubits) if self._order is None else self._order
         for q in range(self.n_qubits):
-            v0, v1 = _pinned_views(self.data, {}, q)
+            v0, v1 = _pinned_views(flat, {}, order.index(q))
             p_one = float(np.real(np.vdot(v1, v1)))
             p2 = model.eps_d * p_one
             p3 = model.eps_r * p_one
@@ -504,7 +550,7 @@ class StateVector(_State):
                 v1[...] = 0.0
             else:  # E3: project onto |1>
                 v0[...] = 0.0
-            self.data /= np.linalg.norm(self.data)
+            flat /= np.linalg.norm(flat)
 
 
 class DensityMatrix(_State):
@@ -513,20 +559,15 @@ class DensityMatrix(_State):
     Like :class:`StateVector`, entries stay float64 until a genuinely
     complex gate arrives.
 
-    A fused step leaves the noise channel of the qubits outside its
-    support owed: the state keeps the matrix without it and a per-qubit
-    count of the applications still to come (all of one
-    :class:`NoiseModel`). A later step applies what its own support owes
-    (or composes it into its superoperator), and ``data`` applies all of
-    it, so every read of the state sees the channel in full. A fused step
-    also leaves the matrix in the order it worked in (:func:`_step_order`):
-    the stored bits, most significant first, carry the labels ``_order``
-    (q for the row bit of qubit q, n + q for its column bit; None is
-    canonical). ``data``, and so every per-gate step, energy, trace and
-    copy, first restores the canonical order.
+    A step leaves the noise channel of the qubits outside its support
+    owed: the state keeps the matrix without it and a per-qubit count of
+    the applications still to come (all of one :class:`NoiseModel`). A
+    later step applies what its own support owes (or composes it into its
+    superoperator), and ``data`` applies all of it, so every read of the
+    state sees the channel in full.
     """
 
-    _samples_noise = False
+    _sides = 2
 
     def __init__(self, n_qubits: int, entries: np.ndarray | None = None):
         self.n_qubits = n_qubits
@@ -534,33 +575,23 @@ class DensityMatrix(_State):
         dim = 2**n_qubits
         if entries is None:
             self.data = np.zeros((dim, dim))
-            self._rho[0, 0] = 1.0
+            self._stored[0, 0] = 1.0
         else:
             entries = np.asarray(entries)
             if entries.shape != (dim, dim):
                 raise ValueError("entry matrix does not match qubit count")
             self.data = _as_state_array(entries)
 
-    @property
-    def data(self) -> np.ndarray:
-        """The matrix in canonical order, all that is owed applied."""
-        self._flush()
-        return self._rho
-
-    @data.setter
+    @_State.data.setter
     def data(self, entries: np.ndarray) -> None:
-        self._rho = np.ascontiguousarray(entries)
-        self._order: tuple[int, ...] | None = None
+        _State.data.fset(self, entries)
         self._owed = [0] * self.n_qubits
 
     def _flush(self) -> None:
         """Put the matrix back in canonical order, then apply what is owed."""
-        if self._order is not None:
-            shape, axes = _transposition(self._order, tuple(range(2 * self.n_qubits)))
-            moved = np.ascontiguousarray(self._rho.reshape(shape).transpose(axes))
-            self._rho, self._order = moved.reshape(2**self.n_qubits, -1), None
+        super()._flush()
         if any(self._owed):
-            _channel(self._rho, self._noise, tuple(self._owed))
+            _channel(self._stored, self._noise, tuple(self._owed))
             self._owed = [0] * self.n_qubits
 
     def _adopt(self, model: NoiseModel) -> None:
@@ -569,14 +600,6 @@ class DensityMatrix(_State):
         if model != self._noise:
             self._flush()
             self._noise = model
-
-    def _gather(self, support: tuple[int, ...], superop: bool) -> tuple[np.ndarray, tuple]:
-        """The matrix in the order a step on ``support`` works in, as
-        (2^k, rest), or (4^k, rest) with ``superop``, and that order: a view
-        when stored so, else a contiguous copy that in-place work may use."""
-        order, shape, axes = _step_order(self.n_qubits, self._order, support, superop)
-        moved = np.ascontiguousarray(self._rho.reshape(shape).transpose(axes))
-        return moved.reshape(2 ** (len(support) * (1 + superop)), -1), order
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.data)))
@@ -597,24 +620,22 @@ class DensityMatrix(_State):
         self._owed = [m + 1 for m in self._owed]
         self._flush()
 
-    def _apply_channel(self, model: NoiseModel, rng: np.random.Generator | None) -> None:
-        self.apply_noise(model)
+    def measure_ancilla(
+        self,
+        c: np.ndarray,
+        s: np.ndarray,
+        eps_d: float = 0.0,
+        mode: str = "postselect",
+        rng: np.random.Generator | None = None,
+    ) -> MeasureResult:
+        """:meth:`StateVector.measure_ancilla` on a density matrix, which
+        keeps both branches: the weight stage of a sandwich step on the
+        whole register, with W = c c^T + eps_d s s^T."""
+        weights = np.outer(c, c) + eps_d * np.outer(s, s)
+        whole = BoundStep(type(self), None, tuple(range(self.n_qubits)), (None, weights, None))
+        return self._run_sandwich(whole, mode, rng)
 
-    def _weights(self) -> np.ndarray:
-        return self.data.diagonal().real
-
-    def _keep0(self, c, s, eps_d, prob0, jump) -> None:
-        # (C rho C + eps_d S rho S) / prob0, as row and column broadcasts
-        rho = self.data
-        if eps_d > 0.0:
-            jumped = rho * s[:, None]
-            jumped *= s * (eps_d / prob0)
-        rho *= c[:, None]
-        rho *= c / prob0
-        if eps_d > 0.0:
-            rho += jumped
-
-    def _run_fused(self, step: BoundStep, mode: str, rng) -> MeasureResult:
+    def _run_step(self, step: BoundStep, mode: str, rng) -> MeasureResult:
         # The step runs on, and stores, P rho P^T with S's qubits first;
         # traces do not change under P. The channel on a qubit outside S
         # commutes with the whole step, so it is only counted as owed.
@@ -650,7 +671,7 @@ class DensityMatrix(_State):
         result, _ = _outcome(prob0, 0.0, mode, rng, False)
         if result.outcome == "sampled-1":
             return result
-        self._rho, self._order = _product(superop * (1.0 / result.prob0), rho), order
+        self._stored, self._order = _product(superop * (1.0 / result.prob0), rho), order
         for q in support:
             self._owed[q] = 0
         return result
@@ -661,15 +682,18 @@ class DensityMatrix(_State):
         # there is no Post_S).
         pre, weights, post = step.ops
         support, noise = step.support, step.noise
+        if isinstance(weights, tuple):  # a gate-list step: W from (c_S, s_S)
+            c, s = weights
+            weights = np.outer(c, c) + (0.0 if noise is None else noise.eps_d) * np.outer(s, s)
         dim, rows = 2**self.n_qubits, len(weights)
         blocks = (rows, dim // rows, rows, dim // rows)
 
         def sandwich(op: tuple, rho: np.ndarray) -> np.ndarray:
             """m rho m^dag for op = (a, phase_in, phase_out) of m (see
-            :func:`_phased`), on rho as (2^k, rest). As rho is Hermitian,
-            a rho a^dag = a (a rho)^dag: a on S's rows, one conjugate
-            transpose, a on S's rows again. The phase factors multiply
-            into new arrays, never into a gathered view of the state."""
+            :func:`_phased`; a may be a gate list), on rho as (2^k, rest).
+            As rho is Hermitian, a rho a^dag = a (a rho)^dag: a on S's
+            rows, one conjugate transpose, a on S's rows again. Nothing
+            writes into a gathered view of the state."""
             a, phase_in, phase_out = op
             if phase_in is not None:
                 rho = rho.reshape(blocks) * phase_in[:, None, :, None]
@@ -680,11 +704,11 @@ class DensityMatrix(_State):
                 rho = rho.reshape(blocks) * phase_out[:, None, :, None]
             return rho.reshape(rows, -1)
 
-        rho, order = self._gather(support, superop=False)
+        rho, order = self._gather(support)
         owed = tuple(self._owed[q] for q in support)
         if any(owed):
             _channel(rho, self._noise, owed)
-            if np.may_share_memory(rho, self._rho):
+            if np.may_share_memory(rho, self._stored):
                 # gather returned a view, so the state itself took it
                 for q in support:
                     self._owed[q] = 0
@@ -706,16 +730,20 @@ class DensityMatrix(_State):
             rho = rho.reshape(blocks) * (weights / result.prob0)[:, None, :, None]
         if post is not None:
             rho = sandwich(post, rho.reshape(rows, -1))
-        self._rho, self._order = rho, order
+        self._stored, self._order = rho, order
         for q in support:
             self._owed[q] = int(noise is not None and post is None)
         return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
-        hmat = h.offset_free_matrix
-        return float(
-            np.real(np.einsum("ij,ji->", hmat, self.data)) + h.identity_offset * self.trace()
-        )
+        # Tr(H rho) = sum_x sum_b d_x[b] rho[b, b ^ x]: one gather per
+        # distinct X mask, see PauliHamiltonian.x_mask_diagonals
+        rho = self.data
+        basis = np.arange(rho.shape[0])
+        total = h.identity_offset * float(np.trace(rho).real)
+        for x_mask, diagonal in h.x_mask_diagonals:
+            total += float(np.dot(diagonal, rho[basis, basis ^ x_mask]).real)
+        return total
 
 
 # Qubits per elementwise factor of the channel, so that no factor holds
@@ -906,18 +934,22 @@ def _transposition(order: tuple[int, ...], target: tuple[int, ...]) -> tuple[tup
 
 
 @lru_cache(maxsize=4096)
-def _step_order(n: int, order: tuple | None, support: tuple[int, ...], superop: bool) -> tuple:
-    """The order a density-matrix step on ``support`` works in, from a
-    matrix stored in ``order`` (labels as in :class:`DensityMatrix`), and
-    the transposition into it. S's row bits come first (then, with
-    ``superop``, its column bits), then the other qubits' row bits as
-    stored now, then their column bits in that same order, which the
-    partial trace and the diagonal need. Leaving the other qubits as they
-    are, not canonical, keeps them in long runs that the copy moves whole.
+def _step_order(
+    n: int, sides: int, order: tuple | None, support: tuple[int, ...], superop: bool
+) -> tuple:
+    """The order a step on ``support`` works in, from a state stored in
+    ``order`` (labels as in :class:`_State`, on ``sides`` 1 or 2), and the
+    transposition into it. S's bits come first, then the other qubits' as
+    stored now. On a matrix these are row bits: then (or, with
+    ``superop``, right after S's row bits) come S's column bits, then the
+    other qubits' column bits in their rows' order, which the partial
+    trace and the diagonal need. Leaving the other qubits as they are, not
+    canonical, keeps them in long runs that the copy moves whole.
     """
-    current = tuple(range(2 * n)) if order is None else order
+    current = tuple(range(sides * n)) if order is None else order
     rest = tuple(q for q in current if q < n and q not in support)
-    columns, k = tuple(n + q for q in support + rest), len(support)
+    columns = tuple(n + q for q in support + rest) if sides == 2 else ()
+    k = len(support)
     if superop:
         target = support + columns[:k] + rest + columns[k:]
     else:
@@ -925,60 +957,31 @@ def _step_order(n: int, order: tuple | None, support: tuple[int, ...], superop: 
     return (target, *_transposition(current, target))
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """A relabelling P of a statevector's qubits that puts a step's
-    support S first, keeping the order within S and within the rest:
-    ``gather`` copies psi into P psi, viewed as (2^k, rest) (a view when
-    S is the leading qubits in order), and ``scatter`` copies it back."""
-
-    rows: int
-    into: tuple[tuple[int, ...], tuple[int, ...]]  # (shape, axes) of each move
-    back: tuple[tuple[int, ...], tuple[int, ...]]
-
-    @staticmethod
-    def of(n: int, support: tuple[int, ...]) -> "_Layout":
-        canonical = tuple(range(n))
-        target = support + tuple(q for q in canonical if q not in support)
-        into, back = _transposition(canonical, target), _transposition(target, canonical)
-        return _Layout(2 ** len(support), into, back)
-
-    def gather(self, psi: np.ndarray) -> np.ndarray:
-        shape, axes = self.into
-        return psi.reshape(shape).transpose(axes).reshape(self.rows, -1)
-
-    def scatter(self, x: np.ndarray) -> np.ndarray:
-        shape, axes = self.back
-        return x.reshape(shape).transpose(axes).reshape(-1)
-
-
 @dataclass(frozen=True, eq=False)
 class BoundStep:
-    """A step circuit lowered once for the state type and noise of a run.
+    """A step circuit lowered once for the state type and noise of a run:
+    ``ops`` on its ``support`` S, the sorted work qubits its gates touch.
 
-    A fused step holds ``ops``, arrays on its ``support`` S, the sorted
-    work qubits its gates touch (``layout`` places S in a statevector; a
-    density matrix works out its order at each step): (K0,) =
-    (Post_S diag(c_S) Pre_S,) for a noiseless statevector; (A0, A1,
-    Post_S) for a trajectory, with A0 = diag(c_S) Pre_S and A1 =
-    diag(s_S) Pre_S, None when the ancilla cannot jump; (T_S, v) for a
-    density matrix on at most ``SUPEROP_MAX_SUPPORT`` qubits, the step's
-    superoperator on vec(rho_S) and the row vector whose product with vec
-    of the partial trace over the rest is prob0; (Pre_S, W, Post_S) for a
-    wider density matrix, with W[x, y] = c_x c_y + eps_d s_x s_y, each of
-    Pre_S and Post_S an (a, phase_in, phase_out) triple of
-    :func:`_phased` (a real where it can be) and None for an empty gate
-    list. A per-gate step (support wider than
-    ``FUSED_MAX_SUPPORT``) holds ``gates``: the work gates before the
-    ancilla rotation, the full-register (c, s) and the post-measure gates.
+    On a statevector ``ops`` is (K0, None, None), K0 = Post_S diag(c_S)
+    Pre_S, for a noiseless step and (A0, A1, Post_S) for a trajectory,
+    with A0 = diag(c_S) Pre_S and A1 = diag(s_S) Pre_S, None when the
+    ancilla cannot jump. On a density matrix it is (T_S, v) on at most
+    ``SUPEROP_MAX_SUPPORT`` qubits, the step's superoperator on vec(rho_S)
+    and the row vector whose product with vec of the partial trace over
+    the rest is prob0, and (Pre_S, W, Post_S) on wider ones, with W[x, y] =
+    c_x c_y + eps_d s_x s_y and each of Pre_S and Post_S an (a, phase_in,
+    phase_out) triple of :func:`_phased` (a real where it can be), None
+    for an empty gate list. A step wider than ``FUSED_MAX_SUPPORT`` holds
+    (Pre, (c_S, s_S), Post) instead, Pre and Post its gate lists relabelled
+    onto S: bare on a statevector, as (gates, None, None) triples on a
+    density matrix (None when empty), which builds W from (c_S, s_S) when
+    it runs rather than hold its 4^|S| entries.
     """
 
     state_type: type
     noise: NoiseModel | None
-    support: tuple[int, ...] = ()
-    layout: _Layout | None = None
-    ops: tuple | None = None
-    gates: tuple | None = None
+    support: tuple[int, ...]
+    ops: tuple
 
 
 def _positions(gate: Gate, position: dict[int, int]) -> tuple[int, ...]:
@@ -1010,14 +1013,11 @@ def _on_support(gates: tuple[Gate, ...], support: tuple[int, ...]) -> np.ndarray
     position = {q: i for i, q in enumerate(support)}
     k = len(support)
     gates = tuple(_relabel(g, position) for g in gates)
-    dtype = complex if any(map(_gate_needs_complex, gates)) else float
     if gates and isinstance(gates[0], DenseBlock) and gates[0].qubits == tuple(range(k)):
-        m, gates = gates[0].matrix.astype(dtype, order="C"), gates[1:]
+        m, gates = gates[0].matrix, gates[1:]
     else:
-        m = np.eye(2**k, dtype=dtype)
-    for g in gates:
-        _apply_gate_flat(m.reshape(-1), k, g, 0, False)
-    return _as_state_array(m)
+        m = np.eye(2**k)
+    return _as_state_array(_product(gates, m))
 
 
 def _phased(m: np.ndarray) -> tuple:
@@ -1101,13 +1101,14 @@ def lower_step(
     c, s = _fold_rotation(rotation, support, ancilla)
     if noise is not None and noise.is_identity:
         noise = None
-    n = circuit.n_work
     if len(support) > FUSED_MAX_SUPPORT:
-        # (c, s) on the whole register, constant along the qubits off S
-        layout, rest = _Layout.of(n, support), 2**n // len(c)
-        c, s = (layout.scatter(np.repeat(f, rest)) for f in (c, s))
-        gates = (pre[:split], c, s, circuit.post_measure)
-        return BoundStep(type(state), noise, support, gates=gates)
+        position = {q: i for i, q in enumerate(support)}
+        pre_g, post_g = (
+            tuple(_relabel(g, position) for g in gates) for gates in (pre[:split], circuit.post_measure)
+        )
+        if isinstance(state, DensityMatrix):  # sandwiches, left out when empty
+            pre_g, post_g = ((g, None, None) if g else None for g in (pre_g, post_g))
+        return BoundStep(type(state), noise, support, (pre_g, (c, s), post_g))
     pre_s = _on_support(pre[:split], support)
     if circuit.post_measure == adjoint_sequence(pre[:split]):
         post_s = np.ascontiguousarray(pre_s.conj().T)
@@ -1125,20 +1126,20 @@ def lower_step(
             superop = np.kron(post_s, post_s.conj()) @ superop
             # prob0 = sum_x W[x, x] (Pre rho Pre^dag)[x, x]: rows of Pre_t
             prob0_row = weights.diagonal() @ pre_t[:: len(c) + 1]
-            return BoundStep(type(state), noise, support, ops=(superop, prob0_row))
+            return BoundStep(type(state), noise, support, (superop, prob0_row))
         # an empty gate list leaves its sandwich out
         ops = (
             _phased(pre_s) if pre[:split] else None,
             weights,
             _phased(post_s) if circuit.post_measure else None,
         )
-        return BoundStep(type(state), noise, support, ops=ops)
+        return BoundStep(type(state), noise, support, ops)
     if noise is None:
-        ops = (_as_state_array(post_s @ (c[:, None] * pre_s)),)
+        ops = (_as_state_array(post_s @ (c[:, None] * pre_s)), None, None)
     else:
         a1 = s[:, None] * pre_s if eps_d > 0.0 else None
         ops = (c[:, None] * pre_s, a1, post_s)
-    return BoundStep(type(state), noise, support, _Layout.of(n, support), ops)
+    return BoundStep(type(state), noise, support, ops)
 
 
 def run_step_circuit(
@@ -1150,28 +1151,13 @@ def run_step_circuit(
     """One measured step circuit, lowered by :func:`lower_step` for this
     state's type, on the work register.
 
-    A fused step applies its operators (see :class:`BoundStep`); a
-    density matrix takes the exact work-qubit channel on S at once and
-    owes it on the other qubits, and a noisy statevector step is one
-    trajectory, which needs ``rng``. A per-gate step runs the work gates
-    before the rotation, the measurement folded into (c, s), the channel
-    (exact or sampled) and the post-measure gates. Every path shares the
-    outcome rule of :func:`_outcome`; a sampled 1 leaves the state as it
-    is.
+    Each state type runs every step down one pipeline (see
+    :class:`BoundStep`): Pre on the state gathered in the step's order,
+    the outcome rule of :func:`_outcome`, the work-qubit channel (exact on
+    S and owed on the other qubits on a density matrix; one sampled
+    trajectory on a statevector, which needs ``rng``), then Post. A
+    sampled 1 leaves the state as it is.
     """
     if not isinstance(state, step.state_type):
         raise TypeError(f"step lowered for {step.state_type.__name__}, got {type(state).__name__}")
-    noise = step.noise
-    if noise is not None and state._samples_noise and rng is None:
-        raise ValueError("statevector noise is sampled and needs an rng")
-    if step.gates is None:
-        return state._run_fused(step, mode, rng)
-    pre, c, s, post = step.gates
-    state.apply_gates(pre)
-    result = state.measure_ancilla(c, s, 0.0 if noise is None else noise.eps_d, mode, rng)
-    if result.outcome == "sampled-1":
-        return result
-    if noise is not None:
-        state._apply_channel(noise, rng)
-    state.apply_gates(post)
-    return result
+    return state._run_step(step, mode, rng)

@@ -164,13 +164,6 @@ class PauliHamiltonian:
         return float(sum(abs(t.coeff) for t in self.terms))
 
     @cached_property
-    def offset_free_matrix(self) -> np.ndarray:
-        """``dense_matrix(include_offset=False)``, built once, read-only."""
-        m = self.dense_matrix(include_offset=False)
-        m.setflags(write=False)
-        return m
-
-    @cached_property
     def x_mask_diagonals(self) -> tuple[tuple[int, np.ndarray], ...]:
         """The Hamiltonian without its offset as (x_mask, d_x) pairs, one
         per distinct X mask, with read-only d_x.

@@ -70,7 +70,8 @@ def kraus_sum_oracle(
     matrix from its definition and contracts it into the identity with
     ``np.tensordot``, so the oracle shares no code with the engine's
     work-register path (``_apply_gate_flat``, the step lowering
-    ``lower_step``, ``apply_noise``, ``measure_ancilla``, ``_keep0``). It
+    ``lower_step``, the step pipeline ``DensityMatrix._run_step`` with its
+    sandwiches and superoperators, the deferred channel ``_channel``). It
     shares the step circuits (``_step_circuits``), the gate definitions
     and ``NoiseModel.kraus_operators``.
     """

@@ -242,7 +242,7 @@ def test_noisy_statevector_step_samples_the_channel():
     # a noisy statevector step is one sampled trajectory: the same draws as
     # the ancilla measurement (with its E2 branch) and then sample_kraus on
     # the work qubits, done by hand from the circuit's controlled rotation
-    # with the per-gate kernels (the fused step rounds differently)
+    # with the gate kernels one gate at a time (the fused step rounds differently)
     noise = NoiseModel(0.2, 0.3)
     work = random_state(2)
     circ = build_pauli_step(random_term(2), 0.3)
@@ -256,10 +256,12 @@ def test_noisy_statevector_step_samples_the_channel():
         res = run_circuit(state, circ, rng=rng_run, noise=noise)
         by_hand = StateVector(2, work)
         rng_hand = make_rng(seed)
-        by_hand.apply_gates(circ.gates[: circ.measure_point - 1])
+        for g in circ.gates[: circ.measure_point - 1]:
+            by_hand.apply_gate(g)
         want = by_hand.measure_ancilla(c, s, noise.eps_d, rng=rng_hand)
         by_hand.sample_kraus(noise, rng_hand)
-        by_hand.apply_gates(circ.post_measure)
+        for g in circ.post_measure:
+            by_hand.apply_gate(g)
         assert res.outcome == want.outcome
         assert res.prob0 == pytest.approx(want.prob0, rel=1e-12)
         assert np.abs(state.data - by_hand.data).max() < 1e-12
@@ -314,9 +316,10 @@ LOWERING_CASES = lowering_cases()
 
 # (FUSED_MAX_SUPPORT, SUPEROP_MAX_SUPPORT) values that force each step
 # path on small registers: a density-matrix step runs as one
-# superoperator, as the Pre/W/Post sandwich or gate by gate (a
-# statevector step is fused on the first two)
-STEP_PATHS = {"superop": (99, 99), "sandwich": (99, 0), "per-gate": (0, 0)}
+# superoperator, as the Pre/W/Post sandwich or with Pre and Post as gate
+# lists on the gathered block (a statevector step is fused on the first
+# two)
+STEP_PATHS = {"superop": (99, 99), "sandwich": (99, 0), "gate-list": (0, 0)}
 
 
 def force_path(monkeypatch, path: str) -> None:
@@ -327,8 +330,8 @@ def force_path(monkeypatch, path: str) -> None:
 
 def step_path(step) -> str:
     """The path a lowered step runs down, in ``STEP_PATHS``' names."""
-    if step.gates is not None:
-        return "per-gate"
+    if isinstance(step.ops[1], tuple):  # (Pre, (c_S, s_S), Post)
+        return "gate-list"
     if step.state_type is not DensityMatrix:
         return "fused"
     return "superop" if len(step.ops) == 2 else "sandwich"
@@ -338,14 +341,14 @@ def path_step(monkeypatch, path, circ, state, rng=None, noise=None):
     """Run ``circ`` once on ``state`` down the given path."""
     force_path(monkeypatch, path)
     step = lower_step(circ, state, noise)
-    assert step_path(step) == (path if isinstance(state, DensityMatrix) or path == "per-gate"
+    assert step_path(step) == (path if isinstance(state, DensityMatrix) or path == "gate-list"
                                else "fused")
     return run_step_circuit(state, step, rng=rng)
 
 
 @pytest.mark.parametrize("circ", [c for _, c in LOWERING_CASES], ids=[i for i, _ in LOWERING_CASES])
 def test_step_matches_postselected_operator(circ, monkeypatch):
-    """Every noiseless step path (fused and per-gate, on a statevector
+    """Every noiseless step path (fused and gate-list, on a statevector
     and on a density matrix) equals the normalized ancilla-0 block of the
     full-circuit unitary, and prob0 its squared norm."""
     n = circ.n_work
@@ -438,7 +441,7 @@ def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
     ids=["sv-postselect", "sv-sample", "dm-postselect", "dm-sample", "sv-trajectories"],
 )
 def test_step_paths_agree(mode, noise, trajectories, monkeypatch):
-    """The fused and the per-gate steps give the same LiH evolution, per
+    """The fused and the gate-list steps give the same LiH evolution, per
     term and grouped, on every state type and measurement mode. On a
     density matrix the fused steps run at the default cut, supports of up
     to 3 qubits as superoperators and wider ones as sandwiches, and also
@@ -457,7 +460,7 @@ def test_step_paths_agree(mode, noise, trajectories, monkeypatch):
     )
     schedule = Schedule(dt=0.1, n_steps=2)
     cut = engine.SUPEROP_MAX_SUPPORT
-    paths = {"default": (99, cut), "per-gate": (0, 0)}
+    paths = {"default": (99, cut), "gate-list": (0, 0)}
     if noise is not None and trajectories is None:
         paths["sandwich"] = (99, 0)
     runs = {}
@@ -468,21 +471,34 @@ def test_step_paths_agree(mode, noise, trajectories, monkeypatch):
             run_pite(h, init, schedule, config),
             run_generalized(h, blocks, init, schedule, config),
         ]
-    for path in [p for p in paths if p != "per-gate"]:
-        for fused, per_gate in zip(runs[path], runs["per-gate"]):
-            assert fused.restarts == per_gate.restarts
-            assert len(fused.records) == len(per_gate.records) == 3
-            for a, b in zip(fused.records, per_gate.records):
+    for path in [p for p in paths if p != "gate-list"]:
+        for fused, gate_list in zip(runs[path], runs["gate-list"]):
+            assert fused.restarts == gate_list.restarts
+            assert len(fused.records) == len(gate_list.records) == 3
+            for a, b in zip(fused.records, gate_list.records):
                 for field in ("energy", "fidelity", "p_cum"):
                     assert getattr(a, field) == pytest.approx(getattr(b, field), rel=1e-12), (
                         path, field
                     )
 
 
-def test_wide_support_runs_per_gate():
-    """A step wider than FUSED_MAX_SUPPORT keeps the per-gate kernels on
-    every state type (its fused operators would grow as 4^|S|); a
-    weight-10 Z string on 10 qubits then still equals the closed form."""
+def arrays_in(ops) -> list[np.ndarray]:
+    """The arrays a lowered step's ops hold, nested tuples and gates opened."""
+    if isinstance(ops, np.ndarray):
+        return [ops]
+    if isinstance(ops, DenseBlock):
+        return [ops.matrix]
+    if isinstance(ops, tuple):
+        return [a for op in ops for a in arrays_in(op)]
+    return []
+
+
+def test_wide_support_runs_its_gate_list():
+    """A step wider than FUSED_MAX_SUPPORT holds its gate lists, relabelled
+    onto S, and (c_S, s_S) on S, on every state type, where its fused
+    operators would grow as 4^|S|: no array it holds has more than
+    4^FUSED_MAX_SUPPORT entries. A weight-10 Z string on 10 qubits then
+    still equals the closed form."""
     cut = engine.FUSED_MAX_SUPPORT
     noise = NoiseModel(1e-3, 1e-3)
     for width in (cut, cut + 1):
@@ -493,14 +509,74 @@ def test_wide_support_runs_per_gate():
             (DensityMatrix(width), noise),
         ):
             step = lower_step(circ, state, model)
-            assert (step.gates is None, step.ops is None) == (width <= cut, width > cut)
+            assert (step_path(step) == "gate-list") == (width > cut)
+            assert max(a.size for a in arrays_in(step.ops)) <= 4**cut
+            if width > cut:
+                c, s = step.ops[1]
+                assert c.shape == s.shape == (2**width,)
     term = PauliTerm.from_string(-0.6, "Z" * 10)
     psi = random_state(10)
     s = StateVector(10, psi)
     step = lower_step(build_pauli_step(term, 0.2), s)
-    assert step.ops is None
+    assert step_path(step) == "gate-list"
     run_step_circuit(s, step)
     assert np.abs(s.data - dense_step_oracle(term, 0.2, psi)).max() < 1e-12
+
+
+def test_wide_density_steps_defer_and_keep_their_order():
+    """A noisy chain on 8 qubits at the default cut: a weight-7 step, a
+    2-qubit step, a weight-7 step on another support. Each equals
+    ``full_kraus_step`` after it. The first leaves the matrix in its own
+    order and the channel owed once on the qubit off its support, so a
+    wide step neither restores canonical order nor applies the channel on
+    the whole register."""
+    model = NoiseModel(0.02, 0.03)
+    circuits = [
+        build_pauli_step(PauliTerm.from_string(0.4, axes), 0.2)
+        for axes in ("XYZZXZYI", "IIIIIIZZ", "IZXYYZZX")
+    ]
+    rho = random_density(8)
+    d = DensityMatrix(8, rho)
+    for i, circ in enumerate(circuits):
+        step = lower_step(circ, d, model)
+        assert step_path(step) == ("superop" if i == 1 else "gate-list")
+        res = run_step_circuit(d, step)
+        rho, p0 = full_kraus_step(circ, rho, model)
+        assert res.prob0 == pytest.approx(p0, rel=1e-12), i
+        assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, i
+        if i == 0:
+            assert d._order == step_target(8, tuple(range(16)), step.support, False)
+            assert d._owed == [0] * 7 + [1]
+
+
+def test_wide_statevector_trajectory_matches_the_hand_built_oracle():
+    """A weight-7 trajectory step on 8 qubits at the default cut equals,
+    with the same draws, the circuit's ancilla-0 branch A0 psi or (an E2
+    jump on the ancilla) its ancilla-1 branch A1 psi, then the work-qubit
+    channel sampled qubit 0 first, then the post-measure block, although
+    the step samples the channel in its own qubit order."""
+    model = NoiseModel(0.2, 0.3)
+    circ = build_pauli_step(PauliTerm.from_string(-0.7, "IZXYYZZX"), 0.3)
+    pre = gates_unitary(circ.pre_measure, 9)
+    post = gates_unitary(circ.post_measure, 9)[0::2, 0::2]
+    a0, a1 = pre[0::2, 0::2], pre[1::2, 0::2]
+    psi = random_state(8)
+    kept = np.linalg.norm(a0 @ psi) ** 2
+    prob0 = kept + model.eps_d * np.linalg.norm(a1 @ psi) ** 2
+    for seed in range(8):
+        rng_hand = make_rng(seed)
+        out = a1 @ psi if rng_hand.random() * prob0 >= kept else a0 @ psi
+        by_hand = StateVector(8, out / np.linalg.norm(out))
+        by_hand.sample_kraus(model, rng_hand)
+        s = StateVector(8, psi)
+        step = lower_step(circ, s, model)
+        assert step_path(step) == "gate-list"
+        rng_run = make_rng(seed)
+        res = run_step_circuit(s, step, rng=rng_run)
+        assert s._order is not None and s._order[0] != 0
+        assert res.prob0 == pytest.approx(prob0, rel=1e-12)
+        assert np.abs(s.data - post @ by_hand.data).max() < 1e-12, seed
+        assert rng_run.random() == rng_hand.random()
 
 
 def test_density_steps_pick_their_path_by_support_size():
@@ -513,7 +589,7 @@ def test_density_steps_pick_their_path_by_support_size():
     for width in range(1, cut + 2):
         circ = build_pauli_step(PauliTerm.from_string(-0.6, "X" * width), 0.2)
         step = lower_step(circ, DensityMatrix(width), noise)
-        want = "superop" if 2 * width <= cut else "sandwich" if width <= cut else "per-gate"
+        want = "superop" if 2 * width <= cut else "sandwich" if width <= cut else "gate-list"
         assert step_path(step) == want, width
         if want == "superop":
             assert step.ops[0].shape == (4**width, 4**width)
@@ -564,6 +640,8 @@ def test_outcome_rule_clamps_thresholds_and_draws_once():
 
     res, jump = engine._outcome(1.0, 1e-9, "postselect", None, False)
     assert (res.prob0, res.outcome, jump) == (1.0, "postselected", False)
+    with pytest.raises(ValueError, match="exceeds 1"):
+        engine._outcome(1.0, 2e-9, "postselect", None, False)
     with pytest.raises(EvolutionAnnihilatedError):
         engine._outcome(6e-16, 3e-16, "postselect", None, False)
     for r, outcome in ((0.7, "sampled-1"), (0.5, "sampled-0")):
@@ -574,6 +652,21 @@ def test_outcome_rule_clamps_thresholds_and_draws_once():
     rng_fixed = FixedRng(0.9)
     res, jump = engine._outcome(0.5, 0.25, "postselect", rng_fixed, True)
     assert (res.prob0, jump, rng_fixed.draws) == (0.75, True, 1)
+
+
+def test_step_whose_outcome_weight_exceeds_one_raises():
+    """A hand-built step whose outcome-0 weight exceeds 1 is no
+    measurement, and raises on either state type, before the state
+    changes."""
+    psi, rho = random_state(2), random_density(2)
+    steps = [
+        (StateVector(2, psi), engine.BoundStep(StateVector, None, (0, 1), (1.01 * np.eye(4), None, None))),
+        (DensityMatrix(2, rho), engine.BoundStep(DensityMatrix, None, (0, 1), (None, np.full((4, 4), 1.01), None))),
+    ]
+    for state, step in steps:
+        with pytest.raises(ValueError, match="exceeds 1"):
+            run_step_circuit(state, step)
+    assert np.array_equal(steps[0][0].data, psi) and np.array_equal(steps[1][0].data, rho)
 
 
 def test_measure_ancilla_jump_branch_needs_rng():
@@ -673,10 +766,10 @@ def test_deferred_channel_matches_the_channel_applied_at_once(path, monkeypatch)
     """Three noisy Trotter steps of Ising n=5 on a density matrix, down
     every path, equal after every step the oracle that applies the
     channel on every qubit at once. The supports have one and two qubits,
-    so a fused run owes several applications on most qubits at most steps:
-    a superoperator step takes in what its support owes, and a sandwich
-    step applies it (its single-Z terms, without Pre_S or Post_S, leave
-    their own channel owed too). The state is read from a deep copy,
+    so a run owes several applications on most qubits at most steps: a
+    superoperator step takes in what its support owes, and a sandwich or
+    gate-list step applies it (its single-Z terms, without Pre or Post,
+    leave their own channel owed too). The state is read from a deep copy,
     which leaves the run's owed counts alone."""
     force_path(monkeypatch, path)
     model = NoiseModel(0.02, 0.03)
@@ -690,8 +783,7 @@ def test_deferred_channel_matches_the_channel_applied_at_once(path, monkeypatch)
             rho, p0 = full_kraus_step(circ, rho, model)
             assert res.prob0 == pytest.approx(p0, rel=1e-13)
             assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-13
-    if path != "per-gate":
-        assert max(d._owed) > 1  # the run did defer
+    assert max(d._owed) > 1  # the run did defer
     assert np.abs(d.data - rho).max() < 1e-13
 
 
@@ -733,7 +825,7 @@ def test_sampled_one_with_noise_owed_leaves_the_state(monkeypatch):
                 assert trial._order == twin._order
             else:
                 assert (trial._order, trial._owed) == (twin._order, twin._owed), support
-                assert np.array_equal(trial._rho, twin._rho), (path, support)
+                assert np.array_equal(trial._stored, twin._stored), (path, support)
             assert np.abs(trial.data - twin.data).max() < 1e-15, (path, support)
             # the same later evolution, so nothing is owed twice or lost
             for state in (trial, twin):
@@ -772,7 +864,7 @@ def test_channel_superoperator_matches_the_channel():
         engine._channel(want, model, counts)
         d = DensityMatrix(3, rho)
         gathered, order = d._gather(tuple(range(len(counts))), superop=True)
-        d._rho, d._order = engine._channel_superop(model, counts) @ gathered, order
+        d._stored, d._order = engine._channel_superop(model, counts) @ gathered, order
         assert np.abs(d.data - want).max() < 1e-14, counts
 
 
@@ -807,7 +899,7 @@ def test_moving_between_stored_orders_equals_a_canonical_round_trip(superop):
             size = int(rng.integers(1, n + 1))
             support = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
             d = DensityMatrix(n, rho)
-            d._rho, d._order = in_order(rho, order), order
+            d._stored, d._order = in_order(rho, order), order
             restored = copy.deepcopy(d).data
             assert np.array_equal(restored, rho) and restored.flags.c_contiguous
             gathered, target = d._gather(support, superop)
@@ -815,17 +907,17 @@ def test_moving_between_stored_orders_equals_a_canonical_round_trip(superop):
             assert gathered.shape[0] == 2 ** (size * (2 if superop else 1))
             assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
             # a copy that in-place work can use (the order moved unless n = 1)
-            assert gathered.flags.c_contiguous and (n == 1 or gathered.base is not d._rho)
-            d._rho, d._order = gathered, target
+            assert gathered.flags.c_contiguous and (n == 1 or gathered.base is not d._stored)
+            d._stored, d._order = gathered, target
             assert np.array_equal(d.data, rho) and d.data.flags.c_contiguous
 
 
 def test_chain_of_mixed_step_paths_matches_the_kraus_oracle(monkeypatch):
-    """Superoperator, sandwich and per-gate steps in turn on one noisy
+    """Superoperator, sandwich and gate-list steps in turn on one noisy
     density matrix equal ``full_kraus_step`` after every step. Each step
     is lowered under its own forced path; the state is read through a deep
-    copy, so the one under test keeps the order its last fused step left
-    it in and is never put back in canonical order between steps."""
+    copy, so the one under test keeps the order its last step left it in
+    and is never put back in canonical order between steps."""
     model = NoiseModel(0.02, 0.03)
     n = 5
     circuits = [build_pauli_step(t, 0.1) for t in build_ising(n, 1.0, 1.2, 0.3).terms]
@@ -860,14 +952,14 @@ def test_stored_orders_keep_rows_and_columns_alike(monkeypatch):
     from pite_sim.pite import RunConfig, Schedule, run_pite
 
     stored = []
-    run_fused = DensityMatrix._run_fused
+    run_step = DensityMatrix._run_step
 
     def recording(self, step, mode, rng):
-        result = run_fused(self, step, mode, rng)
+        result = run_step(self, step, mode, rng)
         stored.append((self.n_qubits, step.support, self._order))
         return result
 
-    monkeypatch.setattr(DensityMatrix, "_run_fused", recording)
+    monkeypatch.setattr(DensityMatrix, "_run_step", recording)
     config = RunConfig(noise=NoiseModel(1e-3, 2e-3))
     ising = build_ising(5, 1.0, 1.2, 0.3)
     lih = build_lih()
@@ -966,7 +1058,7 @@ def test_sandwich_chain_of_lih_y_terms_matches_the_kraus_oracle(start, monkeypat
     else:
         rho = random_density(6)
     d = DensityMatrix(6, rho)
-    assert np.iscomplexobj(d._rho) == (start == "complex")
+    assert np.iscomplexobj(d._stored) == (start == "complex")
     for _ in range(2):
         for axes in ("IIYYXX", "ZIIYZY", "YXXZZY"):
             circ = build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2)
@@ -992,12 +1084,12 @@ def test_sampled_one_on_a_phased_pre_leaves_the_state():
     for axes in ("IIYYXX", "IIYYXX", "YXXZZY"):
         step = lower_step(build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2), d, model)
         assert step.ops[0][1] is not None
-        views.append(np.may_share_memory(d._gather(step.support, False)[0], d._rho))
+        views.append(np.may_share_memory(d._gather(step.support, False)[0], d._stored))
         twin = copy.deepcopy(d)
         res = run_step_circuit(d, step, "sample", _AlwaysOne())
         assert res.outcome == "sampled-1"
         assert (d._order, d._owed) == (twin._order, twin._owed), axes
-        assert np.array_equal(d._rho, twin._rho), (axes, views)
+        assert np.array_equal(d._stored, twin._stored), (axes, views)
         run_circuit(d, build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2), noise=model)
     assert views == [False, True, False]
 
@@ -1045,7 +1137,6 @@ def test_cached_arrays_are_read_only():
     cached = [
         energies,
         vectors,
-        h.offset_free_matrix,
         engine._channel_factors(NoiseModel(0.2, 0.3), (1, 2))[1],
         engine._channel_superop(NoiseModel(0.2, 0.3), (1, 2)),
         *(d for _, d in h.x_mask_diagonals),
@@ -1125,6 +1216,12 @@ def test_bitmask_expectation_matches_pauli_strings_and_dense(name):
     assert real.expectation(h) == pytest.approx(
         np.vdot(real.data, h.dense_matrix() @ real.data).real, abs=1e-12
     )
+    # a density matrix sums d_x[b] rho[b, b ^ x] over the same diagonals,
+    # on random complex mixed states and on a real one
+    for rho in (random_density(h.n_qubits), random_density(h.n_qubits),
+                np.outer(real.data, real.data)):
+        dense = np.trace(h.dense_matrix() @ rho).real
+        assert DensityMatrix(h.n_qubits, rho).expectation(h) == pytest.approx(dense, abs=1e-12)
 
 
 def test_bitmask_expectation_in_several_parity_passes():
