@@ -27,8 +27,9 @@ elementwise phase factor (:func:`_phased`), and a real matrix multiplies
 a complex one as a real product (:func:`_product`). A step wider than
 ``FUSED_MAX_SUPPORT``, whose matrices would grow as 4^|S|, keeps Pre and
 Post as gate lists relabelled onto S, which the kernels run in place on
-a copy of the gathered (2^|S|, rest) block in the matrices' stead; every
-other stage is the one a fused step runs.
+the gathered (2^|S|, rest) block in the matrices' stead, copied first
+only where it may be the stored state itself; every other stage is the
+one a fused step runs.
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
@@ -41,10 +42,13 @@ commutes with the whole step, its weight and its division by prob0
 included. The owed applications run, folded into one channel per qubit,
 when a later step's support takes in the qubit (composed into its
 superoperator, or in the gathered layout, where its passes are long) or
-when the state is read. On either state type a step also moves the
-state, with one transpose, into its own order (S first, the other qubits
-as they were stored) and leaves it there; reading the state restores
-canonical order.
+when ``data`` is read. On either state type a step also moves the state,
+with one transpose, into its own order (S first, the other qubits as they
+were stored) and leaves it there; ``data`` restores canonical order. A
+density matrix's energy, trace and subspace weight read the stored matrix
+as it is: an observable A of the state is the adjoint channel N^dag(A)
+of the stored one, since Tr(A N(rho)) = Tr(N^dag(A) rho), gathered in the
+stored order and built once per owed counts and order.
 
 Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; in a circuit the ancilla is the
@@ -188,15 +192,19 @@ def _apply_dense(flat: np.ndarray, total_axes: int, m: np.ndarray, axes: tuple[i
     moved[...] = (m @ work).reshape(moved.shape)
 
 
-def _product(a: np.ndarray | tuple[Gate, ...], x: np.ndarray) -> np.ndarray:
+def _product(
+    a: np.ndarray | tuple[Gate, ...], x: np.ndarray, overwrite: bool = False
+) -> np.ndarray:
     """a @ x, as a new array, for a 2-D ``x`` (2^k, rest) with contiguous
     rows. A real ``a`` takes a complex ``x`` as one real product over its
     interleaved real and imaginary parts, which never meet. A gate list
     ``a``, relabelled onto x's k leading qubits, runs through the kernels
-    on a copy of ``x``, upcast to complex when one of its gates is."""
+    on a copy of ``x``, upcast to complex when one of its gates is; with
+    ``overwrite`` (the caller owns ``x`` and reads it no more) it runs in
+    ``x`` itself when no upcast is due."""
     if isinstance(a, tuple):
         upcast = np.iscomplexobj(x) or any(map(_gate_needs_complex, a))
-        out = x.astype(np.complex128 if upcast else np.float64, order="C")
+        out = x.astype(np.complex128 if upcast else np.float64, order="C", copy=not overwrite)
         k = x.shape[0].bit_length() - 1
         for g in a:
             _apply_gate_flat(out.reshape(-1), k, g, 0, False)
@@ -374,10 +382,12 @@ class _State:
     first, carrying the labels ``_order``: q for qubit q, and on a density
     matrix n + q for its column bit (None is canonical). A step moves it
     into the order it works in (:func:`_step_order`) and leaves it there;
-    ``data``, and so every gate, energy, trace and copy, first restores the
-    canonical order. A subclass says how many ``_sides`` carry labels (1
-    on a vector, 2 on a matrix) and supplies ``apply_gate``,
-    ``measure_ancilla``, ``_expectation`` and ``_run_step``.
+    ``data``, and so every gate and copy (and a statevector's energy),
+    first restores the canonical order. A density matrix reads its energy,
+    trace and subspace weight in the stored order instead. A subclass says
+    how many ``_sides`` carry labels (1 on a vector, 2 on a matrix) and
+    supplies ``apply_gate``, ``measure_ancilla``, ``_expectation`` and
+    ``_run_step``.
     """
 
     n_qubits: int
@@ -422,7 +432,7 @@ class _State:
 
     def expectation(self, h: PauliHamiltonian) -> float:
         """Energy of the state under ``h``, identity offset included."""
-        if 2**h.n_qubits != self.data.shape[0]:
+        if h.n_qubits != self.n_qubits:
             raise ValueError("Hamiltonian dimension does not match the state")
         return self._expectation(h)
 
@@ -489,7 +499,7 @@ class StateVector(_State):
         first, second, post = step.ops
         if isinstance(second, tuple):  # Pre's gate list, then (c_S, s_S)
             c, s = second
-            x = _product(first, x)
+            x = _product(first, x, overwrite=not np.may_share_memory(x, self._stored))
             out, out1 = c[:, None] * x, s[:, None] * x if eps_d > 0.0 else None
         else:  # K0 or A0, then A1
             out, out1 = _product(first, x), None if second is None else _product(second, x)
@@ -499,8 +509,8 @@ class StateVector(_State):
         self._stored, self._order = kept, order
         if noise is not None:  # a trajectory: the sampled work-qubit noise, then Post
             self.sample_kraus(noise, rng)
-        if post is not None:
-            self._stored = _product(post, self._stored)
+        if post is not None:  # on the kept branch, a buffer of the step's own
+            self._stored = _product(post, self._stored, overwrite=True)
         return result
 
     def apply_pauli_string(self, axes: tuple[PauliAxis, ...]) -> np.ndarray:
@@ -563,8 +573,12 @@ class DensityMatrix(_State):
     owed: the state keeps the matrix without it and a per-qubit count of
     the applications still to come (all of one :class:`NoiseModel`). A
     later step applies what its own support owes (or composes it into its
-    superoperator), and ``data`` applies all of it, so every read of the
-    state sees the channel in full.
+    superoperator), and ``data`` applies all of it. The energy, ``trace``
+    and ``subspace_weight`` see the channel in full without applying it:
+    they read the stored matrix against the observable's image under the
+    adjoint of the owed channel (see :func:`_adjoint_diagonals` and
+    :func:`_adjoint_projector`), which leaves the matrix, its order and
+    its counts as they are.
     """
 
     _sides = 2
@@ -572,6 +586,7 @@ class DensityMatrix(_State):
     def __init__(self, n_qubits: int, entries: np.ndarray | None = None):
         self.n_qubits = n_qubits
         self._noise: NoiseModel | None = None  # the model of the owed counts
+        self._reads: dict[str, tuple] = {}  # see _adjoint_read
         dim = 2**n_qubits
         if entries is None:
             self.data = np.zeros((dim, dim))
@@ -602,7 +617,36 @@ class DensityMatrix(_State):
             self._noise = model
 
     def trace(self) -> float:
-        return float(np.real(np.trace(self.data)))
+        """tr rho, summed over the stored diagonal: the owed channel keeps
+        the trace, and a stored order moves the diagonal entries only."""
+        rows, columns = _flat_positions(self.n_qubits, self._order)
+        return float(self._stored.reshape(-1)[rows + columns].real.sum())
+
+    def subspace_weight(self, basis: np.ndarray) -> float:
+        """Tr(B B^dag rho) for the orthonormal columns B of ``basis``,
+        without a flush: Tr(N^dag(B B^dag) rho~), with rho~ the stored
+        matrix and N what it owes, as one ``vdot`` of the flat buffers
+        (:func:`_adjoint_projector`). A matrix that owes nothing in
+        canonical order reads B^dag rho B instead and builds no projector."""
+        owed = tuple(self._owed)
+        if self._order is None and not any(owed):
+            amps = self._stored @ basis
+            return float(sum(np.real(np.vdot(basis[:, d], amps[:, d])) for d in range(basis.shape[1])))
+        projector = self._adjoint_read(
+            "projector", basis, lambda: _adjoint_projector(basis, self._noise, owed, self._order)
+        )
+        return float(np.vdot(projector, self._stored.reshape(-1)).real)
+
+    def _adjoint_read(self, kind: str, source, build):
+        """``build()``, an adjoint observable of ``source`` for the owed
+        counts and the stored order, kept as the one entry of its ``kind``
+        until a read for another source, model, count or order replaces
+        it. The entry holds ``source``, which is compared by identity."""
+        key = (self._noise, tuple(self._owed), self._order)
+        entry = self._reads.get(kind)
+        if entry is None or entry[0] is not source or entry[1] != key:
+            entry = self._reads[kind] = (source, key, build())
+        return entry[2]
 
     def apply_gate(self, gate: Gate) -> None:
         if _gate_needs_complex(gate):
@@ -692,14 +736,16 @@ class DensityMatrix(_State):
             """m rho m^dag for op = (a, phase_in, phase_out) of m (see
             :func:`_phased`; a may be a gate list), on rho as (2^k, rest).
             As rho is Hermitian, a rho a^dag = a (a rho)^dag: a on S's
-            rows, one conjugate transpose, a on S's rows again. Nothing
-            writes into a gathered view of the state."""
+            rows, one conjugate transpose, a on S's rows again. A gate
+            list runs in the buffer it is given, unless that may be the
+            stored state (a gathered view), which nothing writes into."""
             a, phase_in, phase_out = op
             if phase_in is not None:
                 rho = rho.reshape(blocks) * phase_in[:, None, :, None]
-            half = _product(a, rho.reshape(rows, -1)).reshape(dim, dim)
+            own = not np.may_share_memory(rho, self._stored)
+            half = _product(a, rho.reshape(rows, -1), own).reshape(dim, dim)
             flipped = np.conjugate(half.T, out=np.empty_like(half))
-            rho = _product(a, flipped.reshape(rows, -1))
+            rho = _product(a, flipped.reshape(rows, -1), overwrite=True)
             if phase_out is not None:
                 rho = rho.reshape(blocks) * phase_out[:, None, :, None]
             return rho.reshape(rows, -1)
@@ -736,13 +782,23 @@ class DensityMatrix(_State):
         return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
-        # Tr(H rho) = sum_x sum_b d_x[b] rho[b, b ^ x]: one gather per
-        # distinct X mask, see PauliHamiltonian.x_mask_diagonals
-        rho = self.data
-        basis = np.arange(rho.shape[0])
-        total = h.identity_offset * float(np.trace(rho).real)
-        for x_mask, diagonal in h.x_mask_diagonals:
-            total += float(np.dot(diagonal, rho[basis, basis ^ x_mask]).real)
+        # Tr(H rho) = sum_x sum_b d_x[b] rho[b, b ^ x], one gather per
+        # distinct X mask (see PauliHamiltonian.x_mask_diagonals), read
+        # without a flush as Tr(N^dag(H) rho~): the diagonals of N^dag(H)
+        # (see _adjoint_diagonals) against the stored matrix, whose entry
+        # (b, c) sits at rows[b] + columns[c]. As columns is linear over
+        # XOR, columns[b ^ x] = columns[b] ^ columns[x].
+        diagonals = h.x_mask_diagonals
+        owed = tuple(self._owed)
+        if any(owed):
+            diagonals = self._adjoint_read(
+                "diagonals", h, lambda: _adjoint_diagonals(h, self._noise, owed)
+            )
+        flat = self._stored.reshape(-1)
+        rows, columns = _flat_positions(self.n_qubits, self._order)
+        total = h.identity_offset * self.trace()  # N^dag(I) = I
+        for x_mask, diagonal in diagonals:
+            total += float(np.dot(diagonal, flat[rows + (columns ^ columns[x_mask])]).real)
         return total
 
 
@@ -773,12 +829,18 @@ def _channel_factors(
 
 
 def _channel(
-    rho: np.ndarray, model: NoiseModel, counts: tuple[int, ...], scale: float = 1.0
+    rho: np.ndarray,
+    model: NoiseModel,
+    counts: tuple[int, ...],
+    scale: float = 1.0,
+    adjoint: bool = False,
 ) -> None:
     """In place on a contiguous 2^n x 2^n matrix of any shape: ``model``'s
     channel applied counts[i] times to qubit i (the i-th most significant
     bit of the row and of the column index) for i < len(counts), then the
-    factor ``scale``.
+    factor ``scale``. With ``adjoint``, the adjoint channel N^dag instead,
+    which maps an observable A to the one whose expectation on rho equals
+    A's on N(rho).
 
     Per qubit the three Kraus operators reduce to block updates split by
     that qubit's row/column bit:
@@ -791,23 +853,102 @@ def _channel(
     Channels on distinct qubits commute, and each is (scaling) o (jump),
     so every few qubits take their jumps and then one elementwise
     multiply. The jump passes run long for the leading qubits, which is
-    where a step's gathered layout puts its support.
+    where a step's gathered layout puts its support. The adjoint of
+    (scaling) o (jump) is (reversed jump) o (scaling), as the scaling is
+    real and elementwise: A_11 = keep A_11 + (1 - keep) A_00.
     """
     flat = rho.reshape(-1)
     n = (flat.size.bit_length() - 1) // 2
-    for first in range(0, len(counts), _FACTOR_QUBITS):
-        jumps, factor = _channel_factors(model, counts[first : first + _FACTOR_QUBITS])
+
+    def jump_passes(first: int, jumps: tuple[float, ...]) -> None:
         for q, jump in enumerate(jumps, first):
             if jump:
                 lead, tail = 2**q, 2 ** (n - 1 - q)
                 blocks = flat.reshape(lead, 2, tail, lead, 2, tail)
-                blocks[:, 0, :, :, 0] += jump * blocks[:, 1, :, :, 1]
+                if adjoint:
+                    blocks[:, 1, :, :, 1] += jump * blocks[:, 0, :, :, 0]
+                else:
+                    blocks[:, 0, :, :, 0] += jump * blocks[:, 1, :, :, 1]
+
+    for first in range(0, len(counts), _FACTOR_QUBITS):
+        jumps, factor = _channel_factors(model, counts[first : first + _FACTOR_QUBITS])
+        if not adjoint:
+            jump_passes(first, jumps)
         if first == 0 and scale != 1.0:
             factor = factor * scale
         end = first + len(jumps)
         outer, inner = 2**first, 2 ** (n - end)
         view = flat.reshape(outer, 2 ** len(jumps), inner, outer, -1, inner)
         view *= factor[None, :, None, None, :, None]
+        if adjoint:
+            jump_passes(first, jumps)
+
+
+def _adjoint_diagonals(
+    h: PauliHamiltonian, model: NoiseModel, counts: tuple[int, ...]
+) -> tuple[tuple[int, np.ndarray], ...]:
+    """``h.x_mask_diagonals`` of N^dag(H), N ``model``'s channel applied
+    counts[q] times to qubit q; read-only. d_x[b] is entry (b ^ x, b) of
+    H, so on a qubit q in the X mask each of its entries is off the
+    diagonal and takes delta^m, and elsewhere b's bit q is both the row
+    and the column bit, where the adjoint channel of :func:`_channel` sets
+    d_x[b_q = 1] to keep^m d_x[b_q = 1] + (1 - keep^m) d_x[b_q = 0], with
+    the same folded values (:func:`_channel_factors`)."""
+    n = h.n_qubits
+    out = []
+    for x_mask, diagonal in h.x_mask_diagonals:
+        d = diagonal.copy()
+        for q, m in enumerate(counts):
+            if m:
+                (jump,), factor = _channel_factors(model, (m,))
+                if (x_mask >> (n - 1 - q)) & 1:
+                    d *= factor[0, 1]
+                else:
+                    half = d.reshape(2**q, 2, -1)
+                    half[:, 1] *= factor[1, 1]
+                    half[:, 1] += jump * half[:, 0]
+        d.setflags(write=False)
+        out.append((x_mask, d))
+    return tuple(out)
+
+
+def _adjoint_projector(
+    basis: np.ndarray, model: NoiseModel, counts: tuple[int, ...], order: tuple[int, ...] | None
+) -> np.ndarray:
+    """N^dag(B B^dag) for the columns B of ``basis``, N ``model``'s
+    channel applied counts[q] times to qubit q (:func:`_channel` with
+    ``adjoint``), flat in the layout of a matrix stored in ``order``
+    (labels as in :class:`_State`), so that its ``vdot`` with that matrix
+    is the expectation; read-only. N^dag(B B^dag) is Hermitian, so the
+    ``vdot``'s conjugate transposes it back."""
+    n = len(counts)
+    projector = basis @ basis.conj().T
+    if any(counts):
+        _channel(projector, model, counts, adjoint=True)
+    if order is not None:
+        shape, axes = _transposition(tuple(range(2 * n)), order)
+        projector = projector.reshape(shape).transpose(axes)
+    projector = np.ascontiguousarray(projector).reshape(-1)
+    projector.setflags(write=False)
+    return projector
+
+
+@lru_cache(maxsize=64)
+def _flat_positions(n: int, order: tuple[int, ...] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Where a 2^n x 2^n matrix stored in ``order`` (labels as in
+    :class:`_State`) keeps entry (b, c): at flat position rows[b] +
+    columns[c]. Read-only."""
+    labels = range(2 * n) if order is None else order
+    shift = {label: 2 * n - 1 - i for i, label in enumerate(labels)}
+    basis = np.arange(2**n)
+    rows, columns = np.zeros(2**n, dtype=np.int64), np.zeros(2**n, dtype=np.int64)
+    for q in range(n):
+        bit = (basis >> (n - 1 - q)) & 1
+        rows |= bit << shift[q]
+        columns |= bit << shift[n + q]
+    rows.setflags(write=False)
+    columns.setflags(write=False)
+    return rows, columns
 
 
 @lru_cache(maxsize=128)

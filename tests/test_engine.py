@@ -990,6 +990,153 @@ def test_reading_data_restores_the_canonical_order():
     assert d._order is None
 
 
+def dense_adjoint_channel(a: np.ndarray, model: NoiseModel, counts) -> np.ndarray:
+    """N^dag(A) = sum_k E_k^dag A E_k, applied counts[q] times on qubit q,
+    from the model's Kraus operators embedded in the whole register."""
+    n = len(counts)
+    for q, m in enumerate(counts):
+        ops = [np.kron(np.kron(np.eye(2**q), e), np.eye(2 ** (n - 1 - q)))
+               for e in model.kraus_operators()]
+        for _ in range(m):
+            a = sum(op.conj().T @ a @ op for op in ops)
+    return a
+
+
+def test_adjoint_channel_matches_the_kraus_sum():
+    """The X-mask diagonals of N^dag(H) and ``_channel`` with ``adjoint``
+    equal N^dag built densely from the Kraus operators on n = 3, for a
+    Y-heavy H and a random complex observable: entry (b ^ x, b) of N^dag(H)
+    is d_x[b], and N^dag(H) has no entries off H's X masks."""
+    model = NoiseModel(0.3, 0.2)
+    h = y_heavy_hamiltonian(3, 12)
+    dense_h = h.dense_matrix(include_offset=False)
+    basis = np.arange(8)
+    a = random_unitary(8)
+    for counts in ((1, 0, 0), (0, 2, 1), (3, 1, 5), (2, 2, 2)):
+        want = dense_adjoint_channel(dense_h, model, counts)
+        seen = np.zeros((8, 8), dtype=bool)
+        diagonals = engine._adjoint_diagonals(h, model, counts)
+        assert [x for x, _ in diagonals] == [x for x, _ in h.x_mask_diagonals]
+        for x_mask, diagonal in diagonals:
+            assert np.abs(diagonal - want[basis ^ x_mask, basis]).max() < 1e-14, counts
+            seen[basis ^ x_mask, basis] = True
+        assert np.abs(want[~seen]).max(initial=0.0) < 1e-14
+        got = a.copy()
+        engine._channel(got, model, counts, adjoint=True)
+        assert np.abs(got - dense_adjoint_channel(a, model, counts)).max() < 1e-14, counts
+
+
+def moved_and_owing(monkeypatch, h: PauliHamiltonian, model: NoiseModel, paths) -> DensityMatrix:
+    """A random complex density matrix after one noisy step of a random
+    term of ``h`` down each of ``paths`` ("superop" takes a term on at
+    most 3 qubits), so stored in the last step's order, then owing random
+    counts of 0 to 5 applications per qubit."""
+    n = h.n_qubits
+    d = DensityMatrix(n, random_density(n))
+    for path in paths:
+        terms = [t for t in h.terms if path == "sandwich" or len(t.support) <= 3]
+        force_path(monkeypatch, path)
+        circ = build_pauli_step(terms[int(rng.integers(len(terms)))], 0.2)
+        assert step_path(lower_step(circ, d, model)) == path
+        run_circuit(d, circ, noise=model)
+    d._owed = rng.integers(0, 6, size=n).tolist()
+    return d
+
+
+@pytest.mark.parametrize("name", ["lih", "ising6"])
+def test_reads_without_a_flush_match_a_flushed_copy(name, monkeypatch):
+    """The energy, trace and subspace weight of a density matrix stored in
+    a step's order and owing channel applications equal those of a deep
+    copy flushed to canonical order, and leave the stored matrix, its
+    order, its counts and its model bitwise as they were. The stored
+    orders come from mixed superoperator and sandwich steps, the last one
+    of either kind; LiH brings Y-heavy X masks."""
+    from pite_sim.hamiltonian import build_lih
+
+    h = build_lih() if name == "lih" else build_ising(6, 1.0, 1.2, 0.3)
+    model = NoiseModel(0.02, 0.03)
+    basis, _ = np.linalg.qr(rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2)))
+    for trial in range(6):
+        paths = ("superop", "sandwich", "superop", "sandwich")[trial % 2 : trial % 2 + 3]
+        d = moved_and_owing(monkeypatch, h, model, paths)
+        if trial == 0:
+            d._owed = [0] * 6
+        before = (d._stored.copy(), d._order, list(d._owed), d._noise)
+        got = (d.expectation(h), d.trace(), d.subspace_weight(basis))
+        assert np.array_equal(d._stored, before[0])
+        assert (d._order, d._owed, d._noise) == before[1:]
+        flushed = copy.deepcopy(d)
+        flushed.data  # restores canonical order and applies what is owed
+        assert flushed._order is None and not any(flushed._owed)
+        want = (flushed.expectation(h), flushed.trace(), flushed.subspace_weight(basis))
+        assert got[0] == pytest.approx(want[0], rel=1e-13), trial
+        assert got[1] == pytest.approx(want[1], abs=1e-13), trial
+        assert got[2] == pytest.approx(want[2], abs=1e-13), trial
+
+
+def test_dimension_check_reads_no_state(monkeypatch):
+    # a mismatched Hamiltonian raises before anything restores the order
+    # or applies the owed channel
+    d = moved_and_owing(monkeypatch, build_ising(4, 1.0, 1.2, 0.3), NoiseModel(0.02, 0.03),
+                        ("superop", "sandwich"))
+    order, owed = d._order, list(d._owed)
+    with pytest.raises(ValueError, match="dimension"):
+        d.expectation(build_ising(5, 1.0, 1.2, 0.3))
+    assert (d._order, d._owed) == (order, owed) and any(owed)
+
+
+def test_adjoint_reads_are_built_once_per_counts_and_order(monkeypatch):
+    """A read builds its adjoint observable once for the owed counts and
+    the stored order and keeps one per kind: a second read reuses it, a
+    step replaces it, and the projector is never held twice."""
+    builds = []
+    build = engine._adjoint_projector
+    monkeypatch.setattr(
+        engine, "_adjoint_projector", lambda *args: builds.append(args[2:]) or build(*args)
+    )
+    h = build_ising(5, 1.0, 1.2, 0.3)
+    model = NoiseModel(0.02, 0.03)
+    basis = np.linalg.qr(rng.standard_normal((32, 2)))[0]
+    d = moved_and_owing(monkeypatch, h, model, ("superop", "sandwich"))
+    first = d.subspace_weight(basis)
+    assert d.subspace_weight(basis) == first and len(builds) == 1
+    run_circuit(d, build_pauli_step(h.terms[0], 0.1), noise=model)
+    d.subspace_weight(basis)
+    d.expectation(h)
+    assert len(builds) == 2 and set(d._reads) == {"projector", "diagonals"}
+    assert len([e for e in d._reads.values() if isinstance(e[2], np.ndarray)]) == 1
+
+
+def test_gate_list_passes_run_in_the_buffers_they_own(monkeypatch):
+    """A weight-7 gate-list step on an 8-qubit noisy density matrix runs
+    the second pass of each sandwich in the transposed buffer it is handed
+    and the first in the gathered copy; only a gathered view of the stored
+    state, when the matrix is already in the step's order, is copied
+    first. The steps still equal ``full_kraus_step``."""
+    calls = []
+    product = engine._product
+
+    def recording(a, x, overwrite=False):
+        out = product(a, x, overwrite)
+        if isinstance(a, tuple):
+            calls.append(np.shares_memory(out, x))
+        return out
+
+    monkeypatch.setattr(engine, "_product", recording)
+    model = NoiseModel(0.02, 0.03)
+    circ = build_pauli_step(PauliTerm.from_string(0.4, "IZXYYZZX"), 0.2)
+    rho = random_density(8)
+    d = DensityMatrix(8, rho)
+    step = lower_step(circ, d, model)
+    assert step_path(step) == "gate-list"
+    for want in ([True] * 4, [False, True, True, True]):
+        calls.clear()
+        run_step_circuit(d, step)
+        assert calls == want
+        rho, _ = full_kraus_step(circ, rho, model)
+        assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12
+
+
 def sandwich_of(op, rho: np.ndarray) -> np.ndarray:
     """m rho m^dag from ``_phased(m)`` = (a, phase_in, phase_out)."""
     a, phase_in, phase_out = op

@@ -542,3 +542,58 @@ def test_step_circuits_are_lowered_once_per_run(order, monkeypatch):
     result = run_pite(h, init, Schedule(dt=0.05, n_steps=3, order=order), RunConfig())
     assert result.completed
     assert len(calls) <= len(h.terms)
+
+
+def test_density_trace_is_checked_at_every_record(monkeypatch):
+    """A density-matrix record raises when |tr rho - 1| exceeds 1e-9: here
+    the stored diagonal is perturbed right after the last measurement of
+    Trotter step 2 (a later step would divide the change out again)."""
+    import pite_sim.pite as pite_module
+
+    h = build_ising(4, 1.0, 1.2, 0.3)
+    init = prepare_initial(InitialState.product(ising_params=(1.0, 1.2, 0.3)), 4)
+    config = RunConfig(noise=NoiseModel(1e-3, 2e-3))
+    sched = Schedule(dt=0.05, n_steps=4)
+    run_step = pite_module.run_step_circuit
+    for shift, raises in ((1e-10, False), (2e-9, True)):
+        calls = []
+
+        def perturbing(state, step, mode, rng, shift=shift):
+            result = run_step(state, step, mode=mode, rng=rng)
+            calls.append(step)
+            if len(calls) == 2 * len(h.terms):
+                state._stored.reshape(-1)[0] += shift  # entry (0, 0) in any order
+            return result
+
+        monkeypatch.setattr(pite_module, "run_step_circuit", perturbing)
+        if raises:
+            with pytest.raises(ValueError, match="trace .* at Trotter step 2 "):
+                run_pite(h, init, sched, config)
+        else:
+            assert run_pite(h, init, sched, config).completed
+
+
+def test_noisy_run_holds_at_most_one_projector(monkeypatch):
+    """A noisy Ising run reads its fidelity records without a flush, from
+    one adjoint ground projector that the state builds once, since every
+    record after a Trotter step finds the same owed counts and order, and
+    holds alone."""
+    import pite_sim.engine as engine
+
+    builds, states = [], []
+    build = engine._adjoint_projector
+    weight = DensityMatrix.subspace_weight
+    monkeypatch.setattr(
+        engine, "_adjoint_projector", lambda *args: builds.append(args[2:]) or build(*args)
+    )
+    monkeypatch.setattr(
+        DensityMatrix, "subspace_weight", lambda self, basis: states.append(self) or weight(self, basis)
+    )
+    h = build_ising(5, 1.0, 1.2, 0.3)
+    init = prepare_initial(InitialState.product(ising_params=(1.0, 1.2, 0.3)), 5)
+    res = run_pite(h, init, Schedule(dt=0.05, n_steps=4), RunConfig(noise=NoiseModel(1e-3, 2e-3)))
+    assert len(res.records) == 5 and len(set(map(id, states))) == 1
+    (owed, order), = builds
+    assert any(owed) and order is not None
+    held = [entry[2] for entry in states[0]._reads.values() if isinstance(entry[2], np.ndarray)]
+    assert len(held) == 1 and held[0].size == 4**5
