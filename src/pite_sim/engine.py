@@ -17,19 +17,23 @@ diag(c_S) Pre_S (or diag(s_S) Pre_S), the sampled work-qubit noise, then
 Post_S. A density-matrix step on at most ``SUPEROP_MAX_SUPPORT`` =
 ``FUSED_MAX_SUPPORT`` // 2 qubits is one 4^|S| x 4^|S| superoperator T_S
 (Pre_S on both sides, the measurement as one elementwise weight on S,
-the channel on S, then Post_S), applied with a single product to the
-matrix gathered as (vectorized block on S, rest); a wider one gets the
-same four stages in turn, Pre_S and Post_S as sandwiches. As rho is
-Hermitian, a sandwich a rho a^dag runs as a (a rho)^dag, two products on
-S's rows around one conjugate transpose. An operator real but for one
+the channel on S, then Post_S); a wider one gets the same four stages
+in turn, Pre_S and Post_S as sandwiches. Every density-matrix step works
+on the matrix gathered with S's row bits first, then S's column bits,
+then the rest's: as (4^|S|, rest^2), S's vectorized block on the leading
+axis, which T_S multiplies with one product. A sandwich a rho a^dag is
+a on S's row bits, one product, and a^dag on its column bits, one
+product batched over the rows; the weight and the phase factors scale
+the rows. Nothing assumes rho = rho^dag. An operator real but for one
 phase per column or per row is split into the real matrix and an
 elementwise phase factor (:func:`_phased`), and a real matrix multiplies
 a complex one as a real product (:func:`_product`). A step wider than
 ``FUSED_MAX_SUPPORT``, whose matrices would grow as 4^|S|, keeps Pre and
 Post as gate lists relabelled onto S, which the kernels run in place on
-the gathered (2^|S|, rest) block in the matrices' stead, copied first
-only where it may be the stored state itself; every other stage is the
-one a fused step runs.
+the gathered block in the matrices' stead (on a density matrix on S's
+row bits, then conjugated on its column bits), copied first only where
+it may be the stored state itself; every other stage is the one a fused
+step runs.
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
@@ -61,6 +65,7 @@ outcome instead and leaves the restart policy to the caller.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -196,12 +201,13 @@ def _product(
     a: np.ndarray | tuple[Gate, ...], x: np.ndarray, overwrite: bool = False
 ) -> np.ndarray:
     """a @ x, as a new array, for a 2-D ``x`` (2^k, rest) with contiguous
-    rows. A real ``a`` takes a complex ``x`` as one real product over its
-    interleaved real and imaginary parts, which never meet. A gate list
-    ``a``, relabelled onto x's k leading qubits, runs through the kernels
-    on a copy of ``x``, upcast to complex when one of its gates is; with
-    ``overwrite`` (the caller owns ``x`` and reads it no more) it runs in
-    ``x`` itself when no upcast is due."""
+    rows, or a stack of them, each multiplied by ``a``. A real ``a`` takes
+    a complex ``x`` as one real product over its interleaved real and
+    imaginary parts, which never meet. A gate list ``a``, relabelled onto
+    a 2-D x's k leading qubits, runs through the kernels on a copy of
+    ``x``, upcast to complex when one of its gates is; with ``overwrite``
+    (the caller owns ``x`` and reads it no more) it runs in ``x`` itself
+    when no upcast is due."""
     if isinstance(a, tuple):
         upcast = np.iscomplexobj(x) or any(map(_gate_needs_complex, a))
         out = x.astype(np.complex128 if upcast else np.float64, order="C", copy=not overwrite)
@@ -212,6 +218,33 @@ def _product(
     if x.dtype.kind == "c" and a.dtype.kind == "f":
         return (a @ x.view(np.float64)).view(np.complex128)
     return a @ x
+
+
+def _sandwich(op: tuple, rho: np.ndarray, own: bool) -> np.ndarray:
+    """m rho m^dag for op = (a, phase_in, phase_out) of m (see
+    :func:`_phased`), on rho gathered as (4^k, rest^2) with S's row bits,
+    then its column bits, leading: a on the row bits as one product, then
+    a^dag on the column bits as conj(a) on each row's (2^k, rest^2) block,
+    one product batched over the rows. A gate list ``a``, relabelled onto
+    S, runs its kernels on the row bits, then conjugated on the column
+    bits, in ``rho`` itself when the caller ``own``s it (else nothing
+    writes into ``rho``, which may be the stored state)."""
+    a, phase_in, phase_out = op
+    rows = math.isqrt(rho.shape[0])
+    if phase_in is not None:
+        rho = rho * phase_in.reshape(-1, 1)
+    if isinstance(a, tuple):
+        rho = _product(a, rho.reshape(rows, -1), own)
+        k = rows.bit_length() - 1
+        for g in a:
+            _apply_gate_flat(rho.reshape(-1), 2 * k, g, k, True)
+    else:
+        half = _product(a, rho.reshape(rows, -1)).reshape(rows, rows, -1)
+        rho = _product(a.conj(), half)
+    rho = rho.reshape(rows * rows, -1)
+    if phase_out is not None:
+        rho = rho * phase_out.reshape(-1, 1)
+    return rho
 
 
 def _gate_needs_complex(gate: Gate) -> bool:
@@ -382,12 +415,12 @@ class _State:
     first, carrying the labels ``_order``: q for qubit q, and on a density
     matrix n + q for its column bit (None is canonical). A step moves it
     into the order it works in (:func:`_step_order`) and leaves it there;
-    ``data``, and so every gate and copy (and a statevector's energy),
-    first restores the canonical order. A density matrix reads its energy,
-    trace and subspace weight in the stored order instead. A subclass says
-    how many ``_sides`` carry labels (1 on a vector, 2 on a matrix) and
-    supplies ``apply_gate``, ``measure_ancilla``, ``_expectation`` and
-    ``_run_step``.
+    ``data``, and so every gate (and a statevector's energy), first
+    restores the canonical order. A copy keeps the stored order, and a
+    density matrix reads its energy, trace and subspace weight in it. A
+    subclass says how many ``_sides`` carry labels (1 on a vector, 2 on a
+    matrix) and supplies ``apply_gate``, ``measure_ancilla``,
+    ``_expectation`` and ``_run_step``.
     """
 
     n_qubits: int
@@ -413,18 +446,21 @@ class _State:
             moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
             self._stored, self._order = moved.reshape((2**n,) * self._sides), None
 
-    def _gather(self, support: tuple[int, ...], superop: bool = False) -> tuple[np.ndarray, tuple]:
+    def _gather(self, support: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
         """The state in the order a step on ``support`` works in, as
-        (2^k, rest), or (4^k, rest) with ``superop``, and that order: a view
-        when stored so, else a contiguous copy."""
-        order, shape, axes = _step_order(
-            self.n_qubits, self._sides, self._order, support, superop
-        )
+        (2^k, rest) on a vector and (4^k, rest^2) on a matrix, and that
+        order: a view when stored so, else a contiguous copy."""
+        order, shape, axes = _step_order(self.n_qubits, self._sides, self._order, support)
         moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
-        return moved.reshape(2 ** (len(support) * (1 + superop)), -1), order
+        return moved.reshape(2 ** (len(support) * self._sides), -1), order
 
     def copy(self):
-        return type(self)(self.n_qubits, self.data)
+        """An independent state equal to this one, stored in the same order
+        (on a density matrix owing the same channel): nothing is moved or
+        applied, on the copy or on this state."""
+        twin = copy.copy(self)
+        twin._stored = self._stored.copy()
+        return twin
 
     def _ensure_complex(self) -> None:
         if not np.iscomplexobj(self.data):
@@ -602,6 +638,11 @@ class DensityMatrix(_State):
         _State.data.fset(self, entries)
         self._owed = [0] * self.n_qubits
 
+    def copy(self) -> DensityMatrix:
+        twin = super().copy()
+        twin._owed, twin._reads = list(self._owed), dict(self._reads)
+        return twin
+
     def _flush(self) -> None:
         """Put the matrix back in canonical order, then apply what is owed."""
         super()._flush()
@@ -677,108 +718,65 @@ class DensityMatrix(_State):
         whole register, with W = c c^T + eps_d s s^T."""
         weights = np.outer(c, c) + eps_d * np.outer(s, s)
         whole = BoundStep(type(self), None, tuple(range(self.n_qubits)), (None, weights, None))
-        return self._run_sandwich(whole, mode, rng)
+        return self._run_step(whole, mode, rng)
 
     def _run_step(self, step: BoundStep, mode: str, rng) -> MeasureResult:
-        # The step runs on, and stores, P rho P^T with S's qubits first;
-        # traces do not change under P. The channel on a qubit outside S
-        # commutes with the whole step, so it is only counted as owed.
-        if step.noise is not None:
-            self._adopt(step.noise)
-        if len(step.ops) == 2:
-            result = self._run_superop(step, mode, rng)
-        else:
-            result = self._run_sandwich(step, mode, rng)
-        if result.outcome != "sampled-1" and step.noise is not None:
-            support = set(step.support)
-            self._owed = [
-                m if q in support else m + 1 for q, m in enumerate(self._owed)
-            ]
-        return result
-
-    def _run_superop(self, step: BoundStep, mode: str, rng) -> MeasureResult:
-        # rho gathered as (vec of the block on S, rest): the step is T_S on
-        # every column, and prob0 the functional v on their partial trace
-        # over the rest (whose row and column bits share one order). What S
-        # owes composes into both; S owes nothing afterwards, since T_S
-        # holds its own channel.
-        superop, prob0_row = step.ops
-        support = step.support
+        # The step runs on, and stores, rho gathered with S's row bits, then
+        # S's column bits, then the rest's row bits and their column bits
+        # in one order: as (4^k, rest^2), S's vectorized block on the
+        # leading axis. Traces do not change under the move. prob0 is a row
+        # vector on the partial trace over the rest: T_S's v before the
+        # step, or diag(W) on S's diagonal after Pre_S. The channel on a
+        # qubit outside S commutes with the whole step, so it is only
+        # counted as owed.
+        support, noise = step.support, step.noise
+        if noise is not None:
+            self._adopt(noise)
+        k = len(support)
+        rho, order = self._gather(support)
         owed = tuple(self._owed[q] for q in support)
-        if any(owed):
-            owed_superop = _channel_superop(self._noise, owed)
-            superop, prob0_row = superop @ owed_superop, prob0_row @ owed_superop
-        rho, order = self._gather(support, superop=True)
+        superop = len(step.ops) == 2
+        if superop:  # what S owes composes into T_S and v
+            t_s, row = step.ops
+            if any(owed):
+                owed_superop = _channel_superop(self._noise, owed)
+                t_s, row = t_s @ owed_superop, row @ owed_superop
+            traced = rho
+        else:
+            pre, weights, post = step.ops
+            if isinstance(weights, tuple):  # a gate-list step: W from (c_S, s_S)
+                c, s = weights
+                weights = np.outer(c, c) + (0.0 if noise is None else noise.eps_d) * np.outer(s, s)
+            view = np.may_share_memory(rho, self._stored)
+            if any(owed):  # before Pre_S, where its passes run long
+                _channel(rho, self._noise, owed, columns=k)
+                if view:  # the state itself took it
+                    for q in support:
+                        self._owed[q] = 0
+            if pre is not None:
+                rho = _sandwich(pre, rho, own=not view)
+            # outcome 0 weights entry (x, y) of every block on S by
+            # c_x c_y + eps_d s_x s_y; both ancilla branches are kept, so
+            # only their summed weight counts
+            row, traced = weights.diagonal(), rho[:: 2**k + 1]
         rest = math.isqrt(rho.shape[1])
-        partial_trace = rho[:, :: rest + 1].sum(axis=1)
-        prob0 = float(np.dot(prob0_row, partial_trace).real)
+        prob0 = float(np.dot(row, traced[:, :: rest + 1].sum(axis=1)).real)
         result, _ = _outcome(prob0, 0.0, mode, rng, False)
         if result.outcome == "sampled-1":
             return result
-        self._stored, self._order = _product(superop * (1.0 / result.prob0), rho), order
-        for q in support:
-            self._owed[q] = 0
-        return result
-
-    def _run_sandwich(self, step: BoundStep, mode: str, rng) -> MeasureResult:
-        # S gets what it owes before Pre_S, where its passes run long, and
-        # its own channel after the weight W, before Post_S (or owed, when
-        # there is no Post_S).
-        pre, weights, post = step.ops
-        support, noise = step.support, step.noise
-        if isinstance(weights, tuple):  # a gate-list step: W from (c_S, s_S)
-            c, s = weights
-            weights = np.outer(c, c) + (0.0 if noise is None else noise.eps_d) * np.outer(s, s)
-        dim, rows = 2**self.n_qubits, len(weights)
-        blocks = (rows, dim // rows, rows, dim // rows)
-
-        def sandwich(op: tuple, rho: np.ndarray) -> np.ndarray:
-            """m rho m^dag for op = (a, phase_in, phase_out) of m (see
-            :func:`_phased`; a may be a gate list), on rho as (2^k, rest).
-            As rho is Hermitian, a rho a^dag = a (a rho)^dag: a on S's
-            rows, one conjugate transpose, a on S's rows again. A gate
-            list runs in the buffer it is given, unless that may be the
-            stored state (a gathered view), which nothing writes into."""
-            a, phase_in, phase_out = op
-            if phase_in is not None:
-                rho = rho.reshape(blocks) * phase_in[:, None, :, None]
-            own = not np.may_share_memory(rho, self._stored)
-            half = _product(a, rho.reshape(rows, -1), own).reshape(dim, dim)
-            flipped = np.conjugate(half.T, out=np.empty_like(half))
-            rho = _product(a, flipped.reshape(rows, -1), overwrite=True)
-            if phase_out is not None:
-                rho = rho.reshape(blocks) * phase_out[:, None, :, None]
-            return rho.reshape(rows, -1)
-
-        rho, order = self._gather(support)
-        owed = tuple(self._owed[q] for q in support)
-        if any(owed):
-            _channel(rho, self._noise, owed)
-            if np.may_share_memory(rho, self._stored):
-                # gather returned a view, so the state itself took it
-                for q in support:
-                    self._owed[q] = 0
-        if pre is not None:
-            rho = sandwich(pre, rho)
-        # outcome 0 weights entry (x, y) of every block on S by
-        # c_x c_y + eps_d s_x s_y; both ancilla branches are kept, so only
-        # their summed weight counts
-        diagonal = rho.reshape(dim, dim).diagonal().real.reshape(rows, -1)
-        result, _ = _outcome(
-            float(np.dot(weights.diagonal(), diagonal.sum(axis=1))), 0.0, mode, rng, False
-        )
-        if result.outcome == "sampled-1":
-            return result
-        if noise is not None and post is not None:
-            rho = rho.reshape(blocks) * weights[:, None, :, None]
-            _channel(rho, noise, (1,) * len(support), 1.0 / result.prob0)
-        else:
-            rho = rho.reshape(blocks) * (weights / result.prob0)[:, None, :, None]
-        if post is not None:
-            rho = sandwich(post, rho.reshape(rows, -1))
+        if superop:
+            rho = _product(t_s * (1.0 / result.prob0), rho)
+        elif noise is not None and post is not None:  # S's own channel after W
+            rho = rho * weights.reshape(-1, 1)
+            _channel(rho, noise, (1,) * k, 1.0 / result.prob0, columns=k)
+        else:  # S's own channel, if any, stays owed
+            rho = rho * (weights / result.prob0).reshape(-1, 1)
+        if not superop and post is not None:
+            rho = _sandwich(post, rho, own=True)
         self._stored, self._order = rho, order
-        for q in support:
-            self._owed[q] = int(noise is not None and post is None)
+        stays = int(noise is not None and not superop and post is None)
+        grows = int(noise is not None)
+        self._owed = [stays if q in support else m + grows for q, m in enumerate(self._owed)]
         return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
@@ -834,13 +832,17 @@ def _channel(
     counts: tuple[int, ...],
     scale: float = 1.0,
     adjoint: bool = False,
+    columns: int | None = None,
 ) -> None:
-    """In place on a contiguous 2^n x 2^n matrix of any shape: ``model``'s
-    channel applied counts[i] times to qubit i (the i-th most significant
-    bit of the row and of the column index) for i < len(counts), then the
-    factor ``scale``. With ``adjoint``, the adjoint channel N^dag instead,
-    which maps an observable A to the one whose expectation on rho equals
-    A's on N(rho).
+    """In place on a contiguous buffer of 4^n entries, of any shape, whose
+    bits hold each qubit's row bit and column bit: ``model``'s channel
+    applied counts[i] times to qubit i for i < len(counts), then the
+    factor ``scale``. Qubit i's row bit is the buffer's i-th most
+    significant bit and its column bit sits ``columns`` bits after it:
+    n (the default) in a 2^n x 2^n matrix, k in one gathered for a step
+    on k qubits, whose row bits and then column bits lead. With
+    ``adjoint``, the adjoint channel N^dag instead, which maps an
+    observable A to the one whose expectation on rho equals A's on N(rho).
 
     Per qubit the three Kraus operators reduce to block updates split by
     that qubit's row/column bit:
@@ -853,22 +855,25 @@ def _channel(
     Channels on distinct qubits commute, and each is (scaling) o (jump),
     so every few qubits take their jumps and then one elementwise
     multiply. The jump passes run long for the leading qubits, which is
-    where a step's gathered layout puts its support. The adjoint of
+    where a step's gathered layout puts its support. The jumps run before
+    the factor: moving the factor ahead of them (into a step's weight W,
+    say) would divide each jump weight by keep, which is 0 at eps_d = 1,
+    a model ``NoiseModel`` admits. The adjoint of
     (scaling) o (jump) is (reversed jump) o (scaling), as the scaling is
     real and elementwise: A_11 = keep A_11 + (1 - keep) A_00.
     """
     flat = rho.reshape(-1)
-    n = (flat.size.bit_length() - 1) // 2
+    if columns is None:
+        columns = (flat.size.bit_length() - 1) // 2
 
     def jump_passes(first: int, jumps: tuple[float, ...]) -> None:
         for q, jump in enumerate(jumps, first):
             if jump:
-                lead, tail = 2**q, 2 ** (n - 1 - q)
-                blocks = flat.reshape(lead, 2, tail, lead, 2, tail)
+                blocks = flat.reshape(2**q, 2, 2 ** (columns - 1), 2, -1)
                 if adjoint:
-                    blocks[:, 1, :, :, 1] += jump * blocks[:, 0, :, :, 0]
+                    blocks[:, 1, :, 1] += jump * blocks[:, 0, :, 0]
                 else:
-                    blocks[:, 0, :, :, 0] += jump * blocks[:, 1, :, :, 1]
+                    blocks[:, 0, :, 0] += jump * blocks[:, 1, :, 1]
 
     for first in range(0, len(counts), _FACTOR_QUBITS):
         jumps, factor = _channel_factors(model, counts[first : first + _FACTOR_QUBITS])
@@ -876,10 +881,9 @@ def _channel(
             jump_passes(first, jumps)
         if first == 0 and scale != 1.0:
             factor = factor * scale
-        end = first + len(jumps)
-        outer, inner = 2**first, 2 ** (n - end)
-        view = flat.reshape(outer, 2 ** len(jumps), inner, outer, -1, inner)
-        view *= factor[None, :, None, None, :, None]
+        width = len(jumps)
+        view = flat.reshape(2**first, 2**width, 2 ** (columns - width), 2**width, -1)
+        view *= factor[None, :, None, :, None]
         if adjoint:
             jump_passes(first, jumps)
 
@@ -955,14 +959,10 @@ def _flat_positions(n: int, order: tuple[int, ...] | None) -> tuple[np.ndarray, 
 def _channel_superop(model: NoiseModel, counts: tuple[int, ...]) -> np.ndarray:
     """Read-only 4^k x 4^k matrix of ``_channel(rho, model, counts)`` on
     k = len(counts) qubits, acting on rho.reshape(-1) (row bits, then
-    column bits). Built by one ``_channel`` pass over the 4^k basis
-    matrices E_ab, stacked as the 2k-qubit matrix sum_ab E_ab (x) E_ab:
-    the channel on its leading k qubits maps it to sum_ab N(E_ab) (x) E_ab,
-    which holds column (a, b) of the superoperator."""
-    d = 2 ** len(counts)
-    basis = np.eye(d * d).reshape(d, d, d, d).transpose(0, 2, 1, 3).copy()
-    _channel(basis, model, counts)
-    superop = basis.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    column bits): ``_channel`` on the 4^k identity columns vec(E_ab), as
+    on a matrix gathered for a step on the k qubits."""
+    superop = np.eye(4 ** len(counts))
+    _channel(superop, model, counts, columns=len(counts))
     superop.setflags(write=False)
     return superop
 
@@ -1075,26 +1075,22 @@ def _transposition(order: tuple[int, ...], target: tuple[int, ...]) -> tuple[tup
 
 
 @lru_cache(maxsize=4096)
-def _step_order(
-    n: int, sides: int, order: tuple | None, support: tuple[int, ...], superop: bool
-) -> tuple:
+def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...]) -> tuple:
     """The order a step on ``support`` works in, from a state stored in
     ``order`` (labels as in :class:`_State`, on ``sides`` 1 or 2), and the
     transposition into it. S's bits come first, then the other qubits' as
-    stored now. On a matrix these are row bits: then (or, with
-    ``superop``, right after S's row bits) come S's column bits, then the
-    other qubits' column bits in their rows' order, which the partial
-    trace and the diagonal need. Leaving the other qubits as they are, not
-    canonical, keeps them in long runs that the copy moves whole.
+    stored now. On a matrix these are row bits: S's column bits come
+    right after S's row bits, so that S's block is vectorized on the
+    leading axis, and the other qubits' column bits come last, in their
+    rows' order, which the partial trace needs. Leaving the other qubits
+    as they are, not canonical, keeps them in long runs that the copy
+    moves whole.
     """
     current = tuple(range(sides * n)) if order is None else order
     rest = tuple(q for q in current if q < n and q not in support)
-    columns = tuple(n + q for q in support + rest) if sides == 2 else ()
-    k = len(support)
-    if superop:
-        target = support + columns[:k] + rest + columns[k:]
-    else:
-        target = support + rest + columns
+    target = support + rest
+    if sides == 2:
+        target = support + tuple(n + q for q in support) + rest + tuple(n + q for q in rest)
     return (target, *_transposition(current, target))
 
 
@@ -1112,11 +1108,16 @@ class BoundStep:
     the rest is prob0, and (Pre_S, W, Post_S) on wider ones, with W[x, y] =
     c_x c_y + eps_d s_x s_y and each of Pre_S and Post_S an (a, phase_in,
     phase_out) triple of :func:`_phased` (a real where it can be), None
-    for an empty gate list. A step wider than ``FUSED_MAX_SUPPORT`` holds
-    (Pre, (c_S, s_S), Post) instead, Pre and Post its gate lists relabelled
-    onto S: bare on a statevector, as (gates, None, None) triples on a
-    density matrix (None when empty), which builds W from (c_S, s_S) when
-    it runs rather than hold its 4^|S| entries.
+    for an empty gate list. Every one of these acts on the matrix gathered
+    in one layout, S's row bits, then its column bits, then the rest's
+    (see :func:`_step_order`): T_S and v on the leading 4^|S| axis, W and
+    the phase factors entry by entry on S's block, a on S's row bits and
+    a^dag on its column bits (see :func:`_sandwich`). A step wider than
+    ``FUSED_MAX_SUPPORT`` holds (Pre, (c_S, s_S), Post) instead, Pre and
+    Post its gate lists relabelled onto S: bare on a statevector, as
+    (gates, None, None) triples on a density matrix (None when empty),
+    which builds W from (c_S, s_S) when it runs rather than hold its
+    4^|S| entries.
     """
 
     state_type: type

@@ -387,11 +387,12 @@ def full_kraus_step(circ, rho_work, model):
     return post @ branch @ post.conj().T / p0, p0
 
 
-@pytest.mark.parametrize("eps_r,eps_d", [(0.3, 0.2), (0.0, 0.9), (1e-5, 1e-5)])
+@pytest.mark.parametrize("eps_r,eps_d", [(0.3, 0.2), (0.0, 0.9), (1e-5, 1e-5), (0.0, 1.0)])
 def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
     """A noisy density-matrix step, down every path, equals the
     (n+1)-qubit circuit with the channel on every qubit, ancilla included,
-    projected on ancilla 0. A statevector trajectory step, down either
+    projected on ancilla 0, up to full relaxation (eps_d = 1, where
+    1 - eps_d is 0). A statevector trajectory step, down either
     path, equals with the same draws that circuit's ancilla-0 branch
     A0 psi or (an E2 jump on the ancilla) its ancilla-1 branch A1 psi,
     then the sampled work-qubit channel, then the post-measure block."""
@@ -427,6 +428,31 @@ def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
                 res = path_step(monkeypatch, path, circ, s, rng=make_rng(seed), noise=model)
                 assert res.prob0 == pytest.approx(prob0, rel=1e-12), path
                 assert np.abs(s.data - post @ by_hand.data).max() < 1e-12, path
+
+
+def test_pre_only_step_on_a_non_hermitian_matrix_matches_the_kraus_oracle(monkeypatch):
+    """A step whose gates end at the measurement (Pre_S, no Post_S) on a
+    matrix that is not Hermitian, rho + 0.05 E with E complex and zero on
+    the diagonal, equals ``full_kraus_step`` down every path, noisy and
+    noiseless: no path assumes rho = rho^dag, which would turn a rho a^dag
+    into a rho^dag a^dag."""
+    local = np.random.default_rng(13)
+    ancilla = 3
+    gates = (Hadamard(0), CNOT(0, 1), PhaseS(2), Hadamard(2),
+             Ry(0.4, ancilla), ControlledRy(0.9, 0, ancilla), ControlledRy(-0.6, 2, ancilla))
+    circ = Circuit(3, True, gates, len(gates))
+    assert circ.post_measure == ()
+    e = local.standard_normal((8, 8)) + 1j * local.standard_normal((8, 8))
+    np.fill_diagonal(e, 0.0)
+    rho = random_density(3) + 0.05 * e
+    assert np.abs(rho - rho.conj().T).max() > 0.05
+    for model in (None, NoiseModel(0.02, 0.03)):
+        want, p0 = full_kraus_step(circ, rho, model or NoiseModel(0.0, 0.0))
+        for path in STEP_PATHS:
+            d = DensityMatrix(3, rho)
+            res = path_step(monkeypatch, path, circ, d, noise=model)
+            assert res.prob0 == pytest.approx(p0, rel=1e-12), (path, model)
+            assert np.abs(d.data - want).max() < 1e-12, (path, model)
 
 
 @pytest.mark.parametrize(
@@ -545,7 +571,7 @@ def test_wide_density_steps_defer_and_keep_their_order():
         assert res.prob0 == pytest.approx(p0, rel=1e-12), i
         assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, i
         if i == 0:
-            assert d._order == step_target(8, tuple(range(16)), step.support, False)
+            assert d._order == step_target(8, tuple(range(16)), step.support)
             assert d._owed == [0] * 7 + [1]
 
 
@@ -863,7 +889,7 @@ def test_channel_superoperator_matches_the_channel():
         want = rho.copy()
         engine._channel(want, model, counts)
         d = DensityMatrix(3, rho)
-        gathered, order = d._gather(tuple(range(len(counts))), superop=True)
+        gathered, order = d._gather(tuple(range(len(counts))))
         d._stored, d._order = engine._channel_superop(model, counts) @ gathered, order
         assert np.abs(d.data - want).max() < 1e-14, counts
 
@@ -876,19 +902,16 @@ def in_order(rho: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
     return rho.reshape((2,) * (2 * n)).transpose(order).reshape(-1)
 
 
-def step_target(n: int, order: tuple[int, ...], support: tuple[int, ...], superop: bool):
-    """The order a step on ``support`` works in, written out from its
-    definition: the rows of S (then, with ``superop``, its columns), the
-    other qubits' rows as ``order`` stores them, their columns alike."""
+def step_target(n: int, order: tuple[int, ...], support: tuple[int, ...]):
+    """The order a density-matrix step on ``support`` works in, written
+    out from its definition: the rows of S, then its columns, the other
+    qubits' rows as ``order`` stores them, their columns alike."""
     rest = tuple(q for q in order if q < n and q not in support)
     columns, rest_columns = tuple(n + q for q in support), tuple(n + q for q in rest)
-    if superop:
-        return support + columns + rest + rest_columns
-    return support + rest + columns + rest_columns
+    return support + columns + rest + rest_columns
 
 
-@pytest.mark.parametrize("superop", [True, False], ids=["superop", "sandwich"])
-def test_moving_between_stored_orders_equals_a_canonical_round_trip(superop):
+def test_moving_between_stored_orders_equals_a_canonical_round_trip():
     """Gathering a step's order from a matrix stored in a random order is
     bitwise the matrix scattered back to canonical order and gathered
     from there, and reading ``data`` afterwards gives the matrix back."""
@@ -902,9 +925,9 @@ def test_moving_between_stored_orders_equals_a_canonical_round_trip(superop):
             d._stored, d._order = in_order(rho, order), order
             restored = copy.deepcopy(d).data
             assert np.array_equal(restored, rho) and restored.flags.c_contiguous
-            gathered, target = d._gather(support, superop)
-            assert target == step_target(n, order, support, superop)
-            assert gathered.shape[0] == 2 ** (size * (2 if superop else 1))
+            gathered, target = d._gather(support)
+            assert target == step_target(n, order, support)
+            assert gathered.shape[0] == 4**size
             assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
             # a copy that in-place work can use (the order moved unless n = 1)
             assert gathered.flags.c_contiguous and (n == 1 or gathered.base is not d._stored)
@@ -988,6 +1011,64 @@ def test_reading_data_restores_the_canonical_order():
     assert d._order is None and not any(d._owed)
     assert np.array_equal(d.data, first)
     assert d._order is None
+
+
+def test_copy_keeps_the_stored_order_and_what_is_owed():
+    """A copy taken mid-run moves and applies nothing: the original keeps
+    its stored matrix, order and owed counts, the copy holds the same in
+    buffers of its own, and both read the same ``data``, energy and trace.
+    Evolving the copy leaves the original alone. A statevector copy keeps
+    its stored order too."""
+    model = NoiseModel(0.02, 0.03)
+    h = build_ising(4, 1.0, 1.2, 0.3)
+    d, s = DensityMatrix(4, random_density(4)), StateVector(4, random_state(4))
+    for term in h.terms:
+        run_circuit(d, build_pauli_step(term, 0.1), noise=model)
+        run_circuit(s, build_pauli_step(term, 0.1))
+    assert d._order is not None and any(d._owed) and s._order is not None
+    stored, order, owed = d._stored.copy(), d._order, list(d._owed)
+    twin = d.copy()
+    assert (d._order, d._owed) == (order, owed) and np.array_equal(d._stored, stored)
+    assert (twin._order, twin._owed, twin._noise) == (order, owed, d._noise)
+    assert np.array_equal(twin._stored, stored) and not np.shares_memory(twin._stored, d._stored)
+    assert twin._owed is not d._owed and twin._reads is not d._reads
+    assert twin.expectation(h) == d.expectation(h) and twin.trace() == d.trace()
+    assert np.array_equal(copy.deepcopy(twin).data, copy.deepcopy(d).data)
+    run_circuit(twin, build_pauli_step(h.terms[0], 0.1), noise=model)
+    assert (d._order, d._owed) == (order, owed) and np.array_equal(d._stored, stored)
+    s_order, s_stored = s._order, s._stored.copy()
+    s_twin = s.copy()
+    assert s._order == s_twin._order == s_order and np.array_equal(s._stored, s_stored)
+    assert np.array_equal(s_twin._stored, s_stored) and not np.shares_memory(s_twin._stored, s._stored)
+    assert s_twin.expectation(h) == s.expectation(h)
+
+
+def test_sandwich_step_stores_its_superop_layout(monkeypatch):
+    """A noisy sandwich step stores the matrix in the superoperator order
+    of its support (S's row bits, S's column bits, then the rest's), so a
+    second step on the same support gathers a view of the stored matrix
+    and copies nothing. Both steps equal ``full_kraus_step``."""
+    model = NoiseModel(0.02, 0.03)
+    circ = build_pauli_step(PauliTerm.from_string(0.4, "IXYZX"), 0.2)
+    rho = random_density(5)
+    d = DensityMatrix(5, rho)
+    step = lower_step(circ, d, model)
+    assert step_path(step) == "sandwich"
+    views = []
+    gather = DensityMatrix._gather
+
+    def recording(self, support):
+        gathered, order = gather(self, support)
+        views.append(np.shares_memory(gathered, self._stored))
+        return gathered, order
+
+    monkeypatch.setattr(DensityMatrix, "_gather", recording)
+    for _ in range(2):
+        run_step_circuit(d, step)
+        assert d._order == step_target(5, tuple(range(10)), step.support)
+        rho, _ = full_kraus_step(circ, rho, model)
+        assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12
+    assert views == [False, True]
 
 
 def dense_adjoint_channel(a: np.ndarray, model: NoiseModel, counts) -> np.ndarray:
@@ -1109,10 +1190,11 @@ def test_adjoint_reads_are_built_once_per_counts_and_order(monkeypatch):
 
 def test_gate_list_passes_run_in_the_buffers_they_own(monkeypatch):
     """A weight-7 gate-list step on an 8-qubit noisy density matrix runs
-    the second pass of each sandwich in the transposed buffer it is handed
-    and the first in the gathered copy; only a gathered view of the stored
-    state, when the matrix is already in the step's order, is copied
-    first. The steps still equal ``full_kraus_step``."""
+    each of Pre and Post, on S's row bits and then on its column bits, in
+    one pass over the buffer it is handed: Pre in the gathered copy and
+    Post in the weighted block. Only a gathered view of the stored state,
+    when the matrix is already in the step's order, is copied first. The
+    steps still equal ``full_kraus_step``."""
     calls = []
     product = engine._product
 
@@ -1129,7 +1211,7 @@ def test_gate_list_passes_run_in_the_buffers_they_own(monkeypatch):
     d = DensityMatrix(8, rho)
     step = lower_step(circ, d, model)
     assert step_path(step) == "gate-list"
-    for want in ([True] * 4, [False, True, True, True]):
+    for want in ([True, True], [False, True]):
         calls.clear()
         run_step_circuit(d, step)
         assert calls == want
@@ -1231,7 +1313,7 @@ def test_sampled_one_on_a_phased_pre_leaves_the_state():
     for axes in ("IIYYXX", "IIYYXX", "YXXZZY"):
         step = lower_step(build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2), d, model)
         assert step.ops[0][1] is not None
-        views.append(np.may_share_memory(d._gather(step.support, False)[0], d._stored))
+        views.append(np.may_share_memory(d._gather(step.support)[0], d._stored))
         twin = copy.deepcopy(d)
         res = run_step_circuit(d, step, "sample", _AlwaysOne())
         assert res.outcome == "sampled-1"
