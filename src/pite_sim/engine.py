@@ -1172,7 +1172,8 @@ def _phased(m: np.ndarray) -> tuple:
     if np.iscomplexobj(m):
         for axis in (0, 1):
             lead = np.take_along_axis(m, abs(m).argmax(axis, keepdims=True), axis)
-            d = lead / abs(lead)
+            size = abs(lead)  # parts divided apart: a quarter turn stays exact
+            d = lead.real / size + 1j * (lead.imag / size)
             a = m * d.conj()
             if not a.imag.any():
                 phases = [None, None]

@@ -911,10 +911,16 @@ def step_target(n: int, order: tuple[int, ...], support: tuple[int, ...]):
     return support + columns + rest + rest_columns
 
 
-def test_moving_between_stored_orders_equals_a_canonical_round_trip():
+@pytest.mark.parametrize("path", ["superop", "sandwich"])
+def test_moving_between_stored_orders_equals_a_canonical_round_trip(path, monkeypatch):
     """Gathering a step's order from a matrix stored in a random order is
     bitwise the matrix scattered back to canonical order and gathered
-    from there, and reading ``data`` afterwards gives the matrix back."""
+    from there, and reading ``data`` afterwards gives the matrix back.
+    A noisy step down ``path`` on that support, run from the random
+    order, stores the same order and equals ``full_kraus_step``."""
+    model = NoiseModel(0.02, 0.03)
+    letter_rng = np.random.default_rng(17)  # leaves the module's draws as they were
+    force_path(monkeypatch, path)
     for n in range(1, 7):
         for _ in range(5):
             rho = random_density(n)
@@ -933,6 +939,22 @@ def test_moving_between_stored_orders_equals_a_canonical_round_trip():
             assert gathered.flags.c_contiguous and (n == 1 or gathered.base is not d._stored)
             d._stored, d._order = gathered, target
             assert np.array_equal(d.data, rho) and d.data.flags.c_contiguous
+            if size > 3:  # a 4^k x 4^k superoperator is too large to lower
+                continue
+            letters = ["I"] * n
+            for q in support:
+                letters[q] = "XYZ"[int(letter_rng.integers(3))]
+            circ = build_pauli_step(PauliTerm.from_string(0.4, "".join(letters)), 0.1)
+            d = DensityMatrix(n, rho)
+            step = lower_step(circ, d, model)
+            assert step_path(step) == path and step.support == support
+            d._adopt(model)  # owes nothing yet, so stays in canonical order
+            d._stored, d._order = in_order(rho, order), order
+            res = run_step_circuit(d, step)
+            want, p0 = full_kraus_step(circ, rho, model)
+            assert d._order == target
+            assert res.prob0 == pytest.approx(p0, rel=1e-12)
+            assert np.abs(d.data - want).max() < 1e-12
 
 
 def test_chain_of_mixed_step_paths_matches_the_kraus_oracle(monkeypatch):
