@@ -198,14 +198,19 @@ def _build_grouping(args: argparse.Namespace, h: PauliHamiltonian):
         _, blocks = ising_local_grouping(args.n, args.J, args.g, args.h)
         return blocks, {"grouping": "ising-local"}
     if choice == "lih-22":
-        blocks = group_hamiltonian(h, lih_groupspec())
-        return blocks, {"grouping": "lih-22"}
-    path = Path(choice)
+        spec, name = lih_groupspec(), choice
+    else:
+        path = Path(choice)
+        try:
+            spec = parse_groupspec(path.read_text())
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"cannot load grouping {choice}: {exc}") from None
+        name = str(path)
     try:
-        spec = parse_groupspec(path.read_text())
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot load grouping {choice}: {exc}") from None
-    return group_hamiltonian(h, spec), {"grouping": str(path)}
+        blocks = group_hamiltonian(h, spec)
+    except ValueError as exc:
+        raise UsageError(f"cannot use grouping {choice}: {exc}") from None
+    return blocks, {"grouping": name}
 
 
 def _build_config(args: argparse.Namespace, h: PauliHamiltonian) -> tuple[RunConfig, dict]:

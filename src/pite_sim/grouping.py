@@ -5,6 +5,11 @@ into a dense Hermitian block on the union support of its members,
 eigendecomposed with ``numpy.linalg.eigh``, and handed to circuit synthesis
 (basis change + conditional ancilla rotation) and to the generalized
 success-probability estimate via ``sum_block_minima``.
+
+A block is assembled by the X-mask scatter of
+``PauliHamiltonian.dense_matrix`` over the group's terms restricted to the
+block's support. The scatter adds the terms in group order, the order of the
+sum of their Kronecker products, so a block equals that sum bit for bit.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .hamiltonian import PAULI_MATRICES, PauliHamiltonian, PauliTerm
+from .hamiltonian import PauliHamiltonian, PauliTerm
 
 __all__ = [
     "GroupSpec",
@@ -115,16 +120,12 @@ class GroupedBlock:
         )
 
 
-def _term_block_matrix(term: PauliTerm, support: tuple[int, ...]) -> np.ndarray:
-    """Term matrix restricted to the support qubits (first = MSB)."""
-    m = np.array([[term.coeff]], dtype=complex)
-    for q in support:
-        m = np.kron(m, PAULI_MATRICES[term.axes[q]])
-    return m
-
-
 def group_hamiltonian(h: PauliHamiltonian, spec: GroupSpec) -> list[GroupedBlock]:
-    """Sum each group's terms into a block on the union of their supports."""
+    """Sum each group's terms into a block on the union of their supports.
+
+    The members, restricted to the support's axes and kept in group order,
+    form a Hamiltonian on the support whose ``dense_matrix`` (without offset)
+    is the block; its scatter sums them in that order."""
     spec.validate(h.n_terms)
     blocks = []
     for group in spec.groups:
@@ -135,10 +136,8 @@ def group_hamiltonian(h: PauliHamiltonian, spec: GroupSpec) -> list[GroupedBlock
                 f"group {group} spans {len(support)} qubits, "
                 f"limit is {MAX_BLOCK_SUPPORT}"
             )
-        dim = 2 ** len(support)
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for t in members:
-            matrix += _term_block_matrix(t, support)
+        local = tuple(PauliTerm(t.coeff, tuple(t.axes[q] for q in support)) for t in members)
+        matrix = PauliHamiltonian(len(support), local).dense_matrix(include_offset=False)
         blocks.append(GroupedBlock(h.n_qubits, support, matrix))
     return blocks
 

@@ -148,6 +148,31 @@ def test_run_file_model_with_grouping_file(tmp_path):
     assert code == 0
 
 
+ISING4 = ["--model", "ising", "--n", "4", "--g", "1.2", "--h", "0.3"]  # 12 terms
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_grouping_that_does_not_fit_the_model_is_a_usage_error(tmp_path, capsys, command):
+    code = main([command, *ISING4, "--grouping", "lih-22", "--beta", "0.5",
+                 "--out", str(tmp_path / "lih22")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use grouping lih-22: ")
+    assert "term index 13 outside 1..12" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "analyze"])
+def test_grouping_file_with_unknown_term_is_a_usage_error(tmp_path, capsys, command):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("1,2\n99\n")
+    code = main([command, *ISING4, "--grouping", str(groups), "--beta", "0.5",
+                 "--out", str(tmp_path / "index99")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot use grouping ")
+    assert "term index 99 outside 1..12" in err and "Traceback" not in err
+
+
 def test_run_sampled_with_restarts(tmp_path):
     out = tmp_path / "sampled"
     code = main(

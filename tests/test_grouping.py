@@ -18,7 +18,7 @@ from pite_sim.grouping import (
     singleton_groupspec,
     sum_block_minima,
 )
-from pite_sim.hamiltonian import PauliTerm, build_ising, build_lih
+from pite_sim.hamiltonian import PauliAxis, PauliHamiltonian, PauliTerm, build_ising, build_lih
 
 rng = np.random.default_rng(4242)
 
@@ -165,6 +165,46 @@ def test_lih_grouping_shape_and_reconstruction():
         ).max()
         assert residual < 1e-10
         assert np.all(b.omegas >= 0.0)
+
+
+def _random_odd_y_case():
+    """Seeded random 5-qubit Pauli sum with odd-Y (complex) terms, in 4 groups."""
+    gen = np.random.default_rng(5150)
+    axes = (PauliAxis.I, PauliAxis.X, PauliAxis.Y, PauliAxis.Z)
+    terms = []
+    while len(terms) < 24:
+        picked = tuple(axes[k] for k in gen.integers(0, 4, size=5))
+        if any(a is not PauliAxis.I for a in picked):
+            terms.append(PauliTerm(float(gen.uniform(-1.0, 1.0)), picked))
+    assert sum(t.axes.count(PauliAxis.Y) % 2 for t in terms) >= 4
+    order = gen.permutation(len(terms)) + 1
+    spec = GroupSpec(tuple(tuple(int(i) for i in chunk) for chunk in np.array_split(order, 4)))
+    return PauliHamiltonian(5, tuple(terms)), spec
+
+
+@pytest.mark.parametrize("case", ["lih-22", "ising-local-8", "random-odd-y"])
+def test_blocks_equal_kron_sum_of_members(case):
+    """Each block equals, bit for bit, the Kronecker-product oracle summed over
+    its members in group order, each restricted to the block's support."""
+    if case == "lih-22":
+        h, spec = build_lih(), lih_groupspec()
+    elif case == "ising-local-8":
+        h = build_ising(8, 1.0, 1.2, 0.3)
+        spec, _ = ising_local_grouping(8, 1.0, 1.2, 0.3)
+    else:
+        h, spec = _random_odd_y_case()
+    blocks = group_hamiltonian(h, spec)
+    assert len(blocks) == len(spec.groups)
+    for group, block in zip(spec.groups, blocks):
+        dim = 2 ** len(block.support)
+        expected = np.zeros((dim, dim), dtype=complex)
+        for idx in group:
+            term = h.terms[idx - 1]
+            local_axes = tuple(term.axes[q] for q in block.support)
+            expected += PauliTerm(term.coeff, local_axes).dense_matrix()
+        assert np.array_equal(block.matrix, expected)
+    if case == "random-odd-y":
+        assert any(block.matrix.imag.any() for block in blocks)
 
 
 def test_oversized_support_rejected():
