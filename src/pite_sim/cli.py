@@ -329,12 +329,19 @@ def _args_from_manifest(path: Path, args: argparse.Namespace) -> argparse.Namesp
     return args
 
 
+def _schedule(beta: float, dt: float, order: int) -> Schedule:
+    try:
+        return Schedule.from_beta(beta, dt, order)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _execute_run(args: argparse.Namespace) -> tuple[RunResult, dict]:
     h, model_meta = _build_model(args)
     init, init_meta = _build_init(args, h)
     blocks, group_meta = _build_grouping(args, h)
     config, config_meta = _build_config(args, h)
-    schedule = Schedule.from_beta(args.beta, args.dt, args.order)
+    schedule = _schedule(args.beta, args.dt, args.order)
     if blocks is None:
         result = run_pite(h, init, schedule, config)
     else:
@@ -413,6 +420,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values = _sweep_values(args)
     if not values:
         raise UsageError("empty sweep")
+    if args.axis in ("dt", "beta"):  # every point's schedule, before any point runs
+        for v in values:
+            _schedule(**{"beta": args.beta, "dt": args.dt, args.axis: v}, order=args.order)
     payloads = [(args, args.axis, v) for v in values]
     threads = os.environ.get("PITE_SIM_THREADS", "1")
     try:
@@ -435,6 +445,8 @@ ANALYZE_HEADER = "beta,rlb,alb,alb_generalized,fidelity_bound"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    _require(args.beta >= 0.0, "--beta must be nonnegative")
+    _require(args.beta_points >= 1, "--beta-points must be positive")
     h, _ = _build_model(args)
     init, _ = _build_init(args, h)
     blocks, _ = _build_grouping(args, h)
@@ -446,8 +458,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(f"s0 = {spectrum.s0:.12g}")
     print(f"kappa0 = {kappa0:.12g}")
     print(f"kappa1 = {kappa1:.12g}")
-    if args.beta_points < 1:
-        raise UsageError("--beta-points must be positive")
     betas = np.linspace(0.0, args.beta, args.beta_points)
     minima = sum_block_minima(blocks) if blocks is not None else -h.abs_coeff_sum
     rows = [ANALYZE_HEADER]

@@ -13,12 +13,12 @@ qubits its gates become 2^|S| x 2^|S| matrices, built by running the
 gate kernels on the identity columns (Post_S is the adjoint of Pre_S
 when its gates are Pre's inverted). A noiseless statevector step is one
 fused K0 = Post_S diag(c_S) Pre_S; a statevector trajectory runs
-diag(c_S) Pre_S (or diag(s_S) Pre_S), the sampled work-qubit noise, then
-Post_S. A density-matrix step on at most ``SUPEROP_MAX_SUPPORT`` =
-``FUSED_MAX_SUPPORT`` // 2 qubits is one 4^|S| x 4^|S| superoperator T_S
-(Pre_S on both sides, the measurement as one elementwise weight on S,
-the channel on S, then Post_S); a wider one gets the same four stages
-in turn, Pre_S and Post_S as sandwiches. Every density-matrix step works
+Pre_S, scales the product by c_S (or by s_S), then runs the sampled
+work-qubit noise and Post_S. A density-matrix step on at most
+``SUPEROP_MAX_SUPPORT`` = ``FUSED_MAX_SUPPORT`` // 2 qubits is one
+4^|S| x 4^|S| superoperator T_S (Pre_S on both sides, the measurement as
+one elementwise weight on S, the channel on S, then Post_S); a wider one
+gets the same four stages in turn, Pre_S and Post_S as sandwiches. Every density-matrix step works
 on the matrix gathered with S's row bits first, then S's column bits,
 then the rest's: as (4^|S|, rest^2), S's vectorized block on the leading
 axis, which T_S multiplies with one product. A sandwich a rho a^dag is
@@ -60,8 +60,9 @@ highest qubit index (least significant bit). Gates are applied in place
 through reshaped views of a flat buffer; a density matrix gets every
 unitary applied from both sides.
 
-Post-selection keeps outcome 0 and renormalizes; sampling draws the
-outcome instead and leaves the restart policy to the caller.
+Every measurement postselects: it keeps outcome 0, renormalizes and
+reports prob0. A sampled run's restarts are replayed from those prob0s
+by the caller (see ``pite.replay_restarts``).
 """
 from __future__ import annotations
 
@@ -342,7 +343,6 @@ class NoiseModel:
 @dataclass(frozen=True)
 class MeasureResult:
     prob0: float
-    outcome: str  # "postselected", "sampled-0" or "sampled-1"
 
 
 def _as_state_array(data: np.ndarray) -> np.ndarray:
@@ -357,53 +357,43 @@ def _as_state_array(data: np.ndarray) -> np.ndarray:
 
 
 def _outcome(
-    kept: float, jumped: float, mode: str, rng: np.random.Generator | None, branch: bool
+    kept: float, jumped: float, rng: np.random.Generator | None, branch: bool
 ) -> tuple[MeasureResult, bool]:
-    """The ancilla measurement rule, shared by every step path.
+    """The ancilla measurement rule, shared by every step path: postselect
+    outcome 0.
 
     ``kept`` and ``jumped`` are the weights that reach outcome 0 without
     and with the ancilla's E2 jump, so prob0 is their sum. A sum over 1 by
     more than 1e-9 means a step that is not a measurement and raises;
-    rounding below that clamps it to 1. Postselection raises below the
-    annihilation threshold; sampling takes exactly one ``rng.random()``
-    and reads 1 when it is >= prob0. With ``branch`` (a statevector
-    trajectory of a noisy ancilla), outcome 0 takes one more draw r and
-    keeps the jump branch when r prob0 >= kept. Returns the result and
-    whether the jump branch is kept.
+    rounding below that clamps it to 1. A prob0 below the annihilation
+    threshold raises. With ``branch`` (a statevector trajectory of a noisy
+    ancilla), outcome 0 takes one draw r and keeps the jump branch when
+    r prob0 >= kept. Returns the result and whether the jump branch is
+    kept.
     """
-    if rng is None and (mode == "sample" or branch):
-        raise ValueError("a sampled measurement or noise branch needs an rng")
+    if rng is None and branch:
+        raise ValueError("a sampled noise branch needs an rng")
     if kept + jumped > 1.0 + 1e-9:
         raise ValueError(f"ancilla-0 probability {kept + jumped!r} exceeds 1")
     prob0 = min(kept + jumped, 1.0)
-    if mode == "postselect":
-        if prob0 < ANNIHILATION_THRESHOLD:
-            raise EvolutionAnnihilatedError(
-                f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
-            )
-        outcome = "postselected"
-    elif mode == "sample":
-        if rng.random() >= prob0:
-            return MeasureResult(prob0, "sampled-1"), False
-        outcome = "sampled-0"
-    else:
-        raise ValueError(f"unknown measurement mode {mode!r}")
+    if prob0 < ANNIHILATION_THRESHOLD:
+        raise EvolutionAnnihilatedError(
+            f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
+        )
     jump = branch and rng.random() * prob0 >= kept
-    return MeasureResult(prob0, outcome), jump
+    return MeasureResult(prob0), jump
 
 
 def _measured(
-    out: np.ndarray, out1: np.ndarray | None, eps_d: float, mode: str, rng
-) -> tuple[MeasureResult, np.ndarray | None]:
+    out: np.ndarray, out1: np.ndarray | None, eps_d: float, rng
+) -> tuple[MeasureResult, np.ndarray]:
     """A statevector's measurement stage, on its ancilla-0 branch ``out``
     and, when the ancilla can jump, its ancilla-1 branch ``out1``, which
     reaches outcome 0 with weight ``eps_d``. Returns the result and the
-    branch kept, normalized, or None after a sampled 1."""
+    branch kept, normalized."""
     kept = float(np.vdot(out, out).real)
     kept1 = 0.0 if out1 is None else float(np.vdot(out1, out1).real)
-    result, jump = _outcome(kept, eps_d * kept1, mode, rng, out1 is not None)
-    if result.outcome == "sampled-1":
-        return result, None
+    result, jump = _outcome(kept, eps_d * kept1, rng, out1 is not None)
     return result, out1 / math.sqrt(kept1) if jump else out / math.sqrt(kept)
 
 
@@ -506,10 +496,9 @@ class StateVector(_State):
         c: np.ndarray,
         s: np.ndarray,
         eps_d: float = 0.0,
-        mode: str = "postselect",
         rng: np.random.Generator | None = None,
     ) -> MeasureResult:
-        """Measure an ancilla given as its per-basis-state factors, the
+        """Postselect an ancilla given as its per-basis-state factors, the
         measurement stage of a step on the whole register.
 
         ``c`` and ``s`` are the cos and sin of half the ancilla's rotation
@@ -517,32 +506,27 @@ class StateVector(_State):
         that the ancilla's E2 jump brings to outcome 0. So prob0 is
         sum_x (c_x^2 + eps_d s_x^2) w_x, with w the basis-state weights.
         Outcome 0 keeps (C rho C + eps_d S rho S) / prob0 (a statevector
-        samples one of the two branches, which needs ``rng``); a sampled 1
-        leaves the state as it is, since the caller restarts the run.
+        samples one of the two branches, which needs ``rng``).
         """
         psi = self.data
-        result, kept = _measured(c * psi, s * psi if eps_d > 0.0 else None, eps_d, mode, rng)
-        if kept is not None:
-            self.data = kept
+        result, self.data = _measured(c * psi, s * psi if eps_d > 0.0 else None, eps_d, rng)
         return result
 
-    def _run_step(self, step: BoundStep, mode: str, rng) -> MeasureResult:
+    def _run_step(self, step: BoundStep, rng) -> MeasureResult:
         noise = step.noise
         if noise is not None and rng is None:
             raise ValueError("statevector noise is sampled and needs an rng")
         eps_d = 0.0 if noise is None else noise.eps_d
         x, order = self._gather(step.support)
         first, second, post = step.ops
-        if isinstance(second, tuple):  # Pre's gate list, then (c_S, s_S)
+        if isinstance(second, tuple):  # Pre_S or Pre's gate list, then (c_S, s_S)
             c, s = second
             x = _product(first, x, overwrite=not np.may_share_memory(x, self._stored))
             out, out1 = c[:, None] * x, s[:, None] * x if eps_d > 0.0 else None
-        else:  # K0 or A0, then A1
-            out, out1 = _product(first, x), None if second is None else _product(second, x)
-        result, kept = _measured(out, out1, eps_d, mode, rng)
-        if kept is None:
-            return result
-        self._stored, self._order = kept, order
+        else:  # K0
+            out, out1 = _product(first, x), None
+        result, self._stored = _measured(out, out1, eps_d, rng)
+        self._order = order
         if noise is not None:  # a trajectory: the sampled work-qubit noise, then Post
             self.sample_kraus(noise, rng)
         if post is not None:  # on the kept branch, a buffer of the step's own
@@ -710,7 +694,6 @@ class DensityMatrix(_State):
         c: np.ndarray,
         s: np.ndarray,
         eps_d: float = 0.0,
-        mode: str = "postselect",
         rng: np.random.Generator | None = None,
     ) -> MeasureResult:
         """:meth:`StateVector.measure_ancilla` on a density matrix, which
@@ -718,9 +701,9 @@ class DensityMatrix(_State):
         whole register, with W = c c^T + eps_d s s^T."""
         weights = np.outer(c, c) + eps_d * np.outer(s, s)
         whole = BoundStep(type(self), None, tuple(range(self.n_qubits)), (None, weights, None))
-        return self._run_step(whole, mode, rng)
+        return self._run_step(whole, rng)
 
-    def _run_step(self, step: BoundStep, mode: str, rng) -> MeasureResult:
+    def _run_step(self, step: BoundStep, rng) -> MeasureResult:
         # The step runs on, and stores, rho gathered with S's row bits, then
         # S's column bits, then the rest's row bits and their column bits
         # in one order: as (4^k, rest^2), S's vectorized block on the
@@ -761,22 +744,18 @@ class DensityMatrix(_State):
             row, traced = weights.diagonal(), rho[:: 2**k + 1]
         rest = math.isqrt(rho.shape[1])
         prob0 = float(np.dot(row, traced[:, :: rest + 1].sum(axis=1)).real)
-        result, _ = _outcome(prob0, 0.0, mode, rng, False)
-        if result.outcome == "sampled-1":
-            return result
+        result, _ = _outcome(prob0, 0.0, rng, False)
         if superop:
             rho = _product(t_s * (1.0 / result.prob0), rho)
-        elif noise is not None and post is not None:  # S's own channel after W
-            rho = rho * weights.reshape(-1, 1)
-            _channel(rho, noise, (1,) * k, 1.0 / result.prob0, columns=k)
-        else:  # S's own channel, if any, stays owed
+        else:  # W, then S's own channel
             rho = rho * (weights / result.prob0).reshape(-1, 1)
-        if not superop and post is not None:
-            rho = _sandwich(post, rho, own=True)
+            if noise is not None:
+                _channel(rho, noise, (1,) * k, columns=k)
+            if post is not None:
+                rho = _sandwich(post, rho, own=True)
         self._stored, self._order = rho, order
-        stays = int(noise is not None and not superop and post is None)
         grows = int(noise is not None)
-        self._owed = [stays if q in support else m + grows for q, m in enumerate(self._owed)]
+        self._owed = [0 if q in support else m + grows for q, m in enumerate(self._owed)]
         return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
@@ -830,19 +809,19 @@ def _channel(
     rho: np.ndarray,
     model: NoiseModel,
     counts: tuple[int, ...],
-    scale: float = 1.0,
     adjoint: bool = False,
     columns: int | None = None,
 ) -> None:
     """In place on a contiguous buffer of 4^n entries, of any shape, whose
     bits hold each qubit's row bit and column bit: ``model``'s channel
-    applied counts[i] times to qubit i for i < len(counts), then the
-    factor ``scale``. Qubit i's row bit is the buffer's i-th most
-    significant bit and its column bit sits ``columns`` bits after it:
-    n (the default) in a 2^n x 2^n matrix, k in one gathered for a step
-    on k qubits, whose row bits and then column bits lead. With
-    ``adjoint``, the adjoint channel N^dag instead, which maps an
-    observable A to the one whose expectation on rho equals A's on N(rho).
+    applied counts[i] times to qubit i for i < len(counts). Qubit i's row
+    bit is the buffer's i-th most significant bit and its column bit sits
+    ``columns`` bits after it: n (the default) in a 2^n x 2^n matrix, k in
+    one gathered for a step on k qubits, whose row bits and then column
+    bits lead (a step applies it there to rows already scaled by
+    W / prob0). With ``adjoint``,
+    the adjoint channel N^dag instead, which maps an observable A to the
+    one whose expectation on rho equals A's on N(rho).
 
     Per qubit the three Kraus operators reduce to block updates split by
     that qubit's row/column bit:
@@ -879,8 +858,6 @@ def _channel(
         jumps, factor = _channel_factors(model, counts[first : first + _FACTOR_QUBITS])
         if not adjoint:
             jump_passes(first, jumps)
-        if first == 0 and scale != 1.0:
-            factor = factor * scale
         width = len(jumps)
         view = flat.reshape(2**first, 2**width, 2 ** (columns - width), 2**width, -1)
         view *= factor[None, :, None, :, None]
@@ -1100,15 +1077,14 @@ class BoundStep:
     ``ops`` on its ``support`` S, the sorted work qubits its gates touch.
 
     On a statevector ``ops`` is (K0, None, None), K0 = Post_S diag(c_S)
-    Pre_S, for a noiseless step and (A0, A1, Post_S) for a trajectory,
-    with A0 = diag(c_S) Pre_S and A1 = diag(s_S) Pre_S, None when the
-    ancilla cannot jump. On a density matrix it is (T_S, v) on at most
-    ``SUPEROP_MAX_SUPPORT`` qubits, the step's superoperator on vec(rho_S)
-    and the row vector whose product with vec of the partial trace over
-    the rest is prob0, and (Pre_S, W, Post_S) on wider ones, with W[x, y] =
-    c_x c_y + eps_d s_x s_y and each of Pre_S and Post_S an (a, phase_in,
-    phase_out) triple of :func:`_phased` (a real where it can be), None
-    for an empty gate list. Every one of these acts on the matrix gathered
+    Pre_S, for a noiseless step and (Pre_S, (c_S, s_S), Post_S) for a
+    trajectory, the form a wide step takes too. On a density matrix it is
+    (T_S, v) on at most ``SUPEROP_MAX_SUPPORT`` qubits, the step's
+    superoperator on vec(rho_S) and the row vector whose product with vec
+    of the partial trace over the rest is prob0, and (Pre_S, W, Post_S) on
+    wider ones, with W[x, y] = c_x c_y + eps_d s_x s_y and each of Pre_S
+    and Post_S an (a, phase_in, phase_out) triple of :func:`_phased` (a
+    real where it can be), None for an empty gate list. Every one of these acts on the matrix gathered
     in one layout, S's row bits, then its column bits, then the rest's
     (see :func:`_step_order`): T_S and v on the leading 4^|S| axis, W and
     the phase factors entry by entry on S's block, a on S's row bits and
@@ -1280,27 +1256,24 @@ def lower_step(
     if noise is None:
         ops = (_as_state_array(post_s @ (c[:, None] * pre_s)), None, None)
     else:
-        a1 = s[:, None] * pre_s if eps_d > 0.0 else None
-        ops = (c[:, None] * pre_s, a1, post_s)
+        ops = (pre_s, (c, s), post_s)
     return BoundStep(type(state), noise, support, ops)
 
 
 def run_step_circuit(
     state: StateVector | DensityMatrix,
     step: BoundStep,
-    mode: str = "postselect",
     rng: np.random.Generator | None = None,
 ) -> MeasureResult:
     """One measured step circuit, lowered by :func:`lower_step` for this
-    state's type, on the work register.
+    state's type, on the work register, its ancilla postselected.
 
     Each state type runs every step down one pipeline (see
     :class:`BoundStep`): Pre on the state gathered in the step's order,
     the outcome rule of :func:`_outcome`, the work-qubit channel (exact on
     S and owed on the other qubits on a density matrix; one sampled
-    trajectory on a statevector, which needs ``rng``), then Post. A
-    sampled 1 leaves the state as it is.
+    trajectory on a statevector, which needs ``rng``), then Post.
     """
     if not isinstance(state, step.state_type):
         raise TypeError(f"step lowered for {step.state_type.__name__}, got {type(state).__name__}")
-    return state._run_step(step, mode, rng)
+    return state._run_step(step, rng)

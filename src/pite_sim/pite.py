@@ -40,7 +40,6 @@ __all__ = [
     "RunResult",
     "run_pite",
     "run_generalized",
-    "restart_loop",
     "replay_restarts",
     "check_capacity",
 ]
@@ -68,8 +67,12 @@ class Schedule:
 
     @staticmethod
     def from_beta(beta: float, dt: float, order: int = 1) -> "Schedule":
-        n_steps = max(1, round(beta / dt))
-        return Schedule(dt=dt, n_steps=n_steps, order=order)
+        """The grid of step ``dt`` that reaches ``beta`` to the nearest
+        step (one step at least)."""
+        schedule = Schedule(dt=dt, n_steps=1, order=order)  # checks dt and order
+        if not beta > 0:
+            raise ValueError("beta must be positive")
+        return dataclasses.replace(schedule, n_steps=max(1, round(beta / dt)))
 
 
 @dataclass(frozen=True)
@@ -95,6 +98,8 @@ class RunConfig:
                 raise ValueError("trajectory mode supports postselect only")
         if self.record_every < 1:
             raise ValueError("record_every must be positive")
+        if self.restart_budget < 0:
+            raise ValueError("restart_budget must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -160,25 +165,6 @@ def _check_trace(state: DensityMatrix, step: int) -> None:
         )
 
 
-def restart_loop(
-    attempt: Callable[[np.random.Generator], tuple[list[TraceRecord], bool]],
-    budget: int,
-    rng: np.random.Generator,
-) -> RunResult:
-    """Run ``attempt`` until it completes, restarting the whole evolution
-    from scratch on each failed ancilla measurement, at most ``budget``
-    restarts. Returns the trace of the successful attempt, or the partial
-    trace of the last attempt with ``completed=False``."""
-    restarts = 0
-    while True:
-        records, completed = attempt(rng)
-        if completed:
-            return RunResult(records=records, restarts=restarts, completed=True)
-        restarts += 1
-        if restarts > budget:
-            return RunResult(records=records, restarts=restarts - 1, completed=False)
-
-
 def replay_restarts(
     records: list[TraceRecord],
     probs: np.ndarray,
@@ -195,9 +181,11 @@ def replay_restarts(
     leaves the state that postselection leaves, and each measurement
     takes exactly one ``rng.random()``. An attempt therefore fails at its
     first measurement i whose draw is >= probs[i], the next attempt draws
-    on from there, and the successful attempt's trace is the pass's. The
-    result equals :func:`restart_loop` over the attempts themselves, which
-    stays as the oracle and as the path for a pass that annihilates.
+    on from there, and the successful attempt's trace is the pass's: the
+    result equals the restart loop run attempt by attempt, drawing each
+    outcome against the prob0 of the step just run. A pass that
+    annihilates ends its ``probs`` with 0.0, which no draw passes, so
+    every attempt that gets that far fails there and the budget runs out.
     """
     draws = np.empty(0)
     restarts = 0
@@ -272,39 +260,37 @@ def _execute(
         )
 
     def attempt(
-        rng: np.random.Generator | None, mode: str = config.mode, probs: list | None = None
+        rng: np.random.Generator | None, probs: list | None = None
     ) -> tuple[list[TraceRecord], bool]:
+        """One postselected pass; a trajectory's or a sampled pass's
+        annihilation returns its partial records, a sampled pass's after
+        appending prob0 = 0.0 to ``probs``."""
         state = start.copy()
         p_cum = 1.0
         records = [record(0, state, p_cum, 0)]
         for step in range(1, schedule.n_steps + 1):
             for bound in steps:
                 try:
-                    res = run_step_circuit(state, bound, mode=mode, rng=rng)
+                    res = run_step_circuit(state, bound, rng=rng)
                 except EvolutionAnnihilatedError:
-                    if not trajectory:
+                    if probs is not None:  # no attempt gets past this measurement
+                        probs.append(0.0)
+                    elif not trajectory:
                         raise
                     return records, False  # weight 0 from here on
                 p_cum *= res.prob0
                 if probs is not None:
                     probs.append(res.prob0)
-                if res.outcome == "sampled-1":
-                    return records, False
             if step % config.record_every == 0 or step == schedule.n_steps:
                 records.append(record(step, state, p_cum, 0))
         return records, True
 
     if config.mode == "sample":
         probs: list[float] = []
-        try:
-            records, _ = attempt(None, "postselect", probs)
-        except EvolutionAnnihilatedError:  # draws against prob0 ~ 0: run them
-            result = restart_loop(attempt, config.restart_budget, make_rng(config.seed))
-        else:
-            result = replay_restarts(
-                records, np.array(probs), len(steps), config.restart_budget,
-                make_rng(config.seed),
-            )
+        records, _ = attempt(None, probs)
+        result = replay_restarts(
+            records, np.array(probs), len(steps), config.restart_budget, make_rng(config.seed)
+        )
         result.records = [
             dataclasses.replace(r, restarts=result.restarts) for r in result.records
         ]

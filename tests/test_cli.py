@@ -285,3 +285,32 @@ def test_cli_17_digit_roundtrip(tmp_path):
     for row, rec in zip(rows, payload["records"]):
         assert float(row["energy"]) == rec["energy"]
         assert float(row["p_cum"]) == rec["p_cum"]
+
+
+H2_FLAGS = ["--model", "h2", "--R", "0.75"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", *H2_FLAGS, "--dt", "0"], "dt must be positive"),
+        (["run", *H2_FLAGS, "--dt", "-1"], "dt must be positive"),
+        (["run", *H2_FLAGS, "--beta", "0"], "beta must be positive"),
+        (["run", *H2_FLAGS, "--mode", "sample", "--seed", "1", "--restart-budget", "-1"],
+         "restart_budget"),
+        (["sweep", *H2_FLAGS, "--axis", "dt", "--values", "0.1,-0.1"], "dt must be positive"),
+        (["sweep", *H2_FLAGS, "--axis", "beta", "--values", "0.5,-1"], "beta must be positive"),
+        (["analyze", *H2_FLAGS, "--beta", "-1"], "--beta must be nonnegative"),
+        (["analyze", *H2_FLAGS, "--beta-points", "0"], "--beta-points must be positive"),
+    ],
+    ids=["run-dt-0", "run-dt-negative", "run-beta-0", "run-negative-budget", "sweep-dt",
+         "sweep-beta", "analyze-beta", "analyze-beta-points"],
+)
+def test_bad_schedule_is_a_usage_error(tmp_path, capsys, argv, message):
+    """Each exits 1 with ``error:`` before anything is printed or written,
+    where it raised a traceback or ran at another beta."""
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert list(tmp_path.iterdir()) == []

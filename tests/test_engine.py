@@ -71,9 +71,9 @@ def random_unitary(dim: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def run_circuit(state, circ, mode="postselect", rng=None, noise=None):
+def run_circuit(state, circ, rng=None, noise=None):
     """Lower ``circ`` for ``state`` and run it once."""
-    return run_step_circuit(state, lower_step(circ, state, noise), mode=mode, rng=rng)
+    return run_step_circuit(state, lower_step(circ, state, noise), rng=rng)
 
 
 ALL_GATE_SAMPLES = [
@@ -191,7 +191,6 @@ def test_measure_plus_ancilla():
     circ = Circuit(n_work=2, has_ancilla=True, gates=(Ry(math.pi / 2, 2),), measure_point=1)
     res = run_circuit(s, circ)
     assert res.prob0 == pytest.approx(0.5, abs=1e-12)
-    assert res.outcome == "postselected"
     assert abs(s.norm() - 1.0) < 1e-12
     assert np.abs(s.data - work).max() < 1e-12
 
@@ -212,22 +211,6 @@ def test_measure_prob_half_overlap():
     expected = 0.5 * (1.0 + math.exp(-0.4))
     assert res.prob0 == pytest.approx(expected, rel=1e-12)
     assert res.prob0 == pytest.approx(0.83516, abs=1e-5)
-
-
-def test_measure_sampling_replays():
-    term = PauliTerm.from_string(1.0, "X")
-    outcomes = []
-    for _ in range(2):
-        state = StateVector(1, np.array([1.0, 0.0]))
-        rng_local = make_rng(1234)
-        results = [
-            run_circuit(state.copy(), build_pauli_step(term, 0.5), mode="sample", rng=rng_local).outcome
-            for _ in range(20)
-        ]
-        outcomes.append(results)
-    assert outcomes[0] == outcomes[1]
-    assert "sampled-1" in outcomes[0]
-    assert "sampled-0" in outcomes[0]
 
 
 def test_annihilation_raises():
@@ -262,7 +245,6 @@ def test_noisy_statevector_step_samples_the_channel():
         by_hand.sample_kraus(noise, rng_hand)
         for g in circ.post_measure:
             by_hand.apply_gate(g)
-        assert res.outcome == want.outcome
         assert res.prob0 == pytest.approx(want.prob0, rel=1e-12)
         assert np.abs(state.data - by_hand.data).max() < 1e-12
         # both took the same number of draws, so the streams still agree
@@ -330,7 +312,8 @@ def force_path(monkeypatch, path: str) -> None:
 
 def step_path(step) -> str:
     """The path a lowered step runs down, in ``STEP_PATHS``' names."""
-    if isinstance(step.ops[1], tuple):  # (Pre, (c_S, s_S), Post)
+    # (Pre, (c_S, s_S), Post); a fused trajectory holds Pre_S as an array
+    if isinstance(step.ops[1], tuple) and not isinstance(step.ops[0], np.ndarray):
         return "gate-list"
     if step.state_type is not DensityMatrix:
         return "fused"
@@ -664,19 +647,15 @@ def test_outcome_rule_clamps_thresholds_and_draws_once():
             self.draws += 1
             return self.r
 
-    res, jump = engine._outcome(1.0, 1e-9, "postselect", None, False)
-    assert (res.prob0, res.outcome, jump) == (1.0, "postselected", False)
+    res, jump = engine._outcome(1.0, 1e-9, None, False)
+    assert (res.prob0, jump) == (1.0, False)
     with pytest.raises(ValueError, match="exceeds 1"):
-        engine._outcome(1.0, 2e-9, "postselect", None, False)
+        engine._outcome(1.0, 2e-9, None, False)
     with pytest.raises(EvolutionAnnihilatedError):
-        engine._outcome(6e-16, 3e-16, "postselect", None, False)
-    for r, outcome in ((0.7, "sampled-1"), (0.5, "sampled-0")):
-        rng_fixed = FixedRng(r)
-        res, _ = engine._outcome(0.6, 0.0, "sample", rng_fixed, False)
-        assert (res.outcome, rng_fixed.draws) == (outcome, 1)
-    # a trajectory's branch takes one more draw: r prob0 >= kept picks the jump
+        engine._outcome(6e-16, 3e-16, None, False)
+    # a trajectory's branch takes one draw: r prob0 >= kept picks the jump
     rng_fixed = FixedRng(0.9)
-    res, jump = engine._outcome(0.5, 0.25, "postselect", rng_fixed, True)
+    res, jump = engine._outcome(0.5, 0.25, rng_fixed, True)
     assert (res.prob0, jump, rng_fixed.draws) == (0.75, True, 1)
 
 
@@ -811,52 +790,6 @@ def test_deferred_channel_matches_the_channel_applied_at_once(path, monkeypatch)
             assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-13
     assert max(d._owed) > 1  # the run did defer
     assert np.abs(d.data - rho).max() < 1e-13
-
-
-class _AlwaysOne:
-    """An rng stand-in whose every draw samples ancilla outcome 1."""
-
-    def random(self):
-        return 1.0
-
-
-def test_sampled_one_with_noise_owed_leaves_the_state(monkeypatch):
-    """A sampled 1 leaves the state and what it owes as they were, on
-    both fused paths, with the matrix stored in a non-canonical order.
-    Where the step's gather copies, the stored matrix, its order and its
-    counts stay bitwise as they were. A sandwich step whose support the
-    matrix is already stored for gathers a view of it, so it commits its
-    in-place flush with its counts: here X on qubit 4 right after the
-    single-Z term on it, which leaves its own channel owed. A superoperator
-    step leaves its own support owing nothing, so the Ising chain has 5
-    qubits: its last term, Z on qubit 4, lies outside the other supports."""
-    model = NoiseModel(0.02, 0.03)
-    terms = build_ising(5, 1.0, 1.2, 0.3).terms
-    start = random_density(5)
-    for path in ("superop", "sandwich"):
-        force_path(monkeypatch, path)
-        d = DensityMatrix(5, start)
-        for term in terms:
-            run_circuit(d, build_pauli_step(term, 0.1), noise=model)
-        assert min(d._owed[:4]) > 0 and d._order is not None, path
-        for support in ((0,), (0, 1), (2, 3), (4,)):
-            axes = tuple(PauliAxis.X if q in support else PauliAxis.I for q in range(5))
-            trial, twin = copy.deepcopy(d), copy.deepcopy(d)
-            step = lower_step(build_pauli_step(PauliTerm(0.7, axes), 0.1), trial, model)
-            assert step_path(step) == path
-            res = run_step_circuit(trial, step, "sample", _AlwaysOne())
-            assert res.outcome == "sampled-1"
-            if path == "sandwich" and support == (4,):  # a view: the flush is committed
-                assert trial._owed[4] == 0 < twin._owed[4]
-                assert trial._order == twin._order
-            else:
-                assert (trial._order, trial._owed) == (twin._order, twin._owed), support
-                assert np.array_equal(trial._stored, twin._stored), (path, support)
-            assert np.abs(trial.data - twin.data).max() < 1e-15, (path, support)
-            # the same later evolution, so nothing is owed twice or lost
-            for state in (trial, twin):
-                run_circuit(state, build_pauli_step(terms[0], 0.1), noise=model)
-            assert np.abs(trial.data - twin.data).max() < 1e-15, (path, support)
 
 
 def test_owed_applications_fold_into_one_channel():
@@ -999,8 +932,8 @@ def test_stored_orders_keep_rows_and_columns_alike(monkeypatch):
     stored = []
     run_step = DensityMatrix._run_step
 
-    def recording(self, step, mode, rng):
-        result = run_step(self, step, mode, rng)
+    def recording(self, step, rng):
+        result = run_step(self, step, rng)
         stored.append((self.n_qubits, step.support, self._order))
         return result
 
@@ -1321,28 +1254,6 @@ def test_sandwich_chain_of_lih_y_terms_matches_the_kraus_oracle(start, monkeypat
             rho, p0 = full_kraus_step(circ, rho, model)
             assert res.prob0 == pytest.approx(p0, rel=1e-12), axes
             assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, axes
-
-
-def test_sampled_one_on_a_phased_pre_leaves_the_state():
-    """A sampled 1 after a Pre_S with a phase factor leaves the stored
-    matrix, its order and its counts bitwise as they were, both where the
-    step gathers a copy and where the matrix is already stored in the
-    step's order, so that the gather is a view of it."""
-    model = NoiseModel(0.02, 0.03)
-    d = DensityMatrix(6, random_density(6))
-    run_circuit(d, build_pauli_step(PauliTerm.from_string(0.4, "XIIIIZ"), 0.1), noise=model)
-    views = []
-    for axes in ("IIYYXX", "IIYYXX", "YXXZZY"):
-        step = lower_step(build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2), d, model)
-        assert step.ops[0][1] is not None
-        views.append(np.may_share_memory(d._gather(step.support)[0], d._stored))
-        twin = copy.deepcopy(d)
-        res = run_step_circuit(d, step, "sample", _AlwaysOne())
-        assert res.outcome == "sampled-1"
-        assert (d._order, d._owed) == (twin._order, twin._owed), axes
-        assert np.array_equal(d._stored, twin._stored), (axes, views)
-        run_circuit(d, build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2), noise=model)
-    assert views == [False, True, False]
 
 
 def test_post_from_the_adjoint_of_pre_is_the_kernel_built_post(monkeypatch):

@@ -38,7 +38,6 @@ from pite_sim.pite import (
     _step_circuits,
     _trajectory_average,
     check_capacity,
-    restart_loop,
     run_generalized,
     run_pite,
 )
@@ -54,6 +53,13 @@ def test_schedule_validation():
     sched = Schedule.from_beta(2.0, 0.05)
     assert sched.n_steps == 40
     assert sched.beta == pytest.approx(2.0)
+    assert Schedule.from_beta(0.01, 0.05).n_steps == 1
+    for beta in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            Schedule.from_beta(beta, 0.05)
+    for dt in (0.0, -0.1):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            Schedule.from_beta(1.0, dt)
 
 
 def test_config_validation():
@@ -63,6 +69,9 @@ def test_config_validation():
         RunConfig(mode="sample", seed=1, trajectories=4)
     with pytest.raises(ValueError, match="seed"):
         RunConfig(trajectories=4)
+    with pytest.raises(ValueError, match="restart_budget"):
+        RunConfig(mode="sample", seed=1, restart_budget=-1)
+    assert RunConfig(mode="sample", seed=1, restart_budget=0).restart_budget == 0
 
 
 def test_single_term_ground_state_is_fixed_point():
@@ -256,25 +265,6 @@ def test_generalized_lih_runs_to_completion():
     assert res.final.energy < res.records[0].energy
 
 
-def test_restart_loop_counts():
-    calls = []
-
-    def attempt(rng):
-        calls.append(1)
-        return ["trace"], len(calls) >= 3
-
-    result = restart_loop(attempt, budget=10, rng=None)
-    assert result.completed
-    assert result.restarts == 2
-
-    def always_fail(rng):
-        return ["partial"], False
-
-    result = restart_loop(always_fail, budget=4, rng=None)
-    assert not result.completed
-    assert result.restarts == 4
-
-
 def test_sampled_ground_state_no_restarts():
     h = PauliHamiltonian(1, (PauliTerm.from_string(1.0, "Z"),))
     init = prepare_initial(InitialState.basis("1"), 1)
@@ -315,17 +305,24 @@ def test_sampled_budget_exhausted():
 
 def direct_sampled_run(start, circuits, noise, n_steps, seed, budget):
     """The restart loop run attempt by attempt, every measurement sampled
-    on the state itself: (restarts, completed, Trotter steps completed by
-    the returned attempt)."""
+    on the state itself: one draw, read as outcome 0 when it falls below
+    the prob0 of the step run on the attempt's state, a step that
+    annihilates reading 1. Returns (restarts, completed, Trotter steps
+    completed by the returned attempt)."""
     steps = [lower_step(c, start, noise) for c in circuits]
     rng = make_rng(seed)
+
+    def sampled_zero(state, step):
+        r = rng.random()
+        try:
+            return r < run_step_circuit(state, step).prob0
+        except EvolutionAnnihilatedError:
+            return False
+
     restarts = 0
     while True:
         state, done = start.copy(), 0
-        while done < n_steps and all(
-            run_step_circuit(state, b, mode="sample", rng=rng).outcome == "sampled-0"
-            for b in steps
-        ):
+        while done < n_steps and all(sampled_zero(state, b) for b in steps):
             done += 1
         if done == n_steps:
             return restarts, True, done
@@ -388,17 +385,28 @@ def test_replayed_restarts_match_the_attempts(case, budget):
 
 
 def test_sampled_run_whose_pass_annihilates_samples_directly():
-    # prob0 = e^{-40} per step: postselection annihilates, so the run draws
-    # against it attempt by attempt and exhausts its budget
-    h = PauliHamiltonian(1, (PauliTerm.from_string(5.0, "Z"),))
-    init = prepare_initial(InitialState.basis("0"), 1)
+    # +5 Z on |0> has prob0 = e^{-40}: the postselected pass annihilates
+    # there, and the run's replay of that pass must exhaust its budget
+    # exactly as drawing attempt by attempt does. In the two-qubit case a
+    # measurement with prob0 ~ 0.5 comes first, so attempts fail at either.
+    z = PauliTerm.from_string(5.0, "Z")
+    x_then_z = (PauliTerm.from_string(0.5, "IX"), PauliTerm.from_string(5.0, "ZI"))
     sched = Schedule(dt=2.0, n_steps=2)
-    with pytest.raises(EvolutionAnnihilatedError):
-        run_pite(h, init, sched, RunConfig())
-    res = run_pite(h, init, sched, RunConfig(mode="sample", seed=4, restart_budget=3))
-    assert not res.completed
-    assert res.restarts == 3
-    assert [r.step for r in res.records] == [0]
+    for h, bits in ((PauliHamiltonian(1, (z,)), "0"), (PauliHamiltonian(2, x_then_z), "00")):
+        init = prepare_initial(InitialState.basis(bits), h.n_qubits)
+        with pytest.raises(EvolutionAnnihilatedError):
+            run_pite(h, init, sched, RunConfig())
+        start = StateVector(h.n_qubits, init)
+        for budget in (0, 1, 3):
+            for seed in range(8):
+                res = run_pite(
+                    h, init, sched, RunConfig(mode="sample", seed=seed, restart_budget=budget)
+                )
+                restarts, completed, done = direct_sampled_run(
+                    start, _step_circuits(h, sched), None, sched.n_steps, seed, budget
+                )
+                assert (res.restarts, res.completed) == (restarts, completed) == (budget, False)
+                assert [r.step for r in res.records] == list(range(done + 1)) == [0]
 
 
 def test_sampled_success_fraction_matches_postselect():
@@ -558,8 +566,8 @@ def test_density_trace_is_checked_at_every_record(monkeypatch):
     for shift, raises in ((1e-10, False), (2e-9, True)):
         calls = []
 
-        def perturbing(state, step, mode, rng, shift=shift):
-            result = run_step(state, step, mode=mode, rng=rng)
+        def perturbing(state, step, rng, shift=shift):
+            result = run_step(state, step, rng=rng)
             calls.append(step)
             if len(calls) == 2 * len(h.terms):
                 state._stored.reshape(-1)[0] += shift  # entry (0, 0) in any order
