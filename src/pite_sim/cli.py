@@ -372,12 +372,13 @@ SWEEP_HEADER = (
 )
 
 
-def _sweep_values(args: argparse.Namespace) -> list[float]:
+def _sweep_values(args: argparse.Namespace) -> list[float] | list[int]:
     if args.values:
+        kind, what = (int, "integer") if args.axis == "seed" else (float, "number")
         try:
-            return [float(tok) for tok in args.values.split(",")]
+            return [kind(tok) for tok in args.values.split(",")]
         except ValueError:
-            raise UsageError("--values must be a comma-separated number list") from None
+            raise UsageError(f"--values must be a comma-separated {what} list") from None
     if args.axis == "R":
         return list(H2_DISTANCES)
     raise UsageError(f"--axis {args.axis} needs --values")
@@ -392,7 +393,7 @@ def _sweep_point(payload: tuple) -> list[str]:
     elif axis == "beta":
         args.beta = value
     elif axis == "seed":
-        args.seed = int(value)
+        args.seed = value
     result, _ = _execute_run(args)
     h, _ = _build_model(args)
     init, _ = _build_init(args, h)
@@ -445,7 +446,7 @@ ANALYZE_HEADER = "beta,rlb,alb,alb_generalized,fidelity_bound"
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    _require(args.beta >= 0.0, "--beta must be nonnegative")
+    _require(0.0 <= args.beta < math.inf, "--beta must be nonnegative and finite")
     _require(args.beta_points >= 1, "--beta-points must be positive")
     h, _ = _build_model(args)
     init, _ = _build_init(args, h)

@@ -13,6 +13,7 @@ added back when energies are reported.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,6 +46,13 @@ __all__ = [
 ]
 
 
+def _check_time(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless the imaginary time ``value`` is positive
+    and finite (NaN is neither)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Imaginary-time grid: ``n_steps`` Trotter steps of size ``dt``."""
@@ -54,8 +62,7 @@ class Schedule:
     order: int = 1
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        _check_time("dt", self.dt)
         if self.n_steps < 1:
             raise ValueError("need at least one step")
         if self.order not in (1, 2):
@@ -70,8 +77,7 @@ class Schedule:
         """The grid of step ``dt`` that reaches ``beta`` to the nearest
         step (one step at least)."""
         schedule = Schedule(dt=dt, n_steps=1, order=order)  # checks dt and order
-        if not beta > 0:
-            raise ValueError("beta must be positive")
+        _check_time("beta", beta)
         return dataclasses.replace(schedule, n_steps=max(1, round(beta / dt)))
 
 

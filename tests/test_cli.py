@@ -302,13 +302,23 @@ H2_FLAGS = ["--model", "h2", "--R", "0.75"]
         (["sweep", *H2_FLAGS, "--axis", "beta", "--values", "0.5,-1"], "beta must be positive"),
         (["analyze", *H2_FLAGS, "--beta", "-1"], "--beta must be nonnegative"),
         (["analyze", *H2_FLAGS, "--beta-points", "0"], "--beta-points must be positive"),
+        (["run", *H2_FLAGS, "--beta", "inf"], "beta must be positive and finite"),
+        (["run", *H2_FLAGS, "--dt", "inf"], "dt must be positive and finite"),
+        (["run", *H2_FLAGS, "--dt", "nan"], "dt must be positive and finite"),
+        (["sweep", *H2_FLAGS, "--axis", "dt", "--values", "0.1,inf"],
+         "dt must be positive and finite"),
+        (["analyze", *H2_FLAGS, "--beta", "inf"], "--beta must be nonnegative and finite"),
+        (["sweep", *H2_FLAGS, "--axis", "seed", "--values", "1.5,2.7"],
+         "--values must be a comma-separated integer list"),
     ],
     ids=["run-dt-0", "run-dt-negative", "run-beta-0", "run-negative-budget", "sweep-dt",
-         "sweep-beta", "analyze-beta", "analyze-beta-points"],
+         "sweep-beta", "analyze-beta", "analyze-beta-points", "run-beta-inf", "run-dt-inf",
+         "run-dt-nan", "sweep-dt-inf", "analyze-beta-inf", "sweep-seed-fraction"],
 )
 def test_bad_schedule_is_a_usage_error(tmp_path, capsys, argv, message):
     """Each exits 1 with ``error:`` before anything is printed or written,
-    where it raised a traceback or ran at another beta."""
+    where it raised a traceback, ran at another beta, ran an infinite step
+    or ran the integer parts of fractional seeds."""
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

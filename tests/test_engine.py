@@ -1,5 +1,6 @@
 """Tests for statevector/density-matrix execution, measurement and noise."""
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -42,6 +43,7 @@ from pite_sim.hamiltonian import (
     PauliTerm,
     build_h2,
     build_ising,
+    build_lih,
     prepare_initial,
 )
 
@@ -626,7 +628,7 @@ def test_fold_rotation_matches_the_rotation_run_gate_by_gate():
     probe = np.zeros(16)
     probe[0::2] = 1.0
     for g in rotation:
-        engine._apply_gate_flat(probe, 4, engine._relabel(g, position), 0, False)
+        engine._apply_gate_flat(probe, 4, engine._relabel(g, position), range(4), False)
     assert np.abs(c - probe[0::2]).max() < 1e-15
     assert np.abs(s - probe[1::2]).max() < 1e-15
 
@@ -1261,7 +1263,8 @@ def test_post_from_the_adjoint_of_pre_is_the_kernel_built_post(monkeypatch):
     as gates, so lowering takes Post_S as the conjugate transpose of Pre_S,
     which equals the one the kernels build bitwise; only Pre_S runs
     through the kernels. A step whose Post is not the adjoint of its Pre
-    still has its Post_S built by the kernels."""
+    still has its Post_S built by the kernels. A noiseless statevector
+    step builds no Post_S: Post's kernels run on diag(c_S) Pre_S."""
     from pite_sim.hamiltonian import build_lih
 
     built = []
@@ -1283,14 +1286,147 @@ def test_post_from_the_adjoint_of_pre_is_the_kernel_built_post(monkeypatch):
             assert len(built) == 1 and np.array_equal(step.ops[2], post_s), term
     ancilla = 2
     circ = Circuit(2, True, (Hadamard(0), CNOT(0, 1), ControlledRy(0.7, 1, ancilla), PauliX(0)), 3)
+    for state in (StateVector(2), DensityMatrix(2)):
+        built.clear()
+        lower_step(circ, state, model)
+        assert built == [circ.pre_measure[:2], circ.post_measure], type(state)
     built.clear()
     step = lower_step(circ, StateVector(2))
-    assert built == [circ.pre_measure[:2], circ.post_measure]
+    assert built == [circ.pre_measure[:2]]
     k = postselected_operator(circ)
     psi = random_state(2)
     s = StateVector(2, psi)
     run_step_circuit(s, step)
     assert np.abs(s.data - k @ psi / np.linalg.norm(k @ psi)).max() < 1e-12
+
+
+def rotate_pair_reference(v0: np.ndarray, v1: np.ndarray, m: np.ndarray) -> None:
+    """The pair rotation in its first form: a copy of v0, then each
+    update in place."""
+    x0 = v0.copy()
+    v0 *= m[0, 0]
+    v0 += m[0, 1] * v1
+    v1 *= m[1, 1]
+    v1 += m[1, 0] * x0
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_pair_kernels_match_the_reference_bitwise(dtype):
+    """``_rotate_pair`` forms the same products and sums as the reference,
+    and ``_hadamard_pair`` the ones the reference forms with the Hadamard
+    matrix ((-h) v1 is -(h v1) exactly): equal to the last bit, on
+    strided views of real and of complex buffers."""
+    h = engine._SQRT1_2
+    matrices = [np.array([[h, h], [h, -h]]), engine._ry_matrix(0.83), np.array([[0, -1j], [1j, 0]])]
+    for m in matrices[: 2 if dtype is np.float64 else 3]:
+        for target in range(3):
+            start = random_state(3)
+            start = start.real.copy() if dtype is np.float64 else start
+            kernel, reference = start.copy(), start.copy()
+            if m is matrices[0]:
+                engine._hadamard_pair(*engine._pinned_views(kernel, (), target))
+            else:
+                engine._rotate_pair(*engine._pinned_views(kernel, (), target), m)
+            rotate_pair_reference(*engine._pinned_views(reference, (), target), m)
+            assert np.array_equal(kernel, reference), (m, target)
+
+
+def on_register(k0: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
+    """``k0`` on ``support`` (first listed qubit most significant) as a
+    2^n x 2^n operator, the identity on the other qubits."""
+    order = [*support, *(q for q in range(n) if q not in support)]
+    full = np.kron(k0, np.eye(2 ** (n - len(support)))).reshape((2,) * (2 * n))
+    perm = [order.index(q) for q in range(n)]
+    return full.transpose(perm + [n + p for p in perm]).reshape(2**n, 2**n)
+
+
+def term_with_y_count(n: int, n_y: int, coeff: float) -> PauliTerm:
+    """A random n-qubit Pauli string with exactly ``n_y`` Y factors."""
+    while True:
+        axes = [AXES_POOL[i] for i in rng.choice([0, 1, 3], size=n)]
+        for q in rng.choice(n, size=n_y, replace=False):
+            axes[q] = PauliAxis.Y
+        if any(a is not PauliAxis.I for a in axes):
+            return PauliTerm(coeff, tuple(axes))
+
+
+def k0_oracle_terms() -> list[PauliTerm]:
+    """Every term of H2, LiH and Ising n=4, then random 1-6-qubit terms
+    with odd and with even Y counts, |c| log-uniform in [1e-6, 10]."""
+    terms = [t for h in (build_h2(0.75), build_lih(), build_ising(4, 1.0, 1.2, 0.3)) for t in h.terms]
+    for n in range(1, 7):
+        for n_y in range(n + 1):
+            for _ in range(3):
+                coeff = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-6.0, 1.0))
+                terms.append(term_with_y_count(n, n_y, coeff))
+    return terms
+
+
+@pytest.mark.parametrize("dt", [0.013, 0.05, 0.2])
+def test_noiseless_k0_is_real_exactly_when_its_y_count_is_even(dt):
+    """The noiseless statevector K0 = Post_S diag(c_S) Pre_S, built by
+    Post's kernels on diag(c_S) Pre_S, is a I + b P on S: real for an even
+    number of Y factors and with an imaginary part (b i^#Y) for an odd
+    one. The kernels keep real and imaginary parts apart and turn phases
+    by exact quarter turns, so an even-Y K0 comes out float64 with no
+    tolerance; every K0 matches the postselected operator of the circuit,
+    whose unitary is contracted from the gates' definitions."""
+    for term in k0_oracle_terms():
+        circ = build_pauli_step(term, dt)
+        step = lower_step(circ, StateVector(term.n_qubits))
+        k0 = step.ops[0]
+        n_y = sum(a is PauliAxis.Y for a in term.axes)
+        assert k0.dtype == (np.float64 if n_y % 2 == 0 else np.complex128), term
+        want = postselected_operator(circ)
+        assert np.abs(on_register(k0, step.support, term.n_qubits) - want).max() < 1e-14, term
+
+
+def test_noiseless_lih_run_stays_real(monkeypatch):
+    """A noiseless LiH run from a real initial state keeps its stored state
+    float64 through every one of its measurements."""
+    from pite_sim import pite
+
+    dtypes = set()
+    run = pite.run_step_circuit
+
+    def recording(state, step, rng=None):
+        result = run(state, step, rng)
+        dtypes.add(state._stored.dtype)
+        return result
+
+    monkeypatch.setattr(pite, "run_step_circuit", recording)
+    h = build_lih()
+    spec = InitialState.superposition([(math.sqrt(0.99), "110000"), (0.1, "000011")])
+    result = pite.run_pite(h, prepare_initial(spec, 6), pite.Schedule(dt=0.05, n_steps=20))
+    assert result.completed and dtypes == {np.dtype(np.float64)}
+
+
+@pytest.mark.parametrize("gate", ALL_GATE_SAMPLES, ids=lambda g: type(g).__name__)
+def test_relabel_and_axis_maps_match_the_replaced_gate(gate):
+    """``_relabel`` builds each gate kind through its own constructor; the
+    result equals ``dataclasses.replace`` on the moved qubit fields (a
+    dense block's ``on_qubits``), and the kernels running the original
+    gate through the same map as an axis map give the bitwise same
+    buffer, on the row side and conjugated."""
+    position = {0: 2, 1: 0, 2: 1}
+    moved = engine._relabel(gate, position)
+    if isinstance(gate, DenseBlock):
+        want = gate.on_qubits(tuple(position[q] for q in gate.qubits))
+        assert moved.qubits == want.qubits and moved.matrix is gate.matrix
+    elif isinstance(gate, ConditionalRy):
+        want = dataclasses.replace(
+            gate, register=tuple(position[q] for q in gate.register), target=position[gate.target]
+        )
+        assert moved == want
+    else:
+        fields = [f for f in ("qubit", "control", "target") if hasattr(gate, f)]
+        assert moved == dataclasses.replace(gate, **{f: position[getattr(gate, f)] for f in fields})
+    for conjugate in (False, True):
+        start = random_state(3)
+        by_map, by_gate = start.copy(), start.copy()
+        engine._apply_gate_flat(by_map, 3, gate, position, conjugate)
+        engine._apply_gate_flat(by_gate, 3, moved, range(3), conjugate)
+        assert np.array_equal(by_map, by_gate)
 
 
 def test_cached_arrays_are_read_only():

@@ -54,12 +54,14 @@ def test_schedule_validation():
     assert sched.n_steps == 40
     assert sched.beta == pytest.approx(2.0)
     assert Schedule.from_beta(0.01, 0.05).n_steps == 1
-    for beta in (0.0, -1.0, float("nan")):
-        with pytest.raises(ValueError, match="beta must be positive"):
+    for beta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
             Schedule.from_beta(beta, 0.05)
-    for dt in (0.0, -0.1):
-        with pytest.raises(ValueError, match="dt must be positive"):
+    for dt in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
             Schedule.from_beta(1.0, dt)
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            Schedule(dt=dt, n_steps=1)
 
 
 def test_config_validation():
