@@ -42,6 +42,7 @@ __all__ = [
     "adjoint",
     "adjoint_sequence",
     "synthesize_uk",
+    "check_time",
     "theta_for_coeff",
     "build_pauli_step",
     "build_grouped_step",
@@ -158,7 +159,7 @@ class DenseBlock:
         if matrix.shape != (dim, dim):
             raise ValueError(f"matrix shape {matrix.shape} does not match {len(qubits)} qubits")
         err = np.abs(matrix.conj().T @ matrix - np.eye(dim)).max()
-        if err > 1e-10:
+        if not err <= 1e-10:  # NaN fails too
             raise ValueError(f"dense block is not unitary (deviation {err:.3e})")
         if np.iscomplexobj(matrix) and np.abs(matrix.imag).max() == 0.0:
             matrix = matrix.real  # keep real-valued states on the real path
@@ -337,10 +338,16 @@ def synthesize_uk(term: PauliTerm) -> UkSynthesis:
     return UkSynthesis(circuit=circuit, pivot=pivot, gate_count=len(gates))
 
 
+def check_time(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless the imaginary time ``value`` is positive
+    and finite (NaN is neither)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 def theta_for_coeff(c: float, dt: float) -> float:
     """Ancilla rotation angle 2 arccos(e^{-2 |c| dt}), in [0, pi)."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_time("dt", dt)
     return 2.0 * math.acos(math.exp(-2.0 * abs(c) * dt))
 
 
@@ -368,8 +375,7 @@ def build_grouped_step(block: "GroupedBlock", dt: float) -> Circuit:
     theta_i = 2 arccos(e^{-omega_i dt}) with omega_i = lambda_i - lambda_0,
     so post-selection realizes e^{-(H_block - lambda_0) dt} on the block.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_time("dt", dt)
     support = block.support
     ancilla = block.n_qubits
     basis_change = DenseBlock(support, block.eigenvectors.conj().T)
@@ -414,8 +420,7 @@ def build_ising_block_gates(g: float, h: float, dt: float) -> Circuit:
     conditional branch. Dense-equivalent to ``build_grouped_step`` on the
     same block up to a global phase on the post-selected branch.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    check_time("dt", dt)
     # B is block-diagonal in qubit 1: on the qubit-1=0 (resp. 1) subspace it
     # is -r_a (cos a_a Z + sin a_a X) on qubit 0, with the angles below.
     alpha_a = math.atan2(g, 1.0 + h)

@@ -1,8 +1,9 @@
 """Command-line frontend: single runs, parameter sweeps and bound curves.
 
 Every run writes three artifacts next to ``--out``: ``<out>.csv`` (the
-trace), ``<out>.json`` (the trace plus metadata) and ``<out>.manifest.json``
-(the exact inputs; ``run --manifest`` replays it). CSV numbers carry 17
+trace), ``<out>.json`` (the manifest, whether the run completed, its
+restart count and the trace records) and ``<out>.manifest.json`` (the
+exact inputs; ``run --manifest`` replays it). CSV numbers carry 17
 significant digits so postselect traces are byte-reproducible.
 
 Exit codes: 0 success, 1 usage error, 2 annihilated evolution or exhausted
@@ -11,6 +12,7 @@ restart budget.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -23,6 +25,7 @@ import numpy as np
 from . import __version__, analysis
 from .engine import EvolutionAnnihilatedError, NoiseModel
 from .grouping import (
+    GroupedBlock,
     group_hamiltonian,
     ising_local_grouping,
     lih_groupspec,
@@ -55,8 +58,9 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_row(cells) -> str:
+    """One CSV line: floats with 17 significant digits, integers as is."""
+    return ",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in cells)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,29 +133,25 @@ def _require(cond: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _build_model(args: argparse.Namespace) -> tuple[PauliHamiltonian, dict]:
-    meta: dict = {"model": args.model}
+def _build_model(args: argparse.Namespace) -> PauliHamiltonian:
     if args.model == "h2":
         _require(args.R is not None, "--model h2 needs --R")
-        meta["R"] = args.R
         try:
-            return build_h2(args.R), meta
+            return build_h2(args.R)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if args.model == "lih":
-        return build_lih(), meta
+        return build_lih()
     if args.model == "ising":
         _require(args.n is not None, "--model ising needs --n")
-        meta.update(n=args.n, J=args.J, g=args.g, h=args.h)
         try:
-            return build_ising(args.n, args.J, args.g, args.h), meta
+            return build_ising(args.n, args.J, args.g, args.h)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
     if args.model == "file":
         _require(args.file is not None, "--model file needs --file")
-        meta["file"] = str(args.file)
         try:
-            return parse_hamiltonian(args.file.read_text()), meta
+            return parse_hamiltonian(args.file.read_text())
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load {args.file}: {exc}") from None
     raise UsageError(f"unknown model {args.model}")
@@ -161,71 +161,58 @@ def _default_init(model: str) -> str:
     return {"h2": "hf", "lih": "hf", "ising": "product"}.get(model, "zeros")
 
 
-def _build_init(args: argparse.Namespace, h: PauliHamiltonian) -> tuple[np.ndarray, dict]:
+def _build_init(args: argparse.Namespace, h: PauliHamiltonian) -> np.ndarray:
     kind = args.init if args.init is not None else _default_init(args.model)
-    meta = {"init": kind}
     if kind == "hf":
         _require(args.model in ("h2", "lih"), "--init hf is defined for h2 and lih")
-        bits = "00" if args.model == "h2" else "110000"
-        return prepare_initial(InitialState.basis(bits), h.n_qubits), meta
-    if kind == "superposition":
+        spec = InitialState.basis("00" if args.model == "h2" else "110000")
+    elif kind == "superposition":
         _require(args.model == "lih", "--init superposition is defined for lih")
         spec = InitialState.superposition([(math.sqrt(0.99), "110000"), (0.1, "000011")])
-        return prepare_initial(spec, h.n_qubits), meta
-    if kind == "product":
+    elif kind == "product":
         _require(args.model == "ising", "--init product is defined for ising")
-        return (
-            prepare_initial(
-                InitialState.product(ising_params=(args.J, args.g, args.h)), h.n_qubits
-            ),
-            meta,
-        )
-    if kind == "zeros":
-        return prepare_initial(InitialState.basis("0" * h.n_qubits), h.n_qubits), meta
-    if set(kind) <= {"0", "1"}:
+        spec = InitialState.product(ising_params=(args.J, args.g, args.h))
+    elif kind == "zeros":
+        spec = InitialState.basis("0" * h.n_qubits)
+    elif set(kind) <= {"0", "1"}:
         _require(len(kind) == h.n_qubits, f"basis string needs {h.n_qubits} bits")
-        return prepare_initial(InitialState.basis(kind), h.n_qubits), meta
-    raise UsageError(f"unknown init {kind!r}")
+        spec = InitialState.basis(kind)
+    else:
+        raise UsageError(f"unknown init {kind!r}")
+    return prepare_initial(spec, h.n_qubits)
 
 
-def _build_grouping(args: argparse.Namespace, h: PauliHamiltonian):
-    """Returns (blocks or None, meta). None means per-Pauli evolution."""
+def _build_grouping(args: argparse.Namespace, h: PauliHamiltonian) -> list[GroupedBlock] | None:
+    """The grouped blocks, or None for per-Pauli evolution."""
     choice = args.grouping
     if choice in (None, "pauli"):
-        return None, {"grouping": "pauli"}
+        return None
     if choice == "ising-local":
         _require(args.model == "ising", "--grouping ising-local is defined for ising")
-        _, blocks = ising_local_grouping(args.n, args.J, args.g, args.h)
-        return blocks, {"grouping": "ising-local"}
+        return ising_local_grouping(args.n, args.J, args.g, args.h)[1]
     if choice == "lih-22":
-        spec, name = lih_groupspec(), choice
+        spec = lih_groupspec()
     else:
-        path = Path(choice)
         try:
-            spec = parse_groupspec(path.read_text())
+            spec = parse_groupspec(Path(choice).read_text())
         except (OSError, ValueError) as exc:
             raise UsageError(f"cannot load grouping {choice}: {exc}") from None
-        name = str(path)
     try:
-        blocks = group_hamiltonian(h, spec)
+        return group_hamiltonian(h, spec)
     except ValueError as exc:
         raise UsageError(f"cannot use grouping {choice}: {exc}") from None
-    return blocks, {"grouping": name}
 
 
-def _build_config(args: argparse.Namespace, h: PauliHamiltonian) -> tuple[RunConfig, dict]:
+def _build_config(args: argparse.Namespace) -> RunConfig:
     noise = None
-    meta: dict = {}
     if args.noise:
         try:
             eps_r, eps_d = (float(tok) for tok in args.noise.split(","))
             noise = NoiseModel(eps_r, eps_d)
         except ValueError as exc:
             raise UsageError(f"bad --noise value: {exc}") from None
-        meta["noise"] = {"eps_r": noise.eps_r, "eps_d": noise.eps_d}
-    meta.update(mode=args.mode, seed=args.seed)
     try:
-        config = RunConfig(
+        return RunConfig(
             mode=args.mode,
             noise=noise,
             seed=args.seed,
@@ -233,10 +220,8 @@ def _build_config(args: argparse.Namespace, h: PauliHamiltonian) -> tuple[RunCon
             restart_budget=args.restart_budget,
             trajectories=args.trajectories,
         )
-        check_capacity(h, config)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    return config, meta
 
 
 def _write_trace(out: Path, result: RunResult, manifest: dict) -> None:
@@ -246,20 +231,7 @@ def _write_trace(out: Path, result: RunResult, manifest: dict) -> None:
             raise AssertionError(
                 f"trace row {r.step} violates p_cum >= rlb ({r.p_cum} < {r.rlb})"
             )
-        rows.append(
-            ",".join(
-                [
-                    str(r.step),
-                    _fmt(r.beta),
-                    _fmt(r.energy),
-                    _fmt(r.fidelity),
-                    _fmt(r.p_cum),
-                    _fmt(r.rlb),
-                    _fmt(r.alb),
-                    str(r.restarts),
-                ]
-            )
-        )
+        rows.append(_csv_row(dataclasses.astuple(r)))
     out.parent.mkdir(parents=True, exist_ok=True)
     out.with_suffix(".csv").write_text("\n".join(rows) + "\n")
     payload = {
@@ -272,8 +244,8 @@ def _write_trace(out: Path, result: RunResult, manifest: dict) -> None:
     out.with_suffix(".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _manifest_from_args(args: argparse.Namespace, extra: dict) -> dict:
-    manifest = {
+def _manifest_from_args(args: argparse.Namespace) -> dict:
+    return {
         "tool": "pite-sim",
         "version": __version__,
         "command": "run",
@@ -295,8 +267,6 @@ def _manifest_from_args(args: argparse.Namespace, extra: dict) -> dict:
             "record_every": args.record_every,
         },
     }
-    manifest.update(extra)
-    return manifest
 
 
 def _args_from_manifest(path: Path, args: argparse.Namespace) -> argparse.Namespace:
@@ -336,26 +306,33 @@ def _schedule(beta: float, dt: float, order: int) -> Schedule:
         raise UsageError(str(exc)) from None
 
 
-def _execute_run(args: argparse.Namespace) -> tuple[RunResult, dict]:
-    h, model_meta = _build_model(args)
-    init, init_meta = _build_init(args, h)
-    blocks, group_meta = _build_grouping(args, h)
-    config, config_meta = _build_config(args, h)
+def _execute_run(
+    args: argparse.Namespace,
+) -> tuple[RunResult, PauliHamiltonian, np.ndarray, analysis.SpectrumInfo]:
+    """The run ``args`` describe; returns its result, Hamiltonian, initial
+    state and exact spectrum."""
+    h = _build_model(args)
+    init = _build_init(args, h)
+    blocks = _build_grouping(args, h)
+    config = _build_config(args)
+    try:
+        check_capacity(h, config)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     schedule = _schedule(args.beta, args.dt, args.order)
+    spectrum = analysis.diagonalize(h, init)
     if blocks is None:
-        result = run_pite(h, init, schedule, config)
+        result = run_pite(h, init, schedule, config, spectrum=spectrum)
     else:
-        result = run_generalized(h, blocks, init, schedule, config)
-    meta = {**model_meta, **init_meta, **group_meta, **config_meta}
-    return result, meta
+        result = run_generalized(h, blocks, init, schedule, config, spectrum=spectrum)
+    return result, h, init, spectrum
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     if args.manifest is not None:
         args = _args_from_manifest(args.manifest, args)
-    result, meta = _execute_run(args)
-    manifest = _manifest_from_args(args, {})
-    _write_trace(args.out, result, manifest)
+    result = _execute_run(args)[0]
+    _write_trace(args.out, result, _manifest_from_args(args))
     final = result.records[-1]
     print(
         f"run: beta={final.beta:g} energy={final.energy:.10g} "
@@ -384,46 +361,27 @@ def _sweep_values(args: argparse.Namespace) -> list[float] | list[int]:
     raise UsageError(f"--axis {args.axis} needs --values")
 
 
-def _sweep_point(payload: tuple) -> list[str]:
+def _sweep_point(payload: tuple) -> str:
     args, axis, value = payload
-    if axis == "R":
-        args.R = value
-    elif axis == "dt":
-        args.dt = value
-    elif axis == "beta":
-        args.beta = value
-    elif axis == "seed":
-        args.seed = value
-    result, _ = _execute_run(args)
-    h, _ = _build_model(args)
-    init, _ = _build_init(args, h)
-    spectrum = analysis.diagonalize(h, init)
-    ite_vec = analysis.exact_ite_state(h, init, result.final.beta)
-    hmat = h.dense_matrix()
-    e_ite = float(np.real(np.vdot(ite_vec, hmat @ ite_vec)))
+    setattr(args, axis, value)  # the axis names are the argument names
+    result, h, init, spectrum = _execute_run(args)
     final = result.final
-    return [
-        _fmt(value),
-        _fmt(final.energy),
-        _fmt(final.fidelity),
-        _fmt(final.p_cum),
-        _fmt(final.rlb),
-        _fmt(final.alb),
-        _fmt(spectrum.e0),
-        _fmt(e_ite),
-        _fmt(abs(final.energy - e_ite)),
-        str(result.restarts),
-        str(int(result.completed)),
-    ]
+    ite_vec = analysis.exact_ite_state(h, init, final.beta)
+    e_ite = float(np.real(np.vdot(ite_vec, h.dense_matrix() @ ite_vec)))
+    return _csv_row([  # float(value): a seed prints with 17 digits too
+        float(value), final.energy, final.fidelity, final.p_cum, final.rlb, final.alb,
+        spectrum.e0, e_ite, abs(final.energy - e_ite), result.restarts, int(result.completed),
+    ])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     values = _sweep_values(args)
     if not values:
         raise UsageError("empty sweep")
-    if args.axis in ("dt", "beta"):  # every point's schedule, before any point runs
-        for v in values:
-            _schedule(**{"beta": args.beta, "dt": args.dt, args.axis: v}, order=args.order)
+    for v in values:  # every point's schedule and config, before any point runs
+        point = argparse.Namespace(**{**vars(args), args.axis: v})
+        _schedule(point.beta, point.dt, point.order)
+        _build_config(point)
     payloads = [(args, args.axis, v) for v in values]
     threads = os.environ.get("PITE_SIM_THREADS", "1")
     try:
@@ -437,7 +395,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = [_sweep_point(p) for p in payloads]
     out = args.out.with_suffix(".csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text("\n".join([SWEEP_HEADER] + [",".join(r) for r in rows]) + "\n")
+    out.write_text("\n".join([SWEEP_HEADER, *rows]) + "\n")
     print(f"sweep: {len(rows)} points -> {out}")
     return 0
 
@@ -448,9 +406,9 @@ ANALYZE_HEADER = "beta,rlb,alb,alb_generalized,fidelity_bound"
 def cmd_analyze(args: argparse.Namespace) -> int:
     _require(0.0 <= args.beta < math.inf, "--beta must be nonnegative and finite")
     _require(args.beta_points >= 1, "--beta-points must be positive")
-    h, _ = _build_model(args)
-    init, _ = _build_init(args, h)
-    blocks, _ = _build_grouping(args, h)
+    h = _build_model(args)
+    init = _build_init(args, h)
+    blocks = _build_grouping(args, h)
     spectrum = analysis.diagonalize(h, init)
     kappa0, kappa1 = analysis.kappa_exponents(h, spectrum)
     print(f"E0 = {spectrum.e0:.12g}")
@@ -462,19 +420,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     betas = np.linspace(0.0, args.beta, args.beta_points)
     minima = sum_block_minima(blocks) if blocks is not None else -h.abs_coeff_sum
     rows = [ANALYZE_HEADER]
-    for beta in betas:
-        beta = float(beta)
-        rows.append(
-            ",".join(
-                [
-                    _fmt(beta),
-                    _fmt(analysis.rlb(h, beta)),
-                    _fmt(analysis.alb(h, spectrum, beta)),
-                    _fmt(analysis.alb_generalized(h, minima, spectrum, beta)),
-                    _fmt(analysis.fidelity_bound(spectrum.s0, spectrum.gap1, beta)),
-                ]
-            )
-        )
+    for beta in map(float, betas):
+        rows.append(_csv_row([
+            beta,
+            analysis.rlb(h, beta),
+            analysis.alb(h, spectrum, beta),
+            analysis.alb_generalized(h, minima, spectrum, beta),
+            analysis.fidelity_bound(spectrum.s0, spectrum.gap1, beta),
+        ]))
     text = "\n".join(rows) + "\n"
     if args.out is None:
         sys.stdout.write(text)

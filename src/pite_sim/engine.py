@@ -392,17 +392,17 @@ def _outcome(
 
     ``kept`` and ``jumped`` are the weights that reach outcome 0 without
     and with the ancilla's E2 jump, so prob0 is their sum. A sum over 1 by
-    more than 1e-9 means a step that is not a measurement and raises;
-    rounding below that clamps it to 1. A prob0 below the annihilation
-    threshold raises. With ``branch`` (a statevector trajectory of a noisy
-    ancilla), outcome 0 takes one draw r and keeps the jump branch when
-    r prob0 >= kept. Returns the result and whether the jump branch is
-    kept.
+    more than 1e-9, or a NaN sum, means a step that is not a measurement
+    and raises; rounding below that clamps it to 1. A prob0 below the
+    annihilation threshold raises. With ``branch`` (a statevector
+    trajectory of a noisy ancilla), outcome 0 takes one draw r and keeps
+    the jump branch when r prob0 >= kept. Returns the result and whether
+    the jump branch is kept.
     """
     if rng is None and branch:
         raise ValueError("a sampled noise branch needs an rng")
-    if kept + jumped > 1.0 + 1e-9:
-        raise ValueError(f"ancilla-0 probability {kept + jumped!r} exceeds 1")
+    if not kept + jumped <= 1.0 + 1e-9:  # NaN fails too
+        raise ValueError(f"ancilla-0 probability {kept + jumped!r} exceeds 1 or is NaN")
     prob0 = min(kept + jumped, 1.0)
     if prob0 < ANNIHILATION_THRESHOLD:
         raise EvolutionAnnihilatedError(

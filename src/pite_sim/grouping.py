@@ -95,7 +95,8 @@ class GroupedBlock:
         dim = 2 ** len(support)
         if matrix.shape != (dim, dim):
             raise ValueError(f"block matrix shape {matrix.shape} does not match support")
-        if np.abs(matrix - matrix.conj().T).max() > 1e-12 * max(1.0, np.abs(matrix).max()):
+        scale = max(1.0, np.abs(matrix).max())
+        if not np.abs(matrix - matrix.conj().T).max() <= 1e-12 * scale:  # NaN fails too
             raise ValueError("block matrix is not Hermitian")
         self.n_qubits = n_qubits
         self.support = tuple(support)

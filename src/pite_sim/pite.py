@@ -7,13 +7,17 @@ of all ancilla-0 probabilities is the run's cumulative success
 probability; it is recorded next to the rigorous and approximate lower
 bounds so traces can be checked against them row by row.
 
+``run_pite`` (one step circuit per Pauli term) and ``run_generalized``
+(one per grouped block) are thin wrappers over one driver, ``_run``. They
+differ only in the step builder, the terms or blocks it builds from, and
+sum_k lambda[k]_0 of the recorded ALB column.
+
 The identity offset of the Hamiltonian never enters the circuits; it is
 added back when energies are reported.
 """
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,7 +25,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import SpectrumInfo
-from .circuit import Circuit, build_grouped_step, build_pauli_step
+from .circuit import Circuit, build_grouped_step, build_pauli_step, check_time
 from .engine import (
     DensityMatrix,
     EvolutionAnnihilatedError,
@@ -46,13 +50,6 @@ __all__ = [
 ]
 
 
-def _check_time(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless the imaginary time ``value`` is positive
-    and finite (NaN is neither)."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class Schedule:
     """Imaginary-time grid: ``n_steps`` Trotter steps of size ``dt``."""
@@ -62,7 +59,7 @@ class Schedule:
     order: int = 1
 
     def __post_init__(self) -> None:
-        _check_time("dt", self.dt)
+        check_time("dt", self.dt)
         if self.n_steps < 1:
             raise ValueError("need at least one step")
         if self.order not in (1, 2):
@@ -77,7 +74,7 @@ class Schedule:
         """The grid of step ``dt`` that reaches ``beta`` to the nearest
         step (one step at least)."""
         schedule = Schedule(dt=dt, n_steps=1, order=order)  # checks dt and order
-        _check_time("beta", beta)
+        check_time("beta", beta)
         return dataclasses.replace(schedule, n_steps=max(1, round(beta / dt)))
 
 
@@ -95,6 +92,8 @@ class RunConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "sample" and self.seed is None:
             raise ValueError("sample mode needs a seed")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.trajectories is not None:
             if self.trajectories < 1:
                 raise ValueError("trajectory count must be positive")
@@ -131,21 +130,15 @@ class RunResult:
         return self.records[-1]
 
 
-def _step_circuits(h: PauliHamiltonian, schedule: Schedule) -> list[Circuit]:
-    """Circuits of one Trotter step, in execution order.
+def _step_circuits(build: Callable, items, schedule: Schedule) -> list[Circuit]:
+    """Circuits of one Trotter step, ``build(item, dt)`` per term or block
+    in ``items``, in execution order.
 
-    Order 1 walks the terms once with dt; order 2 walks them with dt/2 and
+    Order 1 walks the items once with dt; order 2 walks them with dt/2 and
     then again in reverse (the palindromic product)."""
     if schedule.order == 1:
-        return [build_pauli_step(t, schedule.dt) for t in h.terms]
-    half = [build_pauli_step(t, schedule.dt / 2.0) for t in h.terms]
-    return half + half[::-1]
-
-
-def _grouped_step_circuits(blocks: list[GroupedBlock], schedule: Schedule) -> list[Circuit]:
-    if schedule.order == 1:
-        return [build_grouped_step(b, schedule.dt) for b in blocks]
-    half = [build_grouped_step(b, schedule.dt / 2.0) for b in blocks]
+        return [build(item, schedule.dt) for item in items]
+    half = [build(item, schedule.dt / 2.0) for item in items]
     return half + half[::-1]
 
 
@@ -164,7 +157,7 @@ def _check_trace(state: DensityMatrix, step: int) -> None:
     than ``TRACE_TOLERANCE``: every step keeps it at 1 (noisy LiH after
     4880 steps is off by 4.4e-16), so more means broken arithmetic."""
     trace = state.trace()
-    if abs(trace - 1.0) > TRACE_TOLERANCE:
+    if not abs(trace - 1.0) <= TRACE_TOLERANCE:  # NaN fails too
         raise ValueError(
             f"density-matrix trace {trace!r} at Trotter step {step} is off 1 by more than "
             f"{TRACE_TOLERANCE}"
@@ -210,14 +203,6 @@ def replay_restarts(
         draws = draws[failed[0] + 1 :]
 
 
-def _alb_column(alb_at: Callable[[float], float], spectrum: SpectrumInfo):
-    """The trace's ALB column; vacuous 0 when the init has no ground overlap
-    (the bound formula itself is undefined there)."""
-    if spectrum.s0 <= 0.0:
-        return lambda beta: 0.0
-    return alb_at
-
-
 def check_capacity(h: PauliHamiltonian, config: RunConfig) -> None:
     """Reject a noisy density-matrix run above 12 work qubits (the state
     holds no ancilla; at 12 the matrix takes 128 or 256 MiB)."""
@@ -229,15 +214,23 @@ def check_capacity(h: PauliHamiltonian, config: RunConfig) -> None:
         )
 
 
-def _execute(
+def _run(
     h: PauliHamiltonian,
-    step_circuits: list[Circuit],
+    build: Callable,
+    items,
+    minima: float,
     init: np.ndarray,
     schedule: Schedule,
     config: RunConfig,
-    spectrum: SpectrumInfo,
-    alb_at: Callable[[float], float],
+    spectrum: SpectrumInfo | None,
 ) -> RunResult:
+    """The run path of ``run_pite`` and ``run_generalized``: ``build(item,
+    dt)`` synthesizes the step circuit of each term or block in ``items``,
+    and ``minima`` is the sum_k lambda[k]_0 of the ALB column."""
+    check_capacity(h, config)
+    if spectrum is None:
+        spectrum = analysis.diagonalize(h, init)
+    step_circuits = _step_circuits(build, items, schedule)
     noise = config.noise if config.noise is not None and not config.noise.is_identity else None
     trajectory = config.trajectories is not None
     # the state type selects exact (density matrix) or sampled noise
@@ -249,6 +242,8 @@ def _execute(
     lowered = {id(c): c for c in step_circuits}
     lowered = {key: lower_step(c, start, noise) for key, c in lowered.items()}
     steps = [lowered[id(c)] for c in step_circuits]
+    # the ALB formula is undefined without ground overlap; its column reads 0
+    overlap = spectrum.s0 > 0.0
 
     def record(step: int, state, p_cum: float, restarts: int) -> TraceRecord:
         beta = step * schedule.dt
@@ -261,7 +256,7 @@ def _execute(
             fidelity=_work_fidelity(state, spectrum),
             p_cum=p_cum,
             rlb=analysis.rlb(h, beta),
-            alb=alb_at(beta),
+            alb=analysis.alb_generalized(h, minima, spectrum, beta) if overlap else 0.0,
             restarts=restarts,
         )
 
@@ -336,15 +331,11 @@ def _trajectory_average(attempt, config: RunConfig) -> RunResult:
                 f"every trajectory has weight 0 at step {full[i].step}"
             )
         merged.append(
-            TraceRecord(
-                step=rows[0].step,
-                beta=rows[0].beta,
+            dataclasses.replace(
+                rows[0],
                 energy=float(np.dot(weights, [r.energy for r in rows]) / wsum),
                 fidelity=float(np.dot(weights, [r.fidelity for r in rows]) / wsum),
                 p_cum=wsum / len(runs),
-                rlb=rows[0].rlb,
-                alb=rows[0].alb,
-                restarts=0,
             )
         )
     return RunResult(records=merged, restarts=0, completed=True)
@@ -372,14 +363,7 @@ def run_pite(
     spectrum : SpectrumInfo, optional
         Precomputed exact spectrum (avoids re-diagonalizing in sweeps).
     """
-    check_capacity(h, config)
-    if spectrum is None:
-        spectrum = analysis.diagonalize(h, init)
-    circuits = _step_circuits(h, schedule)
-    return _execute(
-        h, circuits, init, schedule, config, spectrum,
-        alb_at=_alb_column(lambda beta: analysis.alb(h, spectrum, beta), spectrum),
-    )
+    return _run(h, build_pauli_step, h.terms, -h.abs_coeff_sum, init, schedule, config, spectrum)
 
 
 def run_generalized(
@@ -392,14 +376,5 @@ def run_generalized(
 ) -> RunResult:
     """Generalized evolution over grouped Hermitian blocks; the recorded
     ALB column uses the grouped formula with sum_k lambda[k]_0."""
-    check_capacity(h, config)
-    if spectrum is None:
-        spectrum = analysis.diagonalize(h, init)
     minima = sum_block_minima(blocks)
-    circuits = _grouped_step_circuits(blocks, schedule)
-    return _execute(
-        h, circuits, init, schedule, config, spectrum,
-        alb_at=_alb_column(
-            lambda beta: analysis.alb_generalized(h, minima, spectrum, beta), spectrum
-        ),
-    )
+    return _run(h, build_grouped_step, blocks, minima, init, schedule, config, spectrum)

@@ -79,7 +79,7 @@ def kraus_sum_oracle(
     dim = 2**n
     keep0 = np.tile([1.0, 0.0], dim // 2)  # ancilla is the least significant bit
     steps = []
-    for c in _step_circuits(h, schedule):
+    for c in _step_circuits(build_pauli_step, h.terms, schedule):
         pre = gates_unitary(c.pre_measure, n)
         post = gates_unitary(c.post_measure, n)
         # the program's split of the circuit at its measurement is this one
@@ -431,7 +431,8 @@ def test_criterion_09_trotter_order_scaling(h2_setup):
     def deviation(dt: float, order: int) -> float:
         state = StateVector(h.n_qubits, init)
         sched = Schedule.from_beta(1.0, dt, order=order)
-        steps = [lower_step(c, state) for c in _step_circuits(h, sched)]
+        circuits = _step_circuits(build_pauli_step, h.terms, sched)
+        steps = [lower_step(c, state) for c in circuits]
         for _ in range(sched.n_steps):
             for step in steps:
                 run_step_circuit(state, step)

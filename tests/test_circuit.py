@@ -17,6 +17,7 @@ from pite_sim.circuit import (
     Ry,
     adjoint,
     adjoint_sequence,
+    build_grouped_step,
     build_ising_block_gates,
     build_pauli_step,
     gate_count,
@@ -25,6 +26,7 @@ from pite_sim.circuit import (
     theta_for_coeff,
 )
 from pite_sim.engine import circuit_unitary, gates_unitary
+from pite_sim.grouping import GroupedBlock
 from pite_sim.hamiltonian import PauliAxis, PauliTerm
 
 rng = np.random.default_rng(77)
@@ -193,6 +195,26 @@ def test_dense_block_validation():
         DenseBlock((0,), np.array([[1.0, 0.0], [0.0, 2.0]]))
     with pytest.raises(ValueError, match="shape"):
         DenseBlock((0, 1), np.eye(2))
+
+
+def test_dense_block_rejects_a_nan_matrix():
+    # NaN must fail the unitarity tolerance, not compare as within it
+    with pytest.raises(ValueError, match="not unitary"):
+        DenseBlock((0,), np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
+def test_step_builders_reject_a_step_that_is_not_positive_and_finite(dt):
+    # one check for every builder: NaN and inf are not positive and finite
+    builders = [
+        lambda: build_pauli_step(PauliTerm.from_string(0.5, "XZ"), dt),
+        lambda: build_grouped_step(GroupedBlock(1, (0,), np.diag([1.0, -1.0])), dt),
+        lambda: build_ising_block_gates(1.2, 0.3, dt),
+        lambda: theta_for_coeff(0.5, dt),
+    ]
+    for build in builders:
+        with pytest.raises(ValueError, match="dt must be positive and finite"):
+            build()
 
 
 def test_conditional_ry_validation():

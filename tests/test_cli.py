@@ -1,9 +1,13 @@
 """Tests for the command-line frontend and its trace artifacts."""
 import json
 
+import numpy as np
 import pytest
 
+from pite_sim.analysis import diagonalize, exact_ite_state
+from pite_sim import cli
 from pite_sim.cli import main
+from pite_sim.hamiltonian import InitialState, build_ising, prepare_initial
 
 H2_E0 = -1.1371172959689005  # dense 4x4 diagonalization at R=0.75
 
@@ -37,15 +41,28 @@ def test_run_h2_writes_artifacts(tmp_path):
     assert out.with_suffix(".manifest.json").exists()
 
 
-def test_run_manifest_replay_is_byte_identical(tmp_path):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--model", "h2", "--R", "0.75", "--beta", "1"],
+        ["--model", "ising", "--n", "4", "--g", "1.2", "--h", "0.3", "--grouping", "ising-local",
+         "--mode", "sample", "--seed", "3", "--dt", "0.1", "--beta", "1"],
+        ["--model", "lih", "--noise", "1e-5,1e-5", "--beta", "0.1"],
+        ["--model", "h2", "--R", "0.75", "--noise", "1e-3,1e-3", "--trajectories", "4",
+         "--seed", "5", "--order", "2", "--dt", "0.1", "--beta", "0.5"],
+    ],
+    ids=["h2-postselect", "ising-grouped-sample", "lih-noisy", "h2-trajectories"],
+)
+def test_run_manifest_replay_is_byte_identical(tmp_path, argv):
     out1 = tmp_path / "first"
-    assert main(["run", "--model", "h2", "--R", "0.75", "--beta", "1", "--out", str(out1)]) == 0
+    assert main(["run", *argv, "--out", str(out1)]) == 0
     out2 = tmp_path / "second"
     assert main(
         ["run", "--model", "h2", "--manifest", str(out1.with_suffix(".manifest.json")),
          "--out", str(out2)]
     ) == 0
-    assert out1.with_suffix(".csv").read_bytes() == out2.with_suffix(".csv").read_bytes()
+    for suffix in (".csv", ".json", ".manifest.json"):
+        assert out1.with_suffix(suffix).read_bytes() == out2.with_suffix(suffix).read_bytes()
 
 
 def test_run_manifest_missing_file_usage_error(tmp_path, capsys):
@@ -225,6 +242,22 @@ def test_sweep_seed_axis_success_fraction(tmp_path):
     assert all(r["completed"] in ("0", "1") for r in rows)
 
 
+def test_sweep_row_reports_the_exact_and_trotterized_energies(tmp_path):
+    out = tmp_path / "ising"
+    assert main(["sweep", *ISING4, "--grouping", "ising-local", "--axis", "beta",
+                 "--values", "0.5,1", "--dt", "0.1", "--out", str(out)]) == 0
+    h = build_ising(4, 1.0, 1.2, 0.3)
+    init = prepare_initial(InitialState.product(ising_params=(1.0, 1.2, 0.3)), 4)
+    e0 = diagonalize(h, init).e0
+    _, rows = read_csv(out.with_suffix(".csv"))
+    for row, beta in zip(rows, (0.5, 1.0)):
+        ite = exact_ite_state(h, init, beta)
+        e_ite = float(np.real(np.vdot(ite, h.dense_matrix() @ ite)))
+        assert float(row["e_exact"]) == e0
+        assert float(row["e_ite"]) == e_ite
+        assert float(row["trotter_err"]) == abs(float(row["energy"]) - e_ite)
+
+
 def test_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
     # PITE_SIM_THREADS > 1 sends each sweep point to a worker process
     args = ["sweep", "--model", "h2", "--R", "0.75", "--axis", "dt",
@@ -310,15 +343,22 @@ H2_FLAGS = ["--model", "h2", "--R", "0.75"]
         (["analyze", *H2_FLAGS, "--beta", "inf"], "--beta must be nonnegative and finite"),
         (["sweep", *H2_FLAGS, "--axis", "seed", "--values", "1.5,2.7"],
          "--values must be a comma-separated integer list"),
+        (["run", *H2_FLAGS, "--mode", "sample", "--seed", "-1", "--beta", "0.2", "--dt", "0.1"],
+         "seed must be nonnegative, got -1"),
+        (["sweep", *H2_FLAGS, "--axis", "seed", "--values", "1,-1", "--mode", "sample"],
+         "seed must be nonnegative, got -1"),
     ],
     ids=["run-dt-0", "run-dt-negative", "run-beta-0", "run-negative-budget", "sweep-dt",
          "sweep-beta", "analyze-beta", "analyze-beta-points", "run-beta-inf", "run-dt-inf",
-         "run-dt-nan", "sweep-dt-inf", "analyze-beta-inf", "sweep-seed-fraction"],
+         "run-dt-nan", "sweep-dt-inf", "analyze-beta-inf", "sweep-seed-fraction",
+         "run-negative-seed", "sweep-negative-seed"],
 )
-def test_bad_schedule_is_a_usage_error(tmp_path, capsys, argv, message):
-    """Each exits 1 with ``error:`` before anything is printed or written,
-    where it raised a traceback, ran at another beta, ran an infinite step
-    or ran the integer parts of fractional seeds."""
+def test_bad_schedule_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    """Each exits 1 with ``error:`` before anything is printed or written
+    and, in a sweep, before any point runs, where it raised a traceback,
+    ran at another beta, ran an infinite step, ran the integer parts of
+    fractional seeds or ran the points before a negative seed."""
+    monkeypatch.setattr(cli, "_sweep_point", lambda payload: pytest.fail("a sweep point ran"))
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

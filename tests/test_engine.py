@@ -676,6 +676,21 @@ def test_step_whose_outcome_weight_exceeds_one_raises():
     assert np.array_equal(steps[0][0].data, psi) and np.array_equal(steps[1][0].data, rho)
 
 
+def test_step_whose_outcome_weight_is_nan_raises():
+    """A hand-built Ry(nan) step on the ancilla gives outcome-0 weight NaN,
+    which must fail the weight check on either state type before the
+    state changes, not return prob0 = nan and leave a NaN state."""
+    for state in (DensityMatrix(1), StateVector(2)):
+        n = state.n_qubits
+        before = state.data.copy()
+        circ = Circuit(n_work=n, has_ancilla=True, gates=(Ry(math.nan, n),), measure_point=1)
+        with pytest.raises(ValueError, match="is NaN"):
+            run_step_circuit(state, lower_step(circ, state))
+        assert np.array_equal(state.data, before)
+    with pytest.raises(ValueError, match="is NaN"):
+        engine._outcome(math.nan, 0.0, None, False)
+
+
 def test_measure_ancilla_jump_branch_needs_rng():
     # a noisy ancilla on a statevector samples its branch: no rng is a
     # ValueError, raised before the state changes

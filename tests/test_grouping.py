@@ -109,6 +109,12 @@ def test_grouped_block_rejects_non_hermitian():
         GroupedBlock(1, (0,), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_grouped_block_rejects_a_nan_matrix():
+    # NaN must fail the Hermiticity tolerance, not reach eigh
+    with pytest.raises(ValueError, match="Hermitian"):
+        GroupedBlock(1, (0,), np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
 def test_grouped_block_real_matrix_gives_float64_eigenvectors():
     block = GroupedBlock(2, (0, 1), np.diag([3.0, -1.0, 2.0, 0.5]).astype(complex))
     assert block.eigenvectors.dtype == np.float64

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pite_sim.analysis import diagonalize, exact_ite_state, rlb
+from pite_sim.circuit import build_grouped_step, build_pauli_step
 from pite_sim.engine import (
     DensityMatrix,
     EvolutionAnnihilatedError,
@@ -34,7 +35,7 @@ from pite_sim.pite import (
     RunConfig,
     Schedule,
     TraceRecord,
-    _grouped_step_circuits,
+    _check_trace,
     _step_circuits,
     _trajectory_average,
     check_capacity,
@@ -73,6 +74,10 @@ def test_config_validation():
         RunConfig(trajectories=4)
     with pytest.raises(ValueError, match="restart_budget"):
         RunConfig(mode="sample", seed=1, restart_budget=-1)
+    for config in ({"mode": "sample"}, {"trajectories": 4}, {}):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            RunConfig(seed=-1, **config)
+    assert RunConfig(seed=0).seed == 0
     assert RunConfig(mode="sample", seed=1, restart_budget=0).restart_budget == 0
 
 
@@ -154,7 +159,7 @@ def test_identity_offset_only_in_energy():
 def test_order2_sequence_is_palindrome():
     h = build_h2(0.75)
     sched = Schedule(dt=0.2, n_steps=1, order=2)
-    circuits = _step_circuits(h, sched)
+    circuits = _step_circuits(build_pauli_step, h.terms, sched)
     assert len(circuits) == 2 * h.n_terms
     from pite_sim.engine import postselected_operator
 
@@ -177,7 +182,8 @@ def test_order2_beats_order1():
         res = run_pite(h, init, Schedule.from_beta(1.0, 0.2, order=order), RunConfig())
         # state-level deviation via the energy trace is too indirect; replay
         state = StateVector(2, init)
-        circuits = _step_circuits(h, Schedule.from_beta(1.0, 0.2, order=order))
+        sched = Schedule.from_beta(1.0, 0.2, order=order)
+        circuits = _step_circuits(build_pauli_step, h.terms, sched)
         steps = [lower_step(c, state) for c in circuits]
         for _ in range(5):
             for step in steps:
@@ -198,7 +204,8 @@ def test_trotter_error_scaling(order, expected):
     def deviation(dt: float) -> float:
         state = StateVector(2, init)
         sched = Schedule.from_beta(1.0, dt, order=order)
-        steps = [lower_step(c, state) for c in _step_circuits(h, sched)]
+        circuits = _step_circuits(build_pauli_step, h.terms, sched)
+        steps = [lower_step(c, state) for c in circuits]
         for _ in range(sched.n_steps):
             for step in steps:
                 run_step_circuit(state, step)
@@ -362,9 +369,9 @@ def test_replayed_restarts_match_the_attempts(case, budget):
 
     postselected = run(RunConfig(noise=noise))
     if blocks is not None:
-        circuits = _grouped_step_circuits(blocks, sched)
+        circuits = _step_circuits(build_grouped_step, blocks, sched)
     else:
-        circuits = _step_circuits(h, sched)
+        circuits = _step_circuits(build_pauli_step, h.terms, sched)
     if noise is None:
         start = StateVector(h.n_qubits, init)
     else:
@@ -405,7 +412,8 @@ def test_sampled_run_whose_pass_annihilates_samples_directly():
                     h, init, sched, RunConfig(mode="sample", seed=seed, restart_budget=budget)
                 )
                 restarts, completed, done = direct_sampled_run(
-                    start, _step_circuits(h, sched), None, sched.n_steps, seed, budget
+                    start, _step_circuits(build_pauli_step, h.terms, sched), None,
+                    sched.n_steps, seed, budget,
                 )
                 assert (res.restarts, res.completed) == (restarts, completed) == (budget, False)
                 assert [r.step for r in res.records] == list(range(done + 1)) == [0]
@@ -581,6 +589,15 @@ def test_density_trace_is_checked_at_every_record(monkeypatch):
                 run_pite(h, init, sched, config)
         else:
             assert run_pite(h, init, sched, config).completed
+
+
+def test_density_trace_check_rejects_nan():
+    # a NaN trace must fail the tolerance, not compare as within it
+    state = DensityMatrix(1)
+    _check_trace(state, 0)
+    state._stored.reshape(-1)[0] = np.nan
+    with pytest.raises(ValueError, match="trace nan at Trotter step 3"):
+        _check_trace(state, 3)
 
 
 def test_noisy_run_holds_at_most_one_projector(monkeypatch):
