@@ -3,8 +3,9 @@
 Every run writes three artifacts next to ``--out``: ``<out>.csv`` (the
 trace), ``<out>.json`` (the manifest, whether the run completed, its
 restart count and the trace records) and ``<out>.manifest.json`` (the
-exact inputs; ``run --manifest`` replays it). CSV numbers carry 17
-significant digits so postselect traces are byte-reproducible.
+exact inputs). ``run --manifest <out>.manifest.json`` replays a saved run on
+its own: it takes no ``--model`` and no other run flag is read. CSV numbers
+carry 17 significant digits so postselect traces are byte-reproducible.
 
 Exit codes: 0 success, 1 usage error, 2 annihilated evolution or exhausted
 restart budget.
@@ -15,9 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_model_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", choices=["h2", "lih", "ising", "file"], required=True)
+    def add_model_flags(p: argparse.ArgumentParser, required: bool = True) -> None:
+        p.add_argument("--model", choices=["h2", "lih", "ising", "file"], required=required)
         p.add_argument("--R", type=float, help="H2 interatomic distance (angstrom)")
         p.add_argument("--n", type=int, help="ising site count")
         p.add_argument("--J", type=float, default=1.0, help="ising coupling")
@@ -101,12 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--record-every", type=int, default=1)
 
     run_p = sub.add_parser("run", help="single evolution, trace written as CSV+JSON")
-    add_model_flags(run_p)
+    add_model_flags(run_p, required=False)  # cmd_run needs --model or --manifest
     add_run_flags(run_p)
     run_p.add_argument("--out", type=Path, default=Path("pite_run"))
     run_p.add_argument("--manifest", type=Path, help="replay a saved manifest")
-    # --manifest replaces the model/run flags; argparse can't express that,
-    # so --model is re-validated in cmd_run.
     run_p.set_defaults(func=cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="one run per sweep point, aggregated CSV")
@@ -244,55 +241,45 @@ def _write_trace(out: Path, result: RunResult, manifest: dict) -> None:
     out.with_suffix(".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
+# The manifest's entries in key order: (section, argument, type), where a
+# section of None is a top-level key. Writing skips a null model entry;
+# replaying reads a missing or null entry as its flag's default, except that
+# MANIFEST_REQUIRED entries must be present and non-null.
+MANIFEST_FIELDS = (
+    ("model", "model", str), ("model", "R", float), ("model", "n", int),
+    ("model", "J", float), ("model", "g", float), ("model", "h", float),
+    (None, "file", Path), (None, "init", str), (None, "grouping", str),
+    ("schedule", "dt", float), ("schedule", "beta", float), ("schedule", "order", int),
+    ("config", "mode", str), ("config", "noise", str), ("config", "seed", int),
+    ("config", "trajectories", int), ("config", "restart_budget", int),
+    ("config", "record_every", int),
+)
+MANIFEST_REQUIRED = {"dt", "beta", "order", "mode", "restart_budget", "record_every"}
+
+
 def _manifest_from_args(args: argparse.Namespace) -> dict:
-    return {
-        "tool": "pite-sim",
-        "version": __version__,
-        "command": "run",
-        "model": {
-            k: getattr(args, k)
-            for k in ("model", "R", "n", "J", "g", "h")
-            if getattr(args, k, None) is not None
-        },
-        "file": str(args.file) if args.file else None,
-        "init": args.init,
-        "grouping": args.grouping,
-        "schedule": {"dt": args.dt, "beta": args.beta, "order": args.order},
-        "config": {
-            "mode": args.mode,
-            "noise": args.noise,
-            "seed": args.seed,
-            "trajectories": args.trajectories,
-            "restart_budget": args.restart_budget,
-            "record_every": args.record_every,
-        },
-    }
+    manifest = {"tool": "pite-sim", "version": __version__, "command": "run"}
+    for section, name, _ in MANIFEST_FIELDS:
+        value = getattr(args, name)
+        value = str(value) if isinstance(value, Path) else value
+        if section is None:
+            manifest[name] = value
+        elif section != "model" or value is not None:
+            manifest.setdefault(section, {})[name] = value
+    return manifest
 
 
-def _args_from_manifest(path: Path, args: argparse.Namespace) -> argparse.Namespace:
-    def optional(convert, value):
-        return None if value is None else convert(value)
-
+def _args_from_manifest(path: Path, out: Path) -> argparse.Namespace:
+    """The run a saved manifest describes, on a fresh set of flag defaults."""
+    args = build_parser().parse_args(["run", "--out", str(out)])
     try:
         saved = json.loads(path.read_text())
-        model = saved.get("model", {})
-        for key, convert in (("model", str), ("R", float), ("n", int), ("J", float),
-                             ("g", float), ("h", float)):
-            if key in model:
-                setattr(args, key, convert(model[key]))
-        args.file = Path(saved["file"]) if saved.get("file") else None
-        args.init = optional(str, saved.get("init"))
-        args.grouping = optional(str, saved.get("grouping"))
-        sched = saved["schedule"]
-        args.dt, args.beta = float(sched["dt"]), float(sched["beta"])
-        args.order = int(sched["order"])
-        cfg = saved["config"]
-        args.mode = cfg["mode"]
-        args.noise = optional(str, cfg["noise"])
-        args.seed = optional(int, cfg["seed"])
-        args.trajectories = optional(int, cfg["trajectories"])
-        args.restart_budget = int(cfg["restart_budget"])
-        args.record_every = int(cfg["record_every"])
+        for section, name, kind in MANIFEST_FIELDS:
+            entries = saved if section is None else saved[section]
+            required = name in MANIFEST_REQUIRED
+            value = entries[name] if required else entries.get(name)
+            if value is not None or required:
+                setattr(args, name, kind(value))
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         # ValueError covers malformed JSON; the others a missing or ill-typed entry
         raise UsageError(f"cannot load manifest {path}: {type(exc).__name__}: {exc}") from None
@@ -329,8 +316,11 @@ def _execute_run(
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.manifest is not None:
-        args = _args_from_manifest(args.manifest, args)
+    if args.manifest is None:
+        _require(args.model is not None, "run needs --model or --manifest")
+    else:
+        _require(args.model is None, "--manifest holds the model; drop --model")
+        args = _args_from_manifest(args.manifest, args.out)
     result = _execute_run(args)[0]
     _write_trace(args.out, result, _manifest_from_args(args))
     final = result.records[-1]
@@ -361,38 +351,31 @@ def _sweep_values(args: argparse.Namespace) -> list[float] | list[int]:
     raise UsageError(f"--axis {args.axis} needs --values")
 
 
-def _sweep_point(payload: tuple) -> str:
-    args, axis, value = payload
-    setattr(args, axis, value)  # the axis names are the argument names
-    result, h, init, spectrum = _execute_run(args)
+def _sweep_point(point: argparse.Namespace) -> str:
+    result, h, init, spectrum = _execute_run(point)
     final = result.final
-    ite_vec = analysis.exact_ite_state(h, init, final.beta)
-    e_ite = float(np.real(np.vdot(ite_vec, h.dense_matrix() @ ite_vec)))
-    return _csv_row([  # float(value): a seed prints with 17 digits too
-        float(value), final.energy, final.fidelity, final.p_cum, final.rlb, final.alb,
-        spectrum.e0, e_ite, abs(final.energy - e_ite), result.restarts, int(result.completed),
+    e_ite = float(analysis.exact_ite_trace(h, init, [final.beta])[0][0])
+    return _csv_row([  # float(): a seed value prints with 17 digits too
+        float(getattr(point, point.axis)), final.energy, final.fidelity, final.p_cum,
+        final.rlb, final.alb, spectrum.e0, e_ite, abs(final.energy - e_ite),
+        result.restarts, int(result.completed),
     ])
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     values = _sweep_values(args)
-    if not values:
-        raise UsageError("empty sweep")
-    for v in values:  # every point's schedule and config, before any point runs
-        point = argparse.Namespace(**{**vars(args), args.axis: v})
+    _require(args.axis != "R" or args.model == "h2", "--axis R needs --model h2")
+    _require(
+        args.axis != "seed" or args.mode == "sample" or args.trajectories is not None,
+        "--axis seed needs --mode sample or --trajectories",
+    )
+    # the axis names are the argument names
+    points = [argparse.Namespace(**{**vars(args), args.axis: v}) for v in values]
+    for point in points:  # every point's model, schedule and config, before any point runs
+        _build_model(point)
         _schedule(point.beta, point.dt, point.order)
         _build_config(point)
-    payloads = [(args, args.axis, v) for v in values]
-    threads = os.environ.get("PITE_SIM_THREADS", "1")
-    try:
-        workers = int(threads)
-    except ValueError:
-        raise UsageError(f"PITE_SIM_THREADS must be an integer, got {threads!r}") from None
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, payloads))
-    else:
-        rows = [_sweep_point(p) for p in payloads]
+    rows = [_sweep_point(point) for point in points]
     out = args.out.with_suffix(".csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join([SWEEP_HEADER, *rows]) + "\n")
@@ -410,24 +393,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     init = _build_init(args, h)
     blocks = _build_grouping(args, h)
     spectrum = analysis.diagonalize(h, init)
-    kappa0, kappa1 = analysis.kappa_exponents(h, spectrum)
-    print(f"E0 = {spectrum.e0:.12g}")
-    print(f"gap1 = {spectrum.gap1:.12g}")
-    print(f"gap_max = {spectrum.gap_max:.12g}")
-    print(f"s0 = {spectrum.s0:.12g}")
-    print(f"kappa0 = {kappa0:.12g}")
-    print(f"kappa1 = {kappa1:.12g}")
-    betas = np.linspace(0.0, args.beta, args.beta_points)
     minima = sum_block_minima(blocks) if blocks is not None else -h.abs_coeff_sum
     rows = [ANALYZE_HEADER]
-    for beta in map(float, betas):
-        rows.append(_csv_row([
-            beta,
-            analysis.rlb(h, beta),
-            analysis.alb(h, spectrum, beta),
-            analysis.alb_generalized(h, minima, spectrum, beta),
-            analysis.fidelity_bound(spectrum.s0, spectrum.gap1, beta),
-        ]))
+    try:  # a zero ground overlap or a zero gap leaves a bound undefined
+        kappa0, kappa1 = analysis.kappa_exponents(h, spectrum)
+        for beta in map(float, np.linspace(0.0, args.beta, args.beta_points)):
+            rows.append(_csv_row([
+                beta,
+                analysis.rlb(h, beta),
+                analysis.alb(h, spectrum, beta),
+                analysis.alb_generalized(h, minima, spectrum, beta),
+                analysis.fidelity_bound(spectrum.s0, spectrum.gap1, beta),
+            ]))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    for label, value in (("E0", spectrum.e0), ("gap1", spectrum.gap1),
+                         ("gap_max", spectrum.gap_max), ("s0", spectrum.s0),
+                         ("kappa0", kappa0), ("kappa1", kappa1)):
+        print(f"{label} = {value:.12g}")
     text = "\n".join(rows) + "\n"
     if args.out is None:
         sys.stdout.write(text)

@@ -58,18 +58,37 @@ def test_run_manifest_replay_is_byte_identical(tmp_path, argv):
     assert main(["run", *argv, "--out", str(out1)]) == 0
     out2 = tmp_path / "second"
     assert main(
-        ["run", "--model", "h2", "--manifest", str(out1.with_suffix(".manifest.json")),
-         "--out", str(out2)]
+        ["run", "--manifest", str(out1.with_suffix(".manifest.json")), "--out", str(out2)]
     ) == 0
     for suffix in (".csv", ".json", ".manifest.json"):
         assert out1.with_suffix(suffix).read_bytes() == out2.with_suffix(suffix).read_bytes()
 
 
 def test_run_manifest_missing_file_usage_error(tmp_path, capsys):
-    code = main(["run", "--model", "h2", "--manifest", str(tmp_path / "missing.json"),
+    code = main(["run", "--manifest", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")])
     assert code == 1
     assert "cannot load manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        ([], "run needs --model or --manifest"),
+        (["--model", "lih", "--manifest", "{saved}"], "--manifest holds the model; drop --model"),
+    ],
+    ids=["neither", "both"],
+)
+def test_run_needs_exactly_one_of_model_and_manifest(tmp_path, capsys, flags, message):
+    """The manifest holds the model, so a --model beside it is an error
+    where it was silently dropped."""
+    saved = tmp_path / "saved"
+    assert main(["run", "--model", "h2", "--R", "0.75", "--beta", "0.2", "--out", str(saved)]) == 0
+    capsys.readouterr()
+    argv = [flag.format(saved=saved.with_suffix(".manifest.json")) for flag in flags]
+    assert main(["run", *argv, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -79,8 +98,11 @@ def test_run_manifest_missing_file_usage_error(tmp_path, capsys):
         lambda m: m.update(schedule=[0.05, 1.0, 1]),  # ill-typed section
         lambda m: m["schedule"].update(dt="fast"),  # ill-typed value
         lambda m: m["config"].update(noise=1e-5),  # ill-typed noise spec
+        lambda m: m["schedule"].update(dt=None),  # null required entry
+        lambda m: m["config"].update(record_every=None),
     ],
-    ids=["missing-dt", "schedule-list", "dt-string", "noise-number"],
+    ids=["missing-dt", "schedule-list", "dt-string", "noise-number", "dt-null",
+         "record-every-null"],
 )
 def test_run_manifest_malformed_usage_error(tmp_path, capsys, corrupt):
     out = tmp_path / "first"
@@ -89,11 +111,12 @@ def test_run_manifest_malformed_usage_error(tmp_path, capsys, corrupt):
     corrupt(manifest)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(manifest))
-    code = main(["run", "--model", "h2", "--manifest", str(bad), "--out", str(tmp_path / "x")])
+    code = main(["run", "--manifest", str(bad), "--out", str(tmp_path / "x")])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     bad.write_text("{not json")
-    assert main(["run", "--model", "h2", "--manifest", str(bad), "--out", str(tmp_path / "y")]) == 1
+    assert main(["run", "--manifest", str(bad), "--out", str(tmp_path / "y")]) == 1
 
 
 def test_run_untabulated_distance_usage_error(tmp_path, capsys):
@@ -258,24 +281,6 @@ def test_sweep_row_reports_the_exact_and_trotterized_energies(tmp_path):
         assert float(row["trotter_err"]) == abs(float(row["energy"]) - e_ite)
 
 
-def test_sweep_process_pool_matches_serial(tmp_path, monkeypatch):
-    # PITE_SIM_THREADS > 1 sends each sweep point to a worker process
-    args = ["sweep", "--model", "h2", "--R", "0.75", "--axis", "dt",
-            "--values", "0.2,0.1", "--beta", "1", "--out"]
-    assert main(args + [str(tmp_path / "serial")]) == 0
-    monkeypatch.setenv("PITE_SIM_THREADS", "2")
-    assert main(args + [str(tmp_path / "pool")]) == 0
-    assert (tmp_path / "pool.csv").read_text() == (tmp_path / "serial.csv").read_text()
-
-
-def test_sweep_non_integer_thread_count_usage_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PITE_SIM_THREADS", "two")
-    code = main(["sweep", "--model", "h2", "--axis", "R", "--values", "0.75",
-                 "--out", str(tmp_path / "t")])
-    assert code == 1
-    assert "PITE_SIM_THREADS" in capsys.readouterr().err
-
-
 def test_sweep_empty_values(tmp_path, capsys):
     code = main(
         ["sweep", "--model", "h2", "--R", "0.75", "--axis", "dt", "--out", str(tmp_path / "e")]
@@ -297,6 +302,28 @@ def test_analyze_prints_summary(tmp_path, capsys):
     assert float(first[2]) == 1.0  # alb at beta 0
 
 
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (["--model", "h2", "--R", "0.75", "--init", "01"],
+         "ALB undefined for zero initial ground overlap"),
+        (["--model", "file", "--file", "{ham}"],
+         "kappa exponents need a strictly positive first gap"),
+    ],
+    ids=["zero-ground-overlap", "zero-gap"],
+)
+def test_analyze_undefined_bound_is_a_usage_error(tmp_path, capsys, model, message):
+    """The analysis module's input errors exit 1 with ``error:`` before any
+    summary line is printed, where they ended in a traceback."""
+    ham = tmp_path / "ham.txt"
+    ham.write_text("1e-12 Z\n")
+    argv = [arg.format(ham=ham) for arg in model]
+    assert main(["analyze", *argv, "--beta", "1", "--beta-points", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_analyze_with_grouping_to_file(tmp_path):
     out = tmp_path / "bounds"
     code = main(
@@ -308,6 +335,19 @@ def test_analyze_with_grouping_to_file(tmp_path):
     assert "alb_generalized" in header
     # the grouped bound sits above the per-Pauli one at beta > 0
     assert float(rows[-1]["alb_generalized"]) > float(rows[-1]["alb"])
+
+
+def test_manifest_fields_match_the_run_flags():
+    """Every model and run flag is written to and replayed from the
+    manifest, so a flag added to the parser alone fails here."""
+    parser = cli.build_parser()
+    names = [name for _, name, _ in cli.MANIFEST_FIELDS]
+    assert len(set(names)) == len(names)
+    assert cli.MANIFEST_REQUIRED <= set(names)
+    run_dests = set(vars(parser.parse_args(["run"]))) - {"command", "func", "out", "manifest"}
+    sweep_dests = set(vars(parser.parse_args(["sweep", "--model", "h2", "--axis", "R"])))
+    assert run_dests == set(names)
+    assert sweep_dests - {"command", "func", "out", "axis", "values"} == set(names)
 
 
 def test_cli_17_digit_roundtrip(tmp_path):
@@ -347,18 +387,27 @@ H2_FLAGS = ["--model", "h2", "--R", "0.75"]
          "seed must be nonnegative, got -1"),
         (["sweep", *H2_FLAGS, "--axis", "seed", "--values", "1,-1", "--mode", "sample"],
          "seed must be nonnegative, got -1"),
+        (["sweep", "--model", "lih", "--axis", "R", "--values", "0.5,0.75"],
+         "--axis R needs --model h2"),
+        (["sweep", *H2_FLAGS, "--axis", "seed", "--values", "1,2"],
+         "--axis seed needs --mode sample or --trajectories"),
+        (["sweep", "--model", "h2", "--axis", "R", "--values", "0.75,1.45,0.8"],
+         "R=0.8 not tabulated"),
     ],
     ids=["run-dt-0", "run-dt-negative", "run-beta-0", "run-negative-budget", "sweep-dt",
          "sweep-beta", "analyze-beta", "analyze-beta-points", "run-beta-inf", "run-dt-inf",
          "run-dt-nan", "sweep-dt-inf", "analyze-beta-inf", "sweep-seed-fraction",
-         "run-negative-seed", "sweep-negative-seed"],
+         "run-negative-seed", "sweep-negative-seed", "sweep-R-without-h2",
+         "sweep-unused-seed", "sweep-untabulated-R"],
 )
 def test_bad_schedule_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message):
     """Each exits 1 with ``error:`` before anything is printed or written
     and, in a sweep, before any point runs, where it raised a traceback,
     ran at another beta, ran an infinite step, ran the integer parts of
-    fractional seeds or ran the points before a negative seed."""
-    monkeypatch.setattr(cli, "_sweep_point", lambda payload: pytest.fail("a sweep point ran"))
+    fractional seeds, ran the points before a negative seed or an
+    untabulated distance, or wrote identical rows along an axis the run
+    ignores."""
+    monkeypatch.setattr(cli, "_sweep_point", lambda point: pytest.fail("a sweep point ran"))
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
