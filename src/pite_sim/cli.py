@@ -4,8 +4,13 @@ Every run writes three artifacts next to ``--out``: ``<out>.csv`` (the
 trace), ``<out>.json`` (the manifest, whether the run completed, its
 restart count and the trace records) and ``<out>.manifest.json`` (the
 exact inputs). ``run --manifest <out>.manifest.json`` replays a saved run on
-its own: it takes no ``--model`` and no other run flag is read. CSV numbers
-carry 17 significant digits so postselect traces are byte-reproducible.
+its own: a model or run flag beside it whose value differs from the flag's
+default is a usage error, as the manifest holds them all; only ``--out``
+is read. CSV numbers carry 17 significant digits so postselect traces are
+byte-reproducible. A sweep runs its points in order and stops at the
+first that annihilates or exhausts its restart budget: its CSV keeps the
+rows of the points before (and the exhausted point's own row, marked not
+completed), and stderr names the point.
 
 Exit codes: 0 success, 1 usage error, 2 annihilated evolution or exhausted
 restart budget.
@@ -269,9 +274,17 @@ def _manifest_from_args(args: argparse.Namespace) -> dict:
     return manifest
 
 
-def _args_from_manifest(path: Path, out: Path) -> argparse.Namespace:
-    """The run a saved manifest describes, on a fresh set of flag defaults."""
-    args = build_parser().parse_args(["run", "--out", str(out)])
+def _args_from_manifest(given: argparse.Namespace) -> argparse.Namespace:
+    """The run the manifest named by ``given.manifest`` describes, on a
+    fresh set of flag defaults, written to ``given.out``. A model or run
+    flag set in ``given`` to other than its default is a usage error."""
+    args = build_parser().parse_args(["run", "--out", str(given.out)])
+    for section, name, _ in MANIFEST_FIELDS:
+        _require(
+            getattr(given, name) == getattr(args, name),
+            f"--manifest holds the {section or 'model'}; drop --{name.replace('_', '-')}",
+        )
+    path = given.manifest
     try:
         saved = json.loads(path.read_text())
         for section, name, kind in MANIFEST_FIELDS:
@@ -319,8 +332,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.manifest is None:
         _require(args.model is not None, "run needs --model or --manifest")
     else:
-        _require(args.model is None, "--manifest holds the model; drop --model")
-        args = _args_from_manifest(args.manifest, args.out)
+        args = _args_from_manifest(args)
     result = _execute_run(args)[0]
     _write_trace(args.out, result, _manifest_from_args(args))
     final = result.records[-1]
@@ -351,15 +363,17 @@ def _sweep_values(args: argparse.Namespace) -> list[float] | list[int]:
     raise UsageError(f"--axis {args.axis} needs --values")
 
 
-def _sweep_point(point: argparse.Namespace) -> str:
+def _sweep_point(point: argparse.Namespace) -> tuple[str, bool]:
+    """The point's CSV row and whether its run completed."""
     result, h, init, spectrum = _execute_run(point)
     final = result.final
     e_ite = float(analysis.exact_ite_trace(h, init, [final.beta])[0][0])
-    return _csv_row([  # float(): a seed value prints with 17 digits too
+    row = _csv_row([  # float(): a seed value prints with 17 digits too
         float(getattr(point, point.axis)), final.energy, final.fidelity, final.p_cum,
         final.rlb, final.alb, spectrum.e0, e_ite, abs(final.energy - e_ite),
         result.restarts, int(result.completed),
     ])
+    return row, result.completed
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -375,11 +389,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _build_model(point)
         _schedule(point.beta, point.dt, point.order)
         _build_config(point)
-    rows = [_sweep_point(point) for point in points]
+    rows, stop = [], None  # stop: why the sweep ended at ``point``
+    for point in points:
+        try:
+            row, completed = _sweep_point(point)
+        except EvolutionAnnihilatedError as exc:
+            stop = f"annihilated: {exc}"
+            break
+        rows.append(row)
+        if not completed:
+            stop = "restart budget exhausted"
+            break
     out = args.out.with_suffix(".csv")
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text("\n".join([SWEEP_HEADER, *rows]) + "\n")
     print(f"sweep: {len(rows)} points -> {out}")
+    if stop is not None:
+        print(f"sweep stopped at {args.axis}={getattr(point, args.axis):g}; {stop}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -56,11 +56,13 @@ when a later step's support takes in the qubit (composed into its
 superoperator, or in the gathered layout, where its passes are long) or
 when ``data`` is read. On either state type a step also moves the state,
 with one transpose, into its own order (S first, the other qubits as they
-were stored) and leaves it there; ``data`` restores canonical order. A
-density matrix's energy, trace and subspace weight read the stored matrix
-as it is: an observable A of the state is the adjoint channel N^dag(A)
-of the stored one, since Tr(A N(rho)) = Tr(N^dag(A) rho), gathered in the
-stored order and built once per owed counts and order.
+were stored) and leaves it there, and a step whose order the state is
+already stored in (one on the same support, say) moves nothing; ``data``
+restores canonical order. A density matrix's energy, trace and subspace
+weight read the stored matrix as it is: an observable A of the state is
+the adjoint channel N^dag(A) of the stored one, since
+Tr(A N(rho)) = Tr(N^dag(A) rho), gathered in the stored order and built
+once per owed counts and order.
 
 Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; in a circuit the ancilla is the
@@ -68,9 +70,14 @@ highest qubit index (least significant bit). Gates are applied in place
 through reshaped views of a flat buffer; a density matrix gets every
 unitary applied from both sides.
 
-Every measurement postselects: it keeps outcome 0, renormalizes and
-reports prob0. A sampled run's restarts are replayed from those prob0s
-by the caller (see ``pite.replay_restarts``).
+Every measurement postselects: it keeps outcome 0 and reports prob0. A
+density matrix folds 1/prob0 into its step (T_S / prob0, or W / prob0).
+A statevector carries the squared norm of its stored vector instead and
+keeps each branch unnormalized: prob0 is the ratio of the kept branch's
+squared norm to the carried one, and the vector is divided once, when
+``data`` reads it (see :class:`StateVector`). A sampled run's restarts
+are replayed from those prob0s by the caller (see
+``pite.replay_restarts``).
 """
 from __future__ import annotations
 
@@ -115,6 +122,10 @@ __all__ = [
 ]
 
 ANNIHILATION_THRESHOLD = 1e-15
+# A statevector whose carried squared norm falls below this is divided to
+# unit norm at once, long before its entries could underflow (a chain of
+# measurements with no read in between shrinks it by each prob0)
+NORM2_RESCALE_THRESHOLD = 1e-100
 # Widest step support (in qubits) that runs as fused operators. Up to it
 # fused steps ran faster than the gate kernels on both state types
 # (single-qubit terms on large density matrices about even), and each
@@ -412,17 +423,10 @@ def _outcome(
     return MeasureResult(prob0), jump
 
 
-def _measured(
-    out: np.ndarray, out1: np.ndarray | None, eps_d: float, rng
-) -> tuple[MeasureResult, np.ndarray]:
-    """A statevector's measurement stage, on its ancilla-0 branch ``out``
-    and, when the ancilla can jump, its ancilla-1 branch ``out1``, which
-    reaches outcome 0 with weight ``eps_d``. Returns the result and the
-    branch kept, normalized."""
-    kept = float(np.vdot(out, out).real)
-    kept1 = 0.0 if out1 is None else float(np.vdot(out1, out1).real)
-    result, jump = _outcome(kept, eps_d * kept1, rng, out1 is not None)
-    return result, out1 / math.sqrt(kept1) if jump else out / math.sqrt(kept)
+def _squared_norm(x: np.ndarray) -> float:
+    """|x|^2 of a contiguous array: one dot on float64, ``vdot`` on complex."""
+    flat = x.ravel()
+    return float(flat.dot(flat)) if flat.dtype.kind == "f" else float(np.vdot(flat, flat).real)
 
 
 class _State:
@@ -434,8 +438,9 @@ class _State:
     matrix n + q for its column bit (None is canonical). A step moves it
     into the order it works in (:func:`_step_order`) and leaves it there;
     ``data``, and so every gate (and a statevector's energy), first
-    restores the canonical order. A copy keeps the stored order, and a
-    density matrix reads its energy, trace and subspace weight in it. A
+    restores the canonical order (and divides a statevector to unit
+    norm). A copy keeps the stored order, and a density matrix reads its
+    energy, trace and subspace weight in it. A
     subclass says how many ``_sides`` carry labels (1 on a vector, 2 on a
     matrix) and supplies ``apply_gate``, ``measure_ancilla``,
     ``_expectation`` and ``_run_step``.
@@ -447,7 +452,7 @@ class _State:
     @property
     def data(self) -> np.ndarray:
         """The state in canonical order (on a density matrix, all that is
-        owed applied)."""
+        owed applied; a statevector divided to unit norm)."""
         self._flush()
         return self._stored
 
@@ -467,7 +472,18 @@ class _State:
     def _gather(self, support: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
         """The state in the order a step on ``support`` works in, as
         (2^k, rest) on a vector and (4^k, rest^2) on a matrix, and that
-        order: a view when stored so, else a contiguous copy."""
+        order: a view when stored so, else a contiguous copy. A state
+        stored in that order already (as after a step on the same
+        support) comes back reshaped, with nothing looked up or moved: on
+        a vector, an order that leads with S; on a matrix, S's rows, S's
+        columns, then the other rows and their columns in the same order."""
+        stored, k, n = self._order, len(support), self.n_qubits
+        if stored is not None and stored[:k] == support and (
+            self._sides == 1
+            or stored[k : 2 * k] + stored[n + k :]
+            == tuple(n + q for q in support + stored[2 * k : n + k])
+        ):
+            return self._stored.reshape(2 ** (k * self._sides), -1), stored
         order, shape, axes = _step_order(self.n_qubits, self._sides, self._order, support)
         moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
         return moved.reshape(2 ** (len(support) * self._sides), -1), order
@@ -492,7 +508,15 @@ class _State:
 
 
 class StateVector(_State):
-    """Statevector over ``n_qubits``, kept unit-norm.
+    """Statevector over ``n_qubits``, read unit-norm.
+
+    The stored vector is the state times a scale: ``_norm2`` is its
+    squared norm (1 for a vector set through ``data``). A measurement
+    keeps its branch as it comes, unnormalized; its prob0 is the ratio of
+    the branch's squared norm to ``_norm2``, which then becomes the
+    branch's. ``data`` divides by sqrt(``_norm2``) once, when the state
+    is read, and so does a step whose ``_norm2`` has fallen below
+    ``NORM2_RESCALE_THRESHOLD``, before it can underflow.
 
     Stored as float64 while all applied gates are real, upcast to
     complex128 on the first genuinely complex operation.
@@ -504,12 +528,54 @@ class StateVector(_State):
         self.n_qubits = n_qubits
         if amplitudes is None:
             self.data = np.zeros(2**n_qubits)
-            self.data[0] = 1.0
+            self._stored[0] = 1.0
         else:
             amplitudes = np.ravel(amplitudes)
             if amplitudes.shape[0] != 2**n_qubits:
                 raise ValueError("amplitude count does not match qubit count")
             self.data = _as_state_array(amplitudes)
+
+    @_State.data.setter
+    def data(self, entries: np.ndarray) -> None:
+        _State.data.fset(self, entries)
+        self._norm2 = 1.0
+
+    def _flush(self) -> None:
+        """Put the vector back in canonical order, then divide it to unit
+        norm."""
+        super()._flush()
+        self._normalize()
+
+    def _normalize(self) -> None:
+        if self._norm2 != 1.0:
+            self._stored /= math.sqrt(self._norm2)
+            self._norm2 = 1.0
+
+    def _keep(self, branch: np.ndarray, norm2: float, order: tuple | None) -> None:
+        """Store a step's kept ``branch``, in ``order``, whose squared norm
+        is ``norm2``."""
+        self._stored, self._order, self._norm2 = branch, order, norm2
+        if norm2 < NORM2_RESCALE_THRESHOLD:
+            self._normalize()
+
+    def _measure(
+        self, out: np.ndarray, out1: np.ndarray | None, eps_d: float, rng, order: tuple | None
+    ) -> MeasureResult:
+        """The measurement stage, on the ancilla-0 branch ``out`` and, when
+        the ancilla can jump, its ancilla-1 branch ``out1``, which reaches
+        outcome 0 with weight ``eps_d``: each weight is its branch's
+        squared norm over ``_norm2``, and the branch kept is stored as it
+        is."""
+        kept = _squared_norm(out)
+        kept1 = 0.0 if out1 is None else _squared_norm(out1)
+        result, jump = _outcome(
+            kept / self._norm2, eps_d * kept1 / self._norm2, rng, out1 is not None
+        )
+        if jump:
+            self._keep(out1, kept1, order)
+        else:
+            self._keep(out, kept, order)
+        return result
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.data))
@@ -537,16 +603,21 @@ class StateVector(_State):
         samples one of the two branches, which needs ``rng``).
         """
         psi = self.data
-        result, self.data = _measured(c * psi, s * psi if eps_d > 0.0 else None, eps_d, rng)
-        return result
+        return self._measure(c * psi, s * psi if eps_d > 0.0 else None, eps_d, rng, None)
 
     def _run_step(self, step: BoundStep, rng) -> MeasureResult:
         noise = step.noise
         x, order = self._gather(step.support)
         first, second, post = step.ops
-        if second is None:  # K0
-            result, self._stored = _measured(_product(first, x), None, 0.0, rng)
-            self._order = order
+        if second is None:  # K0: one product and one dot
+            # dot, not @: numpy dispatches it in about half the time here
+            if x.dtype.kind == "c" and first.dtype.kind == "f":  # see _product
+                out = first.dot(x.view(np.float64)).view(np.complex128)
+            else:
+                out = first.dot(x)
+            kept = _squared_norm(out)
+            result, _ = _outcome(kept / self._norm2, 0.0, rng, False)
+            self._keep(out, kept, order)
             return result
         if noise is not None and rng is None:
             raise ValueError("statevector noise is sampled and needs an rng")
@@ -554,8 +625,7 @@ class StateVector(_State):
         c, s = second  # after Pre_S or Pre's gate list
         x = _product(first, x, overwrite=not np.may_share_memory(x, self._stored))
         out, out1 = c[:, None] * x, s[:, None] * x if eps_d > 0.0 else None
-        result, self._stored = _measured(out, out1, eps_d, rng)
-        self._order = order
+        result = self._measure(out, out1, eps_d, rng, order)
         if noise is not None:  # a trajectory: the sampled work-qubit noise, then Post
             self.sample_kraus(noise, rng)
         if post is not None:  # on the kept branch, a buffer of the step's own
@@ -587,27 +657,34 @@ class StateVector(_State):
 
     def sample_kraus(self, model: NoiseModel, rng: np.random.Generator) -> None:
         """Trajectory-mode noise: draw one Kraus branch per qubit, qubit 0
-        first, on that qubit's bit wherever the stored order puts it."""
+        first, on that qubit's bit wherever the stored order puts it. Each
+        qubit's branch probabilities are ratios to the carried squared
+        norm, and the branch drawn sets the next one: no qubit divides."""
         if model.is_identity:
             return
         keep = 1.0 - model.eps_r - model.eps_d
         flat = self._stored.reshape(-1)
         order = range(self.n_qubits) if self._order is None else self._order
+        norm2 = self._norm2
         for q in range(self.n_qubits):
             v0, v1 = _pinned_views(flat, (), order.index(q))
-            p_one = float(np.real(np.vdot(v1, v1)))
+            one = float(np.real(np.vdot(v1, v1)))
+            p_one = one / norm2
             p2 = model.eps_d * p_one
             p3 = model.eps_r * p_one
             p1 = max(0.0, 1.0 - p2 - p3)
             r = rng.random()
             if r < p1:  # E1: damp the |1> amplitude
                 v1 *= math.sqrt(keep)
+                norm2 = float(np.real(np.vdot(v0, v0))) + keep * one
             elif r < p1 + p2:  # E2: jump |1> -> |0>
                 v0[...] = v1
                 v1[...] = 0.0
+                norm2 = one
             else:  # E3: project onto |1>
                 v0[...] = 0.0
-            flat /= np.linalg.norm(flat)
+                norm2 = one
+        self._keep(self._stored, norm2, self._order)
 
 
 class DensityMatrix(_State):

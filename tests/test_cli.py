@@ -92,6 +92,32 @@ def test_run_needs_exactly_one_of_model_and_manifest(tmp_path, capsys, flags, me
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--R", "1.45"], "--manifest holds the model; drop --R"),
+        (["--init", "01"], "--manifest holds the model; drop --init"),
+        (["--beta", "3"], "--manifest holds the schedule; drop --beta"),
+        (["--noise", "1e-3,1e-3"], "--manifest holds the config; drop --noise"),
+        (["--restart-budget", "5"], "--manifest holds the config; drop --restart-budget"),
+    ],
+    ids=["model", "init", "schedule", "config", "config-dashed"],
+)
+def test_run_manifest_rejects_the_flags_it_would_ignore(tmp_path, capsys, flags, message):
+    """A model or run flag beside --manifest, set to other than its
+    default, is an error where the replay silently ignored it; --out and
+    a flag left at its default are read as before."""
+    saved = tmp_path / "saved"
+    assert main(["run", "--model", "h2", "--R", "0.75", "--beta", "0.2", "--out", str(saved)]) == 0
+    manifest = str(saved.with_suffix(".manifest.json"))
+    capsys.readouterr()
+    assert main(["run", "--manifest", manifest, *flags, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "x.csv").exists()
+    assert main(["run", "--manifest", manifest, "--beta", "1", "--out", str(tmp_path / "y")]) == 0
+    assert (tmp_path / "y.csv").read_bytes() == saved.with_suffix(".csv").read_bytes()
+
+
+@pytest.mark.parametrize(
     "corrupt",
     [
         lambda m: m["schedule"].pop("dt"),  # missing key
@@ -279,6 +305,37 @@ def test_sweep_row_reports_the_exact_and_trotterized_energies(tmp_path):
         assert float(row["e_exact"]) == e0
         assert float(row["e_ite"]) == e_ite
         assert float(row["trotter_err"]) == abs(float(row["energy"]) - e_ite)
+
+
+@pytest.mark.parametrize(
+    "argv, kept, stop",
+    [
+        (["--model", "file", "--file", "{ham}", "--init", "0", "--axis", "dt",
+          "--values", "0.1,1.0,0.05", "--beta", "1"],
+         1, "sweep stopped at dt=1; annihilated: ancilla-0 probability "),
+        (["--model", "h2", "--R", "0.75", "--axis", "seed", "--values", "0,1,2,3,4,5",
+          "--mode", "sample", "--restart-budget", "0", "--dt", "0.2", "--beta", "1"],
+         4, "sweep stopped at seed=3; restart budget exhausted"),
+    ],
+    ids=["annihilated", "budget-exhausted"],
+)
+def test_sweep_keeps_the_rows_before_the_point_that_ends_it(tmp_path, capsys, argv, kept, stop):
+    """A point that annihilates, or exhausts its restart budget, ends the
+    sweep with exit 2 and names itself on stderr; the CSV keeps the rows
+    of the points before it (and the exhausted point's own row, marked
+    not completed), where an annihilation wrote no CSV at all."""
+    ham = tmp_path / "ham.txt"
+    ham.write_text("10.0 Z\n")
+    out = tmp_path / "sweep"
+    argv = [a.format(ham=ham) for a in argv]
+    assert main(["sweep", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(stop) and "Traceback" not in err
+    header, rows = read_csv(out.with_suffix(".csv"))
+    assert header == cli.SWEEP_HEADER.split(",")
+    assert len(rows) == kept
+    assert all(r["completed"] == "1" for r in rows[:-1])
+    assert rows[-1]["completed"] == ("1" if "annihilated" in stop else "0")
 
 
 def test_sweep_empty_values(tmp_path, capsys):

@@ -51,8 +51,8 @@ rng = np.random.default_rng(99)
 AXES_POOL = [PauliAxis.I, PauliAxis.X, PauliAxis.Y, PauliAxis.Z]
 
 
-def random_state(n: int) -> np.ndarray:
-    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+def random_state(n: int, source: np.random.Generator = rng) -> np.ndarray:
+    v = source.standard_normal(2**n) + 1j * source.standard_normal(2**n)
     return v / np.linalg.norm(v)
 
 
@@ -267,10 +267,10 @@ def test_measure_density_agrees_with_statevector():
     assert fid == pytest.approx(1.0, abs=1e-10)
 
 
-def random_density(n: int) -> np.ndarray:
+def random_density(n: int, source: np.random.Generator = rng) -> np.ndarray:
     """Mixed state of rank 3 (rank 2 on one qubit)."""
-    vecs = [random_state(n) for _ in range(min(3, 2**n))]
-    weights = rng.dirichlet(np.ones(len(vecs)))
+    vecs = [random_state(n, source) for _ in range(min(3, 2**n))]
+    weights = source.dirichlet(np.ones(len(vecs)))
     return sum(w * np.outer(v, v.conj()) for w, v in zip(weights, vecs))
 
 
@@ -590,6 +590,122 @@ def test_wide_statevector_trajectory_matches_the_hand_built_oracle():
         assert rng_run.random() == rng_hand.random()
 
 
+def kraus_trajectory_oracle(
+    blocks: tuple, psi: np.ndarray, model: NoiseModel, rng_hand
+) -> tuple[float, np.ndarray]:
+    """One trajectory step from the (n+1)-qubit circuit's blocks (A0, A1,
+    Post) on a unit vector, with the step's draws: the ancilla's E2 branch
+    A1 psi or A0 psi drawn against prob0, then one Kraus branch per work
+    qubit, qubit 0 first, the vector divided to unit norm after every one
+    of them. Returns prob0 and the normalized result."""
+    a0, a1, post = blocks
+    kept = np.linalg.norm(a0 @ psi) ** 2
+    prob0 = min(kept + model.eps_d * np.linalg.norm(a1 @ psi) ** 2, 1.0)
+    out = a1 @ psi if rng_hand.random() * prob0 >= kept else a0 @ psi
+    out = out / np.linalg.norm(out)
+    keep = 1.0 - model.eps_r - model.eps_d
+    for q in range(int(math.log2(out.size))):
+        v = out.reshape(2**q, 2, -1)
+        p_one = np.linalg.norm(v[:, 1]) ** 2
+        p2, p3 = model.eps_d * p_one, model.eps_r * p_one
+        p1, r = max(0.0, 1.0 - p2 - p3), rng_hand.random()
+        if r < p1:
+            v[:, 1] *= math.sqrt(keep)
+        elif r < p1 + p2:
+            v[:, 0], v[:, 1] = v[:, 1], 0.0
+        else:
+            v[:, 0] = 0.0
+        out = out / np.linalg.norm(out)
+    return prob0, post @ out
+
+
+# the new tests below draw from generators of their own, which leaves the
+# module's draws, and so every later test's data, as they were
+CHAIN_RNG = np.random.default_rng(7)
+CHAIN_TERMS = {
+    "h2": build_h2(0.75).terms,
+    "lih": build_lih().terms,
+    "random7": tuple(  # the first of weight 7
+        PauliTerm(float(CHAIN_RNG.uniform(-1.5, 1.5)),
+                  tuple(AXES_POOL[i] for i in CHAIN_RNG.integers(int(k == 0), 4, size=7)))
+        for k in range(4)
+    ),
+}
+
+
+@pytest.mark.parametrize("form", ["k0", "gate-list", "trajectory"])
+@pytest.mark.parametrize("model", list(CHAIN_TERMS))
+def test_chain_of_steps_on_a_carried_norm_matches_the_oracle(model, form, monkeypatch):
+    """A statevector carries its squared norm from step to step and
+    divides only when read. Over a chain of 200 steps (the model's terms
+    in turn, dt 0.1), every prob0 and the normalized state (read from a
+    copy, so the chain itself is never divided by a read) match the
+    (n+1)-qubit circuit on a vector normalized after every step: its
+    postselected operator for K0 and gate-list steps, and
+    :func:`kraus_trajectory_oracle` with the same draws for trajectory
+    steps. The random 7-qubit terms include one of weight 7, which runs
+    its gate list at the default cut."""
+    if form == "gate-list":
+        force_path(monkeypatch, "gate-list")
+    noise = NoiseModel(0.05, 0.1) if form == "trajectory" else None
+    circuits = [build_pauli_step(term, 0.1) for term in CHAIN_TERMS[model]]
+    n = circuits[0].n_work
+    oracles = []
+    for circ in circuits:
+        pre = gates_unitary(circ.pre_measure, n + 1)
+        post = gates_unitary(circ.post_measure, n + 1)[0::2, 0::2]
+        oracles.append(postselected_operator(circ) if noise is None
+                       else (pre[0::2, 0::2], pre[1::2, 0::2], post))
+    psi = random_state(n, np.random.default_rng(5))
+    state = StateVector(n, psi)
+    steps = [lower_step(circ, state, noise) for circ in circuits]
+    forms = {step_path(step) for step in steps}
+    assert forms == ({"gate-list"} if form == "gate-list" else
+                     {"fused", "gate-list"} if model == "random7" else {"fused"})
+    rng_run, rng_hand = make_rng(11), make_rng(11)
+    for i in range(200):
+        res = run_step_circuit(state, steps[i % len(steps)], rng=rng_run)
+        oracle = oracles[i % len(steps)]
+        if noise is None:
+            out = oracle @ psi
+            prob0, psi = np.linalg.norm(out) ** 2, out / np.linalg.norm(out)
+        else:
+            prob0, psi = kraus_trajectory_oracle(oracle, psi, noise, rng_hand)
+        assert abs(res.prob0 - prob0) < 1e-12, i
+        assert np.abs(state.copy().data - psi).max() < 1e-12, i
+    assert rng_run.random() == rng_hand.random()
+
+
+@pytest.mark.parametrize("form", ["k0", "gate-list", "trajectory"])
+def test_chain_with_no_read_rescales_before_it_underflows(form):
+    """A hand-built step whose ancilla Ry is uncontrolled keeps every state
+    as it is with prob0 = cos^2(theta/2) = 0.01 (c^2 + eps_d s^2 on a
+    trajectory). 200 such steps with no read in between would shrink the
+    carried squared norm to about 1e-400, below the smallest float, so a
+    step rescales it first: ``data`` is finite, unit-norm and the start
+    state. Pre is a CNOT chain and a Hadamard, and Post its inverse, on 3
+    work qubits (a fused K0 = c I) or on 8 (a gate list); a trajectory
+    step has neither, and samples the channel on |000>, which every
+    branch keeps."""
+    theta = 2.0 * math.acos(0.1)
+    n = 8 if form == "gate-list" else 3
+    chain = () if form == "trajectory" else (*(CNOT(q, q + 1) for q in range(n - 1)), Hadamard(0))
+    circ = Circuit(n_work=n, has_ancilla=True, measure_point=len(chain) + 1,
+                   gates=(*chain, Ry(theta, n), *reversed(chain)))
+    noise = NoiseModel(0.2, 1e-3) if form == "trajectory" else None
+    start = np.eye(2**n)[0] if noise is not None else random_state(n, np.random.default_rng(6))
+    state = StateVector(n, start)
+    step = lower_step(circ, state, noise)
+    assert step_path(step) == ("gate-list" if form == "gate-list" else "fused")
+    want = 0.01 + (0.0 if noise is None else 1e-3 * 0.99)
+    draws = make_rng(3)
+    for _ in range(200):
+        assert run_step_circuit(state, step, rng=draws).prob0 == pytest.approx(want, rel=1e-12)
+    data = state.data
+    assert np.isfinite(data).all() and abs(np.linalg.norm(data) - 1.0) < 1e-12
+    assert np.abs(data - start).max() < 1e-12
+
+
 def test_density_steps_pick_their_path_by_support_size():
     """A density-matrix step on S runs as one 4^|S| x 4^|S| superoperator
     while 2|S| <= FUSED_MAX_SUPPORT, so that it stays within the fused
@@ -859,6 +975,38 @@ def step_target(n: int, order: tuple[int, ...], support: tuple[int, ...]):
     rest = tuple(q for q in order if q < n and q not in support)
     columns, rest_columns = tuple(n + q for q in support), tuple(n + q for q in rest)
     return support + columns + rest + rest_columns
+
+
+def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeypatch):
+    """A state stored in a step's order already hands back its stored
+    array reshaped, with no order looked up: a vector whose order leads
+    with S (after a step on the same support, or on a wider one that S
+    leads), and a matrix stored as S's rows, S's columns, then the other
+    rows and their columns. A matrix whose S block leads but whose other
+    columns come before their rows still moves, into the step's order."""
+    n, support = 4, (1, 2, 3)
+    circ = build_pauli_step(PauliTerm.from_string(0.4, "IXZY"), 0.1)
+    local = np.random.default_rng(8)
+    s = StateVector(n, random_state(n, local))
+    run_circuit(s, circ)
+    rho = random_density(n, local)
+    d = DensityMatrix(n, rho)
+    run_circuit(d, circ, noise=NoiseModel(0.02, 0.03))
+    assert s._order == (1, 2, 3, 0) and d._order == step_target(n, tuple(range(2 * n)), support)
+    lookup = engine._step_order
+    monkeypatch.setattr(engine, "_step_order", lambda *args: pytest.fail("an order was looked up"))
+    for state, on in ((s, support), (s, (1, 2)), (d, support)):
+        order = state._order
+        gathered, target = state._gather(on)
+        assert target == order and np.shares_memory(gathered, state._stored)
+        assert gathered.shape == (2 ** (len(on) * state._sides), 2 ** ((n - len(on)) * state._sides))
+    monkeypatch.setattr(engine, "_step_order", lookup)
+    order = (1, 2, 3, 5, 6, 7, 4, 0)  # the rest's column before its row
+    d = DensityMatrix(n, rho)
+    d._stored, d._order = in_order(rho, order), order
+    gathered, target = d._gather(support)
+    assert target == step_target(n, order, support) == (1, 2, 3, 5, 6, 7, 0, 4)
+    assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
 
 
 @pytest.mark.parametrize("path", ["superop", "sandwich"])

@@ -21,6 +21,7 @@ from pite_sim.grouping import (
     ising_local_grouping,
     lih_groupspec,
     singleton_groupspec,
+    sum_block_minima,
 )
 from pite_sim.hamiltonian import (
     InitialState,
@@ -624,3 +625,42 @@ def test_noisy_run_holds_at_most_one_projector(monkeypatch):
     assert any(owed) and order is not None
     held = [entry[2] for entry in states[0]._reads.values() if isinstance(entry[2], np.ndarray)]
     assert len(held) == 1 and held[0].size == 4**5
+
+
+@pytest.mark.parametrize("dt", [0.05, 0.02])
+@pytest.mark.parametrize("model, beta", [("lih", 6.0), ("lih-22", 6.0), ("ising8", 2.0)])
+def test_success_probability_decays_at_the_alb_rate(model, beta, dt):
+    """The paper's success-probability law on a noiseless postselected
+    trace: once the state has relaxed to the ground state, ln p_cum falls
+    at the ALB's leading rate, d ln p_cum / d beta = -2 (E_G - sum_k
+    lambda[k]_0), E_G without the identity offset, lambda[k]_0 = -|c_k|
+    per term or the block minima when grouped. The rate is read over the
+    tail beta/2..beta (LiH from its superposition start, Ising n=8 from
+    its product state).
+
+    Measured relative deviations at dt 0.05 / 0.02: LiH per term 1.1e-5 /
+    1.3e-5 and grouped (lih-22) 3.2e-5 / 3.9e-5, where the state has not
+    quite relaxed by beta 3 and dt plays no part; Ising 1.38e-3 / 2.33e-4,
+    the first-order Trotter error, which falls as 0.55-0.58 dt^2. The
+    tolerance 1e-4 + dt^2 holds the relaxation under its floor and the
+    Trotter part with a margin of 1.8 or more."""
+    if model == "ising8":
+        h = build_ising(8, 1.0, 1.2, 0.3)
+        init = prepare_initial(InitialState.product(ising_params=(1.0, 1.2, 0.3)), 8)
+    else:
+        h = build_lih()
+        spec = InitialState.superposition([(math.sqrt(0.99), "110000"), (0.1, "000011")])
+        init = prepare_initial(spec, 6)
+    schedule = Schedule.from_beta(beta, dt, 1)
+    if model == "lih-22":
+        blocks = group_hamiltonian(h, lih_groupspec())
+        minima = sum_block_minima(blocks)
+        result = run_generalized(h, blocks, init, schedule, RunConfig())
+    else:
+        minima = -h.abs_coeff_sum
+        result = run_pite(h, init, schedule, RunConfig())
+    rate = -2.0 * (diagonalize(h, init).e0 - h.identity_offset - minima)
+    half = result.records[len(result.records) // 2]
+    final = result.final
+    measured = math.log(final.p_cum / half.p_cum) / (final.beta - half.beta)
+    assert measured == pytest.approx(rate, rel=1e-4 + dt**2)
