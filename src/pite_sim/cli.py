@@ -4,9 +4,9 @@ Every run writes three artifacts next to ``--out``: ``<out>.csv`` (the
 trace), ``<out>.json`` (the manifest, whether the run completed, its
 restart count and the trace records) and ``<out>.manifest.json`` (the
 exact inputs). ``run --manifest <out>.manifest.json`` replays a saved run on
-its own: a model or run flag beside it whose value differs from the flag's
-default is a usage error, as the manifest holds them all; only ``--out``
-is read. CSV numbers carry 17 significant digits so postselect traces are
+its own: a model or run flag beside it is a usage error, even at its
+default value, as the manifest holds them all; only ``--out`` is read.
+CSV numbers carry 17 significant digits so postselect traces are
 byte-reproducible. A sweep runs its points in order and stops at the
 first that annihilates or exhausts its restart budget: its CSV keeps the
 rows of the points before (and the exhausted point's own row, marked not
@@ -67,7 +67,11 @@ def _csv_row(cells) -> str:
     return ",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in cells)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(suppress_run_defaults: bool = False) -> argparse.ArgumentParser:
+    """The CLI's parser; with ``suppress_run_defaults`` a model or run flag
+    of ``run`` that the command line leaves out is left out of the parsed
+    namespace (its default is ``argparse.SUPPRESS``), which tells the
+    flags given apart."""
     parser = argparse.ArgumentParser(
         prog="pite-sim",
         description="Probabilistic imaginary-time evolution simulator",
@@ -110,6 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", type=Path, default=Path("pite_run"))
     run_p.add_argument("--manifest", type=Path, help="replay a saved manifest")
     run_p.set_defaults(func=cmd_run)
+    if suppress_run_defaults:
+        names = {name for _, name, _ in MANIFEST_FIELDS}
+        for action in run_p._actions:
+            if action.dest in names:
+                action.default = argparse.SUPPRESS
 
     sweep_p = sub.add_parser("sweep", help="one run per sweep point, aggregated CSV")
     add_model_flags(sweep_p)
@@ -277,13 +286,15 @@ def _manifest_from_args(args: argparse.Namespace) -> dict:
 def _args_from_manifest(given: argparse.Namespace) -> argparse.Namespace:
     """The run the manifest named by ``given.manifest`` describes, on a
     fresh set of flag defaults, written to ``given.out``. A model or run
-    flag set in ``given`` to other than its default is a usage error."""
-    args = build_parser().parse_args(["run", "--out", str(given.out)])
+    flag on the command line ``given.argv``, at any value, its default
+    included, is a usage error."""
+    explicit = vars(build_parser(suppress_run_defaults=True).parse_args(given.argv))
     for section, name, _ in MANIFEST_FIELDS:
         _require(
-            getattr(given, name) == getattr(args, name),
+            name not in explicit,
             f"--manifest holds the {section or 'model'}; drop --{name.replace('_', '-')}",
         )
+    args = build_parser().parse_args(["run", "--out", str(given.out)])
     path = given.manifest
     try:
         saved = json.loads(path.read_text())
@@ -452,6 +463,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except (UsageError, analysis.OracleCapacityError) as exc:

@@ -6,14 +6,22 @@ name; a renamed or re-signed method fails here rather than in the next
 benchmark run. One traced repeat of each benchmark workload checks the
 program's output on it against the benchmark's reference values (rtol
 1e-7) and its measurement count, so a drift or a miscounted measurement
-fails here too.
+fails here too. How the noisy workloads lower is pinned, step form by
+step form, so that a change to a support cap that moves a workload onto
+another step path fails here rather than only moving its numbers.
 """
+import importlib.util
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import pite_sim.engine as engine
+from pite_sim import hamiltonian
+from pite_sim.circuit import build_pauli_step
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,3 +44,45 @@ def test_benchmark_workload_repeat_passes_its_checks(workload):
     record = json.loads(proc.stdout.strip().splitlines()[-1])
     assert record["errors"] == []
     assert record["layers"]["engine.step_calls"] == record["measurements"]
+
+
+def load_workloads():
+    """perfbench/workloads.py, which imports nothing of the program."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def step_form(step) -> str:
+    if len(step.ops) == 2:
+        return "superop"
+    if isinstance(step.ops[1], engine._MaskStage):
+        return f"x-mask-{len(step.support)}"
+    return "gate-list" if type(step.ops[1]) is tuple else f"passes-{len(step.support)}"
+
+
+@pytest.mark.parametrize(
+    "workload, forms",
+    [
+        ("lih-noisy", {"superop": 29, "x-mask-4": 28, "passes-6": 4}),
+        ("ising8-noisy", {"superop": 24}),
+    ],
+)
+def test_benchmark_noisy_models_lower_to_pinned_step_forms(workload, forms):
+    """Noisy LiH lowers to 29 superoperator steps (supports of 1 to 3
+    qubits), 28 sandwiches on 4 qubits whose weight and channel are one
+    X-mask product and 4 on 6 qubits that run them as passes; noisy Ising
+    n=8 to 24 superoperator steps."""
+    workloads = load_workloads()
+    w = workloads.WORKLOADS[workload]
+    h, _ = workloads.model_and_init(w, hamiltonian)
+    state = engine.DensityMatrix(h.n_qubits)
+    noise = engine.NoiseModel(*w.noise)
+    got = Counter(
+        step_form(engine.lower_step(build_pauli_step(term, workloads.DT), state, noise))
+        for term in h.terms
+    )
+    assert dict(got) == forms

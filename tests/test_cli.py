@@ -99,13 +99,18 @@ def test_run_needs_exactly_one_of_model_and_manifest(tmp_path, capsys, flags, me
         (["--beta", "3"], "--manifest holds the schedule; drop --beta"),
         (["--noise", "1e-3,1e-3"], "--manifest holds the config; drop --noise"),
         (["--restart-budget", "5"], "--manifest holds the config; drop --restart-budget"),
+        (["--beta", "1"], "--manifest holds the schedule; drop --beta"),
+        (["--J", "1.0"], "--manifest holds the model; drop --J"),
+        (["--mode", "postselect"], "--manifest holds the config; drop --mode"),
+        (["--restart-budget=1000"], "--manifest holds the config; drop --restart-budget"),
     ],
-    ids=["model", "init", "schedule", "config", "config-dashed"],
+    ids=["model", "init", "schedule", "config", "config-dashed", "schedule-default",
+         "model-default", "config-default", "config-dashed-default"],
 )
 def test_run_manifest_rejects_the_flags_it_would_ignore(tmp_path, capsys, flags, message):
-    """A model or run flag beside --manifest, set to other than its
-    default, is an error where the replay silently ignored it; --out and
-    a flag left at its default are read as before."""
+    """A model or run flag beside --manifest is an error where the replay
+    silently ignored it, also when given at its default value; --out is
+    read as before."""
     saved = tmp_path / "saved"
     assert main(["run", "--model", "h2", "--R", "0.75", "--beta", "0.2", "--out", str(saved)]) == 0
     manifest = str(saved.with_suffix(".manifest.json"))
@@ -113,7 +118,7 @@ def test_run_manifest_rejects_the_flags_it_would_ignore(tmp_path, capsys, flags,
     assert main(["run", "--manifest", manifest, *flags, "--out", str(tmp_path / "x")]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.csv").exists()
-    assert main(["run", "--manifest", manifest, "--beta", "1", "--out", str(tmp_path / "y")]) == 0
+    assert main(["run", "--manifest", manifest, "--out", str(tmp_path / "y")]) == 0
     assert (tmp_path / "y.csv").read_bytes() == saved.with_suffix(".csv").read_bytes()
 
 

@@ -19,6 +19,7 @@ from pite_sim.circuit import (
     PhaseS,
     PhaseSdg,
     Ry,
+    adjoint_sequence,
     build_grouped_step,
     build_ising_block_gates,
     build_pauli_step,
@@ -298,28 +299,37 @@ def lowering_cases():
 LOWERING_CASES = lowering_cases()
 
 
-# (FUSED_MAX_SUPPORT, SUPEROP_MAX_SUPPORT) values that force each step
-# path on small registers: a density-matrix step runs as one
-# superoperator, as the Pre/W/Post sandwich or with Pre and Post as gate
-# lists on the gathered block (a statevector step is fused on the first
-# two)
-STEP_PATHS = {"superop": (99, 99), "sandwich": (99, 0), "gate-list": (0, 0)}
+# (FUSED_MAX_SUPPORT, SUPEROP_MAX_SUPPORT, MASK_STACK_MAX_SUPPORT) values
+# that force each step path on small registers: a density-matrix step runs
+# as one superoperator, as the Pre/W/Post sandwich with W and the channel
+# as one product over X-mask blocks, as that sandwich with W and the
+# channel as passes, or with Pre and Post as gate lists on the gathered
+# block (a statevector step is fused on all but the last)
+STEP_PATHS = {
+    "superop": (99, 99, 99),
+    "sandwich": (99, 0, 99),
+    "sandwich-pass": (99, 0, 0),
+    "gate-list": (0, 0, 0),
+}
 
 
 def force_path(monkeypatch, path: str) -> None:
-    fused, superop = STEP_PATHS[path]
+    fused, superop, stack = STEP_PATHS[path]
     monkeypatch.setattr(engine, "FUSED_MAX_SUPPORT", fused)
     monkeypatch.setattr(engine, "SUPEROP_MAX_SUPPORT", superop)
+    monkeypatch.setattr(engine, "MASK_STACK_MAX_SUPPORT", stack)
 
 
 def step_path(step) -> str:
     """The path a lowered step runs down, in ``STEP_PATHS``' names."""
     # (Pre, (c_S, s_S), Post); a fused trajectory holds Pre_S as an array
-    if isinstance(step.ops[1], tuple) and not isinstance(step.ops[0], np.ndarray):
+    if type(step.ops[1]) is tuple and not isinstance(step.ops[0], np.ndarray):
         return "gate-list"
     if step.state_type is not DensityMatrix:
         return "fused"
-    return "superop" if len(step.ops) == 2 else "sandwich"
+    if len(step.ops) == 2:
+        return "superop"
+    return "sandwich" if isinstance(step.ops[1], engine._MaskStage) else "sandwich-pass"
 
 
 def path_step(monkeypatch, path, circ, state, rng=None, noise=None):
@@ -709,17 +719,22 @@ def test_chain_with_no_read_rescales_before_it_underflows(form):
 def test_density_steps_pick_their_path_by_support_size():
     """A density-matrix step on S runs as one 4^|S| x 4^|S| superoperator
     while 2|S| <= FUSED_MAX_SUPPORT, so that it stays within the fused
-    cap of 64 x 64, as a sandwich up to FUSED_MAX_SUPPORT qubits, and gate
-    by gate beyond."""
+    cap of 64 x 64, as a sandwich whose weight and channel are one stack
+    of 8^|S| entries while 3|S| <= 2 FUSED_MAX_SUPPORT (the same cap), as
+    a sandwich with them as passes up to FUSED_MAX_SUPPORT qubits, and
+    gate by gate beyond."""
     cut = engine.FUSED_MAX_SUPPORT
     noise = NoiseModel(1e-3, 1e-3)
     for width in range(1, cut + 2):
         circ = build_pauli_step(PauliTerm.from_string(-0.6, "X" * width), 0.2)
         step = lower_step(circ, DensityMatrix(width), noise)
-        want = "superop" if 2 * width <= cut else "sandwich" if width <= cut else "gate-list"
+        want = ("superop" if 2 * width <= cut else "sandwich" if 3 * width <= 2 * cut
+                else "sandwich-pass" if width <= cut else "gate-list")
         assert step_path(step) == want, width
         if want == "superop":
             assert step.ops[0].shape == (4**width, 4**width)
+        if want == "sandwich":
+            assert step.ops[1].stack.shape == (2**width,) * 3
 
 
 def test_rotation_reading_outside_the_support_is_rejected():
@@ -1235,7 +1250,7 @@ def moved_and_owing(monkeypatch, h: PauliHamiltonian, model: NoiseModel, paths) 
     n = h.n_qubits
     d = DensityMatrix(n, random_density(n))
     for path in paths:
-        terms = [t for t in h.terms if path == "sandwich" or len(t.support) <= 3]
+        terms = [t for t in h.terms if path != "superop" or len(t.support) <= 3]
         force_path(monkeypatch, path)
         circ = build_pauli_step(terms[int(rng.integers(len(terms)))], 0.2)
         assert step_path(lower_step(circ, d, model)) == path
@@ -1250,15 +1265,15 @@ def test_reads_without_a_flush_match_a_flushed_copy(name, monkeypatch):
     a step's order and owing channel applications equal those of a deep
     copy flushed to canonical order, and leave the stored matrix, its
     order, its counts and its model bitwise as they were. The stored
-    orders come from mixed superoperator and sandwich steps, the last one
-    of either kind; LiH brings Y-heavy X masks."""
+    orders come from mixed superoperator and sandwich steps (X-mask and
+    pass form), the last one of either kind; LiH brings Y-heavy X masks."""
     from pite_sim.hamiltonian import build_lih
 
     h = build_lih() if name == "lih" else build_ising(6, 1.0, 1.2, 0.3)
     model = NoiseModel(0.02, 0.03)
     basis, _ = np.linalg.qr(rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2)))
     for trial in range(6):
-        paths = ("superop", "sandwich", "superop", "sandwich")[trial % 2 : trial % 2 + 3]
+        paths = ("superop", "sandwich", "superop", "sandwich-pass")[trial % 2 : trial % 2 + 3]
         d = moved_and_owing(monkeypatch, h, model, paths)
         if trial == 0:
             d._owed = [0] * 6
@@ -1398,27 +1413,129 @@ def test_sandwich_chain_of_lih_y_terms_matches_the_kraus_oracle(start, monkeypat
     """LiH's Y terms run as sandwiches, whose operators come out real with
     a phase factor before (Pre_S) or after (Post_S) the products, and a
     chain of them equals ``full_kraus_step`` after every step, from a real
-    and from a complex matrix."""
-    force_path(monkeypatch, "sandwich")
+    and from a complex matrix, with the weight and the channel as one
+    X-mask product (whose stack stays real: no phase folds into it) and
+    as passes."""
     model = NoiseModel(1e-3, 2e-3)
     if start == "real":
         vecs = [v.real / np.linalg.norm(v.real) for v in (random_state(6) for _ in range(3))]
+        start_rho = sum(w * np.outer(v, v) for w, v in zip((0.5, 0.3, 0.2), vecs))
+    else:
+        start_rho = random_density(6)
+    for path in ("sandwich", "sandwich-pass"):
+        force_path(monkeypatch, path)
+        rho = start_rho
+        d = DensityMatrix(6, rho)
+        assert np.iscomplexobj(d._stored) == (start == "complex")
+        for _ in range(2):
+            for axes in ("IIYYXX", "ZIIYZY", "YXXZZY"):
+                circ = build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2)
+                step = lower_step(circ, d, model)
+                (a, phase_in, _), middle, (b, _, phase_out) = step.ops
+                assert a.dtype == b.dtype == np.float64
+                assert phase_in is not None and phase_out is not None, axes
+                assert step_path(step) == path
+                if path == "sandwich":
+                    assert middle.stack.dtype == np.float64
+                res = run_step_circuit(d, step)
+                rho, p0 = full_kraus_step(circ, rho, model)
+                assert res.prob0 == pytest.approx(p0, rel=1e-12), (axes, path)
+                assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, (axes, path)
+
+
+def phased_step(n: int, support: tuple[int, ...], angles) -> Circuit:
+    """A step on ``support`` of an n-qubit register whose Pre ends with an
+    S gate, so that Pre_S carries a phase per row (a ``phase_out``) and
+    Post = Pre^dag one per column (a ``phase_in``): Hadamards, a CNOT
+    chain, then S on the last qubit; the ancilla turned by one controlled
+    y-rotation per support qubit."""
+    ancilla = n
+    pre = (*(Hadamard(q) for q in support),
+           *(CNOT(a, b) for a, b in zip(support, support[1:])), PhaseS(support[-1]))
+    rotation = tuple(ControlledRy(float(t), q, ancilla) for q, t in zip(support, angles))
+    post = adjoint_sequence(pre)
+    return Circuit(n, True, (*pre, *rotation, *post), len(pre) + len(rotation))
+
+
+@pytest.mark.parametrize("start", ["real", "complex"])
+@pytest.mark.parametrize("eps_d", [1e-5, 0.9, 1.0])
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_mask_stack_step_matches_the_kraus_oracle(width, eps_d, start, monkeypatch):
+    """A sandwich step whose weight and channel run as one product over
+    X-mask blocks equals ``full_kraus_step`` on a 5-qubit register, for
+    supports of 1 to 4 qubits, up to full relaxation (eps_d = 1), from a
+    real and from a complex matrix: a Pauli term with Y factors (Pre_S
+    with a ``phase_in``, Post_S with a ``phase_out``) and a step whose
+    Pre_S has a ``phase_out`` and Post_S a ``phase_in``, which fold into
+    the stack. The pass form of the same sandwich agrees too."""
+    local = np.random.default_rng(100 * width + int(eps_d * 10))
+    n = 5
+    model = NoiseModel(0.0 if eps_d == 1.0 else 0.05, eps_d)
+    support = tuple(sorted(local.choice(n, size=width, replace=False).tolist()))
+    axes = ["I"] * n
+    for i, q in enumerate(support):
+        axes[q] = "Y" if i == 0 else "XYZ"[int(local.integers(3))]
+    circuits = {
+        "pauli": build_pauli_step(PauliTerm.from_string(0.7, "".join(axes)), 0.3),
+        "phased": phased_step(n, support, local.uniform(-2.0, 2.0, size=width)),
+    }
+    if start == "real":
+        vecs = [v.real / np.linalg.norm(v.real) for v in (random_state(n, local) for _ in range(3))]
         rho = sum(w * np.outer(v, v) for w, v in zip((0.5, 0.3, 0.2), vecs))
     else:
-        rho = random_density(6)
-    d = DensityMatrix(6, rho)
-    assert np.iscomplexobj(d._stored) == (start == "complex")
-    for _ in range(2):
-        for axes in ("IIYYXX", "ZIIYZY", "YXXZZY"):
-            circ = build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2)
+        rho = random_density(n, local)
+    for name, circ in circuits.items():
+        want, p0 = full_kraus_step(circ, rho, model)
+        for path in ("sandwich", "sandwich-pass"):
+            d = DensityMatrix(n, rho)
+            force_path(monkeypatch, path)
             step = lower_step(circ, d, model)
-            (a, phase_in, _), _, (b, _, phase_out) = step.ops
-            assert a.dtype == b.dtype == np.float64
-            assert phase_in is not None and phase_out is not None, axes
+            assert step_path(step) == path and step.support == support, (name, path)
+            pre, middle, post = step.ops
+            if path == "sandwich":
+                folded = name == "phased"
+                assert pre[2] is None and post[1] is None, name
+                assert np.iscomplexobj(middle.stack) == folded, name
+            else:
+                assert (pre[2] is not None, post[1] is not None) == ((name == "phased"),) * 2
             res = run_step_circuit(d, step)
-            rho, p0 = full_kraus_step(circ, rho, model)
-            assert res.prob0 == pytest.approx(p0, rel=1e-12), axes
-            assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, axes
+            assert res.prob0 == pytest.approx(p0, rel=1e-12), (name, path)
+            assert np.abs(d.data - want).max() < 1e-12, (name, path)
+
+
+@pytest.mark.parametrize("eps_d", [None, 1e-5, 0.9, 1.0])
+def test_mask_stack_is_the_weight_then_the_channel(eps_d):
+    """On random blocks, entry by entry: the X-mask stack of W with Pre's
+    ``phase_out`` and Post's ``phase_in`` folded in, scaled, equals
+    rho * phase_out * W * scale, then ``_channel`` once on the k qubits,
+    then * phase_in, for k = 1 to 4, complex and real rho."""
+    local = np.random.default_rng(41)
+    model = None if eps_d is None else NoiseModel(0.0 if eps_d == 1.0 else 0.03, eps_d)
+    for k in (1, 2, 3, 4):
+        size = 2**k
+        c = np.cos(local.uniform(0.0, math.pi, size))
+        w = np.outer(c, c) + 0.2 * np.outer(1.0 - c, 1.0 - c)
+        phases = [np.exp(1j * local.uniform(0.0, 2.0 * math.pi, size)) for _ in range(2)]
+        phase_out, phase_in = (np.outer(d, d.conj()) for d in phases)
+        for fold in ((None, None), (phase_out, None), (None, phase_in), (phase_out, phase_in)):
+            stage = engine._mask_stage(w, model, *fold)
+            assert np.array_equal(stage.row, w.diagonal())
+            assert stage.stack.shape == (size,) * 3
+            for rho in (local.standard_normal((size * size, 9)),
+                        local.standard_normal((size * size, 9))
+                        + 1j * local.standard_normal((size * size, 9))):
+                want = rho * (w if fold[0] is None else w * fold[0]).reshape(-1, 1) * 0.7
+                if model is not None:
+                    engine._channel(want, model, (1,) * k, columns=k)
+                if fold[1] is not None:
+                    want = want * fold[1].reshape(-1, 1)
+                got = engine._by_mask(stage.stack, rho, 0.7)
+                assert got.shape == rho.shape
+                assert np.abs(got - want).max() < 1e-14 * np.abs(want).max() * size, (k, fold)
+    order, inverse = engine._mask_order(3)
+    r, c = np.divmod(order, 8)
+    assert np.array_equal(r ^ c, np.repeat(np.arange(8), 8))
+    assert np.array_equal(order[inverse], np.arange(64))
 
 
 def test_post_from_the_adjoint_of_pre_is_the_kernel_built_post(monkeypatch):
