@@ -27,7 +27,6 @@ __all__ = [
     "exact_ite_state",
     "exact_ite_trace",
     "fidelity_bound",
-    "beta_for_error",
     "rlb",
     "alb",
     "alb_generalized",
@@ -156,23 +155,6 @@ def fidelity_bound(s0: float, gap1: float, beta: float) -> float:
     if gap1 < 0.0:
         raise ValueError("gap1 must be nonnegative")
     return s0 / (s0 + (1.0 - s0) * math.exp(-2.0 * beta * gap1))
-
-
-def beta_for_error(eps: float, s0: float, gap1: float) -> float:
-    """Smallest beta at which the fidelity bound reaches 1 - eps.
-
-    Closed form: beta * gap1 = (1/2) ln((1-s0)/s0 * (1-eps)/eps); returns 0
-    when the bound already satisfies the target at beta = 0.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    if not 0.0 < s0 < 1.0:
-        raise ValueError(f"s0 must be in (0, 1), got {s0}")
-    if eps >= 1.0 - s0:
-        return 0.0
-    if gap1 <= 0.0:
-        return math.inf
-    return 0.5 * math.log((1.0 - s0) / s0 * (1.0 - eps) / eps) / gap1
 
 
 def rlb(h: PauliHamiltonian, beta: float) -> float:

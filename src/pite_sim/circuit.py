@@ -46,8 +46,6 @@ __all__ = [
     "theta_for_coeff",
     "build_pauli_step",
     "build_grouped_step",
-    "build_ising_block_gates",
-    "ising_block_angles",
     "gate_count",
 ]
 
@@ -135,9 +133,6 @@ class ConditionalRy:
     @staticmethod
     def from_map(register: tuple[int, ...], angles: dict[int, float], target: int) -> "ConditionalRy":
         return ConditionalRy(register, tuple(sorted(angles.items())), target)
-
-    def angle_map(self) -> dict[int, float]:
-        return dict(self.angles)
 
 
 class DenseBlock:
@@ -279,26 +274,6 @@ class Circuit:
     def post_measure(self) -> tuple[Gate, ...]:
         return () if self.measure_point is None else self.gates[self.measure_point :]
 
-    def dump(self) -> str:
-        """Debug listing: one gate per line, ``<kind> <qubits> [<angle>]``."""
-        lines = []
-        for i, g in enumerate(self.gates):
-            if self.measure_point is not None and i == self.measure_point:
-                lines.append(f"measure ({self.ancilla},)")
-            name = type(g).__name__.lower()
-            if isinstance(g, DenseBlock):
-                lines.append(f"{name} {g.qubits} dim={g.matrix.shape[0]}")
-            elif isinstance(g, ConditionalRy):
-                angles = ";".join(f"{x}:{a:.12g}" for x, a in g.angles)
-                lines.append(f"{name} {qubits_of(g)} {angles}")
-            elif isinstance(g, (Ry, ControlledRy)):
-                lines.append(f"{name} {qubits_of(g)} {g.angle:.12g}")
-            else:
-                lines.append(f"{name} {qubits_of(g)}")
-        if self.measure_point is not None and self.measure_point == len(self.gates):
-            lines.append(f"measure ({self.ancilla},)")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class UkSynthesis:
@@ -391,72 +366,6 @@ def build_grouped_step(block: "GroupedBlock", dt: float) -> Circuit:
         has_ancilla=True,
         gates=gates,
         measure_point=2,
-    )
-
-
-def ising_block_angles(g: float, h: float) -> tuple[float, float]:
-    """Closed-form rotation angles of the two-site Ising block:
-
-        phi1 = arccos((1-h) / sqrt(g^2 + (h-1)^2))
-        phi2 = arccos((-1-h) / sqrt(g^2 + (h+1)^2))
-    """
-    r_minus = math.hypot(g, h - 1.0)
-    r_plus = math.hypot(g, h + 1.0)
-    if r_minus == 0.0 or r_plus == 0.0:
-        raise ValueError("block angles undefined at the degenerate point g=0, h=-+1")
-    phi1 = math.acos((1.0 - h) / r_minus)
-    phi2 = math.acos((-1.0 - h) / r_plus)
-    return phi1, phi2
-
-
-def build_ising_block_gates(g: float, h: float, dt: float) -> Circuit:
-    """Elementary-gate step circuit for the two-site Ising block
-
-        B = -(Z0 Z1 + g X0 + h Z0)
-
-    on work qubits (0, 1) plus the ancilla (J = 1 form). The eigenbasis
-    change needs one Ry, one controlled-Ry and one CNOT; the ancilla
-    rotation splits into two controlled-Ry gates plus a two-qubit
-    conditional branch. Dense-equivalent to ``build_grouped_step`` on the
-    same block up to a global phase on the post-selected branch.
-    """
-    check_time("dt", dt)
-    # B is block-diagonal in qubit 1: on the qubit-1=0 (resp. 1) subspace it
-    # is -r_a (cos a_a Z + sin a_a X) on qubit 0, with the angles below.
-    alpha_a = math.atan2(g, 1.0 + h)
-    alpha_b = math.atan2(g, h - 1.0)
-    r_a = math.hypot(g, 1.0 + h)
-    r_b = math.hypot(g, h - 1.0)
-    # eigenvalues hosted by register states 00, 01, 11, 10 after the basis
-    # change; anchor the rotation angles at the global minimum
-    by_state = {0b00: -r_a, 0b01: -r_b, 0b11: r_a, 0b10: r_b}
-    lam0 = min(by_state.values())
-    theta = {x: 2.0 * math.acos(math.exp(-(lam - lam0) * dt)) for x, lam in by_state.items()}
-
-    basis_change = (
-        Ry(-alpha_a, 0),
-        ControlledRy(alpha_a - alpha_b, 1, 0),
-        CNOT(0, 1),
-    )
-    ancilla = 2
-    rotation: list[Gate] = []
-    if theta[0b00] != 0.0:
-        rotation.append(Ry(theta[0b00], ancilla))
-    t10 = theta[0b10] - theta[0b00]
-    t01 = theta[0b01] - theta[0b00]
-    if t10 != 0.0:
-        rotation.append(ControlledRy(t10, 0, ancilla))
-    if t01 != 0.0:
-        rotation.append(ControlledRy(t01, 1, ancilla))
-    t11 = theta[0b11] - theta[0b00] - t10 - t01
-    if t11 != 0.0:
-        rotation.append(ConditionalRy.from_map((0, 1), {0b11: t11}, ancilla))
-    gates = (*basis_change, *rotation, *adjoint_sequence(basis_change))
-    return Circuit(
-        n_work=2,
-        has_ancilla=True,
-        gates=gates,
-        measure_point=len(basis_change) + len(rotation),
     )
 
 

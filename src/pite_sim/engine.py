@@ -72,7 +72,10 @@ Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; in a circuit the ancilla is the
 highest qubit index (least significant bit). Gates are applied in place
 through reshaped views of a flat buffer; a density matrix gets every
-unitary applied from both sides.
+unitary applied from both sides. The dense oracles the tests check this
+module against (gate unitaries from the gate definitions, the
+closed-form Pauli step) are in ``tests/oracles.py`` and share none of
+its kernels.
 
 Every measurement postselects: it keeps outcome 0 and reports prob0. A
 density matrix folds 1/prob0 into its step (T_S / prob0, the X-mask
@@ -109,7 +112,7 @@ from .circuit import (
     adjoint_sequence,
     qubits_of,
 )
-from .hamiltonian import PauliAxis, PauliHamiltonian, PauliTerm
+from .hamiltonian import PauliHamiltonian
 
 __all__ = [
     "StateVector",
@@ -118,10 +121,6 @@ __all__ = [
     "MeasureResult",
     "EvolutionAnnihilatedError",
     "make_rng",
-    "dense_step_oracle",
-    "gates_unitary",
-    "circuit_unitary",
-    "postselected_operator",
     "BoundStep",
     "lower_step",
     "run_step_circuit",
@@ -457,8 +456,10 @@ class _State:
     norm). A copy keeps the stored order, and a density matrix reads its
     energy, trace and subspace weight in it. A
     subclass says how many ``_sides`` carry labels (1 on a vector, 2 on a
-    matrix) and supplies ``apply_gate``, ``measure_ancilla``,
-    ``_expectation`` and ``_run_step``.
+    matrix) and supplies ``_expectation`` and ``_run_step``, which runs
+    call, and ``apply_gate`` and ``measure_ancilla``, a gate or a
+    whole-register measurement on ``data`` that no step calls (tests and
+    the benchmark's spans use them).
     """
 
     n_qubits: int
@@ -592,9 +593,6 @@ class StateVector(_State):
             self._keep(out, kept, order)
         return result
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-
     def apply_gate(self, gate: Gate) -> None:
         if _gate_needs_complex(gate):
             self._ensure_complex()
@@ -646,20 +644,6 @@ class StateVector(_State):
         if post is not None:  # on the kept branch, a buffer of the step's own
             self._stored = _product(post, self._stored, overwrite=True)
         return result
-
-    def apply_pauli_string(self, axes: tuple[PauliAxis, ...]) -> np.ndarray:
-        """P |psi> for a Pauli string, without touching this state."""
-        out = self.data.astype(np.complex128)
-        y_matrix = np.array([[0.0, -1j], [1j, 0.0]])
-        for q, axis in enumerate(axes):
-            if axis is PauliAxis.X:
-                _swap_pair(*_pinned_views(out, (), q))
-            elif axis is PauliAxis.Y:
-                _rotate_pair(*_pinned_views(out, (), q), y_matrix)
-            elif axis is PauliAxis.Z:
-                (v1,) = _pinned_views(out, ((q, 1),), None)
-                v1 *= -1.0
-        return out
 
     def _expectation(self, h: PauliHamiltonian) -> float:
         # one gather per distinct X mask, see PauliHamiltonian.x_mask_diagonals
@@ -1147,102 +1131,6 @@ def _by_mask(stack: np.ndarray, rho: np.ndarray, scale: float) -> np.ndarray:
     out = _product(stack, rho.take(order, axis=0).reshape(size, size, -1))
     out *= scale
     return out.reshape(size * size, -1).take(inverse, axis=0)
-
-
-def dense_step_oracle(term: PauliTerm, dt: float, state: np.ndarray) -> np.ndarray:
-    """Closed-form normalized action of e^{-c h dt} on a statevector.
-
-    Uses the two-eigenvalue structure of a Pauli string:
-    e^{-c h dt} = cosh(|c| dt) I - sinh(|c| dt) (c h / |c|). Test oracle;
-    independent of the circuit path.
-    """
-    if dt < 0:
-        raise ValueError("dt must be nonnegative")
-    vec = StateVector(term.n_qubits, state)
-    hv = vec.apply_pauli_string(term.axes)
-    x = abs(term.coeff) * dt
-    sign = 1.0 if term.coeff > 0 else -1.0
-    out = math.cosh(x) * vec.data - math.sinh(x) * sign * hv
-    return out / np.linalg.norm(out)
-
-
-def _gate_matrix(gate: Gate) -> tuple[np.ndarray, tuple[int, ...]]:
-    """A gate's matrix built from its definition, and the qubits it acts
-    on (first listed qubit = most significant bit of the matrix index).
-    Written out from the gate definitions rather than taken from the
-    kernels' helpers, so that :func:`gates_unitary` stays independent."""
-
-    def ry(angle: float) -> np.ndarray:
-        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-        return np.array([[c, -s], [s, c]])
-
-    def controlled(n_control: int, branches: dict[int, np.ndarray]) -> np.ndarray:
-        """sum_x |x><x| (x) branches[x] over the control register, with
-        the identity on the target for control states not listed."""
-        out = np.eye(2 ** (n_control + 1), dtype=complex)
-        for x, block in branches.items():
-            out[2 * x : 2 * x + 2, 2 * x : 2 * x + 2] = block
-        return out
-
-    if isinstance(gate, Hadamard):
-        return np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), (gate.qubit,)
-    if isinstance(gate, PhaseS):
-        return np.diag([1.0, 1j]), (gate.qubit,)
-    if isinstance(gate, PhaseSdg):
-        return np.diag([1.0, -1j]), (gate.qubit,)
-    if isinstance(gate, PauliX):
-        return np.array([[0.0, 1.0], [1.0, 0.0]]), (gate.qubit,)
-    if isinstance(gate, Ry):
-        return ry(gate.angle), (gate.qubit,)
-    if isinstance(gate, CNOT):
-        x = np.array([[0.0, 1.0], [1.0, 0.0]])
-        return controlled(1, {1: x}), (gate.control, gate.target)
-    if isinstance(gate, ControlledRy):
-        return controlled(1, {1: ry(gate.angle)}), (gate.control, gate.target)
-    if isinstance(gate, ConditionalRy):
-        branches = {x: ry(angle) for x, angle in gate.angles}
-        return controlled(len(gate.register), branches), (*gate.register, gate.target)
-    if isinstance(gate, DenseBlock):
-        return gate.matrix, gate.qubits
-    raise TypeError(f"unknown gate {gate!r}")
-
-
-def gates_unitary(gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
-    """Dense unitary of a gate sequence (testing/verification helper).
-
-    Each gate's matrix comes from its definition (:func:`_gate_matrix`)
-    and is contracted into the running unitary with ``np.tensordot``; none
-    of the in-place kernels that evolve states is involved, so this is an
-    independent oracle for them.
-    """
-    dim = 2**n_qubits
-    if n_qubits > 12:
-        raise ValueError("dense unitary limited to 12 qubits")
-    mat = np.eye(dim, dtype=complex)
-    for g in gates:
-        m, qubits = _gate_matrix(g)
-        k = len(qubits)
-        rows = mat.reshape((2,) * n_qubits + (dim,))
-        out = np.tensordot(m.reshape((2,) * (2 * k)), rows, axes=(range(k, 2 * k), qubits))
-        mat = np.moveaxis(out, range(k), qubits).reshape(dim, dim)
-    return mat
-
-
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    if circuit.has_ancilla:
-        raise ValueError("circuit has a measurement; use postselected_operator")
-    return gates_unitary(circuit.gates, circuit.n_work)
-
-
-def postselected_operator(circuit: Circuit) -> np.ndarray:
-    """Unnormalized work-register operator of the ancilla-0 branch.
-
-    Valid because gates after the measurement never touch the ancilla, so
-    projecting the ancilla commutes with them; the result is the top-left
-    ancilla block of the full-circuit unitary.
-    """
-    full = gates_unitary(circuit.gates, circuit.n_qubits)
-    return full[0::2, 0::2].copy()  # ancilla is the least significant bit
 
 
 def _transposition(order: tuple[int, ...], target: tuple[int, ...]) -> tuple[tuple, tuple]:

@@ -24,13 +24,10 @@ __all__ = [
     "GroupSpec",
     "GroupedBlock",
     "parse_groupspec",
-    "singleton_groupspec",
     "lih_groupspec",
     "group_hamiltonian",
     "ising_local_grouping",
-    "ising_block_eigenvalues",
     "sum_block_minima",
-    "embed_block",
 ]
 
 MAX_BLOCK_SUPPORT = 6
@@ -73,10 +70,6 @@ def parse_groupspec(text: str) -> GroupSpec:
     if not groups:
         raise ValueError("empty group spec")
     return GroupSpec(tuple(groups))
-
-
-def singleton_groupspec(n_terms: int) -> GroupSpec:
-    return GroupSpec(tuple((k,) for k in range(1, n_terms + 1)))
 
 
 def lih_groupspec() -> GroupSpec:
@@ -143,18 +136,6 @@ def group_hamiltonian(h: PauliHamiltonian, spec: GroupSpec) -> list[GroupedBlock
     return blocks
 
 
-def ising_block_eigenvalues(g: float, h: float, J: float = 1.0) -> tuple[float, float, float, float]:
-    """Closed-form eigenvalues of the local Ising block
-    -J (Z_k Z_{k+1} + g X_k + h Z_k):
-
-        lambda_{0,3} = -+ J sqrt(g^2 + (h+1)^2)
-        lambda_{1,2} = -+ J sqrt(g^2 + (h-1)^2)
-    """
-    r_plus = abs(J) * np.hypot(g, h + 1.0)
-    r_minus = abs(J) * np.hypot(g, h - 1.0)
-    return (-r_plus, -r_minus, r_minus, r_plus)
-
-
 def ising_local_grouping(
     n: int, J: float, g: float, h: float
 ) -> tuple[GroupSpec, list[GroupedBlock]]:
@@ -182,16 +163,3 @@ def sum_block_minima(blocks: list[GroupedBlock]) -> float:
     """Sum over blocks of the lowest eigenvalue, the quantity the grouped
     decomposition raises to improve success probability."""
     return float(sum(b.lambda0 for b in blocks))
-
-
-def embed_block(block: GroupedBlock, n_qubits: int) -> np.ndarray:
-    """Block matrix embedded on the full 2^n register (identity elsewhere)."""
-    k = len(block.support)
-    dim = 2**n_qubits
-    view_axes = list(block.support) + [q for q in range(n_qubits) if q not in block.support]
-    full = np.kron(block.matrix, np.eye(dim // 2**k))
-    tensor = full.reshape((2,) * (2 * n_qubits))
-    # current axis order: support qubits then the rest, on both sides
-    perm = np.argsort(view_axes)
-    tensor = np.transpose(tensor, tuple(perm) + tuple(len(view_axes) + perm))
-    return tensor.reshape(dim, dim)

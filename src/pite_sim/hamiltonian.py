@@ -27,7 +27,6 @@ __all__ = [
     "PauliHamiltonian",
     "InitialState",
     "parse_hamiltonian",
-    "serialize_hamiltonian",
     "build_h2",
     "build_lih",
     "build_ising",
@@ -48,14 +47,6 @@ class PauliAxis(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-PAULI_MATRICES = {
-    PauliAxis.I: np.eye(2, dtype=complex),
-    PauliAxis.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    PauliAxis.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    PauliAxis.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -92,13 +83,6 @@ class PauliTerm:
     @property
     def axes_string(self) -> str:
         return "".join(a.value for a in self.axes)
-
-    def dense_matrix(self) -> np.ndarray:
-        """Full 2^n x 2^n matrix of coeff * (P_1 x ... x P_n)."""
-        m = np.array([[self.coeff]], dtype=complex)
-        for a in self.axes:
-            m = np.kron(m, PAULI_MATRICES[a])
-        return m
 
     @staticmethod
     def from_string(coeff: float, axes: str) -> "PauliTerm":
@@ -253,14 +237,6 @@ def parse_hamiltonian(text: str) -> PauliHamiltonian:
     if not terms:
         raise ValueError("no non-identity terms with nonzero coefficient")
     return PauliHamiltonian(n_qubits, tuple(terms), offset)
-
-
-def serialize_hamiltonian(h: PauliHamiltonian) -> str:
-    """Inverse of :func:`parse_hamiltonian` up to float formatting."""
-    lines = [f"{t.coeff:.17g} {t.axes_string}" for t in h.terms]
-    if h.identity_offset != 0.0:
-        lines.append(f"{h.identity_offset:.17g} {'I' * h.n_qubits}")
-    return "\n".join(lines) + "\n"
 
 
 # Two-qubit H2 Hamiltonian: c0*I + c1*Z1 + c1*Z2 + c2*Z1Z2 + c3*X1X2,

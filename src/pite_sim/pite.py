@@ -148,7 +148,8 @@ def _work_fidelity(state: StateVector | DensityMatrix, spectrum: SpectrumInfo) -
     return spectrum.fidelity_to_ground(state.data)
 
 
-# Largest |tr rho - 1| a density-matrix trace record accepts
+# Largest |tr rho - 1| a density-matrix trace record accepts, and the
+# largest |<init|init> - 1| a run starts from
 TRACE_TOLERANCE = 1e-9
 
 
@@ -226,7 +227,15 @@ def _run(
 ) -> RunResult:
     """The run path of ``run_pite`` and ``run_generalized``: ``build(item,
     dt)`` synthesizes the step circuit of each term or block in ``items``,
-    and ``minima`` is the sum_k lambda[k]_0 of the ALB column."""
+    and ``minima`` is the sum_k lambda[k]_0 of the ALB column. An
+    ``init`` off unit norm by more than ``TRACE_TOLERANCE`` raises
+    ``ValueError``: a step reads its state normalized, so its records
+    would disagree with the record at beta 0."""
+    norm2 = float(np.vdot(init, init).real)
+    if not abs(norm2 - 1.0) <= TRACE_TOLERANCE:  # NaN fails too
+        raise ValueError(
+            f"initial state's squared norm {norm2!r} is off 1 by more than {TRACE_TOLERANCE}"
+        )
     check_capacity(h, config)
     if spectrum is None:
         spectrum = analysis.diagonalize(h, init)

@@ -19,17 +19,8 @@ from pite_sim.analysis import (
     rlb,
 )
 from pite_sim.circuit import build_pauli_step, synthesize_uk
-from pite_sim.engine import (
-    NoiseModel,
-    StateVector,
-    circuit_unitary,
-    dense_step_oracle,
-    gates_unitary,
-    lower_step,
-    postselected_operator,
-    run_step_circuit,
-)
-from pite_sim.grouping import GroupedBlock, ising_block_eigenvalues, ising_local_grouping
+from pite_sim.engine import NoiseModel, StateVector, lower_step, run_step_circuit
+from pite_sim.grouping import GroupedBlock, ising_local_grouping
 from pite_sim.hamiltonian import (
     H2_DISTANCES,
     InitialState,
@@ -42,6 +33,16 @@ from pite_sim.hamiltonian import (
     prepare_initial,
 )
 from pite_sim.pite import RunConfig, Schedule, _step_circuits, run_generalized, run_pite
+from oracles import (
+    circuit_unitary,
+    dense_step_oracle,
+    gates_unitary,
+    ising_block_eigenvalues,
+    kraus_channel,
+    pivot_z_matrix,
+    postselected_operator,
+    term_matrix,
+)
 
 ISING_PARAMS = (10, 1.0, 1.2, 0.3)
 
@@ -101,11 +102,7 @@ def kraus_sum_oracle(
 
     rng = np.random.default_rng(3)
     probe = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    want = probe
-    for q in range(n):
-        ops = [np.kron(np.kron(np.eye(2**q), e), np.eye(2 ** (n - 1 - q))) for e in kraus]
-        want = sum(op @ want @ op.conj().T for op in ops)
-    assert np.abs(channel(probe) - want).max() < 1e-12
+    assert np.abs(channel(probe) - kraus_channel(probe, kraus)).max() < 1e-12
 
     hmat = h.dense_matrix()
     project0 = np.outer(keep0, keep0)
@@ -381,11 +378,8 @@ def test_criterion_07_uk_property_suite():
         syn = synthesize_uk(term)
         assert syn.gate_count <= 3 * n
         u = circuit_unitary(syn.circuit)
-        target = np.array([[-abs(coeff)]], dtype=complex)
-        z = np.diag([1.0, -1.0])
-        for q in range(n):
-            target = np.kron(target, z if q == syn.pivot else np.eye(2))
-        worst = max(worst, float(np.abs(u @ term.dense_matrix() @ u.conj().T - target).max()))
+        target = pivot_z_matrix(coeff, n, syn.pivot)
+        worst = max(worst, float(np.abs(u @ term_matrix(term) @ u.conj().T - target).max()))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 10.0
     assert report(

@@ -7,7 +7,6 @@ import pytest
 from pite_sim.analysis import (
     alb,
     alb_generalized,
-    beta_for_error,
     diagonalize,
     eigensystem,
     exact_ite_state,
@@ -81,17 +80,6 @@ def test_fidelity_bound_basics():
     assert val == pytest.approx(0.99 / (0.99 + 0.01 * math.exp(-2.0)), rel=1e-12)
     with pytest.raises(ValueError):
         fidelity_bound(0.0, 1.0, 1.0)
-
-
-def test_beta_for_error():
-    assert beta_for_error(0.5, 0.5, 1.0) == 0.0  # eps >= 1 - s0
-    assert beta_for_error(0.01, 0.5, 1.0) == pytest.approx(0.5 * math.log(99.0))
-    # halving eps adds (ln 2)/(2 gap1), up to O(eps)
-    b1 = beta_for_error(2e-6, 0.4, 0.8)
-    b2 = beta_for_error(1e-6, 0.4, 0.8)
-    assert b2 - b1 == pytest.approx(0.5 * math.log(2.0) / 0.8, abs=1e-5)
-    beta = beta_for_error(0.01, 0.4, 0.8)
-    assert fidelity_bound(0.4, 0.8, beta) == pytest.approx(0.99, abs=1e-12)
 
 
 def test_rlb_values():

@@ -21,7 +21,6 @@ from pite_sim.circuit import (
     Ry,
     adjoint_sequence,
     build_grouped_step,
-    build_ising_block_gates,
     build_pauli_step,
 )
 from pite_sim.engine import (
@@ -29,11 +28,8 @@ from pite_sim.engine import (
     EvolutionAnnihilatedError,
     NoiseModel,
     StateVector,
-    dense_step_oracle,
-    gates_unitary,
     lower_step,
     make_rng,
-    postselected_operator,
     run_step_circuit,
 )
 from pite_sim.grouping import GroupedBlock
@@ -46,6 +42,16 @@ from pite_sim.hamiltonian import (
     build_ising,
     build_lih,
     prepare_initial,
+)
+from oracles import (
+    apply_pauli,
+    build_ising_block_gates,
+    dense_step_oracle,
+    gates_unitary,
+    kraus_channel,
+    on_register,
+    postselected_operator,
+    term_matrix,
 )
 
 rng = np.random.default_rng(99)
@@ -117,7 +123,7 @@ def test_controlled_ry_pi():
 def test_every_gate_preserves_norm(gate):
     s = StateVector(3, random_state(3))
     s.apply_gate(gate)
-    assert abs(s.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(s.data) - 1.0) < 1e-12
 
 
 @pytest.mark.parametrize("gate", ALL_GATE_SAMPLES)
@@ -194,7 +200,7 @@ def test_measure_plus_ancilla():
     circ = Circuit(n_work=2, has_ancilla=True, gates=(Ry(math.pi / 2, 2),), measure_point=1)
     res = run_circuit(s, circ)
     assert res.prob0 == pytest.approx(0.5, abs=1e-12)
-    assert abs(s.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(s.data) - 1.0) < 1e-12
     assert np.abs(s.data - work).max() < 1e-12
 
 
@@ -371,12 +377,7 @@ def full_kraus_step(circ, rho_work, model):
     n = circ.n_qubits
     full = np.kron(rho_work, np.diag([1.0, 0.0]))  # ancilla is the last qubit
     pre = gates_unitary(circ.pre_measure, n)
-    rho = pre @ full @ pre.conj().T
-    for q in range(n):
-        ops = [np.kron(np.kron(np.eye(2**q), e), np.eye(2 ** (n - 1 - q)))
-               for e in model.kraus_operators()]
-        rho = sum(op @ rho @ op.conj().T for op in ops)
-    branch = rho[0::2, 0::2]
+    branch = kraus_channel(pre @ full @ pre.conj().T, model.kraus_operators())[0::2, 0::2]
     p0 = float(np.trace(branch).real)
     post = gates_unitary(circ.post_measure, n)[0::2, 0::2]
     return post @ branch @ post.conj().T / p0, p0
@@ -900,15 +901,7 @@ def test_noise_matches_dense_superoperator(eps_r, eps_d):
         psi = random_state(n)
         d = DensityMatrix(n, np.outer(psi, psi.conj()))
         d.apply_noise(model)
-        rho = np.outer(psi, psi.conj())
-        for q in range(n):
-            acc = np.zeros_like(rho)
-            for e in model.kraus_operators():
-                op = np.array([[1.0]], dtype=complex)
-                for j in range(n):
-                    op = np.kron(op, e if j == q else np.eye(2))
-                acc += op @ rho @ op.conj().T
-            rho = acc
+        rho = kraus_channel(np.outer(psi, psi.conj()), model.kraus_operators())
         assert np.abs(d.data - rho).max() < 1e-14
         assert d.trace() == pytest.approx(1.0, abs=1e-12)
         assert np.abs(d.data - d.data.conj().T).max() < 1e-12
@@ -1211,8 +1204,7 @@ def dense_adjoint_channel(a: np.ndarray, model: NoiseModel, counts) -> np.ndarra
     from the model's Kraus operators embedded in the whole register."""
     n = len(counts)
     for q, m in enumerate(counts):
-        ops = [np.kron(np.kron(np.eye(2**q), e), np.eye(2 ** (n - 1 - q)))
-               for e in model.kraus_operators()]
+        ops = [on_register(e, (q,), n) for e in model.kraus_operators()]
         for _ in range(m):
             a = sum(op.conj().T @ a @ op for op in ops)
     return a
@@ -1611,15 +1603,6 @@ def test_pair_kernels_match_the_reference_bitwise(dtype):
             assert np.array_equal(kernel, reference), (m, target)
 
 
-def on_register(k0: np.ndarray, support: tuple[int, ...], n: int) -> np.ndarray:
-    """``k0`` on ``support`` (first listed qubit most significant) as a
-    2^n x 2^n operator, the identity on the other qubits."""
-    order = [*support, *(q for q in range(n) if q not in support)]
-    full = np.kron(k0, np.eye(2 ** (n - len(support)))).reshape((2,) * (2 * n))
-    perm = [order.index(q) for q in range(n)]
-    return full.transpose(perm + [n + p for p in perm]).reshape(2**n, 2**n)
-
-
 def term_with_y_count(n: int, n_y: int, coeff: float) -> PauliTerm:
     """A random n-qubit Pauli string with exactly ``n_y`` Y factors."""
     while True:
@@ -1768,6 +1751,20 @@ def y_heavy_hamiltonian(n: int, n_terms: int) -> PauliHamiltonian:
     return PauliHamiltonian(n, tuple(terms), identity_offset=0.37)
 
 
+@pytest.mark.parametrize("name", ["h2", "lih", "y-heavy5"])
+def test_oracle_pauli_apply_matches_the_kronecker_term_matrix(name):
+    # the two oracles the expectation tests lean on agree term by term
+    h = {
+        "h2": lambda: build_h2(0.75),
+        "lih": build_lih,
+        "y-heavy5": lambda: y_heavy_hamiltonian(5, 30),
+    }[name]()
+    psi = random_state(h.n_qubits)
+    for t in h.terms:
+        want = term_matrix(t) @ psi
+        assert np.abs(t.coeff * apply_pauli(t.axes, psi) - want).max() < 1e-14
+
+
 @pytest.mark.parametrize("name", ["h2", "lih", "ising5", "y-heavy3", "y-heavy5"])
 def test_bitmask_expectation_matches_pauli_strings_and_dense(name):
     from pite_sim.hamiltonian import build_lih
@@ -1783,7 +1780,7 @@ def test_bitmask_expectation_matches_pauli_strings_and_dense(name):
         psi = random_state(h.n_qubits)
         s = StateVector(h.n_qubits, psi)
         by_strings = h.identity_offset + sum(
-            t.coeff * np.vdot(psi, s.apply_pauli_string(t.axes)).real for t in h.terms
+            t.coeff * np.vdot(psi, apply_pauli(t.axes, psi)).real for t in h.terms
         )
         dense = np.vdot(psi, h.dense_matrix() @ psi).real
         got = s.expectation(h)
@@ -1810,7 +1807,7 @@ def test_bitmask_expectation_in_several_parity_passes():
     psi = random_state(13)
     s = StateVector(13, psi)
     by_strings = h.identity_offset + sum(
-        t.coeff * np.vdot(psi, s.apply_pauli_string(t.axes)).real for t in h.terms
+        t.coeff * np.vdot(psi, apply_pauli(t.axes, psi)).real for t in h.terms
     )
     assert s.expectation(h) == pytest.approx(by_strings, abs=1e-11)
 
@@ -1831,7 +1828,7 @@ def test_dense_step_oracle_vs_series_expansion():
         term = random_term(3)
         dt = float(rng.uniform(0.01, 0.5))
         psi = random_state(3)
-        m = -term.dense_matrix() * dt
+        m = -term_matrix(term) * dt
         series = np.zeros_like(m)
         power = np.eye(8, dtype=complex)
         for k in range(30):
@@ -1865,7 +1862,7 @@ def test_pauli_step_closed_form_proportionality():
         k = postselected_operator(build_pauli_step(term, dt))
         x = abs(term.coeff) * dt
         closed = math.cosh(x) * np.eye(2**n) - math.sinh(x) * (
-            term.dense_matrix() / abs(term.coeff)
+            term_matrix(term) / abs(term.coeff)
         )
         ratio = np.linalg.norm(k) / np.linalg.norm(closed)
         assert np.abs(k - ratio * closed).max() < 1e-10
@@ -1886,7 +1883,7 @@ def test_projection_amplitude_interpretation():
         sel = [slice(None)] * n
         sel[syn.pivot] = 0
         a0 = np.linalg.norm(after.reshape((2,) * n)[tuple(sel)])
-        ch = term.dense_matrix()
+        ch = term_matrix(term)
         proj = (np.eye(2**n) - ch / abs(term.coeff)) / 2.0  # eigenvalue -|c|
         assert a0 == pytest.approx(np.linalg.norm(proj @ psi), abs=1e-10)
 

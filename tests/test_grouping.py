@@ -5,20 +5,23 @@ import numpy as np
 import pytest
 
 from pite_sim.circuit import build_grouped_step, build_pauli_step
-from pite_sim.engine import postselected_operator
 from pite_sim.grouping import (
     GroupedBlock,
     GroupSpec,
-    embed_block,
     group_hamiltonian,
-    ising_block_eigenvalues,
     ising_local_grouping,
     lih_groupspec,
     parse_groupspec,
-    singleton_groupspec,
     sum_block_minima,
 )
 from pite_sim.hamiltonian import PauliAxis, PauliHamiltonian, PauliTerm, build_ising, build_lih
+from oracles import (
+    ising_block_eigenvalues,
+    on_register,
+    postselected_operator,
+    singleton_groupspec,
+    term_matrix,
+)
 
 rng = np.random.default_rng(4242)
 
@@ -151,7 +154,7 @@ def test_block_reconstruction_ising():
     n = 6
     h = build_ising(n, 1.0, 1.2, 0.3)
     _, blocks = ising_local_grouping(n, 1.0, 1.2, 0.3)
-    total = sum(embed_block(b, n) for b in blocks)
+    total = sum(on_register(b.matrix, b.support, n) for b in blocks)
     assert np.abs(total - h.dense_matrix(include_offset=False)).max() < 1e-10
 
 
@@ -161,7 +164,7 @@ def test_lih_grouping_shape_and_reconstruction():
     blocks = group_hamiltonian(h, spec)
     assert len(blocks) == 22
     assert max(len(b.support) for b in blocks) <= 6
-    total = sum(embed_block(b, 6) for b in blocks)
+    total = sum(on_register(b.matrix, b.support, 6) for b in blocks)
     assert np.abs(total - h.dense_matrix(include_offset=False)).max() < 1e-10
     # grouping strictly raises the sum of block minima
     assert sum_block_minima(blocks) > -h.abs_coeff_sum
@@ -207,7 +210,7 @@ def test_blocks_equal_kron_sum_of_members(case):
         for idx in group:
             term = h.terms[idx - 1]
             local_axes = tuple(term.axes[q] for q in block.support)
-            expected += PauliTerm(term.coeff, local_axes).dense_matrix()
+            expected += term_matrix(PauliTerm(term.coeff, local_axes))
         assert np.array_equal(block.matrix, expected)
     if case == "random-odd-y":
         assert any(block.matrix.imag.any() for block in blocks)
@@ -244,12 +247,7 @@ def test_grouped_step_matches_block_exponential():
             # embedded on the full register
             w, v = np.linalg.eigh(block.matrix)
             exp_block = v @ np.diag(np.exp(-(w - w[0]) * dt)) @ v.conj().T
-            full = np.kron(exp_block, np.eye(2 ** (n - len(block.support))))
-            order = list(block.support) + [q for q in range(n) if q not in block.support]
-            perm = np.argsort(order)
-            tensor = full.reshape((2,) * (2 * n))
-            tensor = np.transpose(tensor, tuple(perm) + tuple(n + p for p in perm))
-            target = tensor.reshape(2**n, 2**n)
+            target = on_register(exp_block, block.support, n)
             assert np.abs(k - target).max() < 1e-9
 
 
@@ -275,11 +273,5 @@ def test_lih_grouped_step_matches_block_exponential():
         k = postselected_operator(build_grouped_step(block, dt))
         w, v = np.linalg.eigh(block.matrix)
         exp_block = v @ np.diag(np.exp(-(w - w[0]) * dt)) @ v.conj().T
-        n = h.n_qubits
-        full = np.kron(exp_block, np.eye(2 ** (n - len(block.support))))
-        order = list(block.support) + [q for q in range(n) if q not in block.support]
-        perm = np.argsort(order)
-        tensor = full.reshape((2,) * (2 * n))
-        tensor = np.transpose(tensor, tuple(perm) + tuple(n + p for p in perm))
-        target = tensor.reshape(2**n, 2**n)
+        target = on_register(exp_block, block.support, h.n_qubits)
         assert np.abs(k - target).max() < 1e-9

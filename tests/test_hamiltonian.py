@@ -17,8 +17,8 @@ from pite_sim.hamiltonian import (
     optimize_product_angle,
     parse_hamiltonian,
     prepare_initial,
-    serialize_hamiltonian,
 )
+from oracles import term_matrix
 
 H2_TEXT = """\
 -0.388748 ZI
@@ -66,16 +66,6 @@ def test_parse_rejects_empty():
         parse_hamiltonian("# nothing here\n")
     with pytest.raises(ValueError, match="no non-identity"):
         parse_hamiltonian("1.0 II")
-
-
-def test_serialize_parse_roundtrip():
-    h = build_h2(0.75)
-    again = parse_hamiltonian(serialize_hamiltonian(h))
-    assert again.n_qubits == h.n_qubits
-    assert again.identity_offset == h.identity_offset
-    for a, b in zip(h.terms, again.terms):
-        assert a.axes == b.axes
-        assert abs(a.coeff - b.coeff) < 1e-12
 
 
 def test_pauli_term_validation():
@@ -222,7 +212,7 @@ def test_prepare_product_explicit_phi():
 def test_dense_matrix_equals_the_kronecker_sum(h):
     """The matrix scattered from the X-mask diagonals is exactly the sum
     of the terms' Kronecker products, offset and dtype rule included."""
-    oracle = sum(t.dense_matrix() for t in h.terms)
+    oracle = sum(term_matrix(t) for t in h.terms)
     with_offset = oracle + h.identity_offset * np.eye(2**h.n_qubits)
     for include_offset, want in ((False, oracle), (True, with_offset)):
         got = h.dense_matrix(include_offset=include_offset)

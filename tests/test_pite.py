@@ -20,7 +20,6 @@ from pite_sim.grouping import (
     group_hamiltonian,
     ising_local_grouping,
     lih_groupspec,
-    singleton_groupspec,
     sum_block_minima,
 )
 from pite_sim.hamiltonian import (
@@ -43,6 +42,7 @@ from pite_sim.pite import (
     run_generalized,
     run_pite,
 )
+from oracles import postselected_operator, singleton_groupspec
 
 
 def test_schedule_validation():
@@ -162,8 +162,6 @@ def test_order2_sequence_is_palindrome():
     sched = Schedule(dt=0.2, n_steps=1, order=2)
     circuits = _step_circuits(build_pauli_step, h.terms, sched)
     assert len(circuits) == 2 * h.n_terms
-    from pite_sim.engine import postselected_operator
-
     ops = [postselected_operator(c) for c in circuits]
     forward = np.eye(4)
     for op in ops:
@@ -664,3 +662,20 @@ def test_success_probability_decays_at_the_alb_rate(model, beta, dt):
     final = result.final
     measured = math.log(final.p_cum / half.p_cum) / (final.beta - half.beta)
     assert measured == pytest.approx(rate, rel=1e-4 + dt**2)
+
+
+@pytest.mark.parametrize("noise", [None, NoiseModel(1e-3, 1e-3)], ids=["statevector", "density"])
+def test_run_rejects_an_initial_state_off_unit_norm(noise):
+    """Steps read the state normalized, so an init of squared norm 0.36
+    would record fidelity 0.355 at beta 0 and the normalized state after
+    it; the run refuses it instead, with the norm in the message."""
+    h = build_h2(0.75)
+    schedule, config = Schedule.from_beta(0.2, 0.05), RunConfig(noise=noise)
+    with pytest.raises(ValueError, match=r"squared norm 0\.36 is off 1"):
+        run_pite(h, np.array([0.6, 0.0, 0.0, 0.0]), schedule, config)
+    blocks = group_hamiltonian(h, singleton_groupspec(h.n_terms))
+    with pytest.raises(ValueError, match="squared norm nan"):
+        run_generalized(h, blocks, np.array([np.nan, 0.0, 0.0, 0.0]), schedule, config)
+    # within the tolerance a run starts
+    init = np.array([math.sqrt(1.0 + 5e-10), 0.0, 0.0, 0.0])
+    assert run_pite(h, init, schedule, config).completed
