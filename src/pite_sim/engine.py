@@ -66,7 +66,10 @@ restores canonical order. A density matrix's energy, trace and subspace
 weight read the stored matrix as it is: an observable A of the state is
 the adjoint channel N^dag(A) of the stored one, since
 Tr(A N(rho)) = Tr(N^dag(A) rho), gathered in the stored order and built
-once per owed counts and order.
+once per owed counts and order. On either state type the energy is one
+gather over every distinct X mask at once, against the diagonals that
+``PauliHamiltonian.x_mask_stack`` stacks (on a density matrix owing a
+channel, those of N^dag(H)), and one dot.
 
 Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; in a circuit the ancilla is the
@@ -77,9 +80,15 @@ module against (gate unitaries from the gate definitions, the
 closed-form Pauli step) are in ``tests/oracles.py`` and share none of
 its kernels.
 
-Every measurement postselects: it keeps outcome 0 and reports prob0. A
-density matrix folds 1/prob0 into its step (T_S / prob0, the X-mask
-product scaled by 1/prob0, or W / prob0).
+Every measurement postselects: it keeps outcome 0 and reports prob0.
+One rule (:func:`_outcome`) clamps a prob0 over 1 by rounding and raises
+on one further over 1, on NaN and below the annihilation threshold,
+before the state changes; a step with no jump branch whose prob0 lies in
+[``ANNIHILATION_THRESHOLD``, 1] takes it as it is (:func:`_postselected`,
+inlined in a statevector's K0 step, which so runs one product, one dot
+and no further call when K0 and the state are real). A density matrix
+folds 1/prob0 into its step (T_S / prob0, the X-mask product scaled by
+1/prob0, or W / prob0).
 A statevector carries the squared norm of its stored vector instead and
 keeps each branch unnormalized: prob0 is the ratio of the kept branch's
 squared norm to the carried one, and the vector is divided once, when
@@ -398,9 +407,9 @@ class MeasureResult(NamedTuple):
 def _as_state_array(data: np.ndarray) -> np.ndarray:
     """Copy to float64 when exactly real, else complex128 (real-valued
     models then evolve entirely in real arithmetic: a noiseless LiH K0
-    step took 10.0 us on a float64 state against 13.1 us on the same state
+    step took 3.6 us on a float64 state against 5.3 us on the same state
     and K0s in complex128, medians over 80 interleaved passes of the 61
-    terms on a shared 2-vCPU Xeon, numpy 2.4)."""
+    terms on a shared 2-vCPU Xeon, one BLAS thread, numpy 2.4)."""
     arr = np.asarray(data)
     if np.iscomplexobj(arr):
         if np.abs(arr.imag).max(initial=0.0) == 0.0:
@@ -435,6 +444,15 @@ def _outcome(
         )
     jump = branch and rng.random() * prob0 >= kept
     return MeasureResult(prob0), jump
+
+
+def _postselected(prob0: float) -> MeasureResult:
+    """:func:`_outcome` for a step with no jump branch: a prob0 within
+    [``ANNIHILATION_THRESHOLD``, 1] comes back as it is, with no call to
+    the rule, and anything else (NaN included) takes its clamp or raise."""
+    if ANNIHILATION_THRESHOLD <= prob0 <= 1.0:
+        return MeasureResult(prob0)
+    return _outcome(prob0, 0.0, None, False)[0]
 
 
 def _squared_norm(x: np.ndarray) -> float:
@@ -619,19 +637,31 @@ class StateVector(_State):
         return self._measure(c * psi, s * psi if eps_d > 0.0 else None, eps_d, rng, None)
 
     def _run_step(self, step: BoundStep, rng) -> MeasureResult:
-        noise = step.noise
         x, order = self._gather(step.support)
         first, second, post = step.ops
         if second is None:  # K0: one product and one dot
             # dot, not @: numpy dispatches it in about half the time here
-            if x.dtype.kind == "c" and first.dtype.kind == "f":  # see _product
-                out = first.dot(x.view(np.float64)).view(np.complex128)
-            else:
+            if first.dtype.kind == "f" and x.dtype.kind == "f":  # every built-in model's step
                 out = first.dot(x)
-            kept = _squared_norm(out)
-            result, _ = _outcome(kept / self._norm2, 0.0, rng, False)
-            self._keep(out, kept, order)
+                flat = out.ravel()  # a view: dot's output is contiguous
+                kept = float(flat.dot(flat))
+            else:  # complex out: |z|^2 needs vdot (a real dot sums z^2)
+                if first.dtype.kind == "f":  # see _product
+                    out = first.dot(x.view(np.float64)).view(np.complex128)
+                else:
+                    out = first.dot(x)
+                kept = _squared_norm(out)
+            prob0 = kept / self._norm2
+            # _postselected's common case inlined: it calls nothing
+            if ANNIHILATION_THRESHOLD <= prob0 <= 1.0:
+                result = MeasureResult(prob0)
+            else:
+                result = _postselected(prob0)  # clamps or raises
+            self._stored, self._order, self._norm2 = out, order, kept  # _keep, inlined
+            if kept < NORM2_RESCALE_THRESHOLD:
+                self._normalize()
             return result
+        noise = step.noise
         if noise is not None and rng is None:
             raise ValueError("statevector noise is sampled and needs an rng")
         eps_d = 0.0 if noise is None else noise.eps_d
@@ -646,13 +676,10 @@ class StateVector(_State):
         return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
-        # one gather per distinct X mask, see PauliHamiltonian.x_mask_diagonals
+        # one gather for all distinct X masks, see PauliHamiltonian.x_mask_stack
         psi = self.data
-        basis = np.arange(psi.shape[0])
-        total = h.identity_offset
-        for x_mask, diagonal in h.x_mask_diagonals:
-            total += float(np.vdot(psi[basis ^ x_mask], psi * diagonal).real)
-        return float(total)
+        _, index, stack = h.x_mask_stack
+        return h.identity_offset + float(np.vdot(psi[index], stack * psi).real)
 
     def sample_kraus(self, model: NoiseModel, rng: np.random.Generator) -> None:
         """Trajectory-mode noise: draw one Kraus branch per qubit, qubit 0
@@ -853,7 +880,7 @@ class DensityMatrix(_State):
             traced = rho[:: 2**k + 1]
         rest = math.isqrt(rho.shape[1])
         prob0 = float(np.dot(row, traced[:, :: rest + 1].sum(axis=1)).real)
-        result, _ = _outcome(prob0, 0.0, rng, False)
+        result = _postselected(prob0)
         if superop:
             rho = _product(t_s * (1.0 / result.prob0), rho)
         else:  # W, then S's own channel
@@ -871,24 +898,22 @@ class DensityMatrix(_State):
         return result
 
     def _expectation(self, h: PauliHamiltonian) -> float:
-        # Tr(H rho) = sum_x sum_b d_x[b] rho[b, b ^ x], one gather per
-        # distinct X mask (see PauliHamiltonian.x_mask_diagonals), read
+        # Tr(H rho) = sum_x sum_b d_x[b] rho[b, b ^ x], one gather over
+        # every distinct X mask (see PauliHamiltonian.x_mask_stack), read
         # without a flush as Tr(N^dag(H) rho~): the diagonals of N^dag(H)
         # (see _adjoint_diagonals) against the stored matrix, whose entry
         # (b, c) sits at rows[b] + columns[c]. As columns is linear over
         # XOR, columns[b ^ x] = columns[b] ^ columns[x].
-        diagonals = h.x_mask_diagonals
+        masks, _, stack = h.x_mask_stack
         owed = tuple(self._owed)
         if any(owed):
-            diagonals = self._adjoint_read(
+            stack = self._adjoint_read(
                 "diagonals", h, lambda: _adjoint_diagonals(h, self._noise, owed)
             )
-        flat = self._stored.reshape(-1)
         rows, columns = _flat_positions(self.n_qubits, self._order)
+        entries = self._stored.reshape(-1)[rows + (columns ^ columns[masks][:, None])]
         total = h.identity_offset * self.trace()  # N^dag(I) = I
-        for x_mask, diagonal in diagonals:
-            total += float(np.dot(diagonal, flat[rows + (columns ^ columns[x_mask])]).real)
-        return total
+        return total + float(np.dot(stack.reshape(-1), entries.reshape(-1)).real)
 
 
 # Qubits per elementwise factor of the channel, so that no factor holds
@@ -980,18 +1005,19 @@ def _channel(
 
 def _adjoint_diagonals(
     h: PauliHamiltonian, model: NoiseModel, counts: tuple[int, ...]
-) -> tuple[tuple[int, np.ndarray], ...]:
-    """``h.x_mask_diagonals`` of N^dag(H), N ``model``'s channel applied
-    counts[q] times to qubit q; read-only. d_x[b] is entry (b ^ x, b) of
-    H, so on a qubit q in the X mask each of its entries is off the
-    diagonal and takes delta^m, and elsewhere b's bit q is both the row
-    and the column bit, where the adjoint channel of :func:`_channel` sets
-    d_x[b_q = 1] to keep^m d_x[b_q = 1] + (1 - keep^m) d_x[b_q = 0], with
-    the same folded values (:func:`_channel_factors`)."""
+) -> np.ndarray:
+    """The stack of ``h.x_mask_stack`` for N^dag(H), N ``model``'s channel
+    applied counts[q] times to qubit q, in the same row order; read-only.
+    d_x[b] is entry (b ^ x, b) of H, so on a qubit q in the X mask each
+    of its entries is off the diagonal and takes delta^m, and elsewhere
+    b's bit q is both the row and the column bit, where the adjoint
+    channel of :func:`_channel` sets d_x[b_q = 1] to
+    keep^m d_x[b_q = 1] + (1 - keep^m) d_x[b_q = 0], with the same folded
+    values (:func:`_channel_factors`)."""
     n = h.n_qubits
-    out = []
-    for x_mask, diagonal in h.x_mask_diagonals:
-        d = diagonal.copy()
+    masks, _, stack = h.x_mask_stack
+    stack = stack.copy()
+    for x_mask, d in zip(masks.tolist(), stack):
         for q, m in enumerate(counts):
             if m:
                 (jump,), factor = _channel_factors(model, (m,))
@@ -1001,9 +1027,8 @@ def _adjoint_diagonals(
                     half = d.reshape(2**q, 2, -1)
                     half[:, 1] *= factor[1, 1]
                     half[:, 1] += jump * half[:, 0]
-        d.setflags(write=False)
-        out.append((x_mask, d))
-    return tuple(out)
+    stack.setflags(write=False)
+    return stack
 
 
 def _adjoint_projector(

@@ -196,6 +196,20 @@ class PauliHamiltonian:
             out.append((x_mask, d))
         return tuple(out)
 
+    @cached_property
+    def x_mask_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:attr:`x_mask_diagonals` stacked, in the same row order: the
+        masks x, the gather index b ^ x and the diagonals d_x, each row
+        one mask, all read-only. So <psi|H - offset|psi> is one
+        ``vdot(psi[index], stack * psi)``. The stack is float64 when every
+        d_x is."""
+        masks = np.array([x for x, _ in self.x_mask_diagonals])
+        index = np.arange(2**self.n_qubits) ^ masks[:, None]
+        stack = np.array([d for _, d in self.x_mask_diagonals])
+        for a in (masks, index, stack):
+            a.setflags(write=False)
+        return masks, index, stack
+
 
 def parse_hamiltonian(text: str) -> PauliHamiltonian:
     """Parse the line-oriented Hamiltonian format.

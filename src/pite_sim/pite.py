@@ -281,7 +281,7 @@ def _run(
         for step in range(1, schedule.n_steps + 1):
             for bound in steps:
                 try:
-                    res = run_step_circuit(state, bound, rng=rng)
+                    res = run_step_circuit(state, bound, rng)
                 except EvolutionAnnihilatedError:
                     if probs is not None:  # no attempt gets past this measurement
                         probs.append(0.0)

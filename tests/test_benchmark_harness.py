@@ -6,9 +6,10 @@ name; a renamed or re-signed method fails here rather than in the next
 benchmark run. One traced repeat of each benchmark workload checks the
 program's output on it against the benchmark's reference values (rtol
 1e-7) and its measurement count, so a drift or a miscounted measurement
-fails here too. How the noisy workloads lower is pinned, step form by
-step form, so that a change to a support cap that moves a workload onto
-another step path fails here rather than only moving its numbers.
+fails here too. How the workloads lower is pinned, step form by step
+form (the noiseless ones to float64 K0s), so that a change to a support
+cap or a lost real K0 that moves a workload onto another step path fails
+here rather than only moving its numbers.
 """
 import importlib.util
 import json
@@ -21,7 +22,7 @@ import pytest
 
 import pite_sim.engine as engine
 from pite_sim import hamiltonian
-from pite_sim.circuit import build_pauli_step
+from pite_sim.circuit import build_grouped_step, build_pauli_step
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -86,3 +87,26 @@ def test_benchmark_noisy_models_lower_to_pinned_step_forms(workload, forms):
         for term in h.terms
     )
     assert dict(got) == forms
+
+
+@pytest.mark.parametrize("workload, k0s", [("lih-pauli", 61), ("lih-grouped-sample", 22)])
+def test_benchmark_statevector_models_lower_to_float64_k0s(workload, k0s):
+    """Noiseless LiH lowers to 61 float64 K0 steps per term and to 22 over
+    the lih-22 grouping: every step of the two statevector workloads takes
+    the real one-product, one-dot path."""
+    from pite_sim import grouping
+
+    workloads = load_workloads()
+    w = workloads.WORKLOADS[workload]
+    h, _ = workloads.model_and_init(w, hamiltonian)
+    state = engine.StateVector(h.n_qubits)
+    if w.grouping == "lih-22":
+        blocks = grouping.group_hamiltonian(h, grouping.lih_groupspec())
+        circuits = [build_grouped_step(block, workloads.DT) for block in blocks]
+    else:
+        circuits = [build_pauli_step(term, workloads.DT) for term in h.terms]
+    got = Counter(
+        ("k0" if step.ops[1:] == (None, None) else "other", step.ops[0].dtype.name)
+        for step in (engine.lower_step(circuit, state) for circuit in circuits)
+    )
+    assert dict(got) == {("k0", "float64"): k0s}

@@ -1223,9 +1223,10 @@ def test_adjoint_channel_matches_the_kraus_sum():
     for counts in ((1, 0, 0), (0, 2, 1), (3, 1, 5), (2, 2, 2)):
         want = dense_adjoint_channel(dense_h, model, counts)
         seen = np.zeros((8, 8), dtype=bool)
-        diagonals = engine._adjoint_diagonals(h, model, counts)
-        assert [x for x, _ in diagonals] == [x for x, _ in h.x_mask_diagonals]
-        for x_mask, diagonal in diagonals:
+        stack = engine._adjoint_diagonals(h, model, counts)
+        masks = h.x_mask_stack[0]
+        assert stack.shape == (len(h.x_mask_diagonals), 8) and not stack.flags.writeable
+        for x_mask, diagonal in zip(masks.tolist(), stack):
             assert np.abs(diagonal - want[basis ^ x_mask, basis]).max() < 1e-14, counts
             seen[basis ^ x_mask, basis] = True
         assert np.abs(want[~seen]).max(initial=0.0) < 1e-14
@@ -1312,7 +1313,8 @@ def test_adjoint_reads_are_built_once_per_counts_and_order(monkeypatch):
     d.subspace_weight(basis)
     d.expectation(h)
     assert len(builds) == 2 and set(d._reads) == {"projector", "diagonals"}
-    assert len([e for e in d._reads.values() if isinstance(e[2], np.ndarray)]) == 1
+    # the adjoint diagonals are a (masks, 2^n) stack; only a projector has 4^n entries
+    assert len([e for e in d._reads.values() if e[2].size == 4**5]) == 1
 
 
 def test_gate_list_passes_run_in_the_buffers_they_own(monkeypatch):
@@ -1646,22 +1648,115 @@ def test_noiseless_k0_is_real_exactly_when_its_y_count_is_even(dt):
 
 def test_noiseless_lih_run_stays_real(monkeypatch):
     """A noiseless LiH run from a real initial state keeps its stored state
-    float64 through every one of its measurements."""
+    float64 through every one of its measurements, per term and over the
+    22-set grouping, sampled: the two benchmarked statevector paths."""
     from pite_sim import pite
+    from pite_sim.grouping import group_hamiltonian, lih_groupspec
 
-    dtypes = set()
+    dtypes, k0_dtypes = set(), set()
     run = pite.run_step_circuit
 
     def recording(state, step, rng=None):
         result = run(state, step, rng)
         dtypes.add(state._stored.dtype)
+        k0_dtypes.add(step.ops[0].dtype)
         return result
 
     monkeypatch.setattr(pite, "run_step_circuit", recording)
     h = build_lih()
-    spec = InitialState.superposition([(math.sqrt(0.99), "110000"), (0.1, "000011")])
-    result = pite.run_pite(h, prepare_initial(spec, 6), pite.Schedule(dt=0.05, n_steps=20))
-    assert result.completed and dtypes == {np.dtype(np.float64)}
+    init = prepare_initial(InitialState.superposition([(math.sqrt(0.99), "110000"), (0.1, "000011")]), 6)
+    schedule = pite.Schedule(dt=0.05, n_steps=20)
+    runs = [
+        pite.run_pite(h, init, schedule),
+        pite.run_generalized(
+            h, group_hamiltonian(h, lih_groupspec()), init, schedule, pite.RunConfig(mode="sample", seed=7)
+        ),
+    ]
+    assert all(result.completed for result in runs)
+    assert dtypes == k0_dtypes == {np.dtype(np.float64)}
+
+
+def k0_boundary_step(k0: np.ndarray) -> engine.BoundStep:
+    """A hand-built noiseless statevector step whose K0 acts on qubit 0 of
+    two."""
+    return engine.BoundStep(StateVector, None, (0,), (k0, None, None))
+
+
+def k0_boundary_states():
+    """|00> as a float64 vector and as i|00>, a complex128 one, each with a
+    float64 and a complex128 K0 factor (1 and i): all four K0 paths."""
+    e0 = np.zeros(4)
+    e0[0] = 1.0
+    for vector in (e0, 1j * e0):
+        for phase in (1.0, 1j):
+            state = StateVector(2, vector)
+            assert state._stored.dtype == (np.float64 if vector is e0 else np.complex128)
+            yield state, phase
+
+
+def k0_outcome_at(t: float):
+    """Each K0 path's outcome for K0 = t I on |00>, whose prob0 is t^2:
+    ("passes", prob0) or "annihilated", the latter leaving the state as
+    it was."""
+    outcomes = []
+    for state, phase in k0_boundary_states():
+        before = (state._stored.copy(), state._order, state._norm2)
+        try:
+            outcomes.append(("passes", run_step_circuit(state, k0_boundary_step(phase * t * np.eye(2))).prob0))
+        except EvolutionAnnihilatedError:
+            assert np.array_equal(state._stored, before[0]) and (state._order, state._norm2) == before[1:]
+            outcomes.append("annihilated")
+    return outcomes
+
+
+def test_k0_outcome_at_the_annihilation_threshold(monkeypatch):
+    """A K0 step whose prob0 is exactly the annihilation threshold passes,
+    with that prob0, and one just below it raises, on each of the four K0
+    paths. 1e-15 is no square of a float, so the module's threshold is
+    checked between the two neighbouring squares t^2 < 1e-15 <= t'^2, and
+    the exact boundary at a threshold set to 2^-50 = (2^-25)^2."""
+    t = math.sqrt(engine.ANNIHILATION_THRESHOLD)
+    while t * t >= engine.ANNIHILATION_THRESHOLD:
+        t = math.nextafter(t, 0.0)
+    above = math.nextafter(t, 1.0)
+    assert k0_outcome_at(t) == ["annihilated"] * 4
+    assert k0_outcome_at(above) == [("passes", above * above)] * 4
+    monkeypatch.setattr(engine, "ANNIHILATION_THRESHOLD", 2.0**-50)
+    assert k0_outcome_at(2.0**-25) == [("passes", 2.0**-50)] * 4
+    assert k0_outcome_at(math.nextafter(2.0**-25, 0.0)) == ["annihilated"] * 4
+
+
+def test_k0_outcome_clamps_rounding_and_raises_past_it():
+    """On each K0 path, a prob0 over 1 by 5e-10 comes back as exactly 1.0,
+    and one over 1 by 2e-9, or NaN, raises before the state changes."""
+    for state, phase in k0_boundary_states():
+        result = run_step_circuit(state, k0_boundary_step(phase * math.sqrt(1.0 + 5e-10) * np.eye(2)))
+        assert result.prob0 == 1.0 and type(result.prob0) is float
+    for scale, match in ((math.sqrt(1.0 + 2e-9), "exceeds 1"), (math.nan, "is NaN")):
+        for state, phase in k0_boundary_states():
+            before = (state._stored.copy(), state._order, state._norm2)
+            with pytest.raises(ValueError, match=match):
+                run_step_circuit(state, k0_boundary_step(phase * scale * np.eye(2)))
+            assert np.array_equal(state._stored, before[0]) and (state._order, state._norm2) == before[1:]
+
+
+@pytest.mark.parametrize("axes", ["Y", "XY", "YZZ", "ZYYY"])
+def test_odd_y_k0_on_a_real_vector_reports_the_squared_modulus(axes):
+    """An odd-Y term's K0 is complex; on a real vector its branch z is
+    complex, and prob0 is sum |z|^2, the postselected operator's weight,
+    not the real dot's sum z^2, which differs by twice the weight on
+    i b P."""
+    term = PauliTerm.from_string(-0.8, "I" * (4 - len(axes)) + axes)
+    circ = build_pauli_step(term, 0.3)
+    psi = rng.standard_normal(16)
+    psi /= np.linalg.norm(psi)
+    state = StateVector(4, psi)
+    step = lower_step(circ, state)
+    assert step.ops[0].dtype == np.complex128 and state._stored.dtype == np.float64
+    z = postselected_operator(circ) @ psi
+    want = float(np.vdot(z, z).real)
+    assert run_step_circuit(state, step).prob0 == pytest.approx(want, rel=1e-14)
+    assert abs(float(np.sum(z * z).real) - want) > 1e-3
 
 
 @pytest.mark.parametrize("gate", ALL_GATE_SAMPLES, ids=lambda g: type(g).__name__)
@@ -1810,6 +1905,77 @@ def test_bitmask_expectation_in_several_parity_passes():
         t.coeff * np.vdot(psi, apply_pauli(t.axes, psi)).real for t in h.terms
     )
     assert s.expectation(h) == pytest.approx(by_strings, abs=1e-11)
+
+
+def dense_hamiltonian(h: PauliHamiltonian) -> np.ndarray:
+    """H from the Kronecker products of its terms, offset included."""
+    return sum(term_matrix(t) for t in h.terms) + h.identity_offset * np.eye(2**h.n_qubits)
+
+
+ENERGY_MODELS = {
+    "h2": lambda: build_h2(0.75),
+    "lih": build_lih,
+    "ising8": lambda: build_ising(8, 1.0, 1.2, 0.3),
+    "y-heavy5": lambda: y_heavy_hamiltonian(5, 30),
+}
+
+
+@pytest.mark.parametrize("name", list(ENERGY_MODELS))
+def test_one_gather_energy_matches_the_dense_hamiltonian(name):
+    """The statevector energy, one gather over the stacked X-mask
+    diagonals, equals <psi|H|psi> with H the Kronecker sum of the terms,
+    within 1e-14 relative to the sum of |coeff| and |offset|, which
+    bounds |E| (a random state's energy can sit near 0, and then the
+    rounding of the terms, up to 3.8e-16 of that sum over 300 states a
+    model, is large beside E): on a random complex and a random real unit
+    vector, and on one left out of canonical order with a carried squared
+    norm far from 1 by three unread K0 steps (random real and complex
+    contractions on qubit subsets, checked against the same matrices on
+    the register)."""
+    h = ENERGY_MODELS[name]()
+    n = h.n_qubits
+    dense = dense_hamiltonian(h)
+    tolerance = 1e-14 * (h.abs_coeff_sum + abs(h.identity_offset))
+    _, index, stack = h.x_mask_stack
+    assert index.shape == stack.shape == (len(h.x_mask_diagonals), 2**n)
+    assert stack.dtype == (np.complex128 if name == "y-heavy5" else np.float64)
+    real = rng.standard_normal(2**n)
+    for psi in (random_state(n), real / np.linalg.norm(real)):
+        want = np.vdot(psi, dense @ psi).real
+        assert abs(StateVector(n, psi).expectation(h) - want) <= tolerance
+    psi = random_state(n)
+    state = StateVector(n, psi)
+    for support, cast in (((n - 1,), float), (tuple(range(n // 2)), complex), ((n - 1, 0), float)):
+        k = len(support)
+        k0 = rng.standard_normal((2**k, 2**k)) * (1.0 if cast is float else 1.0 + 1.0j)
+        k0 *= 0.8 / np.linalg.norm(k0, 2)  # prob0 <= 0.64
+        run_step_circuit(state, engine.BoundStep(StateVector, None, support, (k0, None, None)))
+        psi = on_register(k0, support, n) @ psi
+    assert state._order is not None and abs(state._norm2 - 1.0) > 1e-3
+    psi /= np.linalg.norm(psi)
+    want = np.vdot(psi, dense @ psi).real
+    assert abs(state.expectation(h) - want) <= tolerance
+
+
+@pytest.mark.parametrize("name", ["lih", "y-heavy5"])
+def test_density_energy_with_owed_counts_matches_the_per_mask_sum(name, monkeypatch):
+    """A density matrix stored in a step's order and owing channel
+    applications reads its energy from one gather against the stacked
+    adjoint diagonals; that equals the per-mask sum
+    sum_x sum_b d_x[b] rho[b, b ^ x] over ``x_mask_diagonals`` on a
+    flushed copy."""
+    h = ENERGY_MODELS[name]()
+    n = h.n_qubits
+    basis = np.arange(2**n)
+    for trial in range(3):
+        d = moved_and_owing(monkeypatch, h, NoiseModel(0.02, 0.03), ("superop", "sandwich"))
+        assert d._order is not None and any(d._owed)
+        got = d.expectation(h)
+        rho = copy.deepcopy(d).data
+        want = h.identity_offset * np.trace(rho).real + sum(
+            np.dot(diagonal, rho[basis, basis ^ x_mask]).real for x_mask, diagonal in h.x_mask_diagonals
+        )
+        assert got == pytest.approx(want, rel=1e-13), trial
 
 
 def test_dense_step_oracle_basics():

@@ -621,8 +621,9 @@ def test_noisy_run_holds_at_most_one_projector(monkeypatch):
     assert len(res.records) == 5 and len(set(map(id, states))) == 1
     (owed, order), = builds
     assert any(owed) and order is not None
-    held = [entry[2] for entry in states[0]._reads.values() if isinstance(entry[2], np.ndarray)]
-    assert len(held) == 1 and held[0].size == 4**5
+    # the adjoint diagonals are a (masks, 2^n) stack; only a projector has 4^n entries
+    held = [entry[2] for entry in states[0]._reads.values() if entry[2].size == 4**5]
+    assert len(held) == 1 and set(states[0]._reads) == {"projector", "diagonals"}
 
 
 @pytest.mark.parametrize("dt", [0.05, 0.02])
