@@ -1702,7 +1702,8 @@ def k0_outcome_at(t: float):
     for state, phase in k0_boundary_states():
         before = (state._stored.copy(), state._order, state._norm2)
         try:
-            outcomes.append(("passes", run_step_circuit(state, k0_boundary_step(phase * t * np.eye(2))).prob0))
+            result = run_step_circuit(state, k0_boundary_step(phase * t * np.eye(2)))
+            outcomes.append(("passes", result.prob0))
         except EvolutionAnnihilatedError:
             assert np.array_equal(state._stored, before[0]) and (state._order, state._norm2) == before[1:]
             outcomes.append("annihilated")
