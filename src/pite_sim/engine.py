@@ -31,15 +31,16 @@ step works on the matrix gathered with S's row bits first, then S's
 column bits, then the rest's: as (4^|S|, rest^2), S's vectorized block
 on the leading axis, which T_S multiplies with one product. A sandwich a rho a^dag is
 a on S's row bits, one product, and a^dag on its column bits, one
-product batched over the rows. Between the sandwiches, the weight, the channel on
-S and the phase factors keep each entry's X mask (row XOR column on S),
-so up to ``MASK_STACK_MAX_SUPPORT`` qubits they are one product batched
+product batched over the rows. Between the sandwiches, the weight and
+the channel on S keep each entry's X mask (row XOR column on S), so up
+to ``MASK_STACK_MAX_SUPPORT`` qubits they are one real product batched
 over S's X-mask blocks (:class:`_MaskStage`); on wider supports the
-weight and the phase factors scale the rows and the channel runs as
-passes (:func:`_channel`). Nothing assumes rho = rho^dag. An operator real but for one
-phase per column or per row is split into the real matrix and an
-elementwise phase factor (:func:`_phased`), and a real matrix multiplies
-a complex one as a real product (:func:`_product`). A step wider than
+weight scales the rows and the channel runs as passes (:func:`_channel`).
+Nothing assumes rho = rho^dag. An operator real but for one phase per
+column or per row is split into the real matrix and an elementwise phase
+factor (:func:`_phased`), which its sandwich applies as a row scaling,
+and a real matrix multiplies a complex one as a real product
+(:func:`_product`). A step wider than
 ``FUSED_MAX_SUPPORT``, whose matrices would grow as 4^|S|, keeps Pre and
 Post as gate lists relabelled onto S, which the kernels run in place on
 the gathered block in the matrices' stead (on a density matrix on S's
@@ -80,15 +81,15 @@ module against (gate unitaries from the gate definitions, the
 closed-form Pauli step) are in ``tests/oracles.py`` and share none of
 its kernels.
 
-Every measurement postselects: it keeps outcome 0 and reports prob0.
-One rule (:func:`_outcome`) clamps a prob0 over 1 by rounding and raises
-on one further over 1, on NaN and below the annihilation threshold,
-before the state changes; a step with no jump branch whose prob0 lies in
-[``ANNIHILATION_THRESHOLD``, 1] takes it as it is (:func:`_postselected`,
-inlined in a statevector's K0 step, which so runs one product, one dot
-and no further call when K0 and the state are real). A density matrix
-folds 1/prob0 into its step (T_S / prob0, the X-mask product scaled by
-1/prob0, or W / prob0).
+Every measurement postselects: it keeps outcome 0 and returns prob0 as
+a float. One rule (:func:`_postselected`) checks every prob0 before the
+state changes: it takes one in [``ANNIHILATION_THRESHOLD``, 1] as it is,
+clamps one over 1 by rounding to 1, and raises on one further over 1, on
+NaN and below the annihilation threshold. A statevector trajectory,
+whose noisy ancilla can jump, checks the summed weight of its two
+branches and then keeps one of them with one draw (see
+:meth:`StateVector._measure`). A density matrix folds 1/prob0 into its
+step (T_S / prob0, the X-mask product scaled by 1/prob0, or W / prob0).
 A statevector carries the squared norm of its stored vector instead and
 keeps each branch unnormalized: prob0 is the ratio of the kept branch's
 squared norm to the carried one, and the vector is divided once, when
@@ -127,7 +128,6 @@ __all__ = [
     "StateVector",
     "DensityMatrix",
     "NoiseModel",
-    "MeasureResult",
     "EvolutionAnnihilatedError",
     "make_rng",
     "BoundStep",
@@ -168,11 +168,6 @@ class EvolutionAnnihilatedError(RuntimeError):
 def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     """Counter-based generator (Philox) so sampled runs replay exactly."""
     return np.random.Generator(np.random.Philox(seed))
-
-
-def _ry_matrix(angle: float) -> np.ndarray:
-    c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
-    return np.array([[c, -s], [s, c]])
 
 
 def _pinned_views(
@@ -222,18 +217,10 @@ def _pinned_layout(size: int, fixed: tuple[tuple[int, int], ...], target: int | 
     return tuple(shape), idx0, tuple(idx)
 
 
-def _rotate_pair(v0: np.ndarray, v1: np.ndarray, m: np.ndarray) -> None:
-    """In place: (v0, v1) <- (m00 v0 + m01 v1, m10 v0 + m11 v1)."""
-    a, b, c = m[0, 0] * v0, m[0, 1] * v1, m[1, 0] * v0
-    v1 *= m[1, 1]
-    v1 += c
-    np.add(a, b, out=v0)
-
-
 def _hadamard_pair(v0: np.ndarray, v1: np.ndarray) -> None:
-    """In place: (v0, v1) <- (h v0 + h v1, h v0 - h v1), h = 1/sqrt(2):
-    :func:`_rotate_pair`'s sums for the Hadamard matrix, as (-h) v1 is
-    -(h v1) exactly, in four passes."""
+    """In place: (v0, v1) <- (h v0 + h v1, h v0 - h v1), h = 1/sqrt(2),
+    in four passes: the sums of a 2x2 product with the Hadamard matrix,
+    as (-h) v1 is -(h v1) exactly."""
     a = v0 * _SQRT1_2
     v1 *= _SQRT1_2
     np.add(a, v1, out=v0)
@@ -322,13 +309,10 @@ def _apply_gate_flat(
     ``axes[q]`` is the axis of the gate's qubit q (a density matrix's
     column side passes range(n, 2n), a step's support its qubits'
     positions in it); ``conjugate`` applies the complex conjugate gate,
-    which is what right-multiplication by the adjoint amounts to.
+    which is what right-multiplication by the adjoint amounts to. The
+    ancilla's y-rotations have no kernel: lowering folds them into the
+    step's diagonal factors (:func:`_fold_rotation`).
     """
-
-    def rotate(pinned: tuple[tuple[int, int], ...], target: int, m: np.ndarray) -> None:
-        v0, v1 = _pinned_views(flat, pinned, target)
-        _rotate_pair(v0, v1, m)
-
     if isinstance(gate, Hadamard):
         _hadamard_pair(*_pinned_views(flat, (), axes[gate.qubit]))
     elif isinstance(gate, (PhaseS, PhaseSdg)):
@@ -337,19 +321,8 @@ def _apply_gate_flat(
         v1 *= 1j if forward else -1j
     elif isinstance(gate, PauliX):
         _swap_pair(*_pinned_views(flat, (), axes[gate.qubit]))
-    elif isinstance(gate, Ry):
-        rotate((), axes[gate.qubit], _ry_matrix(gate.angle))
     elif isinstance(gate, CNOT):
         _swap_pair(*_pinned_views(flat, ((axes[gate.control], 1),), axes[gate.target]))
-    elif isinstance(gate, ControlledRy):
-        rotate(((axes[gate.control], 1),), axes[gate.target], _ry_matrix(gate.angle))
-    elif isinstance(gate, ConditionalRy):
-        register = gate.register
-        for x, angle in gate.angles:
-            fixed = tuple(
-                (axes[q], (x >> (len(register) - 1 - i)) & 1) for i, q in enumerate(register)
-            )
-            rotate(fixed, axes[gate.target], _ry_matrix(angle))
     elif isinstance(gate, DenseBlock):
         m = gate.matrix.conj() if conjugate else gate.matrix
         _apply_dense(flat, total_axes, m, tuple(axes[q] for q in gate.qubits))
@@ -397,13 +370,6 @@ class NoiseModel:
         return self.eps_r == 0.0 and self.eps_d == 0.0
 
 
-class MeasureResult(NamedTuple):
-    """A measurement's outcome-0 probability (a named tuple: immutable and
-    cheaper to build than a frozen dataclass, which every step pays)."""
-
-    prob0: float
-
-
 def _as_state_array(data: np.ndarray) -> np.ndarray:
     """Copy to float64 when exactly real, else complex128 (real-valued
     models then evolve entirely in real arithmetic: a noiseless LiH K0
@@ -418,41 +384,22 @@ def _as_state_array(data: np.ndarray) -> np.ndarray:
     return arr.astype(np.float64)
 
 
-def _outcome(
-    kept: float, jumped: float, rng: np.random.Generator | None, branch: bool
-) -> tuple[MeasureResult, bool]:
+def _postselected(prob0: float) -> float:
     """The ancilla measurement rule, shared by every step path: postselect
-    outcome 0.
-
-    ``kept`` and ``jumped`` are the weights that reach outcome 0 without
-    and with the ancilla's E2 jump, so prob0 is their sum. A sum over 1 by
-    more than 1e-9, or a NaN sum, means a step that is not a measurement
-    and raises; rounding below that clamps it to 1. A prob0 below the
-    annihilation threshold raises. With ``branch`` (a statevector
-    trajectory of a noisy ancilla), outcome 0 takes one draw r and keeps
-    the jump branch when r prob0 >= kept. Returns the result and whether
-    the jump branch is kept.
-    """
-    if rng is None and branch:
-        raise ValueError("a sampled noise branch needs an rng")
-    if not kept + jumped <= 1.0 + 1e-9:  # NaN fails too
-        raise ValueError(f"ancilla-0 probability {kept + jumped!r} exceeds 1 or is NaN")
-    prob0 = min(kept + jumped, 1.0)
+    outcome 0 with probability ``prob0``, which comes back as it is when
+    it lies in [``ANNIHILATION_THRESHOLD``, 1]. A prob0 over 1 by at most
+    1e-9 is rounding and comes back as 1.0; one further over 1, or NaN,
+    means a step that is not a measurement and raises ``ValueError``; one
+    below the threshold raises :class:`EvolutionAnnihilatedError`."""
+    if ANNIHILATION_THRESHOLD <= prob0 <= 1.0:
+        return prob0
+    if not prob0 <= 1.0 + 1e-9:  # NaN fails too
+        raise ValueError(f"ancilla-0 probability {prob0!r} exceeds 1 or is NaN")
     if prob0 < ANNIHILATION_THRESHOLD:
         raise EvolutionAnnihilatedError(
             f"ancilla-0 probability {prob0:.3e} below {ANNIHILATION_THRESHOLD}"
         )
-    jump = branch and rng.random() * prob0 >= kept
-    return MeasureResult(prob0), jump
-
-
-def _postselected(prob0: float) -> MeasureResult:
-    """:func:`_outcome` for a step with no jump branch: a prob0 within
-    [``ANNIHILATION_THRESHOLD``, 1] comes back as it is, with no call to
-    the rule, and anything else (NaN included) takes its clamp or raise."""
-    if ANNIHILATION_THRESHOLD <= prob0 <= 1.0:
-        return MeasureResult(prob0)
-    return _outcome(prob0, 0.0, None, False)[0]
+    return 1.0
 
 
 def _squared_norm(x: np.ndarray) -> float:
@@ -594,22 +541,29 @@ class StateVector(_State):
 
     def _measure(
         self, out: np.ndarray, out1: np.ndarray | None, eps_d: float, rng, order: tuple | None
-    ) -> MeasureResult:
+    ) -> float:
         """The measurement stage, on the ancilla-0 branch ``out`` and, when
         the ancilla can jump, its ancilla-1 branch ``out1``, which reaches
         outcome 0 with weight ``eps_d``: each weight is its branch's
-        squared norm over ``_norm2``, and the branch kept is stored as it
-        is."""
+        squared norm over ``_norm2``, prob0 is their sum, and the branch
+        kept is stored as it is. With a jump branch, which needs ``rng``,
+        outcome 0 takes one draw r and keeps the jump branch when
+        r prob0 >= the first weight."""
+        if out1 is not None and rng is None:
+            raise ValueError("a sampled noise branch needs an rng")
         kept = _squared_norm(out)
-        kept1 = 0.0 if out1 is None else _squared_norm(out1)
-        result, jump = _outcome(
-            kept / self._norm2, eps_d * kept1 / self._norm2, rng, out1 is not None
-        )
-        if jump:
+        if out1 is None:
+            prob0 = _postselected(kept / self._norm2)
+            self._keep(out, kept, order)
+            return prob0
+        kept1, weight = _squared_norm(out1), kept / self._norm2
+        # two quotients: (kept + eps_d kept1) / norm2 rounds differently
+        prob0 = _postselected(weight + eps_d * kept1 / self._norm2)
+        if rng.random() * prob0 >= weight:
             self._keep(out1, kept1, order)
         else:
             self._keep(out, kept, order)
-        return result
+        return prob0
 
     def apply_gate(self, gate: Gate) -> None:
         if _gate_needs_complex(gate):
@@ -622,7 +576,7 @@ class StateVector(_State):
         s: np.ndarray,
         eps_d: float = 0.0,
         rng: np.random.Generator | None = None,
-    ) -> MeasureResult:
+    ) -> float:
         """Postselect an ancilla given as its per-basis-state factors, the
         measurement stage of a step on the whole register.
 
@@ -631,12 +585,13 @@ class StateVector(_State):
         that the ancilla's E2 jump brings to outcome 0. So prob0 is
         sum_x (c_x^2 + eps_d s_x^2) w_x, with w the basis-state weights.
         Outcome 0 keeps (C rho C + eps_d S rho S) / prob0 (a statevector
-        samples one of the two branches, which needs ``rng``).
+        samples one of the two branches, which needs ``rng``). Returns
+        prob0.
         """
         psi = self.data
         return self._measure(c * psi, s * psi if eps_d > 0.0 else None, eps_d, rng, None)
 
-    def _run_step(self, step: BoundStep, rng) -> MeasureResult:
+    def _run_step(self, step: BoundStep, rng) -> float:
         x, order = self._gather(step.support)
         first, second, post = step.ops
         if second is None:  # K0: one product and one dot
@@ -651,16 +606,11 @@ class StateVector(_State):
                 else:
                     out = first.dot(x)
                 kept = _squared_norm(out)
-            prob0 = kept / self._norm2
-            # _postselected's common case inlined: it calls nothing
-            if ANNIHILATION_THRESHOLD <= prob0 <= 1.0:
-                result = MeasureResult(prob0)
-            else:
-                result = _postselected(prob0)  # clamps or raises
+            prob0 = _postselected(kept / self._norm2)
             self._stored, self._order, self._norm2 = out, order, kept  # _keep, inlined
             if kept < NORM2_RESCALE_THRESHOLD:
                 self._normalize()
-            return result
+            return prob0
         noise = step.noise
         if noise is not None and rng is None:
             raise ValueError("statevector noise is sampled and needs an rng")
@@ -668,12 +618,12 @@ class StateVector(_State):
         c, s = second  # after Pre_S or Pre's gate list
         x = _product(first, x, overwrite=not np.may_share_memory(x, self._stored))
         out, out1 = c[:, None] * x, s[:, None] * x if eps_d > 0.0 else None
-        result = self._measure(out, out1, eps_d, rng, order)
+        prob0 = self._measure(out, out1, eps_d, rng, order)
         if noise is not None:  # a trajectory: the sampled work-qubit noise, then Post
             self.sample_kraus(noise, rng)
         if post is not None:  # on the kept branch, a buffer of the step's own
             self._stored = _product(post, self._stored, overwrite=True)
-        return result
+        return prob0
 
     def _expectation(self, h: PauliHamiltonian) -> float:
         # one gather for all distinct X masks, see PauliHamiltonian.x_mask_stack
@@ -825,7 +775,7 @@ class DensityMatrix(_State):
         s: np.ndarray,
         eps_d: float = 0.0,
         rng: np.random.Generator | None = None,
-    ) -> MeasureResult:
+    ) -> float:
         """:meth:`StateVector.measure_ancilla` on a density matrix, which
         keeps both branches: the weight stage of a sandwich step on the
         whole register, with W = c c^T + eps_d s s^T."""
@@ -833,14 +783,13 @@ class DensityMatrix(_State):
         whole = BoundStep(type(self), None, tuple(range(self.n_qubits)), (None, weights, None))
         return self._run_step(whole, rng)
 
-    def _run_step(self, step: BoundStep, rng) -> MeasureResult:
+    def _run_step(self, step: BoundStep, rng) -> float:
         # The step runs on, and stores, rho gathered with S's row bits, then
         # S's column bits, then the rest's row bits and their column bits
         # in one order: as (4^k, rest^2), S's vectorized block on the
         # leading axis. Traces do not change under the move. prob0 is a row
         # vector on the partial trace over the rest: T_S's v before the
-        # step, or diag(W) on S's diagonal after Pre_S (a phase_out that
-        # an X-mask stage holds instead is 1 there). The channel on a
+        # step, or diag(W) on S's diagonal after Pre_S. The channel on a
         # qubit outside S commutes with the whole step, so it is only
         # counted as owed.
         support, noise = step.support, step.noise
@@ -879,15 +828,14 @@ class DensityMatrix(_State):
             # only their summed weight counts
             traced = rho[:: 2**k + 1]
         rest = math.isqrt(rho.shape[1])
-        prob0 = float(np.dot(row, traced[:, :: rest + 1].sum(axis=1)).real)
-        result = _postselected(prob0)
+        prob0 = _postselected(float(np.dot(row, traced[:, :: rest + 1].sum(axis=1)).real))
         if superop:
-            rho = _product(t_s * (1.0 / result.prob0), rho)
+            rho = _product(t_s * (1.0 / prob0), rho)
         else:  # W, then S's own channel
             if isinstance(weights, _MaskStage):
-                rho = _by_mask(weights.stack, rho, 1.0 / result.prob0)
+                rho = _by_mask(weights.stack, rho, 1.0 / prob0)
             else:
-                rho = rho * (weights / result.prob0).reshape(-1, 1)
+                rho = rho * (weights / prob0).reshape(-1, 1)
                 if noise is not None:
                     _channel(rho, noise, (1,) * k, columns=k)
             if post is not None:
@@ -895,7 +843,7 @@ class DensityMatrix(_State):
         self._stored, self._order = rho, order
         grows = int(noise is not None)
         self._owed = [0 if q in support else m + grows for q, m in enumerate(self._owed)]
-        return result
+        return prob0
 
     def _expectation(self, h: PauliHamiltonian) -> float:
         # Tr(H rho) = sum_x sum_b d_x[b] rho[b, b ^ x], one gather over
@@ -1084,20 +1032,20 @@ def _channel_superop(model: NoiseModel, counts: tuple[int, ...]) -> np.ndarray:
 
 class _MaskStage(NamedTuple):
     """The middle stage of a sandwich step on k <= ``MASK_STACK_MAX_SUPPORT``
-    qubits: the outcome-0 weight W, the channel on S and the phase
-    factors between Pre_S's and Post_S's products, as one product.
+    qubits: the outcome-0 weight W and the channel on S, between Pre_S's
+    and Post_S's products, as one real product.
 
-    None of them changes an entry's X mask x = r XOR c (r and c its row and
+    Neither changes an entry's X mask x = r XOR c (r and c its row and
     column on S; :func:`_adjoint_diagonals` relies on the same), so on the
     4^k entries of S's block, ordered by X mask (:func:`_mask_order`), the
     stage is block-diagonal: ``stack[x]`` = diag(F_x) Z_x diag(W_x), over
-    the 2^k entries (r, r ^ x) indexed by r. W_x is W with Pre_S's
-    ``phase_out`` folded in, F_x the channel's elementwise factor
-    (:func:`_channel_factors`) with Post_S's ``phase_in`` folded in, and
+    the 2^k entries (r, r ^ x) indexed by r. W_x is W, F_x the channel's
+    elementwise factor (:func:`_channel_factors`), and
     Z_x = (x) over q of (x_q ? I : [[1, eps_d], [0, 1]]) on r's bit q
     holds the jumps, which move weight from r_q = c_q = 1 to 0 only. The
     jumps act before F, as in :func:`_channel`. ``row`` is diag W, which
-    gives prob0 on Pre's output."""
+    gives prob0 on Pre's output. The phase factors of Pre_S and Post_S
+    stay in their sandwiches (:func:`_sandwich`)."""
 
     row: np.ndarray
     stack: np.ndarray
@@ -1117,13 +1065,9 @@ def _mask_order(k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, inverse
 
 
-def _mask_stage(
-    weights: np.ndarray, noise: NoiseModel | None, phase_out, phase_in
-) -> _MaskStage:
-    """The :class:`_MaskStage` of W = ``weights`` on k qubits: ``phase_out``
-    (Pre_S's, or None) and W, then one application of ``noise``'s channel
-    on the k qubits (none for None), then ``phase_in`` (Post_S's, or
-    None)."""
+def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> _MaskStage:
+    """The :class:`_MaskStage` of W = ``weights`` on k qubits, then one
+    application of ``noise``'s channel on the k qubits (none for None)."""
     size = weights.shape[0]
     k = size.bit_length() - 1
     order, _ = _mask_order(k)
@@ -1131,14 +1075,12 @@ def _mask_stage(
         jumps, factor = (0.0,) * k, np.ones((size, size))
     else:
         jumps, factor = _channel_factors(noise, (1,) * k)
-    entries = weights if phase_out is None else weights * phase_out
-    factor = factor if phase_in is None else factor * phase_in
     jump_z = np.ones((1, 1, 1))  # Z_x[r out, r in], a Kronecker product over x, r out and r in
     for jump in jumps:  # qubit 0 first, the most significant bit of x and r
         pair = np.array([[[1.0, jump], [0.0, 1.0]], np.eye(2)])  # [x_q, r_q out, r_q in]
         width = 2 * len(jump_z)
         jump_z = np.einsum("xab,ycd->xyacbd", jump_z, pair).reshape(width, width, width)
-    f_x, w_x = (a.reshape(-1)[order].reshape(size, size) for a in (factor, entries))
+    f_x, w_x = (a.reshape(-1)[order].reshape(size, size) for a in (factor, weights))
     stack = f_x[:, :, None] * jump_z * w_x[:, None, :]
     row = np.ascontiguousarray(weights.diagonal())
     stack.setflags(write=False)
@@ -1206,14 +1148,13 @@ class BoundStep:
     and Post_S an (a, phase_in, phase_out) triple of :func:`_phased` (a
     real where it can be), None for an empty gate list. On at most
     ``MASK_STACK_MAX_SUPPORT`` qubits W is a :class:`_MaskStage` instead,
-    which holds diag W, and W, the channel on S, Pre_S's ``phase_out``
-    and Post_S's ``phase_in`` as one stack over X masks; those two phase
-    factors are then None in the triples. Every one of these acts on the matrix gathered
-    in one layout, S's row bits, then its column bits, then the rest's
-    (see :func:`_step_order`): T_S and v on the leading 4^|S| axis, W and
-    the phase factors entry by entry on S's block (the stack on its
-    entries taken in X-mask order, see :func:`_by_mask`), a on S's row
-    bits and a^dag on its column bits (see :func:`_sandwich`). A step wider than
+    which holds diag W, and W and the channel on S as one stack over X
+    masks. Every one of these acts on the matrix gathered in one layout,
+    S's row bits, then its column bits, then the rest's (see
+    :func:`_step_order`): T_S and v on the leading 4^|S| axis, W and the
+    phase factors entry by entry on S's block (the stack on its entries
+    taken in X-mask order, see :func:`_by_mask`), a on S's row bits and
+    a^dag on its column bits (see :func:`_sandwich`). A step wider than
     ``FUSED_MAX_SUPPORT`` holds (Pre, (c_S, s_S), Post) instead, Pre and
     Post its gate lists relabelled onto S: bare on a statevector, as
     (gates, None, None) triples on a density matrix (None when empty),
@@ -1237,16 +1178,12 @@ def _positions(gate: Gate, position: dict[int, int]) -> tuple[int, ...]:
 
 
 def _relabel(gate: Gate, position: dict[int, int]) -> Gate:
-    """``gate`` with qubit q renumbered to ``position[q]``: its own
-    constructor on the moved qubits, which every gate takes in
-    ``qubits_of`` order, after its angle where it has one."""
+    """A kernel ``gate`` with qubit q renumbered to ``position[q]``: its
+    own constructor on the moved qubits, which every such gate takes in
+    ``qubits_of`` order."""
     moved = _positions(gate, position)
     if isinstance(gate, DenseBlock):
         return gate.on_qubits(moved)
-    if isinstance(gate, ConditionalRy):
-        return ConditionalRy(moved[:-1], gate.angles, moved[-1])
-    if isinstance(gate, (Ry, ControlledRy)):
-        return type(gate)(gate.angle, *moved)
     return type(gate)(*moved)
 
 
@@ -1326,7 +1263,9 @@ def lower_step(
 
     The rotation runs from the first gate that touches the ancilla to the
     measurement; each of its gates must be a y-rotation targeting the
-    ancilla. Pre_S (and Post_S, unless Post's gates invert Pre's) is the
+    ancilla, and every gate of Pre (the gates before the rotation) and of
+    Post one that the kernels run; else it raises ``ValueError``. Pre_S
+    (and Post_S, unless Post's gates invert Pre's) is the
     gate kernels run on the identity columns with each qubit on its
     position in S; a noiseless statevector step builds no Post_S, but
     runs Post's kernels on diag(c_S) Pre_S, which makes K0 exactly real
@@ -1344,6 +1283,14 @@ def lower_step(
             raise ValueError(
                 f"step circuit has {g!r} between its ancilla rotation and the measurement; "
                 "only y-rotations targeting the ancilla may sit there"
+            )
+    kernels = (Hadamard, PhaseS, PhaseSdg, PauliX, CNOT, DenseBlock)
+    for g in (*pre[:split], *circuit.post_measure):
+        if not isinstance(g, kernels):
+            raise ValueError(
+                f"step circuit has {g!r} on its work register, which no kernel runs; "
+                "only Hadamard, PhaseS, PhaseSdg, PauliX, CNOT and DenseBlock gates may "
+                "sit before the ancilla rotation or after the measurement"
             )
     support = tuple(sorted({q for g in circuit.gates for q in qubits_of(g)} - {ancilla}))
     c, s = _fold_rotation(rotation, support, ancilla)
@@ -1383,18 +1330,9 @@ def lower_step(
         # an empty gate list leaves its sandwich out
         pre_op = _phased(pre_s) if pre[:split] else None
         post_op = _phased(post_s) if circuit.post_measure else None
-        if len(support) > MASK_STACK_MAX_SUPPORT:
-            return BoundStep(type(state), noise, support, (pre_op, weights, post_op))
-        # Pre_S's phase_out and Post_S's phase_in move into the stage
-        phase_out = phase_in = None
-        if pre_op is not None:
-            a, pre_in, phase_out = pre_op
-            pre_op = (a, pre_in, None)
-        if post_op is not None:
-            a, phase_in, post_out = post_op
-            post_op = (a, None, post_out)
-        stage = _mask_stage(weights, noise, phase_out, phase_in)
-        return BoundStep(type(state), noise, support, (pre_op, stage, post_op))
+        if len(support) <= MASK_STACK_MAX_SUPPORT:
+            weights = _mask_stage(weights, noise)
+        return BoundStep(type(state), noise, support, (pre_op, weights, post_op))
     return BoundStep(type(state), noise, support, (pre_s, (c, s), post_s))
 
 
@@ -1402,15 +1340,16 @@ def run_step_circuit(
     state: StateVector | DensityMatrix,
     step: BoundStep,
     rng: np.random.Generator | None = None,
-) -> MeasureResult:
+) -> float:
     """One measured step circuit, lowered by :func:`lower_step` for this
-    state's type, on the work register, its ancilla postselected.
+    state's type, on the work register, its ancilla postselected; returns
+    prob0.
 
     Each state type runs every step down one pipeline (see
     :class:`BoundStep`): Pre on the state gathered in the step's order,
-    the outcome rule of :func:`_outcome`, the work-qubit channel (exact on
-    S and owed on the other qubits on a density matrix; one sampled
-    trajectory on a statevector, which needs ``rng``), then Post.
+    the outcome rule of :func:`_postselected`, the work-qubit channel
+    (exact on S and owed on the other qubits on a density matrix; one
+    sampled trajectory on a statevector, which needs ``rng``), then Post.
     """
     if not isinstance(state, step.state_type):
         raise TypeError(f"step lowered for {step.state_type.__name__}, got {type(state).__name__}")

@@ -124,14 +124,14 @@ class PauliHamiltonian:
         """Dense 2^n x 2^n matrix; real-valued if every term has an even
         number of Y axes (all built-in models do).
 
-        Assembled from :attr:`x_mask_diagonals`: entry (b ^ x, b) is
-        d_x[b], summed over the terms in the same order as the sum of
-        their Kronecker products."""
+        Scattered from :attr:`x_mask_stack`: entry (b ^ x, b) is d_x[b],
+        summed over the terms in the same order as the sum of their
+        Kronecker products."""
         dim = 2**self.n_qubits
         basis = np.arange(dim)
         m = np.zeros((dim, dim), dtype=complex)
-        for x_mask, diagonal in self.x_mask_diagonals:
-            m[basis ^ x_mask, basis] += diagonal
+        _, index, stack = self.x_mask_stack
+        m[index, basis] += stack  # distinct masks: each entry is written once
         if include_offset:
             m[basis, basis] += self.identity_offset
         if np.abs(m.imag).max(initial=0.0) < 1e-14:
@@ -148,17 +148,18 @@ class PauliHamiltonian:
         return float(sum(abs(t.coeff) for t in self.terms))
 
     @cached_property
-    def x_mask_diagonals(self) -> tuple[tuple[int, np.ndarray], ...]:
-        """The Hamiltonian without its offset as (x_mask, d_x) pairs, one
-        per distinct X mask, with read-only d_x.
+    def x_mask_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The Hamiltonian without its offset over its distinct X masks:
+        the masks x, the gather index b ^ x and the diagonals d_x, each row
+        one mask, all read-only.
 
         A Pauli string with X mask x (its X and Y factors), Z mask z (its Z
         and Y factors) and y Y factors maps |b> to i^y (-1)^popcount(b & z)
         |b ^ x>, since Y = iXZ. So <psi|H|psi> is the sum over x of
         sum_b conj(psi[b ^ x]) psi[b] d_x[b], where d_x[b] sums
         coeff i^y (-1)^popcount(b & z) over the terms with that x: one
-        gather per distinct X mask (8 for LiH's 61 terms). d_x is float64
-        when every phase is real.
+        ``vdot(psi[index], stack * psi)`` over every mask at once (8 masks
+        for LiH's 61 terms). The stack is float64 when every phase is real.
         """
         n = self.n_qubits
         x_masks, z_masks, scales = [], [], []
@@ -187,25 +188,11 @@ class PauliHamiltonian:
             rows = scales[first : first + chunk, None] * (1.0 - 2.0 * (parity & 1))
             for x, row in zip(x_masks[first : first + chunk], rows):
                 diagonals[x] = diagonals.get(x, 0.0) + row  # in term order
-        out = []
-        for x_mask, d in diagonals.items():
-            d = np.asarray(d)
-            if np.iscomplexobj(d) and np.abs(d.imag).max(initial=0.0) == 0.0:
-                d = d.real.copy()
-            d.setflags(write=False)
-            out.append((x_mask, d))
-        return tuple(out)
-
-    @cached_property
-    def x_mask_stack(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:attr:`x_mask_diagonals` stacked, in the same row order: the
-        masks x, the gather index b ^ x and the diagonals d_x, each row
-        one mask, all read-only. So <psi|H - offset|psi> is one
-        ``vdot(psi[index], stack * psi)``. The stack is float64 when every
-        d_x is."""
-        masks = np.array([x for x, _ in self.x_mask_diagonals])
-        index = np.arange(2**self.n_qubits) ^ masks[:, None]
-        stack = np.array([d for _, d in self.x_mask_diagonals])
+        masks = np.array(list(diagonals))
+        index = basis ^ masks[:, None]
+        stack = np.array(list(diagonals.values()))
+        if np.iscomplexobj(stack) and np.abs(stack.imag).max(initial=0.0) == 0.0:
+            stack = stack.real.copy()
         for a in (masks, index, stack):
             a.setflags(write=False)
         return masks, index, stack

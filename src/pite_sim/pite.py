@@ -101,6 +101,9 @@ class RunConfig:
                 raise ValueError("trajectory mode needs a seed")
             if self.mode == "sample":
                 raise ValueError("trajectory mode supports postselect only")
+            if self.noise is None or self.noise.is_identity:
+                # every trajectory would be the same noiseless run
+                raise ValueError("trajectory mode needs a noise model that is not the identity")
         if self.record_every < 1:
             raise ValueError("record_every must be positive")
         if self.restart_budget < 0:
@@ -281,16 +284,16 @@ def _run(
         for step in range(1, schedule.n_steps + 1):
             for bound in steps:
                 try:
-                    res = run_step_circuit(state, bound, rng)
+                    prob0 = run_step_circuit(state, bound, rng)
                 except EvolutionAnnihilatedError:
                     if probs is not None:  # no attempt gets past this measurement
                         probs.append(0.0)
                     elif not trajectory:
                         raise
                     return records, False  # weight 0 from here on
-                p_cum *= res.prob0
+                p_cum *= prob0
                 if probs is not None:
-                    probs.append(res.prob0)
+                    probs.append(prob0)
             if step % config.record_every == 0 or step == schedule.n_steps:
                 records.append(record(step, state, p_cum, 0))
         return records, True

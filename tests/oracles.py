@@ -1,15 +1,17 @@
 """Test oracles: dense matrices and closed forms built from definitions.
 
 Nothing here runs the kernels that evolve states (``pite_sim.engine``'s
-pair rotations and fused products), so the tests compare those fast paths
+pair kernels and fused products), so the tests compare those fast paths
 against arrays built independently: Kronecker products of 2x2 Pauli
 matrices, per-qubit ``np.tensordot`` contractions and gate matrices
 written out from the gate definitions. The elementary-gate Ising block
 circuit and its closed forms live here too, as references for the
-grouped step built from a dense eigenbasis.
+grouped step built from a dense eigenbasis, with the rewrite of its
+work-register rotations into the dense blocks the engine lowers.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -133,6 +135,19 @@ def gates_unitary(gates: tuple[Gate, ...], n_qubits: int) -> np.ndarray:
         out = np.tensordot(m.reshape((2,) * (2 * k)), rows, axes=(range(k, 2 * k), qubits))
         mat = np.moveaxis(out, range(k), qubits).reshape(dim, dim)
     return mat
+
+
+def with_dense_work_rotations(circuit: Circuit) -> Circuit:
+    """``circuit`` with each y-rotation that does not target the ancilla
+    replaced by a ``DenseBlock`` of its :func:`gate_matrix`: the form the
+    engine lowers, whose kernels run no rotation (the ancilla's rotation
+    is folded into the step's diagonal factors and stays as it is)."""
+    gates = []
+    for g in circuit.gates:
+        m, qubits = gate_matrix(g)
+        rotates_work = isinstance(g, (Ry, ControlledRy, ConditionalRy)) and qubits[-1] != circuit.ancilla
+        gates.append(DenseBlock(qubits, m) if rotates_work else g)
+    return dataclasses.replace(circuit, gates=tuple(gates))
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:

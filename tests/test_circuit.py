@@ -134,7 +134,7 @@ def test_step_fixed_point_probability_one():
     work[0b01] = 1.0
     state = StateVector(2, work)
     res = run_step_circuit(state, lower_step(build_pauli_step(term, 0.3), state))
-    assert res.prob0 == pytest.approx(1.0, abs=1e-12)
+    assert res == pytest.approx(1.0, abs=1e-12)
     assert np.abs(state.data - work).max() < 1e-12
 
 

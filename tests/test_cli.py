@@ -453,6 +453,12 @@ H2_FLAGS = ["--model", "h2", "--R", "0.75"]
          "--axis R needs --model h2"),
         (["sweep", *H2_FLAGS, "--axis", "seed", "--values", "1,2"],
          "--axis seed needs --mode sample or --trajectories"),
+        (["run", *H2_FLAGS, "--trajectories", "5", "--seed", "1"],
+         "trajectory mode needs a noise model that is not the identity"),
+        (["sweep", *H2_FLAGS, "--axis", "seed", "--values", "1,2", "--trajectories", "3"],
+         "trajectory mode needs a noise model that is not the identity"),
+        (["run", *H2_FLAGS, "--trajectories", "5", "--seed", "1", "--noise", "0,0"],
+         "trajectory mode needs a noise model that is not the identity"),
         (["sweep", "--model", "h2", "--axis", "R", "--values", "0.75,1.45,0.8"],
          "R=0.8 not tabulated"),
     ],
@@ -460,15 +466,16 @@ H2_FLAGS = ["--model", "h2", "--R", "0.75"]
          "sweep-beta", "analyze-beta", "analyze-beta-points", "run-beta-inf", "run-dt-inf",
          "run-dt-nan", "sweep-dt-inf", "analyze-beta-inf", "sweep-seed-fraction",
          "run-negative-seed", "sweep-negative-seed", "sweep-R-without-h2",
-         "sweep-unused-seed", "sweep-untabulated-R"],
+         "sweep-unused-seed", "run-noiseless-trajectories", "sweep-noiseless-trajectories",
+         "run-identity-noise-trajectories", "sweep-untabulated-R"],
 )
 def test_bad_schedule_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, message):
     """Each exits 1 with ``error:`` before anything is printed or written
     and, in a sweep, before any point runs, where it raised a traceback,
     ran at another beta, ran an infinite step, ran the integer parts of
     fractional seeds, ran the points before a negative seed or an
-    untabulated distance, or wrote identical rows along an axis the run
-    ignores."""
+    untabulated distance, wrote identical rows along an axis the run
+    ignores, or ran identical noiseless trajectories."""
     monkeypatch.setattr(cli, "_sweep_point", lambda point: pytest.fail("a sweep point ran"))
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()

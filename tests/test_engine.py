@@ -2,6 +2,7 @@
 import copy
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from oracles import (
     on_register,
     postselected_operator,
     term_matrix,
+    with_dense_work_rotations,
 )
 
 rng = np.random.default_rng(99)
@@ -74,8 +76,8 @@ def random_term(n: int) -> PauliTerm:
     return PauliTerm(coeff, axes)
 
 
-def random_unitary(dim: int) -> np.ndarray:
-    m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_unitary(dim: int, source: np.random.Generator = rng) -> np.ndarray:
+    m = source.standard_normal((dim, dim)) + 1j * source.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
@@ -85,6 +87,8 @@ def run_circuit(state, circ, rng=None, noise=None):
     return run_step_circuit(state, lower_step(circ, state, noise), rng=rng)
 
 
+# Every gate kind the kernels run. The ancilla's y-rotations have none:
+# lowering folds them into (c_S, s_S), see test_fold_rotation_*.
 ALL_GATE_SAMPLES = [
     Hadamard(0),
     PhaseS(1),
@@ -92,10 +96,10 @@ ALL_GATE_SAMPLES = [
     PauliX(1),
     CNOT(0, 2),
     CNOT(2, 0),
-    Ry(0.83, 1),
-    ControlledRy(1.21, 0, 2),
-    ControlledRy(1.21, 2, 0),
-    ConditionalRy((0, 2), ((1, 0.4), (3, 1.9)), 1),
+    CNOT(1, 2),
+    CNOT(2, 1),
+    DenseBlock((1,), [[math.cos(0.415), -math.sin(0.415)], [math.sin(0.415), math.cos(0.415)]]),
+    DenseBlock((2, 0, 1), random_unitary(8, np.random.default_rng(8))),
     DenseBlock((1, 2), random_unitary(4)),
     DenseBlock((2, 0), random_unitary(4)),
 ]
@@ -114,9 +118,15 @@ def test_cnot_on_basis():
 
 
 def test_controlled_ry_pi():
-    s = StateVector(2, np.array([0, 0, 1, 0]))  # control |1>, target |0>
-    s.apply_gate(ControlledRy(math.pi, 0, 1))
-    assert np.allclose(s.data, [0, 0, 0, 1])
+    """A controlled Ry(pi) onto the ancilla turns it to |1> wherever the
+    control is 1: postselecting 0 keeps the control-0 half, and a state
+    whose control is 1 throughout annihilates."""
+    circ = Circuit(n_work=2, has_ancilla=True, gates=(ControlledRy(math.pi, 0, 2),), measure_point=1)
+    s = StateVector(2, np.array([1.0, 0.0, 1.0, 0.0]) / math.sqrt(2))  # control (|0> + |1>)/sqrt 2
+    assert run_circuit(s, circ) == pytest.approx(0.5, abs=1e-15)
+    assert np.abs(s.data - [1, 0, 0, 0]).max() < 1e-15
+    with pytest.raises(EvolutionAnnihilatedError):
+        run_circuit(StateVector(2, np.array([0, 0, 1, 0])), circ)
 
 
 @pytest.mark.parametrize("gate", ALL_GATE_SAMPLES)
@@ -199,7 +209,7 @@ def test_measure_plus_ancilla():
     s = StateVector(2, work)
     circ = Circuit(n_work=2, has_ancilla=True, gates=(Ry(math.pi / 2, 2),), measure_point=1)
     res = run_circuit(s, circ)
-    assert res.prob0 == pytest.approx(0.5, abs=1e-12)
+    assert res == pytest.approx(0.5, abs=1e-12)
     assert abs(np.linalg.norm(s.data) - 1.0) < 1e-12
     assert np.abs(s.data - work).max() < 1e-12
 
@@ -208,7 +218,7 @@ def test_measure_trivial_state_unchanged():
     work = random_state(2)
     s = StateVector(2, work)
     res = run_circuit(s, Circuit(n_work=2, has_ancilla=True, gates=(), measure_point=0))
-    assert res.prob0 == pytest.approx(1.0)
+    assert res == pytest.approx(1.0)
     assert np.abs(s.data - work).max() < 1e-12
 
 
@@ -218,8 +228,8 @@ def test_measure_prob_half_overlap():
     state = StateVector(1, np.array([1.0, 1.0]) / math.sqrt(2))
     res = run_circuit(state, build_pauli_step(term, 0.1))
     expected = 0.5 * (1.0 + math.exp(-0.4))
-    assert res.prob0 == pytest.approx(expected, rel=1e-12)
-    assert res.prob0 == pytest.approx(0.83516, abs=1e-5)
+    assert res == pytest.approx(expected, rel=1e-12)
+    assert res == pytest.approx(0.83516, abs=1e-5)
 
 
 def test_annihilation_raises():
@@ -254,7 +264,7 @@ def test_noisy_statevector_step_samples_the_channel():
         by_hand.sample_kraus(noise, rng_hand)
         for g in circ.post_measure:
             by_hand.apply_gate(g)
-        assert res.prob0 == pytest.approx(want.prob0, rel=1e-12)
+        assert res == pytest.approx(want, rel=1e-12)
         assert np.abs(state.data - by_hand.data).max() < 1e-12
         # both took the same number of draws, so the streams still agree
         assert rng_run.random() == rng_hand.random()
@@ -269,7 +279,7 @@ def test_measure_density_agrees_with_statevector():
     circ = build_pauli_step(random_term(3), 0.2)
     rs = run_circuit(s, circ)
     rd = run_circuit(d, circ)
-    assert rs.prob0 == pytest.approx(rd.prob0, abs=1e-10)
+    assert rs == pytest.approx(rd, abs=1e-10)
     fid = np.real(np.vdot(s.data, d.data @ s.data))
     assert fid == pytest.approx(1.0, abs=1e-10)
 
@@ -298,7 +308,8 @@ def lowering_cases():
             block = random_grouped_block(n, size)
             cases.append((f"grouped-n{n}-k{size}", build_grouped_step(block, float(rng.uniform(0.05, 0.5)))))
     for g, h in ((1.2, 0.3), (0.5, -0.8), (2.0, 1.5)):
-        cases.append((f"ising-block-{g}-{h}", build_ising_block_gates(g, h, 0.2)))
+        circ = with_dense_work_rotations(build_ising_block_gates(g, h, 0.2))
+        cases.append((f"ising-block-{g}-{h}", circ))
     return cases
 
 
@@ -362,11 +373,11 @@ def test_step_matches_postselected_operator(circ, monkeypatch):
     for path in STEP_PATHS:
         s = StateVector(n, psi)
         res = path_step(monkeypatch, path, circ, s)
-        assert res.prob0 == pytest.approx(float(np.vdot(out, out).real), rel=1e-12), path
+        assert res == pytest.approx(float(np.vdot(out, out).real), rel=1e-12), path
         assert np.abs(s.data - out / np.linalg.norm(out)).max() < 1e-12, path
         d = DensityMatrix(n, rho)
         res = path_step(monkeypatch, path, circ, d)
-        assert res.prob0 == pytest.approx(p0, rel=1e-12), path
+        assert res == pytest.approx(p0, rel=1e-12), path
         assert np.abs(d.data - branch / p0).max() < 1e-12, path
 
 
@@ -396,7 +407,7 @@ def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
     circuits = [build_pauli_step(random_term(n), 0.3) for n in (1, 2, 3)]
     circuits += [
         build_grouped_step(random_grouped_block(3, 2), 0.3),
-        build_ising_block_gates(1.2, 0.3, 0.3),
+        with_dense_work_rotations(build_ising_block_gates(1.2, 0.3, 0.3)),
     ]
     for circ in circuits:
         n = circ.n_qubits
@@ -405,7 +416,7 @@ def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
         for path in STEP_PATHS:
             d = DensityMatrix(circ.n_work, rho_work)
             res = path_step(monkeypatch, path, circ, d, noise=model)
-            assert res.prob0 == pytest.approx(p0, rel=1e-12), path
+            assert res == pytest.approx(p0, rel=1e-12), path
             assert np.abs(d.data - want).max() < 1e-12, path
 
         pre = gates_unitary(circ.pre_measure, n)
@@ -422,7 +433,7 @@ def test_noisy_step_matches_full_kraus_sum(eps_r, eps_d, monkeypatch):
             for path in STEP_PATHS:
                 s = StateVector(circ.n_work, psi)
                 res = path_step(monkeypatch, path, circ, s, rng=make_rng(seed), noise=model)
-                assert res.prob0 == pytest.approx(prob0, rel=1e-12), path
+                assert res == pytest.approx(prob0, rel=1e-12), path
                 assert np.abs(s.data - post @ by_hand.data).max() < 1e-12, path
 
 
@@ -447,7 +458,7 @@ def test_pre_only_step_on_a_non_hermitian_matrix_matches_the_kraus_oracle(monkey
         for path in STEP_PATHS:
             d = DensityMatrix(3, rho)
             res = path_step(monkeypatch, path, circ, d, noise=model)
-            assert res.prob0 == pytest.approx(p0, rel=1e-12), (path, model)
+            assert res == pytest.approx(p0, rel=1e-12), (path, model)
             assert np.abs(d.data - want).max() < 1e-12, (path, model)
 
 
@@ -564,7 +575,7 @@ def test_wide_density_steps_defer_and_keep_their_order():
         assert step_path(step) == ("superop" if i == 1 else "gate-list")
         res = run_step_circuit(d, step)
         rho, p0 = full_kraus_step(circ, rho, model)
-        assert res.prob0 == pytest.approx(p0, rel=1e-12), i
+        assert res == pytest.approx(p0, rel=1e-12), i
         assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, i
         if i == 0:
             assert d._order == step_target(8, tuple(range(16)), step.support)
@@ -596,7 +607,7 @@ def test_wide_statevector_trajectory_matches_the_hand_built_oracle():
         rng_run = make_rng(seed)
         res = run_step_circuit(s, step, rng=rng_run)
         assert s._order is not None and s._order[0] != 0
-        assert res.prob0 == pytest.approx(prob0, rel=1e-12)
+        assert res == pytest.approx(prob0, rel=1e-12)
         assert np.abs(s.data - post @ by_hand.data).max() < 1e-12, seed
         assert rng_run.random() == rng_hand.random()
 
@@ -682,7 +693,7 @@ def test_chain_of_steps_on_a_carried_norm_matches_the_oracle(model, form, monkey
             prob0, psi = np.linalg.norm(out) ** 2, out / np.linalg.norm(out)
         else:
             prob0, psi = kraus_trajectory_oracle(oracle, psi, noise, rng_hand)
-        assert abs(res.prob0 - prob0) < 1e-12, i
+        assert abs(res - prob0) < 1e-12, i
         assert np.abs(state.copy().data - psi).max() < 1e-12, i
     assert rng_run.random() == rng_hand.random()
 
@@ -711,7 +722,7 @@ def test_chain_with_no_read_rescales_before_it_underflows(form):
     want = 0.01 + (0.0 if noise is None else 1e-3 * 0.99)
     draws = make_rng(3)
     for _ in range(200):
-        assert run_step_circuit(state, step, rng=draws).prob0 == pytest.approx(want, rel=1e-12)
+        assert run_step_circuit(state, step, rng=draws) == pytest.approx(want, rel=1e-12)
     data = state.data
     assert np.isfinite(data).all() and abs(np.linalg.norm(data) - 1.0) < 1e-12
     assert np.abs(data - start).max() < 1e-12
@@ -744,9 +755,61 @@ def test_rotation_reading_outside_the_support_is_rejected():
         engine._fold_rotation((ControlledRy(0.4, 1, 2),), (0,), 2)
 
 
+@pytest.mark.parametrize("n", [2, 8], ids=["fused", "wide"])
+def test_work_register_gate_without_a_kernel_is_rejected(n):
+    """A rotation on a work qubit in Pre or in Post has no kernel, and
+    ``lower_step`` names it in a ``ValueError`` before it builds anything,
+    on either state type, noiseless and noisy, on a support the fused
+    operators take and on one wider than ``FUSED_MAX_SUPPORT``."""
+    chain = tuple(CNOT(q, q + 1) for q in range(n - 1))
+    for stray in (Ry(0.3, 1), ControlledRy(0.3, 0, 1)):
+        for pre, post in (((*chain, stray), adjoint_sequence(chain)),
+                          (chain, (stray, *adjoint_sequence(chain)))):
+            circ = Circuit(n, True, (*pre, ControlledRy(0.5, 0, n), *post), len(pre) + 1)
+            for state in (StateVector(n), DensityMatrix(n)):
+                for noise in (None, NoiseModel(1e-3, 1e-3)):
+                    with pytest.raises(ValueError, match=rf"{re.escape(repr(stray))} on its work register"):
+                        lower_step(circ, state, noise)
+
+
+# Each step form as (the path forced, None for the default; the noise; the state type)
+STEP_FORMS = {
+    "k0": (None, None, StateVector),
+    "trajectory": (None, NoiseModel(0.1, 0.2), StateVector),
+    "superop": ("superop", NoiseModel(0.1, 0.2), DensityMatrix),
+    "x-mask": ("sandwich", NoiseModel(0.1, 0.2), DensityMatrix),
+    "passes": ("sandwich-pass", NoiseModel(0.1, 0.2), DensityMatrix),
+    "gate-list-sv": ("gate-list", None, StateVector),
+    "gate-list-dm": ("gate-list", NoiseModel(0.1, 0.2), DensityMatrix),
+}
+
+
+@pytest.mark.parametrize("form", list(STEP_FORMS))
+def test_every_step_form_returns_a_float_prob0(form, monkeypatch):
+    """Each step form returns prob0 as a builtin ``float`` that equals the
+    oracle's: |K0 psi|^2 of ``postselected_operator`` on a noiseless
+    statevector, else the ancilla-0 weight of ``full_kraus_step``, which a
+    trajectory's c^2 + eps_d s^2 weights sum to as well."""
+    path, noise, state_type = STEP_FORMS[form]
+    circ = build_pauli_step(PauliTerm.from_string(-0.6, "IXYZ"), 0.3)
+    if path is not None:
+        force_path(monkeypatch, path)
+    psi = random_state(4, np.random.default_rng(23))
+    state = state_type(4, np.outer(psi, psi.conj()) if state_type is DensityMatrix else psi)
+    step = lower_step(circ, state, noise)
+    assert step_path(step) == (path or "fused"), form
+    prob0 = run_step_circuit(state, step, rng=make_rng(5))
+    if noise is None:
+        z = postselected_operator(circ) @ psi
+        want = float(np.vdot(z, z).real)
+    else:
+        want = full_kraus_step(circ, np.outer(psi, psi.conj()), noise)[1]
+    assert type(prob0) is float and prob0 == pytest.approx(want, rel=1e-12), form
+
+
 def test_fold_rotation_matches_the_rotation_run_gate_by_gate():
-    # (c, s) summed from the gates' angles against the old construction:
-    # the relabelled gates run on the probe sum_x |x>|0> by the kernels
+    # (c, s) summed from the gates' angles against the rotation's dense
+    # unitary, gate by gate from the definitions, on sum_x |x>|0>
     support, ancilla = (0, 2, 3), 4
     rotation = (
         Ry(0.3, ancilla),
@@ -756,11 +819,10 @@ def test_fold_rotation_matches_the_rotation_run_gate_by_gate():
         ControlledRy(-0.4, 0, ancilla),
     )
     c, s = engine._fold_rotation(rotation, support, ancilla)
-    position = {q: i for i, q in enumerate((*support, ancilla))}
-    probe = np.zeros(16)
-    probe[0::2] = 1.0
-    for g in rotation:
-        engine._apply_gate_flat(probe, 4, engine._relabel(g, position), range(4), False)
+    # qubit 1 is outside the support and untouched: read its 0 half
+    probe = gates_unitary(rotation, 5)[:, 0::2].sum(axis=1).reshape(2, 2, 8)[:, 0].reshape(-1)
+    assert np.abs(probe.imag).max() == 0.0
+    probe = probe.real
     assert np.abs(c - probe[0::2]).max() < 1e-15
     assert np.abs(s - probe[1::2]).max() < 1e-15
 
@@ -772,25 +834,45 @@ def test_step_lowered_for_another_state_type_is_rejected():
         run_step_circuit(DensityMatrix(2), step)
 
 
-def test_outcome_rule_clamps_thresholds_and_draws_once():
-    class FixedRng:
-        def __init__(self, r):
-            self.r, self.draws = r, 0
-
-        def random(self):
-            self.draws += 1
-            return self.r
-
-    res, jump = engine._outcome(1.0, 1e-9, None, False)
-    assert (res.prob0, jump) == (1.0, False)
+def test_outcome_rule_clamps_and_raises():
+    """``_postselected`` returns a prob0 in [threshold, 1] as it is, 1.0
+    for one over 1 by at most 1e-9, and raises past that and below the
+    threshold."""
+    threshold = engine.ANNIHILATION_THRESHOLD
+    for prob0 in (threshold, 0.5, 1.0):
+        assert engine._postselected(prob0) == prob0
+    result = engine._postselected(1.0 + 1e-9)
+    assert result == 1.0 and type(result) is float
     with pytest.raises(ValueError, match="exceeds 1"):
-        engine._outcome(1.0, 2e-9, None, False)
+        engine._postselected(1.0 + 2e-9)
     with pytest.raises(EvolutionAnnihilatedError):
-        engine._outcome(6e-16, 3e-16, None, False)
-    # a trajectory's branch takes one draw: r prob0 >= kept picks the jump
-    rng_fixed = FixedRng(0.9)
-    res, jump = engine._outcome(0.5, 0.25, rng_fixed, True)
-    assert (res.prob0, jump, rng_fixed.draws) == (0.75, True, 1)
+        engine._postselected(math.nextafter(threshold, 0.0))
+
+
+class FixedRng:
+    """An rng whose every draw is ``r``, counting its draws."""
+
+    def __init__(self, r):
+        self.r, self.draws = r, 0
+
+    def random(self):
+        self.draws += 1
+        return self.r
+
+
+def test_jump_branch_takes_one_draw():
+    """A statevector ancilla with a jump branch reaches outcome 0 with
+    prob0 = kept + eps_d jumped, the weights of C psi and S psi, and keeps
+    S psi when one draw r has r prob0 >= kept, else C psi."""
+    psi = np.array([0.6, 0.8])
+    c, s = np.array([1.0, 0.0]), np.array([0.0, 1.0])  # kept 0.36, jumped 0.64
+    prob0 = 0.36 + 0.5 * 0.64
+    for r, kept in ((0.53, [0.0, 1.0]), (0.52, [1.0, 0.0])):  # r prob0 = 0.3604, 0.3536
+        state, draws = StateVector(1, psi), FixedRng(r)
+        result = state.measure_ancilla(c, s, 0.5, draws)
+        assert result == pytest.approx(prob0, rel=1e-15) and type(result) is float
+        assert draws.draws == 1
+        assert np.abs(state.data - kept).max() < 1e-15, r
 
 
 def test_step_whose_outcome_weight_exceeds_one_raises():
@@ -820,7 +902,7 @@ def test_step_whose_outcome_weight_is_nan_raises():
             run_step_circuit(state, lower_step(circ, state))
         assert np.array_equal(state.data, before)
     with pytest.raises(ValueError, match="is NaN"):
-        engine._outcome(math.nan, 0.0, None, False)
+        engine._postselected(math.nan)
 
 
 def test_measure_ancilla_jump_branch_needs_rng():
@@ -841,14 +923,14 @@ def test_trajectories_unravel_the_noisy_step():
     psi = np.array([0.3 + 0.4j, -0.5, 0.2j, 0.6])
     psi /= np.linalg.norm(psi)
     d = DensityMatrix(2, np.outer(psi, psi.conj()))
-    exact = run_circuit(d, circ, noise=noise).prob0 * d.data
+    exact = run_circuit(d, circ, noise=noise) * d.data
     n_traj = 20_000
     samples = np.empty((n_traj, 4, 4), dtype=complex)
     rng_local = make_rng(11)
     for i in range(n_traj):
         s = StateVector(2, psi)
         res = run_circuit(s, circ, rng=rng_local, noise=noise)
-        samples[i] = res.prob0 * np.outer(s.data, s.data.conj())
+        samples[i] = res * np.outer(s.data, s.data.conj())
     parts = np.concatenate([samples.real, samples.imag], axis=1)
     want = np.concatenate([exact.real, exact.imag], axis=0)
     se = parts.std(axis=0) / math.sqrt(n_traj)
@@ -927,7 +1009,7 @@ def test_deferred_channel_matches_the_channel_applied_at_once(path, monkeypatch)
         for circ, step in zip(circuits, steps):
             res = run_step_circuit(d, step)
             rho, p0 = full_kraus_step(circ, rho, model)
-            assert res.prob0 == pytest.approx(p0, rel=1e-13)
+            assert res == pytest.approx(p0, rel=1e-13)
             assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-13
     assert max(d._owed) > 1  # the run did defer
     assert np.abs(d.data - rho).max() < 1e-13
@@ -1059,7 +1141,7 @@ def test_moving_between_stored_orders_equals_a_canonical_round_trip(path, monkey
             res = run_step_circuit(d, step)
             want, p0 = full_kraus_step(circ, rho, model)
             assert d._order == target
-            assert res.prob0 == pytest.approx(p0, rel=1e-12)
+            assert res == pytest.approx(p0, rel=1e-12)
             assert np.abs(d.data - want).max() < 1e-12
 
 
@@ -1087,7 +1169,7 @@ def test_chain_of_mixed_step_paths_matches_the_kraus_oracle(monkeypatch):
         for circ, step in zip(circuits, steps):
             res = run_step_circuit(d, step)
             rho, p0 = full_kraus_step(circ, rho, model)
-            assert res.prob0 == pytest.approx(p0, rel=1e-12), step_path(step)
+            assert res == pytest.approx(p0, rel=1e-12), step_path(step)
             assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, step_path(step)
             orders.add(d._order)
     assert len(orders - {None}) > 5  # the state did move between orders
@@ -1225,7 +1307,7 @@ def test_adjoint_channel_matches_the_kraus_sum():
         seen = np.zeros((8, 8), dtype=bool)
         stack = engine._adjoint_diagonals(h, model, counts)
         masks = h.x_mask_stack[0]
-        assert stack.shape == (len(h.x_mask_diagonals), 8) and not stack.flags.writeable
+        assert stack.shape == (len(masks), 8) and not stack.flags.writeable
         for x_mask, diagonal in zip(masks.tolist(), stack):
             assert np.abs(diagonal - want[basis ^ x_mask, basis]).max() < 1e-14, counts
             seen[basis ^ x_mask, basis] = True
@@ -1433,7 +1515,7 @@ def test_sandwich_chain_of_lih_y_terms_matches_the_kraus_oracle(start, monkeypat
                     assert middle.stack.dtype == np.float64
                 res = run_step_circuit(d, step)
                 rho, p0 = full_kraus_step(circ, rho, model)
-                assert res.prob0 == pytest.approx(p0, rel=1e-12), (axes, path)
+                assert res == pytest.approx(p0, rel=1e-12), (axes, path)
                 assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, (axes, path)
 
 
@@ -1460,8 +1542,9 @@ def test_mask_stack_step_matches_the_kraus_oracle(width, eps_d, start, monkeypat
     supports of 1 to 4 qubits, up to full relaxation (eps_d = 1), from a
     real and from a complex matrix: a Pauli term with Y factors (Pre_S
     with a ``phase_in``, Post_S with a ``phase_out``) and a step whose
-    Pre_S has a ``phase_out`` and Post_S a ``phase_in``, which fold into
-    the stack. The pass form of the same sandwich agrees too."""
+    Pre_S has a ``phase_out`` and Post_S a ``phase_in``. Either way the
+    stack is real and the phases stay in the sandwiches, as row
+    scalings. The pass form of the same sandwich agrees too."""
     local = np.random.default_rng(100 * width + int(eps_d * 10))
     n = 5
     model = NoiseModel(0.0 if eps_d == 1.0 else 0.05, eps_d)
@@ -1487,45 +1570,36 @@ def test_mask_stack_step_matches_the_kraus_oracle(width, eps_d, start, monkeypat
             assert step_path(step) == path and step.support == support, (name, path)
             pre, middle, post = step.ops
             if path == "sandwich":
-                folded = name == "phased"
-                assert pre[2] is None and post[1] is None, name
-                assert np.iscomplexobj(middle.stack) == folded, name
-            else:
-                assert (pre[2] is not None, post[1] is not None) == ((name == "phased"),) * 2
+                assert middle.stack.dtype == np.float64, name
+            assert (pre[2] is not None, post[1] is not None) == ((name == "phased"),) * 2
             res = run_step_circuit(d, step)
-            assert res.prob0 == pytest.approx(p0, rel=1e-12), (name, path)
+            assert res == pytest.approx(p0, rel=1e-12), (name, path)
             assert np.abs(d.data - want).max() < 1e-12, (name, path)
 
 
 @pytest.mark.parametrize("eps_d", [None, 1e-5, 0.9, 1.0])
 def test_mask_stack_is_the_weight_then_the_channel(eps_d):
-    """On random blocks, entry by entry: the X-mask stack of W with Pre's
-    ``phase_out`` and Post's ``phase_in`` folded in, scaled, equals
-    rho * phase_out * W * scale, then ``_channel`` once on the k qubits,
-    then * phase_in, for k = 1 to 4, complex and real rho."""
+    """On random blocks, entry by entry: the X-mask stack of W, scaled,
+    equals rho * W * scale, then ``_channel`` once on the k qubits, for
+    k = 1 to 4, complex and real rho; the stack is real."""
     local = np.random.default_rng(41)
     model = None if eps_d is None else NoiseModel(0.0 if eps_d == 1.0 else 0.03, eps_d)
     for k in (1, 2, 3, 4):
         size = 2**k
         c = np.cos(local.uniform(0.0, math.pi, size))
         w = np.outer(c, c) + 0.2 * np.outer(1.0 - c, 1.0 - c)
-        phases = [np.exp(1j * local.uniform(0.0, 2.0 * math.pi, size)) for _ in range(2)]
-        phase_out, phase_in = (np.outer(d, d.conj()) for d in phases)
-        for fold in ((None, None), (phase_out, None), (None, phase_in), (phase_out, phase_in)):
-            stage = engine._mask_stage(w, model, *fold)
-            assert np.array_equal(stage.row, w.diagonal())
-            assert stage.stack.shape == (size,) * 3
-            for rho in (local.standard_normal((size * size, 9)),
-                        local.standard_normal((size * size, 9))
-                        + 1j * local.standard_normal((size * size, 9))):
-                want = rho * (w if fold[0] is None else w * fold[0]).reshape(-1, 1) * 0.7
-                if model is not None:
-                    engine._channel(want, model, (1,) * k, columns=k)
-                if fold[1] is not None:
-                    want = want * fold[1].reshape(-1, 1)
-                got = engine._by_mask(stage.stack, rho, 0.7)
-                assert got.shape == rho.shape
-                assert np.abs(got - want).max() < 1e-14 * np.abs(want).max() * size, (k, fold)
+        stage = engine._mask_stage(w, model)
+        assert np.array_equal(stage.row, w.diagonal())
+        assert stage.stack.shape == (size,) * 3 and stage.stack.dtype == np.float64
+        for rho in (local.standard_normal((size * size, 9)),
+                    local.standard_normal((size * size, 9))
+                    + 1j * local.standard_normal((size * size, 9))):
+            want = rho * w.reshape(-1, 1) * 0.7
+            if model is not None:
+                engine._channel(want, model, (1,) * k, columns=k)
+            got = engine._by_mask(stage.stack, rho, 0.7)
+            assert got.shape == rho.shape
+            assert np.abs(got - want).max() < 1e-14 * np.abs(want).max() * size, k
     order, inverse = engine._mask_order(3)
     r, c = np.divmod(order, 8)
     assert np.array_equal(r ^ c, np.repeat(np.arange(8), 8))
@@ -1575,8 +1649,8 @@ def test_post_from_the_adjoint_of_pre_is_the_kernel_built_post(monkeypatch):
 
 
 def rotate_pair_reference(v0: np.ndarray, v1: np.ndarray, m: np.ndarray) -> None:
-    """The pair rotation in its first form: a copy of v0, then each
-    update in place."""
+    """A 2x2 matrix on a pair of views: a copy of v0, then each update in
+    place."""
     x0 = v0.copy()
     v0 *= m[0, 0]
     v0 += m[0, 1] * v1
@@ -1586,23 +1660,18 @@ def rotate_pair_reference(v0: np.ndarray, v1: np.ndarray, m: np.ndarray) -> None
 
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_pair_kernels_match_the_reference_bitwise(dtype):
-    """``_rotate_pair`` forms the same products and sums as the reference,
-    and ``_hadamard_pair`` the ones the reference forms with the Hadamard
-    matrix ((-h) v1 is -(h v1) exactly): equal to the last bit, on
-    strided views of real and of complex buffers."""
+    """``_hadamard_pair`` forms the products and sums the reference forms
+    with the Hadamard matrix ((-h) v1 is -(h v1) exactly): equal to the
+    last bit, on strided views of real and of complex buffers."""
     h = engine._SQRT1_2
-    matrices = [np.array([[h, h], [h, -h]]), engine._ry_matrix(0.83), np.array([[0, -1j], [1j, 0]])]
-    for m in matrices[: 2 if dtype is np.float64 else 3]:
-        for target in range(3):
-            start = random_state(3)
-            start = start.real.copy() if dtype is np.float64 else start
-            kernel, reference = start.copy(), start.copy()
-            if m is matrices[0]:
-                engine._hadamard_pair(*engine._pinned_views(kernel, (), target))
-            else:
-                engine._rotate_pair(*engine._pinned_views(kernel, (), target), m)
-            rotate_pair_reference(*engine._pinned_views(reference, (), target), m)
-            assert np.array_equal(kernel, reference), (m, target)
+    m = np.array([[h, h], [h, -h]])
+    for target in range(3):
+        start = random_state(3)
+        start = start.real.copy() if dtype is np.float64 else start
+        kernel, reference = start.copy(), start.copy()
+        engine._hadamard_pair(*engine._pinned_views(kernel, (), target))
+        rotate_pair_reference(*engine._pinned_views(reference, (), target), m)
+        assert np.array_equal(kernel, reference), target
 
 
 def term_with_y_count(n: int, n_y: int, coeff: float) -> PauliTerm:
@@ -1703,7 +1772,7 @@ def k0_outcome_at(t: float):
         before = (state._stored.copy(), state._order, state._norm2)
         try:
             result = run_step_circuit(state, k0_boundary_step(phase * t * np.eye(2)))
-            outcomes.append(("passes", result.prob0))
+            outcomes.append(("passes", result))
         except EvolutionAnnihilatedError:
             assert np.array_equal(state._stored, before[0]) and (state._order, state._norm2) == before[1:]
             outcomes.append("annihilated")
@@ -1732,7 +1801,7 @@ def test_k0_outcome_clamps_rounding_and_raises_past_it():
     and one over 1 by 2e-9, or NaN, raises before the state changes."""
     for state, phase in k0_boundary_states():
         result = run_step_circuit(state, k0_boundary_step(phase * math.sqrt(1.0 + 5e-10) * np.eye(2)))
-        assert result.prob0 == 1.0 and type(result.prob0) is float
+        assert result == 1.0 and type(result) is float
     for scale, match in ((math.sqrt(1.0 + 2e-9), "exceeds 1"), (math.nan, "is NaN")):
         for state, phase in k0_boundary_states():
             before = (state._stored.copy(), state._order, state._norm2)
@@ -1756,7 +1825,7 @@ def test_odd_y_k0_on_a_real_vector_reports_the_squared_modulus(axes):
     assert step.ops[0].dtype == np.complex128 and state._stored.dtype == np.float64
     z = postselected_operator(circ) @ psi
     want = float(np.vdot(z, z).real)
-    assert run_step_circuit(state, step).prob0 == pytest.approx(want, rel=1e-14)
+    assert run_step_circuit(state, step) == pytest.approx(want, rel=1e-14)
     assert abs(float(np.sum(z * z).real) - want) > 1e-3
 
 
@@ -1772,11 +1841,6 @@ def test_relabel_and_axis_maps_match_the_replaced_gate(gate):
     if isinstance(gate, DenseBlock):
         want = gate.on_qubits(tuple(position[q] for q in gate.qubits))
         assert moved.qubits == want.qubits and moved.matrix is gate.matrix
-    elif isinstance(gate, ConditionalRy):
-        want = dataclasses.replace(
-            gate, register=tuple(position[q] for q in gate.register), target=position[gate.target]
-        )
-        assert moved == want
     else:
         fields = [f for f in ("qubit", "control", "target") if hasattr(gate, f)]
         assert moved == dataclasses.replace(gate, **{f: position[getattr(gate, f)] for f in fields})
@@ -1796,7 +1860,7 @@ def test_cached_arrays_are_read_only():
         vectors,
         engine._channel_factors(NoiseModel(0.2, 0.3), (1, 2))[1],
         engine._channel_superop(NoiseModel(0.2, 0.3), (1, 2)),
-        *(d for _, d in h.x_mask_diagonals),
+        *h.x_mask_stack,
     ]
     for arr in cached:
         # writes the same value back, so a writable array stays intact
@@ -1938,7 +2002,8 @@ def test_one_gather_energy_matches_the_dense_hamiltonian(name):
     dense = dense_hamiltonian(h)
     tolerance = 1e-14 * (h.abs_coeff_sum + abs(h.identity_offset))
     _, index, stack = h.x_mask_stack
-    assert index.shape == stack.shape == (len(h.x_mask_diagonals), 2**n)
+    distinct = {tuple(a in (PauliAxis.X, PauliAxis.Y) for a in t.axes) for t in h.terms}
+    assert index.shape == stack.shape == (len(distinct), 2**n)
     assert stack.dtype == (np.complex128 if name == "y-heavy5" else np.float64)
     real = rng.standard_normal(2**n)
     for psi in (random_state(n), real / np.linalg.norm(real)):
@@ -1963,18 +2028,20 @@ def test_density_energy_with_owed_counts_matches_the_per_mask_sum(name, monkeypa
     """A density matrix stored in a step's order and owing channel
     applications reads its energy from one gather against the stacked
     adjoint diagonals; that equals the per-mask sum
-    sum_x sum_b d_x[b] rho[b, b ^ x] over ``x_mask_diagonals`` on a
-    flushed copy."""
+    sum_x sum_b d_x[b] rho[b, b ^ x] over the rows of ``x_mask_stack`` on
+    a flushed copy."""
     h = ENERGY_MODELS[name]()
     n = h.n_qubits
     basis = np.arange(2**n)
+    masks, _, stack = h.x_mask_stack
     for trial in range(3):
         d = moved_and_owing(monkeypatch, h, NoiseModel(0.02, 0.03), ("superop", "sandwich"))
         assert d._order is not None and any(d._owed)
         got = d.expectation(h)
         rho = copy.deepcopy(d).data
         want = h.identity_offset * np.trace(rho).real + sum(
-            np.dot(diagonal, rho[basis, basis ^ x_mask]).real for x_mask, diagonal in h.x_mask_diagonals
+            np.dot(diagonal, rho[basis, basis ^ x_mask]).real
+            for x_mask, diagonal in zip(masks.tolist(), stack)
         )
         assert got == pytest.approx(want, rel=1e-13), trial
 

@@ -78,6 +78,10 @@ def test_config_validation():
     for config in ({"mode": "sample"}, {"trajectories": 4}, {}):
         with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
             RunConfig(seed=-1, **config)
+    # without noise every trajectory is the same noiseless run
+    for noise in (None, NoiseModel(0.0, 0.0)):
+        with pytest.raises(ValueError, match="trajectory mode needs a noise model"):
+            RunConfig(noise=noise, seed=1, trajectories=4)
     assert RunConfig(seed=0).seed == 0
     assert RunConfig(mode="sample", seed=1, restart_budget=0).restart_budget == 0
 
@@ -323,7 +327,7 @@ def direct_sampled_run(start, circuits, noise, n_steps, seed, budget):
     def sampled_zero(state, step):
         r = rng.random()
         try:
-            return r < run_step_circuit(state, step).prob0
+            return r < run_step_circuit(state, step)
         except EvolutionAnnihilatedError:
             return False
 
