@@ -47,7 +47,6 @@ class SpectrumInfo:
     """
 
     energies: np.ndarray
-    ground_vector: np.ndarray
     ground_basis: np.ndarray
     gap1: float
     gap_max: float
@@ -107,7 +106,6 @@ def diagonalize(h: PauliHamiltonian, init: np.ndarray) -> SpectrumInfo:
     gap1 = float(positive[0]) if positive.size else 0.0
     return SpectrumInfo(
         energies=energies,
-        ground_vector=np.ascontiguousarray(vectors[:, 0]),
         ground_basis=np.ascontiguousarray(vectors[:, :n_ground]),
         gap1=gap1,
         gap_max=float(gaps[-1]),
@@ -119,10 +117,9 @@ def exact_ite_state(
     h: PauliHamiltonian,
     init: np.ndarray,
     beta: float,
-    eig: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Normalized e^{-beta H} |init>, evaluated in the exact eigenbasis."""
-    energies, vectors = eig if eig is not None else eigensystem(h)
+    energies, vectors = eigensystem(h)
     amps = vectors.conj().T @ np.asarray(init, dtype=complex).ravel()
     # shift by E0 before exponentiating so large beta stays finite
     weights = np.exp(-beta * (energies - energies[0]))
@@ -137,12 +134,11 @@ def exact_ite_trace(
     h: PauliHamiltonian, init: np.ndarray, betas: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energies and ground-state fidelities of exact ITE at each beta."""
-    eig = eigensystem(h)
     spec = diagonalize(h, init)
     hmat = h.dense_matrix(include_offset=True)
     energies, fidelities = [], []
     for beta in betas:
-        vec = exact_ite_state(h, init, float(beta), eig=eig)
+        vec = exact_ite_state(h, init, float(beta))
         energies.append(float(np.real(np.vdot(vec, hmat @ vec))))
         fidelities.append(spec.fidelity_to_ground(vec))
     return np.asarray(energies), np.asarray(fidelities)

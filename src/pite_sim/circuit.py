@@ -161,13 +161,6 @@ class DenseBlock:
         self.qubits = qubits
         self.matrix = matrix.astype(np.float64 if np.isrealobj(matrix) else np.complex128)
 
-    def on_qubits(self, qubits: tuple[int, ...]) -> "DenseBlock":
-        """The same, already validated, matrix on other distinct qubits."""
-        qubits = tuple(qubits)
-        if len(set(qubits)) != len(self.qubits) or len(qubits) != len(self.qubits):
-            raise ValueError("dense block qubits must be distinct and as many as before")
-        return DenseBlock._unchecked(qubits, self.matrix)
-
     def adjoint(self) -> "DenseBlock":
         """The inverse block; the adjoint of a unitary needs no check."""
         return DenseBlock._unchecked(self.qubits, self.matrix.conj().T.astype(self.matrix.dtype))
@@ -281,7 +274,6 @@ class UkSynthesis:
 
     circuit: Circuit
     pivot: int
-    gate_count: int
 
 
 def synthesize_uk(term: PauliTerm) -> UkSynthesis:
@@ -310,7 +302,7 @@ def synthesize_uk(term: PauliTerm) -> UkSynthesis:
     if term.coeff > 0:
         gates.append(PauliX(pivot))
     circuit = Circuit(n_work=term.n_qubits, has_ancilla=False, gates=tuple(gates))
-    return UkSynthesis(circuit=circuit, pivot=pivot, gate_count=len(gates))
+    return UkSynthesis(circuit=circuit, pivot=pivot)
 
 
 def check_time(name: str, value: float) -> None:

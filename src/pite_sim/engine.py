@@ -41,12 +41,12 @@ column or per row is split into the real matrix and an elementwise phase
 factor (:func:`_phased`), which its sandwich applies as a row scaling,
 and a real matrix multiplies a complex one as a real product
 (:func:`_product`). A step wider than
-``FUSED_MAX_SUPPORT``, whose matrices would grow as 4^|S|, keeps Pre and
-Post as gate lists relabelled onto S, which the kernels run in place on
-the gathered block in the matrices' stead (on a density matrix on S's
-row bits, then conjugated on its column bits), copied first only where
-it may be the stored state itself; every other stage is the one a fused
-step runs.
+``FUSED_MAX_SUPPORT``, whose matrices would grow as 4^|S|, keeps its own
+Pre and Post gate lists, which the kernels run in place on the gathered
+block in the matrices' stead, through the support's map from each qubit
+to its position in S (on a density matrix on S's row bits, then
+conjugated on its column bits), copied first only where it may be the
+stored state itself; every other stage is the one a fused step runs.
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
@@ -75,7 +75,8 @@ channel, those of N^dag(H)), and one dot.
 Conventions shared with the rest of the package: qubit 0 is the most
 significant bit of a basis index; in a circuit the ancilla is the
 highest qubit index (least significant bit). Gates are applied in place
-through reshaped views of a flat buffer; a density matrix gets every
+through reshaped views of a contiguous buffer, each qubit placed on its
+axis by one map (:func:`_apply_gate_flat`); a density matrix gets every
 unitary applied from both sides. The dense oracles the tests check this
 module against (gate unitaries from the gate definitions, the
 closed-form Pauli step) are in ``tests/oracles.py`` and share none of
@@ -170,51 +171,22 @@ def make_rng(seed: int | np.random.SeedSequence) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _pinned_views(
-    flat: np.ndarray, fixed: tuple[tuple[int, int], ...], target: int | None
-) -> tuple[np.ndarray, ...]:
-    """Views of a flat buffer with some qubit axes pinned to bits, given
-    as (axis, bit) pairs: with ``target`` given, the (bit=0, bit=1) view
-    pair of the target axis; otherwise the single pinned view."""
-    layout = _pinned_layout(flat.size, fixed, target)
-    view = flat.reshape(layout[0])
-    if target is None:
-        return (view[layout[1]],)
-    return view[layout[1]], view[layout[2]]
-
-
-@lru_cache(maxsize=4096)
-def _pinned_layout(size: int, fixed: tuple[tuple[int, int], ...], target: int | None) -> tuple:
-    """The shape :func:`_pinned_views` views a buffer of ``size`` entries
-    in, then the index of each view.
-
-    The shape has one explicit axis per involved qubit only (regular
-    strides keep numpy's elementwise loops fast, unlike a full (2,)*total
-    reshape); any trailing buffer extent beyond the last involved qubit
-    (e.g. matrix columns) is absorbed into the last axis.
-    """
-    bits = dict(fixed)
-    involved = sorted(bits) if target is None else sorted((*bits, target))
-    shape: list[int] = []
-    prev = -1
-    for ax in involved:
-        shape.append(1 << (ax - prev - 1))
-        shape.append(2)
-        prev = ax
-    shape.append(size >> (prev + 1))
-    idx: list = [slice(None)] * len(shape)
-    target_pos = None
-    for i, ax in enumerate(involved):
-        if ax == target:
-            target_pos = 2 * i + 1
-        else:
-            idx[2 * i + 1] = bits[ax]
-    if target is None:
-        return tuple(shape), tuple(idx)
-    idx[target_pos] = 0
-    idx0 = tuple(idx)
-    idx[target_pos] = 1
-    return tuple(shape), idx0, tuple(idx)
+def _pair_views(
+    flat: np.ndarray, target: int, control: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (bit 0, bit 1) views of qubit axis ``target`` of a contiguous
+    buffer (axis 0 its most significant bit; any extent after the last
+    axis named, matrix columns say, stays one trailing axis), restricted
+    to ``control``'s bit 1 when given. One axis per qubit named keeps the
+    views' strides regular, so numpy's elementwise loops run long."""
+    if control is None:
+        view = flat.reshape(1 << target, 2, -1)
+        return view[:, 0], view[:, 1]
+    low, high = sorted((control, target))
+    view = flat.reshape(1 << low, 2, 1 << (high - low - 1), 2, -1)
+    if control < target:
+        return view[:, 1, :, 0], view[:, 1, :, 1]
+    return view[:, 0, :, 1], view[:, 1, :, 1]
 
 
 def _hadamard_pair(v0: np.ndarray, v1: np.ndarray) -> None:
@@ -233,12 +205,12 @@ def _swap_pair(v0: np.ndarray, v1: np.ndarray) -> None:
     v1[...] = tmp
 
 
-def _apply_dense(flat: np.ndarray, total_axes: int, m: np.ndarray, axes: tuple[int, ...]) -> None:
+def _apply_dense(flat: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> None:
     """In-place k-qubit unitary on the given axes (first axis = MSB)."""
-    k = len(axes)
-    view = flat.reshape((2,) * total_axes + (flat.size >> total_axes,))
+    k, last = len(axes), max(axes) + 1
+    view = flat.reshape((2,) * last + (-1,))
     # the gate's axes first, in its order, the others after them as they were
-    moved = view.transpose((*axes, *(a for a in range(total_axes + 1) if a not in axes)))
+    moved = view.transpose((*axes, *(a for a in range(last + 1) if a not in axes)))
     work = np.ascontiguousarray(moved).reshape(2**k, -1)
     moved[...] = (m @ work).reshape(moved.shape)
 
@@ -250,41 +222,42 @@ def _product(
     rows, or a stack of them, each multiplied by ``a``. A real ``a`` takes
     a complex ``x`` as one real product over its interleaved real and
     imaginary parts, which never meet. A gate list ``a`` on a 2-D x's k
-    leading qubits, qubit q at ``axes[q]`` among them (by default a list
-    relabelled onto them), runs through the kernels on a copy of ``x``,
-    upcast to complex when one of its gates is; with ``overwrite`` (the
-    caller owns ``x`` and reads it no more) it runs in ``x`` itself when
-    no upcast is due."""
+    leading qubits needs ``axes``, which puts its qubit q on axis
+    ``axes[q]`` among them; it runs through the kernels on a copy of
+    ``x``, upcast to complex when one of its gates is; with ``overwrite``
+    (the caller owns ``x`` and reads it no more) it runs in ``x`` itself
+    when no upcast is due."""
     if isinstance(a, tuple):
         upcast = np.iscomplexobj(x) or any(map(_gate_needs_complex, a))
         out = x.astype(np.complex128 if upcast else np.float64, order="C", copy=not overwrite)
-        k = x.shape[0].bit_length() - 1
         for g in a:
-            _apply_gate_flat(out.reshape(-1), k, g, range(k) if axes is None else axes, False)
+            _apply_gate_flat(out, g, axes, False)
         return out
     if x.dtype.kind == "c" and a.dtype.kind == "f":
         return (a @ x.view(np.float64)).view(np.complex128)
     return a @ x
 
 
-def _sandwich(op: tuple, rho: np.ndarray, own: bool) -> np.ndarray:
+def _sandwich(op: tuple, rho: np.ndarray, own: bool, axes=None) -> np.ndarray:
     """m rho m^dag for op = (a, phase_in, phase_out) of m (see
     :func:`_phased`), on rho gathered as (4^k, rest^2) with S's row bits,
     then its column bits, leading: a on the row bits as one product, then
     a^dag on the column bits as conj(a) on each row's (2^k, rest^2) block,
-    one product batched over the rows. A gate list ``a``, relabelled onto
-    S, runs its kernels on the row bits, then conjugated on the column
-    bits, in ``rho`` itself when the caller ``own``s it (else nothing
-    writes into ``rho``, which may be the stored state)."""
+    one product batched over the rows. A gate list ``a`` runs its kernels
+    on the row bits, qubit q's on axis ``axes[q]``, then conjugated on the
+    column bits, k axes further on, in ``rho`` itself when the caller
+    ``own``s it (else nothing writes into ``rho``, which may be the stored
+    state)."""
     a, phase_in, phase_out = op
     rows = math.isqrt(rho.shape[0])
     if phase_in is not None:
         rho = rho * phase_in.reshape(-1, 1)
     if isinstance(a, tuple):
-        rho = _product(a, rho.reshape(rows, -1), own)
+        rho = _product(a, rho.reshape(rows, -1), own, axes)
         k = rows.bit_length() - 1
+        columns = {q: i + k for q, i in axes.items()}
         for g in a:
-            _apply_gate_flat(rho.reshape(-1), 2 * k, g, range(k, 2 * k), True)
+            _apply_gate_flat(rho, g, columns, True)
     else:
         half = _product(a, rho.reshape(rows, -1)).reshape(rows, rows, -1)
         rho = _product(a.conj(), half)
@@ -301,10 +274,9 @@ def _gate_needs_complex(gate: Gate) -> bool:
     )
 
 
-def _apply_gate_flat(
-    flat: np.ndarray, total_axes: int, gate: Gate, axes, conjugate: bool
-) -> None:
-    """Apply one gate to a flat buffer holding (2,)*total_axes[, extra].
+def _apply_gate_flat(flat: np.ndarray, gate: Gate, axes, conjugate: bool) -> None:
+    """Apply one gate in place to a contiguous buffer whose leading bits
+    are qubit axes (axis 0 the most significant).
 
     ``axes[q]`` is the axis of the gate's qubit q (a density matrix's
     column side passes range(n, 2n), a step's support its qubits'
@@ -314,18 +286,18 @@ def _apply_gate_flat(
     step's diagonal factors (:func:`_fold_rotation`).
     """
     if isinstance(gate, Hadamard):
-        _hadamard_pair(*_pinned_views(flat, (), axes[gate.qubit]))
+        _hadamard_pair(*_pair_views(flat, axes[gate.qubit]))
     elif isinstance(gate, (PhaseS, PhaseSdg)):
         forward = isinstance(gate, PhaseS) != conjugate
-        (v1,) = _pinned_views(flat, ((axes[gate.qubit], 1),), None)
+        _, v1 = _pair_views(flat, axes[gate.qubit])
         v1 *= 1j if forward else -1j
     elif isinstance(gate, PauliX):
-        _swap_pair(*_pinned_views(flat, (), axes[gate.qubit]))
+        _swap_pair(*_pair_views(flat, axes[gate.qubit]))
     elif isinstance(gate, CNOT):
-        _swap_pair(*_pinned_views(flat, ((axes[gate.control], 1),), axes[gate.target]))
+        _swap_pair(*_pair_views(flat, axes[gate.target], axes[gate.control]))
     elif isinstance(gate, DenseBlock):
         m = gate.matrix.conj() if conjugate else gate.matrix
-        _apply_dense(flat, total_axes, m, tuple(axes[q] for q in gate.qubits))
+        _apply_dense(flat, m, tuple(axes[q] for q in gate.qubits))
     else:
         raise TypeError(f"unknown gate {gate!r}")
 
@@ -422,9 +394,9 @@ class _State:
     energy, trace and subspace weight in it. A
     subclass says how many ``_sides`` carry labels (1 on a vector, 2 on a
     matrix) and supplies ``_expectation`` and ``_run_step``, which runs
-    call, and ``apply_gate`` and ``measure_ancilla``, a gate or a
-    whole-register measurement on ``data`` that no step calls (tests and
-    the benchmark's spans use them).
+    call, and ``measure_ancilla``, a whole-register measurement on
+    ``data`` that no step calls; ``apply_gate`` runs a gate on ``data``
+    on every side. Tests and the benchmark's spans use those two.
     """
 
     n_qubits: int
@@ -480,6 +452,15 @@ class _State:
     def _ensure_complex(self) -> None:
         if not np.iscomplexobj(self.data):
             self.data = self.data.astype(np.complex128)
+
+    def apply_gate(self, gate: Gate) -> None:
+        """``gate`` on ``data``: on its rows, then, on a density matrix,
+        conjugated on its columns, qubit q's at axis n + q."""
+        if _gate_needs_complex(gate):
+            self._ensure_complex()
+        n = self.n_qubits
+        for side in range(self._sides):
+            _apply_gate_flat(self.data, gate, range(side * n, side * n + n), side == 1)
 
     def expectation(self, h: PauliHamiltonian) -> float:
         """Energy of the state under ``h``, identity offset included."""
@@ -565,11 +546,6 @@ class StateVector(_State):
             self._keep(out, kept, order)
         return prob0
 
-    def apply_gate(self, gate: Gate) -> None:
-        if _gate_needs_complex(gate):
-            self._ensure_complex()
-        _apply_gate_flat(self.data, self.n_qubits, gate, range(self.n_qubits), False)
-
     def measure_ancilla(
         self,
         c: np.ndarray,
@@ -616,13 +592,14 @@ class StateVector(_State):
             raise ValueError("statevector noise is sampled and needs an rng")
         eps_d = 0.0 if noise is None else noise.eps_d
         c, s = second  # after Pre_S or Pre's gate list
-        x = _product(first, x, overwrite=not np.may_share_memory(x, self._stored))
+        axes = {q: i for i, q in enumerate(step.support)}  # for a gate list
+        x = _product(first, x, not np.may_share_memory(x, self._stored), axes)
         out, out1 = c[:, None] * x, s[:, None] * x if eps_d > 0.0 else None
         prob0 = self._measure(out, out1, eps_d, rng, order)
         if noise is not None:  # a trajectory: the sampled work-qubit noise, then Post
             self.sample_kraus(noise, rng)
         if post is not None:  # on the kept branch, a buffer of the step's own
-            self._stored = _product(post, self._stored, overwrite=True)
+            self._stored = _product(post, self._stored, True, axes)
         return prob0
 
     def _expectation(self, h: PauliHamiltonian) -> float:
@@ -643,7 +620,7 @@ class StateVector(_State):
         order = range(self.n_qubits) if self._order is None else self._order
         norm2 = self._norm2
         for q in range(self.n_qubits):
-            v0, v1 = _pinned_views(flat, (), order.index(q))
+            v0, v1 = _pair_views(flat, order.index(q))
             one = float(np.real(np.vdot(v1, v1)))
             p_one = one / norm2
             p2 = model.eps_d * p_one
@@ -753,13 +730,6 @@ class DensityMatrix(_State):
             entry = self._reads[kind] = (source, key, build())
         return entry[2]
 
-    def apply_gate(self, gate: Gate) -> None:
-        if _gate_needs_complex(gate):
-            self._ensure_complex()
-        n = self.n_qubits
-        _apply_gate_flat(self.data, 2 * n, gate, range(n), False)
-        _apply_gate_flat(self.data, 2 * n, gate, range(n, 2 * n), True)
-
     def apply_noise(self, model: NoiseModel) -> None:
         """Kraus channel on every qubit: one more owed application on each,
         then everything owed is applied (see :func:`_channel`)."""
@@ -816,13 +786,14 @@ class DensityMatrix(_State):
                     weights = np.outer(c, c) + eps_d * np.outer(s, s)
                 row = weights.diagonal()
             view = np.may_share_memory(rho, self._stored)
+            axes = {q: i for i, q in enumerate(support)}  # for a gate list
             if any(owed):  # before Pre_S, where its passes run long
                 _channel(rho, self._noise, owed, columns=k)
                 if view:  # the state itself took it
                     for q in support:
                         self._owed[q] = 0
             if pre is not None:
-                rho = _sandwich(pre, rho, own=not view)
+                rho = _sandwich(pre, rho, not view, axes)
             # outcome 0 weights entry (x, y) of every block on S by
             # c_x c_y + eps_d s_x s_y; both ancilla branches are kept, so
             # only their summed weight counts
@@ -839,7 +810,7 @@ class DensityMatrix(_State):
                 if noise is not None:
                     _channel(rho, noise, (1,) * k, columns=k)
             if post is not None:
-                rho = _sandwich(post, rho, own=True)
+                rho = _sandwich(post, rho, True, axes)
         self._stored, self._order = rho, order
         grows = int(noise is not None)
         self._owed = [0 if q in support else m + grows for q, m in enumerate(self._owed)]
@@ -1156,7 +1127,8 @@ class BoundStep:
     taken in X-mask order, see :func:`_by_mask`), a on S's row bits and
     a^dag on its column bits (see :func:`_sandwich`). A step wider than
     ``FUSED_MAX_SUPPORT`` holds (Pre, (c_S, s_S), Post) instead, Pre and
-    Post its gate lists relabelled onto S: bare on a statevector, as
+    Post the circuit's own gate lists, which the step runs through the
+    map {q: i} from support[i] to i: bare on a statevector, as
     (gates, None, None) triples on a density matrix (None when empty),
     which builds W from (c_S, s_S) when it runs rather than hold its
     4^|S| entries.
@@ -1175,16 +1147,6 @@ def _positions(gate: Gate, position: dict[int, int]) -> tuple[int, ...]:
     if outside:
         raise ValueError(f"{gate!r} acts on qubit(s) {outside} outside the step's support")
     return tuple(position[q] for q in qubits)
-
-
-def _relabel(gate: Gate, position: dict[int, int]) -> Gate:
-    """A kernel ``gate`` with qubit q renumbered to ``position[q]``: its
-    own constructor on the moved qubits, which every such gate takes in
-    ``qubits_of`` order."""
-    moved = _positions(gate, position)
-    if isinstance(gate, DenseBlock):
-        return gate.on_qubits(moved)
-    return type(gate)(*moved)
 
 
 def _on_support(gates: tuple[Gate, ...], support: tuple[int, ...]) -> np.ndarray:
@@ -1297,10 +1259,7 @@ def lower_step(
     if noise is not None and noise.is_identity:
         noise = None
     if len(support) > FUSED_MAX_SUPPORT:
-        position = {q: i for i, q in enumerate(support)}
-        pre_g, post_g = (
-            tuple(_relabel(g, position) for g in gates) for gates in (pre[:split], circuit.post_measure)
-        )
+        pre_g, post_g = pre[:split], circuit.post_measure
         if isinstance(state, DensityMatrix):  # sandwiches, left out when empty
             pre_g, post_g = ((g, None, None) if g else None for g in (pre_g, post_g))
         return BoundStep(type(state), noise, support, (pre_g, (c, s), post_g))

@@ -121,8 +121,8 @@ class PauliHamiltonian:
         return len(self.terms)
 
     def dense_matrix(self, include_offset: bool = True) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; real-valued if every term has an even
-        number of Y axes (all built-in models do).
+        """Dense 2^n x 2^n matrix, float64 exactly when :attr:`x_mask_stack`
+        is (every built-in model's is), else complex128.
 
         Scattered from :attr:`x_mask_stack`: entry (b ^ x, b) is d_x[b],
         summed over the terms in the same order as the sum of their
@@ -134,9 +134,7 @@ class PauliHamiltonian:
         m[index, basis] += stack  # distinct masks: each entry is written once
         if include_offset:
             m[basis, basis] += self.identity_offset
-        if np.abs(m.imag).max(initial=0.0) < 1e-14:
-            return np.ascontiguousarray(m.real)
-        return m
+        return m if np.iscomplexobj(stack) else np.ascontiguousarray(m.real)
 
     # Computed on first use and kept in the instance __dict__ (the
     # dataclass fields, hash and equality do not see them), so an energy

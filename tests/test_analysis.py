@@ -99,7 +99,7 @@ def test_alb_limits():
     spec = diagonalize(h, init)
     assert alb(h, spec, 0.0) == pytest.approx(1.0)
     # ground-state init: second term vanishes
-    ginit = spec.ground_vector
+    ginit = spec.ground_basis[:, 0]
     gspec = diagonalize(h, ginit)
     assert gspec.s0 == pytest.approx(1.0, abs=1e-9)
     e_ground = gspec.e0 - h.identity_offset

@@ -1,6 +1,5 @@
 """Tests for statevector/density-matrix execution, measurement and noise."""
 import copy
-import dataclasses
 import math
 import re
 
@@ -109,6 +108,17 @@ def test_hadamard_on_zero():
     s = StateVector(1)
     s.apply_gate(Hadamard(0))
     assert np.allclose(s.data, np.array([1, 1]) / math.sqrt(2))
+
+
+def test_state_constructors_reject_a_wrong_shape():
+    """Entries that do not fit the qubit count raise: a vector of 3
+    amplitudes for 2 qubits, a 3x3 matrix for 2 qubits, and a density
+    matrix's 16 entries given flat rather than as 4x4."""
+    with pytest.raises(ValueError, match="amplitude count does not match qubit count"):
+        StateVector(2, np.ones(3))
+    for entries in (np.eye(3), np.eye(4).reshape(-1)):
+        with pytest.raises(ValueError, match="entry matrix does not match qubit count"):
+            DensityMatrix(2, entries)
 
 
 def test_cnot_on_basis():
@@ -527,10 +537,10 @@ def arrays_in(ops) -> list[np.ndarray]:
 
 
 def test_wide_support_runs_its_gate_list():
-    """A step wider than FUSED_MAX_SUPPORT holds its gate lists, relabelled
-    onto S, and (c_S, s_S) on S, on every state type, where its fused
-    operators would grow as 4^|S|: no array it holds has more than
-    4^FUSED_MAX_SUPPORT entries. A weight-10 Z string on 10 qubits then
+    """A step wider than FUSED_MAX_SUPPORT holds the circuit's own gate
+    lists, which it runs through S's axis map, and (c_S, s_S) on S, on
+    every state type, where its fused operators would grow as 4^|S|: no
+    array it holds has more than 4^FUSED_MAX_SUPPORT entries. A weight-10 Z string on 10 qubits then
     still equals the closed form."""
     cut = engine.FUSED_MAX_SUPPORT
     noise = NoiseModel(1e-3, 1e-3)
@@ -547,6 +557,8 @@ def test_wide_support_runs_its_gate_list():
             if width > cut:
                 c, s = step.ops[1]
                 assert c.shape == s.shape == (2**width,)
+                pre = step.ops[0] if isinstance(state, StateVector) else step.ops[0][0]
+                assert pre and pre == circ.pre_measure[: len(pre)]
     term = PauliTerm.from_string(-0.6, "Z" * 10)
     psi = random_state(10)
     s = StateVector(10, psi)
@@ -1409,8 +1421,8 @@ def test_gate_list_passes_run_in_the_buffers_they_own(monkeypatch):
     calls = []
     product = engine._product
 
-    def recording(a, x, overwrite=False):
-        out = product(a, x, overwrite)
+    def recording(a, x, overwrite=False, axes=None):
+        out = product(a, x, overwrite, axes)
         if isinstance(a, tuple):
             calls.append(np.shares_memory(out, x))
         return out
@@ -1669,8 +1681,8 @@ def test_pair_kernels_match_the_reference_bitwise(dtype):
         start = random_state(3)
         start = start.real.copy() if dtype is np.float64 else start
         kernel, reference = start.copy(), start.copy()
-        engine._hadamard_pair(*engine._pinned_views(kernel, (), target))
-        rotate_pair_reference(*engine._pinned_views(reference, (), target), m)
+        engine._hadamard_pair(*engine._pair_views(kernel, target))
+        rotate_pair_reference(*engine._pair_views(reference, target), m)
         assert np.array_equal(kernel, reference), target
 
 
@@ -1830,26 +1842,26 @@ def test_odd_y_k0_on_a_real_vector_reports_the_squared_modulus(axes):
 
 
 @pytest.mark.parametrize("gate", ALL_GATE_SAMPLES, ids=lambda g: type(g).__name__)
-def test_relabel_and_axis_maps_match_the_replaced_gate(gate):
-    """``_relabel`` builds each gate kind through its own constructor; the
-    result equals ``dataclasses.replace`` on the moved qubit fields (a
-    dense block's ``on_qubits``), and the kernels running the original
-    gate through the same map as an axis map give the bitwise same
-    buffer, on the row side and conjugated."""
+def test_gate_kernels_follow_a_permuted_axis_map(gate):
+    """Through ``_product`` under an axis map that is not the identity
+    (qubit q on axis position[q]), each gate is ``gates_unitary`` of it
+    on the register permuted the same way; as a gate-list ``_sandwich``
+    on a random, non-Hermitian matrix gathered as (4^3, rest^2) with a
+    rest of 2, it is U rho U^dag on each block, and it writes nothing
+    into a matrix the caller does not own."""
     position = {0: 2, 1: 0, 2: 1}
-    moved = engine._relabel(gate, position)
-    if isinstance(gate, DenseBlock):
-        want = gate.on_qubits(tuple(position[q] for q in gate.qubits))
-        assert moved.qubits == want.qubits and moved.matrix is gate.matrix
-    else:
-        fields = [f for f in ("qubit", "control", "target") if hasattr(gate, f)]
-        assert moved == dataclasses.replace(gate, **{f: position[getattr(gate, f)] for f in fields})
-    for conjugate in (False, True):
-        start = random_state(3)
-        by_map, by_gate = start.copy(), start.copy()
-        engine._apply_gate_flat(by_map, 3, gate, position, conjugate)
-        engine._apply_gate_flat(by_gate, 3, moved, range(3), conjugate)
-        assert np.array_equal(by_map, by_gate)
+    placed = [q for _, q in sorted((a, q) for q, a in position.items())]  # qubit on each axis
+    u = gates_unitary((gate,), 3).reshape((2,) * 6)
+    u = u.transpose((*placed, *(3 + q for q in placed))).reshape(8, 8)
+    for x in (rng.standard_normal((8, 5)), rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))):
+        assert np.abs(engine._product((gate,), x, axes=position) - u @ x).max() < 1e-13
+    blocks = rng.standard_normal((8, 8, 4)) + 1j * rng.standard_normal((8, 8, 4))
+    rho = blocks.reshape(64, 4)
+    before = rho.copy()
+    out = engine._sandwich(((gate,), None, None), rho, False, position).reshape(8, 8, 4)
+    want = np.einsum("ab,bcj,dc->adj", u, blocks, u.conj())
+    assert np.abs(out - want).max() < 1e-13
+    assert np.array_equal(rho, before)
 
 
 def test_cached_arrays_are_read_only():
@@ -1881,7 +1893,7 @@ def test_expectation_on_ground_vector():
 
     h = build_h2(0.75)
     spec = diagonalize(h, prepare_initial(InitialState.basis("00"), 2))
-    s = StateVector(2, spec.ground_vector)
+    s = StateVector(2, spec.ground_basis[:, 0])
     assert s.expectation(h) == pytest.approx(spec.e0, abs=1e-10)
 
 

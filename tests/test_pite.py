@@ -138,7 +138,7 @@ def test_ground_init_probabilities_strictly_above_floor():
     init = prepare_initial(InitialState.basis("00"), 2)
     spec = diagonalize(h, init)
     res = run_pite(
-        h, spec.ground_vector, Schedule(dt=0.1, n_steps=8), RunConfig(), spectrum=None
+        h, spec.ground_basis[:, 0], Schedule(dt=0.1, n_steps=8), RunConfig(), spectrum=None
     )
     floor = math.exp(-4.0 * 0.1 * h.abs_coeff_sum)
     for prev, cur in zip(res.records, res.records[1:]):
