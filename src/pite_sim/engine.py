@@ -59,12 +59,16 @@ commutes with the whole step, its weight and its division by prob0
 included. The owed applications run, folded into one channel per qubit,
 when a later step's support takes in the qubit (composed into its
 superoperator, or in the gathered layout, where its passes are long) or
-when ``data`` is read. On either state type a step also moves the state,
-with one transpose, into its own order (S first, the other qubits as they
-were stored) and leaves it there, and a step whose order the state is
-already stored in (one on the same support, say) moves nothing; ``data``
-restores canonical order. A density matrix's energy, trace and subspace
-weight read the stored matrix as it is: an observable A of the state is
+when ``data`` is read. On either state type a step also moves the state
+into its own order (S first, the other qubits as they were stored) and
+leaves it there; ``data`` restores canonical order. Each step keeps the
+move it made from each layout it met (register size and stored order),
+so a run works a move out once per step and layout: a state already
+stored in the step's order (after a step on the same support, say) is
+not moved, a vector of at most 4^``FUSED_MAX_SUPPORT`` entries is moved
+by one ``take`` of a held index, and anything else by one transpose.
+A density matrix's energy, trace and subspace weight read the stored
+matrix as it is: an observable A of the state is
 the adjoint channel N^dag(A) of the stored one, since
 Tr(A N(rho)) = Tr(N^dag(A) rho), gathered in the stored order and built
 once per owed counts and order. On either state type the energy is one
@@ -102,7 +106,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -387,7 +391,8 @@ class _State:
     The state is kept in ``_stored`` with its bits, most significant
     first, carrying the labels ``_order``: q for qubit q, and on a density
     matrix n + q for its column bit (None is canonical). A step moves it
-    into the order it works in (:func:`_step_order`) and leaves it there;
+    into the order it works in (:meth:`_gather`, by the move the step
+    keeps for the stored layout) and leaves it there;
     ``data``, and so every gate (and a statevector's energy), first
     restores the canonical order (and divides a statevector to unit
     norm). A copy keeps the stored order, and a density matrix reads its
@@ -422,24 +427,29 @@ class _State:
             moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
             self._stored, self._order = moved.reshape((2**n,) * self._sides), None
 
-    def _gather(self, support: tuple[int, ...]) -> tuple[np.ndarray, tuple]:
-        """The state in the order a step on ``support`` works in, as
-        (2^k, rest) on a vector and (4^k, rest^2) on a matrix, and that
-        order: a view when stored so, else a contiguous copy. A state
-        stored in that order already (as after a step on the same
-        support) comes back reshaped, with nothing looked up or moved: on
-        a vector, an order that leads with S; on a matrix, S's rows, S's
-        columns, then the other rows and their columns in the same order."""
-        stored, k, n = self._order, len(support), self.n_qubits
-        if stored is not None and stored[:k] == support and (
-            self._sides == 1
-            or stored[k : 2 * k] + stored[n + k :]
-            == tuple(n + q for q in support + stored[2 * k : n + k])
-        ):
-            return self._stored.reshape(2 ** (k * self._sides), -1), stored
-        order, shape, axes = _step_order(self.n_qubits, self._sides, self._order, support)
+    def _gather(self, step: BoundStep) -> tuple[np.ndarray, tuple]:
+        """The state in the order ``step`` works in, as (2^k, rest) on a
+        vector and (4^k, rest^2) on a matrix (k = |S|), and that order.
+        The move comes from the step's own cache, ``step.moves``, keyed by
+        the layout it meets (register size and stored order); only a
+        layout met for the first time is worked out (:func:`_step_order`).
+        A state stored in the step's order already comes back as a
+        reshaped view, a small vector as one ``take`` of a held index, and
+        anything else as a contiguous transposed copy."""
+        try:
+            order, move = step.moves[self.n_qubits, self._order]
+        except KeyError:
+            order, move = step.moves[self.n_qubits, self._order] = _step_order(
+                self.n_qubits, self._sides, self._order, step.support
+            )
+        if type(move) is np.ndarray:
+            return self._stored.take(move), order
+        rows = 1 << (len(step.support) * self._sides)
+        if move is None:
+            return self._stored.reshape(rows, -1), order
+        shape, axes = move
         moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
-        return moved.reshape(2 ** (len(support) * self._sides), -1), order
+        return moved.reshape(rows, -1), order
 
     def copy(self):
         """An independent state equal to this one, stored in the same order
@@ -568,7 +578,7 @@ class StateVector(_State):
         return self._measure(c * psi, s * psi if eps_d > 0.0 else None, eps_d, rng, None)
 
     def _run_step(self, step: BoundStep, rng) -> float:
-        x, order = self._gather(step.support)
+        x, order = self._gather(step)
         first, second, post = step.ops
         if second is None:  # K0: one product and one dot
             # dot, not @: numpy dispatches it in about half the time here
@@ -766,7 +776,7 @@ class DensityMatrix(_State):
         if noise is not None:
             self._adopt(noise)
         k = len(support)
-        rho, order = self._gather(support)
+        rho, order = self._gather(step)
         owed = tuple(self._owed[q] for q in support)
         superop = len(step.ops) == 2
         if superop:  # what S owes composes into T_S and v
@@ -1082,24 +1092,43 @@ def _transposition(order: tuple[int, ...], target: tuple[int, ...]) -> tuple[tup
     return shape, tuple(sorted(range(len(starts)), key=lambda r: place[starts[r]]))
 
 
-@lru_cache(maxsize=4096)
 def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...]) -> tuple:
     """The order a step on ``support`` works in, from a state stored in
     ``order`` (labels as in :class:`_State`, on ``sides`` 1 or 2), and the
-    transposition into it. S's bits come first, then the other qubits' as
-    stored now. On a matrix these are row bits: S's column bits come
-    right after S's row bits, so that S's block is vectorized on the
-    leading axis, and the other qubits' column bits come last, in their
-    rows' order, which the partial trace needs. Leaving the other qubits
-    as they are, not canonical, keeps them in long runs that the copy
-    moves whole.
+    move into it. S's bits come first, then the other qubits' as stored
+    now. On a matrix these are row bits: S's column bits come right after
+    S's row bits, so that S's block is vectorized on the leading axis,
+    and the other qubits' column bits come last, in their rows' order,
+    which the partial trace needs. Leaving the other qubits as they are,
+    not canonical, keeps them in long runs that the move copies whole.
+
+    The move is None when the state is stored in that order already. On
+    a vector of at most 4^``FUSED_MAX_SUPPORT`` entries (the bound every
+    held array keeps to; at most 32 KB of index) it is a read-only
+    ``intp`` index of shape (2^|S|, rest) for one ``take``, which moved
+    LiH's 64 entries in 0.6 us against 1.0 us for the transposed copy
+    (timeit, one BLAS thread, 2-vCPU Xeon). Otherwise it is the
+    transposition (shape, axes) for that copy. A matrix keeps the copy:
+    alone, a held index moved a 6-qubit complex matrix in 4.2 us against
+    12-13 us, but noisy LiH's steps meet 37 layouts, and a prototype that
+    held their indices took 1.2 MB more memory and ran no faster. Called
+    once per step and layout: :meth:`_State._gather` keeps what it
+    returns in the step's ``moves``.
     """
     current = tuple(range(sides * n)) if order is None else order
     rest = tuple(q for q in current if q < n and q not in support)
     target = support + rest
     if sides == 2:
         target = support + tuple(n + q for q in support) + rest + tuple(n + q for q in rest)
-    return (target, *_transposition(current, target))
+    if target == current:
+        return target, None
+    shape, axes = _transposition(current, target)
+    if sides == 1 and 1 << n <= 4**FUSED_MAX_SUPPORT:
+        index = np.arange(1 << n, dtype=np.intp).reshape(shape).transpose(axes)
+        index = np.ascontiguousarray(index).reshape(1 << len(support), -1)
+        index.flags.writeable = False
+        return target, index
+    return target, (shape, axes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1132,12 +1161,23 @@ class BoundStep:
     (gates, None, None) triples on a density matrix (None when empty),
     which builds W from (c_S, s_S) when it runs rather than hold its
     4^|S| entries.
+
+    ``moves`` maps each layout the step has met, (register size, stored
+    order), to its order and the move into it (see :func:`_step_order`),
+    filled as the step runs: one entry per distinct layout, each at most
+    32 KB. In an order-1 run each step holds one, and the first step two
+    when it also follows the last one (with records sparser than every
+    Trotter step, or on a density matrix, whose records move nothing); at
+    order 2, where a step follows each of its neighbours, most hold two
+    and a few three (per-term LiH). Trajectories share their steps and
+    so their moves.
     """
 
     state_type: type
     noise: NoiseModel | None
     support: tuple[int, ...]
     ops: tuple
+    moves: dict = field(default_factory=dict, repr=False)
 
 
 def _positions(gate: Gate, position: dict[int, int]) -> tuple[int, ...]:

@@ -43,6 +43,7 @@ from pite_sim.hamiltonian import (
     build_lih,
     prepare_initial,
 )
+from pite_sim.pite import RunConfig, Schedule, run_pite
 from oracles import (
     apply_pauli,
     build_ising_block_gates,
@@ -1057,7 +1058,7 @@ def test_channel_superoperator_matches_the_channel():
         want = rho.copy()
         engine._channel(want, model, counts)
         d = DensityMatrix(3, rho)
-        gathered, order = d._gather(tuple(range(len(counts))))
+        gathered, order = d._gather(bare_step(d, tuple(range(len(counts)))))
         d._stored, d._order = engine._channel_superop(model, counts) @ gathered, order
         assert np.abs(d.data - want).max() < 1e-14, counts
 
@@ -1079,13 +1080,21 @@ def step_target(n: int, order: tuple[int, ...], support: tuple[int, ...]):
     return support + columns + rest + rest_columns
 
 
+def bare_step(state, support: tuple[int, ...]) -> engine.BoundStep:
+    """A step on ``support`` for ``state``'s type with no operators: what
+    ``_gather`` reads of a step is its support and its move cache."""
+    return engine.BoundStep(type(state), None, support, ())
+
+
 def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeypatch):
     """A state stored in a step's order already hands back its stored
-    array reshaped, with no order looked up: a vector whose order leads
-    with S (after a step on the same support, or on a wider one that S
-    leads), and a matrix stored as S's rows, S's columns, then the other
-    rows and their columns. A matrix whose S block leads but whose other
-    columns come before their rows still moves, into the step's order."""
+    array reshaped: a vector whose order leads with S (after a step on
+    the same support, or on a wider one that S leads), and a matrix
+    stored as S's rows, S's columns, then the other rows and their
+    columns. The step keeps "no move" for that layout, so meeting it a
+    second time looks no order up. A matrix whose S block leads but whose
+    other columns come before their rows still moves, into the step's
+    order."""
     n, support = 4, (1, 2, 3)
     circ = build_pauli_step(PauliTerm.from_string(0.4, "IXZY"), 0.1)
     local = np.random.default_rng(8)
@@ -1095,20 +1104,182 @@ def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeyp
     d = DensityMatrix(n, rho)
     run_circuit(d, circ, noise=NoiseModel(0.02, 0.03))
     assert s._order == (1, 2, 3, 0) and d._order == step_target(n, tuple(range(2 * n)), support)
-    lookup = engine._step_order
-    monkeypatch.setattr(engine, "_step_order", lambda *args: pytest.fail("an order was looked up"))
-    for state, on in ((s, support), (s, (1, 2)), (d, support)):
-        order = state._order
-        gathered, target = state._gather(on)
-        assert target == order and np.shares_memory(gathered, state._stored)
-        assert gathered.shape == (2 ** (len(on) * state._sides), 2 ** ((n - len(on)) * state._sides))
-    monkeypatch.setattr(engine, "_step_order", lookup)
+    steps = [(s, bare_step(s, support)), (s, bare_step(s, (1, 2))), (d, bare_step(d, support))]
+    for meeting in ("first", "second"):
+        for state, step in steps:
+            order = state._order
+            gathered, target = state._gather(step)
+            assert target == order and np.shares_memory(gathered, state._stored)
+            assert gathered.shape == (
+                2 ** (len(step.support) * state._sides),
+                2 ** ((n - len(step.support)) * state._sides),
+            )
+            assert step.moves == {(n, order): (order, None)}, meeting
+        monkeypatch.setattr(engine, "_step_order", lambda *args: pytest.fail("an order was looked up"))
+    monkeypatch.undo()
     order = (1, 2, 3, 5, 6, 7, 4, 0)  # the rest's column before its row
     d = DensityMatrix(n, rho)
     d._stored, d._order = in_order(rho, order), order
-    gathered, target = d._gather(support)
+    gathered, target = d._gather(bare_step(d, support))
     assert target == step_target(n, order, support) == (1, 2, 3, 5, 6, 7, 0, 4)
     assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
+
+
+def vector_in_order(psi: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
+    """The buffer of ``psi`` with its bits in ``order``, one bit per axis."""
+    n = psi.size.bit_length() - 1
+    return psi.reshape((2,) * n).transpose(order).reshape(-1)
+
+
+def transposed(stored: np.ndarray, current: tuple[int, ...], target: tuple[int, ...]):
+    """``stored``, whose bits carry the labels ``current``, moved into
+    ``target`` by a transposed copy, the move a matrix or a vector past
+    4^FUSED_MAX_SUPPORT entries makes."""
+    shape, axes = engine._transposition(current, target)
+    return np.ascontiguousarray(stored.reshape(shape).transpose(axes)).reshape(-1)
+
+
+def test_index_move_equals_the_transposition_bitwise():
+    """On a vector of 1 to 12 qubits (at most 4^FUSED_MAX_SUPPORT
+    entries), stored in a random order or canonically, a step whose
+    order differs from the stored one holds a read-only (2^k, rest)
+    ``intp`` index, and its ``take`` is bitwise the transposed copy and
+    the vector written out in the step's order. A second gather from the
+    same layout reuses the index."""
+    local = np.random.default_rng(2511)
+    assert 4**engine.FUSED_MAX_SUPPORT == 2**12
+    held = 0
+    for n in range(1, 13):
+        for trial in range(4):
+            psi = local.standard_normal(2**n)
+            if trial % 2:
+                psi = psi + 1j * local.standard_normal(2**n)
+            order = None if trial == 0 else tuple(local.permutation(n).tolist())
+            size = int(local.integers(1, min(n, engine.FUSED_MAX_SUPPORT) + 1))
+            support = tuple(sorted(local.choice(n, size=size, replace=False).tolist()))
+            s = StateVector(n, psi)
+            if order is not None:
+                s._stored, s._order = vector_in_order(s._stored, order), order
+            stored = s._stored.copy()
+            step = bare_step(s, support)
+            gathered, target = s._gather(step)
+            current = tuple(range(n)) if order is None else order
+            assert target == support + tuple(q for q in current if q not in support)
+            assert gathered.shape == (2**size, 2 ** (n - size))
+            assert gathered.flags.c_contiguous
+            assert np.shares_memory(gathered, s._stored) == (target == current)
+            want = vector_in_order(psi, target)
+            assert gathered.tobytes() == want.tobytes() == transposed(stored, current, target).tobytes()
+            _, index = step.moves[n, order]
+            if target == current:
+                assert index is None
+                continue
+            held += 1
+            assert index.dtype == np.intp and index.shape == gathered.shape
+            assert not index.flags.writeable
+            again, _ = s._gather(step)
+            assert again.tobytes() == want.tobytes() and len(step.moves) == 1
+    assert held >= 30  # of 48 layouts; the rest are in order already
+
+
+def test_large_vectors_and_density_matrices_transpose():
+    """A 13-qubit vector, past 4^FUSED_MAX_SUPPORT entries, and a density
+    matrix of any size move by the transposed copy and hold no index."""
+    local = np.random.default_rng(2512)
+    n, support = 13, (2, 5, 11)
+    psi = local.standard_normal(2**n)
+    order = tuple(local.permutation(n).tolist())
+    s = StateVector(n, psi)
+    s._stored, s._order = vector_in_order(s._stored, order), order
+    step = bare_step(s, support)
+    gathered, target = s._gather(step)
+    assert type(step.moves[n, order][1]) is tuple
+    assert gathered.shape == (8, 2**10)
+    assert gathered.tobytes() == vector_in_order(psi, target).tobytes()
+    for n in range(1, 7):
+        for trial in range(4):
+            rho = random_density(n, local)
+            order = None if trial == 0 else tuple(local.permutation(2 * n).tolist())
+            size = int(local.integers(1, n + 1))
+            support = tuple(sorted(local.choice(n, size=size, replace=False).tolist()))
+            d = DensityMatrix(n, rho)
+            if order is not None:
+                d._stored, d._order = in_order(rho, order), order
+            step = bare_step(d, support)
+            gathered, target = d._gather(step)
+            _, move = step.moves[n, order]
+            assert move is None or type(move) is tuple
+            assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
+
+
+def transposing_gather(self, step):
+    """An oracle for ``_State._gather`` that keeps nothing, written out
+    from the step order's definition: the state in a fresh transposed
+    copy, one bit per axis, or, when stored in the step's order already, a
+    reshaped view."""
+    n, support, sides = self.n_qubits, step.support, self._sides
+    current = tuple(range(sides * n)) if self._order is None else self._order
+    if sides == 1:
+        target = support + tuple(q for q in current if q not in support)
+    else:
+        target = step_target(n, current, support)
+    rows = 2 ** (len(support) * sides)
+    if target == current:
+        return self._stored.reshape(rows, -1), target
+    moved = self._stored.reshape((2,) * (sides * n)).transpose([current.index(q) for q in target])
+    return np.ascontiguousarray(moved).reshape(rows, -1), target
+
+
+@pytest.mark.parametrize(
+    "case", ["lih trajectories", "lih order 2 record_every 2", "ising noisy order 2"]
+)
+def test_each_step_holds_one_move_per_layout_it_meets(case, monkeypatch):
+    """Steps shared by every trajectory of a run, and steps that meet two
+    layouts (at order 2, where the palindrome runs each step after both
+    of its neighbours, or between records that a statevector's ``data``
+    read resets to canonical order), hold exactly one move per distinct
+    layout they meet. Their records are bitwise those of a run that
+    moves the state by a fresh transposition at every step."""
+    if case == "lih trajectories":
+        h, init = build_lih(), prepare_initial(InitialState.basis("110000"), 6)
+        schedule, config = Schedule(dt=0.05, n_steps=3), RunConfig(
+            noise=NoiseModel(1e-2, 2e-2), trajectories=3, seed=7
+        )
+    elif case == "lih order 2 record_every 2":
+        h, init = build_lih(), prepare_initial(InitialState.basis("110000"), 6)
+        schedule, config = Schedule(dt=0.05, n_steps=4, order=2), RunConfig(record_every=2)
+    else:
+        h = build_ising(4, 1.0, 1.2, 0.3)
+        init = random_state(4, np.random.default_rng(5))
+        schedule, config = Schedule(dt=0.05, n_steps=3, order=2), RunConfig(noise=NoiseModel(1e-3, 2e-3))
+    met: dict[int, tuple] = {}
+    gathers: list[int] = []
+    gather = engine._State._gather
+
+    def recording(self, step):
+        _, layouts = met.setdefault(id(step), (step, set()))
+        layouts.add((self.n_qubits, self._order))
+        gathers.append(id(step))
+        return gather(self, step)
+
+    monkeypatch.setattr(engine._State, "_gather", recording)
+    result = run_pite(h, init, schedule, config)
+    counts = []
+    for step, layouts in met.values():
+        assert set(step.moves) == layouts
+        counts.append(len(layouts))
+    assert len(met) == len(h.terms)
+    if config.trajectories:
+        # each record flushes a trajectory's vector to canonical order, so
+        # every step meets one layout in every trajectory and Trotter step
+        assert set(counts) == {1}
+        runs = config.trajectories * schedule.n_steps
+        assert all(gathers.count(key) == runs for key in met)
+    else:  # at order 2 a step runs after each of its two neighbours
+        assert max(counts) >= 2
+    monkeypatch.setattr(engine._State, "_gather", transposing_gather)
+    oracle = run_pite(h, init, schedule, config)
+    assert [repr(r) for r in result.records] == [repr(r) for r in oracle.records]
 
 
 @pytest.mark.parametrize("path", ["superop", "sandwich"])
@@ -1131,7 +1302,7 @@ def test_moving_between_stored_orders_equals_a_canonical_round_trip(path, monkey
             d._stored, d._order = in_order(rho, order), order
             restored = copy.deepcopy(d).data
             assert np.array_equal(restored, rho) and restored.flags.c_contiguous
-            gathered, target = d._gather(support)
+            gathered, target = d._gather(bare_step(d, support))
             assert target == step_target(n, order, support)
             assert gathered.shape[0] == 4**size
             assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
@@ -1279,8 +1450,8 @@ def test_sandwich_step_stores_its_superop_layout(monkeypatch):
     views = []
     gather = DensityMatrix._gather
 
-    def recording(self, support):
-        gathered, order = gather(self, support)
+    def recording(self, step):
+        gathered, order = gather(self, step)
         views.append(np.shares_memory(gathered, self._stored))
         return gathered, order
 

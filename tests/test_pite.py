@@ -594,6 +594,39 @@ def test_density_trace_is_checked_at_every_record(monkeypatch):
             assert run_pite(h, init, sched, config).completed
 
 
+@pytest.mark.parametrize("trajectories", [None, 2])
+def test_statevector_record_rejects_a_carried_norm_that_drifted(trajectories, monkeypatch):
+    """A statevector keeps its vector unnormalized beside the squared norm
+    it carries. When that norm no longer matches the vector, the next
+    record raises, naming its Trotter step (a step would measure against
+    it first, then carry its branch's own norm); a drift of 1e-12 passes.
+    """
+    import pite_sim.pite as pite_module
+
+    h = build_h2(0.75)
+    init = prepare_initial(InitialState.basis("00"), 2)
+    sched = Schedule(dt=0.1, n_steps=3)
+    noise = NoiseModel(1e-3, 1e-3) if trajectories else None
+    config = RunConfig(noise=noise, trajectories=trajectories, seed=0 if trajectories else None)
+    run_step = pite_module.run_step_circuit
+    for factor, raises in ((1.0 + 1e-6, True), (1.0 + 1e-12, False)):
+        calls = []
+
+        def drifting(state, step, rng, factor=factor):
+            result = run_step(state, step, rng)
+            calls.append(step)
+            if len(calls) == 2 * len(h.terms):  # the last step before record 2
+                state._norm2 *= factor
+            return result
+
+        monkeypatch.setattr(pite_module, "run_step_circuit", drifting)
+        if raises:
+            with pytest.raises(ValueError, match=r"statevector squared norm .* at Trotter step 2 "):
+                run_pite(h, init, sched, config)
+        else:
+            assert run_pite(h, init, sched, config).completed
+
+
 def test_density_trace_check_rejects_nan():
     # a NaN trace must fail the tolerance, not compare as within it
     state = DensityMatrix(1)
