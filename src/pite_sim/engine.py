@@ -65,8 +65,8 @@ leaves it there; ``data`` restores canonical order. Each step keeps the
 move it made from each layout it met (register size and stored order),
 so a run works a move out once per step and layout: a state already
 stored in the step's order (after a step on the same support, say) is
-not moved, a vector of at most 4^``FUSED_MAX_SUPPORT`` entries is moved
-by one ``take`` of a held index, and anything else by one transpose.
+not moved, a vector of at most ``_INDEX_MAX_QUBITS`` qubits is moved by
+one ``take`` of a held index, and anything else by one transpose.
 A density matrix's energy, trace and subspace weight read the stored
 matrix as it is: an observable A of the state is
 the adjoint channel N^dag(A) of the stored one, since
@@ -1092,6 +1092,15 @@ def _transposition(order: tuple[int, ...], target: tuple[int, ...]) -> tuple[tup
     return shape, tuple(sorted(range(len(starts)), key=lambda r: place[starts[r]]))
 
 
+# Largest statevector (in qubits) whose steps move it by a held index: at
+# most 8 KB per step and layout it meets. Per noiseless pass (one BLAS
+# thread, 2-vCPU Xeon), the index ran Ising n=9 and n=10 in 8-15 % less
+# time than the transposed copy, and 300 random terms of weight 1-4 on 10
+# qubits in 12 % less while holding 2.3 MB. At 12 qubits it ran Ising
+# 12 % slower, and the 300 terms 5 % faster while holding 9.2 MB.
+_INDEX_MAX_QUBITS = 10
+
+
 def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...]) -> tuple:
     """The order a step on ``support`` works in, from a state stored in
     ``order`` (labels as in :class:`_State`, on ``sides`` 1 or 2), and the
@@ -1103,8 +1112,7 @@ def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...
     not canonical, keeps them in long runs that the move copies whole.
 
     The move is None when the state is stored in that order already. On
-    a vector of at most 4^``FUSED_MAX_SUPPORT`` entries (the bound every
-    held array keeps to; at most 32 KB of index) it is a read-only
+    a vector of at most ``_INDEX_MAX_QUBITS`` qubits it is a read-only
     ``intp`` index of shape (2^|S|, rest) for one ``take``, which moved
     LiH's 64 entries in 0.6 us against 1.0 us for the transposed copy
     (timeit, one BLAS thread, 2-vCPU Xeon). Otherwise it is the
@@ -1123,7 +1131,7 @@ def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...
     if target == current:
         return target, None
     shape, axes = _transposition(current, target)
-    if sides == 1 and 1 << n <= 4**FUSED_MAX_SUPPORT:
+    if sides == 1 and n <= _INDEX_MAX_QUBITS:
         index = np.arange(1 << n, dtype=np.intp).reshape(shape).transpose(axes)
         index = np.ascontiguousarray(index).reshape(1 << len(support), -1)
         index.flags.writeable = False
@@ -1164,13 +1172,13 @@ class BoundStep:
 
     ``moves`` maps each layout the step has met, (register size, stored
     order), to its order and the move into it (see :func:`_step_order`),
-    filled as the step runs: one entry per distinct layout, each at most
-    32 KB. In an order-1 run each step holds one, and the first step two
-    when it also follows the last one (with records sparser than every
-    Trotter step, or on a density matrix, whose records move nothing); at
-    order 2, where a step follows each of its neighbours, most hold two
-    and a few three (per-term LiH). Trajectories share their steps and
-    so their moves.
+    filled as the step runs: one entry per distinct layout, an index of
+    at most 8 KB or a transposition. In an order-1 run each step holds
+    one, and the first step two when it also follows the last one (with
+    records sparser than every Trotter step, or on a density matrix,
+    whose records move nothing); at order 2, where a step follows each of
+    its neighbours, most hold two and a few three (per-term LiH).
+    Trajectories share their steps and so their moves.
     """
 
     state_type: type

@@ -1133,23 +1133,23 @@ def vector_in_order(psi: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
 
 def transposed(stored: np.ndarray, current: tuple[int, ...], target: tuple[int, ...]):
     """``stored``, whose bits carry the labels ``current``, moved into
-    ``target`` by a transposed copy, the move a matrix or a vector past
-    4^FUSED_MAX_SUPPORT entries makes."""
+    ``target`` by a transposed copy, the move a matrix or a vector of
+    more than ``_INDEX_MAX_QUBITS`` qubits makes."""
     shape, axes = engine._transposition(current, target)
     return np.ascontiguousarray(stored.reshape(shape).transpose(axes)).reshape(-1)
 
 
 def test_index_move_equals_the_transposition_bitwise():
-    """On a vector of 1 to 12 qubits (at most 4^FUSED_MAX_SUPPORT
-    entries), stored in a random order or canonically, a step whose
-    order differs from the stored one holds a read-only (2^k, rest)
-    ``intp`` index, and its ``take`` is bitwise the transposed copy and
-    the vector written out in the step's order. A second gather from the
-    same layout reuses the index."""
+    """On a vector of 1 to ``_INDEX_MAX_QUBITS`` (10) qubits, stored in a
+    random order or canonically, a step whose order differs from the
+    stored one holds a read-only (2^k, rest) ``intp`` index, and its
+    ``take`` is bitwise the transposed copy and the vector written out in
+    the step's order. A second gather from the same layout reuses the
+    index."""
     local = np.random.default_rng(2511)
-    assert 4**engine.FUSED_MAX_SUPPORT == 2**12
+    assert engine._INDEX_MAX_QUBITS == 10
     held = 0
-    for n in range(1, 13):
+    for n in range(1, engine._INDEX_MAX_QUBITS + 1):
         for trial in range(4):
             psi = local.standard_normal(2**n)
             if trial % 2:
@@ -1179,23 +1179,25 @@ def test_index_move_equals_the_transposition_bitwise():
             assert not index.flags.writeable
             again, _ = s._gather(step)
             assert again.tobytes() == want.tobytes() and len(step.moves) == 1
-    assert held >= 30  # of 48 layouts; the rest are in order already
+    assert held >= 25  # of 40 layouts; the rest are in order already
 
 
 def test_large_vectors_and_density_matrices_transpose():
-    """A 13-qubit vector, past 4^FUSED_MAX_SUPPORT entries, and a density
-    matrix of any size move by the transposed copy and hold no index."""
+    """A vector of 11 to 13 qubits, past ``_INDEX_MAX_QUBITS``, and a
+    density matrix of any size move by the transposed copy and hold no
+    index."""
     local = np.random.default_rng(2512)
-    n, support = 13, (2, 5, 11)
-    psi = local.standard_normal(2**n)
-    order = tuple(local.permutation(n).tolist())
-    s = StateVector(n, psi)
-    s._stored, s._order = vector_in_order(s._stored, order), order
-    step = bare_step(s, support)
-    gathered, target = s._gather(step)
-    assert type(step.moves[n, order][1]) is tuple
-    assert gathered.shape == (8, 2**10)
-    assert gathered.tobytes() == vector_in_order(psi, target).tobytes()
+    support = (2, 5, 10)
+    for n in range(engine._INDEX_MAX_QUBITS + 1, 14):
+        psi = local.standard_normal(2**n)
+        order = tuple(local.permutation(n).tolist())
+        s = StateVector(n, psi)
+        s._stored, s._order = vector_in_order(s._stored, order), order
+        step = bare_step(s, support)
+        gathered, target = s._gather(step)
+        assert type(step.moves[n, order][1]) is tuple
+        assert gathered.shape == (8, 2 ** (n - 3))
+        assert gathered.tobytes() == vector_in_order(psi, target).tobytes()
     for n in range(1, 7):
         for trial in range(4):
             rho = random_density(n, local)

@@ -1,0 +1,96 @@
+"""``tools/trace_records.py``: ``--diff`` on small record files (its exit
+code and per-field maxima), and its copies of the benchmark workloads'
+parameters, which must not drift from ``perfbench/workloads.py``."""
+import importlib.util
+import subprocess
+import sys
+from pathlib import Path
+
+from pite_sim.pite import TraceRecord
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "trace_records.py"
+
+
+def load(name: str, path: Path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def write_records(path: Path, records: list[tuple[str, TraceRecord]]) -> Path:
+    path.write_text("".join(f"{label}\t{record!r}\n" for label, record in records))
+    return path
+
+
+def run_diff(a: Path, b: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(TOOL), "--diff", str(a), str(b)],
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_diff_exits_0_on_equal_files_and_1_with_the_changed_field(tmp_path):
+    """Byte-identical files exit 0 with every field's maximum 0; a file
+    whose one record's energy moves by 4e-8 relative exits 1 and names
+    that run and field with that difference, every other field at 0."""
+    first = TraceRecord(0, 0.0, -8.0, 0.98, 1.0, 1.0, 1.0, 0)
+    second = TraceRecord(1, 0.05, -8.02, 0.984, 0.88, 0.678, 0.879, 0)
+    records = [("run a", first), ("run a", second), ("run b", first)]
+    a = write_records(tmp_path / "a.txt", records)
+    b = write_records(tmp_path / "b.txt", records)
+    same = run_diff(a, b)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert "0 of 3 records differ" in same.stdout
+    assert all(line.endswith(" 0") for line in same.stdout.splitlines()[:-1])
+
+    moved = TraceRecord(1, 0.05, -8.02 * (1 + 4e-8), 0.984, 0.88, 0.678, 0.879, 0)
+    c = write_records(tmp_path / "c.txt", [records[0], ("run a", moved), records[2]])
+    changed = run_diff(a, c)
+    assert changed.returncode == 1, changed.stdout + changed.stderr
+    lines = changed.stdout.splitlines()
+    assert lines[-1] == "1 of 3 records differ"
+    maxima = {}
+    for line in lines[:-1]:
+        words = line.split()
+        maxima[" ".join(words[:-5]), words[-5]] = float(words[-1])
+    assert set(maxima) == {("run a", "energy")} | {
+        ("all runs", field) for field in TraceRecord.__dataclass_fields__
+    }
+    for (label, field), value in maxima.items():
+        if field == "energy":
+            assert abs(value - 4e-8) < 1e-14, (label, value)
+        else:
+            assert value == 0.0, (label, field)
+
+
+def test_diff_exits_1_on_a_missing_record(tmp_path):
+    record = TraceRecord(0, 0.0, -8.0, 0.98, 1.0, 1.0, 1.0, 0)
+    a = write_records(tmp_path / "a.txt", [("run a", record), ("run a", record)])
+    b = write_records(tmp_path / "b.txt", [("run a", record)])
+    result = run_diff(a, b)
+    assert result.returncode == 1
+    assert "record counts differ: 2 against 1" in result.stdout
+
+
+def test_runs_copy_the_benchmark_workloads():
+    """The script's LiH initial state, Ising parameters, Trotter step and
+    each benchmark workload's steps, noise and mode equal the
+    benchmark's own."""
+    tool = load("trace_records_tool", TOOL)
+    bench = load("perfbench_workloads_copy", ROOT / "perfbench" / "workloads.py")
+    assert tool.LIH_INIT == bench.LIH_INIT
+    assert tool.ISING_PARAMS == bench.ISING_PARAMS
+    assert tool.DT == bench.DT
+    runs = {label: run for label, *run in tool.RUNS}
+    for name, w in bench.WORKLOADS.items():
+        labels = [f"{name} seed {s}" for s in (0, 1, 2)] if w.mode == "sample" else [name]
+        for label in labels:
+            model, grouped, steps, order, keywords = runs[label]
+            assert model == (w.model if w.model != "ising" else f"ising{w.n_qubits}"), label
+            assert grouped == (w.grouping is not None), label
+            assert (steps, order) == (w.n_steps, 1), label
+            assert keywords.get("noise") == w.noise, label
+            assert keywords.get("mode", "postselect") == w.mode, label
