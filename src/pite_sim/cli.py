@@ -94,7 +94,7 @@ def build_parser(suppress_run_defaults: bool = False) -> argparse.ArgumentParser
         p.add_argument(
             "--grouping",
             default=None,
-            help="pauli, ising-local, or a group-spec file path",
+            help="pauli, ising-local, lih-22, or a group-spec file path",
         )
 
     def add_run_flags(p: argparse.ArgumentParser) -> None:

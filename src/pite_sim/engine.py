@@ -8,45 +8,54 @@ work basis state, outcome 0 keeps C rho C (C = diag(c)), plus
 eps_d S rho S (S = diag(s)) when the ancilla is noisy.
 
 Each step circuit is lowered once per run (:func:`lower_step`) onto its
-support S, the work qubits its gates touch. Up to ``FUSED_MAX_SUPPORT``
-qubits its gates become 2^|S| x 2^|S| matrices, built by running the
-gate kernels on the identity columns, each gate's qubits mapped onto
-their positions in S (Post_S is the adjoint of Pre_S when its gates are
-Pre's inverted). A noiseless statevector step is one fused K0 = Post_S
-diag(c_S) Pre_S, built the same way: Post's kernels run on diag(c_S)
-Pre_S. The kernels keep real and imaginary parts apart (a complex entry
-times a real factor, a sum of two such entries) and turn a phase by an
-exact quarter turn, so an imaginary part that cancels in K0 comes out
-exactly 0: the K0 of a Pauli term, a I + b P, is real whenever P has an
-even number of Y factors, and then it is stored as float64 (as every
-exactly real array is, :func:`_as_state_array`) and a real state stays
-real. A statevector trajectory runs Pre_S, scales the product by c_S
-(or by s_S), then runs the sampled work-qubit noise and Post_S. A
-density-matrix step on at most ``SUPEROP_MAX_SUPPORT`` =
-``FUSED_MAX_SUPPORT`` // 2 qubits is one 4^|S| x 4^|S| superoperator
-T_S (Pre_S on both sides, the measurement as one elementwise weight on
-S, the channel on S, then Post_S); a wider one gets the same four
-stages in turn, Pre_S and Post_S as sandwiches. Every density-matrix
-step works on the matrix gathered with S's row bits first, then S's
-column bits, then the rest's: as (4^|S|, rest^2), S's vectorized block
-on the leading axis, which T_S multiplies with one product. A sandwich a rho a^dag is
-a on S's row bits, one product, and a^dag on its column bits, one
-product batched over the rows. Between the sandwiches, the weight and
-the channel on S keep each entry's X mask (row XOR column on S), so up
-to ``MASK_STACK_MAX_SUPPORT`` qubits they are one real product batched
-over S's X-mask blocks (:class:`_MaskStage`); on wider supports the
-weight scales the rows and the channel runs as passes (:func:`_channel`).
-Nothing assumes rho = rho^dag. An operator real but for one phase per
-column or per row is split into the real matrix and an elementwise phase
-factor (:func:`_phased`), which its sandwich applies as a row scaling,
-and a real matrix multiplies a complex one as a real product
-(:func:`_product`). A step wider than
-``FUSED_MAX_SUPPORT``, whose matrices would grow as 4^|S|, keeps its own
-Pre and Post gate lists, which the kernels run in place on the gathered
-block in the matrices' stead, through the support's map from each qubit
+support S, the work qubits its gates touch, into one of six forms, each
+a class under :class:`BoundStep`, picked by the state type and |S|:
+
+- :class:`K0Step`, a noiseless statevector step on at most
+  ``FUSED_MAX_SUPPORT`` qubits: one fused K0 = Post_S diag(c_S) Pre_S;
+- :class:`BranchStep`, every other statevector step: Pre, the product
+  scaled by c_S (or by s_S), the sampled work-qubit noise, then Post;
+- :class:`SuperopStep`, a density-matrix step on at most
+  ``SUPEROP_MAX_SUPPORT`` = ``FUSED_MAX_SUPPORT`` // 2 qubits: one
+  4^|S| x 4^|S| superoperator T_S (Pre_S on both sides, the measurement
+  as one elementwise weight W on S, the channel on S, then Post_S);
+- :class:`MaskSandwichStep`, a wider density-matrix step on at most
+  ``MASK_STACK_MAX_SUPPORT`` qubits: the same four stages in turn,
+  Pre_S and Post_S as sandwiches, and between them W and the channel
+  on S, which keep each entry's X mask (row XOR column on S), as one
+  real product batched over S's X-mask blocks;
+- :class:`PassSandwichStep`, a wider one on at most
+  ``FUSED_MAX_SUPPORT`` qubits: W scales the rows and the channel runs
+  as passes (:func:`_channel`);
+- :class:`GateListSandwichStep`, a wider one still.
+
+Up to ``FUSED_MAX_SUPPORT`` qubits the gates become 2^|S| x 2^|S|
+matrices, built by running the gate kernels on the identity columns,
+each gate's qubits mapped onto their positions in S (Post_S is the
+adjoint of Pre_S when its gates are Pre's inverted; K0 is Post's kernels
+run on diag(c_S) Pre_S). The kernels keep real and imaginary parts apart
+(a complex entry times a real factor, a sum of two such entries) and
+turn a phase by an exact quarter turn, so an imaginary part that cancels
+in K0 comes out exactly 0: the K0 of a Pauli term, a I + b P, is real
+whenever P has an even number of Y factors, and then it is stored as
+float64 (as every exactly real array is, :func:`_as_state_array`) and a
+real state stays real. A wider step, whose matrices would grow as
+4^|S|, keeps its own Pre and Post gate lists, which the kernels run in
+place on the gathered block, through the support's map from each qubit
 to its position in S (on a density matrix on S's row bits, then
 conjugated on its column bits), copied first only where it may be the
 stored state itself; every other stage is the one a fused step runs.
+
+Every density-matrix step works on the matrix gathered with S's row bits
+first, then S's column bits, then the rest's: as (4^|S|, rest^2), S's
+vectorized block on the leading axis, which T_S multiplies with one
+product. A sandwich a rho a^dag is a on S's row bits, one product, and
+a^dag on its column bits, one product batched over the rows. Nothing
+assumes rho = rho^dag. An operator real but for one phase per column or
+per row is split into the real matrix and an elementwise phase factor
+(:func:`_phased`), which its sandwich applies as a row scaling, and a
+real matrix multiplies a complex one as a real product
+(:func:`_product`).
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
@@ -108,7 +117,7 @@ import copy
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -156,7 +165,7 @@ FUSED_MAX_SUPPORT = 6
 # wider fused density-matrix steps apply Pre_S and Post_S as sandwiches
 SUPEROP_MAX_SUPPORT = FUSED_MAX_SUPPORT // 2
 # Widest support (in qubits) whose sandwich step holds its weight and
-# channel as one stack of 2^|S| blocks of 2^|S| x 2^|S| (see _MaskStage):
+# channel as one stack of 2^|S| blocks of 2^|S| x 2^|S| (MaskSandwichStep):
 # 8^|S| entries, within the 4^FUSED_MAX_SUPPORT every held array keeps to.
 # Wider sandwiches run them as passes. Timed alone (2-vCPU Xeon, one BLAS
 # thread), on a 6-qubit matrix the stack took 25 us against the passes'
@@ -579,37 +588,36 @@ class StateVector(_State):
 
     def _run_step(self, step: BoundStep, rng) -> float:
         x, order = self._gather(step)
-        first, second, post = step.ops
-        if second is None:  # K0: one product and one dot
+        if type(step) is K0Step:  # one product and one dot
+            k0 = step.k0
             # dot, not @: numpy dispatches it in about half the time here
-            if first.dtype.kind == "f" and x.dtype.kind == "f":  # every built-in model's step
-                out = first.dot(x)
+            if k0.dtype.kind == "f" and x.dtype.kind == "f":  # every built-in model's step
+                out = k0.dot(x)
                 flat = out.ravel()  # a view: dot's output is contiguous
                 kept = float(flat.dot(flat))
             else:  # complex out: |z|^2 needs vdot (a real dot sums z^2)
-                if first.dtype.kind == "f":  # see _product
-                    out = first.dot(x.view(np.float64)).view(np.complex128)
+                if k0.dtype.kind == "f":  # see _product
+                    out = k0.dot(x.view(np.float64)).view(np.complex128)
                 else:
-                    out = first.dot(x)
+                    out = k0.dot(x)
                 kept = _squared_norm(out)
             prob0 = _postselected(kept / self._norm2)
             self._stored, self._order, self._norm2 = out, order, kept  # _keep, inlined
             if kept < NORM2_RESCALE_THRESHOLD:
                 self._normalize()
             return prob0
-        noise = step.noise
+        noise = step.noise  # a BranchStep
         if noise is not None and rng is None:
             raise ValueError("statevector noise is sampled and needs an rng")
         eps_d = 0.0 if noise is None else noise.eps_d
-        c, s = second  # after Pre_S or Pre's gate list
         axes = {q: i for i, q in enumerate(step.support)}  # for a gate list
-        x = _product(first, x, not np.may_share_memory(x, self._stored), axes)
-        out, out1 = c[:, None] * x, s[:, None] * x if eps_d > 0.0 else None
+        x = _product(step.pre, x, not np.may_share_memory(x, self._stored), axes)
+        out, out1 = step.c[:, None] * x, step.s[:, None] * x if eps_d > 0.0 else None
         prob0 = self._measure(out, out1, eps_d, rng, order)
         if noise is not None:  # a trajectory: the sampled work-qubit noise, then Post
             self.sample_kraus(noise, rng)
-        if post is not None:  # on the kept branch, a buffer of the step's own
-            self._stored = _product(post, self._stored, True, axes)
+        # Post on the kept branch, a buffer of the step's own
+        self._stored = _product(step.post, self._stored, True, axes)
         return prob0
 
     def _expectation(self, h: PauliHamiltonian) -> float:
@@ -760,7 +768,7 @@ class DensityMatrix(_State):
         keeps both branches: the weight stage of a sandwich step on the
         whole register, with W = c c^T + eps_d s s^T."""
         weights = np.outer(c, c) + eps_d * np.outer(s, s)
-        whole = BoundStep(type(self), None, tuple(range(self.n_qubits)), (None, weights, None))
+        whole = PassSandwichStep(tuple(range(self.n_qubits)), None, weights, None)
         return self._run_step(whole, rng)
 
     def _run_step(self, step: BoundStep, rng) -> float:
@@ -772,28 +780,27 @@ class DensityMatrix(_State):
         # step, or diag(W) on S's diagonal after Pre_S. The channel on a
         # qubit outside S commutes with the whole step, so it is only
         # counted as owed.
-        support, noise = step.support, step.noise
+        form, support, noise = type(step), step.support, step.noise
         if noise is not None:
             self._adopt(noise)
         k = len(support)
         rho, order = self._gather(step)
         owed = tuple(self._owed[q] for q in support)
-        superop = len(step.ops) == 2
-        if superop:  # what S owes composes into T_S and v
-            t_s, row = step.ops
+        if form is SuperopStep:  # what S owes composes into T_S and v
+            t_s, row = step.t_s, step.row
             if any(owed):
                 owed_superop = _channel_superop(self._noise, owed)
                 t_s, row = t_s @ owed_superop, row @ owed_superop
             traced = rho
-        else:
-            pre, weights, post = step.ops
-            if isinstance(weights, _MaskStage):
-                row = weights.row
+        else:  # a sandwich
+            if form is MaskSandwichStep:
+                row = step.row
             else:
-                if isinstance(weights, tuple):  # a gate-list step: W from (c_S, s_S)
-                    c, s = weights
+                if form is GateListSandwichStep:  # W from (c_S, s_S)
                     eps_d = 0.0 if noise is None else noise.eps_d
-                    weights = np.outer(c, c) + eps_d * np.outer(s, s)
+                    weights = np.outer(step.c, step.c) + eps_d * np.outer(step.s, step.s)
+                else:
+                    weights = step.weights
                 row = weights.diagonal()
             view = np.may_share_memory(rho, self._stored)
             axes = {q: i for i, q in enumerate(support)}  # for a gate list
@@ -802,25 +809,25 @@ class DensityMatrix(_State):
                 if view:  # the state itself took it
                     for q in support:
                         self._owed[q] = 0
-            if pre is not None:
-                rho = _sandwich(pre, rho, not view, axes)
+            if step.pre is not None:
+                rho = _sandwich(step.pre, rho, not view, axes)
             # outcome 0 weights entry (x, y) of every block on S by
             # c_x c_y + eps_d s_x s_y; both ancilla branches are kept, so
             # only their summed weight counts
             traced = rho[:: 2**k + 1]
         rest = math.isqrt(rho.shape[1])
         prob0 = _postselected(float(np.dot(row, traced[:, :: rest + 1].sum(axis=1)).real))
-        if superop:
+        if form is SuperopStep:
             rho = _product(t_s * (1.0 / prob0), rho)
         else:  # W, then S's own channel
-            if isinstance(weights, _MaskStage):
-                rho = _by_mask(weights.stack, rho, 1.0 / prob0)
+            if form is MaskSandwichStep:
+                rho = _by_mask(step.stack, rho, 1.0 / prob0)
             else:
                 rho = rho * (weights / prob0).reshape(-1, 1)
                 if noise is not None:
                     _channel(rho, noise, (1,) * k, columns=k)
-            if post is not None:
-                rho = _sandwich(post, rho, True, axes)
+            if step.post is not None:
+                rho = _sandwich(step.post, rho, True, axes)
         self._stored, self._order = rho, order
         grows = int(noise is not None)
         self._owed = [0 if q in support else m + grows for q, m in enumerate(self._owed)]
@@ -884,8 +891,8 @@ def _channel(
     bit is the buffer's i-th most significant bit and its column bit sits
     ``columns`` bits after it: n (the default) in a 2^n x 2^n matrix, k in
     one gathered for a step on k qubits, whose row bits and then column
-    bits lead (a sandwich step too wide for a :class:`_MaskStage` applies
-    it there to rows already scaled by W / prob0). With ``adjoint``,
+    bits lead (a :class:`PassSandwichStep` or :class:`GateListSandwichStep`
+    applies it there to rows already scaled by W / prob0). With ``adjoint``,
     the adjoint channel N^dag instead, which maps an observable A to the
     one whose expectation on rho equals A's on N(rho).
 
@@ -1011,27 +1018,6 @@ def _channel_superop(model: NoiseModel, counts: tuple[int, ...]) -> np.ndarray:
     return superop
 
 
-class _MaskStage(NamedTuple):
-    """The middle stage of a sandwich step on k <= ``MASK_STACK_MAX_SUPPORT``
-    qubits: the outcome-0 weight W and the channel on S, between Pre_S's
-    and Post_S's products, as one real product.
-
-    Neither changes an entry's X mask x = r XOR c (r and c its row and
-    column on S; :func:`_adjoint_diagonals` relies on the same), so on the
-    4^k entries of S's block, ordered by X mask (:func:`_mask_order`), the
-    stage is block-diagonal: ``stack[x]`` = diag(F_x) Z_x diag(W_x), over
-    the 2^k entries (r, r ^ x) indexed by r. W_x is W, F_x the channel's
-    elementwise factor (:func:`_channel_factors`), and
-    Z_x = (x) over q of (x_q ? I : [[1, eps_d], [0, 1]]) on r's bit q
-    holds the jumps, which move weight from r_q = c_q = 1 to 0 only. The
-    jumps act before F, as in :func:`_channel`. ``row`` is diag W, which
-    gives prob0 on Pre's output. The phase factors of Pre_S and Post_S
-    stay in their sandwiches (:func:`_sandwich`)."""
-
-    row: np.ndarray
-    stack: np.ndarray
-
-
 @lru_cache(maxsize=8)
 def _mask_order(k: int) -> tuple[np.ndarray, np.ndarray]:
     """The read-only positions that order the 4^k entries (r, c) of a
@@ -1046,9 +1032,10 @@ def _mask_order(k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, inverse
 
 
-def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> _MaskStage:
-    """The :class:`_MaskStage` of W = ``weights`` on k qubits, then one
-    application of ``noise``'s channel on the k qubits (none for None)."""
+def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``row`` and ``stack`` of a :class:`MaskSandwichStep`
+    of W = ``weights`` on k qubits, then one application of ``noise``'s
+    channel on the k qubits (none for None)."""
     size = weights.shape[0]
     k = size.bit_length() - 1
     order, _ = _mask_order(k)
@@ -1066,14 +1053,15 @@ def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> _MaskStage:
     row = np.ascontiguousarray(weights.diagonal())
     stack.setflags(write=False)
     row.setflags(write=False)
-    return _MaskStage(row, stack)
+    return row, stack
 
 
 def _by_mask(stack: np.ndarray, rho: np.ndarray, scale: float) -> np.ndarray:
-    """``scale`` times a :class:`_MaskStage` ``stack`` on rho gathered as
-    (4^k, rest^2): one take into X-mask order, one product batched over
-    the masks (a real stack takes a complex rho as a real product, see
-    :func:`_product`), one scale and one take back, as a new array."""
+    """``scale`` times a :class:`MaskSandwichStep`'s ``stack`` on rho
+    gathered as (4^k, rest^2): one take into X-mask order, one product
+    batched over the masks (a real stack takes a complex rho as a real
+    product, see :func:`_product`), one scale and one take back, as a
+    new array."""
     size = stack.shape[0]
     order, inverse = _mask_order(size.bit_length() - 1)
     out = _product(stack, rho.take(order, axis=0).reshape(size, size, -1))
@@ -1139,36 +1127,17 @@ def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...
     return target, (shape, axes)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class BoundStep:
-    """A step circuit lowered once for the state type and noise of a run:
-    ``ops`` on its ``support`` S, the sorted work qubits its gates touch.
-
-    On a statevector ``ops`` is (K0, None, None), K0 = Post_S diag(c_S)
-    Pre_S, for a noiseless step, Post's kernels run on diag(c_S) Pre_S so
-    that a K0 real in exact arithmetic is exactly real and float64 (see
-    the module docstring), and (Pre_S, (c_S, s_S), Post_S) for a
-    trajectory, the form a wide step takes too. On a density matrix it is
-    (T_S, v) on at most ``SUPEROP_MAX_SUPPORT`` qubits, the step's
-    superoperator on vec(rho_S) and the row vector whose product with vec
-    of the partial trace over the rest is prob0, and (Pre_S, W, Post_S) on
-    wider ones, with W[x, y] = c_x c_y + eps_d s_x s_y and each of Pre_S
-    and Post_S an (a, phase_in, phase_out) triple of :func:`_phased` (a
-    real where it can be), None for an empty gate list. On at most
-    ``MASK_STACK_MAX_SUPPORT`` qubits W is a :class:`_MaskStage` instead,
-    which holds diag W, and W and the channel on S as one stack over X
-    masks. Every one of these acts on the matrix gathered in one layout,
-    S's row bits, then its column bits, then the rest's (see
-    :func:`_step_order`): T_S and v on the leading 4^|S| axis, W and the
-    phase factors entry by entry on S's block (the stack on its entries
-    taken in X-mask order, see :func:`_by_mask`), a on S's row bits and
-    a^dag on its column bits (see :func:`_sandwich`). A step wider than
-    ``FUSED_MAX_SUPPORT`` holds (Pre, (c_S, s_S), Post) instead, Pre and
-    Post the circuit's own gate lists, which the step runs through the
-    map {q: i} from support[i] to i: bare on a statevector, as
-    (gates, None, None) triples on a density matrix (None when empty),
-    which builds W from (c_S, s_S) when it runs rather than hold its
-    4^|S| entries.
+    """A step circuit lowered once, by :func:`lower_step`, for the state
+    type and noise of a run, on its ``support`` S, the sorted work qubits
+    its gates touch. Each of its six forms below is one class, which
+    names the ``state_type`` that runs it and holds its operators; they
+    act on the state gathered in the step's order (see
+    :func:`_step_order`), S's 2^|S| rows leading on a statevector and,
+    on a density matrix, S's row bits, then its column bits, then the
+    rest's, as (4^|S|, rest^2). ``noise`` is the run's channel (None
+    when noiseless).
 
     ``moves`` maps each layout the step has met, (register size, stored
     order), to its order and the move into it (see :func:`_step_order`),
@@ -1181,11 +1150,111 @@ class BoundStep:
     Trajectories share their steps and so their moves.
     """
 
-    state_type: type
-    noise: NoiseModel | None
+    state_type: ClassVar[type]
     support: tuple[int, ...]
-    ops: tuple
-    moves: dict = field(default_factory=dict, repr=False)
+    noise: NoiseModel | None = field(default=None, kw_only=True)
+    moves: dict = field(default_factory=dict, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class K0Step(BoundStep):
+    """A noiseless statevector step on at most ``FUSED_MAX_SUPPORT``
+    qubits: one product by ``k0`` = Post_S diag(c_S) Pre_S, built by
+    Post's kernels on diag(c_S) Pre_S so that a K0 real in exact
+    arithmetic is exactly real and float64 (see the module docstring)."""
+
+    state_type = StateVector
+    k0: np.ndarray
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class BranchStep(BoundStep):
+    """A statevector step that scales Pre's output by the ancilla's
+    factors ``c`` = c_S (and ``s`` = s_S on its jump branch), then runs
+    the sampled work-qubit noise and ``post``: a noisy step (a
+    trajectory) on at most ``FUSED_MAX_SUPPORT`` qubits, ``pre`` and
+    ``post`` Pre_S and Post_S, and any wider step, ``pre`` and ``post``
+    the circuit's own gate lists, which run through the map {q: i} from
+    support[i] to i."""
+
+    state_type = StateVector
+    pre: np.ndarray | tuple[Gate, ...]
+    c: np.ndarray
+    s: np.ndarray
+    post: np.ndarray | tuple[Gate, ...]
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class SuperopStep(BoundStep):
+    """A density-matrix step on at most ``SUPEROP_MAX_SUPPORT`` qubits:
+    ``t_s``, its 4^|S| x 4^|S| superoperator on vec(rho_S) (Pre_S on both
+    sides, the weight W, the channel on S, then Post_S), and ``row``, the
+    row vector whose product with vec of the partial trace over the rest
+    is prob0."""
+
+    state_type = DensityMatrix
+    t_s: np.ndarray
+    row: np.ndarray
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class MaskSandwichStep(BoundStep):
+    """A density-matrix step on at most ``MASK_STACK_MAX_SUPPORT`` qubits
+    that no superoperator takes: the sandwich ``pre``, the outcome-0
+    weight W[x, y] = c_x c_y + eps_d s_x s_y and the channel on S as one
+    real product, then the sandwich ``post``. Each sandwich is an
+    (a, phase_in, phase_out) triple of :func:`_phased` (a real where it
+    can be), a on S's row bits and a^dag on its column bits (see
+    :func:`_sandwich`), None for an empty gate list; its phase factors
+    stay in it. ``row`` is diag W, which gives prob0 on Pre's output.
+
+    Neither W nor the channel changes an entry's X mask x = r XOR c (r
+    and c its row and column on S; :func:`_adjoint_diagonals` relies on
+    the same), so on the 4^k entries of S's block (k = |S|), ordered by
+    X mask (:func:`_mask_order`), the two are block-diagonal: ``stack[x]``
+    = diag(F_x) Z_x diag(W_x), over the 2^k entries (r, r ^ x) indexed by
+    r. W_x is W, F_x the channel's elementwise factor
+    (:func:`_channel_factors`), and
+    Z_x = (x) over q of (x_q ? I : [[1, eps_d], [0, 1]]) on r's bit q
+    holds the jumps, which move weight from r_q = c_q = 1 to 0 only. The
+    jumps act before F, as in :func:`_channel` (see :func:`_by_mask`)."""
+
+    state_type = DensityMatrix
+    pre: tuple | None
+    row: np.ndarray
+    stack: np.ndarray
+    post: tuple | None
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class PassSandwichStep(BoundStep):
+    """A density-matrix step on at most ``FUSED_MAX_SUPPORT`` qubits that
+    no X-mask stack takes, and :meth:`DensityMatrix.measure_ancilla`'s
+    on the whole register: the sandwiches ``pre`` and ``post`` of a
+    :class:`MaskSandwichStep`, between them ``weights`` = W scaling S's
+    block entry by entry and the channel on S as passes
+    (:func:`_channel`)."""
+
+    state_type = DensityMatrix
+    pre: tuple | None
+    weights: np.ndarray
+    post: tuple | None
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class GateListSandwichStep(BoundStep):
+    """A density-matrix step wider than ``FUSED_MAX_SUPPORT``, whose
+    matrices would grow as 4^|S|, run as a :class:`PassSandwichStep` is.
+    Its sandwiches ``pre`` and ``post`` are the circuit's own gate lists,
+    as (gates, None, None) triples (None when empty), which the kernels
+    run through the map {q: i} from support[i] to i, and it builds W from
+    ``c`` and ``s`` when it runs rather than hold its 4^|S| entries."""
+
+    state_type = DensityMatrix
+    pre: tuple | None
+    c: np.ndarray
+    s: np.ndarray
+    post: tuple | None
 
 
 def _positions(gate: Gate, position: dict[int, int]) -> tuple[int, ...]:
@@ -1269,7 +1338,7 @@ def lower_step(
     circuit: Circuit, state: StateVector | DensityMatrix, noise: NoiseModel | None = None
 ) -> BoundStep:
     """Lower a step circuit once for ``state``'s type and ``noise`` into
-    the operators a :class:`BoundStep` lists.
+    one of the six :class:`BoundStep` forms, the one place that picks it.
 
     The rotation runs from the first gate that touches the ancilla to the
     measurement; each of its gates must be a y-rotation targeting the
@@ -1308,15 +1377,17 @@ def lower_step(
         noise = None
     if len(support) > FUSED_MAX_SUPPORT:
         pre_g, post_g = pre[:split], circuit.post_measure
-        if isinstance(state, DensityMatrix):  # sandwiches, left out when empty
-            pre_g, post_g = ((g, None, None) if g else None for g in (pre_g, post_g))
-        return BoundStep(type(state), noise, support, (pre_g, (c, s), post_g))
+        if isinstance(state, StateVector):
+            return BranchStep(support, pre_g, c, s, post_g, noise=noise)
+        # sandwiches, left out when empty
+        pre_g, post_g = ((g, None, None) if g else None for g in (pre_g, post_g))
+        return GateListSandwichStep(support, pre_g, c, s, post_g, noise=noise)
     pre_s = _on_support(pre[:split], support)
     if isinstance(state, StateVector) and noise is None:
         # K0 = Post_S diag(c_S) Pre_S by Post's kernels on S
         position = {q: i for i, q in enumerate(support)}
         k0 = _product(circuit.post_measure, c[:, None] * pre_s, overwrite=True, axes=position)
-        return BoundStep(type(state), None, support, (_as_state_array(k0), None, None))
+        return K0Step(support, _as_state_array(k0))
     if circuit.post_measure == adjoint_sequence(pre[:split]):
         post_s = np.ascontiguousarray(pre_s.conj().T)
     else:
@@ -1333,14 +1404,15 @@ def lower_step(
             superop = np.kron(post_s, post_s.conj()) @ superop
             # prob0 = sum_x W[x, x] (Pre rho Pre^dag)[x, x]: rows of Pre_t
             prob0_row = weights.diagonal() @ pre_t[:: len(c) + 1]
-            return BoundStep(type(state), noise, support, (superop, prob0_row))
+            return SuperopStep(support, superop, prob0_row, noise=noise)
         # an empty gate list leaves its sandwich out
         pre_op = _phased(pre_s) if pre[:split] else None
         post_op = _phased(post_s) if circuit.post_measure else None
         if len(support) <= MASK_STACK_MAX_SUPPORT:
-            weights = _mask_stage(weights, noise)
-        return BoundStep(type(state), noise, support, (pre_op, weights, post_op))
-    return BoundStep(type(state), noise, support, (pre_s, (c, s), post_s))
+            row, stack = _mask_stage(weights, noise)
+            return MaskSandwichStep(support, pre_op, row, stack, post_op, noise=noise)
+        return PassSandwichStep(support, pre_op, weights, post_op, noise=noise)
+    return BranchStep(support, pre_s, c, s, post_s, noise=noise)
 
 
 def run_step_circuit(
@@ -1352,7 +1424,7 @@ def run_step_circuit(
     state's type, on the work register, its ancilla postselected; returns
     prob0.
 
-    Each state type runs every step down one pipeline (see
+    Each state type runs every step form down one pipeline (see
     :class:`BoundStep`): Pre on the state gathered in the step's order,
     the outcome rule of :func:`_postselected`, the work-qubit channel
     (exact on S and owed on the other qubits on a density matrix; one

@@ -58,11 +58,10 @@ def load_workloads():
 
 
 def step_form(step) -> str:
-    if len(step.ops) == 2:
-        return "superop"
-    if isinstance(step.ops[1], engine._MaskStage):
-        return f"x-mask-{len(step.support)}"
-    return "gate-list" if type(step.ops[1]) is tuple else f"passes-{len(step.support)}"
+    """A density-matrix step's form, a sandwich's with its width."""
+    forms = {engine.SuperopStep: "superop", engine.MaskSandwichStep: "x-mask-{}",
+             engine.PassSandwichStep: "passes-{}", engine.GateListSandwichStep: "gate-list"}
+    return forms[type(step)].format(len(step.support))
 
 
 @pytest.mark.parametrize(
@@ -106,7 +105,7 @@ def test_benchmark_statevector_models_lower_to_float64_k0s(workload, k0s):
     else:
         circuits = [build_pauli_step(term, workloads.DT) for term in h.terms]
     got = Counter(
-        ("k0" if step.ops[1:] == (None, None) else "other", step.ops[0].dtype.name)
+        (type(step).__name__, step.k0.dtype.name if type(step) is engine.K0Step else None)
         for step in (engine.lower_step(circuit, state) for circuit in circuits)
     )
-    assert dict(got) == {("k0", "float64"): k0s}
+    assert dict(got) == {("K0Step", "float64"): k0s}

@@ -1,4 +1,6 @@
 """Tests for the command-line frontend and its trace artifacts."""
+import ast
+import inspect
 import json
 
 import numpy as np
@@ -410,6 +412,29 @@ def test_manifest_fields_match_the_run_flags():
     sweep_dests = set(vars(parser.parse_args(["sweep", "--model", "h2", "--axis", "R"])))
     assert run_dests == set(names)
     assert sweep_dests - {"command", "func", "out", "axis", "values"} == set(names)
+
+
+def test_run_help_names_every_grouping_keyword(capsys, monkeypatch):
+    """``run --help`` names each keyword that ``_build_grouping`` compares
+    ``--grouping`` with, read from its source, so a keyword added there
+    alone fails here."""
+    tree = ast.parse(inspect.getsource(cli._build_grouping))
+    keywords = {
+        node.value
+        for compare in ast.walk(tree)
+        if isinstance(compare, ast.Compare) and getattr(compare.left, "id", None) == "choice"
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert keywords >= {"pauli", "ising-local", "lih-22"}
+    monkeypatch.setenv("COLUMNS", "200")  # no line break inside a keyword
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--help"])
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    grouping_help = next(line for line in lines if line.lstrip().startswith("--grouping"))
+    missing = [k for k in sorted(keywords) if k not in grouping_help]
+    assert not missing, grouping_help
 
 
 def test_cli_17_digit_roundtrip(tmp_path):

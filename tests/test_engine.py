@@ -1,5 +1,6 @@
 """Tests for statevector/density-matrix execution, measurement and noise."""
 import copy
+import dataclasses
 import math
 import re
 
@@ -348,16 +349,25 @@ def force_path(monkeypatch, path: str) -> None:
     monkeypatch.setattr(engine, "MASK_STACK_MAX_SUPPORT", stack)
 
 
+# Each step form as (the path forced, None for the default; the noise; the
+# state type; the class it lowers to)
+STEP_FORMS = {
+    "k0": (None, None, StateVector, engine.K0Step),
+    "trajectory": (None, NoiseModel(0.1, 0.2), StateVector, engine.BranchStep),
+    "superop": ("superop", NoiseModel(0.1, 0.2), DensityMatrix, engine.SuperopStep),
+    "x-mask": ("sandwich", NoiseModel(0.1, 0.2), DensityMatrix, engine.MaskSandwichStep),
+    "passes": ("sandwich-pass", NoiseModel(0.1, 0.2), DensityMatrix, engine.PassSandwichStep),
+    "gate-list-sv": ("gate-list", None, StateVector, engine.BranchStep),
+    "gate-list-dm": ("gate-list", NoiseModel(0.1, 0.2), DensityMatrix, engine.GateListSandwichStep),
+}
+
+
 def step_path(step) -> str:
-    """The path a lowered step runs down, in ``STEP_PATHS``' names."""
-    # (Pre, (c_S, s_S), Post); a fused trajectory holds Pre_S as an array
-    if type(step.ops[1]) is tuple and not isinstance(step.ops[0], np.ndarray):
-        return "gate-list"
-    if step.state_type is not DensityMatrix:
-        return "fused"
-    if len(step.ops) == 2:
-        return "superop"
-    return "sandwich" if isinstance(step.ops[1], engine._MaskStage) else "sandwich-pass"
+    """The path a lowered step runs down, in ``STEP_PATHS``' names, or
+    "fused" for a statevector step that runs as matrices."""
+    if type(step) is engine.BranchStep:  # a fused trajectory holds Pre_S as an array
+        return "fused" if isinstance(step.pre, np.ndarray) else "gate-list"
+    return next(path or "fused" for path, _, _, form in STEP_FORMS.values() if form is type(step))
 
 
 def path_step(monkeypatch, path, circ, state, rng=None, noise=None):
@@ -527,7 +537,10 @@ def test_step_paths_agree(mode, noise, trajectories, monkeypatch):
 
 
 def arrays_in(ops) -> list[np.ndarray]:
-    """The arrays a lowered step's ops hold, nested tuples and gates opened."""
+    """The arrays a lowered step holds, its fields, nested tuples and gates
+    opened."""
+    if isinstance(ops, engine.BoundStep):
+        return arrays_in(tuple(getattr(ops, f.name) for f in dataclasses.fields(ops)))
     if isinstance(ops, np.ndarray):
         return [ops]
     if isinstance(ops, DenseBlock):
@@ -554,11 +567,10 @@ def test_wide_support_runs_its_gate_list():
         ):
             step = lower_step(circ, state, model)
             assert (step_path(step) == "gate-list") == (width > cut)
-            assert max(a.size for a in arrays_in(step.ops)) <= 4**cut
+            assert max(a.size for a in arrays_in(step)) <= 4**cut
             if width > cut:
-                c, s = step.ops[1]
-                assert c.shape == s.shape == (2**width,)
-                pre = step.ops[0] if isinstance(state, StateVector) else step.ops[0][0]
+                assert step.c.shape == step.s.shape == (2**width,)
+                pre = step.pre if isinstance(state, StateVector) else step.pre[0]
                 assert pre and pre == circ.pre_measure[: len(pre)]
     term = PauliTerm.from_string(-0.6, "Z" * 10)
     psi = random_state(10)
@@ -757,9 +769,9 @@ def test_density_steps_pick_their_path_by_support_size():
                 else "sandwich-pass" if width <= cut else "gate-list")
         assert step_path(step) == want, width
         if want == "superop":
-            assert step.ops[0].shape == (4**width, 4**width)
+            assert step.t_s.shape == (4**width, 4**width)
         if want == "sandwich":
-            assert step.ops[1].stack.shape == (2**width,) * 3
+            assert step.stack.shape == (2**width,) * 3
 
 
 def test_rotation_reading_outside_the_support_is_rejected():
@@ -785,32 +797,20 @@ def test_work_register_gate_without_a_kernel_is_rejected(n):
                         lower_step(circ, state, noise)
 
 
-# Each step form as (the path forced, None for the default; the noise; the state type)
-STEP_FORMS = {
-    "k0": (None, None, StateVector),
-    "trajectory": (None, NoiseModel(0.1, 0.2), StateVector),
-    "superop": ("superop", NoiseModel(0.1, 0.2), DensityMatrix),
-    "x-mask": ("sandwich", NoiseModel(0.1, 0.2), DensityMatrix),
-    "passes": ("sandwich-pass", NoiseModel(0.1, 0.2), DensityMatrix),
-    "gate-list-sv": ("gate-list", None, StateVector),
-    "gate-list-dm": ("gate-list", NoiseModel(0.1, 0.2), DensityMatrix),
-}
-
-
 @pytest.mark.parametrize("form", list(STEP_FORMS))
 def test_every_step_form_returns_a_float_prob0(form, monkeypatch):
     """Each step form returns prob0 as a builtin ``float`` that equals the
     oracle's: |K0 psi|^2 of ``postselected_operator`` on a noiseless
     statevector, else the ancilla-0 weight of ``full_kraus_step``, which a
     trajectory's c^2 + eps_d s^2 weights sum to as well."""
-    path, noise, state_type = STEP_FORMS[form]
+    path, noise, state_type, form_class = STEP_FORMS[form]
     circ = build_pauli_step(PauliTerm.from_string(-0.6, "IXYZ"), 0.3)
     if path is not None:
         force_path(monkeypatch, path)
     psi = random_state(4, np.random.default_rng(23))
     state = state_type(4, np.outer(psi, psi.conj()) if state_type is DensityMatrix else psi)
     step = lower_step(circ, state, noise)
-    assert step_path(step) == (path or "fused"), form
+    assert step_path(step) == (path or "fused") and type(step) is form_class, form
     prob0 = run_step_circuit(state, step, rng=make_rng(5))
     if noise is None:
         z = postselected_operator(circ) @ psi
@@ -840,11 +840,24 @@ def test_fold_rotation_matches_the_rotation_run_gate_by_gate():
     assert np.abs(s - probe[1::2]).max() < 1e-15
 
 
-def test_step_lowered_for_another_state_type_is_rejected():
-    circ = build_pauli_step(PauliTerm.from_string(0.5, "XZ"), 0.1)
-    step = lower_step(circ, StateVector(2))
-    with pytest.raises(TypeError, match="lowered for StateVector"):
-        run_step_circuit(DensityMatrix(2), step)
+@pytest.mark.parametrize("form", list(STEP_FORMS))
+def test_step_lowered_for_another_state_type_is_rejected(form, monkeypatch):
+    """Each step form, run on the state type it was not lowered for,
+    raises ``TypeError`` naming the one it was, before the state or the
+    step's moves change."""
+    path, noise, state_type, form_class = STEP_FORMS[form]
+    if path is not None:
+        force_path(monkeypatch, path)
+    circ = build_pauli_step(PauliTerm.from_string(-0.6, "IXYZ"), 0.3)
+    step = lower_step(circ, state_type(4), noise)
+    assert type(step) is form_class and form_class.state_type is state_type
+    psi = random_state(4, np.random.default_rng(29))
+    other = DensityMatrix if state_type is StateVector else StateVector
+    state = other(4, np.outer(psi, psi.conj()) if other is DensityMatrix else psi)
+    before = state._stored.copy()
+    with pytest.raises(TypeError, match=f"lowered for {state_type.__name__}"):
+        run_step_circuit(state, step, rng=make_rng(5))
+    assert np.array_equal(state._stored, before) and state._order is None and not step.moves
 
 
 def test_outcome_rule_clamps_and_raises():
@@ -894,8 +907,8 @@ def test_step_whose_outcome_weight_exceeds_one_raises():
     changes."""
     psi, rho = random_state(2), random_density(2)
     steps = [
-        (StateVector(2, psi), engine.BoundStep(StateVector, None, (0, 1), (1.01 * np.eye(4), None, None))),
-        (DensityMatrix(2, rho), engine.BoundStep(DensityMatrix, None, (0, 1), (None, np.full((4, 4), 1.01), None))),
+        (StateVector(2, psi), engine.K0Step((0, 1), 1.01 * np.eye(4))),
+        (DensityMatrix(2, rho), engine.PassSandwichStep((0, 1), None, np.full((4, 4), 1.01), None)),
     ]
     for state, step in steps:
         with pytest.raises(ValueError, match="exceeds 1"):
@@ -1058,7 +1071,7 @@ def test_channel_superoperator_matches_the_channel():
         want = rho.copy()
         engine._channel(want, model, counts)
         d = DensityMatrix(3, rho)
-        gathered, order = d._gather(bare_step(d, tuple(range(len(counts)))))
+        gathered, order = d._gather(bare_step(tuple(range(len(counts)))))
         d._stored, d._order = engine._channel_superop(model, counts) @ gathered, order
         assert np.abs(d.data - want).max() < 1e-14, counts
 
@@ -1080,10 +1093,10 @@ def step_target(n: int, order: tuple[int, ...], support: tuple[int, ...]):
     return support + columns + rest + rest_columns
 
 
-def bare_step(state, support: tuple[int, ...]) -> engine.BoundStep:
-    """A step on ``support`` for ``state``'s type with no operators: what
+def bare_step(support: tuple[int, ...]) -> engine.BoundStep:
+    """A step on ``support`` with no operators, of no form: what
     ``_gather`` reads of a step is its support and its move cache."""
-    return engine.BoundStep(type(state), None, support, ())
+    return engine.BoundStep(support)
 
 
 def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeypatch):
@@ -1104,7 +1117,7 @@ def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeyp
     d = DensityMatrix(n, rho)
     run_circuit(d, circ, noise=NoiseModel(0.02, 0.03))
     assert s._order == (1, 2, 3, 0) and d._order == step_target(n, tuple(range(2 * n)), support)
-    steps = [(s, bare_step(s, support)), (s, bare_step(s, (1, 2))), (d, bare_step(d, support))]
+    steps = [(s, bare_step(support)), (s, bare_step((1, 2))), (d, bare_step(support))]
     for meeting in ("first", "second"):
         for state, step in steps:
             order = state._order
@@ -1120,7 +1133,7 @@ def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeyp
     order = (1, 2, 3, 5, 6, 7, 4, 0)  # the rest's column before its row
     d = DensityMatrix(n, rho)
     d._stored, d._order = in_order(rho, order), order
-    gathered, target = d._gather(bare_step(d, support))
+    gathered, target = d._gather(bare_step(support))
     assert target == step_target(n, order, support) == (1, 2, 3, 5, 6, 7, 0, 4)
     assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
 
@@ -1161,7 +1174,7 @@ def test_index_move_equals_the_transposition_bitwise():
             if order is not None:
                 s._stored, s._order = vector_in_order(s._stored, order), order
             stored = s._stored.copy()
-            step = bare_step(s, support)
+            step = bare_step(support)
             gathered, target = s._gather(step)
             current = tuple(range(n)) if order is None else order
             assert target == support + tuple(q for q in current if q not in support)
@@ -1193,7 +1206,7 @@ def test_large_vectors_and_density_matrices_transpose():
         order = tuple(local.permutation(n).tolist())
         s = StateVector(n, psi)
         s._stored, s._order = vector_in_order(s._stored, order), order
-        step = bare_step(s, support)
+        step = bare_step(support)
         gathered, target = s._gather(step)
         assert type(step.moves[n, order][1]) is tuple
         assert gathered.shape == (8, 2 ** (n - 3))
@@ -1207,7 +1220,7 @@ def test_large_vectors_and_density_matrices_transpose():
             d = DensityMatrix(n, rho)
             if order is not None:
                 d._stored, d._order = in_order(rho, order), order
-            step = bare_step(d, support)
+            step = bare_step(support)
             gathered, target = d._gather(step)
             _, move = step.moves[n, order]
             assert move is None or type(move) is tuple
@@ -1304,7 +1317,7 @@ def test_moving_between_stored_orders_equals_a_canonical_round_trip(path, monkey
             d._stored, d._order = in_order(rho, order), order
             restored = copy.deepcopy(d).data
             assert np.array_equal(restored, rho) and restored.flags.c_contiguous
-            gathered, target = d._gather(bare_step(d, support))
+            gathered, target = d._gather(bare_step(support))
             assert target == step_target(n, order, support)
             assert gathered.shape[0] == 4**size
             assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
@@ -1692,12 +1705,12 @@ def test_sandwich_chain_of_lih_y_terms_matches_the_kraus_oracle(start, monkeypat
             for axes in ("IIYYXX", "ZIIYZY", "YXXZZY"):
                 circ = build_pauli_step(PauliTerm.from_string(0.3, axes), 0.2)
                 step = lower_step(circ, d, model)
-                (a, phase_in, _), middle, (b, _, phase_out) = step.ops
+                (a, phase_in, _), (b, _, phase_out) = step.pre, step.post
                 assert a.dtype == b.dtype == np.float64
                 assert phase_in is not None and phase_out is not None, axes
                 assert step_path(step) == path
                 if path == "sandwich":
-                    assert middle.stack.dtype == np.float64
+                    assert step.stack.dtype == np.float64
                 res = run_step_circuit(d, step)
                 rho, p0 = full_kraus_step(circ, rho, model)
                 assert res == pytest.approx(p0, rel=1e-12), (axes, path)
@@ -1753,10 +1766,9 @@ def test_mask_stack_step_matches_the_kraus_oracle(width, eps_d, start, monkeypat
             force_path(monkeypatch, path)
             step = lower_step(circ, d, model)
             assert step_path(step) == path and step.support == support, (name, path)
-            pre, middle, post = step.ops
             if path == "sandwich":
-                assert middle.stack.dtype == np.float64, name
-            assert (pre[2] is not None, post[1] is not None) == ((name == "phased"),) * 2
+                assert step.stack.dtype == np.float64, name
+            assert (step.pre[2] is not None, step.post[1] is not None) == ((name == "phased"),) * 2
             res = run_step_circuit(d, step)
             assert res == pytest.approx(p0, rel=1e-12), (name, path)
             assert np.abs(d.data - want).max() < 1e-12, (name, path)
@@ -1773,16 +1785,16 @@ def test_mask_stack_is_the_weight_then_the_channel(eps_d):
         size = 2**k
         c = np.cos(local.uniform(0.0, math.pi, size))
         w = np.outer(c, c) + 0.2 * np.outer(1.0 - c, 1.0 - c)
-        stage = engine._mask_stage(w, model)
-        assert np.array_equal(stage.row, w.diagonal())
-        assert stage.stack.shape == (size,) * 3 and stage.stack.dtype == np.float64
+        row, stack = engine._mask_stage(w, model)
+        assert np.array_equal(row, w.diagonal())
+        assert stack.shape == (size,) * 3 and stack.dtype == np.float64
         for rho in (local.standard_normal((size * size, 9)),
                     local.standard_normal((size * size, 9))
                     + 1j * local.standard_normal((size * size, 9))):
             want = rho * w.reshape(-1, 1) * 0.7
             if model is not None:
                 engine._channel(want, model, (1,) * k, columns=k)
-            got = engine._by_mask(stage.stack, rho, 0.7)
+            got = engine._by_mask(stack, rho, 0.7)
             assert got.shape == rho.shape
             assert np.abs(got - want).max() < 1e-14 * np.abs(want).max() * size, k
     order, inverse = engine._mask_order(3)
@@ -1816,7 +1828,7 @@ def test_post_from_the_adjoint_of_pre_is_the_kernel_built_post(monkeypatch):
             assert np.array_equal(pre_s.conj().T, post_s), term
             built.clear()
             step = lower_step(circ, StateVector(n), model)
-            assert len(built) == 1 and np.array_equal(step.ops[2], post_s), term
+            assert len(built) == 1 and np.array_equal(step.post, post_s), term
     ancilla = 2
     circ = Circuit(2, True, (Hadamard(0), CNOT(0, 1), ControlledRy(0.7, 1, ancilla), PauliX(0)), 3)
     for state in (StateVector(2), DensityMatrix(2)):
@@ -1893,7 +1905,7 @@ def test_noiseless_k0_is_real_exactly_when_its_y_count_is_even(dt):
     for term in k0_oracle_terms():
         circ = build_pauli_step(term, dt)
         step = lower_step(circ, StateVector(term.n_qubits))
-        k0 = step.ops[0]
+        k0 = step.k0
         n_y = sum(a is PauliAxis.Y for a in term.axes)
         assert k0.dtype == (np.float64 if n_y % 2 == 0 else np.complex128), term
         want = postselected_operator(circ)
@@ -1913,7 +1925,7 @@ def test_noiseless_lih_run_stays_real(monkeypatch):
     def recording(state, step, rng=None):
         result = run(state, step, rng)
         dtypes.add(state._stored.dtype)
-        k0_dtypes.add(step.ops[0].dtype)
+        k0_dtypes.add(step.k0.dtype)
         return result
 
     monkeypatch.setattr(pite, "run_step_circuit", recording)
@@ -1930,10 +1942,10 @@ def test_noiseless_lih_run_stays_real(monkeypatch):
     assert dtypes == k0_dtypes == {np.dtype(np.float64)}
 
 
-def k0_boundary_step(k0: np.ndarray) -> engine.BoundStep:
+def k0_boundary_step(k0: np.ndarray) -> engine.K0Step:
     """A hand-built noiseless statevector step whose K0 acts on qubit 0 of
     two."""
-    return engine.BoundStep(StateVector, None, (0,), (k0, None, None))
+    return engine.K0Step((0,), k0)
 
 
 def k0_boundary_states():
@@ -2007,7 +2019,7 @@ def test_odd_y_k0_on_a_real_vector_reports_the_squared_modulus(axes):
     psi /= np.linalg.norm(psi)
     state = StateVector(4, psi)
     step = lower_step(circ, state)
-    assert step.ops[0].dtype == np.complex128 and state._stored.dtype == np.float64
+    assert step.k0.dtype == np.complex128 and state._stored.dtype == np.float64
     z = postselected_operator(circ) @ psi
     want = float(np.vdot(z, z).real)
     assert run_step_circuit(state, step) == pytest.approx(want, rel=1e-14)
@@ -2200,7 +2212,7 @@ def test_one_gather_energy_matches_the_dense_hamiltonian(name):
         k = len(support)
         k0 = rng.standard_normal((2**k, 2**k)) * (1.0 if cast is float else 1.0 + 1.0j)
         k0 *= 0.8 / np.linalg.norm(k0, 2)  # prob0 <= 0.64
-        run_step_circuit(state, engine.BoundStep(StateVector, None, support, (k0, None, None)))
+        run_step_circuit(state, engine.K0Step(support, k0))
         psi = on_register(k0, support, n) @ psi
     assert state._order is not None and abs(state._norm2 - 1.0) > 1e-3
     psi /= np.linalg.norm(psi)

@@ -1,11 +1,17 @@
 """``tools/trace_records.py``: ``--diff`` on small record files (its exit
-code and per-field maxima), and its copies of the benchmark workloads'
-parameters, which must not drift from ``perfbench/workloads.py``."""
+code and per-field maxima), its copies of the benchmark workloads'
+parameters, which must not drift from ``perfbench/workloads.py``, and the
+step forms its runs lower to, every one of which its byte-identity check
+is to cover."""
 import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+from pite_sim import engine, pite
 from pite_sim.pite import TraceRecord
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -94,3 +100,35 @@ def test_runs_copy_the_benchmark_workloads():
             assert (steps, order) == (w.n_steps, 1), label
             assert keywords.get("noise") == w.noise, label
             assert keywords.get("mode", "postselect") == w.mode, label
+
+
+class Lowered(Exception):
+    """Raised in place of a run's first step, once all of its steps are
+    lowered."""
+
+
+def test_runs_take_every_step_form(monkeypatch):
+    """Each run lowers its circuits, once per distinct circuit, and stops
+    before its first step; the 13 runs lower to all six step forms. The
+    one gate-list sandwich is the 7-qubit term of "file8 noisy"."""
+    tool = load("trace_records_forms", TOOL)
+    lowered = []
+
+    def counting(circuit, state, noise=None):
+        step = engine.lower_step(circuit, state, noise)
+        lowered.append((label, type(step).__name__))
+        return step
+
+    def stop(state, step, rng=None):
+        raise Lowered
+
+    monkeypatch.setattr(pite, "lower_step", counting)
+    monkeypatch.setattr(pite, "run_step_circuit", stop)
+    for label, *fields in tool.RUNS:
+        with pytest.raises(Lowered):
+            tool.run(*fields)
+    assert Counter(form for _, form in lowered) == {
+        "K0Step": 138, "BranchStep": 131, "SuperopStep": 70,
+        "MaskSandwichStep": 39, "PassSandwichStep": 5, "GateListSandwichStep": 1,
+    }
+    assert ("file8 noisy", "GateListSandwichStep") in lowered

@@ -14,15 +14,15 @@ relative difference between the two files, then the largest per field
 over all runs, and exits 1 when any line differs (0 when the files are
 byte-identical, that is when every record of every run is bitwise equal).
 
-The runs take every step form (K0 products, trajectories,
-superoperators, X-mask and pass-form sandwiches, gate lists): the four
-benchmark workloads (``lih-grouped-sample`` at seeds 0, 1 and 2) and H2
-at R 0.75; noisy LiH trajectories; grouped noisy LiH at Trotter order 2;
-and an 8-qubit file model with a 7-qubit term (a gate-list step) and
-odd-Y terms, noiseless, as a noisy density matrix and as trajectories.
-The benchmark
-workloads' parameters are copied here so that this script imports nothing
-but ``pite_sim`` and numpy.
+The runs lower their circuits to every step form of ``pite_sim.engine``
+(``K0Step``, ``BranchStep``, ``SuperopStep``, ``MaskSandwichStep``,
+``PassSandwichStep`` and ``GateListSandwichStep``): the four benchmark
+workloads (``lih-grouped-sample`` at seeds 0, 1 and 2) and H2 at R 0.75;
+noisy LiH trajectories; grouped noisy LiH at Trotter order 2; and an
+8-qubit file model with a 7-qubit term (a gate-list step) and odd-Y
+terms, noiseless, as a noisy density matrix and as trajectories. The
+benchmark workloads' parameters are copied here so that this script
+imports nothing but ``pite_sim`` and numpy.
 """
 from __future__ import annotations
 
@@ -86,24 +86,28 @@ RUNS = [
 ]
 
 
-def write(path: Path, src: Path) -> int:
-    sys.path.insert(0, str(src))
+def run(model: str, grouped: bool, steps: int, order: int, keywords: dict):
+    """The result of one run of ``RUNS`` (its fields after the label),
+    from the ``pite_sim`` on ``sys.path``."""
     from pite_sim import grouping, hamiltonian, pite
     from pite_sim.engine import NoiseModel
 
+    h, init = _model(model, hamiltonian)
+    if "noise" in keywords:
+        keywords = {**keywords, "noise": NoiseModel(*keywords["noise"])}
+    schedule = pite.Schedule(dt=DT, n_steps=steps, order=order)
+    config = pite.RunConfig(**keywords)
+    if grouped:
+        blocks = grouping.group_hamiltonian(h, grouping.lih_groupspec())
+        return pite.run_generalized(h, blocks, init, schedule, config)
+    return pite.run_pite(h, init, schedule, config)
+
+
+def write(path: Path, src: Path) -> int:
+    sys.path.insert(0, str(src))
     lines = []
-    for label, model, grouped, steps, order, keywords in RUNS:
-        h, init = _model(model, hamiltonian)
-        if "noise" in keywords:
-            keywords = {**keywords, "noise": NoiseModel(*keywords["noise"])}
-        schedule = pite.Schedule(dt=DT, n_steps=steps, order=order)
-        config = pite.RunConfig(**keywords)
-        if grouped:
-            blocks = grouping.group_hamiltonian(h, grouping.lih_groupspec())
-            result = pite.run_generalized(h, blocks, init, schedule, config)
-        else:
-            result = pite.run_pite(h, init, schedule, config)
-        lines += [f"{label}\t{record!r}" for record in result.records]
+    for label, *fields in RUNS:
+        lines += [f"{label}\t{record!r}" for record in run(*fields).records]
     path.write_text("".join(line + "\n" for line in lines))
     print(f"{len(RUNS)} runs, {len(lines)} records from {src} written to {path}")
     return 0
