@@ -29,22 +29,28 @@ a class under :class:`BoundStep`, picked by the state type and |S|:
   as passes (:func:`_channel`);
 - :class:`GateListSandwichStep`, a wider one still.
 
-Up to ``FUSED_MAX_SUPPORT`` qubits the gates become 2^|S| x 2^|S|
-matrices, built by running the gate kernels on the identity columns,
-each gate's qubits mapped onto their positions in S (Post_S is the
-adjoint of Pre_S when its gates are Pre's inverted; K0 is Post's kernels
-run on diag(c_S) Pre_S). The kernels keep real and imaginary parts apart
-(a complex entry times a real factor, a sum of two such entries) and
-turn a phase by an exact quarter turn, so an imaginary part that cancels
-in K0 comes out exactly 0: the K0 of a Pauli term, a I + b P, is real
-whenever P has an even number of Y factors, and then it is stored as
-float64 (as every exactly real array is, :func:`_as_state_array`) and a
-real state stays real. A wider step, whose matrices would grow as
-4^|S|, keeps its own Pre and Post gate lists, which the kernels run in
-place on the gathered block, through the support's map from each qubit
-to its position in S (on a density matrix on S's row bits, then
-conjugated on its column bits), copied first only where it may be the
-stored state itself; every other stage is the one a fused step runs.
+A per-term K0 (Pre of Hadamard, PhaseS, PhaseSdg, PauliX and CNOT
+gates, one controlled-Ry from a pivot qubit onto the ancilla, Post the
+adjoint of Pre) is built from no gate kernel: it is a I + b P', with
+P' = Pre^dag Z_pivot Pre propagated as i^phase X^x Z^z bit masks by the
+stabilizer conjugation rules (:func:`_pauli_k0`), and it is real, and
+stored as float64, exactly when that phase is even (the term has an
+even number of Y factors), so a real state stays real. Every other
+matrix up to ``FUSED_MAX_SUPPORT`` qubits is 2^|S| x 2^|S|, built by
+running the gate kernels on the identity columns, each gate's qubits
+mapped onto their positions in S (Post_S is the adjoint of Pre_S when
+its gates are Pre's inverted; any other K0 is Post's kernels run on
+diag(c_S) Pre_S). The kernels keep real and imaginary parts apart (a
+complex entry times a real factor, a sum of two such entries) and turn
+a phase by an exact quarter turn, so an imaginary part that cancels in
+a grouped K0 or a density-matrix operator comes out exactly 0, and an
+exactly real array is stored as float64 (:func:`_as_state_array`). A
+wider step, whose matrices would grow as 4^|S|, keeps its own Pre and
+Post gate lists, which the kernels run in place on the gathered block,
+through the support's map from each qubit to its position in S (on a
+density matrix on S's row bits, then conjugated on its column bits),
+copied first only where it may be the stored state itself; every other
+stage is the one a fused step runs.
 
 Every density-matrix step works on the matrix gathered with S's row bits
 first, then S's column bits, then the rest's: as (4^|S|, rest^2), S's
@@ -173,6 +179,7 @@ SUPEROP_MAX_SUPPORT = FUSED_MAX_SUPPORT // 2
 MASK_STACK_MAX_SUPPORT = 2 * FUSED_MAX_SUPPORT // 3
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+_CLIFFORD_1Q = frozenset((Hadamard, PhaseS, PhaseSdg, PauliX))
 
 
 class EvolutionAnnihilatedError(RuntimeError):
@@ -1159,9 +1166,11 @@ class BoundStep:
 @dataclass(frozen=True, eq=False, slots=True)
 class K0Step(BoundStep):
     """A noiseless statevector step on at most ``FUSED_MAX_SUPPORT``
-    qubits: one product by ``k0`` = Post_S diag(c_S) Pre_S, built by
-    Post's kernels on diag(c_S) Pre_S so that a K0 real in exact
-    arithmetic is exactly real and float64 (see the module docstring)."""
+    qubits: one product by ``k0`` = Post_S diag(c_S) Pre_S. A per-term
+    step's is a I + b P', filled from the Pauli P' its Pre maps onto the
+    pivot (:func:`_pauli_k0`); any other is Post's kernels run on
+    diag(c_S) Pre_S. Either way a K0 real in exact arithmetic is exactly
+    real and float64 (see the module docstring)."""
 
     state_type = StateVector
     k0: np.ndarray
@@ -1334,6 +1343,87 @@ def _fold_rotation(
     return np.cos(theta / 2.0), np.sin(theta / 2.0)
 
 
+@lru_cache(maxsize=None)
+def _parities(k: int) -> np.ndarray:
+    """popcount(y) & 1 for each y in range(2^k), read-only."""
+    parity = np.zeros(1, dtype=np.int64)
+    for _ in range(k):
+        parity = np.concatenate((parity, parity ^ 1))
+    parity.setflags(write=False)
+    return parity
+
+
+def _pivot_pauli(
+    pre: tuple[Gate, ...], pivot: int, support: tuple[int, ...]
+) -> tuple[int, int, int] | None:
+    """P' = Pre^dag Z_pivot Pre as (x, z, phase): P' = i^phase X^x Z^z on
+    S, its bit masks in S's basis order, walking Pre from its last gate to
+    its first by the stabilizer conjugation rules; None when Pre has a
+    gate other than Hadamard, PhaseS, PhaseSdg, PauliX and CNOT."""
+    k = len(support)
+    bits = {q: 1 << (k - 1 - i) for i, q in enumerate(support)}
+    x, z, phase = 0, bits[pivot], 0
+    for g in reversed(pre):  # P <- g^dag P g
+        kind = type(g)
+        if kind is CNOT:
+            if x & bits[g.control]:
+                x ^= bits[g.target]
+            if z & bits[g.target]:
+                z ^= bits[g.control]
+            continue
+        if kind not in _CLIFFORD_1Q:
+            return None
+        bit = bits[g.qubit]
+        if kind is Hadamard:
+            phase += 2 * (x & z & bit > 0)
+            swap = (x ^ z) & bit
+            x, z = x ^ swap, z ^ swap
+        elif kind is PauliX:
+            phase += 2 * (z & bit > 0)
+        elif x & bit:  # S adds 3, S^dag 1, and each sets z ^= x
+            phase += 3 if kind is PhaseS else 1
+            z ^= bit
+    return x, z, phase & 3
+
+
+def _pauli_k0(
+    pre: tuple[Gate, ...],
+    rotation: tuple[Gate, ...],
+    post: tuple[Gate, ...],
+    support: tuple[int, ...],
+    c: np.ndarray,
+) -> np.ndarray | None:
+    """K0 of a per-term step, or None for any other circuit: a Pre of
+    Hadamard, PhaseS, PhaseSdg, PauliX and CNOT gates, one
+    ``ControlledRy`` from a qubit of S onto the ancilla and a Post that is
+    Pre's adjoint. Then K0 = Pre^dag diag(c_S) Pre = a I + b P', with
+    a, b = (1 +- cos(theta/2))/2 and P' = Pre^dag Z_pivot Pre
+    (:func:`_pivot_pauli`), which maps |y> to
+    i^phase (-1)^popcount(y & z) |y ^ x>. So K0 is real exactly when the
+    phase is even (or b = 0); a diagonal P' (x = 0) takes its entries 1
+    and cos(theta/2) as c holds them."""
+    if len(rotation) != 1 or type(rotation[0]) is not ControlledRy or post != adjoint_sequence(pre):
+        return None
+    pauli = _pivot_pauli(pre, rotation[0].control, support)
+    if pauli is None:
+        return None
+    x, z, phase = pauli
+    cos = float(c[-1])  # c where every bit, the pivot's too, is 1
+    basis = np.arange(len(c))
+    # the parity of popcount(y & z) + phase // 2, the sign of the entry of P'
+    # in column y (of its imaginary part when the phase is odd)
+    odd = _parities(len(support))[basis & z] ^ (phase >> 1)
+    if not x:
+        return np.diag(np.where(odd, cos, 1.0))
+    off = (1.0 - cos) / 2 * (1.0 - 2.0 * odd)
+    if phase & 1 and cos != 1.0:
+        off = off * 1j
+    k0 = np.zeros((len(c), len(c)), off.dtype)
+    k0[basis, basis] = (1.0 + cos) / 2
+    k0[basis ^ x, basis] = off
+    return k0
+
+
 def lower_step(
     circuit: Circuit, state: StateVector | DensityMatrix, noise: NoiseModel | None = None
 ) -> BoundStep:
@@ -1343,55 +1433,62 @@ def lower_step(
     The rotation runs from the first gate that touches the ancilla to the
     measurement; each of its gates must be a y-rotation targeting the
     ancilla, and every gate of Pre (the gates before the rotation) and of
-    Post one that the kernels run; else it raises ``ValueError``. Pre_S
-    (and Post_S, unless Post's gates invert Pre's) is the
-    gate kernels run on the identity columns with each qubit on its
-    position in S; a noiseless statevector step builds no Post_S, but
-    runs Post's kernels on diag(c_S) Pre_S, which makes K0 exactly real
-    whenever its imaginary part cancels. A density matrix's T_S is
+    Post one that the kernels run; else it raises ``ValueError``. Each
+    check runs before anything is built. A noiseless statevector step of
+    the per-term shape (see :func:`_pauli_k0`) then takes its K0 from the
+    Pauli its Pre maps onto the pivot, with no kernel run. Otherwise Pre_S
+    (and Post_S, unless Post's gates invert Pre's) is the gate kernels
+    run on the identity columns with each qubit on its position in S; any
+    other noiseless statevector step builds no Post_S, but runs Post's
+    kernels on diag(c_S) Pre_S, which makes K0 exactly real whenever its
+    imaginary part cancels. A density matrix's T_S is
     (Post_S (x) Post_S*) N_S diag(vec W) (Pre_S (x) Pre_S*), with N_S one
     application of the channel on S, and its prob0 row
     v = vec(diag W)^T (Pre_S (x) Pre_S*).
     """
     ancilla = circuit.ancilla
-    pre = circuit.pre_measure
-    split = next((i for i, g in enumerate(pre) if ancilla in qubits_of(g)), len(pre))
-    rotation = pre[split:]
-    for g in rotation:
-        if not isinstance(g, (Ry, ControlledRy, ConditionalRy)) or qubits_of(g)[-1] != ancilla:
+    pre, post = circuit.pre_measure, circuit.post_measure
+    qubits = [qubits_of(g) for g in circuit.gates]
+    split = next((i for i, q in enumerate(qubits[: len(pre)]) if ancilla in q), len(pre))
+    pre, rotation = pre[:split], pre[split:]
+    for g, q in zip(rotation, qubits[split:]):
+        if not isinstance(g, (Ry, ControlledRy, ConditionalRy)) or q[-1] != ancilla:
             raise ValueError(
                 f"step circuit has {g!r} between its ancilla rotation and the measurement; "
                 "only y-rotations targeting the ancilla may sit there"
             )
     kernels = (Hadamard, PhaseS, PhaseSdg, PauliX, CNOT, DenseBlock)
-    for g in (*pre[:split], *circuit.post_measure):
+    for g in (*pre, *post):
         if not isinstance(g, kernels):
             raise ValueError(
                 f"step circuit has {g!r} on its work register, which no kernel runs; "
                 "only Hadamard, PhaseS, PhaseSdg, PauliX, CNOT and DenseBlock gates may "
                 "sit before the ancilla rotation or after the measurement"
             )
-    support = tuple(sorted({q for g in circuit.gates for q in qubits_of(g)} - {ancilla}))
+    support = tuple(sorted({i for q in qubits for i in q} - {ancilla}))
     c, s = _fold_rotation(rotation, support, ancilla)
     if noise is not None and noise.is_identity:
         noise = None
     if len(support) > FUSED_MAX_SUPPORT:
-        pre_g, post_g = pre[:split], circuit.post_measure
         if isinstance(state, StateVector):
-            return BranchStep(support, pre_g, c, s, post_g, noise=noise)
+            return BranchStep(support, pre, c, s, post, noise=noise)
         # sandwiches, left out when empty
-        pre_g, post_g = ((g, None, None) if g else None for g in (pre_g, post_g))
+        pre_g, post_g = ((g, None, None) if g else None for g in (pre, post))
         return GateListSandwichStep(support, pre_g, c, s, post_g, noise=noise)
-    pre_s = _on_support(pre[:split], support)
-    if isinstance(state, StateVector) and noise is None:
+    fused_k0 = isinstance(state, StateVector) and noise is None
+    k0 = _pauli_k0(pre, rotation, post, support, c) if fused_k0 else None
+    if k0 is not None:
+        return K0Step(support, k0)
+    pre_s = _on_support(pre, support)
+    if fused_k0:
         # K0 = Post_S diag(c_S) Pre_S by Post's kernels on S
         position = {q: i for i, q in enumerate(support)}
-        k0 = _product(circuit.post_measure, c[:, None] * pre_s, overwrite=True, axes=position)
+        k0 = _product(post, c[:, None] * pre_s, overwrite=True, axes=position)
         return K0Step(support, _as_state_array(k0))
-    if circuit.post_measure == adjoint_sequence(pre[:split]):
+    if post == adjoint_sequence(pre):
         post_s = np.ascontiguousarray(pre_s.conj().T)
     else:
-        post_s = _on_support(circuit.post_measure, support)
+        post_s = _on_support(post, support)
     eps_d = 0.0 if noise is None else noise.eps_d
     if isinstance(state, DensityMatrix):
         weights = np.outer(c, c) + eps_d * np.outer(s, s)
@@ -1406,8 +1503,8 @@ def lower_step(
             prob0_row = weights.diagonal() @ pre_t[:: len(c) + 1]
             return SuperopStep(support, superop, prob0_row, noise=noise)
         # an empty gate list leaves its sandwich out
-        pre_op = _phased(pre_s) if pre[:split] else None
-        post_op = _phased(post_s) if circuit.post_measure else None
+        pre_op = _phased(pre_s) if pre else None
+        post_op = _phased(post_s) if post else None
         if len(support) <= MASK_STACK_MAX_SUPPORT:
             row, stack = _mask_stage(weights, noise)
             return MaskSandwichStep(support, pre_op, row, stack, post_op, noise=noise)

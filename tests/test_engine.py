@@ -1912,6 +1912,227 @@ def test_noiseless_k0_is_real_exactly_when_its_y_count_is_even(dt):
         assert np.abs(on_register(k0, step.support, term.n_qubits) - want).max() < 1e-14, term
 
 
+def on_its_support(circ: Circuit, support: tuple[int, ...]) -> Circuit:
+    """A per-term step circuit on its support alone: qubit support[i]
+    relabelled i and the ancilla len(support), so that its dense oracle
+    stays small on a wide register."""
+    label = {q: i for i, q in enumerate(support)} | {circ.ancilla: len(support)}
+    fields = ("qubit", "control", "target")
+    gates = tuple(
+        dataclasses.replace(g, **{f: label[getattr(g, f)] for f in fields if hasattr(g, f)})
+        for g in circ.gates
+    )
+    return Circuit(len(support), True, gates, circ.measure_point)
+
+
+def term_masks(term: PauliTerm) -> tuple[int, int, int]:
+    """The term's X mask (X and Y factors) and Z mask (Z and Y factors) on
+    its support, in the support's basis order, and its Y count."""
+    support = term.support
+    x = z = 0
+    for i, q in enumerate(support):
+        bit = 1 << (len(support) - 1 - i)
+        x |= bit if term.axes[q] in (PauliAxis.X, PauliAxis.Y) else 0
+        z |= bit if term.axes[q] in (PauliAxis.Z, PauliAxis.Y) else 0
+    return x, z, sum(term.axes[q] is PauliAxis.Y for q in support)
+
+
+@pytest.mark.parametrize("dt", [0.013, 0.2])
+def test_per_term_k0_is_filled_from_the_pivot_pauli(dt, monkeypatch):
+    """For every term of H2, LiH and Ising n=4, 8 and 10, and random 1-6
+    qubit strings with Y factors and either sign of coefficient, the K0
+    filled from P' = Pre^dag Z_pivot Pre equals the postselected operator
+    of the step on its support within 1e-14 and has the dtype of the K0
+    the kernels build. P' is -sign(c) times the term's own Pauli string
+    (U c P U^dag = -|c| Z_pivot): the term's X and Z masks, phase
+    #Y + (2 when c > 0), which checks ``synthesize_uk`` as well. A |c| so
+    small that theta rounds to 0 leaves K0 = I, real for an odd Y count
+    too, as the kernels build it."""
+    terms = k0_oracle_terms() + [t for n in (8, 10) for t in build_ising(n, 1.0, 1.2, 0.3).terms]
+    terms += [PauliTerm.from_string(1e-20, "XYZ"), PauliTerm.from_string(-1e-20, "IY")]
+    k0s = []
+    for term in terms:
+        circ = build_pauli_step(term, dt)
+        step = lower_step(circ, StateVector(term.n_qubits))
+        assert type(step) is engine.K0Step and step.support == term.support, term
+        want = postselected_operator(on_its_support(circ, step.support))
+        assert np.abs(step.k0 - want).max() < 1e-14, term
+        x, z, n_y = term_masks(term)
+        rotation = circ.pre_measure[-1]
+        pauli = engine._pivot_pauli(circ.pre_measure[:-1], rotation.control, step.support)
+        assert pauli == (x, z, (n_y + 2 * (term.coeff > 0)) % 4), term
+        k0s.append(step.k0)
+    monkeypatch.setattr(engine, "_pauli_k0", lambda *args: None)  # the kernels build every K0
+    for term, k0 in zip(terms, k0s):
+        kernel_k0 = lower_step(build_pauli_step(term, dt), StateVector(term.n_qubits)).k0
+        assert kernel_k0.dtype == k0.dtype, term
+
+
+def random_clifford_step(n: int, n_gates: int, source: np.random.Generator) -> Circuit:
+    """A step of the per-term shape whose Pre is ``n_gates`` random
+    Hadamard, PhaseS, PhaseSdg, PauliX and CNOT gates on n qubits."""
+    pre = []
+    for _ in range(n_gates):
+        kind = int(source.integers(5 if n > 1 else 4))
+        if kind == 4:
+            control, target = source.choice(n, size=2, replace=False)
+            pre.append(CNOT(int(control), int(target)))
+        else:
+            pre.append((Hadamard, PhaseS, PhaseSdg, PauliX)[kind](int(source.integers(n))))
+    pivot = pre[-1].qubit if kind < 4 else pre[-1].target
+    gates = (*pre, ControlledRy(0.9, pivot, n), *adjoint_sequence(tuple(pre)))
+    return Circuit(n, True, gates, len(pre) + 1)
+
+
+def test_pivot_pauli_of_random_clifford_circuits(monkeypatch):
+    """On random Clifford Pres, which put every conjugation rule to work
+    (a Hadamard on a Y factor among them, which no synthesized U_k
+    meets), i^phase X^x Z^z equals Pre^dag Z_pivot Pre from the gates'
+    definitions, and the K0 filled from it equals the postselected
+    operator, with the dtype of the K0 the kernels build."""
+    source = np.random.default_rng(41)
+    paulis = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Z": np.diag([1.0, -1.0])}
+    steps = [random_clifford_step(n, int(source.integers(1, 13)), source)
+             for n in (1, 2, 3, 4) for _ in range(40)]
+    k0s = []
+    for circ in steps:
+        n, pre = circ.n_work, circ.pre_measure[:-1]
+        step = lower_step(circ, StateVector(n))
+        k0s.append(step.k0)
+        x, z, phase = engine._pivot_pauli(pre, circ.pre_measure[-1].control, step.support)
+        k = len(step.support)
+        mask = np.array([[1.0]])
+        for i in range(k):
+            bit = 1 << (k - 1 - i)
+            mask = np.kron(mask, paulis["X" if x & bit else "I"] @ paulis["Z" if z & bit else "I"])
+        u = gates_unitary(pre, n)
+        z_pivot = on_register(paulis["Z"], (circ.pre_measure[-1].control,), n)
+        want = u.conj().T @ z_pivot @ u
+        assert np.abs(1j**phase * on_register(mask, step.support, n) - want).max() < 1e-14, circ
+        assert np.abs(on_register(step.k0, step.support, n) - postselected_operator(circ)).max() < 1e-14
+    monkeypatch.setattr(engine, "_pauli_k0", lambda *args: None)
+    for circ, k0 in zip(steps, k0s):
+        assert lower_step(circ, StateVector(circ.n_work)).k0.dtype == k0.dtype, circ
+
+
+def test_every_per_term_noiseless_step_takes_the_pivot_pauli(monkeypatch):
+    """Each noiseless statevector step of H2, LiH (all 61 terms) and Ising
+    n=8 and 10 gets its K0 from ``_pauli_k0``, and no matrix is built by
+    the kernels: a fall-back to them fails here, lowered one by one and in
+    a LiH run."""
+    from pite_sim import pite
+
+    made = []
+    pauli_k0 = engine._pauli_k0
+
+    def spy(*args):
+        made.append(pauli_k0(*args))
+        return made[-1]
+
+    def kernels(gates, support):
+        raise AssertionError(f"the kernels built a matrix of {gates!r}")
+
+    monkeypatch.setattr(engine, "_pauli_k0", spy)
+    monkeypatch.setattr(engine, "_on_support", kernels)
+    lih = build_lih()
+    assert lih.n_terms == 61
+    for h in (build_h2(0.75), lih, build_ising(8, 1.0, 1.2, 0.3), build_ising(10, 1.0, 1.2, 0.3)):
+        for term in h.terms:
+            step = lower_step(build_pauli_step(term, 0.05), StateVector(h.n_qubits))
+            assert made[-1] is not None and step.k0 is made[-1], term
+    made.clear()
+    init = prepare_initial(InitialState.superposition([(math.sqrt(0.99), "110000"), (0.1, "000011")]), 6)
+    assert pite.run_pite(lih, init, pite.Schedule(dt=0.05, n_steps=2)).completed
+    assert len(made) == 61 and all(k0 is not None for k0 in made)
+
+
+def off_the_pauli_shape() -> dict[str, Circuit]:
+    """Two-qubit step circuits that the per-term K0 does not take: a dense
+    block in Pre, a Post that is not Pre's adjoint, and a rotation that is
+    an Ry, a ConditionalRy or two controlled-Rys; "pauli" is the shape
+    itself, for the noisy and density-matrix steps."""
+    pre = (Hadamard(0), PhaseSdg(1), Hadamard(1), CNOT(1, 0))
+    post = adjoint_sequence(pre)
+    cry = (ControlledRy(0.7, 0, 2),)
+    dense = (DenseBlock((1, 0), random_unitary(4, np.random.default_rng(31))), *pre)
+
+    def step(pre, rotation, post):
+        return Circuit(2, True, (*pre, *rotation, *post), len(pre) + len(rotation))
+
+    return {
+        "pauli": step(pre, cry, post),
+        "dense-block-pre": step(dense, cry, adjoint_sequence(dense)),
+        "post-not-adjoint": step(pre, cry, (*post, PauliX(1))),
+        "ry": step(pre, (Ry(0.7, 2),), post),
+        "conditional-ry": step(pre, (ConditionalRy((0, 1), ((1, 0.4), (3, 1.1)), 2),), post),
+        "two-rotations": step(pre, (*cry, ControlledRy(0.3, 1, 2)), post),
+    }
+
+
+@pytest.mark.parametrize("case", list(off_the_pauli_shape()))
+def test_steps_off_the_pauli_shape_lower_through_the_kernels(case, monkeypatch):
+    """Each circuit off the per-term shape, noiseless on a statevector,
+    gets no K0 from ``_pauli_k0`` and has its matrices built by the
+    kernels; so does every noisy statevector step and every density-matrix
+    step, the per-term shape included. Each matches its oracle: the
+    postselected operator, or ``full_kraus_step`` with noise (a
+    trajectory's prob0 only)."""
+    circ = off_the_pauli_shape()[case]
+    made, built = [], []
+    pauli_k0, on_support = engine._pauli_k0, engine._on_support
+    monkeypatch.setattr(engine, "_pauli_k0", lambda *args: made.append(pauli_k0(*args)) or made[-1])
+    monkeypatch.setattr(engine, "_on_support", lambda g, s: built.append(g) or on_support(g, s))
+    psi = random_state(2, np.random.default_rng(37))
+    rho = np.outer(psi, psi.conj())
+    k = postselected_operator(circ)
+    runs = [(StateVector, NoiseModel(0.1, 0.2)), (DensityMatrix, None), (DensityMatrix, NoiseModel(0.1, 0.2))]
+    if case != "pauli":
+        runs.append((StateVector, None))
+    for state_type, noise in runs:
+        made.clear()
+        built.clear()
+        state = state_type(2, rho if state_type is DensityMatrix else psi)
+        step = lower_step(circ, state, noise)
+        assert all(k0 is None for k0 in made) and built, (state_type, noise)
+        prob0 = run_step_circuit(state, step, rng=make_rng(3))
+        if noise is not None:
+            want_rho, want = full_kraus_step(circ, rho, noise)
+            if state_type is DensityMatrix:
+                assert np.abs(state.data - want_rho).max() < 1e-12
+        else:
+            z = k @ psi
+            want = float(np.vdot(z, z).real)
+            if state_type is StateVector:
+                assert made == [None] and np.abs(step.k0 - k).max() < 1e-14
+                assert np.abs(state.data - z / np.linalg.norm(z)).max() < 1e-12
+            else:
+                assert np.abs(state.data - np.outer(z, z.conj()) / want).max() < 1e-12
+        assert prob0 == pytest.approx(want, rel=1e-12), (state_type, noise)
+
+
+def test_lowering_errors_keep_their_messages():
+    """Both ``ValueError``s of ``lower_step`` read as they did before the
+    per-term K0 path, and come before it, on a per-term circuit with a
+    Hadamard on the ancilla before the measurement and with an Ry on a
+    work qubit, on either state type, noiseless and noisy."""
+    pre = (Hadamard(0), CNOT(1, 0))
+    at_ancilla = Circuit(2, True, (*pre, ControlledRy(0.7, 0, 2), Hadamard(2), *pre), 4)
+    on_work = Circuit(2, True, (*pre, ControlledRy(0.7, 0, 2), *pre, Ry(0.3, 1)), 3)
+    messages = {
+        at_ancilla: "step circuit has Hadamard(qubit=2) between its ancilla rotation and the "
+        "measurement; only y-rotations targeting the ancilla may sit there",
+        on_work: "step circuit has Ry(angle=0.3, qubit=1) on its work register, which no kernel "
+        "runs; only Hadamard, PhaseS, PhaseSdg, PauliX, CNOT and DenseBlock gates may sit "
+        "before the ancilla rotation or after the measurement",
+    }
+    for circ, message in messages.items():
+        for state in (StateVector(2), DensityMatrix(2)):
+            for noise in (None, NoiseModel(1e-3, 1e-3)):
+                with pytest.raises(ValueError) as raised:
+                    lower_step(circ, state, noise)
+                assert str(raised.value) == message
+
+
 def test_noiseless_lih_run_stays_real(monkeypatch):
     """A noiseless LiH run from a real initial state keeps its stored state
     float64 through every one of its measurements, per term and over the
@@ -2057,6 +2278,7 @@ def test_cached_arrays_are_read_only():
         vectors,
         engine._channel_factors(NoiseModel(0.2, 0.3), (1, 2))[1],
         engine._channel_superop(NoiseModel(0.2, 0.3), (1, 2)),
+        engine._parities(3),
         *h.x_mask_stack,
     ]
     for arr in cached:
