@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
-from .hamiltonian import PauliAxis, PauliTerm
+from .hamiltonian import PauliAxis, PauliTerm, real_if_exact
 
 if TYPE_CHECKING:
     from .grouping import GroupedBlock
@@ -156,10 +156,8 @@ class DenseBlock:
         err = np.abs(matrix.conj().T @ matrix - np.eye(dim)).max()
         if not err <= 1e-10:  # NaN fails too
             raise ValueError(f"dense block is not unitary (deviation {err:.3e})")
-        if np.iscomplexobj(matrix) and np.abs(matrix.imag).max() == 0.0:
-            matrix = matrix.real  # keep real-valued states on the real path
         self.qubits = qubits
-        self.matrix = matrix.astype(np.float64 if np.isrealobj(matrix) else np.complex128)
+        self.matrix = real_if_exact(matrix)  # keep real-valued states on the real path
 
     def adjoint(self) -> "DenseBlock":
         """The inverse block; the adjoint of a unitary needs no check."""

@@ -8,7 +8,7 @@ work basis state, outcome 0 keeps C rho C (C = diag(c)), plus
 eps_d S rho S (S = diag(s)) when the ancilla is noisy.
 
 Each step circuit is lowered once per run (:func:`lower_step`) onto its
-support S, the work qubits its gates touch, into one of six forms, each
+support S, the work qubits its gates touch, into one of five forms, each
 a class under :class:`BoundStep`, picked by the state type and |S|:
 
 - :class:`K0Step`, a noiseless statevector step on at most
@@ -24,10 +24,11 @@ a class under :class:`BoundStep`, picked by the state type and |S|:
   Pre_S and Post_S as sandwiches, and between them W and the channel
   on S, which keep each entry's X mask (row XOR column on S), as one
   real product batched over S's X-mask blocks;
-- :class:`PassSandwichStep`, a wider one on at most
-  ``FUSED_MAX_SUPPORT`` qubits: W scales the rows and the channel runs
-  as passes (:func:`_channel`);
-- :class:`GateListSandwichStep`, a wider one still.
+- :class:`PassSandwichStep`, every wider density-matrix step: W, built
+  from (c_S, s_S) as the step runs (:func:`_weights`), scales the rows
+  and the channel runs as passes (:func:`_channel`), between Pre_S and
+  Post_S up to ``FUSED_MAX_SUPPORT`` qubits and the gate lists of Pre
+  and Post beyond.
 
 A per-term K0 (Pre of Hadamard, PhaseS, PhaseSdg, PauliX and CNOT
 gates, one controlled-Ry from a pivot qubit onto the ancilla, Post the
@@ -44,7 +45,7 @@ diag(c_S) Pre_S). The kernels keep real and imaginary parts apart (a
 complex entry times a real factor, a sum of two such entries) and turn
 a phase by an exact quarter turn, so an imaginary part that cancels in
 a grouped K0 or a density-matrix operator comes out exactly 0, and an
-exactly real array is stored as float64 (:func:`_as_state_array`). A
+exactly real array is stored as float64 (``real_if_exact``). A
 wider step, whose matrices would grow as 4^|S|, keeps its own Pre and
 Post gate lists, which the kernels run in place on the gathered block,
 through the support's map from each qubit to its position in S (on a
@@ -142,7 +143,7 @@ from .circuit import (
     adjoint_sequence,
     qubits_of,
 )
-from .hamiltonian import PauliHamiltonian
+from .hamiltonian import PauliHamiltonian, real_if_exact
 
 __all__ = [
     "StateVector",
@@ -362,20 +363,6 @@ class NoiseModel:
         return self.eps_r == 0.0 and self.eps_d == 0.0
 
 
-def _as_state_array(data: np.ndarray) -> np.ndarray:
-    """Copy to float64 when exactly real, else complex128 (real-valued
-    models then evolve entirely in real arithmetic: a noiseless LiH K0
-    step took 3.6 us on a float64 state against 5.3 us on the same state
-    and K0s in complex128, medians over 80 interleaved passes of the 61
-    terms on a shared 2-vCPU Xeon, one BLAS thread, numpy 2.4)."""
-    arr = np.asarray(data)
-    if np.iscomplexobj(arr):
-        if np.abs(arr.imag).max(initial=0.0) == 0.0:
-            return arr.real.astype(np.float64)
-        return arr.astype(np.complex128)
-    return arr.astype(np.float64)
-
-
 def _postselected(prob0: float) -> float:
     """The ancilla measurement rule, shared by every step path: postselect
     outcome 0 with probability ``prob0``, which comes back as it is when
@@ -398,6 +385,13 @@ def _squared_norm(x: np.ndarray) -> float:
     """|x|^2 of a contiguous array: one dot on float64, ``vdot`` on complex."""
     flat = x.ravel()
     return float(flat.dot(flat)) if flat.dtype.kind == "f" else float(np.vdot(flat, flat).real)
+
+
+def _weights(c: np.ndarray, s: np.ndarray, eps_d: float) -> np.ndarray:
+    """W = c c^T + eps_d s s^T: outcome 0 of an ancilla with factors
+    (c, s) keeps entry (x, y) of a density matrix times W[x, y], both of
+    its branches, C rho C and the E2 jump's eps_d S rho S, summed."""
+    return np.outer(c, c) + eps_d * np.outer(s, s)
 
 
 class _State:
@@ -521,7 +515,7 @@ class StateVector(_State):
             amplitudes = np.ravel(amplitudes)
             if amplitudes.shape[0] != 2**n_qubits:
                 raise ValueError("amplitude count does not match qubit count")
-            self.data = _as_state_array(amplitudes)
+            self.data = real_if_exact(amplitudes)
 
     @_State.data.setter
     def data(self, entries: np.ndarray) -> None:
@@ -697,7 +691,7 @@ class DensityMatrix(_State):
             entries = np.asarray(entries)
             if entries.shape != (dim, dim):
                 raise ValueError("entry matrix does not match qubit count")
-            self.data = _as_state_array(entries)
+            self.data = real_if_exact(entries)
 
     @_State.data.setter
     def data(self, entries: np.ndarray) -> None:
@@ -772,11 +766,13 @@ class DensityMatrix(_State):
         rng: np.random.Generator | None = None,
     ) -> float:
         """:meth:`StateVector.measure_ancilla` on a density matrix, which
-        keeps both branches: the weight stage of a sandwich step on the
-        whole register, with W = c c^T + eps_d s s^T."""
-        weights = np.outer(c, c) + eps_d * np.outer(s, s)
-        whole = PassSandwichStep(tuple(range(self.n_qubits)), None, weights, None)
-        return self._run_step(whole, rng)
+        keeps both branches and so needs no ``rng``: on ``data``, with
+        W = c c^T + eps_d s s^T (:func:`_weights`), prob0 is
+        sum_x W_xx rho_xx and rho becomes W * rho / prob0 elementwise."""
+        weights, rho = _weights(c, s, eps_d), self.data
+        prob0 = _postselected(float(np.dot(weights.diagonal(), rho.diagonal()).real))
+        self.data = rho * (weights / prob0)
+        return prob0
 
     def _run_step(self, step: BoundStep, rng) -> float:
         # The step runs on, and stores, rho gathered with S's row bits, then
@@ -803,11 +799,7 @@ class DensityMatrix(_State):
             if form is MaskSandwichStep:
                 row = step.row
             else:
-                if form is GateListSandwichStep:  # W from (c_S, s_S)
-                    eps_d = 0.0 if noise is None else noise.eps_d
-                    weights = np.outer(step.c, step.c) + eps_d * np.outer(step.s, step.s)
-                else:
-                    weights = step.weights
+                weights = _weights(step.c, step.s, 0.0 if noise is None else noise.eps_d)
                 row = weights.diagonal()
             view = np.may_share_memory(rho, self._stored)
             axes = {q: i for i, q in enumerate(support)}  # for a gate list
@@ -818,10 +810,7 @@ class DensityMatrix(_State):
                         self._owed[q] = 0
             if step.pre is not None:
                 rho = _sandwich(step.pre, rho, not view, axes)
-            # outcome 0 weights entry (x, y) of every block on S by
-            # c_x c_y + eps_d s_x s_y; both ancilla branches are kept, so
-            # only their summed weight counts
-            traced = rho[:: 2**k + 1]
+            traced = rho[:: 2**k + 1]  # S's diagonal, which diag W weights
         rest = math.isqrt(rho.shape[1])
         prob0 = _postselected(float(np.dot(row, traced[:, :: rest + 1].sum(axis=1)).real))
         if form is SuperopStep:
@@ -898,8 +887,8 @@ def _channel(
     bit is the buffer's i-th most significant bit and its column bit sits
     ``columns`` bits after it: n (the default) in a 2^n x 2^n matrix, k in
     one gathered for a step on k qubits, whose row bits and then column
-    bits lead (a :class:`PassSandwichStep` or :class:`GateListSandwichStep`
-    applies it there to rows already scaled by W / prob0). With ``adjoint``,
+    bits lead (a :class:`PassSandwichStep` applies it there to rows
+    already scaled by W / prob0). With ``adjoint``,
     the adjoint channel N^dag instead, which maps an observable A to the
     one whose expectation on rho equals A's on N(rho).
 
@@ -1138,7 +1127,7 @@ def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...
 class BoundStep:
     """A step circuit lowered once, by :func:`lower_step`, for the state
     type and noise of a run, on its ``support`` S, the sorted work qubits
-    its gates touch. Each of its six forms below is one class, which
+    its gates touch. Each of its five forms below is one class, which
     names the ``state_type`` that runs it and holds its operators; they
     act on the state gathered in the step's order (see
     :func:`_step_order`), S's 2^|S| rows leading on a statevector and,
@@ -1184,7 +1173,8 @@ class BranchStep(BoundStep):
     trajectory) on at most ``FUSED_MAX_SUPPORT`` qubits, ``pre`` and
     ``post`` Pre_S and Post_S, and any wider step, ``pre`` and ``post``
     the circuit's own gate lists, which run through the map {q: i} from
-    support[i] to i."""
+    support[i] to i, as a wide :class:`PassSandwichStep`'s do on a
+    density matrix."""
 
     state_type = StateVector
     pre: np.ndarray | tuple[Gate, ...]
@@ -1237,27 +1227,17 @@ class MaskSandwichStep(BoundStep):
 
 @dataclass(frozen=True, eq=False, slots=True)
 class PassSandwichStep(BoundStep):
-    """A density-matrix step on at most ``FUSED_MAX_SUPPORT`` qubits that
-    no X-mask stack takes, and :meth:`DensityMatrix.measure_ancilla`'s
-    on the whole register: the sandwiches ``pre`` and ``post`` of a
-    :class:`MaskSandwichStep`, between them ``weights`` = W scaling S's
-    block entry by entry and the channel on S as passes
-    (:func:`_channel`)."""
-
-    state_type = DensityMatrix
-    pre: tuple | None
-    weights: np.ndarray
-    post: tuple | None
-
-
-@dataclass(frozen=True, eq=False, slots=True)
-class GateListSandwichStep(BoundStep):
-    """A density-matrix step wider than ``FUSED_MAX_SUPPORT``, whose
-    matrices would grow as 4^|S|, run as a :class:`PassSandwichStep` is.
-    Its sandwiches ``pre`` and ``post`` are the circuit's own gate lists,
-    as (gates, None, None) triples (None when empty), which the kernels
-    run through the map {q: i} from support[i] to i, and it builds W from
-    ``c`` and ``s`` when it runs rather than hold its 4^|S| entries."""
+    """A density-matrix step that no X-mask stack takes: the sandwich
+    ``pre``, then W (:func:`_weights` of the ancilla's factors ``c`` =
+    c_S and ``s`` = s_S, built as the step runs, so that no step holds
+    its 4^|S| entries) scaling S's block entry by entry and the channel
+    on S as passes (:func:`_channel`), then the sandwich ``post``. On at
+    most ``FUSED_MAX_SUPPORT`` qubits each sandwich is the
+    :func:`_phased` triple of Pre_S or Post_S, as in a
+    :class:`MaskSandwichStep`; on a wider support, whose matrices would
+    grow as 4^|S|, it is the circuit's own gate list as a
+    (gates, None, None) triple, which the kernels run through the map
+    {q: i} from support[i] to i. Either is None for an empty gate list."""
 
     state_type = DensityMatrix
     pre: tuple | None
@@ -1284,7 +1264,7 @@ def _on_support(gates: tuple[Gate, ...], support: tuple[int, ...]) -> np.ndarray
         m, gates = gates[0].matrix, gates[1:]
     else:
         m = np.eye(2 ** len(support))
-    return _as_state_array(_product(gates, m, axes={q: i for i, q in enumerate(support)}))
+    return real_if_exact(_product(gates, m, axes={q: i for i, q in enumerate(support)}))
 
 
 def _phased(m: np.ndarray) -> tuple:
@@ -1428,7 +1408,7 @@ def lower_step(
     circuit: Circuit, state: StateVector | DensityMatrix, noise: NoiseModel | None = None
 ) -> BoundStep:
     """Lower a step circuit once for ``state``'s type and ``noise`` into
-    one of the six :class:`BoundStep` forms, the one place that picks it.
+    one of the five :class:`BoundStep` forms, the one place that picks it.
 
     The rotation runs from the first gate that touches the ancilla to the
     measurement; each of its gates must be a y-rotation targeting the
@@ -1474,7 +1454,7 @@ def lower_step(
             return BranchStep(support, pre, c, s, post, noise=noise)
         # sandwiches, left out when empty
         pre_g, post_g = ((g, None, None) if g else None for g in (pre, post))
-        return GateListSandwichStep(support, pre_g, c, s, post_g, noise=noise)
+        return PassSandwichStep(support, pre_g, c, s, post_g, noise=noise)
     fused_k0 = isinstance(state, StateVector) and noise is None
     k0 = _pauli_k0(pre, rotation, post, support, c) if fused_k0 else None
     if k0 is not None:
@@ -1484,15 +1464,15 @@ def lower_step(
         # K0 = Post_S diag(c_S) Pre_S by Post's kernels on S
         position = {q: i for i, q in enumerate(support)}
         k0 = _product(post, c[:, None] * pre_s, overwrite=True, axes=position)
-        return K0Step(support, _as_state_array(k0))
+        return K0Step(support, real_if_exact(k0))
     if post == adjoint_sequence(pre):
         post_s = np.ascontiguousarray(pre_s.conj().T)
     else:
         post_s = _on_support(post, support)
-    eps_d = 0.0 if noise is None else noise.eps_d
     if isinstance(state, DensityMatrix):
-        weights = np.outer(c, c) + eps_d * np.outer(s, s)
+        eps_d = 0.0 if noise is None else noise.eps_d
         if len(support) <= SUPEROP_MAX_SUPPORT:
+            weights = _weights(c, s, eps_d)
             # vec(A rho A^dag) = (A (x) conj(A)) vec(rho), vec row-major
             pre_t = np.kron(pre_s, pre_s.conj())
             superop = weights.reshape(-1, 1) * pre_t
@@ -1506,9 +1486,9 @@ def lower_step(
         pre_op = _phased(pre_s) if pre else None
         post_op = _phased(post_s) if post else None
         if len(support) <= MASK_STACK_MAX_SUPPORT:
-            row, stack = _mask_stage(weights, noise)
+            row, stack = _mask_stage(_weights(c, s, eps_d), noise)
             return MaskSandwichStep(support, pre_op, row, stack, post_op, noise=noise)
-        return PassSandwichStep(support, pre_op, weights, post_op, noise=noise)
+        return PassSandwichStep(support, pre_op, c, s, post_op, noise=noise)
     return BranchStep(support, pre_s, c, s, post_s, noise=noise)
 
 

@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .hamiltonian import PauliHamiltonian, PauliTerm
+from .hamiltonian import PauliHamiltonian, PauliTerm, real_if_exact
 
 __all__ = [
     "GroupSpec",
@@ -96,8 +96,7 @@ class GroupedBlock:
         self.matrix = matrix
         # real blocks keep real eigenvectors so circuits stay on the
         # float64 fast path
-        real = not matrix.imag.any()
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(matrix.real if real else matrix)
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(real_if_exact(matrix))
 
     @property
     def lambda0(self) -> float:

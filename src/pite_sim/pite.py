@@ -267,7 +267,7 @@ def _run(
     # the ALB formula is undefined without ground overlap; its column reads 0
     overlap = spectrum.s0 > 0.0
 
-    def record(step: int, state, p_cum: float, restarts: int) -> TraceRecord:
+    def record(step: int, state, p_cum: float) -> TraceRecord:
         beta = step * schedule.dt
         _check_trace(state, step)
         return TraceRecord(
@@ -278,7 +278,7 @@ def _run(
             p_cum=p_cum,
             rlb=analysis.rlb(h, beta),
             alb=analysis.alb_generalized(h, minima, spectrum, beta) if overlap else 0.0,
-            restarts=restarts,
+            restarts=0,  # a sampled run's are set once it is replayed
         )
 
     def attempt(
@@ -289,7 +289,7 @@ def _run(
         appending prob0 = 0.0 to ``probs``."""
         state = start.copy()
         p_cum = 1.0
-        records = [record(0, state, p_cum, 0)]
+        records = [record(0, state, p_cum)]
         for step in range(1, schedule.n_steps + 1):
             for bound in steps:
                 try:
@@ -304,7 +304,7 @@ def _run(
                 if probs is not None:
                     probs.append(prob0)
             if step % config.record_every == 0 or step == schedule.n_steps:
-                records.append(record(step, state, p_cum, 0))
+                records.append(record(step, state, p_cum))
         return records, True
 
     if config.mode == "sample":

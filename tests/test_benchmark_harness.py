@@ -60,7 +60,7 @@ def load_workloads():
 def step_form(step) -> str:
     """A density-matrix step's form, a sandwich's with its width."""
     forms = {engine.SuperopStep: "superop", engine.MaskSandwichStep: "x-mask-{}",
-             engine.PassSandwichStep: "passes-{}", engine.GateListSandwichStep: "gate-list"}
+             engine.PassSandwichStep: "passes-{}"}
     return forms[type(step)].format(len(step.support))
 
 

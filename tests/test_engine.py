@@ -358,15 +358,32 @@ STEP_FORMS = {
     "x-mask": ("sandwich", NoiseModel(0.1, 0.2), DensityMatrix, engine.MaskSandwichStep),
     "passes": ("sandwich-pass", NoiseModel(0.1, 0.2), DensityMatrix, engine.PassSandwichStep),
     "gate-list-sv": ("gate-list", None, StateVector, engine.BranchStep),
-    "gate-list-dm": ("gate-list", NoiseModel(0.1, 0.2), DensityMatrix, engine.GateListSandwichStep),
+    "gate-list-dm": ("gate-list", NoiseModel(0.1, 0.2), DensityMatrix, engine.PassSandwichStep),
 }
+
+
+def holds_gates(step) -> bool:
+    """Whether a branch step or a pass sandwich runs the circuit's own
+    gate lists rather than matrices on S, told by what ``pre`` holds (a
+    sandwich's ``post`` when Pre is empty, and the width when Post is
+    too, as the two run alike)."""
+    if type(step) is engine.BranchStep:
+        return isinstance(step.pre, tuple)
+    if type(step) is not engine.PassSandwichStep:
+        return False
+    held = step.pre or step.post
+    if held is None:
+        return len(step.support) > engine.FUSED_MAX_SUPPORT
+    return isinstance(held[0], tuple)
 
 
 def step_path(step) -> str:
     """The path a lowered step runs down, in ``STEP_PATHS``' names, or
-    "fused" for a statevector step that runs as matrices."""
-    if type(step) is engine.BranchStep:  # a fused trajectory holds Pre_S as an array
-        return "fused" if isinstance(step.pre, np.ndarray) else "gate-list"
+    "fused" for a statevector step that runs as matrices. A branch step
+    and a pass sandwich are told apart from their gate-list forms by what
+    ``pre`` holds."""
+    if holds_gates(step):
+        return "gate-list"
     return next(path or "fused" for path, _, _, form in STEP_FORMS.values() if form is type(step))
 
 
@@ -906,9 +923,10 @@ def test_step_whose_outcome_weight_exceeds_one_raises():
     measurement, and raises on either state type, before the state
     changes."""
     psi, rho = random_state(2), random_density(2)
+    c = np.full(4, math.sqrt(1.01))  # W = c c^T = 1.01 everywhere
     steps = [
         (StateVector(2, psi), engine.K0Step((0, 1), 1.01 * np.eye(4))),
-        (DensityMatrix(2, rho), engine.PassSandwichStep((0, 1), None, np.full((4, 4), 1.01), None)),
+        (DensityMatrix(2, rho), engine.PassSandwichStep((0, 1), None, c, np.zeros(4), None)),
     ]
     for state, step in steps:
         with pytest.raises(ValueError, match="exceeds 1"):
@@ -939,6 +957,33 @@ def test_measure_ancilla_jump_branch_needs_rng():
     with pytest.raises(ValueError, match="needs an rng"):
         s.measure_ancilla(np.full(4, 0.8), np.full(4, 0.6), eps_d=0.1)
     assert np.array_equal(s.data, psi)
+
+
+def test_density_measure_ancilla_weights_the_flushed_matrix():
+    """A density matrix's ``measure_ancilla`` reads ``data``, whatever
+    the matrix owes or the order it is stored in: prob0 is
+    sum_x W_xx rho_xx and rho becomes W * rho / prob0, with
+    W = c c^T + eps_d s s^T. A W whose diagonal weight exceeds 1 raises
+    ``ValueError`` and leaves the state as it was."""
+    source = np.random.default_rng(31)
+    noisy = DensityMatrix(3, random_density(3, source))
+    run_circuit(noisy, build_pauli_step(PauliTerm.from_string(-0.8, "IXY"), 0.3),
+                noise=NoiseModel(0.1, 0.2))
+    assert noisy._order is not None and any(noisy._owed)  # qubit 0 owes its channel
+    rho = noisy.copy().data
+    half = source.uniform(0.0, math.pi, 8)
+    c, s = np.cos(half), np.sin(half)
+    for eps_d in (0.0, 0.3):
+        state = noisy.copy()
+        weights = np.outer(c, c) + eps_d * np.outer(s, s)
+        want = float(np.sum(weights.diagonal() * rho.diagonal()).real)
+        prob0 = state.measure_ancilla(c, s, eps_d)
+        assert type(prob0) is float and abs(prob0 - want) < 1e-12, eps_d
+        assert np.abs(state.data - weights * rho / want).max() < 1e-12, eps_d
+    state = noisy.copy()
+    with pytest.raises(ValueError, match="exceeds 1"):
+        state.measure_ancilla(np.full(8, 1.01), s)
+    assert np.array_equal(state.data, rho)
 
 
 def test_trajectories_unravel_the_noisy_step():
@@ -1895,13 +1940,14 @@ def k0_oracle_terms() -> list[PauliTerm]:
 
 @pytest.mark.parametrize("dt", [0.013, 0.05, 0.2])
 def test_noiseless_k0_is_real_exactly_when_its_y_count_is_even(dt):
-    """The noiseless statevector K0 = Post_S diag(c_S) Pre_S, built by
-    Post's kernels on diag(c_S) Pre_S, is a I + b P on S: real for an even
-    number of Y factors and with an imaginary part (b i^#Y) for an odd
-    one. The kernels keep real and imaginary parts apart and turn phases
-    by exact quarter turns, so an even-Y K0 comes out float64 with no
-    tolerance; every K0 matches the postselected operator of the circuit,
-    whose unitary is contracted from the gates' definitions."""
+    """The noiseless statevector K0 = Post_S diag(c_S) Pre_S, filled by
+    ``engine._pauli_k0`` from the Pauli P' that Pre maps onto the pivot,
+    is a I + b P' on S: real for an even number of Y factors and with an
+    imaginary part (b i^#Y) for an odd one. P' is propagated as bit masks
+    and a phase i^k, k even exactly for an even-Y term, so such a K0 is
+    filled as float64 with no tolerance; every K0 matches the
+    postselected operator of the circuit, whose unitary is contracted
+    from the gates' definitions."""
     for term in k0_oracle_terms():
         circ = build_pauli_step(term, dt)
         step = lower_step(circ, StateVector(term.n_qubits))

@@ -109,14 +109,15 @@ class Lowered(Exception):
 
 def test_runs_take_every_step_form(monkeypatch):
     """Each run lowers its circuits, once per distinct circuit, and stops
-    before its first step; the 13 runs lower to all six step forms. The
-    one gate-list sandwich is the 7-qubit term of "file8 noisy"."""
+    before its first step; the 13 runs lower to all five step forms. The
+    one pass sandwich that holds gate lists is the 7-qubit term of
+    "file8 noisy", which keeps the wide density-matrix path covered."""
     tool = load("trace_records_forms", TOOL)
     lowered = []
 
     def counting(circuit, state, noise=None):
         step = engine.lower_step(circuit, state, noise)
-        lowered.append((label, type(step).__name__))
+        lowered.append((label, step))
         return step
 
     def stop(state, step, rng=None):
@@ -127,8 +128,10 @@ def test_runs_take_every_step_form(monkeypatch):
     for label, *fields in tool.RUNS:
         with pytest.raises(Lowered):
             tool.run(*fields)
-    assert Counter(form for _, form in lowered) == {
+    assert Counter(type(step).__name__ for _, step in lowered) == {
         "K0Step": 138, "BranchStep": 131, "SuperopStep": 70,
-        "MaskSandwichStep": 39, "PassSandwichStep": 5, "GateListSandwichStep": 1,
+        "MaskSandwichStep": 39, "PassSandwichStep": 6,
     }
-    assert ("file8 noisy", "GateListSandwichStep") in lowered
+    gate_lists = [(label, len(step.support)) for label, step in lowered
+                  if type(step) is engine.PassSandwichStep and isinstance(step.pre[0], tuple)]
+    assert gate_lists == [("file8 noisy", 7)]

@@ -15,11 +15,11 @@ over all runs, and exits 1 when any line differs (0 when the files are
 byte-identical, that is when every record of every run is bitwise equal).
 
 The runs lower their circuits to every step form of ``pite_sim.engine``
-(``K0Step``, ``BranchStep``, ``SuperopStep``, ``MaskSandwichStep``,
-``PassSandwichStep`` and ``GateListSandwichStep``): the four benchmark
-workloads (``lih-grouped-sample`` at seeds 0, 1 and 2) and H2 at R 0.75;
-noisy LiH trajectories; grouped noisy LiH at Trotter order 2; and an
-8-qubit file model with a 7-qubit term (a gate-list step) and odd-Y
+(``K0Step``, ``BranchStep``, ``SuperopStep``, ``MaskSandwichStep`` and
+``PassSandwichStep``): the four benchmark workloads
+(``lih-grouped-sample`` at seeds 0, 1 and 2) and H2 at R 0.75; noisy LiH
+trajectories; grouped noisy LiH at Trotter order 2; and an 8-qubit file
+model with a 7-qubit term (a step that runs its gate lists) and odd-Y
 terms, noiseless, as a noisy density matrix and as trajectories. The
 benchmark workloads' parameters are copied here so that this script
 imports nothing but ``pite_sim`` and numpy.
