@@ -53,16 +53,23 @@ density matrix on S's row bits, then conjugated on its column bits),
 copied first only where it may be the stored state itself; every other
 stage is the one a fused step runs.
 
-Every density-matrix step works on the matrix gathered with S's row bits
-first, then S's column bits, then the rest's: as (4^|S|, rest^2), S's
-vectorized block on the leading axis, which T_S multiplies with one
-product. A sandwich a rho a^dag is a on S's row bits, one product, and
-a^dag on its column bits, one product batched over the rows. Nothing
-assumes rho = rho^dag. An operator real but for one phase per column or
-per row is split into the real matrix and an elementwise phase factor
-(:func:`_phased`), which its sandwich applies as a row scaling, and a
-real matrix multiplies a complex one as a real product
-(:func:`_product`).
+A superoperator step works on the matrix in site-pair order: each
+qubit's row bit, then its column bit, qubit after qubit (the labels
+q0, n + q0, q1, n + q1, ...). When S's sites form one contiguous run
+there, after 4^p entries and before 4^(n-p-|S|), T_S, held in site-pair
+order and permuted into the run's, multiplies the
+(4^p, 4^|S|, 4^(n-p-|S|)) view in place of a move, and prob0 reads the
+partial trace over the other sites by one ``take`` of held positions
+(:func:`_partial_trace_index`); any other matrix is moved with S's sites
+first (:func:`_site_run`). A sandwich step works on the matrix gathered
+with S's row bits first, then S's column bits, then the rest's: as
+(4^|S|, rest^2), S's vectorized block on the leading axis. A sandwich
+a rho a^dag is a on S's row bits, one product, and a^dag on its column
+bits, one product batched over the rows. Nothing assumes rho = rho^dag.
+An operator real but for one phase per column or per row is split into
+the real matrix and an elementwise phase factor (:func:`_phased`), which
+its sandwich applies as a row scaling, and a real matrix multiplies a
+complex one as a real product (:func:`_product`).
 
 The state type selects how the noise channel is applied: a density
 matrix takes the exact Kraus channel, a statevector samples one branch
@@ -76,18 +83,20 @@ included. The owed applications run, folded into one channel per qubit,
 when a later step's support takes in the qubit (composed into its
 superoperator, or in the gathered layout, where its passes are long) or
 when ``data`` is read. On either state type a step also moves the state
-into its own order (S first, the other qubits as they were stored) and
-leaves it there; ``data`` restores canonical order. Each step keeps the
-move it made from each layout it met (register size and stored order),
-so a run works a move out once per step and layout: a state already
-stored in the step's order (after a step on the same support, say) is
-not moved, a vector of at most ``_INDEX_MAX_QUBITS`` qubits is moved by
-one ``take`` of a held index, and anything else by one transpose.
-A density matrix's energy, trace and subspace weight read the stored
-matrix as it is: an observable A of the state is
-the adjoint channel N^dag(A) of the stored one, since
+into its own order (S first, the other qubits as they were stored; a
+superoperator step leaves a matrix whose sites of S are one run in
+site-pair order as it is) and leaves it there; ``data`` restores
+canonical order. Each step keeps the move it made from each layout it
+met (register size and stored order), so a run works a move out once
+per step and layout: a state already stored in the step's order (after
+a step on the same support, say) is not moved, a vector of at most
+``_INDEX_MAX_QUBITS`` qubits is moved by one ``take`` of a held index,
+and anything else by one transpose. A density matrix's energy, trace
+and subspace weight read the stored matrix as it is: an observable A of
+the state is the adjoint channel N^dag(A) of the stored one, since
 Tr(A N(rho)) = Tr(N^dag(A) rho), gathered in the stored order and built
-once per owed counts and order. On either state type the energy is one
+once per owed counts (a subspace projector held for another order is
+moved into the new one). On either state type the energy is one
 gather over every distinct X mask at once, against the diagonals that
 ``PauliHamiltonian.x_mask_stack`` stacks (on a density matrix owing a
 channel, those of N^dag(H)), and one dot.
@@ -400,9 +409,13 @@ class _State:
 
     The state is kept in ``_stored`` with its bits, most significant
     first, carrying the labels ``_order``: q for qubit q, and on a density
-    matrix n + q for its column bit (None is canonical). A step moves it
-    into the order it works in (:meth:`_gather`, by the move the step
-    keeps for the stored layout) and leaves it there;
+    matrix n + q for its column bit (None is canonical), in any order: a
+    superoperator step's site-pair order (q0, n + q0, q1, n + q1, ...)
+    and a sandwich step's gathered one (S's rows, S's columns, the other
+    rows, their columns) are two of them. A step moves it into the order
+    it works in (:meth:`_gather`, or a superoperator step's
+    :meth:`DensityMatrix._gather_sites`, by the move the step keeps for
+    the stored layout) and leaves it there;
     ``data``, and so every gate (and a statevector's energy), first
     restores the canonical order (and divides a statevector to unit
     norm). A copy keeps the stored order, and a density matrix reads its
@@ -733,20 +746,29 @@ class DensityMatrix(_State):
         if self._order is None and not any(owed):
             amps = self._stored @ basis
             return float(sum(np.real(np.vdot(basis[:, d], amps[:, d])) for d in range(basis.shape[1])))
-        projector = self._adjoint_read(
-            "projector", basis, lambda: _adjoint_projector(basis, self._noise, owed, self._order)
-        )
+        def build(held: tuple | None) -> np.ndarray:
+            if held is not None and held[0] is basis and held[1][:2] == (self._noise, owed):
+                # the projector held, in another order: moved, not built again
+                return _laid_out(held[2], held[1][2], self._order)
+            return _adjoint_projector(basis, self._noise, owed, self._order)
+
+        projector = self._adjoint_read("projector", basis, build)
         return float(np.vdot(projector, self._stored.reshape(-1)).real)
 
     def _adjoint_read(self, kind: str, source, build):
-        """``build()``, an adjoint observable of ``source`` for the owed
-        counts and the stored order, kept as the one entry of its ``kind``
-        until a read for another source, model, count or order replaces
-        it. The entry holds ``source``, which is compared by identity."""
-        key = (self._noise, tuple(self._owed), self._order)
+        """``build(held)``, an adjoint observable of ``source`` for the owed
+        counts (and, for the projector, laid out in the stored order), kept
+        as the one entry of its ``kind`` until a read for another source,
+        model, count or projector order replaces it; ``held`` is the entry
+        it replaces, (source, key, observable), or None. The entry holds
+        ``source``, which is compared by identity. The energy's diagonals
+        are read in any order (see ``_expectation``), so no order keys
+        them."""
+        order = self._order if kind == "projector" else None
+        key = (self._noise, tuple(self._owed), order)
         entry = self._reads.get(kind)
         if entry is None or entry[0] is not source or entry[1] != key:
-            entry = self._reads[kind] = (source, key, build())
+            entry = self._reads[kind] = (source, key, build(entry))
         return entry[2]
 
     def apply_noise(self, model: NoiseModel) -> None:
@@ -774,59 +796,101 @@ class DensityMatrix(_State):
         self.data = rho * (weights / prob0)
         return prob0
 
+    def _gather_sites(self, step: SuperopStep) -> tuple[np.ndarray, _SiteRun]:
+        """The matrix in the site-pair order ``step`` works in, flat, and
+        what the step keeps for the stored layout (:func:`_site_run`), from
+        its ``moves`` as :meth:`_State._gather` takes a move: the stored
+        buffer itself when the step's sites form one run in it, else a
+        contiguous transposed copy."""
+        try:
+            run = step.moves[self.n_qubits, self._order]
+        except KeyError:
+            run = step.moves[self.n_qubits, self._order] = _site_run(
+                self.n_qubits, self._order, step
+            )
+        if run.move is None:
+            return self._stored.reshape(-1), run
+        shape, axes = run.move
+        return np.ascontiguousarray(self._stored.reshape(shape).transpose(axes)).reshape(-1), run
+
     def _run_step(self, step: BoundStep, rng) -> float:
+        # prob0 is a row vector on the partial trace over the rest: T_S's v
+        # before the step, or diag(W) on S's diagonal after Pre_S. The
+        # channel on a qubit outside S commutes with the whole step, so it
+        # is only counted as owed.
+        noise = step.noise
+        if noise is not None:
+            self._adopt(noise)
+        if type(step) is SuperopStep:
+            prob0 = self._superop_step(step)
+        else:
+            prob0 = self._sandwich_step(step)
+        support, grows = step.support, int(noise is not None)
+        self._owed = [0 if q in support else m + grows for q, m in enumerate(self._owed)]
+        return prob0
+
+    def _superop_step(self, step: SuperopStep) -> float:
+        # The step runs on, and stores, rho in site-pair order, S's sites
+        # one run in it: the (before, 4^k, after) view, S's vectorized
+        # block on the middle axis. What S owes composes into T_S and v.
+        rho, run = self._gather_sites(step)
+        owed = tuple(self._owed[q] for q in run.sites)
+        split = rho.dtype.kind == "c" and run.t_s.dtype.kind == "f"
+        try:
+            row, op, shape, right = run.ops[owed, split]
+        except KeyError:
+            row, op, shape, right = run.ops[owed, split] = run.operators(self._noise, owed, split)
+        prob0 = _postselected(float(np.dot(row, rho.take(run.index).sum(axis=1)).real))
+        # the moved copy is the state: the stored matrix goes before the product
+        self._stored, self._order = rho, run.order
+        x = (rho.view(np.float64) if split else rho).reshape(shape)
+        op = op * (1.0 / prob0)
+        if right:
+            out = np.matmul(x, op)
+        elif x.ndim == 3:
+            out = np.matmul(op, x)
+        else:  # T_S on each (4^k, columns) block, each written to its place in out
+            out = np.empty(shape, np.result_type(op, x))
+            np.matmul(op, x.transpose(0, 2, 1, 3), out=out.transpose(0, 2, 1, 3))
+        self._stored = out.view(np.complex128) if split else out
+        return prob0
+
+    def _sandwich_step(self, step: MaskSandwichStep | PassSandwichStep) -> float:
         # The step runs on, and stores, rho gathered with S's row bits, then
         # S's column bits, then the rest's row bits and their column bits
         # in one order: as (4^k, rest^2), S's vectorized block on the
-        # leading axis. Traces do not change under the move. prob0 is a row
-        # vector on the partial trace over the rest: T_S's v before the
-        # step, or diag(W) on S's diagonal after Pre_S. The channel on a
-        # qubit outside S commutes with the whole step, so it is only
-        # counted as owed.
-        form, support, noise = type(step), step.support, step.noise
-        if noise is not None:
-            self._adopt(noise)
+        # leading axis. Traces do not change under the move.
+        support, noise = step.support, step.noise
         k = len(support)
         rho, order = self._gather(step)
         owed = tuple(self._owed[q] for q in support)
-        if form is SuperopStep:  # what S owes composes into T_S and v
-            t_s, row = step.t_s, step.row
-            if any(owed):
-                owed_superop = _channel_superop(self._noise, owed)
-                t_s, row = t_s @ owed_superop, row @ owed_superop
-            traced = rho
-        else:  # a sandwich
-            if form is MaskSandwichStep:
-                row = step.row
-            else:
-                weights = _weights(step.c, step.s, 0.0 if noise is None else noise.eps_d)
-                row = weights.diagonal()
-            view = np.may_share_memory(rho, self._stored)
-            axes = {q: i for i, q in enumerate(support)}  # for a gate list
-            if any(owed):  # before Pre_S, where its passes run long
-                _channel(rho, self._noise, owed, columns=k)
-                if view:  # the state itself took it
-                    for q in support:
-                        self._owed[q] = 0
-            if step.pre is not None:
-                rho = _sandwich(step.pre, rho, not view, axes)
-            traced = rho[:: 2**k + 1]  # S's diagonal, which diag W weights
+        if type(step) is MaskSandwichStep:
+            row = step.row
+        else:
+            weights = _weights(step.c, step.s, 0.0 if noise is None else noise.eps_d)
+            row = weights.diagonal()
+        view = np.may_share_memory(rho, self._stored)
+        axes = {q: i for i, q in enumerate(support)}  # for a gate list
+        if any(owed):  # before Pre_S, where its passes run long
+            _channel(rho, self._noise, owed, columns=k)
+            if view:  # the state itself took it
+                for q in support:
+                    self._owed[q] = 0
+        if step.pre is not None:
+            rho = _sandwich(step.pre, rho, not view, axes)
+        traced = rho[:: 2**k + 1]  # S's diagonal, which diag W weights
         rest = math.isqrt(rho.shape[1])
         prob0 = _postselected(float(np.dot(row, traced[:, :: rest + 1].sum(axis=1)).real))
-        if form is SuperopStep:
-            rho = _product(t_s * (1.0 / prob0), rho)
-        else:  # W, then S's own channel
-            if form is MaskSandwichStep:
-                rho = _by_mask(step.stack, rho, 1.0 / prob0)
-            else:
-                rho = rho * (weights / prob0).reshape(-1, 1)
-                if noise is not None:
-                    _channel(rho, noise, (1,) * k, columns=k)
-            if step.post is not None:
-                rho = _sandwich(step.post, rho, True, axes)
+        # W, then S's own channel
+        if type(step) is MaskSandwichStep:
+            rho = _by_mask(step.stack, rho, 1.0 / prob0)
+        else:
+            rho = rho * (weights / prob0).reshape(-1, 1)
+            if noise is not None:
+                _channel(rho, noise, (1,) * k, columns=k)
+        if step.post is not None:
+            rho = _sandwich(step.post, rho, True, axes)
         self._stored, self._order = rho, order
-        grows = int(noise is not None)
-        self._owed = [0 if q in support else m + grows for q, m in enumerate(self._owed)]
         return prob0
 
     def _expectation(self, h: PauliHamiltonian) -> float:
@@ -840,7 +904,7 @@ class DensityMatrix(_State):
         owed = tuple(self._owed)
         if any(owed):
             stack = self._adjoint_read(
-                "diagonals", h, lambda: _adjoint_diagonals(h, self._noise, owed)
+                "diagonals", h, lambda held: _adjoint_diagonals(h, self._noise, owed)
             )
         rows, columns = _flat_positions(self.n_qubits, self._order)
         entries = self._stored.reshape(-1)[rows + (columns ^ columns[masks][:, None])]
@@ -972,16 +1036,21 @@ def _adjoint_projector(
     (labels as in :class:`_State`), so that its ``vdot`` with that matrix
     is the expectation; read-only. N^dag(B B^dag) is Hermitian, so the
     ``vdot``'s conjugate transposes it back."""
-    n = len(counts)
     projector = basis @ basis.conj().T
     if any(counts):
         _channel(projector, model, counts, adjoint=True)
-    if order is not None:
-        shape, axes = _transposition(tuple(range(2 * n)), order)
-        projector = projector.reshape(shape).transpose(axes)
-    projector = np.ascontiguousarray(projector).reshape(-1)
-    projector.setflags(write=False)
-    return projector
+    return _laid_out(projector, None, order)
+
+
+def _laid_out(entries: np.ndarray, order: tuple | None, target: tuple | None) -> np.ndarray:
+    """The 4^n ``entries`` of a matrix whose bits carry the labels
+    ``order`` (as in :class:`_State`, None for canonical), moved into
+    ``target``'s, flat and read-only."""
+    canonical = tuple(range(entries.size.bit_length() - 1))
+    shape, axes = _transposition(order or canonical, target or canonical)
+    moved = np.ascontiguousarray(entries.reshape(shape).transpose(axes)).reshape(-1)
+    moved.setflags(write=False)
+    return moved
 
 
 @lru_cache(maxsize=64)
@@ -1005,13 +1074,64 @@ def _flat_positions(n: int, order: tuple[int, ...] | None) -> tuple[np.ndarray, 
 @lru_cache(maxsize=128)
 def _channel_superop(model: NoiseModel, counts: tuple[int, ...]) -> np.ndarray:
     """Read-only 4^k x 4^k matrix of ``_channel(rho, model, counts)`` on
-    k = len(counts) qubits, acting on rho.reshape(-1) (row bits, then
-    column bits): ``_channel`` on the 4^k identity columns vec(E_ab), as
-    on a matrix gathered for a step on the k qubits."""
-    superop = np.eye(4 ** len(counts))
-    _channel(superop, model, counts, columns=len(counts))
+    k = len(counts) qubits, acting on vec(rho) in site-pair order (each
+    qubit's row bit, then its column bit: r0 c0 r1 c1 ...), as a
+    :class:`SuperopStep` holds its matrices: ``_channel`` on the 4^k
+    identity columns vec(E_ab) in row-major order (row bits, then column
+    bits), then taken into site-pair order (:func:`_site_pairs`)."""
+    k = len(counts)
+    superop = np.eye(4**k)
+    _channel(superop, model, counts, columns=k)
+    pairs = _site_pairs(k)
+    superop = superop[np.ix_(pairs, pairs)]
     superop.setflags(write=False)
     return superop
+
+
+def _site_pairs(k: int) -> np.ndarray:
+    """For each site-pair index of a k-qubit block (r0 c0 r1 c1 ...), its
+    index in row-major vec order (r0 r1 ... c0 c1 ...)."""
+    vec = np.arange(4**k).reshape((2,) * (2 * k))
+    return vec.transpose([a for q in range(k) for a in (q, k + q)]).reshape(-1)
+
+
+def _pair_product(a: np.ndarray) -> np.ndarray:
+    """a (x) conj(a), the matrix of rho -> a rho a^dag on vec(rho), for a
+    2^k x 2^k ``a``, indexed in site-pair order on both sides: one outer
+    product, its bits moved into site pairs."""
+    k = a.shape[0].bit_length() - 1
+    # axes: a's row bits, a's column bits, then conj(a)'s row and column bits
+    outer = np.multiply.outer(a, a.conj()).reshape((2,) * (4 * k))
+    axes = [axis for q in range(k) for axis in (q, 2 * k + q)]
+    axes += [axis for q in range(k) for axis in (k + q, 3 * k + q)]
+    return outer.transpose(axes).reshape(4**k, 4**k)
+
+
+def _diagonal_sites(m: int) -> np.ndarray:
+    """The 2^m indices, of the 4^m of m sites in site-pair order, at which
+    every site is on its diagonal (sub-index 0 or 3, row bit = column
+    bit), ascending."""
+    index = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        index = (4 * index[:, None] + np.array([0, 3])).reshape(-1)
+    return index
+
+
+@lru_cache(maxsize=64)
+def _partial_trace_index(n: int, p: int, k: int) -> np.ndarray:
+    """Read-only (4^k, 2^(n-k)) flat positions in a 2^n x 2^n matrix
+    stored in site-pair order whose sites p to p + k - 1 are a step's:
+    row j lists the entries at j on those sites and on the diagonal of
+    every other site, so its sum is entry j of the partial trace over
+    them."""
+    after = 4 ** (n - p - k)
+    index = (
+        _diagonal_sites(p)[None, :, None] * (after * 4**k)
+        + np.arange(4**k)[:, None, None] * after
+        + _diagonal_sites(n - p - k)[None, None, :]
+    ).reshape(4**k, -1)
+    index.setflags(write=False)
+    return index
 
 
 @lru_cache(maxsize=8)
@@ -1086,14 +1206,16 @@ _INDEX_MAX_QUBITS = 10
 
 
 def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...]) -> tuple:
-    """The order a step on ``support`` works in, from a state stored in
-    ``order`` (labels as in :class:`_State`, on ``sides`` 1 or 2), and the
-    move into it. S's bits come first, then the other qubits' as stored
-    now. On a matrix these are row bits: S's column bits come right after
-    S's row bits, so that S's block is vectorized on the leading axis,
-    and the other qubits' column bits come last, in their rows' order,
-    which the partial trace needs. Leaving the other qubits as they are,
-    not canonical, keeps them in long runs that the move copies whole.
+    """The order a statevector step or a sandwich step on ``support``
+    works in, from a state stored in ``order`` (labels as in
+    :class:`_State`, in any order, on ``sides`` 1 or 2), and the move
+    into it (a superoperator step takes its own, see :func:`_site_run`).
+    S's bits come first, then the other qubits' as stored now. On a
+    matrix these are row bits: S's column bits come right after S's row
+    bits, so that S's block is vectorized on the leading axis, and the
+    other qubits' column bits come last, in their rows' order, which the
+    partial trace needs. Leaving the other qubits as they are, not
+    canonical, keeps them in long runs that the move copies whole.
 
     The move is None when the state is stored in that order already. On
     a vector of at most ``_INDEX_MAX_QUBITS`` qubits it is a read-only
@@ -1123,27 +1245,134 @@ def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...
     return target, (shape, axes)
 
 
+# How a superoperator step multiplies the (before, 4^k, b) view of a
+# matrix in site-pair order, b the entries after S's sites (doubled on a
+# complex matrix that a real T_S takes as its real and imaginary parts).
+# Up to _RIGHT_PRODUCT_MAX = 4^k b, or at b = 1, it multiplies the
+# (before, 4^k b) view from the right by (T_S (x) I_b)^T; above it T_S
+# multiplies each of the before blocks. Timed on 8-qubit real and 6-qubit
+# complex matrices (2-vCPU Xeon, medians of 25 rounds, one and two BLAS
+# threads), at 4^k b = 16 the right product took 32-41 us against
+# 148-157 us for the blocks, at 32 9 us against 12 us, and at 64 from as
+# fast to 2.5x slower. Either is cut into products of at most _GEMM_MAX
+# multiply-adds: (16 x 16) by (16 x 4096), the product after a two-site
+# move on 8 qubits, took 154-181 us as one call on two BLAS threads
+# against 47-58 us in two, and 50-60 us either way on one; at 2^19 and
+# below one call ran as fast as smaller ones.
+_RIGHT_PRODUCT_MAX = 32
+_GEMM_MAX = 2**19
+
+
+@dataclass(eq=False, slots=True)
+class _SiteRun:
+    """What a :class:`SuperopStep` keeps for one layout it meets (see
+    :func:`_site_run`): the site-pair ``order`` it works in and stores,
+    the ``move`` into it (a transposition, or None when the matrix is
+    stored so already), the step's ``sites`` in the order that stores
+    them, a run of sites after ``before`` = 4^p entries and before
+    ``after`` = 4^(n-p-k), and ``t_s`` and ``row`` permuted into that
+    order. ``index`` reads the partial trace over the other sites
+    (:func:`_partial_trace_index`). ``ops`` keeps, per owed counts on the
+    sites and real-product split, what :meth:`operators` builds."""
+
+    order: tuple[int, ...]
+    move: tuple | None
+    sites: tuple[int, ...]
+    before: int
+    after: int
+    t_s: np.ndarray
+    row: np.ndarray
+    index: np.ndarray
+    ops: dict = field(default_factory=dict)
+
+    def operators(self, model: NoiseModel | None, owed: tuple[int, ...], split: bool) -> tuple:
+        """The prob0 row, the product's operator and the shape of the view
+        it multiplies, for a matrix owing ``owed`` applications of
+        ``model`` on the sites: T_S and v composed with the owed channel,
+        and, with ``split``, for a complex matrix seen as float64 (a real
+        T_S on its interleaved real and imaginary parts, see
+        :func:`_product`). The operator is (T_S (x) I_b)^T on a
+        (products, rows, 4^k b) view, to multiply from the right (the
+        last item, ``right``, is then True), or T_S on a (before, 4^k, b)
+        view or, cut, on a (before, 4^k, cuts, columns) one, each
+        (4^k, columns) block multiplied in turn (see
+        ``_RIGHT_PRODUCT_MAX``)."""
+        t_s, row = self.t_s, self.row
+        if any(owed):
+            superop = _channel_superop(model, owed)
+            t_s, row = t_s @ superop, row @ superop
+        size, b = len(row), self.after * (2 if split else 1)
+        if b == 1 or size * b <= _RIGHT_PRODUCT_MAX:
+            # (T_S (x) I_b)^T set by strided slices, in less time than np.kron
+            width = size * b
+            op = np.zeros((width, width), t_s.dtype)
+            for i in range(b):
+                op[i::b, i::b] = t_s.T
+            rows = min(self.before, max(1, _GEMM_MAX // width**2))
+            return row, op, (self.before // rows, rows, width), True
+        columns = min(b, max(1, _GEMM_MAX // size**2))
+        if columns == b:
+            return row, t_s, (self.before, size, b), False
+        return row, t_s, (self.before, size, b // columns, columns), False
+
+
+def _site_run(n: int, order: tuple | None, step: SuperopStep) -> _SiteRun:
+    """The site-pair order a :class:`SuperopStep` on S works in, from a
+    matrix stored in ``order`` (labels as in :class:`_State`), and what it
+    keeps for that layout. A matrix stored in site-pair order (each
+    qubit's row bit, then its column bit: q0, n + q0, q1, n + q1, ...)
+    whose sites of S form one contiguous run there stays as it is: the
+    step multiplies in place, T_S permuted into the run's site order. Any
+    other is moved with S's sites first, then the other qubits in the
+    order their row bits are stored in, as pairs. Called once per step
+    and layout: :meth:`DensityMatrix._gather_sites` keeps what it
+    returns in the step's ``moves``."""
+    support, k = step.support, len(step.support)
+    current = tuple(range(2 * n)) if order is None else order
+    sites, move = current[::2], None
+    paired = current[1::2] == tuple(q + n for q in sites)
+    where = sorted(sites.index(q) for q in support) if paired else []
+    p = where[0] if where else 0
+    if not paired or where != list(range(p, p + k)):
+        sites = support + tuple(q for q in current if q < n and q not in support)
+        p, target = 0, tuple(label for q in sites for label in (q, n + q))
+        move, current = _transposition(current, target), target
+    run, t_s, row = sites[p : p + k], step.t_s, step.row
+    if run != support:
+        perm = np.arange(4**k).reshape((4,) * k).transpose([support.index(q) for q in run])
+        perm = perm.reshape(-1)
+        t_s, row = t_s[np.ix_(perm, perm)], row[perm]
+    index = _partial_trace_index(n, p, k)
+    return _SiteRun(current, move, run, 4**p, 4 ** (n - p - k), t_s, row, index)
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class BoundStep:
     """A step circuit lowered once, by :func:`lower_step`, for the state
     type and noise of a run, on its ``support`` S, the sorted work qubits
     its gates touch. Each of its five forms below is one class, which
     names the ``state_type`` that runs it and holds its operators; they
-    act on the state gathered in the step's order (see
-    :func:`_step_order`), S's 2^|S| rows leading on a statevector and,
-    on a density matrix, S's row bits, then its column bits, then the
-    rest's, as (4^|S|, rest^2). ``noise`` is the run's channel (None
-    when noiseless).
+    act on the state in the step's order: on a statevector S's 2^|S|
+    rows leading (see :func:`_step_order`), on a density matrix in
+    site-pair order with S's sites one run in it for a
+    :class:`SuperopStep` (see :func:`_site_run`), and for a sandwich
+    S's row bits, then its column bits, then the rest's, as
+    (4^|S|, rest^2). ``noise`` is the run's channel (None when
+    noiseless).
 
     ``moves`` maps each layout the step has met, (register size, stored
-    order), to its order and the move into it (see :func:`_step_order`),
-    filled as the step runs: one entry per distinct layout, an index of
-    at most 8 KB or a transposition. In an order-1 run each step holds
-    one, and the first step two when it also follows the last one (with
-    records sparser than every Trotter step, or on a density matrix,
-    whose records move nothing); at order 2, where a step follows each of
-    its neighbours, most hold two and a few three (per-term LiH).
-    Trajectories share their steps and so their moves.
+    order), to its order and the move into it, filled as the step runs:
+    one entry per distinct layout, an index of at most 8 KB or a
+    transposition (see :func:`_step_order`), or a superoperator step's
+    :class:`_SiteRun`. In an order-1 run each step holds one, and the
+    first step two when it also follows the last one (with records
+    sparser than every Trotter step, or on a density matrix, whose
+    records move nothing); at order 2, where a step follows each of its
+    neighbours, most hold two and a few three (per-term LiH). A
+    superoperator step whose layout settles only after the first Trotter
+    step, which starts in canonical order, holds one more: noisy Ising
+    n=8's hold two or three. Trajectories share their steps and so their
+    moves.
     """
 
     state_type: ClassVar[type]
@@ -1189,7 +1418,11 @@ class SuperopStep(BoundStep):
     ``t_s``, its 4^|S| x 4^|S| superoperator on vec(rho_S) (Pre_S on both
     sides, the weight W, the channel on S, then Post_S), and ``row``, the
     row vector whose product with vec of the partial trace over the rest
-    is prob0."""
+    is prob0, both indexed in site-pair order (r0 c0 r1 c1 ..., S's
+    qubits in order; :func:`_site_pairs`). It runs on a matrix in
+    site-pair order whose sites of S form one run, in place when stored
+    so already, each of the layouts it meets kept with T_S and v
+    permuted into the run's site order (:class:`_SiteRun`)."""
 
     state_type = DensityMatrix
     t_s: np.ndarray
@@ -1424,7 +1657,7 @@ def lower_step(
     imaginary part cancels. A density matrix's T_S is
     (Post_S (x) Post_S*) N_S diag(vec W) (Pre_S (x) Pre_S*), with N_S one
     application of the channel on S, and its prob0 row
-    v = vec(diag W)^T (Pre_S (x) Pre_S*).
+    v = vec(diag W)^T (Pre_S (x) Pre_S*), both taken into site-pair order.
     """
     ancilla = circuit.ancilla
     pre, post = circuit.pre_measure, circuit.post_measure
@@ -1465,22 +1698,21 @@ def lower_step(
         position = {q: i for i, q in enumerate(support)}
         k0 = _product(post, c[:, None] * pre_s, overwrite=True, axes=position)
         return K0Step(support, real_if_exact(k0))
-    if post == adjoint_sequence(pre):
-        post_s = np.ascontiguousarray(pre_s.conj().T)
-    else:
-        post_s = _on_support(post, support)
+    inverse = post == adjoint_sequence(pre)
+    post_s = np.ascontiguousarray(pre_s.conj().T) if inverse else _on_support(post, support)
     if isinstance(state, DensityMatrix):
         eps_d = 0.0 if noise is None else noise.eps_d
         if len(support) <= SUPEROP_MAX_SUPPORT:
-            weights = _weights(c, s, eps_d)
-            # vec(A rho A^dag) = (A (x) conj(A)) vec(rho), vec row-major
-            pre_t = np.kron(pre_s, pre_s.conj())
-            superop = weights.reshape(-1, 1) * pre_t
+            k, weights = len(support), _weights(c, s, eps_d)
+            pre_t = _pair_product(pre_s)
+            # (A (x) conj(A))^dag is that of A^dag, entry for entry
+            post_t = pre_t.conj().T if inverse else _pair_product(post_s)
+            superop = weights.reshape(-1)[_site_pairs(k)][:, None] * pre_t
             if noise is not None:
-                superop = _channel_superop(noise, (1,) * len(support)) @ superop
-            superop = np.kron(post_s, post_s.conj()) @ superop
+                superop = _channel_superop(noise, (1,) * k) @ superop
+            superop = post_t @ superop
             # prob0 = sum_x W[x, x] (Pre rho Pre^dag)[x, x]: rows of Pre_t
-            prob0_row = weights.diagonal() @ pre_t[:: len(c) + 1]
+            prob0_row = weights.diagonal() @ pre_t[_diagonal_sites(k)]
             return SuperopStep(support, superop, prob0_row, noise=noise)
         # an empty gate list leaves its sandwich out
         pre_op = _phased(pre_s) if pre else None

@@ -1107,17 +1107,19 @@ def test_owed_applications_fold_into_one_channel():
 
 
 def test_channel_superoperator_matches_the_channel():
-    """``_channel_superop`` on the vectorized blocks of the leading qubits
-    (a density matrix gathered for a superoperator step) equals
-    ``_channel`` on the whole matrix, for several owed counts."""
+    """``_channel_superop`` on the vectorized blocks of the leading sites
+    (a density matrix moved into site-pair order for a superoperator step
+    on them) equals ``_channel`` on the whole matrix, for several owed
+    counts."""
     model = NoiseModel(0.3, 0.2)
     rho = random_density(3)
     for counts in ((1,), (2, 0), (1, 3), (0, 1, 4)):
         want = rho.copy()
         engine._channel(want, model, counts)
         d = DensityMatrix(3, rho)
-        gathered, order = d._gather(bare_step(tuple(range(len(counts)))))
-        d._stored, d._order = engine._channel_superop(model, counts) @ gathered, order
+        gathered, run = d._gather_sites(identity_superop_step(tuple(range(len(counts)))))
+        block = gathered.reshape(4 ** len(counts), -1)
+        d._stored, d._order = engine._channel_superop(model, counts) @ block, run.order
         assert np.abs(d.data - want).max() < 1e-14, counts
 
 
@@ -1138,21 +1140,54 @@ def step_target(n: int, order: tuple[int, ...], support: tuple[int, ...]):
     return support + columns + rest + rest_columns
 
 
+def site_pairs(n: int, sites) -> tuple[int, ...]:
+    """The order of a matrix stored in site-pair order, its sites in the
+    order given: each qubit's row bit q, then its column bit n + q."""
+    return tuple(label for q in sites for label in (q, n + q))
+
+
+def site_target(n: int, order: tuple[int, ...], support: tuple[int, ...]):
+    """The order a superoperator step on ``support`` works in, written out
+    from its definition: a matrix stored in site-pair order whose sites of
+    S form one contiguous run stays as it is; any other gets S's sites
+    first, then the other qubits in the order their row bits are stored
+    in, each as a (row, column) pair."""
+    sites = order[::2]
+    if order[1::2] == tuple(q + n for q in sites) and support:
+        where = sorted(sites.index(q) for q in support)
+        if where == list(range(where[0], where[0] + len(support))):
+            return order
+    rest = tuple(q for q in order if q < n and q not in support)
+    return site_pairs(n, support + rest)
+
+
 def bare_step(support: tuple[int, ...]) -> engine.BoundStep:
     """A step on ``support`` with no operators, of no form: what
     ``_gather`` reads of a step is its support and its move cache."""
     return engine.BoundStep(support)
 
 
+def identity_superop_step(support: tuple[int, ...]) -> engine.SuperopStep:
+    """A superoperator step on ``support`` whose T_S is the identity and
+    whose prob0 row is zero: what ``_gather_sites`` reads of a step is its
+    support, T_S, v and its move cache."""
+    size = 4 ** len(support)
+    return engine.SuperopStep(support, np.eye(size), np.zeros(size))
+
+
 def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeypatch):
     """A state stored in a step's order already hands back its stored
-    array reshaped: a vector whose order leads with S (after a step on
-    the same support, or on a wider one that S leads), and a matrix
-    stored as S's rows, S's columns, then the other rows and their
-    columns. The step keeps "no move" for that layout, so meeting it a
-    second time looks no order up. A matrix whose S block leads but whose
-    other columns come before their rows still moves, into the step's
-    order."""
+    array: a vector whose order leads with S (after a step on the same
+    support, or on a wider one that S leads), reshaped, and a matrix in
+    site-pair order (each qubit's row bit, then its column bit) to a
+    superoperator step whose sites form one contiguous run there (after a
+    superoperator step on S, say, or on a wider run that holds S),
+    flat. The step keeps "no move" for that layout, so meeting it a
+    second time looks no order up. A matrix gathered for a sandwich step
+    whose S block leads but whose other columns come before their rows
+    still moves, into the step's order; so does one in site-pair order
+    to a superoperator step whose sites are not one run there, with its
+    sites first and the others as they were stored."""
     n, support = 4, (1, 2, 3)
     circ = build_pauli_step(PauliTerm.from_string(0.4, "IXZY"), 0.1)
     local = np.random.default_rng(8)
@@ -1161,19 +1196,26 @@ def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeyp
     rho = random_density(n, local)
     d = DensityMatrix(n, rho)
     run_circuit(d, circ, noise=NoiseModel(0.02, 0.03))
-    assert s._order == (1, 2, 3, 0) and d._order == step_target(n, tuple(range(2 * n)), support)
-    steps = [(s, bare_step(support)), (s, bare_step((1, 2))), (d, bare_step(support))]
+    assert s._order == (1, 2, 3, 0) and d._order == site_pairs(n, (1, 2, 3, 0))
+    vector_steps = [bare_step(support), bare_step((1, 2))]
+    # the runs (1, 2, 3), (2, 3) and (2,) sit after 0, 1 and 1 sites
+    matrix_steps = [(identity_superop_step(q), p) for q, p in ((support, 0), ((2, 3), 1), ((2,), 1))]
     for meeting in ("first", "second"):
-        for state, step in steps:
-            order = state._order
-            gathered, target = state._gather(step)
-            assert target == order and np.shares_memory(gathered, state._stored)
-            assert gathered.shape == (
-                2 ** (len(step.support) * state._sides),
-                2 ** ((n - len(step.support)) * state._sides),
-            )
+        for step in vector_steps:
+            order = s._order
+            gathered, target = s._gather(step)
+            assert target == order and np.shares_memory(gathered, s._stored)
+            assert gathered.shape == (2 ** len(step.support), 2 ** (n - len(step.support)))
             assert step.moves == {(n, order): (order, None)}, meeting
+        for step, p in matrix_steps:
+            order = d._order
+            gathered, run = d._gather_sites(step)
+            assert run.order == order and run.move is None and run.sites == step.support
+            assert np.shares_memory(gathered, d._stored) and gathered.shape == (4**n,)
+            assert (run.before, run.after) == (4**p, 4 ** (n - p - len(step.support)))
+            assert step.moves == {(n, order): run}, meeting
         monkeypatch.setattr(engine, "_step_order", lambda *args: pytest.fail("an order was looked up"))
+        monkeypatch.setattr(engine, "_site_run", lambda *args: pytest.fail("an order was looked up"))
     monkeypatch.undo()
     order = (1, 2, 3, 5, 6, 7, 4, 0)  # the rest's column before its row
     d = DensityMatrix(n, rho)
@@ -1181,6 +1223,12 @@ def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeyp
     gathered, target = d._gather(bare_step(support))
     assert target == step_target(n, order, support) == (1, 2, 3, 5, 6, 7, 0, 4)
     assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
+    order = site_pairs(n, (1, 2, 3, 0))  # sites 0 and 1 apart
+    d._stored, d._order = in_order(rho, order), order
+    gathered, run = d._gather_sites(identity_superop_step((0, 1)))
+    assert run.order == site_target(n, order, (0, 1)) == site_pairs(n, (0, 1, 2, 3))
+    assert run.move is not None and (run.before, run.sites) == (1, (0, 1))
+    assert np.array_equal(gathered, in_order(rho, run.order))
 
 
 def vector_in_order(psi: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
@@ -1290,6 +1338,22 @@ def transposing_gather(self, step):
     return np.ascontiguousarray(moved).reshape(rows, -1), target
 
 
+def transposing_gather_sites(self, step):
+    """An oracle for ``DensityMatrix._gather_sites`` that keeps nothing: the
+    step's entry for the layout worked out afresh, its order checked
+    against its definition (``site_target``), and the matrix in a fresh
+    transposed copy, one bit per axis, or, when stored in that order
+    already, the stored buffer."""
+    n = self.n_qubits
+    current = tuple(range(2 * n)) if self._order is None else self._order
+    run = engine._site_run(n, self._order, step)
+    assert run.order == site_target(n, current, step.support)
+    if run.order == current:
+        return self._stored.reshape(-1), run
+    moved = self._stored.reshape((2,) * (2 * n)).transpose([current.index(q) for q in run.order])
+    return np.ascontiguousarray(moved).reshape(-1), run
+
+
 @pytest.mark.parametrize(
     "case", ["lih trajectories", "lih order 2 record_every 2", "ising noisy order 2"]
 )
@@ -1298,8 +1362,9 @@ def test_each_step_holds_one_move_per_layout_it_meets(case, monkeypatch):
     layouts (at order 2, where the palindrome runs each step after both
     of its neighbours, or between records that a statevector's ``data``
     read resets to canonical order), hold exactly one move per distinct
-    layout they meet. Their records are bitwise those of a run that
-    moves the state by a fresh transposition at every step."""
+    layout they meet, a superoperator step in the site-pair layout too.
+    Their records are bitwise those of a run that works every step's
+    layout out afresh and moves the state by a fresh transposition."""
     if case == "lih trajectories":
         h, init = build_lih(), prepare_initial(InitialState.basis("110000"), 6)
         schedule, config = Schedule(dt=0.05, n_steps=3), RunConfig(
@@ -1314,15 +1379,18 @@ def test_each_step_holds_one_move_per_layout_it_meets(case, monkeypatch):
         schedule, config = Schedule(dt=0.05, n_steps=3, order=2), RunConfig(noise=NoiseModel(1e-3, 2e-3))
     met: dict[int, tuple] = {}
     gathers: list[int] = []
-    gather = engine._State._gather
 
-    def recording(self, step):
-        _, layouts = met.setdefault(id(step), (step, set()))
-        layouts.add((self.n_qubits, self._order))
-        gathers.append(id(step))
-        return gather(self, step)
+    def recording(gather):
+        def recorded(self, step):
+            _, layouts = met.setdefault(id(step), (step, set()))
+            layouts.add((self.n_qubits, self._order))
+            gathers.append(id(step))
+            return gather(self, step)
 
-    monkeypatch.setattr(engine._State, "_gather", recording)
+        return recorded
+
+    monkeypatch.setattr(engine._State, "_gather", recording(engine._State._gather))
+    monkeypatch.setattr(DensityMatrix, "_gather_sites", recording(DensityMatrix._gather_sites))
     result = run_pite(h, init, schedule, config)
     counts = []
     for step, layouts in met.values():
@@ -1338,6 +1406,7 @@ def test_each_step_holds_one_move_per_layout_it_meets(case, monkeypatch):
     else:  # at order 2 a step runs after each of its two neighbours
         assert max(counts) >= 2
     monkeypatch.setattr(engine._State, "_gather", transposing_gather)
+    monkeypatch.setattr(DensityMatrix, "_gather_sites", transposing_gather_sites)
     oracle = run_pite(h, init, schedule, config)
     assert [repr(r) for r in result.records] == [repr(r) for r in oracle.records]
 
@@ -1346,28 +1415,40 @@ def test_each_step_holds_one_move_per_layout_it_meets(case, monkeypatch):
 def test_moving_between_stored_orders_equals_a_canonical_round_trip(path, monkeypatch):
     """Gathering a step's order from a matrix stored in a random order is
     bitwise the matrix scattered back to canonical order and gathered
-    from there, and reading ``data`` afterwards gives the matrix back.
-    A noisy step down ``path`` on that support, run from the random
-    order, stores the same order and equals ``full_kraus_step``."""
+    from there, and reading ``data`` afterwards gives the matrix back. A
+    superoperator step meets random label orders and random site-pair
+    orders (whose sites of S may form one run, so that nothing moves),
+    a sandwich step random label orders. A noisy step down ``path`` on
+    that support, run from the random order, stores the same order and
+    equals ``full_kraus_step``."""
     model = NoiseModel(0.02, 0.03)
     letter_rng = np.random.default_rng(17)  # leaves the module's draws as they were
     force_path(monkeypatch, path)
     for n in range(1, 7):
-        for _ in range(5):
+        for trial in range(5):
             rho = random_density(n)
             order = tuple(rng.permutation(2 * n).tolist())
             size = int(rng.integers(1, n + 1))
             support = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+            if path == "superop" and trial % 2:
+                order = site_pairs(n, letter_rng.permutation(n).tolist())
             d = DensityMatrix(n, rho)
             d._stored, d._order = in_order(rho, order), order
             restored = copy.deepcopy(d).data
             assert np.array_equal(restored, rho) and restored.flags.c_contiguous
-            gathered, target = d._gather(bare_step(support))
-            assert target == step_target(n, order, support)
-            assert gathered.shape[0] == 4**size
+            if path == "superop":
+                gathered, run = d._gather_sites(identity_superop_step(support))
+                target = run.order
+                assert target == site_target(n, order, support) and gathered.size == 4**n
+                assert (run.move is None) == (target == order)
+            else:
+                gathered, target = d._gather(bare_step(support))
+                assert target == step_target(n, order, support)
+                assert gathered.shape[0] == 4**size
             assert np.array_equal(gathered.reshape(-1), in_order(rho, target))
-            # a copy that in-place work can use (the order moved unless n = 1)
-            assert gathered.flags.c_contiguous and (n == 1 or gathered.base is not d._stored)
+            # a copy that in-place work can use, unless stored in the step's order
+            assert gathered.flags.c_contiguous
+            assert np.shares_memory(gathered, d._stored) == (target == order)
             d._stored, d._order = gathered, target
             assert np.array_equal(d.data, rho) and d.data.flags.c_contiguous
             if size > 3:  # a 4^k x 4^k superoperator is too large to lower
@@ -1421,9 +1502,12 @@ def test_chain_of_mixed_step_paths_matches_the_kraus_oracle(monkeypatch):
 
 def test_stored_orders_keep_rows_and_columns_alike(monkeypatch):
     """Every order a fused step stores during noisy Ising n=5 and LiH
-    runs puts the support's row bits first and keeps the row bits and the
-    column bits of the other qubits in one order, which the partial trace
-    rho[:, ::rest+1] and the diagonal rely on."""
+    runs keeps each qubit's row and column bits alike, as the partial
+    traces and the diagonal rely on. A superoperator step stores a
+    site-pair order (each qubit's row bit right before its column bit)
+    in which S's sites form one contiguous run. A sandwich step puts the support's row bits first, then
+    its column bits, and keeps the row bits and the column bits of the
+    other qubits in one order (rho[:, ::rest+1])."""
     from pite_sim.hamiltonian import build_lih
     from pite_sim.pite import RunConfig, Schedule, run_pite
 
@@ -1432,7 +1516,7 @@ def test_stored_orders_keep_rows_and_columns_alike(monkeypatch):
 
     def recording(self, step, rng):
         result = run_step(self, step, rng)
-        stored.append((self.n_qubits, step.support, self._order))
+        stored.append((self.n_qubits, step.support, self._order, type(step)))
         return result
 
     monkeypatch.setattr(DensityMatrix, "_run_step", recording)
@@ -1444,12 +1528,150 @@ def test_stored_orders_keep_rows_and_columns_alike(monkeypatch):
         (lih, prepare_initial(InitialState.basis("110000"), 6)),
     ):
         run_pite(h, init, Schedule(dt=0.05, n_steps=2), config)
-    assert {n for n, _, _ in stored} == {5, 6}
-    assert len({order for _, _, order in stored}) > 10
-    for n, support, order in stored:
+    assert {n for n, _, _, _ in stored} == {5, 6}
+    assert len({order for _, _, order, _ in stored}) > 10
+    forms = {form for _, _, _, form in stored}
+    assert forms == {engine.SuperopStep, engine.MaskSandwichStep, engine.PassSandwichStep}
+    for n, support, order, form in stored:
         rows = [q for q in order if q < n]
         assert rows == [q - n for q in order if q >= n], order
-        assert tuple(rows[: len(support)]) == support == order[: len(support)], order
+        if form is engine.SuperopStep:
+            assert order == site_pairs(n, rows), order
+            where = sorted(rows.index(q) for q in support)
+            assert where == list(range(where[0], where[0] + len(support))), order
+        else:
+            assert tuple(rows[: len(support)]) == support == order[: len(support)], order
+
+
+def owed_by_kraus(rho: np.ndarray, model: NoiseModel, counts) -> np.ndarray:
+    """``model``'s channel applied counts[q] times to qubit q, as the sum
+    over its Kraus operators embedded in the whole register."""
+    n = len(counts)
+    for q, m in enumerate(counts):
+        ops = [on_register(e, (q,), n) for e in model.kraus_operators()]
+        for _ in range(m):
+            rho = sum(op @ rho @ op.conj().T for op in ops)
+    return rho
+
+
+# (support, site order a matrix is stored in, whether the support's sites
+# form one run there): one-site steps inside and at either end, pairs in
+# order and reversed, a pair and a triple apart, and a triple in order and
+# in the order 4, 0, 2
+SITE_CASES = [
+    ((2,), (0, 1, 2, 3, 4), True),
+    ((4,), (4, 3, 2, 1, 0), True),
+    ((1, 2), (0, 1, 2, 3, 4), True),
+    ((3, 4), (0, 1, 2, 3, 4), True),
+    ((1, 2), (4, 2, 1, 0, 3), True),
+    ((0, 4), (1, 4, 0, 2, 3), True),
+    ((0, 3), (0, 1, 2, 3, 4), False),
+    ((1, 2, 3), (0, 1, 2, 3, 4), True),
+    ((0, 2, 4), (3, 4, 0, 2, 1), True),
+    ((0, 2, 4), (0, 1, 2, 3, 4), False),
+]
+
+
+@pytest.mark.parametrize("start", ["canonical", "site-pair", "sandwich"])
+@pytest.mark.parametrize("support, sites, run", SITE_CASES)
+def test_superop_steps_in_the_site_layout_match_the_kraus_oracle(support, sites, run, start):
+    """A noisy superoperator step on 1 to 3 sites, on a real and on a
+    complex 5-qubit matrix owing random channel counts, stored in
+    canonical order, in site-pair order (its sites one run there, in
+    order or not, or apart) or as a sandwich step gathers it, equals
+    ``full_kraus_step`` on the matrix with what it owes applied. It
+    moves nothing when the matrix is in site-pair order and its sites
+    form one run there, in whatever order; then T_S is permuted into
+    that order. Else it moves S's sites first."""
+    n, model = 5, NoiseModel(0.02, 0.03)
+    local = np.random.default_rng(len(support) * 100 + sum(sites[:2]) * 10 + len(start))
+    letters = ["I"] * n
+    for q in support:
+        letters[q] = "XYZ"[int(local.integers(3))]
+    circ = build_pauli_step(PauliTerm.from_string(0.4, "".join(letters)), 0.1)
+    complex_rho = random_density(n, local)
+    orders = {
+        "canonical": None,
+        "site-pair": site_pairs(n, sites),
+        "sandwich": step_target(n, tuple(range(2 * n)), tuple(q for q in sites[:2])),
+    }
+    order = orders[start]
+    for rho in (complex_rho, complex_rho.real.copy()):
+        d = DensityMatrix(n, rho)
+        step = lower_step(circ, d, model)
+        assert type(step) is engine.SuperopStep and step.support == support
+        d._adopt(model)
+        owed = local.integers(0, 4, size=n).tolist()
+        d._owed = list(owed)
+        if order is not None:
+            d._stored, d._order = in_order(rho, order), order
+        stored = d._stored
+        res = run_step_circuit(d, step)
+        want, p0 = full_kraus_step(circ, owed_by_kraus(rho, model, owed), model)
+        assert res == pytest.approx(p0, rel=1e-12), letters
+        assert np.abs(copy.deepcopy(d).data - want).max() < 1e-12, letters
+        (entry,) = step.moves.values()
+        in_place = start == "site-pair" and run
+        assert (entry.move is None) == in_place and d._order == entry.order
+        assert entry.order == site_target(n, order or tuple(range(2 * n)), support)
+        if in_place:
+            assert d._order == order and not np.shares_memory(d._stored, stored)
+            assert entry.sites == tuple(q for q in sites if q in support)
+        else:
+            assert entry.sites == support and entry.before == 1
+
+
+def test_superop_products_cut_into_pieces_match_the_kraus_oracle():
+    """On a complex 7-qubit matrix in site-pair order, superoperator steps
+    whose products exceed ``_GEMM_MAX`` multiply-adds run in pieces: a
+    one-site step on site 5, multiplied from the right in row blocks,
+    and a step on sites 0-2, multiplied in column blocks; a step on
+    sites 0-1 runs as one product. Each equals ``full_kraus_step``."""
+    n, model = 7, NoiseModel(0.02, 0.03)
+    local = np.random.default_rng(2929)
+    rho = random_density(n, local)
+    d = DensityMatrix(n, rho)
+    d._adopt(model)
+    order = site_pairs(n, range(n))
+    d._stored, d._order = in_order(rho, order), order
+    # (term, the view shape of its product): 2 blocks of 512 rows of 4 x 8
+    # floats, one product of 16 x 2048 floats, and 2 cuts (XYZ's T_S is
+    # complex, so the matrix is multiplied as it is)
+    cases = [("IIIIIZI", (2, 512, 32)), ("XZIIIII", (1, 16, 2048)), ("XYZIIII", (1, 64, 2, 128))]
+    for axes, shape in cases:
+        circ = build_pauli_step(PauliTerm.from_string(0.4, axes), 0.1)
+        step = lower_step(circ, d, model)
+        res = run_step_circuit(d, step)
+        rho, p0 = full_kraus_step(circ, rho, model)
+        (entry,) = step.moves.values()
+        assert entry.move is None and [s for _, _, s, _ in entry.ops.values()] == [shape], axes
+        assert res == pytest.approx(p0, rel=1e-12), axes
+        assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, axes
+
+
+def test_reads_in_any_site_order_match_canonical_order():
+    """A matrix stored in a random site-pair order, owing nothing or random
+    channel counts, gives the same ``data`` (bitwise), ``trace()``,
+    energy and ``subspace_weight`` as the same matrix in canonical
+    order."""
+    local = np.random.default_rng(1929)
+    h = build_ising(5, 1.0, 1.2, 0.3)
+    model = NoiseModel(0.02, 0.03)
+    basis, _ = np.linalg.qr(local.standard_normal((32, 2)) + 1j * local.standard_normal((32, 2)))
+    for trial in range(6):
+        rho = random_density(5, local)
+        owed = [0] * 5 if trial < 2 else local.integers(0, 4, size=5).tolist()
+        canonical, moved = DensityMatrix(5, rho), DensityMatrix(5, rho)
+        for d in (canonical, moved):
+            d._adopt(model)
+            d._owed = list(owed)
+        order = site_pairs(5, local.permutation(5).tolist())
+        moved._stored, moved._order = in_order(rho, order), order
+        assert moved.trace() == pytest.approx(canonical.trace(), abs=1e-13)
+        assert moved.expectation(h) == pytest.approx(canonical.expectation(h), rel=1e-13)
+        assert moved.subspace_weight(basis) == pytest.approx(canonical.subspace_weight(basis), abs=1e-13)
+        assert moved._order == order  # the reads moved nothing
+        assert np.array_equal(moved.data, canonical.data)
 
 
 def test_reading_data_restores_the_canonical_order():
@@ -1640,6 +1862,32 @@ def test_adjoint_reads_are_built_once_per_counts_and_order(monkeypatch):
     assert len(builds) == 2 and set(d._reads) == {"projector", "diagonals"}
     # the adjoint diagonals are a (masks, 2^n) stack; only a projector has 4^n entries
     assert len([e for e in d._reads.values() if e[2].size == 4**5]) == 1
+
+
+def test_reads_in_another_order_move_the_projector_they_hold(monkeypatch):
+    """A matrix moved into another order, owing the same counts, reads its
+    subspace weight from the projector it holds moved into that order,
+    bitwise the one built there, and its energy from the diagonals it
+    holds: neither is built again, and both reads equal those before the
+    move."""
+    builds = []
+    for name in ("_adjoint_projector", "_adjoint_diagonals"):
+        build = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *args, _b=build, _n=name: builds.append(_n) or _b(*args))
+    h = build_ising(5, 1.0, 1.2, 0.3)
+    model = NoiseModel(0.02, 0.03)
+    basis = np.linalg.qr(rng.standard_normal((32, 2)))[0]
+    d = moved_and_owing(monkeypatch, h, model, ("superop", "sandwich"))
+    weight, energy = d.subspace_weight(basis), d.expectation(h)
+    assert sorted(builds) == ["_adjoint_diagonals", "_adjoint_projector"]
+    canonical = transposed(d._stored, d._order, tuple(range(10))).reshape(32, 32)
+    order = site_pairs(5, (3, 0, 4, 1, 2))
+    d._stored, d._order = in_order(canonical, order), order
+    assert d.subspace_weight(basis) == pytest.approx(weight, abs=1e-13)
+    assert d.expectation(h) == pytest.approx(energy, rel=1e-13)
+    assert len(builds) == 2 and d._reads["projector"][1][2] == order
+    want = engine._adjoint_projector(basis, model, tuple(d._owed), order)
+    assert d._reads["projector"][2].tobytes() == want.tobytes()
 
 
 def test_gate_list_passes_run_in_the_buffers_they_own(monkeypatch):
@@ -2324,6 +2572,7 @@ def test_cached_arrays_are_read_only():
         vectors,
         engine._channel_factors(NoiseModel(0.2, 0.3), (1, 2))[1],
         engine._channel_superop(NoiseModel(0.2, 0.3), (1, 2)),
+        engine._partial_trace_index(3, 1, 1),
         engine._parities(3),
         *h.x_mask_stack,
     ]

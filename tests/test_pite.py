@@ -639,8 +639,9 @@ def test_density_trace_check_rejects_nan():
 def test_noisy_run_holds_at_most_one_projector(monkeypatch):
     """A noisy Ising run reads its fidelity records without a flush, from
     one adjoint ground projector that the state builds once, since every
-    record after a Trotter step finds the same owed counts and order, and
-    holds alone."""
+    record after a Trotter step finds the same owed counts (a record that
+    finds another stored order, as the first Trotter step leaves one,
+    moves the projector it holds), and holds alone."""
     import pite_sim.engine as engine
 
     builds, states = [], []
