@@ -58,14 +58,14 @@ qubit's row bit, then its column bit, qubit after qubit (the labels
 q0, n + q0, q1, n + q1, ...). When S's sites form one contiguous run
 there, after 4^p entries and before 4^(n-p-|S|), T_S, held in site-pair
 order and permuted into the run's, multiplies the
-(4^p, 4^|S|, 4^(n-p-|S|)) view in place of a move, and prob0 reads the
-partial trace over the other sites by one ``take`` of held positions
-(:func:`_partial_trace_index`); any other matrix is moved with S's sites
-first (:func:`_site_run`). A sandwich step works on the matrix gathered
-with S's row bits first, then S's column bits, then the rest's: as
-(4^|S|, rest^2), S's vectorized block on the leading axis. A sandwich
-a rho a^dag is a on S's row bits, one product, and a^dag on its column
-bits, one product batched over the rows. Nothing assumes rho = rho^dag.
+(4^p, 4^|S|, 4^(n-p-|S|)) view in place of a move; any other matrix is
+moved with S's sites first (:func:`_site_run`). In any site-pair order
+the diagonal sits at the same positions (:func:`_diagonal_sites`). A
+sandwich step works on the matrix gathered with S's row bits first,
+then S's column bits, then the rest's: as (4^|S|, rest^2), S's
+vectorized block on the leading axis. A sandwich a rho a^dag is a on
+S's row bits, one product, and a^dag on its column bits, one product
+batched over the rows. Nothing assumes rho = rho^dag.
 An operator real but for one phase per column or per row is split into
 the real matrix and an elementwise phase factor (:func:`_phased`), which
 its sandwich applies as a row scaling, and a real matrix multiplies a
@@ -78,14 +78,14 @@ trajectories, weighted by their ancilla-0 probabilities, reproduces the
 channel. On a density matrix a step applies the channel on S only and
 leaves it owed on every other qubit. That is exact: the channel on a
 qubit outside S is trace-preserving and acts on that qubit alone, so it
-commutes with the whole step, its weight and its division by prob0
-included. The owed applications run, folded into one channel per qubit,
-when a later step's support takes in the qubit (composed into its
-superoperator, or in the gathered layout, where its passes are long) or
-when ``data`` is read. On either state type a step also moves the state
-into its own order (S first, the other qubits as they were stored; a
-superoperator step leaves a matrix whose sites of S are one run in
-site-pair order as it is) and leaves it there; ``data`` restores
+commutes with the whole step, its weight W included, and leaves the
+trace that gives prob0 as it is. The owed applications run, folded into
+one channel per qubit, when a later step's support takes in the qubit
+(composed into its superoperator, or in the gathered layout, where its
+passes are long) or when ``data`` is read. On either state type a step
+also moves the state into its own order (S first, the other qubits as
+they were stored; a superoperator step leaves a matrix whose sites of S
+are one run in site-pair order as it is) and leaves it there; ``data`` restores
 canonical order. Each step keeps the move it made from each layout it
 met (register size and stored order), so a run works a move out once
 per step and layout: a state already stored in the step's order (after
@@ -115,17 +115,19 @@ Every measurement postselects: it keeps outcome 0 and returns prob0 as
 a float. One rule (:func:`_postselected`) checks every prob0 before the
 state changes: it takes one in [``ANNIHILATION_THRESHOLD``, 1] as it is,
 clamps one over 1 by rounding to 1, and raises on one further over 1, on
-NaN and below the annihilation threshold. A statevector trajectory,
-whose noisy ancilla can jump, checks the summed weight of its two
-branches and then keeps one of them with one draw (see
-:meth:`StateVector._measure`). A density matrix folds 1/prob0 into its
-step (T_S / prob0, the X-mask product scaled by 1/prob0, or W / prob0).
-A statevector carries the squared norm of its stored vector instead and
-keeps each branch unnormalized: prob0 is the ratio of the kept branch's
-squared norm to the carried one, and the vector is divided once, when
-``data`` reads it (see :class:`StateVector`). A sampled run's restarts
-are replayed from those prob0s by the caller (see
-``pite.replay_restarts``).
+NaN and below the annihilation threshold. Both state types carry the
+weight of their stored state, a vector's squared norm and a matrix's
+trace, and keep each branch unnormalized: prob0 is the ratio of the
+kept branch's weight to the carried one (:meth:`_State._outcome`), and
+the state is divided once, when ``data`` reads it (see :class:`_State`).
+A density matrix's kept weight is the trace of a step's output: after
+T_S, Post_S included, or on a sandwich after W (and S's channel, on an
+X-mask stack) and before Post_S; a statevector's is the squared norm of
+its branch after diag(c_S). A
+statevector trajectory, whose noisy ancilla can jump, checks the summed
+weight of its two branches and then keeps one of them with one draw (see
+:meth:`StateVector._measure`). A sampled run's restarts are replayed
+from those prob0s by the caller (see ``pite.replay_restarts``).
 """
 from __future__ import annotations
 
@@ -166,10 +168,10 @@ __all__ = [
 ]
 
 ANNIHILATION_THRESHOLD = 1e-15
-# A statevector whose carried squared norm falls below this is divided to
-# unit norm at once, long before its entries could underflow (a chain of
-# measurements with no read in between shrinks it by each prob0)
-NORM2_RESCALE_THRESHOLD = 1e-100
+# A state whose carried weight falls below this is divided at once, long
+# before its entries could underflow (a chain of measurements with no read
+# in between shrinks it by each prob0)
+RESCALE_THRESHOLD = 1e-100
 # Widest step support (in qubits) that runs as fused operators. Up to it
 # fused steps ran faster than the gate kernels on both state types
 # (single-qubit terms on large density matrices about even), and each
@@ -404,8 +406,17 @@ def _weights(c: np.ndarray, s: np.ndarray, eps_d: float) -> np.ndarray:
 
 
 class _State:
-    """Plumbing shared by the two state types: dtype promotion, the energy
-    and the stored qubit order.
+    """Plumbing shared by the two state types: dtype promotion, the energy,
+    the stored qubit order and the carried weight.
+
+    The stored state is the state times a scale: ``_weight`` is its
+    weight, the squared norm of a vector and the trace of a matrix (1 for
+    a state set through ``data``). A measurement keeps its branch as it
+    comes, unnormalized, and its prob0 is the ratio of the branch's weight
+    to ``_weight``, which then becomes the branch's (:meth:`_outcome`).
+    ``data`` divides once, when the state is read (``_normalize``), and so
+    does a step whose weight has fallen below ``RESCALE_THRESHOLD``,
+    before it can underflow.
 
     The state is kept in ``_stored`` with its bits, most significant
     first, carrying the labels ``_order``: q for qubit q, and on a density
@@ -417,14 +428,14 @@ class _State:
     :meth:`DensityMatrix._gather_sites`, by the move the step keeps for
     the stored layout) and leaves it there;
     ``data``, and so every gate (and a statevector's energy), first
-    restores the canonical order (and divides a statevector to unit
-    norm). A copy keeps the stored order, and a density matrix reads its
-    energy, trace and subspace weight in it. A
-    subclass says how many ``_sides`` carry labels (1 on a vector, 2 on a
-    matrix) and supplies ``_expectation`` and ``_run_step``, which runs
-    call, and ``measure_ancilla``, a whole-register measurement on
-    ``data`` that no step calls; ``apply_gate`` runs a gate on ``data``
-    on every side. Tests and the benchmark's spans use those two.
+    restores the canonical order and divides by the weight. A copy keeps
+    the stored order, and a density matrix reads its energy, trace and
+    subspace weight in it. A subclass says how many ``_sides`` carry
+    labels (1 on a vector, 2 on a matrix) and supplies ``_normalize``,
+    ``_expectation`` and ``_run_step``, which runs call, and
+    ``measure_ancilla``, a whole-register measurement on ``data`` that no
+    step calls; ``apply_gate`` runs a gate on ``data`` on every side.
+    Tests and the benchmark's spans use those two.
     """
 
     n_qubits: int
@@ -432,8 +443,8 @@ class _State:
 
     @property
     def data(self) -> np.ndarray:
-        """The state in canonical order (on a density matrix, all that is
-        owed applied; a statevector divided to unit norm)."""
+        """The state in canonical order and divided by its weight (on a
+        density matrix, all that is owed applied)."""
         self._flush()
         return self._stored
 
@@ -441,14 +452,33 @@ class _State:
     def data(self, entries: np.ndarray) -> None:
         self._stored = np.ascontiguousarray(entries)
         self._order: tuple[int, ...] | None = None
+        self._weight = 1.0
 
     def _flush(self) -> None:
-        """Put the stored state back in canonical order."""
+        """Put the stored state back in canonical order, then divide it by
+        its weight."""
         if self._order is not None:
             n = self.n_qubits
             shape, axes = _transposition(self._order, tuple(range(self._sides * n)))
             moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
             self._stored, self._order = moved.reshape((2**n,) * self._sides), None
+        self._normalize()
+
+    def _keep(self, branch: np.ndarray, weight: float, order: tuple | None) -> None:
+        """Store a step's kept ``branch``, in ``order``, whose weight is
+        ``weight``."""
+        self._stored, self._order, self._weight = branch, order, weight
+        if weight < RESCALE_THRESHOLD:
+            self._normalize()
+
+    def _outcome(self, branch: np.ndarray, weight: float, order: tuple | None) -> float:
+        """The outcome rule on a kept ``branch`` of weight ``weight``:
+        prob0 is ``weight`` over the carried weight, checked by
+        :func:`_postselected` before anything is stored, then the branch
+        is kept (:meth:`_keep`). Returns prob0."""
+        prob0 = _postselected(weight / self._weight)
+        self._keep(branch, weight, order)
+        return prob0
 
     def _gather(self, step: BoundStep) -> tuple[np.ndarray, tuple]:
         """The state in the order ``step`` works in, as (2^k, rest) on a
@@ -503,15 +533,9 @@ class _State:
 
 
 class StateVector(_State):
-    """Statevector over ``n_qubits``, read unit-norm.
-
-    The stored vector is the state times a scale: ``_norm2`` is its
-    squared norm (1 for a vector set through ``data``). A measurement
-    keeps its branch as it comes, unnormalized; its prob0 is the ratio of
-    the branch's squared norm to ``_norm2``, which then becomes the
-    branch's. ``data`` divides by sqrt(``_norm2``) once, when the state
-    is read, and so does a step whose ``_norm2`` has fallen below
-    ``NORM2_RESCALE_THRESHOLD``, before it can underflow.
+    """Statevector over ``n_qubits``, read unit-norm: its carried weight
+    is the squared norm of the stored vector, which ``data`` divides by
+    its square root (see :class:`_State`).
 
     Stored as float64 while all applied gates are real, upcast to
     complex128 on the first genuinely complex operation.
@@ -530,49 +554,29 @@ class StateVector(_State):
                 raise ValueError("amplitude count does not match qubit count")
             self.data = real_if_exact(amplitudes)
 
-    @_State.data.setter
-    def data(self, entries: np.ndarray) -> None:
-        _State.data.fset(self, entries)
-        self._norm2 = 1.0
-
-    def _flush(self) -> None:
-        """Put the vector back in canonical order, then divide it to unit
-        norm."""
-        super()._flush()
-        self._normalize()
-
     def _normalize(self) -> None:
-        if self._norm2 != 1.0:
-            self._stored /= math.sqrt(self._norm2)
-            self._norm2 = 1.0
-
-    def _keep(self, branch: np.ndarray, norm2: float, order: tuple | None) -> None:
-        """Store a step's kept ``branch``, in ``order``, whose squared norm
-        is ``norm2``."""
-        self._stored, self._order, self._norm2 = branch, order, norm2
-        if norm2 < NORM2_RESCALE_THRESHOLD:
-            self._normalize()
+        if self._weight != 1.0:
+            self._stored /= math.sqrt(self._weight)
+            self._weight = 1.0
 
     def _measure(
         self, out: np.ndarray, out1: np.ndarray | None, eps_d: float, rng, order: tuple | None
     ) -> float:
         """The measurement stage, on the ancilla-0 branch ``out`` and, when
         the ancilla can jump, its ancilla-1 branch ``out1``, which reaches
-        outcome 0 with weight ``eps_d``: each weight is its branch's
-        squared norm over ``_norm2``, prob0 is their sum, and the branch
-        kept is stored as it is. With a jump branch, which needs ``rng``,
-        outcome 0 takes one draw r and keeps the jump branch when
-        r prob0 >= the first weight."""
+        outcome 0 with weight ``eps_d``. Without a jump branch prob0 is
+        :meth:`_outcome`'s. With one, which needs ``rng``, each weight is
+        its branch's squared norm over ``_weight``, prob0 is their sum,
+        and outcome 0 takes one draw r and keeps the jump branch, as it
+        is, when r prob0 >= the first weight."""
         if out1 is not None and rng is None:
             raise ValueError("a sampled noise branch needs an rng")
         kept = _squared_norm(out)
         if out1 is None:
-            prob0 = _postselected(kept / self._norm2)
-            self._keep(out, kept, order)
-            return prob0
-        kept1, weight = _squared_norm(out1), kept / self._norm2
-        # two quotients: (kept + eps_d kept1) / norm2 rounds differently
-        prob0 = _postselected(weight + eps_d * kept1 / self._norm2)
+            return self._outcome(out, kept, order)
+        kept1, weight = _squared_norm(out1), kept / self._weight
+        # two quotients: (kept + eps_d kept1) / weight rounds differently
+        prob0 = _postselected(weight + eps_d * kept1 / self._weight)
         if rng.random() * prob0 >= weight:
             self._keep(out1, kept1, order)
         else:
@@ -615,9 +619,9 @@ class StateVector(_State):
                 else:
                     out = k0.dot(x)
                 kept = _squared_norm(out)
-            prob0 = _postselected(kept / self._norm2)
-            self._stored, self._order, self._norm2 = out, order, kept  # _keep, inlined
-            if kept < NORM2_RESCALE_THRESHOLD:
+            prob0 = _postselected(kept / self._weight)
+            self._stored, self._order, self._weight = out, order, kept  # _outcome, inlined
+            if kept < RESCALE_THRESHOLD:
                 self._normalize()
             return prob0
         noise = step.noise  # a BranchStep
@@ -650,7 +654,7 @@ class StateVector(_State):
         keep = 1.0 - model.eps_r - model.eps_d
         flat = self._stored.reshape(-1)
         order = range(self.n_qubits) if self._order is None else self._order
-        norm2 = self._norm2
+        norm2 = self._weight
         for q in range(self.n_qubits):
             v0, v1 = _pair_views(flat, order.index(q))
             one = float(np.real(np.vdot(v1, v1)))
@@ -676,7 +680,9 @@ class DensityMatrix(_State):
     """Dense 2^n x 2^n density matrix; gates act as U rho U^dag.
 
     Like :class:`StateVector`, entries stay float64 until a genuinely
-    complex gate arrives.
+    complex gate arrives. Its carried weight is the trace of the stored
+    matrix, which ``data`` divides by, and which ``trace``, the energy
+    and ``subspace_weight`` divide their reads by (see :class:`_State`).
 
     A step leaves the noise channel of the qubits outside its support
     owed: the state keeps the matrix without it and a per-qubit count of
@@ -717,7 +723,8 @@ class DensityMatrix(_State):
         return twin
 
     def _flush(self) -> None:
-        """Put the matrix back in canonical order, then apply what is owed."""
+        """Put the matrix back in canonical order and divide it by its
+        weight, then apply what is owed."""
         super()._flush()
         if any(self._owed):
             _channel(self._stored, self._noise, tuple(self._owed))
@@ -730,22 +737,30 @@ class DensityMatrix(_State):
             self._flush()
             self._noise = model
 
+    def _normalize(self) -> None:
+        if self._weight != 1.0:
+            self._stored /= self._weight
+            self._weight = 1.0
+
     def trace(self) -> float:
-        """tr rho, summed over the stored diagonal: the owed channel keeps
-        the trace, and a stored order moves the diagonal entries only."""
+        """tr rho, the stored diagonal's sum over the carried weight: the
+        owed channel keeps the trace, and a stored order moves the
+        diagonal entries only."""
         rows, columns = _flat_positions(self.n_qubits, self._order)
-        return float(self._stored.reshape(-1)[rows + columns].real.sum())
+        return float(self._stored.reshape(-1)[rows + columns].real.sum()) / self._weight
 
     def subspace_weight(self, basis: np.ndarray) -> float:
         """Tr(B B^dag rho) for the orthonormal columns B of ``basis``,
-        without a flush: Tr(N^dag(B B^dag) rho~), with rho~ the stored
-        matrix and N what it owes, as one ``vdot`` of the flat buffers
-        (:func:`_adjoint_projector`). A matrix that owes nothing in
-        canonical order reads B^dag rho B instead and builds no projector."""
+        without a flush: Tr(N^dag(B B^dag) rho~) over the carried weight,
+        with rho~ the stored matrix and N what it owes, as one ``vdot`` of
+        the flat buffers (:func:`_adjoint_projector`). A matrix that owes
+        nothing in canonical order reads B^dag rho~ B instead and builds
+        no projector."""
         owed = tuple(self._owed)
         if self._order is None and not any(owed):
             amps = self._stored @ basis
-            return float(sum(np.real(np.vdot(basis[:, d], amps[:, d])) for d in range(basis.shape[1])))
+            total = sum(np.real(np.vdot(basis[:, d], amps[:, d])) for d in range(basis.shape[1]))
+            return float(total) / self._weight
         def build(held: tuple | None) -> np.ndarray:
             if held is not None and held[0] is basis and held[1][:2] == (self._noise, owed):
                 # the projector held, in another order: moved, not built again
@@ -753,7 +768,7 @@ class DensityMatrix(_State):
             return _adjoint_projector(basis, self._noise, owed, self._order)
 
         projector = self._adjoint_read("projector", basis, build)
-        return float(np.vdot(projector, self._stored.reshape(-1)).real)
+        return float(np.vdot(projector, self._stored.reshape(-1)).real) / self._weight
 
     def _adjoint_read(self, kind: str, source, build):
         """``build(held)``, an adjoint observable of ``source`` for the owed
@@ -789,12 +804,12 @@ class DensityMatrix(_State):
     ) -> float:
         """:meth:`StateVector.measure_ancilla` on a density matrix, which
         keeps both branches and so needs no ``rng``: on ``data``, with
-        W = c c^T + eps_d s s^T (:func:`_weights`), prob0 is
-        sum_x W_xx rho_xx and rho becomes W * rho / prob0 elementwise."""
+        W = c c^T + eps_d s s^T (:func:`_weights`), rho becomes W * rho
+        elementwise, whose trace sum_x W_xx rho_xx is prob0
+        (:meth:`_outcome`)."""
         weights, rho = _weights(c, s, eps_d), self.data
-        prob0 = _postselected(float(np.dot(weights.diagonal(), rho.diagonal()).real))
-        self.data = rho * (weights / prob0)
-        return prob0
+        kept = float(np.dot(weights.diagonal(), rho.diagonal()).real)
+        return self._outcome(rho * weights, kept, None)
 
     def _gather_sites(self, step: SuperopStep) -> tuple[np.ndarray, _SiteRun]:
         """The matrix in the site-pair order ``step`` works in, flat, and
@@ -814,10 +829,10 @@ class DensityMatrix(_State):
         return np.ascontiguousarray(self._stored.reshape(shape).transpose(axes)).reshape(-1), run
 
     def _run_step(self, step: BoundStep, rng) -> float:
-        # prob0 is a row vector on the partial trace over the rest: T_S's v
-        # before the step, or diag(W) on S's diagonal after Pre_S. The
-        # channel on a qubit outside S commutes with the whole step, so it
-        # is only counted as owed.
+        # The kept weight is the trace of the step's output: after T_S, or
+        # after W on a sandwich, before Post_S. The channel on a qubit
+        # outside S commutes with the whole step, so it is only counted as
+        # owed.
         noise = step.noise
         if noise is not None:
             self._adopt(noise)
@@ -832,19 +847,17 @@ class DensityMatrix(_State):
     def _superop_step(self, step: SuperopStep) -> float:
         # The step runs on, and stores, rho in site-pair order, S's sites
         # one run in it: the (before, 4^k, after) view, S's vectorized
-        # block on the middle axis. What S owes composes into T_S and v.
+        # block on the middle axis. What S owes composes into T_S.
         rho, run = self._gather_sites(step)
         owed = tuple(self._owed[q] for q in run.sites)
         split = rho.dtype.kind == "c" and run.t_s.dtype.kind == "f"
         try:
-            row, op, shape, right = run.ops[owed, split]
+            op, shape, right = run.ops[owed, split]
         except KeyError:
-            row, op, shape, right = run.ops[owed, split] = run.operators(self._noise, owed, split)
-        prob0 = _postselected(float(np.dot(row, rho.take(run.index).sum(axis=1)).real))
+            op, shape, right = run.ops[owed, split] = run.operators(self._noise, owed, split)
         # the moved copy is the state: the stored matrix goes before the product
         self._stored, self._order = rho, run.order
         x = (rho.view(np.float64) if split else rho).reshape(shape)
-        op = op * (1.0 / prob0)
         if right:
             out = np.matmul(x, op)
         elif x.ndim == 3:
@@ -852,8 +865,10 @@ class DensityMatrix(_State):
         else:  # T_S on each (4^k, columns) block, each written to its place in out
             out = np.empty(shape, np.result_type(op, x))
             np.matmul(op, x.transpose(0, 2, 1, 3), out=out.transpose(0, 2, 1, 3))
-        self._stored = out.view(np.complex128) if split else out
-        return prob0
+        out = (out.view(np.complex128) if split else out).reshape(-1)
+        # in any site-pair order the diagonal sits at the same positions
+        kept = float(out.take(_diagonal_sites(self.n_qubits)).sum().real)
+        return self._outcome(out, kept, run.order)
 
     def _sandwich_step(self, step: MaskSandwichStep | PassSandwichStep) -> float:
         # The step runs on, and stores, rho gathered with S's row bits, then
@@ -864,11 +879,6 @@ class DensityMatrix(_State):
         k = len(support)
         rho, order = self._gather(step)
         owed = tuple(self._owed[q] for q in support)
-        if type(step) is MaskSandwichStep:
-            row = step.row
-        else:
-            weights = _weights(step.c, step.s, 0.0 if noise is None else noise.eps_d)
-            row = weights.diagonal()
         view = np.may_share_memory(rho, self._stored)
         axes = {q: i for i, q in enumerate(support)}  # for a gate list
         if any(owed):  # before Pre_S, where its passes run long
@@ -878,19 +888,18 @@ class DensityMatrix(_State):
                     self._owed[q] = 0
         if step.pre is not None:
             rho = _sandwich(step.pre, rho, not view, axes)
-        traced = rho[:: 2**k + 1]  # S's diagonal, which diag W weights
-        rest = math.isqrt(rho.shape[1])
-        prob0 = _postselected(float(np.dot(row, traced[:, :: rest + 1].sum(axis=1)).real))
-        # W, then S's own channel
-        if type(step) is MaskSandwichStep:
-            rho = _by_mask(step.stack, rho, 1.0 / prob0)
+        if type(step) is MaskSandwichStep:  # W and S's own channel
+            rho = _by_mask(step.stack, rho)
         else:
-            rho = rho * (weights / prob0).reshape(-1, 1)
-            if noise is not None:
-                _channel(rho, noise, (1,) * k, columns=k)
+            eps_d = 0.0 if noise is None else noise.eps_d
+            rho = rho * _weights(step.c, step.s, eps_d).reshape(-1, 1)
+        rest = math.isqrt(rho.shape[1])
+        # the trace: S's diagonal rows, each on the rest's diagonal
+        prob0 = self._outcome(rho, float(rho[:: 2**k + 1, :: rest + 1].sum().real), order)
+        if type(step) is PassSandwichStep and noise is not None:  # S's own channel
+            _channel(self._stored, noise, (1,) * k, columns=k)
         if step.post is not None:
-            rho = _sandwich(step.post, rho, True, axes)
-        self._stored, self._order = rho, order
+            self._stored = _sandwich(step.post, self._stored, True, axes)
         return prob0
 
     def _expectation(self, h: PauliHamiltonian) -> float:
@@ -898,8 +907,8 @@ class DensityMatrix(_State):
         # every distinct X mask (see PauliHamiltonian.x_mask_stack), read
         # without a flush as Tr(N^dag(H) rho~): the diagonals of N^dag(H)
         # (see _adjoint_diagonals) against the stored matrix, whose entry
-        # (b, c) sits at rows[b] + columns[c]. As columns is linear over
-        # XOR, columns[b ^ x] = columns[b] ^ columns[x].
+        # (b, c) sits at rows[b] + columns[c], over the carried weight. As
+        # columns is linear over XOR, columns[b ^ x] = columns[b] ^ columns[x].
         masks, _, stack = h.x_mask_stack
         owed = tuple(self._owed)
         if any(owed):
@@ -909,7 +918,7 @@ class DensityMatrix(_State):
         rows, columns = _flat_positions(self.n_qubits, self._order)
         entries = self._stored.reshape(-1)[rows + (columns ^ columns[masks][:, None])]
         total = h.identity_offset * self.trace()  # N^dag(I) = I
-        return total + float(np.dot(stack.reshape(-1), entries.reshape(-1)).real)
+        return total + float(np.dot(stack.reshape(-1), entries.reshape(-1)).real) / self._weight
 
 
 # Qubits per elementwise factor of the channel, so that no factor holds
@@ -952,7 +961,7 @@ def _channel(
     ``columns`` bits after it: n (the default) in a 2^n x 2^n matrix, k in
     one gathered for a step on k qubits, whose row bits and then column
     bits lead (a :class:`PassSandwichStep` applies it there to rows
-    already scaled by W / prob0). With ``adjoint``,
+    already scaled by W). With ``adjoint``,
     the adjoint channel N^dag instead, which maps an observable A to the
     one whose expectation on rho equals A's on N(rho).
 
@@ -1107,29 +1116,15 @@ def _pair_product(a: np.ndarray) -> np.ndarray:
     return outer.transpose(axes).reshape(4**k, 4**k)
 
 
+@lru_cache(maxsize=16)
 def _diagonal_sites(m: int) -> np.ndarray:
-    """The 2^m indices, of the 4^m of m sites in site-pair order, at which
-    every site is on its diagonal (sub-index 0 or 3, row bit = column
-    bit), ascending."""
+    """The read-only 2^m indices, of the 4^m of m sites in site-pair
+    order, at which every site is on its diagonal (sub-index 0 or 3, row
+    bit = column bit), ascending: where a matrix stored in site-pair
+    order, its sites in any order, keeps its diagonal."""
     index = np.zeros(1, dtype=np.intp)
     for _ in range(m):
         index = (4 * index[:, None] + np.array([0, 3])).reshape(-1)
-    return index
-
-
-@lru_cache(maxsize=64)
-def _partial_trace_index(n: int, p: int, k: int) -> np.ndarray:
-    """Read-only (4^k, 2^(n-k)) flat positions in a 2^n x 2^n matrix
-    stored in site-pair order whose sites p to p + k - 1 are a step's:
-    row j lists the entries at j on those sites and on the diagonal of
-    every other site, so its sum is entry j of the partial trace over
-    them."""
-    after = 4 ** (n - p - k)
-    index = (
-        _diagonal_sites(p)[None, :, None] * (after * 4**k)
-        + np.arange(4**k)[:, None, None] * after
-        + _diagonal_sites(n - p - k)[None, None, :]
-    ).reshape(4**k, -1)
     index.setflags(write=False)
     return index
 
@@ -1148,9 +1143,9 @@ def _mask_order(k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, inverse
 
 
-def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only ``row`` and ``stack`` of a :class:`MaskSandwichStep`
-    of W = ``weights`` on k qubits, then one application of ``noise``'s
+def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
+    """The read-only ``stack`` of a :class:`MaskSandwichStep` of
+    W = ``weights`` on k qubits, then one application of ``noise``'s
     channel on the k qubits (none for None)."""
     size = weights.shape[0]
     k = size.bit_length() - 1
@@ -1166,22 +1161,18 @@ def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> tuple[np.ndarr
         jump_z = np.einsum("xab,ycd->xyacbd", jump_z, pair).reshape(width, width, width)
     f_x, w_x = (a.reshape(-1)[order].reshape(size, size) for a in (factor, weights))
     stack = f_x[:, :, None] * jump_z * w_x[:, None, :]
-    row = np.ascontiguousarray(weights.diagonal())
     stack.setflags(write=False)
-    row.setflags(write=False)
-    return row, stack
+    return stack
 
 
-def _by_mask(stack: np.ndarray, rho: np.ndarray, scale: float) -> np.ndarray:
-    """``scale`` times a :class:`MaskSandwichStep`'s ``stack`` on rho
-    gathered as (4^k, rest^2): one take into X-mask order, one product
-    batched over the masks (a real stack takes a complex rho as a real
-    product, see :func:`_product`), one scale and one take back, as a
-    new array."""
+def _by_mask(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """A :class:`MaskSandwichStep`'s ``stack`` on rho gathered as
+    (4^k, rest^2): one take into X-mask order, one product batched over
+    the masks (a real stack takes a complex rho as a real product, see
+    :func:`_product`) and one take back, as a new array."""
     size = stack.shape[0]
     order, inverse = _mask_order(size.bit_length() - 1)
     out = _product(stack, rho.take(order, axis=0).reshape(size, size, -1))
-    out *= scale
     return out.reshape(size * size, -1).take(inverse, axis=0)
 
 
@@ -1214,7 +1205,7 @@ def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...
     matrix these are row bits: S's column bits come right after S's row
     bits, so that S's block is vectorized on the leading axis, and the
     other qubits' column bits come last, in their rows' order, which the
-    partial trace needs. Leaving the other qubits as they are, not
+    trace read on the rest's diagonal needs. Leaving the other qubits as they are, not
     canonical, keeps them in long runs that the move copies whole.
 
     The move is None when the state is stored in that order already. On
@@ -1270,10 +1261,9 @@ class _SiteRun:
     the ``move`` into it (a transposition, or None when the matrix is
     stored so already), the step's ``sites`` in the order that stores
     them, a run of sites after ``before`` = 4^p entries and before
-    ``after`` = 4^(n-p-k), and ``t_s`` and ``row`` permuted into that
-    order. ``index`` reads the partial trace over the other sites
-    (:func:`_partial_trace_index`). ``ops`` keeps, per owed counts on the
-    sites and real-product split, what :meth:`operators` builds."""
+    ``after`` = 4^(n-p-k), and ``t_s`` permuted into that order. ``ops``
+    keeps, per owed counts on the sites and real-product split, what
+    :meth:`operators` builds."""
 
     order: tuple[int, ...]
     move: tuple | None
@@ -1281,15 +1271,13 @@ class _SiteRun:
     before: int
     after: int
     t_s: np.ndarray
-    row: np.ndarray
-    index: np.ndarray
     ops: dict = field(default_factory=dict)
 
     def operators(self, model: NoiseModel | None, owed: tuple[int, ...], split: bool) -> tuple:
-        """The prob0 row, the product's operator and the shape of the view
-        it multiplies, for a matrix owing ``owed`` applications of
-        ``model`` on the sites: T_S and v composed with the owed channel,
-        and, with ``split``, for a complex matrix seen as float64 (a real
+        """The product's operator and the shape of the view it
+        multiplies, for a matrix owing ``owed`` applications of ``model``
+        on the sites: T_S composed with the owed channel, and, with
+        ``split``, for a complex matrix seen as float64 (a real
         T_S on its interleaved real and imaginary parts, see
         :func:`_product`). The operator is (T_S (x) I_b)^T on a
         (products, rows, 4^k b) view, to multiply from the right (the
@@ -1297,11 +1285,10 @@ class _SiteRun:
         view or, cut, on a (before, 4^k, cuts, columns) one, each
         (4^k, columns) block multiplied in turn (see
         ``_RIGHT_PRODUCT_MAX``)."""
-        t_s, row = self.t_s, self.row
+        t_s = self.t_s
         if any(owed):
-            superop = _channel_superop(model, owed)
-            t_s, row = t_s @ superop, row @ superop
-        size, b = len(row), self.after * (2 if split else 1)
+            t_s = t_s @ _channel_superop(model, owed)
+        size, b = len(t_s), self.after * (2 if split else 1)
         if b == 1 or size * b <= _RIGHT_PRODUCT_MAX:
             # (T_S (x) I_b)^T set by strided slices, in less time than np.kron
             width = size * b
@@ -1309,11 +1296,11 @@ class _SiteRun:
             for i in range(b):
                 op[i::b, i::b] = t_s.T
             rows = min(self.before, max(1, _GEMM_MAX // width**2))
-            return row, op, (self.before // rows, rows, width), True
+            return op, (self.before // rows, rows, width), True
         columns = min(b, max(1, _GEMM_MAX // size**2))
         if columns == b:
-            return row, t_s, (self.before, size, b), False
-        return row, t_s, (self.before, size, b // columns, columns), False
+            return t_s, (self.before, size, b), False
+        return t_s, (self.before, size, b // columns, columns), False
 
 
 def _site_run(n: int, order: tuple | None, step: SuperopStep) -> _SiteRun:
@@ -1337,13 +1324,12 @@ def _site_run(n: int, order: tuple | None, step: SuperopStep) -> _SiteRun:
         sites = support + tuple(q for q in current if q < n and q not in support)
         p, target = 0, tuple(label for q in sites for label in (q, n + q))
         move, current = _transposition(current, target), target
-    run, t_s, row = sites[p : p + k], step.t_s, step.row
+    run, t_s = sites[p : p + k], step.t_s
     if run != support:
         perm = np.arange(4**k).reshape((4,) * k).transpose([support.index(q) for q in run])
         perm = perm.reshape(-1)
-        t_s, row = t_s[np.ix_(perm, perm)], row[perm]
-    index = _partial_trace_index(n, p, k)
-    return _SiteRun(current, move, run, 4**p, 4 ** (n - p - k), t_s, row, index)
+        t_s = t_s[np.ix_(perm, perm)]
+    return _SiteRun(current, move, run, 4**p, 4 ** (n - p - k), t_s)
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -1416,17 +1402,16 @@ class BranchStep(BoundStep):
 class SuperopStep(BoundStep):
     """A density-matrix step on at most ``SUPEROP_MAX_SUPPORT`` qubits:
     ``t_s``, its 4^|S| x 4^|S| superoperator on vec(rho_S) (Pre_S on both
-    sides, the weight W, the channel on S, then Post_S), and ``row``, the
-    row vector whose product with vec of the partial trace over the rest
-    is prob0, both indexed in site-pair order (r0 c0 r1 c1 ..., S's
-    qubits in order; :func:`_site_pairs`). It runs on a matrix in
-    site-pair order whose sites of S form one run, in place when stored
-    so already, each of the layouts it meets kept with T_S and v
-    permuted into the run's site order (:class:`_SiteRun`)."""
+    sides, the weight W, the channel on S, then Post_S), indexed in
+    site-pair order (r0 c0 r1 c1 ..., S's qubits in order;
+    :func:`_site_pairs`). It runs on a matrix in site-pair order whose
+    sites of S form one run, in place when stored so already, each of the
+    layouts it meets kept with T_S permuted into the run's site order
+    (:class:`_SiteRun`). Its kept weight is the trace of its output, and
+    lowering checks that T_S keeps what W leaves of the trace."""
 
     state_type = DensityMatrix
     t_s: np.ndarray
-    row: np.ndarray
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -1438,7 +1423,9 @@ class MaskSandwichStep(BoundStep):
     (a, phase_in, phase_out) triple of :func:`_phased` (a real where it
     can be), a on S's row bits and a^dag on its column bits (see
     :func:`_sandwich`), None for an empty gate list; its phase factors
-    stay in it. ``row`` is diag W, which gives prob0 on Pre's output.
+    stay in it. Its kept weight is the trace after the stack, before
+    ``post``, and lowering checks that the stack keeps what W leaves of
+    the trace.
 
     Neither W nor the channel changes an entry's X mask x = r XOR c (r
     and c its row and column on S; :func:`_adjoint_diagonals` relies on
@@ -1453,7 +1440,6 @@ class MaskSandwichStep(BoundStep):
 
     state_type = DensityMatrix
     pre: tuple | None
-    row: np.ndarray
     stack: np.ndarray
     post: tuple | None
 
@@ -1470,7 +1456,9 @@ class PassSandwichStep(BoundStep):
     :class:`MaskSandwichStep`; on a wider support, whose matrices would
     grow as 4^|S|, it is the circuit's own gate list as a
     (gates, None, None) triple, which the kernels run through the map
-    {q: i} from support[i] to i. Either is None for an empty gate list."""
+    {q: i} from support[i] to i. Either is None for an empty gate list.
+    Its kept weight is the trace after W, before the channel and
+    ``post``."""
 
     state_type = DensityMatrix
     pre: tuple | None
@@ -1637,6 +1625,19 @@ def _pauli_k0(
     return k0
 
 
+def _check_kept_trace(got: np.ndarray, want: np.ndarray, name: str) -> None:
+    """Raise ``AssertionError`` unless ``got``, the trace that a lowered
+    density-matrix step's operator ``name`` leaves of each entry of its
+    input, equals ``want``, what W alone leaves, within 1e-12. A NaN
+    in W is left to the outcome rule, which rejects it when the step
+    runs."""
+    off = np.abs(got - want)
+    if (off > 1e-12).any():
+        raise AssertionError(
+            f"{name} does not keep the trace that W leaves: off by {np.nanmax(off):.3e}"
+        )
+
+
 def lower_step(
     circuit: Circuit, state: StateVector | DensityMatrix, noise: NoiseModel | None = None
 ) -> BoundStep:
@@ -1656,8 +1657,14 @@ def lower_step(
     kernels on diag(c_S) Pre_S, which makes K0 exactly real whenever its
     imaginary part cancels. A density matrix's T_S is
     (Post_S (x) Post_S*) N_S diag(vec W) (Pre_S (x) Pre_S*), with N_S one
-    application of the channel on S, and its prob0 row
-    v = vec(diag W)^T (Pre_S (x) Pre_S*), both taken into site-pair order.
+    application of the channel on S, taken into site-pair order.
+
+    A density-matrix step reads prob0 as the trace of its output, which
+    would hide any trace that its fused channel or Post_S lost. So T_S,
+    and an X-mask stack, must keep what W leaves of the trace, within
+    1e-12, or lowering raises ``AssertionError``
+    (:func:`_check_kept_trace`), as :class:`NoiseModel` does for Kraus
+    completeness.
     """
     ancilla = circuit.ancilla
     pre, post = circuit.pre_measure, circuit.post_measure
@@ -1711,15 +1718,19 @@ def lower_step(
             if noise is not None:
                 superop = _channel_superop(noise, (1,) * k) @ superop
             superop = post_t @ superop
-            # prob0 = sum_x W[x, x] (Pre rho Pre^dag)[x, x]: rows of Pre_t
-            prob0_row = weights.diagonal() @ pre_t[_diagonal_sites(k)]
-            return SuperopStep(support, superop, prob0_row, noise=noise)
+            # the trace of T_S rho against sum_x W[x, x] (Pre rho Pre^dag)[x, x]
+            diagonal = _diagonal_sites(k)
+            _check_kept_trace(superop[diagonal].sum(0), weights.diagonal() @ pre_t[diagonal], "T_S")
+            return SuperopStep(support, superop, noise=noise)
         # an empty gate list leaves its sandwich out
         pre_op = _phased(pre_s) if pre else None
         post_op = _phased(post_s) if post else None
         if len(support) <= MASK_STACK_MAX_SUPPORT:
-            row, stack = _mask_stage(_weights(c, s, eps_d), noise)
-            return MaskSandwichStep(support, pre_op, row, stack, post_op, noise=noise)
+            weights = _weights(c, s, eps_d)
+            stack = _mask_stage(weights, noise)
+            # the diagonal block, X mask 0, against W on the diagonal
+            _check_kept_trace(stack[0].sum(0), weights.diagonal(), "the X-mask stack")
+            return MaskSandwichStep(support, pre_op, stack, post_op, noise=noise)
         return PassSandwichStep(support, pre_op, c, s, post_op, noise=noise)
     return BranchStep(support, pre_s, c, s, post_s, noise=noise)
 

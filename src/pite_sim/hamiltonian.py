@@ -142,12 +142,12 @@ class PauliHamiltonian:
         Kronecker products."""
         dim = 2**self.n_qubits
         basis = np.arange(dim)
-        m = np.zeros((dim, dim), dtype=complex)
         _, index, stack = self.x_mask_stack
+        m = np.zeros((dim, dim), stack.dtype)
         m[index, basis] += stack  # distinct masks: each entry is written once
         if include_offset:
             m[basis, basis] += self.identity_offset
-        return m if np.iscomplexobj(stack) else np.ascontiguousarray(m.real)
+        return m
 
     # Computed on first use and kept in the instance __dict__ (the
     # dataclass fields, hash and equality do not see them), so an energy

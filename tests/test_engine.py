@@ -740,33 +740,46 @@ def test_chain_of_steps_on_a_carried_norm_matches_the_oracle(model, form, monkey
     assert rng_run.random() == rng_hand.random()
 
 
-@pytest.mark.parametrize("form", ["k0", "gate-list", "trajectory"])
-def test_chain_with_no_read_rescales_before_it_underflows(form):
+@pytest.mark.parametrize("form", ["k0", "gate-list", "trajectory", "superop", "x-mask", "passes"])
+def test_chain_with_no_read_rescales_before_it_underflows(form, monkeypatch):
     """A hand-built step whose ancilla Ry is uncontrolled keeps every state
-    as it is with prob0 = cos^2(theta/2) = 0.01 (c^2 + eps_d s^2 on a
-    trajectory). 200 such steps with no read in between would shrink the
-    carried squared norm to about 1e-400, below the smallest float, so a
-    step rescales it first: ``data`` is finite, unit-norm and the start
-    state. Pre is a CNOT chain and a Hadamard, and Post its inverse, on 3
-    work qubits (a fused K0 = c I) or on 8 (a gate list); a trajectory
-    step has neither, and samples the channel on |000>, which every
-    branch keeps."""
+    as it is with prob0 = cos^2(theta/2) = 0.01 (c^2 + eps_d s^2 under
+    noise). 200 such steps with no read in between would shrink the
+    carried weight to about 1e-400, below the smallest float, so a step
+    rescales it first: ``data`` is finite, of unit norm or trace, and the
+    start state. Pre is a CNOT chain and a Hadamard, and Post its inverse,
+    on 3 work qubits (a fused K0 = c I) or on 8 (a gate list); a
+    trajectory step has neither, and samples the channel on |000>, which
+    every branch keeps. A density matrix runs the 3-qubit chain as a
+    superoperator, X-mask or pass-form step under the trajectory's
+    channel, from Pre^dag |000><000| Pre: Pre maps it onto |000><000|,
+    which the uniform W scales and the channel keeps, and Post maps it
+    back."""
     theta = 2.0 * math.acos(0.1)
+    density = form in ("superop", "x-mask", "passes")
     n = 8 if form == "gate-list" else 3
     chain = () if form == "trajectory" else (*(CNOT(q, q + 1) for q in range(n - 1)), Hadamard(0))
     circ = Circuit(n_work=n, has_ancilla=True, measure_point=len(chain) + 1,
                    gates=(*chain, Ry(theta, n), *reversed(chain)))
-    noise = NoiseModel(0.2, 1e-3) if form == "trajectory" else None
-    start = np.eye(2**n)[0] if noise is not None else random_state(n, np.random.default_rng(6))
-    state = StateVector(n, start)
+    noise = NoiseModel(0.2, 1e-3) if form == "trajectory" or density else None
+    if density:
+        force_path(monkeypatch, STEP_FORMS[form][0])
+        psi = gates_unitary(chain, n).conj().T[:, 0]
+        start = np.outer(psi, psi.conj())
+        state = DensityMatrix(n, start)
+    else:
+        start = np.eye(2**n)[0] if noise is not None else random_state(n, np.random.default_rng(6))
+        state = StateVector(n, start)
     step = lower_step(circ, state, noise)
-    assert step_path(step) == ("gate-list" if form == "gate-list" else "fused")
+    assert step_path(step) == (STEP_FORMS[form][0] if density else
+                               "gate-list" if form == "gate-list" else "fused")
     want = 0.01 + (0.0 if noise is None else 1e-3 * 0.99)
     draws = make_rng(3)
     for _ in range(200):
         assert run_step_circuit(state, step, rng=draws) == pytest.approx(want, rel=1e-12)
     data = state.data
-    assert np.isfinite(data).all() and abs(np.linalg.norm(data) - 1.0) < 1e-12
+    norm = np.trace(data).real if density else np.linalg.norm(data)
+    assert np.isfinite(data).all() and abs(norm - 1.0) < 1e-12
     assert np.abs(data - start).max() < 1e-12
 
 
@@ -963,7 +976,9 @@ def test_density_measure_ancilla_weights_the_flushed_matrix():
     """A density matrix's ``measure_ancilla`` reads ``data``, whatever
     the matrix owes or the order it is stored in: prob0 is
     sum_x W_xx rho_xx and rho becomes W * rho / prob0, with
-    W = c c^T + eps_d s s^T. A W whose diagonal weight exceeds 1 raises
+    W = c c^T + eps_d s s^T: its trace and subspace weight, read in
+    canonical order before ``data`` divides the kept W * rho, are that
+    matrix's too. A W whose diagonal weight exceeds 1 raises
     ``ValueError`` and leaves the state as it was."""
     source = np.random.default_rng(31)
     noisy = DensityMatrix(3, random_density(3, source))
@@ -973,13 +988,18 @@ def test_density_measure_ancilla_weights_the_flushed_matrix():
     rho = noisy.copy().data
     half = source.uniform(0.0, math.pi, 8)
     c, s = np.cos(half), np.sin(half)
+    basis, _ = np.linalg.qr(source.standard_normal((8, 2)) + 1j * source.standard_normal((8, 2)))
     for eps_d in (0.0, 0.3):
         state = noisy.copy()
         weights = np.outer(c, c) + eps_d * np.outer(s, s)
         want = float(np.sum(weights.diagonal() * rho.diagonal()).real)
         prob0 = state.measure_ancilla(c, s, eps_d)
         assert type(prob0) is float and abs(prob0 - want) < 1e-12, eps_d
-        assert np.abs(state.data - weights * rho / want).max() < 1e-12, eps_d
+        kept = weights * rho / want
+        assert abs(state.trace() - 1.0) < 1e-12, eps_d
+        subspace = np.trace(basis.conj().T @ kept @ basis).real
+        assert abs(state.subspace_weight(basis) - subspace) < 1e-12, eps_d
+        assert np.abs(state.data - kept).max() < 1e-12, eps_d
     state = noisy.copy()
     with pytest.raises(ValueError, match="exceeds 1"):
         state.measure_ancilla(np.full(8, 1.01), s)
@@ -1168,11 +1188,10 @@ def bare_step(support: tuple[int, ...]) -> engine.BoundStep:
 
 
 def identity_superop_step(support: tuple[int, ...]) -> engine.SuperopStep:
-    """A superoperator step on ``support`` whose T_S is the identity and
-    whose prob0 row is zero: what ``_gather_sites`` reads of a step is its
-    support, T_S, v and its move cache."""
-    size = 4 ** len(support)
-    return engine.SuperopStep(support, np.eye(size), np.zeros(size))
+    """A superoperator step on ``support`` whose T_S is the identity: what
+    ``_gather_sites`` reads of a step is its support, T_S and its move
+    cache."""
+    return engine.SuperopStep(support, np.eye(4 ** len(support)))
 
 
 def test_gather_moves_nothing_when_the_state_is_stored_in_the_step_order(monkeypatch):
@@ -1644,7 +1663,7 @@ def test_superop_products_cut_into_pieces_match_the_kraus_oracle():
         res = run_step_circuit(d, step)
         rho, p0 = full_kraus_step(circ, rho, model)
         (entry,) = step.moves.values()
-        assert entry.move is None and [s for _, _, s, _ in entry.ops.values()] == [shape], axes
+        assert entry.move is None and [s for _, s, _ in entry.ops.values()] == [shape], axes
         assert res == pytest.approx(p0, rel=1e-12), axes
         assert np.abs(copy.deepcopy(d).data - rho).max() < 1e-12, axes
 
@@ -2069,25 +2088,24 @@ def test_mask_stack_step_matches_the_kraus_oracle(width, eps_d, start, monkeypat
 
 @pytest.mark.parametrize("eps_d", [None, 1e-5, 0.9, 1.0])
 def test_mask_stack_is_the_weight_then_the_channel(eps_d):
-    """On random blocks, entry by entry: the X-mask stack of W, scaled,
-    equals rho * W * scale, then ``_channel`` once on the k qubits, for
-    k = 1 to 4, complex and real rho; the stack is real."""
+    """On random blocks, entry by entry: the X-mask stack of W equals
+    rho * W, then ``_channel`` once on the k qubits, for k = 1 to 4,
+    complex and real rho; the stack is real."""
     local = np.random.default_rng(41)
     model = None if eps_d is None else NoiseModel(0.0 if eps_d == 1.0 else 0.03, eps_d)
     for k in (1, 2, 3, 4):
         size = 2**k
         c = np.cos(local.uniform(0.0, math.pi, size))
         w = np.outer(c, c) + 0.2 * np.outer(1.0 - c, 1.0 - c)
-        row, stack = engine._mask_stage(w, model)
-        assert np.array_equal(row, w.diagonal())
+        stack = engine._mask_stage(w, model)
         assert stack.shape == (size,) * 3 and stack.dtype == np.float64
         for rho in (local.standard_normal((size * size, 9)),
                     local.standard_normal((size * size, 9))
                     + 1j * local.standard_normal((size * size, 9))):
-            want = rho * w.reshape(-1, 1) * 0.7
+            want = rho * w.reshape(-1, 1)
             if model is not None:
                 engine._channel(want, model, (1,) * k, columns=k)
-            got = engine._by_mask(stack, rho, 0.7)
+            got = engine._by_mask(stack, rho)
             assert got.shape == rho.shape
             assert np.abs(got - want).max() < 1e-14 * np.abs(want).max() * size, k
     order, inverse = engine._mask_order(3)
@@ -2427,6 +2445,37 @@ def test_lowering_errors_keep_their_messages():
                 assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("form", ["superop", "x-mask"])
+def test_lowering_rejects_a_fused_channel_that_loses_trace(form, monkeypatch):
+    """A density-matrix step reads prob0 as the trace of its output, so a
+    fused channel that lost trace would pass for a smaller prob0, which no
+    record could see. With ``_channel_superop`` (a superoperator step) or
+    ``_channel_factors`` (an X-mask stack) scaled by 1 - 1e-9, lowering
+    raises ``AssertionError``, naming the operator; scaled by 1 - 1e-14,
+    within the 1e-12 tolerance, it lowers."""
+    circ = build_pauli_step(PauliTerm.from_string(0.4, "XZ"), 0.3)
+    model = NoiseModel(0.1, 0.2)
+    force_path(monkeypatch, STEP_FORMS[form][0])
+    name, built = {"superop": ("_channel_superop", "T_S"),
+                   "x-mask": ("_channel_factors", "the X-mask stack")}[form]
+    exact = getattr(engine, name)
+    for scale, raises in ((1.0 - 1e-14, False), (1.0 - 1e-9, True)):
+        def lossy(m, counts, scale=scale):
+            if form == "superop":
+                return scale * exact(m, counts)
+            jumps, factor = exact(m, counts)
+            return jumps, scale * factor
+
+        monkeypatch.setattr(engine, name, lossy)
+        if not raises:
+            assert type(lower_step(circ, DensityMatrix(2), model)) is STEP_FORMS[form][3]
+            continue
+        with pytest.raises(AssertionError) as raised:
+            lower_step(circ, DensityMatrix(2), model)
+        message = f"{built} does not keep the trace that W leaves: off by "
+        assert re.fullmatch(re.escape(message) + r"\d\.\d{3}e-\d\d", str(raised.value)), raised.value
+
+
 def test_noiseless_lih_run_stays_real(monkeypatch):
     """A noiseless LiH run from a real initial state keeps its stored state
     float64 through every one of its measurements, per term and over the
@@ -2481,12 +2530,12 @@ def k0_outcome_at(t: float):
     it was."""
     outcomes = []
     for state, phase in k0_boundary_states():
-        before = (state._stored.copy(), state._order, state._norm2)
+        before = (state._stored.copy(), state._order, state._weight)
         try:
             result = run_step_circuit(state, k0_boundary_step(phase * t * np.eye(2)))
             outcomes.append(("passes", result))
         except EvolutionAnnihilatedError:
-            assert np.array_equal(state._stored, before[0]) and (state._order, state._norm2) == before[1:]
+            assert np.array_equal(state._stored, before[0]) and (state._order, state._weight) == before[1:]
             outcomes.append("annihilated")
     return outcomes
 
@@ -2516,10 +2565,10 @@ def test_k0_outcome_clamps_rounding_and_raises_past_it():
         assert result == 1.0 and type(result) is float
     for scale, match in ((math.sqrt(1.0 + 2e-9), "exceeds 1"), (math.nan, "is NaN")):
         for state, phase in k0_boundary_states():
-            before = (state._stored.copy(), state._order, state._norm2)
+            before = (state._stored.copy(), state._order, state._weight)
             with pytest.raises(ValueError, match=match):
                 run_step_circuit(state, k0_boundary_step(phase * scale * np.eye(2)))
-            assert np.array_equal(state._stored, before[0]) and (state._order, state._norm2) == before[1:]
+            assert np.array_equal(state._stored, before[0]) and (state._order, state._weight) == before[1:]
 
 
 @pytest.mark.parametrize("axes", ["Y", "XY", "YZZ", "ZYYY"])
@@ -2572,7 +2621,7 @@ def test_cached_arrays_are_read_only():
         vectors,
         engine._channel_factors(NoiseModel(0.2, 0.3), (1, 2))[1],
         engine._channel_superop(NoiseModel(0.2, 0.3), (1, 2)),
-        engine._partial_trace_index(3, 1, 1),
+        engine._diagonal_sites(3),
         engine._parities(3),
         *h.x_mask_stack,
     ]
@@ -2731,7 +2780,7 @@ def test_one_gather_energy_matches_the_dense_hamiltonian(name):
         k0 *= 0.8 / np.linalg.norm(k0, 2)  # prob0 <= 0.64
         run_step_circuit(state, engine.K0Step(support, k0))
         psi = on_register(k0, support, n) @ psi
-    assert state._order is not None and abs(state._norm2 - 1.0) > 1e-3
+    assert state._order is not None and abs(state._weight - 1.0) > 1e-3
     psi /= np.linalg.norm(psi)
     want = np.vdot(psi, dense @ psi).real
     assert abs(state.expectation(h) - want) <= tolerance

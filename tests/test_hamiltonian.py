@@ -211,11 +211,13 @@ def test_prepare_product_explicit_phi():
 )
 def test_dense_matrix_equals_the_kronecker_sum(h):
     """The matrix scattered from the X-mask diagonals is exactly the sum
-    of the terms' Kronecker products, offset and dtype rule included."""
+    of the terms' Kronecker products, offset and dtype rule included,
+    and C-contiguous: built in the stack's dtype, a real model's is
+    float64 from the start, with no complex buffer and no copy."""
     oracle = sum(term_matrix(t) for t in h.terms)
     with_offset = oracle + h.identity_offset * np.eye(2**h.n_qubits)
     for include_offset, want in ((False, oracle), (True, with_offset)):
         got = h.dense_matrix(include_offset=include_offset)
         real = np.abs(want.imag).max() < 1e-14
-        assert got.dtype == (np.float64 if real else np.complex128)
+        assert got.dtype == (np.float64 if real else np.complex128) and got.flags.c_contiguous
         assert np.array_equal(got, want.real if real else want)

@@ -568,7 +568,9 @@ def test_step_circuits_are_lowered_once_per_run(order, monkeypatch):
 def test_density_trace_is_checked_at_every_record(monkeypatch):
     """A density-matrix record raises when |tr rho - 1| exceeds 1e-9: here
     the stored diagonal is perturbed right after the last measurement of
-    Trotter step 2 (a later step would divide the change out again)."""
+    Trotter step 2, away from the trace the matrix carries (a later step
+    would take the change into its prob0, its output's trace over the
+    carried one, and carry its output's trace from then on)."""
     import pite_sim.pite as pite_module
 
     h = build_ising(4, 1.0, 1.2, 0.3)
@@ -616,7 +618,7 @@ def test_statevector_record_rejects_a_carried_norm_that_drifted(trajectories, mo
             result = run_step(state, step, rng)
             calls.append(step)
             if len(calls) == 2 * len(h.terms):  # the last step before record 2
-                state._norm2 *= factor
+                state._weight *= factor
             return result
 
         monkeypatch.setattr(pite_module, "run_step_circuit", drifting)
