@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Union, get_args
 
 import numpy as np
 
@@ -50,40 +50,59 @@ __all__ = [
 ]
 
 
+class _OneQubit:
+    """A gate on the one qubit ``qubit``. Every gate carries ``qubits``,
+    the qubits it acts on in the order its matrix lists them (the first
+    the most significant bit), which validation and lowering read."""
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.qubit,)
+
+
+class _Controlled:
+    """A gate on ``target`` controlled by the one qubit ``control``, a
+    different one."""
+
+    def __post_init__(self) -> None:
+        if self.control == self.target:
+            raise ValueError(f"{type(self).__name__} control and target must differ")
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (self.control, self.target)
+
+
 @dataclass(frozen=True)
-class Hadamard:
+class Hadamard(_OneQubit):
     qubit: int
 
 
 @dataclass(frozen=True)
-class PhaseS:
+class PhaseS(_OneQubit):
     """S = diag(1, i), the pi/4 phase gate."""
 
     qubit: int
 
 
 @dataclass(frozen=True)
-class PhaseSdg:
+class PhaseSdg(_OneQubit):
     qubit: int
 
 
 @dataclass(frozen=True)
-class PauliX:
+class PauliX(_OneQubit):
     qubit: int
 
 
 @dataclass(frozen=True)
-class CNOT:
+class CNOT(_Controlled):
     control: int
     target: int
 
-    def __post_init__(self) -> None:
-        if self.control == self.target:
-            raise ValueError("CNOT control and target must differ")
-
 
 @dataclass(frozen=True)
-class Ry:
+class Ry(_OneQubit):
     """Ry(theta) = [[cos t/2, -sin t/2], [sin t/2, cos t/2]]."""
 
     angle: float
@@ -91,14 +110,10 @@ class Ry:
 
 
 @dataclass(frozen=True)
-class ControlledRy:
+class ControlledRy(_Controlled):
     angle: float
     control: int
     target: int
-
-    def __post_init__(self) -> None:
-        if self.control == self.target:
-            raise ValueError("controlled-Ry control and target must differ")
 
 
 @dataclass(frozen=True)
@@ -129,6 +144,10 @@ class ConditionalRy:
         if len({x for x, _ in kept}) != len(kept):
             raise ValueError("duplicate register basis index in angle map")
         object.__setattr__(self, "angles", tuple(kept))
+
+    @property
+    def qubits(self) -> tuple[int, ...]:
+        return (*self.register, self.target)
 
     @staticmethod
     def from_map(register: tuple[int, ...], angles: dict[int, float], target: int) -> "ConditionalRy":
@@ -179,20 +198,6 @@ Gate = Union[
 ]
 
 
-def qubits_of(gate: Gate) -> tuple[int, ...]:
-    if isinstance(gate, (Hadamard, PhaseS, PhaseSdg, PauliX, Ry)):
-        return (gate.qubit,)
-    if isinstance(gate, CNOT):
-        return (gate.control, gate.target)
-    if isinstance(gate, ControlledRy):
-        return (gate.control, gate.target)
-    if isinstance(gate, ConditionalRy):
-        return (*gate.register, gate.target)
-    if isinstance(gate, DenseBlock):
-        return gate.qubits
-    raise TypeError(f"unknown gate {gate!r}")
-
-
 def adjoint(gate: Gate) -> Gate:
     if isinstance(gate, (Hadamard, PauliX, CNOT)):
         return gate
@@ -222,7 +227,9 @@ class Circuit:
     The ancilla, when present, is qubit index ``n_work``. ``measure_point``
     splits the gate list at the single ancilla measurement: gates at or
     after it must not touch the ancilla. Pure unitary circuits (no
-    ancilla/measurement) use ``measure_point=None``.
+    ancilla/measurement) use ``measure_point=None``. Construction checks
+    ``measure_point``, then reads each gate's ``qubits`` once: every qubit
+    must lie in the register, and below the ancilla after the measurement.
     """
 
     n_work: int
@@ -231,21 +238,24 @@ class Circuit:
     measure_point: int | None = None
 
     def __post_init__(self) -> None:
-        n_total = self.n_work + (1 if self.has_ancilla else 0)
-        for g in self.gates:
-            for q in qubits_of(g):
-                if not 0 <= q < n_total:
-                    raise ValueError(f"gate {g!r} touches qubit {q}, register has {n_total}")
+        n_total, split = self.n_qubits, self.measure_point
         if self.has_ancilla:
-            if self.measure_point is None:
+            if split is None:
                 raise ValueError("ancilla circuits must declare a measure_point")
-            if not 0 <= self.measure_point <= len(self.gates):
+            if not 0 <= split <= len(self.gates):
                 raise ValueError("measure_point out of range")
-            for g in self.gates[self.measure_point :]:
-                if self.ancilla in qubits_of(g):
-                    raise ValueError("gates after the measurement must not touch the ancilla")
-        elif self.measure_point is not None:
+        elif split is not None:
             raise ValueError("measure_point requires an ancilla")
+        else:
+            split = len(self.gates)
+        # below n_total before the measurement, below the ancilla after it
+        for gates, top in ((self.gates[:split], n_total), (self.gates[split:], self.n_work)):
+            for g in gates:
+                for q in g.qubits:
+                    if not 0 <= q < top:
+                        if top < n_total and q == top:
+                            raise ValueError("gates after the measurement must not touch the ancilla")
+                        raise ValueError(f"gate {g!r} touches qubit {q}, register has {n_total}")
 
     @property
     def ancilla(self) -> int:
@@ -268,9 +278,11 @@ class Circuit:
 
 @dataclass(frozen=True)
 class UkSynthesis:
-    """Basis-change circuit for one Pauli term and its pivot qubit."""
+    """Basis-change gates for one Pauli term, on its n work qubits, and
+    its pivot qubit. They are validated as part of the step circuit that
+    holds them."""
 
-    circuit: Circuit
+    gates: tuple[Gate, ...]
     pivot: int
 
 
@@ -299,8 +311,7 @@ def synthesize_uk(term: PauliTerm) -> UkSynthesis:
             gates.append(CNOT(q, pivot))
     if term.coeff > 0:
         gates.append(PauliX(pivot))
-    circuit = Circuit(n_work=term.n_qubits, has_ancilla=False, gates=tuple(gates))
-    return UkSynthesis(circuit=circuit, pivot=pivot)
+    return UkSynthesis(tuple(gates), pivot)
 
 
 def check_time(name: str, value: float) -> None:
@@ -322,7 +333,7 @@ def build_pauli_step(term: PauliTerm, dt: float) -> Circuit:
     syn = synthesize_uk(term)
     theta = theta_for_coeff(term.coeff, dt)
     ancilla = term.n_qubits
-    uk = syn.circuit.gates
+    uk = syn.gates
     gates = (*uk, ControlledRy(theta, syn.pivot, ancilla), *adjoint_sequence(uk))
     return Circuit(
         n_work=term.n_qubits,
@@ -360,18 +371,9 @@ def build_grouped_step(block: "GroupedBlock", dt: float) -> Circuit:
 
 
 def gate_count(circuit: Circuit) -> dict[str, int]:
-    """Tally of gates by kind (measurement not included)."""
-    counts: dict[str, int] = {
-        "hadamard": 0,
-        "phases": 0,
-        "phasesdg": 0,
-        "paulix": 0,
-        "cnot": 0,
-        "ry": 0,
-        "controlledry": 0,
-        "conditionalry": 0,
-        "denseblock": 0,
-    }
+    """Tally of gates by kind, each the lowercased name of a ``Gate``
+    class, every kind listed (measurement not included)."""
+    counts = dict.fromkeys((kind.__name__.lower() for kind in get_args(Gate)), 0)
     for g in circuit.gates:
         counts[type(g).__name__.lower()] += 1
     return counts

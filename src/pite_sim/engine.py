@@ -90,8 +90,10 @@ canonical order. Each step keeps the move it made from each layout it
 met (register size and stored order), so a run works a move out once
 per step and layout: a state already stored in the step's order (after
 a step on the same support, say) is not moved, a vector of at most
-``_INDEX_MAX_QUBITS`` qubits is moved by one ``take`` of a held index,
-and anything else by one transpose. A density matrix's energy, trace
+``_INDEX_MAX_QUBITS`` qubits is moved by one gather through a held
+index, and anything else by one transpose. A :class:`K0Step` runs all of
+this, its product and its outcome inline in ``StateVector._run_step``.
+A density matrix's energy, trace
 and subspace weight read the stored matrix as it is: an observable A of
 the state is the adjoint channel N^dag(A) of the stored one, since
 Tr(A N(rho)) = Tr(N^dag(A) rho), gathered in the stored order and built
@@ -152,7 +154,6 @@ from .circuit import (
     PhaseSdg,
     Ry,
     adjoint_sequence,
-    qubits_of,
 )
 from .hamiltonian import PauliHamiltonian, real_if_exact
 
@@ -455,13 +456,13 @@ class _State:
         self._weight = 1.0
 
     def _flush(self) -> None:
-        """Put the stored state back in canonical order, then divide it by
-        its weight."""
+        """Put the stored state back in canonical order, by the cached
+        :func:`_transposition` of its stored order, then divide it by its
+        weight."""
         if self._order is not None:
-            n = self.n_qubits
-            shape, axes = _transposition(self._order, tuple(range(self._sides * n)))
+            shape, axes = _transposition(self._order, tuple(range(len(self._order))))
             moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
-            self._stored, self._order = moved.reshape((2**n,) * self._sides), None
+            self._stored, self._order = moved.reshape((2**self.n_qubits,) * self._sides), None
         self._normalize()
 
     def _keep(self, branch: np.ndarray, weight: float, order: tuple | None) -> None:
@@ -487,8 +488,11 @@ class _State:
         the layout it meets (register size and stored order); only a
         layout met for the first time is worked out (:func:`_step_order`).
         A state stored in the step's order already comes back as a
-        reshaped view, a small vector as one ``take`` of a held index, and
-        anything else as a contiguous transposed copy."""
+        reshaped view, a small vector as one gather through a held index
+        (``ravel()[index]``), and anything else as a contiguous transposed
+        copy. A :class:`K0Step` does the lookup and the first two moves
+        inline and calls this only for a transposition (see
+        :class:`K0Step`)."""
         try:
             order, move = step.moves[self.n_qubits, self._order]
         except KeyError:
@@ -496,14 +500,13 @@ class _State:
                 self.n_qubits, self._sides, self._order, step.support
             )
         if type(move) is np.ndarray:
-            return self._stored.take(move), order
+            return self._stored.ravel()[move], order
         rows = 1 << (len(step.support) * self._sides)
         if move is None:
             return self._stored.reshape(rows, -1), order
         shape, axes = move
         moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
         return moved.reshape(rows, -1), order
-
     def copy(self):
         """An independent state equal to this one, stored in the same order
         (on a density matrix owing the same channel): nothing is moved or
@@ -605,9 +608,19 @@ class StateVector(_State):
         return self._measure(c * psi, s * psi if eps_d > 0.0 else None, eps_d, rng, None)
 
     def _run_step(self, step: BoundStep, rng) -> float:
-        x, order = self._gather(step)
-        if type(step) is K0Step:  # one product and one dot
+        if type(step) is K0Step:  # _gather, one product, one dot and _outcome, inlined
+            key = self.n_qubits, self._order
+            try:
+                order, move = step.moves[key]
+            except KeyError:
+                order, move = step.moves[key] = _step_order(key[0], 1, key[1], step.support)
             k0 = step.k0
+            if move is None:
+                x = self._stored.reshape(len(k0), -1)
+            elif type(move) is np.ndarray:
+                x = self._stored.ravel()[move]
+            else:  # a transposition, on a larger vector
+                x, _ = self._gather(step)
             # dot, not @: numpy dispatches it in about half the time here
             if k0.dtype.kind == "f" and x.dtype.kind == "f":  # every built-in model's step
                 out = k0.dot(x)
@@ -620,10 +633,11 @@ class StateVector(_State):
                     out = k0.dot(x)
                 kept = _squared_norm(out)
             prob0 = _postselected(kept / self._weight)
-            self._stored, self._order, self._weight = out, order, kept  # _outcome, inlined
+            self._stored, self._order, self._weight = out, order, kept
             if kept < RESCALE_THRESHOLD:
                 self._normalize()
             return prob0
+        x, order = self._gather(step)
         noise = step.noise  # a BranchStep
         if noise is not None and rng is None:
             raise ValueError("statevector noise is sampled and needs an rng")
@@ -1176,11 +1190,14 @@ def _by_mask(stack: np.ndarray, rho: np.ndarray) -> np.ndarray:
     return out.reshape(size * size, -1).take(inverse, axis=0)
 
 
+@lru_cache(maxsize=256)
 def _transposition(order: tuple[int, ...], target: tuple[int, ...]) -> tuple[tuple, tuple]:
     """How to move a buffer whose bits, most significant first, carry the
     labels ``order`` into ``target``'s order of the same labels: the shape
     to view it in and the axis permutation. Labels adjacent in both orders
-    share one axis, so the copy runs long inner loops."""
+    share one axis, so the copy runs long inner loops. Cached, for a
+    flush to canonical order meets the same stored order at every record
+    of a noiseless run (``_State._flush``)."""
     place = [target.index(label) for label in order]
     starts = [i for i, p in enumerate(place) if i == 0 or p != place[i - 1] + 1]
     shape = tuple(2 ** (end - i) for i, end in zip(starts, starts[1:] + [len(place)]))
@@ -1210,10 +1227,13 @@ def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...
 
     The move is None when the state is stored in that order already. On
     a vector of at most ``_INDEX_MAX_QUBITS`` qubits it is a read-only
-    ``intp`` index of shape (2^|S|, rest) for one ``take``, which moved
-    LiH's 64 entries in 0.6 us against 1.0 us for the transposed copy
-    (timeit, one BLAS thread, 2-vCPU Xeon). Otherwise it is the
-    transposition (shape, axes) for that copy. A matrix keeps the copy:
+    ``intp`` index of shape (2^|S|, rest) for one gather,
+    ``stored.ravel()[index]``, which moves LiH's 64 entries in 0.27 us,
+    where ``take`` took 0.34 us on a flat vector and 0.66 us on the 2-D
+    array a step stores, and the transposed copy 1.0 us (timeit, one BLAS
+    thread, 2-vCPU Xeon; at 10 qubits the two gathers are even).
+    Otherwise it is the transposition (shape, axes) for that copy, which
+    :func:`_transposition` caches per pair of orders. A matrix keeps the copy:
     alone, a held index moved a 6-qubit complex matrix in 4.2 us against
     12-13 us, but noisy LiH's steps meet 37 layouts, and a prototype that
     held their indices took 1.2 MB more memory and ran no faster. Called
@@ -1374,7 +1394,19 @@ class K0Step(BoundStep):
     step's is a I + b P', filled from the Pauli P' its Pre maps onto the
     pivot (:func:`_pauli_k0`); any other is Post's kernels run on
     diag(c_S) Pre_S. Either way a K0 real in exact arithmetic is exactly
-    real and float64 (see the module docstring)."""
+    real and float64 (see the module docstring).
+
+    ``StateVector._run_step`` runs it with no helper call in the common
+    case: it looks the layout it meets up in ``moves`` (as
+    :meth:`_State._gather` does), reshapes the vector or gathers it
+    through the held index, takes one product by ``k0`` and the squared
+    norm (one dot of float64 vectors, ``vdot`` of a complex one; a real
+    K0 takes a complex vector as a real product over its float64 view),
+    then applies :func:`_postselected` and stores the branch. Only a
+    transposition, on a vector of more than ``_INDEX_MAX_QUBITS`` qubits,
+    goes through ``_gather``. On LiH's 64 entries a step took 2.0-2.2 us
+    in a warm loop of 80 Trotter steps (one BLAS thread, 2-vCPU Xeon),
+    against 2.4-2.6 us through ``_gather`` and ``take``."""
 
     state_type = StateVector
     k0: np.ndarray
@@ -1468,8 +1500,8 @@ class PassSandwichStep(BoundStep):
 
 
 def _positions(gate: Gate, position: dict[int, int]) -> tuple[int, ...]:
-    """``position[q]`` for each qubit q of ``gate``, in ``qubits_of`` order."""
-    qubits = qubits_of(gate)
+    """``position[q]`` for each qubit q of ``gate``, in its ``qubits`` order."""
+    qubits = gate.qubits
     outside = [q for q in qubits if q not in position]
     if outside:
         raise ValueError(f"{gate!r} acts on qubit(s) {outside} outside the step's support")
@@ -1592,7 +1624,6 @@ def _pauli_k0(
     rotation: tuple[Gate, ...],
     post: tuple[Gate, ...],
     support: tuple[int, ...],
-    c: np.ndarray,
 ) -> np.ndarray | None:
     """K0 of a per-term step, or None for any other circuit: a Pre of
     Hadamard, PhaseS, PhaseSdg, PauliX and CNOT gates, one
@@ -1602,15 +1633,17 @@ def _pauli_k0(
     (:func:`_pivot_pauli`), which maps |y> to
     i^phase (-1)^popcount(y & z) |y ^ x>. So K0 is real exactly when the
     phase is even (or b = 0); a diagonal P' (x = 0) takes its entries 1
-    and cos(theta/2) as c holds them."""
+    and cos(theta/2) as c_S holds them. Lowering calls it before it folds
+    the rotation into c_S, so it takes numpy's cos of theta/2 itself, as
+    :func:`_fold_rotation` does."""
     if len(rotation) != 1 or type(rotation[0]) is not ControlledRy or post != adjoint_sequence(pre):
         return None
     pauli = _pivot_pauli(pre, rotation[0].control, support)
     if pauli is None:
         return None
     x, z, phase = pauli
-    cos = float(c[-1])  # c where every bit, the pivot's too, is 1
-    basis = np.arange(len(c))
+    cos = float(np.cos(rotation[0].angle / 2.0))  # c_S where the pivot's bit is 1
+    basis = np.arange(1 << len(support))
     # the parity of popcount(y & z) + phase // 2, the sign of the entry of P'
     # in column y (of its imaginary part when the phase is odd)
     odd = _parities(len(support))[basis & z] ^ (phase >> 1)
@@ -1619,7 +1652,7 @@ def _pauli_k0(
     off = (1.0 - cos) / 2 * (1.0 - 2.0 * odd)
     if phase & 1 and cos != 1.0:
         off = off * 1j
-    k0 = np.zeros((len(c), len(c)), off.dtype)
+    k0 = np.zeros((len(basis), len(basis)), off.dtype)
     k0[basis, basis] = (1.0 + cos) / 2
     k0[basis ^ x, basis] = off
     return k0
@@ -1647,10 +1680,13 @@ def lower_step(
     The rotation runs from the first gate that touches the ancilla to the
     measurement; each of its gates must be a y-rotation targeting the
     ancilla, and every gate of Pre (the gates before the rotation) and of
-    Post one that the kernels run; else it raises ``ValueError``. Each
-    check runs before anything is built. A noiseless statevector step of
+    Post one that the kernels run; else it raises ``ValueError``. One walk
+    over the gates, reading each gate's ``qubits`` once, finds the
+    rotation, makes these checks and collects the support, before
+    anything is built. A noiseless statevector step of
     the per-term shape (see :func:`_pauli_k0`) then takes its K0 from the
-    Pauli its Pre maps onto the pivot, with no kernel run. Otherwise Pre_S
+    Pauli its Pre maps onto the pivot, with no kernel run and before the
+    rotation is folded into (c_S, s_S), which it does not need. Otherwise Pre_S
     (and Post_S, unless Post's gates invert Pre's) is the gate kernels
     run on the identity columns with each qubit on its position in S; any
     other noiseless statevector step builds no Post_S, but runs Post's
@@ -1666,39 +1702,43 @@ def lower_step(
     (:func:`_check_kept_trace`), as :class:`NoiseModel` does for Kraus
     completeness.
     """
-    ancilla = circuit.ancilla
-    pre, post = circuit.pre_measure, circuit.post_measure
-    qubits = [qubits_of(g) for g in circuit.gates]
-    split = next((i for i, q in enumerate(qubits[: len(pre)]) if ancilla in q), len(pre))
-    pre, rotation = pre[:split], pre[split:]
-    for g, q in zip(rotation, qubits[split:]):
-        if not isinstance(g, (Ry, ControlledRy, ConditionalRy)) or q[-1] != ancilla:
-            raise ValueError(
-                f"step circuit has {g!r} between its ancilla rotation and the measurement; "
-                "only y-rotations targeting the ancilla may sit there"
-            )
+    ancilla, measure = circuit.ancilla, circuit.measure_point
     kernels = (Hadamard, PhaseS, PhaseSdg, PauliX, CNOT, DenseBlock)
-    for g in (*pre, *post):
-        if not isinstance(g, kernels):
+    # one walk: the rotation starts at the first gate that touches the ancilla
+    split, touched = measure, set()
+    for i, g in enumerate(circuit.gates):
+        qubits = g.qubits
+        touched.update(qubits)
+        if i < split and ancilla in qubits:
+            split = i
+        if split <= i < measure:
+            if type(g) not in (Ry, ControlledRy, ConditionalRy) or qubits[-1] != ancilla:
+                raise ValueError(
+                    f"step circuit has {g!r} between its ancilla rotation and the measurement; "
+                    "only y-rotations targeting the ancilla may sit there"
+                )
+        elif type(g) not in kernels:
             raise ValueError(
                 f"step circuit has {g!r} on its work register, which no kernel runs; "
                 "only Hadamard, PhaseS, PhaseSdg, PauliX, CNOT and DenseBlock gates may "
                 "sit before the ancilla rotation or after the measurement"
             )
-    support = tuple(sorted({i for q in qubits for i in q} - {ancilla}))
-    c, s = _fold_rotation(rotation, support, ancilla)
+    pre, post = circuit.pre_measure, circuit.post_measure
+    pre, rotation = pre[:split], pre[split:]
+    support = tuple(sorted(touched - {ancilla}))
     if noise is not None and noise.is_identity:
         noise = None
+    fused_k0 = isinstance(state, StateVector) and noise is None and len(support) <= FUSED_MAX_SUPPORT
+    k0 = _pauli_k0(pre, rotation, post, support) if fused_k0 else None
+    if k0 is not None:
+        return K0Step(support, k0)
+    c, s = _fold_rotation(rotation, support, ancilla)
     if len(support) > FUSED_MAX_SUPPORT:
         if isinstance(state, StateVector):
             return BranchStep(support, pre, c, s, post, noise=noise)
         # sandwiches, left out when empty
         pre_g, post_g = ((g, None, None) if g else None for g in (pre, post))
         return PassSandwichStep(support, pre_g, c, s, post_g, noise=noise)
-    fused_k0 = isinstance(state, StateVector) and noise is None
-    k0 = _pauli_k0(pre, rotation, post, support, c) if fused_k0 else None
-    if k0 is not None:
-        return K0Step(support, k0)
     pre_s = _on_support(pre, support)
     if fused_k0:
         # K0 = Post_S diag(c_S) Pre_S by Post's kernels on S

@@ -4,10 +4,12 @@ Nothing here runs the kernels that evolve states (``pite_sim.engine``'s
 pair kernels and fused products), so the tests compare those fast paths
 against arrays built independently: Kronecker products of 2x2 Pauli
 matrices, per-qubit ``np.tensordot`` contractions and gate matrices
-written out from the gate definitions. The elementary-gate Ising block
-circuit and its closed forms live here too, as references for the
-grouped step built from a dense eigenbasis, with the rewrite of its
-work-register rotations into the dense blocks the engine lowers.
+written out from the gate definitions, and a noiseless postselected run
+as the product of its circuits' dense post-selected operators. The
+elementary-gate Ising block circuit and its closed forms live here too,
+as references for the grouped step built from a dense eigenbasis, with
+the rewrite of its work-register rotations into the dense blocks the
+engine lowers.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from pite_sim.circuit import (
     check_time,
 )
 from pite_sim.grouping import GroupSpec
-from pite_sim.hamiltonian import PauliAxis, PauliTerm
+from pite_sim.hamiltonian import PauliAxis, PauliHamiltonian, PauliTerm
 
 PAULI_MATRICES = {
     PauliAxis.I: np.eye(2, dtype=complex),
@@ -150,12 +152,6 @@ def with_dense_work_rotations(circuit: Circuit) -> Circuit:
     return dataclasses.replace(circuit, gates=tuple(gates))
 
 
-def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    if circuit.has_ancilla:
-        raise ValueError("circuit has a measurement; use postselected_operator")
-    return gates_unitary(circuit.gates, circuit.n_work)
-
-
 def postselected_operator(circuit: Circuit) -> np.ndarray:
     """Unnormalized work-register operator of the ancilla-0 branch.
 
@@ -165,6 +161,35 @@ def postselected_operator(circuit: Circuit) -> np.ndarray:
     """
     full = gates_unitary(circuit.gates, circuit.n_qubits)
     return full[0::2, 0::2].copy()  # ancilla is the least significant bit
+
+
+def postselected_run(
+    h: PauliHamiltonian, circuits: list[Circuit], init: np.ndarray, n_steps: int
+) -> list[tuple[float, float, float]]:
+    """(energy, fidelity, p_cum) at beta 0 and after each of ``n_steps``
+    Trotter steps, from ``init`` and M = K_L ... K_1, the product of the
+    :func:`postselected_operator` K_i of ``circuits``, one Trotter step's
+    circuits in the order they run. The state M^t init is never
+    normalized: p_cum is its squared norm (``init`` has unit norm), and
+    the energy and the fidelity are read over it. H is the sum of the
+    terms' :func:`term_matrix` and the identity offset; the fidelity is
+    the weight on the eigenvectors of H within 1e-10 of its lowest
+    eigenvalue."""
+    dim = 2**h.n_qubits
+    hmat = sum((term_matrix(t) for t in h.terms), h.identity_offset * np.eye(dim))
+    energies, vectors = np.linalg.eigh(hmat)
+    ground = vectors[:, energies - energies[0] <= 1e-10]
+    m = np.eye(dim)
+    for circuit in circuits:
+        m = postselected_operator(circuit) @ m
+    psi, records = np.asarray(init, dtype=complex), []
+    for _ in range(n_steps + 1):
+        weight = float(np.vdot(psi, psi).real)
+        energy = float(np.vdot(psi, hmat @ psi).real) / weight
+        fidelity = float(np.linalg.norm(ground.conj().T @ psi) ** 2) / weight
+        records.append((energy, fidelity, weight))
+        psi = m @ psi
+    return records
 
 
 def singleton_groupspec(n_terms: int) -> GroupSpec:

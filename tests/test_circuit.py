@@ -27,7 +27,6 @@ from pite_sim.grouping import GroupedBlock
 from pite_sim.hamiltonian import PauliAxis, PauliTerm
 from oracles import (
     build_ising_block_gates,
-    circuit_unitary,
     gates_unitary,
     ising_block_angles,
     ising_block_eigenvalues,
@@ -52,21 +51,21 @@ def random_term(n: int) -> PauliTerm:
 
 def test_uk_trivial_negative_z():
     syn = synthesize_uk(PauliTerm.from_string(-1.0, "Z"))
-    assert syn.circuit.gates == ()
+    assert syn.gates == ()
     assert syn.pivot == 0
-    assert len(syn.circuit.gates) == 0
+    assert len(syn.gates) == 0
 
 
 def test_uk_positive_z_needs_flip():
     syn = synthesize_uk(PauliTerm.from_string(1.0, "Z"))
-    assert syn.circuit.gates == (PauliX(0),)
+    assert syn.gates == (PauliX(0),)
 
 
 def test_uk_xx_example():
     syn = synthesize_uk(PauliTerm.from_string(-0.3, "XX"))
-    assert syn.circuit.gates == (Hadamard(0), Hadamard(1), CNOT(1, 0))
+    assert syn.gates == (Hadamard(0), Hadamard(1), CNOT(1, 0))
     assert syn.pivot == 0
-    u = circuit_unitary(syn.circuit)
+    u = gates_unitary(syn.gates, 2)
     ch = term_matrix(PauliTerm.from_string(-0.3, "XX"))
     assert np.abs(u @ ch @ u.conj().T - pivot_z_matrix(-0.3, 2, 0)).max() < 1e-12
 
@@ -76,8 +75,8 @@ def test_uk_conjugation_identity_random(trial):
     n = int(rng.integers(1, 9))
     term = random_term(n)
     syn = synthesize_uk(term)
-    assert len(syn.circuit.gates) <= 3 * n
-    u = circuit_unitary(syn.circuit)
+    assert len(syn.gates) <= 3 * n
+    u = gates_unitary(syn.gates, n)
     lhs = u @ term_matrix(term) @ u.conj().T
     assert np.abs(lhs - pivot_z_matrix(term.coeff, n, syn.pivot)).max() < 1e-10
 
@@ -85,13 +84,13 @@ def test_uk_conjugation_identity_random(trial):
 def test_uk_full_y_string_gate_budget():
     term = PauliTerm.from_string(-1.0, "YYYY")
     syn = synthesize_uk(term)
-    counts = gate_count(syn.circuit)
+    counts = gate_count(Circuit(n_work=4, has_ancilla=False, gates=syn.gates))
     assert counts["phasesdg"] == 4
     assert counts["hadamard"] == 4
     assert counts["cnot"] == 3
-    assert len(syn.circuit.gates) == 11  # 2n + (n-1), no sign flip
+    assert len(syn.gates) == 11  # 2n + (n-1), no sign flip
     positive = PauliTerm.from_string(1.0, "YYYY")
-    assert len(synthesize_uk(positive).circuit.gates) == 12  # 3n with the flip
+    assert len(synthesize_uk(positive).gates) == 12  # 3n with the flip
 
 
 def test_theta_for_coeff():
@@ -138,18 +137,62 @@ def test_step_fixed_point_probability_one():
     assert np.abs(state.data - work).max() < 1e-12
 
 
+def test_every_gate_carries_its_qubits_in_matrix_order():
+    """Each of the nine gate kinds carries ``qubits``, the qubits it acts
+    on in the order its matrix lists them: a control before its target,
+    a conditional rotation's register in order and then its target."""
+    block = DenseBlock((3, 0, 2), np.eye(8))
+    expected = [
+        (Hadamard(4), (4,)),
+        (PhaseS(1), (1,)),
+        (PhaseSdg(2), (2,)),
+        (PauliX(0), (0,)),
+        (CNOT(3, 1), (3, 1)),
+        (Ry(0.3, 5), (5,)),
+        (ControlledRy(0.7, 2, 0), (2, 0)),
+        (ConditionalRy((4, 1, 3), ((5, 0.5),), 2), (4, 1, 3, 2)),
+        (block, (3, 0, 2)),
+    ]
+    assert len({type(g) for g, _ in expected}) == 9
+    for gate, qubits in expected:
+        assert gate.qubits == qubits, gate
+
+
 def test_circuit_validation():
-    with pytest.raises(ValueError, match="measure_point"):
-        Circuit(n_work=2, has_ancilla=True, gates=())
-    with pytest.raises(ValueError, match="ancilla"):
-        Circuit(
-            n_work=1,
-            has_ancilla=True,
-            gates=(Hadamard(1),),
-            measure_point=0,  # touches the ancilla after measurement
-        )
-    with pytest.raises(ValueError, match="touches qubit"):
-        Circuit(n_work=1, has_ancilla=False, gates=(Hadamard(3),))
+    """Each validation error, with its message: a measure_point missing,
+    out of range on either side, or without an ancilla; a qubit outside
+    the register, before the measurement (the ancilla is in it) and
+    after it (where the ancilla is not), negative ones too; and a gate
+    after the measurement on the ancilla, whichever of its qubits that
+    is."""
+    def raises(message: str, **fields) -> None:
+        with pytest.raises(ValueError) as raised:
+            Circuit(**fields)
+        assert str(raised.value) == message
+
+    raises("ancilla circuits must declare a measure_point", n_work=2, has_ancilla=True, gates=())
+    for point in (-1, 2):
+        raises("measure_point out of range",
+               n_work=1, has_ancilla=True, gates=(Hadamard(0),), measure_point=point)
+    raises("measure_point requires an ancilla",
+           n_work=1, has_ancilla=False, gates=(), measure_point=0)
+    after = "gates after the measurement must not touch the ancilla"
+    raises(after, n_work=1, has_ancilla=True, gates=(Hadamard(1),), measure_point=0)
+    raises(after, n_work=2, has_ancilla=True, measure_point=1,
+           gates=(ControlledRy(0.3, 0, 2), CNOT(2, 1)))
+    raises("gate Hadamard(qubit=3) touches qubit 3, register has 1",
+           n_work=1, has_ancilla=False, gates=(Hadamard(3),))
+    raises("gate Hadamard(qubit=1) touches qubit 1, register has 1",
+           n_work=1, has_ancilla=False, gates=(Hadamard(1),))
+    raises("gate CNOT(control=-1, target=0) touches qubit -1, register has 3",
+           n_work=2, has_ancilla=True, gates=(CNOT(-1, 0),), measure_point=1)
+    raises("gate PauliX(qubit=3) touches qubit 3, register has 3",
+           n_work=2, has_ancilla=True, gates=(PauliX(3),), measure_point=1)
+    raises("gate PauliX(qubit=4) touches qubit 4, register has 3",
+           n_work=2, has_ancilla=True, gates=(PauliX(4),), measure_point=0)
+    # the ancilla before the measurement, and every work qubit after it, pass
+    Circuit(n_work=2, has_ancilla=True, measure_point=1,
+            gates=(ControlledRy(0.3, 1, 2), CNOT(0, 1)))
 
 
 def test_adjoint_round_trip():

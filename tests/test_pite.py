@@ -17,6 +17,7 @@ from pite_sim.engine import (
     run_step_circuit,
 )
 from pite_sim.grouping import (
+    GroupSpec,
     group_hamiltonian,
     ising_local_grouping,
     lih_groupspec,
@@ -42,7 +43,7 @@ from pite_sim.pite import (
     run_generalized,
     run_pite,
 )
-from oracles import postselected_operator, singleton_groupspec
+from oracles import postselected_operator, postselected_run, singleton_groupspec
 
 
 def test_schedule_validation():
@@ -720,3 +721,77 @@ def test_run_rejects_an_initial_state_off_unit_norm(noise):
     # within the tolerance a run starts
     init = np.array([math.sqrt(1.0 + 5e-10), 0.0, 0.0, 0.0])
     assert run_pite(h, init, schedule, config).completed
+
+
+def random_model(n: int, seed: int) -> PauliHamiltonian:
+    """2n random Pauli terms on n qubits, coefficients of alternating
+    sign, the first of them with one Y factor and the second with three
+    (odd Y counts, whose K0s are complex)."""
+    rng = np.random.default_rng(seed)
+    terms = []
+    for k in range(2 * n):
+        while True:
+            axes = "".join(rng.choice(list("IXYZ"), size=n))
+            if k < 2:
+                axes = "Y" * (2 * k + 1) + axes[2 * k + 1 :].replace("Y", "Z")
+            if set(axes) != {"I"}:
+                break
+        sign = 1.0 if k % 2 else -1.0
+        terms.append(PauliTerm.from_string(sign * float(rng.uniform(0.2, 1.0)), axes))
+    return PauliHamiltonian(n, tuple(terms), identity_offset=0.3)
+
+
+def oracle_case(model: str):
+    """(h, init) of a run oracle case: H2, or a random model on 3 (real
+    init), 4 or 5 (complex init) qubits."""
+    if model == "h2":
+        return build_h2(0.75), prepare_initial(InitialState.basis("00"), 2)
+    n = int(model[-1])
+    rng = np.random.default_rng(n)
+    init = rng.standard_normal(2**n) + (1j * rng.standard_normal(2**n) if n > 3 else 0.0)
+    return random_model(n, seed=n), init / np.linalg.norm(init)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("grouped", [False, True], ids=["per-term", "pairs"])
+@pytest.mark.parametrize("model", ["h2", "random3", "random4", "random5"])
+def test_noiseless_run_equals_the_product_of_postselected_operators(model, grouped, order):
+    """Every record of a noiseless postselected statevector run, per term
+    or over groups of two consecutive terms, at Trotter order 1 or 2,
+    equals the run oracle's (``oracles.postselected_run``): the product
+    of the step circuits' dense post-selected operators applied to
+    ``init``. This checks synthesis, lowering and the K0 step against
+    the circuits' own definition, on real and complex K0s and states.
+    Over these 16 runs the largest differences measured were 1.8e-15 in
+    energy, 1.0e-15 in fidelity and 2.1e-13 relative in p_cum (per term
+    at order 2, 12 steps of 10 or more measurements each); the bounds
+    are about five times those."""
+    h, init = oracle_case(model)
+    schedule = Schedule(dt=0.1, n_steps=12, order=order)
+    if grouped:
+        ends = range(1, h.n_terms + 1, 2)
+        pairs = GroupSpec(tuple(tuple(range(k, min(k + 2, h.n_terms + 1))) for k in ends))
+        blocks = group_hamiltonian(h, pairs)
+        result = run_generalized(h, blocks, init, schedule)
+        circuits = _oracle_step(build_grouped_step, blocks, schedule)
+    else:
+        result = run_pite(h, init, schedule)
+        circuits = _oracle_step(build_pauli_step, h.terms, schedule)
+    want = postselected_run(h, circuits, init, schedule.n_steps)
+    assert len(result.records) == len(want)
+    worst = [0.0, 0.0, 0.0]
+    for record, (energy, fidelity, p_cum) in zip(result.records, want):
+        worst[0] = max(worst[0], abs(record.energy - energy))
+        worst[1] = max(worst[1], abs(record.fidelity - fidelity))
+        worst[2] = max(worst[2], abs(record.p_cum - p_cum) / p_cum)
+    assert worst[0] < 1e-14 and worst[1] < 1e-14 and worst[2] < 1e-12, worst
+
+
+def _oracle_step(build, items, schedule: Schedule) -> list:
+    """One Trotter step's circuits, built here from the schedule's
+    definition: each item at dt, or at order 2 each at dt/2 and then
+    again in reverse."""
+    if schedule.order == 1:
+        return [build(item, schedule.dt) for item in items]
+    half = [build(item, schedule.dt / 2) for item in items]
+    return half + half[::-1]

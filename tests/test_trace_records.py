@@ -1,8 +1,8 @@
 """``tools/trace_records.py``: ``--diff`` on small record files (its exit
 code and per-field maxima), its copies of the benchmark workloads'
-parameters, which must not drift from ``perfbench/workloads.py``, and the
+parameters, which must not drift from ``perfbench/workloads.py``, the
 step forms its runs lower to, every one of which its byte-identity check
-is to cover."""
+is to cover, and its ``--phases`` table on the H2 run."""
 import importlib.util
 import subprocess
 import sys
@@ -135,3 +135,25 @@ def test_runs_take_every_step_form(monkeypatch):
     gate_lists = [(label, len(step.support)) for label, step in lowered
                   if type(step) is engine.PassSandwichStep and isinstance(step.pre[0], tuple)]
     assert gate_lists == [("file8 noisy", 7)]
+
+
+def test_phases_times_the_h2_run_and_removes_its_timers(capsys):
+    """``--phases`` on the H2 run alone, once: one row whose phases
+    (synthesis, K0 lowering, K0 steps, records and the rest) are
+    non-negative and add up to the total of ``pite._run``, and no timer
+    is left on ``pite_sim`` afterwards."""
+    tool = load("trace_records_phases", TOOL)
+    names = [pite.build_pauli_step, pite.lower_step, pite.run_step_circuit, pite._run,
+             engine._State.expectation]
+    assert tool.phases(ROOT / "src", 1, [run for run in tool.RUNS if run[0] == "h2"]) == 0
+    assert names == [pite.build_pauli_step, pite.lower_step, pite.run_step_circuit, pite._run,
+                     engine._State.expectation]
+    header, row = capsys.readouterr().out.splitlines()
+    columns = ["synthesis", "lower K0", "step K0", "records", "rest", "total"]
+    assert header.split("  ")[0] == "ms, median of 1"
+    assert [c.strip() for c in header[32:].split("  ") if c.strip()] == columns
+    label, *cells = row.split()
+    assert label == "h2" and len(cells) == len(columns)
+    values = [float(cell) for cell in cells]
+    assert min(values) >= 0.0 and values[-1] > 0.0
+    assert abs(sum(values[:-1]) - values[-1]) <= 0.003  # three decimals each

@@ -1,7 +1,9 @@
-"""Write every trace record of a fixed list of runs, or compare two such files.
+"""Write every trace record of a fixed list of runs, compare two such
+files, or time the runs by phase.
 
     python tools/trace_records.py --write FILE [--src DIR]
     python tools/trace_records.py --diff A B
+    python tools/trace_records.py --phases [--src DIR] [--repeats N]
 
 ``--write`` imports ``pite_sim`` from ``DIR`` (default: the ``src/`` next
 to this script), runs the 13 runs of ``RUNS`` and writes one line per trace
@@ -13,6 +15,19 @@ thread count cannot move a rounding.
 relative difference between the two files, then the largest per field
 over all runs, and exits 1 when any line differs (0 when the files are
 byte-identical, that is when every record of every run is bitwise equal).
+
+``--phases`` imports ``pite_sim`` from ``DIR`` as ``--write`` does, runs
+each of the 13 runs ``N`` times (default 5) with a timer around the
+names ``pite_sim.pite`` calls, and prints one table of milliseconds per
+run, each cell the median over the repeats: synthesis (the step
+builders), lowering (``lower_step``) and steps (``run_step_circuit``)
+by the step form they lower to or run, the trace records (the trace
+check, energy, fidelity and bounds), the rest of ``pite._run`` (the
+exact spectrum, which ``analysis`` caches after a run's first repeat,
+and the driver's own loop), and the total of ``pite._run``. Each timed
+call carries its timer's own cost, a fraction of a microsecond, so the
+phase of many cheap calls (the steps) reads a little high. The timers
+are removed when the runs end.
 
 The runs lower their circuits to every step form of ``pite_sim.engine``
 (``K0Step``, ``BranchStep``, ``SuperopStep``, ``MaskSandwichStep`` and
@@ -29,7 +44,10 @@ from __future__ import annotations
 import argparse
 import math
 import re
+import statistics
 import sys
+import time
+from contextlib import contextmanager
 from pathlib import Path
 
 LIH_INIT = ((math.sqrt(0.99), "110000"), (0.1, "000011"))
@@ -113,6 +131,86 @@ def write(path: Path, src: Path) -> int:
     return 0
 
 
+def _forms(engine) -> dict[type, str]:
+    """Each step form class of ``engine`` and its name without "Step", in
+    the order the module defines them."""
+    return {cls: cls.__name__.removesuffix("Step") for cls in engine.BoundStep.__subclasses__()}
+
+
+@contextmanager
+def _phase_timers(totals: dict[str, float]):
+    """Timers around the names ``pite_sim.pite`` calls, adding seconds per
+    phase to ``totals`` while the block runs, and ``pite._run``'s into
+    "total"; the names are restored after it. No timed name calls
+    another, except ``_run``, which holds them all."""
+    from pite_sim import analysis, engine, pite
+
+    clock, patched = time.perf_counter, []
+    lowered = {cls: f"lower {form}" for cls, form in _forms(engine).items()}
+    stepped = {cls: f"step {form}" for cls, form in _forms(engine).items()}
+
+    def timed(owner, name: str, phase):
+        """``owner.name`` timed into ``totals[phase(args, result)]``."""
+        original = getattr(owner, name)
+
+        def call(*args, **kwargs):
+            start = clock()
+            result = original(*args, **kwargs)
+            elapsed = clock() - start
+            key = phase(args, result)
+            totals[key] = totals.get(key, 0.0) + elapsed
+            return result
+
+        patched.append((owner, name, original))
+        setattr(owner, name, call)
+
+    for builder in ("build_pauli_step", "build_grouped_step"):
+        timed(pite, builder, lambda args, result: "synthesis")
+    timed(pite, "lower_step", lambda args, step: lowered[type(step)])
+    timed(pite, "run_step_circuit", lambda args, result: stepped[type(args[1])])
+    records = ((pite, "_check_trace"), (pite, "_work_fidelity"), (engine._State, "expectation"),
+               (analysis, "rlb"), (analysis, "alb_generalized"))
+    for owner, name in records:
+        timed(owner, name, lambda args, result: "records")
+    timed(pite, "_run", lambda args, result: "total")
+    try:
+        yield
+    finally:
+        for owner, name, original in reversed(patched):
+            setattr(owner, name, original)
+
+
+def phases(src: Path, repeats: int, runs=RUNS) -> int:
+    """Print the table of ``--phases`` for ``runs``, each run ``repeats``
+    times, from the ``pite_sim`` in ``src``."""
+    sys.path.insert(0, str(src))
+    from pite_sim import engine
+
+    rows = {}
+    for label, *fields in runs:
+        samples = []
+        for _ in range(repeats):
+            totals: dict[str, float] = {}
+            with _phase_timers(totals):
+                run(*fields)
+            totals["rest"] = totals["total"] - sum(v for k, v in totals.items() if k != "total")
+            samples.append(totals)
+        keys = {key for sample in samples for key in sample}
+        rows[label] = {key: statistics.median(s.get(key, 0.0) for s in samples) for key in keys}
+    # a slots dataclass leaves the class it replaced among the subclasses
+    forms = dict.fromkeys(_forms(engine).values())
+    order = ["synthesis", *(f"lower {f}" for f in forms), *(f"step {f}" for f in forms),
+             "records", "rest", "total"]
+    columns = [key for key in order if any(key in row for row in rows.values())]
+    widths = [max(9, len(key)) + 2 for key in columns]
+    print(f"{'ms, median of ' + str(repeats):32s}"
+          + "".join(f"{key:>{width}}" for key, width in zip(columns, widths)))
+    for label, row in rows.items():
+        cells = (f"{row.get(key, 0.0) * 1e3:>{width}.3f}" for key, width in zip(columns, widths))
+        print(f"{label:32s}{''.join(cells)}")
+    return 0
+
+
 _FIELD = re.compile(r"(\w+)=([^,)]+)")
 
 
@@ -161,11 +259,17 @@ def main() -> int:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument("--write", metavar="FILE", type=Path)
     action.add_argument("--diff", metavar=("A", "B"), nargs=2, type=Path)
+    action.add_argument("--phases", action="store_true")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
-                        help="the src/ directory to import pite_sim from (with --write)")
+                        help="the src/ directory to import pite_sim from (--write, --phases)")
+    parser.add_argument("--repeats", type=int, default=5, help="runs per row (with --phases)")
     args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
     if args.write is not None:
         return write(args.write, args.src)
+    if args.phases:
+        return phases(args.src, args.repeats)
     return diff(*args.diff)
 
 
