@@ -91,9 +91,7 @@ met (register size and stored order), so a run works a move out once
 per step and layout: a state already stored in the step's order (after
 a step on the same support, say) is not moved, a vector of at most
 ``_INDEX_MAX_QUBITS`` qubits is moved by one gather through a held
-index, and anything else by one transpose. A :class:`K0Step` runs all of
-this, its product and its outcome inline in ``StateVector._run_step``.
-A density matrix's energy, trace
+index, and anything else by one transpose. A density matrix's energy, trace
 and subspace weight read the stored matrix as it is: an observable A of
 the state is the adjoint channel N^dag(A) of the stored one, since
 Tr(A N(rho)) = Tr(N^dag(A) rho), gathered in the stored order and built
@@ -456,9 +454,8 @@ class _State:
         self._weight = 1.0
 
     def _flush(self) -> None:
-        """Put the stored state back in canonical order, by the cached
-        :func:`_transposition` of its stored order, then divide it by its
-        weight."""
+        """Put the stored state back in canonical order, then divide it by
+        its weight."""
         if self._order is not None:
             shape, axes = _transposition(self._order, tuple(range(len(self._order))))
             moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
@@ -490,9 +487,7 @@ class _State:
         A state stored in the step's order already comes back as a
         reshaped view, a small vector as one gather through a held index
         (``ravel()[index]``), and anything else as a contiguous transposed
-        copy. A :class:`K0Step` does the lookup and the first two moves
-        inline and calls this only for a transposition (see
-        :class:`K0Step`)."""
+        copy."""
         try:
             order, move = step.moves[self.n_qubits, self._order]
         except KeyError:
@@ -507,6 +502,7 @@ class _State:
         shape, axes = move
         moved = np.ascontiguousarray(self._stored.reshape(shape).transpose(axes))
         return moved.reshape(rows, -1), order
+
     def copy(self):
         """An independent state equal to this one, stored in the same order
         (on a density matrix owing the same channel): nothing is moved or
@@ -608,19 +604,9 @@ class StateVector(_State):
         return self._measure(c * psi, s * psi if eps_d > 0.0 else None, eps_d, rng, None)
 
     def _run_step(self, step: BoundStep, rng) -> float:
-        if type(step) is K0Step:  # _gather, one product, one dot and _outcome, inlined
-            key = self.n_qubits, self._order
-            try:
-                order, move = step.moves[key]
-            except KeyError:
-                order, move = step.moves[key] = _step_order(key[0], 1, key[1], step.support)
+        x, order = self._gather(step)
+        if type(step) is K0Step:  # one product and one dot
             k0 = step.k0
-            if move is None:
-                x = self._stored.reshape(len(k0), -1)
-            elif type(move) is np.ndarray:
-                x = self._stored.ravel()[move]
-            else:  # a transposition, on a larger vector
-                x, _ = self._gather(step)
             # dot, not @: numpy dispatches it in about half the time here
             if k0.dtype.kind == "f" and x.dtype.kind == "f":  # every built-in model's step
                 out = k0.dot(x)
@@ -633,11 +619,10 @@ class StateVector(_State):
                     out = k0.dot(x)
                 kept = _squared_norm(out)
             prob0 = _postselected(kept / self._weight)
-            self._stored, self._order, self._weight = out, order, kept
+            self._stored, self._order, self._weight = out, order, kept  # _outcome, inlined
             if kept < RESCALE_THRESHOLD:
                 self._normalize()
             return prob0
-        x, order = self._gather(step)
         noise = step.noise  # a BranchStep
         if noise is not None and rng is None:
             raise ValueError("statevector noise is sampled and needs an rng")
@@ -1195,9 +1180,9 @@ def _transposition(order: tuple[int, ...], target: tuple[int, ...]) -> tuple[tup
     """How to move a buffer whose bits, most significant first, carry the
     labels ``order`` into ``target``'s order of the same labels: the shape
     to view it in and the axis permutation. Labels adjacent in both orders
-    share one axis, so the copy runs long inner loops. Cached, for a
-    flush to canonical order meets the same stored order at every record
-    of a noiseless run (``_State._flush``)."""
+    share one axis, so the copy runs long inner loops. Cached: a flush to
+    canonical order meets the same stored order at every record of a
+    noiseless run."""
     place = [target.index(label) for label in order]
     starts = [i for i, p in enumerate(place) if i == 0 or p != place[i - 1] + 1]
     shape = tuple(2 ** (end - i) for i, end in zip(starts, starts[1:] + [len(place)]))
@@ -1228,12 +1213,10 @@ def _step_order(n: int, sides: int, order: tuple | None, support: tuple[int, ...
     The move is None when the state is stored in that order already. On
     a vector of at most ``_INDEX_MAX_QUBITS`` qubits it is a read-only
     ``intp`` index of shape (2^|S|, rest) for one gather,
-    ``stored.ravel()[index]``, which moves LiH's 64 entries in 0.27 us,
-    where ``take`` took 0.34 us on a flat vector and 0.66 us on the 2-D
-    array a step stores, and the transposed copy 1.0 us (timeit, one BLAS
-    thread, 2-vCPU Xeon; at 10 qubits the two gathers are even).
-    Otherwise it is the transposition (shape, axes) for that copy, which
-    :func:`_transposition` caches per pair of orders. A matrix keeps the copy:
+    ``stored.ravel()[index]``, quicker on small vectors than the
+    transposed copy and than a ``take``, which is slow on the 2-D array a
+    step stores. Otherwise it is the transposition (shape, axes) for that
+    copy. A matrix keeps the copy:
     alone, a held index moved a 6-qubit complex matrix in 4.2 us against
     12-13 us, but noisy LiH's steps meet 37 layouts, and a prototype that
     held their indices took 1.2 MB more memory and ran no faster. Called
@@ -1394,19 +1377,9 @@ class K0Step(BoundStep):
     step's is a I + b P', filled from the Pauli P' its Pre maps onto the
     pivot (:func:`_pauli_k0`); any other is Post's kernels run on
     diag(c_S) Pre_S. Either way a K0 real in exact arithmetic is exactly
-    real and float64 (see the module docstring).
-
-    ``StateVector._run_step`` runs it with no helper call in the common
-    case: it looks the layout it meets up in ``moves`` (as
-    :meth:`_State._gather` does), reshapes the vector or gathers it
-    through the held index, takes one product by ``k0`` and the squared
-    norm (one dot of float64 vectors, ``vdot`` of a complex one; a real
-    K0 takes a complex vector as a real product over its float64 view),
-    then applies :func:`_postselected` and stores the branch. Only a
-    transposition, on a vector of more than ``_INDEX_MAX_QUBITS`` qubits,
-    goes through ``_gather``. On LiH's 64 entries a step took 2.0-2.2 us
-    in a warm loop of 80 Trotter steps (one BLAS thread, 2-vCPU Xeon),
-    against 2.4-2.6 us through ``_gather`` and ``take``."""
+    real and float64 (see the module docstring). ``StateVector._run_step``
+    runs it as one :meth:`_State._gather`, one product by ``k0`` and one
+    squared norm, with the outcome rule inlined."""
 
     state_type = StateVector
     k0: np.ndarray

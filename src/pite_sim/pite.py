@@ -166,12 +166,7 @@ def _check_trace(state: StateVector | DensityMatrix, step: int) -> None:
     trajectories by 1.3e-15), so more means broken arithmetic, such as a
     carried norm that no longer matches its vector. On a statevector the
     check is one ``vdot`` after the flush the record makes anyway
-    (1.2 us on LiH's 64 entries). That flush moves the vector from the
-    order its last step left back to canonical order by a transposition
-    cached per pair of orders (``engine._transposition``), so a noiseless
-    run, whose records all meet the same order, works it out once. The
-    norm it divides by is the one every step carries, the inlined
-    ``K0Step`` too: its branch's squared norm."""
+    (1.2 us on LiH's 64 entries)."""
     if isinstance(state, DensityMatrix):
         trace, name = state.trace(), "density-matrix trace"
     else:

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import pite_sim.engine as engine
-import pite_sim.pite as pite
 from pite_sim.analysis import eigensystem
 from pite_sim.circuit import (
     CNOT,
@@ -1374,19 +1373,6 @@ def transposing_gather_sites(self, step):
     return np.ascontiguousarray(moved).reshape(-1), run
 
 
-def transposing_step_order(n, sides, order, support):
-    """An oracle for ``engine._step_order`` on a vector, written out from
-    the step order's definition: S first, the other qubits as stored,
-    and a transposition with one bit per axis into it (None when the
-    vector is stored in that order already)."""
-    assert sides == 1
-    current = tuple(range(n)) if order is None else order
-    target = support + tuple(q for q in current if q not in support)
-    if target == current:
-        return target, None
-    return target, ((2,) * n, tuple(current.index(q) for q in target))
-
-
 @pytest.mark.parametrize(
     "case", ["lih trajectories", "lih order 2 record_every 2", "ising noisy order 2"]
 )
@@ -1397,10 +1383,7 @@ def test_each_step_holds_one_move_per_layout_it_meets(case, monkeypatch):
     read resets to canonical order), hold exactly one move per distinct
     layout they meet, a superoperator step in the site-pair layout too.
     Their records are bitwise those of a run that works every step's
-    layout out afresh and moves the state by a fresh transposition: its
-    steps forget their moves before they run, a ``K0Step``, which looks
-    its move up inline, takes it from :func:`transposing_step_order`,
-    and every other step gathers through the transposing oracles."""
+    layout out afresh and moves the state by a fresh transposition."""
     if case == "lih trajectories":
         h, init = build_lih(), prepare_initial(InitialState.basis("110000"), 6)
         schedule, config = Schedule(dt=0.05, n_steps=3), RunConfig(
@@ -1415,15 +1398,18 @@ def test_each_step_holds_one_move_per_layout_it_meets(case, monkeypatch):
         schedule, config = Schedule(dt=0.05, n_steps=3, order=2), RunConfig(noise=NoiseModel(1e-3, 2e-3))
     met: dict[int, tuple] = {}
     gathers: list[int] = []
-    run_step = pite.run_step_circuit
 
-    def recorded(state, step, rng=None):
-        _, layouts = met.setdefault(id(step), (step, set()))
-        layouts.add((state.n_qubits, state._order))
-        gathers.append(id(step))
-        return run_step(state, step, rng)
+    def recording(gather):
+        def recorded(self, step):
+            _, layouts = met.setdefault(id(step), (step, set()))
+            layouts.add((self.n_qubits, self._order))
+            gathers.append(id(step))
+            return gather(self, step)
 
-    monkeypatch.setattr(pite, "run_step_circuit", recorded)
+        return recorded
+
+    monkeypatch.setattr(engine._State, "_gather", recording(engine._State._gather))
+    monkeypatch.setattr(DensityMatrix, "_gather_sites", recording(DensityMatrix._gather_sites))
     result = run_pite(h, init, schedule, config)
     counts = []
     for step, layouts in met.values():
@@ -1438,13 +1424,6 @@ def test_each_step_holds_one_move_per_layout_it_meets(case, monkeypatch):
         assert all(gathers.count(key) == runs for key in met)
     else:  # at order 2 a step runs after each of its two neighbours
         assert max(counts) >= 2
-
-    def afresh(state, step, rng=None):
-        step.moves.clear()
-        return run_step(state, step, rng)
-
-    monkeypatch.setattr(pite, "run_step_circuit", afresh)
-    monkeypatch.setattr(engine, "_step_order", transposing_step_order)
     monkeypatch.setattr(engine._State, "_gather", transposing_gather)
     monkeypatch.setattr(DensityMatrix, "_gather_sites", transposing_gather_sites)
     oracle = run_pite(h, init, schedule, config)
@@ -2353,6 +2332,7 @@ def test_every_per_term_noiseless_step_takes_the_pivot_pauli(monkeypatch):
     n=8 and 10 gets its K0 from ``_pauli_k0``, and no matrix is built by
     the kernels: a fall-back to them fails here, lowered one by one and in
     a LiH run."""
+    from pite_sim import pite
 
     made = []
     pauli_k0 = engine._pauli_k0
@@ -2500,6 +2480,7 @@ def test_noiseless_lih_run_stays_real(monkeypatch):
     """A noiseless LiH run from a real initial state keeps its stored state
     float64 through every one of its measurements, per term and over the
     22-set grouping, sampled: the two benchmarked statevector paths."""
+    from pite_sim import pite
     from pite_sim.grouping import group_hamiltonian, lih_groupspec
 
     dtypes, k0_dtypes = set(), set()
