@@ -189,6 +189,16 @@ class DenseBlock:
         block.matrix = matrix
         return block
 
+    def __eq__(self, other: object) -> bool:
+        """Blocks on the same qubits with equal matrices are one gate, so a
+        block's adjoint equals every other adjoint of it."""
+        if not isinstance(other, DenseBlock):
+            return NotImplemented
+        return self.qubits == other.qubits and np.array_equal(self.matrix, other.matrix)
+
+    def __hash__(self) -> int:
+        return hash(self.qubits)
+
     def __repr__(self) -> str:
         return f"DenseBlock(qubits={self.qubits}, dim={self.matrix.shape[0]})"
 

@@ -40,8 +40,9 @@ even number of Y factors), so a real state stays real. Every other
 matrix up to ``FUSED_MAX_SUPPORT`` qubits is 2^|S| x 2^|S|, built by
 running the gate kernels on the identity columns, each gate's qubits
 mapped onto their positions in S (Post_S is the adjoint of Pre_S when
-its gates are Pre's inverted; any other K0 is Post's kernels run on
-diag(c_S) Pre_S). The kernels keep real and imaginary parts apart (a
+its gates are Pre's inverted, and a sandwich then reads its Post triple
+off Pre's, :func:`_adjoint_phased`; any other K0 is Post's kernels run
+on diag(c_S) Pre_S). The kernels keep real and imaginary parts apart (a
 complex entry times a real factor, a sum of two such entries) and turn
 a phase by an exact quarter turn, so an imaginary part that cancels in
 a grouped K0 or a density-matrix operator comes out exactly 0, and an
@@ -685,9 +686,13 @@ class DensityMatrix(_State):
 
     A step leaves the noise channel of the qubits outside its support
     owed: the state keeps the matrix without it and a per-qubit count of
-    the applications still to come (all of one :class:`NoiseModel`). A
-    later step applies what its own support owes (or composes it into its
-    superoperator), and ``data`` applies all of it. The energy, ``trace``
+    the applications still to come (all of one :class:`NoiseModel`),
+    ``_owed``. The counts are kept as a clock of the noisy steps run since
+    they were all 0, ``_clock``, and the clock's value when each qubit's
+    count was last 0, ``_last``: qubit q owes ``_clock - _last[q]``, so a
+    step touches only its own support's entries. A later step applies
+    what its own support owes (or composes it into its superoperator),
+    and ``data`` applies all of it. The energy, ``trace``
     and ``subspace_weight`` see the channel in full without applying it:
     they read the stored matrix against the observable's image under the
     adjoint of the owed channel (see :func:`_adjoint_diagonals` and
@@ -714,25 +719,38 @@ class DensityMatrix(_State):
     @_State.data.setter
     def data(self, entries: np.ndarray) -> None:
         _State.data.fset(self, entries)
-        self._owed = [0] * self.n_qubits
+        self._clock, self._last = 0, [0] * self.n_qubits
+
+    @property
+    def _owed(self) -> list[int]:
+        """Each qubit's count of owed applications, a new list."""
+        clock = self._clock
+        return [clock - last for last in self._last]
+
+    @_owed.setter
+    def _owed(self, counts: list[int]) -> None:
+        self._clock = max(counts, default=0)
+        self._last = [self._clock - m for m in counts]
 
     def copy(self) -> DensityMatrix:
         twin = super().copy()
-        twin._owed, twin._reads = list(self._owed), dict(self._reads)
+        twin._last, twin._reads = list(self._last), dict(self._reads)
         return twin
 
     def _flush(self) -> None:
         """Put the matrix back in canonical order and divide it by its
         weight, then apply what is owed."""
         super()._flush()
-        if any(self._owed):
-            _channel(self._stored, self._noise, tuple(self._owed))
-            self._owed = [0] * self.n_qubits
+        owed = self._owed
+        if any(owed):
+            _channel(self._stored, self._noise, tuple(owed))
+            self._last = [self._clock] * self.n_qubits
 
     def _adopt(self, model: NoiseModel) -> None:
         """Owe applications of ``model`` from now on, applying those of
-        another model first."""
-        if model != self._noise:
+        another model first (compared by identity first: a run's steps
+        share one)."""
+        if model is not self._noise and model != self._noise:
             self._flush()
             self._noise = model
 
@@ -791,7 +809,7 @@ class DensityMatrix(_State):
         if model.is_identity:
             return
         self._adopt(model)
-        self._owed = [m + 1 for m in self._owed]
+        self._clock += 1
         self._flush()
 
     def measure_ancilla(
@@ -839,8 +857,11 @@ class DensityMatrix(_State):
             prob0 = self._superop_step(step)
         else:
             prob0 = self._sandwich_step(step)
-        support, grows = step.support, int(noise is not None)
-        self._owed = [0 if q in support else m + grows for q, m in enumerate(self._owed)]
+        if noise is not None:  # one more owed application on every other qubit
+            self._clock += 1
+        clock, last = self._clock, self._last
+        for q in step.support:
+            last[q] = clock
         return prob0
 
     def _superop_step(self, step: SuperopStep) -> float:
@@ -848,7 +869,8 @@ class DensityMatrix(_State):
         # one run in it: the (before, 4^k, after) view, S's vectorized
         # block on the middle axis. What S owes composes into T_S.
         rho, run = self._gather_sites(step)
-        owed = tuple(self._owed[q] for q in run.sites)
+        clock, last = self._clock, self._last
+        owed = tuple([clock - last[q] for q in run.sites])
         split = rho.dtype.kind == "c" and run.t_s.dtype.kind == "f"
         try:
             op, shape, right = run.ops[owed, split]
@@ -865,8 +887,9 @@ class DensityMatrix(_State):
             out = np.empty(shape, np.result_type(op, x))
             np.matmul(op, x.transpose(0, 2, 1, 3), out=out.transpose(0, 2, 1, 3))
         out = (out.view(np.complex128) if split else out).reshape(-1)
-        # in any site-pair order the diagonal sits at the same positions
-        kept = float(out.take(_diagonal_sites(self.n_qubits)).sum().real)
+        # in any site-pair order the diagonal sits at the same positions;
+        # add.reduce is what sum() calls
+        kept = float(np.add.reduce(out.take(run.diagonal)).real)
         return self._outcome(out, kept, run.order)
 
     def _sandwich_step(self, step: MaskSandwichStep | PassSandwichStep) -> float:
@@ -877,14 +900,16 @@ class DensityMatrix(_State):
         support, noise = step.support, step.noise
         k = len(support)
         rho, order = self._gather(step)
-        owed = tuple(self._owed[q] for q in support)
+        clock, last = self._clock, self._last
+        owed = tuple([clock - last[q] for q in support])
         view = np.may_share_memory(rho, self._stored)
-        axes = {q: i for i, q in enumerate(support)}  # for a gate list
+        # for a gate list, which only a pass sandwich holds
+        axes = {q: i for i, q in enumerate(support)} if type(step) is PassSandwichStep else None
         if any(owed):  # before Pre_S, where its passes run long
             _channel(rho, self._noise, owed, columns=k)
             if view:  # the state itself took it
                 for q in support:
-                    self._owed[q] = 0
+                    last[q] = clock
         if step.pre is not None:
             rho = _sandwich(step.pre, rho, not view, axes)
         if type(step) is MaskSandwichStep:  # W and S's own channel
@@ -893,8 +918,10 @@ class DensityMatrix(_State):
             eps_d = 0.0 if noise is None else noise.eps_d
             rho = rho * _weights(step.c, step.s, eps_d).reshape(-1, 1)
         rest = math.isqrt(rho.shape[1])
-        # the trace: S's diagonal rows, each on the rest's diagonal
-        prob0 = self._outcome(rho, float(rho[:: 2**k + 1, :: rest + 1].sum().real), order)
+        # the trace: S's diagonal rows, each on the rest's diagonal (add.reduce
+        # over both axes is what sum() calls)
+        kept = float(np.add.reduce(rho[:: 2**k + 1, :: rest + 1], axis=None).real)
+        prob0 = self._outcome(rho, kept, order)
         if type(step) is PassSandwichStep and noise is not None:  # S's own channel
             _channel(self._stored, noise, (1,) * k, columns=k)
         if step.post is not None:
@@ -978,7 +1005,7 @@ def _channel(
     where a step's gathered layout puts its support. The jumps run before
     the factor: moving the factor ahead of them (into a step's weight W,
     say) would divide each jump weight by keep, which is 0 at eps_d = 1,
-    a model ``NoiseModel`` admits (:func:`_mask_stage` keeps this order
+    a model ``NoiseModel`` admits (:func:`_mask_channel` keeps this order
     within each X-mask block). The adjoint of
     (scaling) o (jump) is (reversed jump) o (scaling), as the scaling is
     real and elementwise: A_11 = keep A_11 + (1 - keep) A_00.
@@ -1142,12 +1169,13 @@ def _mask_order(k: int) -> tuple[np.ndarray, np.ndarray]:
     return order, inverse
 
 
-def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
-    """The read-only ``stack`` of a :class:`MaskSandwichStep` of
-    W = ``weights`` on k qubits, then one application of ``noise``'s
-    channel on the k qubits (none for None)."""
-    size = weights.shape[0]
-    k = size.bit_length() - 1
+@lru_cache(maxsize=16)
+def _mask_channel(k: int, noise: NoiseModel | None) -> np.ndarray:
+    """The read-only channel part of a k-qubit :class:`MaskSandwichStep`'s
+    stack, diag(F_x) Z_x for each X mask x, of one application of
+    ``noise``'s channel on the k qubits (the identity for None). Cached:
+    every X-mask step of a run on k qubits shares it."""
+    size = 2**k
     order, _ = _mask_order(k)
     if noise is None:
         jumps, factor = (0.0,) * k, np.ones((size, size))
@@ -1158,8 +1186,21 @@ def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
         pair = np.array([[[1.0, jump], [0.0, 1.0]], np.eye(2)])  # [x_q, r_q out, r_q in]
         width = 2 * len(jump_z)
         jump_z = np.einsum("xab,ycd->xyacbd", jump_z, pair).reshape(width, width, width)
-    f_x, w_x = (a.reshape(-1)[order].reshape(size, size) for a in (factor, weights))
-    stack = f_x[:, :, None] * jump_z * w_x[:, None, :]
+    part = factor.reshape(-1)[order].reshape(size, size)[:, :, None] * jump_z
+    part.setflags(write=False)
+    return part
+
+
+def _mask_stage(weights: np.ndarray, noise: NoiseModel | None) -> np.ndarray:
+    """The read-only ``stack`` of a :class:`MaskSandwichStep` of
+    W = ``weights`` on k qubits, then one application of ``noise``'s
+    channel on the k qubits (none for None): the channel part
+    (:func:`_mask_channel`) times W_x."""
+    size = weights.shape[0]
+    k = size.bit_length() - 1
+    order, _ = _mask_order(k)
+    w_x = weights.reshape(-1)[order].reshape(size, size)
+    stack = _mask_channel(k, noise) * w_x[:, None, :]
     stack.setflags(write=False)
     return stack
 
@@ -1264,9 +1305,10 @@ class _SiteRun:
     the ``move`` into it (a transposition, or None when the matrix is
     stored so already), the step's ``sites`` in the order that stores
     them, a run of sites after ``before`` = 4^p entries and before
-    ``after`` = 4^(n-p-k), and ``t_s`` permuted into that order. ``ops``
-    keeps, per owed counts on the sites and real-product split, what
-    :meth:`operators` builds."""
+    ``after`` = 4^(n-p-k), ``t_s`` permuted into that order, and the
+    ``diagonal`` positions of the n-qubit matrix (:func:`_diagonal_sites`).
+    ``ops`` keeps, per owed counts on the sites and real-product split,
+    what :meth:`operators` builds."""
 
     order: tuple[int, ...]
     move: tuple | None
@@ -1274,6 +1316,7 @@ class _SiteRun:
     before: int
     after: int
     t_s: np.ndarray
+    diagonal: np.ndarray
     ops: dict = field(default_factory=dict)
 
     def operators(self, model: NoiseModel | None, owed: tuple[int, ...], split: bool) -> tuple:
@@ -1332,7 +1375,7 @@ def _site_run(n: int, order: tuple | None, step: SuperopStep) -> _SiteRun:
         perm = np.arange(4**k).reshape((4,) * k).transpose([support.index(q) for q in run])
         perm = perm.reshape(-1)
         t_s = t_s[np.ix_(perm, perm)]
-    return _SiteRun(current, move, run, 4**p, 4 ** (n - p - k), t_s)
+    return _SiteRun(current, move, run, 4**p, 4 ** (n - p - k), t_s, _diagonal_sites(n))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -1441,7 +1484,9 @@ class MaskSandwichStep(BoundStep):
     (:func:`_channel_factors`), and
     Z_x = (x) over q of (x_q ? I : [[1, eps_d], [0, 1]]) on r's bit q
     holds the jumps, which move weight from r_q = c_q = 1 to 0 only. The
-    jumps act before F, as in :func:`_channel` (see :func:`_by_mask`)."""
+    jumps act before F, as in :func:`_channel` (see :func:`_by_mask`).
+    Lowering multiplies the channel part diag(F_x) Z_x, built once per
+    (|S|, model) and shared (:func:`_mask_channel`), by the step's W_x."""
 
     state_type = DensityMatrix
     pre: tuple | None
@@ -1511,6 +1556,20 @@ def _phased(m: np.ndarray) -> tuple:
                 phases[axis] = np.outer(d, d.conj())
                 return a.real.copy(), *phases
     return m, None, None
+
+
+def _adjoint_phased(op: tuple) -> tuple:
+    """The sandwich triple of m^dag from m's :func:`_phased` triple ``op``,
+    with no search: m = a diag(d) gives m^dag = diag(d^*) a^T, whose phase
+    factor, conj(phase_in), applies after the products; m = diag(d) a gives
+    a^T diag(d^*), whose conj(phase_out) applies before them; an unphased m
+    gives m^dag. Lowering takes Post's triple so when Post inverts Pre."""
+    a, phase_in, phase_out = op
+    if phase_in is not None:
+        return np.ascontiguousarray(a.T), None, phase_in.conj()
+    if phase_out is not None:
+        return np.ascontiguousarray(a.T), phase_out.conj(), None
+    return np.ascontiguousarray(a.conj().T), None, None
 
 
 def _fold_rotation(
@@ -1664,7 +1723,8 @@ def lower_step(
     run on the identity columns with each qubit on its position in S; any
     other noiseless statevector step builds no Post_S, but runs Post's
     kernels on diag(c_S) Pre_S, which makes K0 exactly real whenever its
-    imaginary part cancels. A density matrix's T_S is
+    imaginary part cancels; a sandwich whose Post inverts Pre takes Post's
+    triple from Pre's (:func:`_adjoint_phased`). A density matrix's T_S is
     (Post_S (x) Post_S*) N_S diag(vec W) (Pre_S (x) Pre_S*), with N_S one
     application of the channel on S, taken into site-pair order.
 
@@ -1719,14 +1779,13 @@ def lower_step(
         k0 = _product(post, c[:, None] * pre_s, overwrite=True, axes=position)
         return K0Step(support, real_if_exact(k0))
     inverse = post == adjoint_sequence(pre)
-    post_s = np.ascontiguousarray(pre_s.conj().T) if inverse else _on_support(post, support)
     if isinstance(state, DensityMatrix):
         eps_d = 0.0 if noise is None else noise.eps_d
         if len(support) <= SUPEROP_MAX_SUPPORT:
             k, weights = len(support), _weights(c, s, eps_d)
             pre_t = _pair_product(pre_s)
             # (A (x) conj(A))^dag is that of A^dag, entry for entry
-            post_t = pre_t.conj().T if inverse else _pair_product(post_s)
+            post_t = pre_t.conj().T if inverse else _pair_product(_on_support(post, support))
             superop = weights.reshape(-1)[_site_pairs(k)][:, None] * pre_t
             if noise is not None:
                 superop = _channel_superop(noise, (1,) * k) @ superop
@@ -1737,7 +1796,12 @@ def lower_step(
             return SuperopStep(support, superop, noise=noise)
         # an empty gate list leaves its sandwich out
         pre_op = _phased(pre_s) if pre else None
-        post_op = _phased(post_s) if post else None
+        if not post:
+            post_op = None
+        elif inverse:  # so Pre is not empty either
+            post_op = _adjoint_phased(pre_op)
+        else:
+            post_op = _phased(_on_support(post, support))
         if len(support) <= MASK_STACK_MAX_SUPPORT:
             weights = _weights(c, s, eps_d)
             stack = _mask_stage(weights, noise)
@@ -1745,6 +1809,7 @@ def lower_step(
             _check_kept_trace(stack[0].sum(0), weights.diagonal(), "the X-mask stack")
             return MaskSandwichStep(support, pre_op, stack, post_op, noise=noise)
         return PassSandwichStep(support, pre_op, c, s, post_op, noise=noise)
+    post_s = np.ascontiguousarray(pre_s.conj().T) if inverse else _on_support(post, support)
     return BranchStep(support, pre_s, c, s, post_s, noise=noise)
 
 

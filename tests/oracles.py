@@ -4,8 +4,9 @@ Nothing here runs the kernels that evolve states (``pite_sim.engine``'s
 pair kernels and fused products), so the tests compare those fast paths
 against arrays built independently: Kronecker products of 2x2 Pauli
 matrices, per-qubit ``np.tensordot`` contractions and gate matrices
-written out from the gate definitions, and a noiseless postselected run
-as the product of its circuits' dense post-selected operators. The
+written out from the gate definitions, a noiseless postselected run
+as the product of its circuits' dense post-selected operators, and a
+noisy density-matrix run as its circuits' dense Kraus sums in turn. The
 elementary-gate Ising block circuit and its closed forms live here too,
 as references for the grouped step built from a dense eigenbasis, with
 the rewrite of its work-register rotations into the dense blocks the
@@ -163,6 +164,16 @@ def postselected_operator(circuit: Circuit) -> np.ndarray:
     return full[0::2, 0::2].copy()  # ancilla is the least significant bit
 
 
+def _hamiltonian_and_ground(h: PauliHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """H as the sum of the terms' :func:`term_matrix` and the identity
+    offset, and the eigenvectors of H within 1e-10 of its lowest
+    eigenvalue, as columns."""
+    dim = 2**h.n_qubits
+    hmat = sum((term_matrix(t) for t in h.terms), h.identity_offset * np.eye(dim))
+    energies, vectors = np.linalg.eigh(hmat)
+    return hmat, vectors[:, energies - energies[0] <= 1e-10]
+
+
 def postselected_run(
     h: PauliHamiltonian, circuits: list[Circuit], init: np.ndarray, n_steps: int
 ) -> list[tuple[float, float, float]]:
@@ -176,9 +187,7 @@ def postselected_run(
     the weight on the eigenvectors of H within 1e-10 of its lowest
     eigenvalue."""
     dim = 2**h.n_qubits
-    hmat = sum((term_matrix(t) for t in h.terms), h.identity_offset * np.eye(dim))
-    energies, vectors = np.linalg.eigh(hmat)
-    ground = vectors[:, energies - energies[0] <= 1e-10]
+    hmat, ground = _hamiltonian_and_ground(h)
     m = np.eye(dim)
     for circuit in circuits:
         m = postselected_operator(circuit) @ m
@@ -189,6 +198,45 @@ def postselected_run(
         fidelity = float(np.linalg.norm(ground.conj().T @ psi) ** 2) / weight
         records.append((energy, fidelity, weight))
         psi = m @ psi
+    return records
+
+
+def kraus_step(circuit: Circuit, rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
+    """One noisy step circuit on the work-register matrix ``rho``, its
+    ancilla-0 branch left unnormalized (its trace is prob0 times that of
+    ``rho``): ``rho`` (x) |0><0| on the work register and the ancilla (the
+    least significant bit), the gates up to the measurement on both sides
+    (:func:`gates_unitary`), the channel of the Kraus operators ``kraus``
+    on every qubit, ancilla included (:func:`kraus_channel`), the ancilla-0
+    block, then the gates after the measurement on both sides."""
+    n = circuit.n_qubits
+    full = np.kron(rho, np.diag([1.0, 0.0]))
+    pre = gates_unitary(circuit.pre_measure, n)
+    branch = kraus_channel(pre @ full @ pre.conj().T, kraus)[0::2, 0::2]
+    post = gates_unitary(circuit.post_measure, n)[0::2, 0::2]
+    return post @ branch @ post.conj().T
+
+
+def noisy_run(
+    h: PauliHamiltonian, circuits: list[Circuit], init: np.ndarray, n_steps: int, kraus
+) -> list[tuple[float, float, float]]:
+    """The records of :func:`postselected_run` for a noisy density-matrix
+    run, whose channel has the Kraus operators ``kraus``: from
+    |init><init|, each of ``circuits`` (one Trotter step's, in the order
+    they run) as one :func:`kraus_step`, ``n_steps`` times over. The
+    matrix is never normalized: p_cum is its trace, and the energy and
+    the fidelity are read over it."""
+    hmat, ground = _hamiltonian_and_ground(h)
+    rho = np.outer(init, np.conj(init))
+    records = []
+    for step in range(n_steps + 1):
+        if step:
+            for circuit in circuits:
+                rho = kraus_step(circuit, rho, kraus)
+        weight = float(np.trace(rho).real)
+        energy = float(np.trace(hmat @ rho).real) / weight
+        fidelity = float(np.trace(ground.conj().T @ rho @ ground).real) / weight
+        records.append((energy, fidelity, weight))
     return records
 
 

@@ -225,6 +225,20 @@ def test_dense_block_adjoint_keeps_the_validated_matrix():
     assert np.array_equal(inverse.adjoint().matrix, block.matrix)
 
 
+def test_dense_blocks_compare_by_qubits_and_matrix():
+    """Two adjoints of one block are equal gates (so a grouped step's Post
+    equals ``adjoint_sequence`` of its Pre) and hash alike; a block on
+    other qubits, or with another matrix, is another gate, as is any gate
+    of another kind."""
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    block = DenseBlock((0, 2), q)
+    assert block.adjoint() == block.adjoint() and block.adjoint() is not block.adjoint()
+    assert hash(block.adjoint()) == hash(block.adjoint())
+    assert (block,) == adjoint_sequence((block.adjoint(),))
+    assert block != DenseBlock((2, 0), q) and block != block.adjoint()
+    assert block != DenseBlock((0, 2), q * 1j) and block != CNOT(0, 2)
+
+
 def test_dense_block_validation():
     with pytest.raises(ValueError, match="unitary"):
         DenseBlock((0,), np.array([[1.0, 0.0], [0.0, 2.0]]))

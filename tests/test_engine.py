@@ -51,6 +51,7 @@ from oracles import (
     dense_step_oracle,
     gates_unitary,
     kraus_channel,
+    kraus_step,
     on_register,
     postselected_operator,
     term_matrix,
@@ -420,16 +421,13 @@ def test_step_matches_postselected_operator(circ, monkeypatch):
 
 
 def full_kraus_step(circ, rho_work, model):
-    """Oracle of a noisy density-matrix step: the (n+1)-qubit circuit with
-    the channel on every qubit at once, ancilla included, projected on
-    ancilla 0. Returns the normalized work-register state and prob0."""
-    n = circ.n_qubits
-    full = np.kron(rho_work, np.diag([1.0, 0.0]))  # ancilla is the last qubit
-    pre = gates_unitary(circ.pre_measure, n)
-    branch = kraus_channel(pre @ full @ pre.conj().T, model.kraus_operators())[0::2, 0::2]
+    """Oracle of a noisy density-matrix step (``oracles.kraus_step``): the
+    (n+1)-qubit circuit with the channel on every qubit at once, ancilla
+    included, projected on ancilla 0. Returns the normalized work-register
+    state and prob0."""
+    branch = kraus_step(circ, rho_work, model.kraus_operators())
     p0 = float(np.trace(branch).real)
-    post = gates_unitary(circ.post_measure, n)[0::2, 0::2]
-    return post @ branch @ post.conj().T / p0, p0
+    return branch / p0, p0
 
 
 @pytest.mark.parametrize("eps_r,eps_d", [(0.3, 0.2), (0.0, 0.9), (1e-5, 1e-5), (0.0, 1.0)])
@@ -1725,7 +1723,7 @@ def test_copy_keeps_the_stored_order_and_what_is_owed():
     assert (d._order, d._owed) == (order, owed) and np.array_equal(d._stored, stored)
     assert (twin._order, twin._owed, twin._noise) == (order, owed, d._noise)
     assert np.array_equal(twin._stored, stored) and not np.shares_memory(twin._stored, d._stored)
-    assert twin._owed is not d._owed and twin._reads is not d._reads
+    assert twin._last is not d._last and twin._reads is not d._reads
     assert twin.expectation(h) == d.expectation(h) and twin.trace() == d.trace()
     assert np.array_equal(copy.deepcopy(twin).data, copy.deepcopy(d).data)
     run_circuit(twin, build_pauli_step(h.terms[0], 0.1), noise=model)
@@ -1735,6 +1733,97 @@ def test_copy_keeps_the_stored_order_and_what_is_owed():
     assert s._order == s_twin._order == s_order and np.array_equal(s._stored, s_stored)
     assert np.array_equal(s_twin._stored, s_stored) and not np.shares_memory(s_twin._stored, s._stored)
     assert s_twin.expectation(h) == s.expectation(h)
+
+
+def test_owed_counts_follow_a_plain_per_qubit_count(monkeypatch):
+    """The owed counts, kept as a clock and each qubit's last reading,
+    equal a plain per-qubit count after every step of random sequences on
+    noisy Ising n=5: steps of 1 to 5 qubits down every path, under two
+    noise models and none, so that a step of the other model makes the
+    state apply all it owes first and a noiseless step clears its support
+    and adds nothing. A record (energy, trace, ground weight) changes no
+    count; a ``data`` read clears them all. A copy taken mid-sequence
+    counts alike and, evolved alike, reads the same ``data`` bitwise. At
+    every record and ``data`` read the state equals ``full_kraus_step``
+    run step by step."""
+    n = 5
+    h = build_ising(n, 1.0, 1.2, 0.3)
+    hmat = sum((term_matrix(t) for t in h.terms), h.identity_offset * np.eye(2**n))
+    basis = np.linalg.eigh(hmat)[1][:, :2]
+    models = (NoiseModel(0.02, 0.03), NoiseModel(0.01, 0.05), None)
+    circuits = [build_pauli_step(t, 0.1) for t in h.terms]
+    circuits += [build_grouped_step(random_grouped_block(n, size), 0.2) for size in (3, 4)]
+    circuits.append(build_pauli_step(PauliTerm.from_string(0.4, "XYZZX"), 0.1))
+    local = np.random.default_rng(29)
+    paths = list(STEP_PATHS)
+    d = DensityMatrix(n, random_density(n, local))
+    steps = []
+    for i, circ in enumerate(circuits):
+        for j, model in enumerate(models):
+            force_path(monkeypatch, paths[(i + j) % len(paths)])
+            steps.append((circ, lower_step(circ, d, model), model))
+    assert {step_path(step) for _, step, _ in steps} == set(paths)
+
+    def plain(counts: list[int], current, support, model) -> tuple[list[int], NoiseModel]:
+        """The counts and model after a step: another model applies all
+        that is owed first; the step clears its support and, when noisy,
+        adds one application on every other qubit."""
+        if model is not None and model != current:
+            counts, current = [0] * n, model
+        return [0 if q in support else m + (model is not None) for q, m in enumerate(counts)], current
+
+    for sequence in range(3):
+        d = DensityMatrix(n, random_density(n, local))
+        rho, counts, current, twin = d.data.copy(), [0] * n, None, None
+        for action in range(40):
+            circ, step, model = steps[int(local.integers(len(steps)))]
+            for state in (d, twin):
+                if state is not None:
+                    run_step_circuit(state, step)
+            rho, _ = full_kraus_step(circ, rho, model or NoiseModel(0.0, 0.0))
+            counts, current = plain(counts, current, step.support, model)
+            assert d._owed == counts, (sequence, action)
+            if twin is not None:
+                assert twin._owed == counts and twin._order == d._order
+            if action == 10 + sequence:
+                twin = d.copy()
+            if action % 7 == 3:  # a record
+                assert d.expectation(h) == pytest.approx(np.trace(hmat @ rho).real, abs=1e-12)
+                assert d.trace() == pytest.approx(1.0, abs=1e-12)
+                ground = np.trace(basis.conj().T @ rho @ basis).real
+                assert d.subspace_weight(basis) == pytest.approx(ground, abs=1e-12)
+                assert d._owed == counts
+            if action == 25:  # a data read
+                assert np.abs(d.data - rho).max() < 1e-12
+                counts = [0] * n
+                assert d._owed == counts and np.array_equal(twin.data, d.data)
+        assert np.abs(d.data - rho).max() < 1e-12
+        assert np.array_equal(twin.data, d.data)
+
+
+def test_sandwich_step_that_annihilates_keeps_the_channel_it_took_in_place(monkeypatch):
+    """A sandwich step on a matrix stored in its own order applies what
+    its support owes in the stored buffer itself, so it clears those
+    counts at once: when its outcome then annihilates, the state still
+    reads as the matrix with every owed application made once. Here qubit
+    0 owes 2 and qubit 1 owes 1, and the step on qubit 0 keeps no weight
+    (a controlled-Ry by pi from a matrix on qubit 0's |1>, with no jump
+    branch at eps_d = 0)."""
+    model = NoiseModel(0.1, 0.0)
+    circ = Circuit(2, True, (ControlledRy(math.pi, 0, 2),), 1)
+    force_path(monkeypatch, "sandwich")
+    d = DensityMatrix(2)
+    step = lower_step(circ, d, model)
+    assert step_path(step) == "sandwich" and step.support == (0,)
+    vectors = [np.array([0.0, 0.0, 0.6, 0.8]), np.array([0.0, 0.0, 0.8, -0.6])]
+    rho = 0.7 * np.outer(vectors[0], vectors[0]) + 0.3 * np.outer(vectors[1], vectors[1])
+    order = (0, 2, 1, 3)  # the step's own: S's row bit, its column bit, then the rest's
+    d._stored, d._order, d._noise = in_order(rho, order), order, model
+    d._owed = [2, 1]
+    with pytest.raises(EvolutionAnnihilatedError):
+        run_step_circuit(d, step)
+    assert d._owed == [0, 1]
+    assert np.abs(d.data - owed_by_kraus(rho, model, (2, 1))).max() < 1e-15
 
 
 def test_sandwich_step_stores_its_superop_layout(monkeypatch):
@@ -2114,6 +2203,111 @@ def test_mask_stack_is_the_weight_then_the_channel(eps_d):
     assert np.array_equal(order[inverse], np.arange(64))
 
 
+@pytest.mark.parametrize("eps_r,eps_d", [(1e-5, 1e-5), (0.3, 0.2), (0.0, 1.0)])
+def test_mask_stack_equals_the_kraus_sum_of_the_weight_then_the_channel(eps_r, eps_d):
+    """The X-mask stack lowering builds from the shared channel part, laid
+    out as one 4^k x 4^k matrix on S's entries, equals the dense oracle
+    column by column for k = 1 to 4: each entry's unit matrix scaled by W,
+    then the Kraus sum of the channel on every qubit (``kraus_channel``).
+    At (0, 1) the channel's factor zeroes every |1><1| entry that its jump
+    has not moved to |0><0| first, so the oracle pins the order of the
+    two."""
+    model = NoiseModel(eps_r, eps_d)
+    local = np.random.default_rng(43)
+    for k in (1, 2, 3, 4):
+        size = 2**k
+        theta = local.uniform(0.0, math.pi, size)
+        w = engine._weights(np.cos(theta), np.sin(theta), eps_d)
+        stack = engine._mask_stage(w, model)
+        order, _ = engine._mask_order(k)
+        got = np.zeros((size * size, size * size))
+        for x in range(size):
+            entries = order[x * size : (x + 1) * size]  # (r, r ^ x), by r
+            got[np.ix_(entries, entries)] = stack[x]
+        want = np.empty_like(got, dtype=complex)
+        for column in range(size * size):
+            unit = np.zeros(size * size)
+            unit[column] = w.reshape(-1)[column]
+            want[:, column] = kraus_channel(unit.reshape(size, size), model.kraus_operators()).reshape(-1)
+        assert np.abs(got - want).max() < 1e-15, k
+
+
+def test_x_mask_steps_share_one_read_only_channel_part(monkeypatch):
+    """Lowering LiH's X-mask steps under a model and under an equal one (a
+    distinct object) hands every step the one read-only channel part of
+    its (k, model); under another model the steps get another part."""
+    parts = []
+    mask_channel = engine._mask_channel
+    monkeypatch.setattr(engine, "_mask_channel",
+                        lambda k, model: parts.append((k, model, mask_channel(k, model))) or parts[-1][2])
+    circuits = [build_pauli_step(t, 0.05) for t in build_lih().terms]
+    lowered = {}
+    for name, model in (("a", NoiseModel(1e-5, 1e-5)), ("a again", NoiseModel(1e-5, 1e-5)),
+                        ("b", NoiseModel(1e-3, 2e-3))):
+        parts.clear()
+        steps = [lower_step(c, DensityMatrix(6), model) for c in circuits]
+        assert sum(type(s) is engine.MaskSandwichStep for s in steps) == len(parts) == 28
+        assert {(k, m) for k, m, _ in parts} == {(4, model)}
+        assert len({id(part) for _, _, part in parts}) == 1 and not parts[0][2].flags.writeable
+        lowered[name] = parts[0][2]
+    assert lowered["a"] is lowered["a again"]
+    assert lowered["b"] is not lowered["a"] and not np.array_equal(lowered["b"], lowered["a"])
+
+
+def sandwich_post_case(name: str) -> Circuit:
+    """A step circuit on 4 of 5 qubits whose Post inverts Pre: per term
+    with no Y factor (a real Pre_S), with one and with three (Pre_S real
+    but for one phase per column), a Pre that ends with S (one phase per
+    row, ``phased_step``), or grouped (Pre one complex DenseBlock, whose
+    adjoint Post equals it by value)."""
+    if name == "S last":
+        return phased_step(5, (0, 1, 2, 4), (0.3, -0.7, 1.1, 0.4))
+    if name == "grouped":
+        local = np.random.default_rng(23)
+        m = local.standard_normal((16, 16)) + 1j * local.standard_normal((16, 16))
+        return build_grouped_step(GroupedBlock(5, (0, 1, 2, 4), (m + m.conj().T) / 2), 0.2)
+    axes = {"no Y": "XZIZX", "one Y": "XYIZZ", "three Y": "YYIYZ"}[name]
+    return build_pauli_step(PauliTerm.from_string(0.7, axes), 0.3)
+
+
+@pytest.mark.parametrize("case, kind", [("no Y", "real"), ("one Y", "phase in"),
+                                        ("three Y", "phase in"), ("S last", "phase out"),
+                                        ("grouped", "complex")])
+def test_post_triple_read_off_pre_gives_the_sandwich_of_the_built_post(case, kind, monkeypatch):
+    """On an X-mask and on a pass-form step whose Post inverts Pre,
+    lowering builds only Pre_S and reads Post's sandwich triple off Pre's
+    (``_adjoint_phased``): a real matrix, a real one and the phase factor
+    of Pre's other side, or a complex one. Its sandwich equals, bitwise,
+    the one of ``_phased`` on Post_S = Pre_S^dag, on a real and a complex
+    matrix."""
+    circ = sandwich_post_case(case)
+    ancilla = circ.ancilla
+    pre = circ.gates[: next(i for i, g in enumerate(circ.gates) if ancilla in g.qubits)]
+    support = tuple(sorted({q for g in circ.gates for q in g.qubits} - {ancilla}))
+    assert circ.post_measure == adjoint_sequence(pre) and len(support) == 4
+    want = engine._phased(np.ascontiguousarray(engine._on_support(pre, support).conj().T))
+    built = []
+    on_support = engine._on_support
+    monkeypatch.setattr(engine, "_on_support", lambda g, s: built.append(g) or on_support(g, s))
+    local = np.random.default_rng(17)
+    shape = (4**4, 4)  # S's block on the leading axis, one qubit besides
+    matrices = (local.standard_normal(shape),
+                local.standard_normal(shape) + 1j * local.standard_normal(shape))
+    for path in ("sandwich", "sandwich-pass"):
+        force_path(monkeypatch, path)
+        built.clear()
+        step = lower_step(circ, DensityMatrix(5), NoiseModel(1e-3, 2e-3))
+        assert step_path(step) == path and built == [pre]
+        a, phase_in, phase_out = step.post
+        assert a.dtype == (np.complex128 if kind == "complex" else np.float64)
+        # Pre's phase factor on one side is Post's on the other
+        assert (step.pre[1] is not None, phase_out is not None) == ((kind == "phase in"),) * 2
+        assert (step.pre[2] is not None, phase_in is not None) == ((kind == "phase out"),) * 2
+        for rho in matrices:
+            got = engine._sandwich(step.post, rho, False)
+            assert np.array_equal(got, engine._sandwich(want, rho, False)), (path, rho.dtype)
+
+
 def test_post_from_the_adjoint_of_pre_is_the_kernel_built_post(monkeypatch):
     """Every H2, LiH and Ising n=4 Pauli step circuit has Post = Pre^dag
     as gates, so lowering takes Post_S as the conjugate transpose of Pre_S,
@@ -2450,21 +2644,19 @@ def test_lowering_rejects_a_fused_channel_that_loses_trace(form, monkeypatch):
     """A density-matrix step reads prob0 as the trace of its output, so a
     fused channel that lost trace would pass for a smaller prob0, which no
     record could see. With ``_channel_superop`` (a superoperator step) or
-    ``_channel_factors`` (an X-mask stack) scaled by 1 - 1e-9, lowering
-    raises ``AssertionError``, naming the operator; scaled by 1 - 1e-14,
-    within the 1e-12 tolerance, it lowers."""
+    ``_mask_channel``, the channel part that an X-mask stack is built from,
+    scaled by 1 - 1e-9, lowering raises ``AssertionError``, naming the
+    operator; scaled by 1 - 1e-14, within the 1e-12 tolerance, it
+    lowers."""
     circ = build_pauli_step(PauliTerm.from_string(0.4, "XZ"), 0.3)
     model = NoiseModel(0.1, 0.2)
     force_path(monkeypatch, STEP_FORMS[form][0])
     name, built = {"superop": ("_channel_superop", "T_S"),
-                   "x-mask": ("_channel_factors", "the X-mask stack")}[form]
+                   "x-mask": ("_mask_channel", "the X-mask stack")}[form]
     exact = getattr(engine, name)
     for scale, raises in ((1.0 - 1e-14, False), (1.0 - 1e-9, True)):
-        def lossy(m, counts, scale=scale):
-            if form == "superop":
-                return scale * exact(m, counts)
-            jumps, factor = exact(m, counts)
-            return jumps, scale * factor
+        def lossy(*key, scale=scale):
+            return scale * exact(*key)
 
         monkeypatch.setattr(engine, name, lossy)
         if not raises:

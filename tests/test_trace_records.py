@@ -2,7 +2,8 @@
 code and per-field maxima), its copies of the benchmark workloads'
 parameters, which must not drift from ``perfbench/workloads.py``, the
 step forms its runs lower to, every one of which its byte-identity check
-is to cover, and its ``--phases`` table on the H2 run."""
+is to cover, and its ``--phases`` table on the H2 run, in this process and
+with ``--fresh``."""
 import importlib.util
 import subprocess
 import sys
@@ -155,5 +156,34 @@ def test_phases_times_the_h2_run_and_removes_its_timers(capsys):
     label, *cells = row.split()
     assert label == "h2" and len(cells) == len(columns)
     values = [float(cell) for cell in cells]
+    assert min(values) >= 0.0 and values[-1] > 0.0
+    assert abs(sum(values[:-1]) - values[-1]) <= 0.003  # three decimals each
+
+
+def test_fresh_phases_time_each_repeat_in_a_process_of_its_own(capsys, monkeypatch):
+    """``--phases --fresh`` on the H2 run, twice: each repeat is the script
+    started again with ``--sample h2`` in a new process, no timer is put
+    on this process's ``pite_sim``, and the one row's phases are
+    non-negative and add up to the total, as without ``--fresh``."""
+    tool = load("trace_records_fresh", TOOL)
+    started = []
+    spawn = subprocess.run
+
+    def starting(args, **kwargs):
+        started.append(args)
+        return spawn(args, **kwargs)
+
+    def no_timers(totals):
+        raise AssertionError("timers put on this process")
+
+    monkeypatch.setattr(tool.subprocess, "run", starting)
+    monkeypatch.setattr(tool, "_phase_timers", no_timers)
+    assert tool.phases(ROOT / "src", 2, [run for run in tool.RUNS if run[0] == "h2"], fresh=True) == 0
+    assert started == [[sys.executable, str(TOOL), "--sample", "h2", "--src", str(ROOT / "src")]] * 2
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split("  ")[0] == "ms, median of 2 fresh"
+    label, *cells = row.split()
+    values = [float(cell) for cell in cells]
+    assert label == "h2" and len(values) == 6
     assert min(values) >= 0.0 and values[-1] > 0.0
     assert abs(sum(values[:-1]) - values[-1]) <= 0.003  # three decimals each

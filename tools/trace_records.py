@@ -3,7 +3,8 @@ files, or time the runs by phase.
 
     python tools/trace_records.py --write FILE [--src DIR]
     python tools/trace_records.py --diff A B
-    python tools/trace_records.py --phases [--src DIR] [--repeats N]
+    python tools/trace_records.py --phases [--src DIR] [--repeats N] [--fresh]
+    python tools/trace_records.py --sample LABEL [--src DIR]
 
 ``--write`` imports ``pite_sim`` from ``DIR`` (default: the ``src/`` next
 to this script), runs the 13 runs of ``RUNS`` and writes one line per trace
@@ -27,7 +28,12 @@ exact spectrum, which ``analysis`` caches after a run's first repeat,
 and the driver's own loop), and the total of ``pite._run``. Each timed
 call carries its timer's own cost, a fraction of a microsecond, so the
 phase of many cheap calls (the steps) reads a little high. The timers
-are removed when the runs end.
+are removed when the runs end. With ``--fresh``, each repeat runs in a
+process of its own (the script started again with ``--sample LABEL``,
+which times the run ``LABEL`` once and prints its phases as one JSON
+line), so every repeat is a process's first run, with every module-level
+cache cold and the spectrum computed again, as in one benchmark repeat;
+without it, the repeats of a run follow each other in this process.
 
 The runs lower their circuits to every step form of ``pite_sim.engine``
 (``K0Step``, ``BranchStep``, ``SuperopStep``, ``MaskSandwichStep`` and
@@ -42,9 +48,11 @@ imports nothing but ``pite_sim`` and numpy.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import re
 import statistics
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -180,22 +188,36 @@ def _phase_timers(totals: dict[str, float]):
             setattr(owner, name, original)
 
 
-def phases(src: Path, repeats: int, runs=RUNS) -> int:
+def sample(fields) -> dict[str, float]:
+    """Seconds per phase of one run of ``fields`` (a ``RUNS`` entry after
+    its label) in this process, "rest" and "total" included."""
+    totals: dict[str, float] = {}
+    with _phase_timers(totals):
+        run(*fields)
+    totals["rest"] = totals["total"] - sum(v for k, v in totals.items() if k != "total")
+    return totals
+
+
+def fresh_sample(label: str, src: Path) -> dict[str, float]:
+    """:func:`sample` of the run ``label``, in a new process started for it."""
+    child = subprocess.run(
+        [sys.executable, __file__, "--sample", label, "--src", str(src)],
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def phases(src: Path, repeats: int, runs=RUNS, fresh: bool = False) -> int:
     """Print the table of ``--phases`` for ``runs``, each run ``repeats``
-    times, from the ``pite_sim`` in ``src``."""
+    times, from the ``pite_sim`` in ``src``; with ``fresh``, each repeat
+    in a new process."""
     sys.path.insert(0, str(src))
     from pite_sim import engine
 
     rows = {}
     for label, *fields in runs:
-        samples = []
-        for _ in range(repeats):
-            totals: dict[str, float] = {}
-            with _phase_timers(totals):
-                run(*fields)
-            totals["rest"] = totals["total"] - sum(v for k, v in totals.items() if k != "total")
-            samples.append(totals)
-        keys = {key for sample in samples for key in sample}
+        samples = [fresh_sample(label, src) if fresh else sample(fields) for _ in range(repeats)]
+        keys = {key for totals in samples for key in totals}
         rows[label] = {key: statistics.median(s.get(key, 0.0) for s in samples) for key in keys}
     # a slots dataclass leaves the class it replaced among the subclasses
     forms = dict.fromkeys(_forms(engine).values())
@@ -203,7 +225,8 @@ def phases(src: Path, repeats: int, runs=RUNS) -> int:
              "records", "rest", "total"]
     columns = [key for key in order if any(key in row for row in rows.values())]
     widths = [max(9, len(key)) + 2 for key in columns]
-    print(f"{'ms, median of ' + str(repeats):32s}"
+    title = f"ms, median of {repeats}" + (" fresh" if fresh else "")
+    print(f"{title:32s}"
           + "".join(f"{key:>{width}}" for key, width in zip(columns, widths)))
     for label, row in rows.items():
         cells = (f"{row.get(key, 0.0) * 1e3:>{width}.3f}" for key, width in zip(columns, widths))
@@ -260,16 +283,25 @@ def main() -> int:
     action.add_argument("--write", metavar="FILE", type=Path)
     action.add_argument("--diff", metavar=("A", "B"), nargs=2, type=Path)
     action.add_argument("--phases", action="store_true")
+    action.add_argument("--sample", metavar="LABEL", choices=[label for label, *_ in RUNS],
+                        help="time the run LABEL once and print its phases as JSON")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
-                        help="the src/ directory to import pite_sim from (--write, --phases)")
+                        help="the src/ directory to import pite_sim from (--write, --phases, --sample)")
     parser.add_argument("--repeats", type=int, default=5, help="runs per row (with --phases)")
+    parser.add_argument("--fresh", action="store_true",
+                        help="each repeat in a process of its own (with --phases)")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.write is not None:
         return write(args.write, args.src)
     if args.phases:
-        return phases(args.src, args.repeats)
+        return phases(args.src, args.repeats, fresh=args.fresh)
+    if args.sample is not None:
+        sys.path.insert(0, str(args.src))
+        fields = next(fields for label, *fields in RUNS if label == args.sample)
+        print(json.dumps(sample(fields)))
+        return 0
     return diff(*args.diff)
 
 
