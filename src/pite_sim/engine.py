@@ -436,9 +436,18 @@ class _State:
     ``measure_ancilla``, a whole-register measurement on ``data`` that no
     step calls; ``apply_gate`` runs a gate on ``data`` on every side.
     Tests and the benchmark's spans use those two.
+
+    The state classes are slotted, so no state, fresh or copied, has an
+    instance ``__dict__``: ``copy.copy`` fills a copy's dict by hand, and
+    on CPython 3.11 every attribute read and write on such an object then
+    misses the interpreter's specialized path (a loop of three loads and
+    two stores took 153 ns on such a copy against 35 ns on a fresh object,
+    and 31 ns on a slotted one, fresh or copied; CPython 3.11.7 on a
+    2-vCPU Xeon). A step reads and writes these attributes about ten
+    times.
     """
 
-    n_qubits: int
+    __slots__ = ("n_qubits", "_stored", "_order", "_weight")
     _sides: int
 
     @property
@@ -541,6 +550,7 @@ class StateVector(_State):
     complex128 on the first genuinely complex operation.
     """
 
+    __slots__ = ()
     _sides = 1
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None):
@@ -700,6 +710,7 @@ class DensityMatrix(_State):
     its counts as they are.
     """
 
+    __slots__ = ("_noise", "_reads", "_clock", "_last")
     _sides = 2
 
     def __init__(self, n_qubits: int, entries: np.ndarray | None = None):
@@ -952,25 +963,41 @@ class DensityMatrix(_State):
 _FACTOR_QUBITS = 6
 
 
+def _folded(model: NoiseModel, m: int) -> tuple[float, float, float]:
+    """``model``'s channel applied m times to one qubit, folded into one
+    exact channel: the weight 1 - keep^m that jumps from |1><1| to
+    |0><0|, then the factors delta^m of |0><1| and |1><0| and keep^m of
+    |1><1|, with keep = 1 - eps_d and delta = sqrt(1 - eps_r - eps_d)."""
+    keep = 1.0 - model.eps_d
+    damp = math.sqrt(1.0 - model.eps_r - model.eps_d)
+    # 1 - keep^m as eps_d (1 + keep + ... + keep^(m-1)): exact for m = 1
+    return model.eps_d * sum(keep**j for j in range(m)), damp**m, keep**m
+
+
+def _kron(factors) -> np.ndarray:
+    """The Kronecker product of the 2-D ``factors``, the first the most
+    significant, as one broadcast outer product per factor, left to right:
+    entry for entry the products ``np.kron`` takes in turn, in less time
+    on small factors."""
+    out = np.ones((1, 1))
+    for f in factors:
+        out = (out[:, None, :, None] * f[:, None, :]).reshape(len(out) * len(f), -1)
+    return out
+
+
 @lru_cache(maxsize=128)
 def _channel_factors(
     model: NoiseModel, counts: tuple[int, ...]
 ) -> tuple[tuple[float, ...], np.ndarray]:
     """``model``'s channel applied counts[i] times to qubit i of a few
-    qubits, folded per qubit into one exact channel: the weight
-    1 - (1 - eps_d)^m that jumps from |1><1| to |0><0|, and the read-only
-    elementwise factor, over (row bits, column bits), of the tensor
-    product of [[1, delta^m], [delta^m, (1 - eps_d)^m]] with
-    delta = sqrt(1 - eps_r - eps_d)."""
-    keep = 1.0 - model.eps_d
-    damp = math.sqrt(1.0 - model.eps_r - model.eps_d)
-    # 1 - keep^m as eps_d (1 + keep + ... + keep^(m-1)): exact for m = 1
-    jumps = tuple(model.eps_d * sum(keep**j for j in range(m)) for m in counts)
-    factor = np.ones((1, 1))
-    for m in counts:
-        factor = np.kron(factor, [[1.0, damp**m], [damp**m, keep**m]])
+    qubits, each folded into one (:func:`_folded`): the jump weights,
+    qubit by qubit, and the read-only elementwise factor, over (row bits,
+    column bits), the tensor product of the per-qubit
+    [[1, delta^m], [delta^m, keep^m]]."""
+    folded = [_folded(model, m) for m in counts]
+    factor = _kron([np.array([[1.0, damp], [damp, keep]]) for _, damp, keep in folded])
     factor.setflags(write=False)
-    return jumps, factor
+    return tuple(jump for jump, _, _ in folded), factor
 
 
 def _channel(
@@ -1044,20 +1071,19 @@ def _adjoint_diagonals(
     b's bit q is both the row and the column bit, where the adjoint
     channel of :func:`_channel` sets d_x[b_q = 1] to
     keep^m d_x[b_q = 1] + (1 - keep^m) d_x[b_q = 0], with the same folded
-    values (:func:`_channel_factors`)."""
+    values (:func:`_folded`): one update per owed qubit over all masks."""
     n = h.n_qubits
     masks, _, stack = h.x_mask_stack
     stack = stack.copy()
-    for x_mask, d in zip(masks.tolist(), stack):
-        for q, m in enumerate(counts):
-            if m:
-                (jump,), factor = _channel_factors(model, (m,))
-                if (x_mask >> (n - 1 - q)) & 1:
-                    d *= factor[0, 1]
-                else:
-                    half = d.reshape(2**q, 2, -1)
-                    half[:, 1] *= factor[1, 1]
-                    half[:, 1] += jump * half[:, 0]
+    for q, m in enumerate(counts):
+        if m:
+            jump, damp, keep = _folded(model, m)
+            flipped = (masks >> (n - 1 - q)) & 1 == 1
+            stack[flipped] *= damp
+            half = stack[~flipped].reshape(-1, 2**q, 2, 2 ** (n - 1 - q))
+            half[:, :, 1] *= keep
+            half[:, :, 1] += jump * half[:, :, 0]
+            stack[~flipped] = half.reshape(-1, 2**n)
     stack.setflags(write=False)
     return stack
 
@@ -1111,14 +1137,19 @@ def _channel_superop(model: NoiseModel, counts: tuple[int, ...]) -> np.ndarray:
     """Read-only 4^k x 4^k matrix of ``_channel(rho, model, counts)`` on
     k = len(counts) qubits, acting on vec(rho) in site-pair order (each
     qubit's row bit, then its column bit: r0 c0 r1 c1 ...), as a
-    :class:`SuperopStep` holds its matrices: ``_channel`` on the 4^k
-    identity columns vec(E_ab) in row-major order (row bits, then column
-    bits), then taken into site-pair order (:func:`_site_pairs`)."""
-    k = len(counts)
-    superop = np.eye(4**k)
-    _channel(superop, model, counts, columns=k)
-    pairs = _site_pairs(k)
-    superop = superop[np.ix_(pairs, pairs)]
+    :class:`SuperopStep` holds its matrices, built site by site in that
+    order (:func:`_folded`): diag(F) J, F the tensor product of the
+    per-site factors [1, delta^m, delta^m, keep^m] and J that of the
+    per-site jumps, the identity but for the weight 1 - keep^m at
+    (|0><0|, |1><1|). Entry for entry these are the products that
+    ``_channel`` takes on the 4^k identity: its jump passes, then its
+    factor."""
+    folded = [_folded(model, m) for m in counts]
+    scale = _kron([np.array([[1.0, damp, damp, keep]]) for _, damp, keep in folded])
+    jumps = [np.eye(4) for _ in folded]
+    for site, (jump, _, _) in zip(jumps, folded):
+        site[0, 3] = jump
+    superop = scale.reshape(-1, 1) * _kron(jumps)
     superop.setflags(write=False)
     return superop
 

@@ -36,7 +36,7 @@ from .engine import (
     run_step_circuit,
 )
 from .grouping import GroupedBlock, sum_block_minima
-from .hamiltonian import PauliHamiltonian
+from .hamiltonian import PauliHamiltonian, real_if_exact
 
 __all__ = [
     "Schedule",
@@ -255,9 +255,12 @@ def _run(
     step_circuits = _step_circuits(build, items, schedule)
     noise = config.noise if config.noise is not None and not config.noise.is_identity else None
     trajectory = config.trajectories is not None
-    # the state type selects exact (density matrix) or sampled noise
+    # the state type selects exact (density matrix) or sampled noise; either
+    # holds a buffer of its own, never ``init`` (an exactly real ``init``
+    # gives a real outer product)
     if noise is not None and not trajectory:
-        start = DensityMatrix(h.n_qubits, np.outer(init, init.conj()))
+        amplitudes = real_if_exact(init)
+        start = DensityMatrix(h.n_qubits, np.outer(amplitudes, amplitudes.conj()))
     else:
         start = StateVector(h.n_qubits, init)
     # lowered once per run; order 2 repeats each circuit object
@@ -282,12 +285,11 @@ def _run(
         )
 
     def attempt(
-        rng: np.random.Generator | None, probs: list | None = None
+        state, rng: np.random.Generator | None, probs: list | None = None
     ) -> tuple[list[TraceRecord], bool]:
-        """One postselected pass; a trajectory's or a sampled pass's
-        annihilation returns its partial records, a sampled pass's after
-        appending prob0 = 0.0 to ``probs``."""
-        state = start.copy()
+        """One postselected pass, stepping ``state`` itself; a trajectory's
+        or a sampled pass's annihilation returns its partial records, a
+        sampled pass's after appending prob0 = 0.0 to ``probs``."""
         p_cum = 1.0
         records = [record(0, state, p_cum)]
         for step in range(1, schedule.n_steps + 1):
@@ -309,7 +311,7 @@ def _run(
 
     if config.mode == "sample":
         probs: list[float] = []
-        records, _ = attempt(None, probs)
+        records, _ = attempt(start, None, probs)
         result = replay_restarts(
             records, np.array(probs), len(steps), config.restart_budget, make_rng(config.seed)
         )
@@ -318,10 +320,10 @@ def _run(
         ]
         return result
 
-    if trajectory:
-        return _trajectory_average(attempt, config)
+    if trajectory:  # each trajectory steps a copy of its own
+        return _trajectory_average(lambda rng: attempt(start.copy(), rng), config)
 
-    records, completed = attempt(None)
+    records, completed = attempt(start, None)
     return RunResult(records=records, restarts=0, completed=completed)
 
 

@@ -10,7 +10,11 @@ noisy density-matrix run as its circuits' dense Kraus sums in turn. The
 elementary-gate Ising block circuit and its closed forms live here too,
 as references for the grouped step built from a dense eigenbasis, with
 the rewrite of its work-register rotations into the dense blocks the
-engine lowers.
+engine lowers. So do the builds of the folded noise channel that the
+engine's per-site builds replaced, as their bitwise references: the
+``np.kron`` chain of its per-qubit factors, the channel kernel (passed
+in, the one kernel run here) on the identity taken into site-pair order,
+and the adjoint diagonals updated one (X mask, qubit) pair at a time.
 """
 from __future__ import annotations
 
@@ -262,6 +266,59 @@ def kraus_channel(rho: np.ndarray, kraus: list[np.ndarray]) -> np.ndarray:
         ops = [on_register(e, (q,), n) for e in kraus]
         rho = sum(op @ rho @ op.conj().T for op in ops)
     return rho
+
+
+def kron_channel_factors(model, counts: tuple[int, ...]) -> tuple[tuple[float, ...], np.ndarray]:
+    """The channel of ``model`` (any object with ``eps_r`` and ``eps_d``)
+    applied counts[i] times to qubit i, folded per qubit: the jump weights
+    eps_d (1 + keep + ... + keep^(m-1)) and the elementwise factor over
+    (row bits, column bits), one ``np.kron`` per qubit of
+    [[1, delta^m], [delta^m, keep^m]], keep = 1 - eps_d and
+    delta = sqrt(1 - eps_r - eps_d)."""
+    keep = 1.0 - model.eps_d
+    damp = math.sqrt(1.0 - model.eps_r - model.eps_d)
+    jumps = tuple(model.eps_d * sum(keep**j for j in range(m)) for m in counts)
+    factor = np.ones((1, 1))
+    for m in counts:
+        factor = np.kron(factor, [[1.0, damp**m], [damp**m, keep**m]])
+    return jumps, factor
+
+
+def identity_channel_superop(channel, model, counts: tuple[int, ...]) -> np.ndarray:
+    """The 4^k x 4^k matrix of the folded channel on k = len(counts)
+    qubits in site-pair order (r0 c0 r1 c1 ...): ``channel(buffer, model,
+    counts, columns=k)``, an in-place kernel on a buffer whose leading
+    bits are the k row bits and then the k column bits, run on the 4^k
+    identity columns in row-major vec order, then both sides permuted
+    into site-pair order."""
+    k = len(counts)
+    superop = np.eye(4**k)
+    channel(superop, model, counts, columns=k)
+    vec = np.arange(4**k).reshape((2,) * (2 * k))
+    pairs = vec.transpose([a for q in range(k) for a in (q, k + q)]).reshape(-1)
+    return superop[np.ix_(pairs, pairs)]
+
+
+def adjoint_diagonals_loop(h: PauliHamiltonian, model, counts: tuple[int, ...]) -> np.ndarray:
+    """The X-mask diagonals of N^dag(H), N ``model``'s channel applied
+    counts[q] times to qubit q, one X mask and one qubit at a time: a
+    qubit in the mask scales its diagonal by delta^m, any other sets
+    d[b_q = 1] to keep^m d[b_q = 1] + jump d[b_q = 0]
+    (:func:`kron_channel_factors`)."""
+    n = h.n_qubits
+    masks, _, stack = h.x_mask_stack
+    stack = stack.copy()
+    for x_mask, d in zip(masks.tolist(), stack):
+        for q, m in enumerate(counts):
+            if m:
+                (jump,), factor = kron_channel_factors(model, (m,))
+                if (x_mask >> (n - 1 - q)) & 1:
+                    d *= factor[0, 1]
+                else:
+                    half = d.reshape(2**q, 2, -1)
+                    half[:, 1] *= factor[1, 1]
+                    half[:, 1] += jump * half[:, 0]
+    return stack
 
 
 def ising_block_eigenvalues(g: float, h: float, J: float = 1.0) -> tuple[float, float, float, float]:

@@ -1,6 +1,7 @@
 """Tests for statevector/density-matrix execution, measurement and noise."""
 import copy
 import dataclasses
+import itertools
 import math
 import re
 
@@ -46,11 +47,14 @@ from pite_sim.hamiltonian import (
 )
 from pite_sim.pite import RunConfig, Schedule, run_pite
 from oracles import (
+    adjoint_diagonals_loop,
     apply_pauli,
     build_ising_block_gates,
     dense_step_oracle,
     gates_unitary,
+    identity_channel_superop,
     kraus_channel,
+    kron_channel_factors,
     kraus_step,
     on_register,
     postselected_operator,
@@ -1141,6 +1145,51 @@ def test_channel_superoperator_matches_the_channel():
         assert np.abs(d.data - want).max() < 1e-14, counts
 
 
+# Noise models under which the channel builds must equal their oracles
+# bitwise: weak, strong, eps_d = 1 (keep = 0), no dephasing, mostly eps_d
+BITWISE_MODELS = [(1e-5, 1e-5), (0.3, 0.2), (0.0, 1.0), (0.1, 0.0), (0.05, 0.4)]
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_channel_builds_equal_their_oracles_bitwise():
+    """``_channel_factors`` equals the ``np.kron`` chain for every count
+    0-3 on up to 3 qubits and 450 random counts on 4-6 qubits, and
+    ``_channel_superop`` equals ``_channel`` on the identity taken into
+    site-pair order on up to 3 qubits (the widest superoperator step),
+    bit for bit, under each model of ``BITWISE_MODELS``."""
+    rng = np.random.default_rng(33)
+    short = [c for k in range(1, 4) for c in itertools.product(range(4), repeat=k)]
+    wide = [tuple(rng.integers(0, 6, size=rng.integers(4, 7)).tolist()) for _ in range(450)]
+    for eps in BITWISE_MODELS:
+        model = NoiseModel(*eps)
+        for counts in short + wide:
+            jumps, factor = engine._channel_factors.__wrapped__(model, counts)
+            want_jumps, want = kron_channel_factors(model, counts)
+            assert jumps == want_jumps and same_bits(factor, want), (eps, counts)
+        for counts in short:
+            superop = engine._channel_superop.__wrapped__(model, counts)
+            want = identity_channel_superop(engine._channel, model, counts)
+            assert same_bits(superop, want), (eps, counts)
+
+
+@pytest.mark.parametrize("model", ["lih", "ising8"])
+def test_adjoint_diagonals_equal_the_per_mask_loop_bitwise(model):
+    """``_adjoint_diagonals``, one update per owed qubit over all X masks,
+    equals the update per (mask, qubit) pair bit for bit on LiH and Ising
+    n = 8, for random owed counts (zeros included) under three models."""
+    h = build_lih() if model == "lih" else build_ising(8, 1.0, 1.2, 0.3)
+    rng = np.random.default_rng(8)
+    for eps in ((1e-5, 1e-5), (0.3, 0.2), (0.0, 1.0)):
+        noise = NoiseModel(*eps)
+        for _ in range(6):
+            counts = tuple(rng.integers(0, 4, size=h.n_qubits).tolist())
+            want = adjoint_diagonals_loop(h, noise, counts)
+            assert same_bits(engine._adjoint_diagonals(h, noise, counts), want), (eps, counts)
+
+
 def in_order(rho: np.ndarray, order: tuple[int, ...]) -> np.ndarray:
     """The buffer of ``rho`` with its bits in ``order`` (label q is the row
     bit of qubit q, n + q its column bit), moved one bit per axis, without
@@ -1733,6 +1782,25 @@ def test_copy_keeps_the_stored_order_and_what_is_owed():
     assert s._order == s_twin._order == s_order and np.array_equal(s._stored, s_stored)
     assert np.array_equal(s_twin._stored, s_stored) and not np.shares_memory(s_twin._stored, s._stored)
     assert s_twin.expectation(h) == s.expectation(h)
+
+
+def test_states_have_no_instance_dict():
+    """Neither state type has an instance ``__dict__``, fresh, stepped,
+    from ``copy()`` or from ``copy.copy``: the state classes are slotted,
+    and a copy's hand-filled dict would slow every attribute read and
+    write of a step on it."""
+    model = NoiseModel(0.02, 0.03)
+    term = build_ising(3, 1.0, 1.2, 0.3).terms[0]
+    states = [StateVector(3), StateVector(3, random_state(3)), DensityMatrix(3),
+              DensityMatrix(3, random_density(3))]
+    for state in states:
+        noise = model if isinstance(state, DensityMatrix) else None
+        for s in (state, state.copy()):
+            assert not hasattr(copy.copy(s), "__dict__"), type(s).__name__
+            assert not hasattr(s, "__dict__"), type(s).__name__
+            run_circuit(s, build_pauli_step(term, 0.1), noise=noise)
+            assert not hasattr(s, "__dict__"), type(s).__name__
+            assert not hasattr(s.copy(), "__dict__"), type(s).__name__
 
 
 def test_owed_counts_follow_a_plain_per_qubit_count(monkeypatch):

@@ -723,6 +723,36 @@ def test_run_rejects_an_initial_state_off_unit_norm(noise):
     assert run_pite(h, init, schedule, config).completed
 
 
+@pytest.mark.parametrize("kind", ["float64", "complex exact real", "complex"])
+def test_runs_leave_init_unchanged(kind):
+    """A single pass steps a start state of its own, and each trajectory
+    a copy of it, so the caller's ``init`` comes back bit for bit after
+    postselected and sampled runs on either state type and after
+    trajectories, whether it is float64 or complex (with or without an
+    imaginary part)."""
+    h = build_lih()
+    rng = np.random.default_rng(33)
+    init = rng.standard_normal(2**h.n_qubits)
+    if kind != "float64":
+        init = init * (np.exp(0.3j) if kind == "complex" else 1.0 + 0j)
+    init /= np.linalg.norm(init)
+    before = init.copy()
+    schedule, model = Schedule(dt=0.05, n_steps=3), NoiseModel(1e-3, 2e-3)
+    configs = [
+        RunConfig(),
+        RunConfig(mode="sample", seed=4),
+        RunConfig(noise=model),
+        RunConfig(mode="sample", seed=4, noise=model),
+        RunConfig(noise=model, trajectories=3, seed=5),
+    ]
+    blocks = group_hamiltonian(h, lih_groupspec())
+    for config in configs:
+        assert run_pite(h, init, schedule, config).records, config
+        assert init.tobytes() == before.tobytes(), config
+        assert run_generalized(h, blocks, init, schedule, config).records, config
+        assert init.tobytes() == before.tobytes(), config
+
+
 def random_model(n: int, seed: int) -> PauliHamiltonian:
     """2n random Pauli terms on n qubits, coefficients of alternating
     sign, the first of them with one Y factor and the second with three

@@ -3,7 +3,7 @@ code and per-field maxima), its copies of the benchmark workloads'
 parameters, which must not drift from ``perfbench/workloads.py``, the
 step forms its runs lower to, every one of which its byte-identity check
 is to cover, and its ``--phases`` table on the H2 run, in this process and
-with ``--fresh``."""
+with ``--fresh``, and its ``--pairs`` on the H2 run from one tree twice."""
 import importlib.util
 import subprocess
 import sys
@@ -187,3 +187,49 @@ def test_fresh_phases_time_each_repeat_in_a_process_of_its_own(capsys, monkeypat
     assert label == "h2" and len(values) == 6
     assert min(values) >= 0.0 and values[-1] > 0.0
     assert abs(sum(values[:-1]) - values[-1]) <= 0.003  # three decimals each
+
+
+def pite_sim_modules() -> dict:
+    return {name: module for name, module in sys.modules.items()
+            if name == "pite_sim" or name.startswith("pite_sim.")}
+
+
+def test_pairs_time_the_h2_run_from_one_tree_twice(capsys, monkeypatch):
+    """``--pairs`` with A = B on the H2 run, two repeats: each repeat is
+    the script started again with ``--pair-sample``, A first and then B
+    first, and the one row reads a positive median ratio and at most two
+    pairs won. ``pair_sample`` in this process times each tree once and
+    removes the modules it imports: this process's ``pite_sim`` modules
+    are the same objects afterwards, and ``sys.path`` is as it was. The
+    command line exits 0."""
+    tool = load("trace_records_pairs", TOOL)
+    src = ROOT / "src"
+    started = []
+    spawn = subprocess.run
+
+    def starting(args, **kwargs):
+        started.append(args)
+        return spawn(args, **kwargs)
+
+    monkeypatch.setattr(tool.subprocess, "run", starting)
+    assert tool.pairs(src, src, 2, ("h2",)) == 0
+    child = [sys.executable, str(TOOL), "--pair-sample", str(src), str(src), "--runs", "h2"]
+    assert started == [child] * 2
+    header, row = capsys.readouterr().out.splitlines()
+    assert header.split()[:5] == ["B", "/", "A,", "2", "cold"]
+    label, median, a_won, b_won = row.split()
+    assert label == "h2" and float(median) > 0.0 and int(a_won) + int(b_won) <= 2
+
+    modules, path = pite_sim_modules(), list(sys.path)
+    times = tool.pair_sample(src, src, ["h2"])
+    assert list(times) == ["h2"] and len(times["h2"]) == 2 and min(times["h2"]) > 0.0
+    after = pite_sim_modules()
+    assert after.keys() == modules.keys()
+    assert all(after[name] is module for name, module in modules.items())
+    assert sys.path == path
+
+    command = [sys.executable, str(TOOL), "--pairs", str(src), str(src), "--repeats", "1",
+               "--runs", "h2"]
+    result = spawn(command, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines()[-1].split()[0] == "h2"

@@ -1,10 +1,11 @@
 """Write every trace record of a fixed list of runs, compare two such
-files, or time the runs by phase.
+files, time the runs by phase, or time them cold from two trees in pairs.
 
     python tools/trace_records.py --write FILE [--src DIR]
     python tools/trace_records.py --diff A B
     python tools/trace_records.py --phases [--src DIR] [--repeats N] [--fresh]
     python tools/trace_records.py --sample LABEL [--src DIR]
+    python tools/trace_records.py --pairs A B [--repeats N] [--runs LABEL ...]
 
 ``--write`` imports ``pite_sim`` from ``DIR`` (default: the ``src/`` next
 to this script), runs the 13 runs of ``RUNS`` and writes one line per trace
@@ -35,6 +36,20 @@ line), so every repeat is a process's first run, with every module-level
 cache cold and the spectrum computed again, as in one benchmark repeat;
 without it, the repeats of a run follow each other in this process.
 
+``--pairs`` compares two trees' speed, ``A`` and ``B`` each a ``src/``
+directory: each of ``N`` repeats (default 5) is one new process (the
+script started again with ``--pair-sample``), which runs each run
+(default: the four benchmark workloads, ``PAIR_RUNS``) once per tree,
+each time from the tree's ``pite_sim`` imported afresh, so that every
+module-level cache starts cold as in one benchmark repeat, and removed
+again after the run; one untimed run of each comes first. The clock
+covers the evolution, the exact spectrum computed before it as the
+benchmark's repeats do. Which tree goes first
+alternates, ``A`` first in the first repeat. It prints each run's median
+over the pairs of B's time over A's and how many pairs each tree won.
+With ``A`` = ``B`` the medians read 1 within the host's noise, which
+checks the method for bias.
+
 The runs lower their circuits to every step form of ``pite_sim.engine``
 (``K0Step``, ``BranchStep``, ``SuperopStep``, ``MaskSandwichStep`` and
 ``PassSandwichStep``): the four benchmark workloads
@@ -48,6 +63,7 @@ imports nothing but ``pite_sim`` and numpy.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import re
@@ -56,6 +72,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 
 LIH_INIT = ((math.sqrt(0.99), "110000"), (0.1, "000011"))
@@ -112,10 +129,14 @@ RUNS = [
 ]
 
 
-def run(model: str, grouped: bool, steps: int, order: int, keywords: dict):
-    """The result of one run of ``RUNS`` (its fields after the label),
-    from the ``pite_sim`` on ``sys.path``."""
-    from pite_sim import grouping, hamiltonian, pite
+def prepare(model: str, grouped: bool, steps: int, order: int, keywords: dict,
+            spectrum: bool = False):
+    """One run of ``RUNS`` (its fields after the label), from the
+    ``pite_sim`` on ``sys.path``, set up (model, initial state, grouping)
+    as a call that runs it and returns its result. With ``spectrum``, the
+    exact spectrum is computed here and passed in, as the benchmark's
+    repeats do; without it, the run computes it."""
+    from pite_sim import analysis, grouping, hamiltonian, pite
     from pite_sim.engine import NoiseModel
 
     h, init = _model(model, hamiltonian)
@@ -123,10 +144,17 @@ def run(model: str, grouped: bool, steps: int, order: int, keywords: dict):
         keywords = {**keywords, "noise": NoiseModel(*keywords["noise"])}
     schedule = pite.Schedule(dt=DT, n_steps=steps, order=order)
     config = pite.RunConfig(**keywords)
+    known = analysis.diagonalize(h, init) if spectrum else None
     if grouped:
         blocks = grouping.group_hamiltonian(h, grouping.lih_groupspec())
-        return pite.run_generalized(h, blocks, init, schedule, config)
-    return pite.run_pite(h, init, schedule, config)
+        return partial(pite.run_generalized, h, blocks, init, schedule, config, known)
+    return partial(pite.run_pite, h, init, schedule, config, known)
+
+
+def run(*fields):
+    """The result of one run of ``RUNS`` (its fields after the label),
+    from the ``pite_sim`` on ``sys.path``."""
+    return prepare(*fields)()
 
 
 def write(path: Path, src: Path) -> int:
@@ -234,6 +262,73 @@ def phases(src: Path, repeats: int, runs=RUNS, fresh: bool = False) -> int:
     return 0
 
 
+# The benchmark's four workloads among ``RUNS``, the runs ``--pairs`` times
+PAIR_RUNS = ("lih-pauli", "lih-grouped-sample seed 0", "lih-noisy", "ising8-noisy")
+
+
+def _cold(src: Path, fields) -> float:
+    """Seconds of one run of ``fields`` (a ``RUNS`` entry after its label)
+    from the ``pite_sim`` in ``src``, imported afresh, so every
+    module-level cache starts cold; the spectrum is computed before the
+    clock starts. The package's modules are removed afterwards, and any
+    that this process had imported before are put back."""
+    held = {name: sys.modules.pop(name) for name in list(sys.modules)
+            if name == "pite_sim" or name.startswith("pite_sim.")}
+    sys.path.insert(0, str(src))
+    try:
+        evolve = prepare(*fields, spectrum=True)
+        gc.collect()  # the trees imported before, not a pause inside the clock
+        start = time.perf_counter()
+        evolve()
+        return time.perf_counter() - start
+    finally:
+        sys.path.remove(str(src))
+        for name in [n for n in sys.modules if n == "pite_sim" or n.startswith("pite_sim.")]:
+            del sys.modules[name]
+        sys.modules.update(held)
+
+
+def pair_sample(first: Path, second: Path, labels) -> dict[str, list[float]]:
+    """For each run of ``labels``, its seconds cold from the ``pite_sim``
+    in ``first`` and then from the one in ``second``, in this process
+    (:func:`_cold`), after one untimed run of each from ``first``, so
+    that what numpy loads on first use (``numpy.random``, say) is loaded
+    before either tree's clock starts. The package keeps its own name in
+    either tree: the grouped runs' data is looked up by that name."""
+    fields = {label: f for label, *f in RUNS}
+    for label in labels:
+        _cold(first, fields[label])
+    return {label: [_cold(src, fields[label]) for src in (first, second)] for label in labels}
+
+
+def pairs(src_a: Path, src_b: Path, repeats: int, labels=PAIR_RUNS) -> int:
+    """Print, for each run of ``labels``, the median over ``repeats``
+    pairs of its time from ``src_b`` over its time from ``src_a``, and in
+    how many pairs each tree was faster. Each repeat is one new process
+    (the script started again with ``--pair-sample``) that runs every run
+    cold once per tree; which tree goes first alternates, ``src_a`` first
+    in the first repeat."""
+    ratios: dict[str, list[float]] = {label: [] for label in labels}
+    for r in range(repeats):
+        flip = r % 2 == 1
+        first, second = (src_b, src_a) if flip else (src_a, src_b)
+        child = subprocess.run(
+            [sys.executable, __file__, "--pair-sample", str(first), str(second),
+             "--runs", *labels],
+            capture_output=True, text=True, check=True,
+        )
+        for label, (t_first, t_second) in json.loads(child.stdout.splitlines()[-1]).items():
+            t_a, t_b = (t_second, t_first) if flip else (t_first, t_second)
+            ratios[label].append(t_b / t_a)
+    print(f"{'B / A, ' + str(repeats) + ' cold pairs':32s}{'median':>10s}{'A faster':>10s}"
+          f"{'B faster':>10s}")
+    for label, values in ratios.items():
+        a_won = sum(v > 1.0 for v in values)
+        b_won = sum(v < 1.0 for v in values)
+        print(f"{label:32s}{statistics.median(values):>10.3f}{a_won:>10d}{b_won:>10d}")
+    return 0
+
+
 _FIELD = re.compile(r"(\w+)=([^,)]+)")
 
 
@@ -285,9 +380,19 @@ def main() -> int:
     action.add_argument("--phases", action="store_true")
     action.add_argument("--sample", metavar="LABEL", choices=[label for label, *_ in RUNS],
                         help="time the run LABEL once and print its phases as JSON")
+    action.add_argument("--pairs", metavar=("A", "B"), nargs=2, type=Path,
+                        help="time the runs cold from the src/ directories A and B, in pairs")
+    action.add_argument("--pair-sample", metavar=("FIRST", "SECOND"), nargs=2, type=Path,
+                        help="time each run cold once from FIRST, then SECOND, and print "
+                             "the seconds as JSON")
     parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
                         help="the src/ directory to import pite_sim from (--write, --phases, --sample)")
-    parser.add_argument("--repeats", type=int, default=5, help="runs per row (with --phases)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="runs per row (with --phases), pairs per run (with --pairs)")
+    parser.add_argument("--runs", metavar="LABEL", nargs="+", default=list(PAIR_RUNS),
+                        choices=[label for label, *_ in RUNS],
+                        help="the runs to time (with --pairs and --pair-sample; default: "
+                             "the four benchmark workloads)")
     parser.add_argument("--fresh", action="store_true",
                         help="each repeat in a process of its own (with --phases)")
     args = parser.parse_args()
@@ -297,6 +402,11 @@ def main() -> int:
         return write(args.write, args.src)
     if args.phases:
         return phases(args.src, args.repeats, fresh=args.fresh)
+    if args.pairs is not None:
+        return pairs(*args.pairs, args.repeats, args.runs)
+    if args.pair_sample is not None:
+        print(json.dumps(pair_sample(*args.pair_sample, args.runs)))
+        return 0
     if args.sample is not None:
         sys.path.insert(0, str(args.src))
         fields = next(fields for label, *fields in RUNS if label == args.sample)
